@@ -70,6 +70,7 @@ import (
 var analyzers = []*analysis.Analyzer{
 	errdrop.Analyzer,
 	govcheck.Analyzer,
+	govcheck.HotMetric,
 	iterclose.Analyzer,
 	lockscope.Analyzer,
 	membalance.Analyzer,

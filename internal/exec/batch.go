@@ -473,7 +473,7 @@ func buildVec(env Env, ev *evaluator, n *plan.Node) (BatchIter, bool, error) {
 	case plan.OpFilter:
 		child := n.Children[0]
 		if ev.fuse && child.Op == plan.OpSeqScan {
-			if kern := ev.compileFused(n.Cond); kern != nil {
+			if kern := ev.compileFused(n.Cond, child.Schema()); kern != nil {
 				src, ok, err := recordSourceFor(env, ev, child)
 				if err != nil {
 					return nil, false, err

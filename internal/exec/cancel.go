@@ -272,5 +272,5 @@ func RunTuned(env Env, node *plan.Node, es *ExecStats, res *Resources, opts RunO
 			cols = append(cols, ci.Name)
 		}
 	}
-	return &Cursor{Cols: cols, Stats: stats, it: it}, nil
+	return &Cursor{Cols: cols, Stats: stats, it: it, ev: ev}, nil
 }

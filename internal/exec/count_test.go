@@ -1,0 +1,179 @@
+package exec
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"github.com/mural-db/mural/internal/leakcheck"
+	"github.com/mural-db/mural/internal/plan"
+	"github.com/mural-db/mural/internal/types"
+)
+
+// reachedEnv counts, from outside the executor, the records a scan's
+// callback accepted. Every row of the tables below is a non-NULL UNITEXT in
+// an admitted language, and the fused loop fails a record before the matcher
+// only through the cancellation checkpoint or the operand-kind error, so a
+// callback that returned nil is a row that reached the Ψ kernel.
+type reachedEnv struct {
+	*recordMockEnv
+	reached atomic.Int64
+}
+
+type reachedScan struct {
+	RecordScan
+	env *reachedEnv
+}
+
+func (e *reachedEnv) ScanRecords(table string, lo, hi int64) (RecordScan, error) {
+	rs, err := e.recordMockEnv.ScanRecords(table, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	return &reachedScan{RecordScan: rs, env: e}, nil
+}
+
+func (s *reachedScan) NextPage(fn func(rec []byte) error) (bool, error) {
+	return s.RecordScan.NextPage(func(rec []byte) error {
+		err := fn(rec)
+		if err == nil {
+			s.env.reached.Add(1)
+		}
+		return err
+	})
+}
+
+// The process-wide Ψ counter is published in batches, not per row; however a
+// statement ends, what it added to mural_psi_evaluations_total must equal its
+// own RunStats.PsiEvaluations and the number of rows that reached the kernel.
+func TestPsiCountsExactOnEveryExit(t *testing.T) {
+	// More surviving rows (3 in 5) than eight workers can park in the merge
+	// channel and their current batches, so a cancellation after the first
+	// row always lands mid-scan.
+	const rows = 60000
+	exits := []struct {
+		name   string
+		badRow bool
+		drive  func(t *testing.T, cur *Cursor, cancel context.CancelFunc)
+	}{
+		{name: "drain", drive: func(t *testing.T, cur *Cursor, _ context.CancelFunc) {
+			for {
+				_, ok, err := cur.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					return
+				}
+			}
+		}},
+		{name: "limit1", drive: func(t *testing.T, cur *Cursor, _ context.CancelFunc) {
+			if _, ok, err := cur.Next(); err != nil || !ok {
+				t.Fatalf("first Next = ok=%v err=%v", ok, err)
+			}
+			if _, ok, err := cur.Next(); err != nil || ok {
+				t.Fatalf("Next past LIMIT 1 = ok=%v err=%v", ok, err)
+			}
+		}},
+		{name: "cancel", drive: func(t *testing.T, cur *Cursor, cancel context.CancelFunc) {
+			if _, ok, err := cur.Next(); err != nil || !ok {
+				t.Fatalf("first Next = ok=%v err=%v", ok, err)
+			}
+			cancel()
+			for {
+				_, ok, err := cur.Next()
+				if errors.Is(err, ErrCanceled) {
+					return
+				}
+				if err != nil || !ok {
+					t.Fatalf("Next after cancel = ok=%v err=%v, want ErrCanceled", ok, err)
+				}
+			}
+		}},
+		{name: "error", badRow: true, drive: func(t *testing.T, cur *Cursor, _ context.CancelFunc) {
+			for {
+				_, ok, err := cur.Next()
+				if err != nil {
+					if !strings.Contains(err.Error(), "LEXEQUAL operands must be text") {
+						t.Fatalf("Next = %v, want the operand-kind error", err)
+					}
+					return
+				}
+				if !ok {
+					t.Fatal("drained past the erroring row")
+				}
+			}
+		}},
+	}
+	// Two tables, encoded once: all names, and the same with a non-text value
+	// halfway down.
+	good, bad := newRecordMockEnv(newMockEnv()), newRecordMockEnv(newMockEnv())
+	mkUniTable(good.mockEnv, "t", rows)
+	bad.tables["t"] = append([]types.Tuple(nil), good.tables["t"]...)
+	bad.tables["t"][rows/2] = types.Tuple{types.NewInt(7)}
+	// workers 0 is the serial plan: no Gather, the cursor's own evaluator
+	// runs the kernel.
+	for _, workers := range []int{0, 1, 2, 8} {
+		for _, exit := range exits {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, exit.name), func(t *testing.T) {
+				leakcheck.Check(t)
+				env := &reachedEnv{recordMockEnv: good}
+				if exit.badRow {
+					env.recordMockEnv = bad
+				}
+				node := psiFilterScan("t", false)
+				if workers > 0 {
+					node = gatherPsiPlan(workers)
+				}
+				if exit.name == "limit1" {
+					node = &plan.Node{Op: plan.OpLimit, Children: []*plan.Node{node}, Cols: node.Cols, LimitN: 1}
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				pool := NewBatchPool()
+				before := mPsiEvals.Value()
+				cur, err := RunTuned(env, node, nil, NewResources(ctx, 0), RunOptions{Vectorize: true, Fuse: true, Pool: pool})
+				if err != nil {
+					t.Fatal(err)
+				}
+				exit.drive(t, cur, cancel)
+				if err := cur.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+				published := mPsiEvals.Value() - before
+				reached := env.reached.Load()
+				if published != reached || cur.Stats.PsiEvaluations != reached {
+					t.Errorf("published %d, RunStats %d, rows that reached the kernel %d: all three must agree",
+						published, cur.Stats.PsiEvaluations, reached)
+				}
+				if exit.name == "drain" && reached != rows {
+					t.Errorf("a full drain evaluated %d of %d rows", reached, rows)
+				}
+				if n := pool.InFlight(); n != 0 {
+					t.Errorf("pool in-flight = %d, want 0", n)
+				}
+			})
+		}
+	}
+}
+
+// The row evaluator counts through the same two helpers; a statement that
+// never enters a fused kernel still publishes at Close.
+func TestRowPathCountsPublishAtClose(t *testing.T) {
+	env := newMockEnv()
+	mkUniTable(env, "t", 100)
+	before := mPsiEvals.Value()
+	cur, err := RunTuned(env, psiFilterScan("t", false), nil, nil, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cur.All(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mPsiEvals.Value() - before; got != 100 || cur.Stats.PsiEvaluations != 100 {
+		t.Errorf("published %d, RunStats %d, want 100 and 100", got, cur.Stats.PsiEvaluations)
+	}
+}

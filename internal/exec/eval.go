@@ -35,6 +35,10 @@ type evaluator struct {
 	vec  bool
 	fuse bool
 	pool *BatchPool
+	// unpubPsi/unpubOmega are evaluations counted into stats but not yet
+	// added to the process-wide metrics (see publishCounts).
+	unpubPsi   int64
+	unpubOmega int64
 }
 
 // phoneme converts through the per-query memo cache: in a Ψ join, the inner
@@ -263,10 +267,7 @@ func (ev *evaluator) evalPsi(x *plan.Psi, t types.Tuple) (types.Value, error) {
 	if r.Kind() == types.KindUniText && !langAdmitted(rlang, x.Langs) {
 		return types.NewBool(false), nil
 	}
-	if ev.stats != nil {
-		ev.stats.PsiEvaluations++
-	}
-	mPsiEvals.Inc()
+	ev.countPsi()
 	return types.NewBool(phonetic.WithinDistance(lph, rph, x.Threshold)), nil
 }
 
@@ -311,10 +312,7 @@ func (ev *evaluator) evalOmega(x *plan.Omega, t types.Tuple) (types.Value, error
 	if !okL || !okR {
 		return types.Value{}, fmt.Errorf("exec: SEMEQUAL operands must be text, got %s and %s", l.Kind(), r.Kind())
 	}
-	if ev.stats != nil {
-		ev.stats.OmegaProbes++
-	}
-	mOmegaProbes.Inc()
+	ev.countOmega()
 	if ev.res != nil {
 		// Governed probes check the cancel checkpoint and charge fresh
 		// closure materializations against the query's memory budget.
@@ -402,10 +400,12 @@ func NewEvaluator(env Env) *Evaluator {
 // Eval evaluates a compiled expression against a tuple (nil for
 // constant-only expressions).
 func (ev *Evaluator) Eval(e plan.Expr, t types.Tuple) (types.Value, error) {
+	defer ev.inner.publishCounts()
 	return ev.inner.eval(e, t)
 }
 
 // EvalBool evaluates a predicate with SQL semantics (NULL is false).
 func (ev *Evaluator) EvalBool(e plan.Expr, t types.Tuple) (bool, error) {
+	defer ev.inner.publishCounts()
 	return ev.inner.evalBool(e, t)
 }

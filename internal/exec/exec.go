@@ -13,9 +13,12 @@ import (
 
 // Cursor is a running query: column names plus a tuple stream.
 type Cursor struct {
-	Cols   []string
-	Stats  *RunStats
-	it     TupleIter
+	Cols  []string
+	Stats *RunStats
+	it    TupleIter
+	// ev is the root evaluator of an executing plan (nil for static rows);
+	// Close publishes what it counted.
+	ev     *evaluator
 	closed bool
 }
 
@@ -29,10 +32,16 @@ func (c *Cursor) Next() (types.Tuple, bool, error) {
 	return t, ok, err
 }
 
-// Close releases the cursor. Close is idempotent.
+// Close releases the cursor and publishes the statement's remaining Ψ/Ω
+// counts: every way a statement ends — drained, abandoned early, failed,
+// canceled — ends here. Close is idempotent.
 func (c *Cursor) Close() error {
 	c.closed = true
-	return c.it.Close()
+	err := c.it.Close()
+	if c.ev != nil {
+		c.ev.publishCounts()
+	}
+	return err
 }
 
 // All drains the cursor and closes it; a close failure surfaces in the

@@ -16,8 +16,10 @@ import (
 // common materialized-phoneme case) an edit distance that re-splits both
 // strings into runes. The fused form compiles the predicate once into a
 // kernel that evaluates against the raw encoded record while the heap page
-// is pinned: skip straight to the column's bytes (types.RawField), read the
-// phoneme view in place, and run a precompiled bounded matcher. Only
+// is pinned: walk to the column's bytes (types.SkipPlan), read the phoneme
+// view in place, and run a precompiled bounded matcher. Whatever depends only
+// on the probe or the schema — the matcher's match table, the walk to the
+// column — is computed once, when the kernel is compiled. Only
 // survivors are decoded into tuples. Rejected rows therefore cost zero
 // allocations, which is where the batch engine's speedup comes from — Ψ
 // selectivities in the workloads are a few percent.
@@ -55,20 +57,36 @@ func colAndConst(l, r plan.Expr) (col int, probe plan.Expr, colIsLeft, ok bool) 
 	return 0, nil, false, false
 }
 
-// compileFused compiles a filter condition into a record kernel, or nil when
-// the shape is not fusible (the generic path then runs it unchanged).
-func (ev *evaluator) compileFused(cond plan.Expr) fusedCond {
+// compileFused compiles a filter condition over a scan with the given output
+// columns into a record kernel, or nil when the shape is not fusible (the
+// generic path then runs it unchanged).
+func (ev *evaluator) compileFused(cond plan.Expr, cols []plan.ColInfo) fusedCond {
 	switch x := cond.(type) {
 	case *plan.Psi:
-		return ev.compileFusedPsi(x)
+		return ev.compileFusedPsi(x, cols)
 	case *plan.Omega:
-		return ev.compileFusedOmega(x)
+		return ev.compileFusedOmega(x, cols)
 	}
 	return nil
 }
 
-func (ev *evaluator) compileFusedPsi(x *plan.Psi) fusedCond {
+// skipTo compiles the walk to column col of a record of the scanned table.
+// ok=false for a column the scan does not produce: the generic path raises
+// the row engine's out-of-range error.
+func skipTo(cols []plan.ColInfo, col int) (types.SkipPlan, bool) {
+	kinds := make([]types.Kind, len(cols))
+	for i, c := range cols {
+		kinds[i] = c.Kind
+	}
+	return types.NewSkipPlan(kinds, col)
+}
+
+func (ev *evaluator) compileFusedPsi(x *plan.Psi, cols []plan.ColInfo) fusedCond {
 	col, probeExpr, colIsLeft, ok := colAndConst(x.L, x.R)
+	if !ok {
+		return nil
+	}
+	skip, ok := skipTo(cols, col)
 	if !ok {
 		return nil
 	}
@@ -92,7 +110,7 @@ func (ev *evaluator) compileFusedPsi(x *plan.Psi) fusedCond {
 	}
 	return &psiKernel{
 		ev:        ev,
-		col:       col,
+		skip:      skip,
 		langs:     x.Langs,
 		m:         phonetic.NewBoundedMatcher(pph, x.Threshold),
 		probeKind: pv.Kind(),
@@ -104,7 +122,7 @@ func (ev *evaluator) compileFusedPsi(x *plan.Psi) fusedCond {
 // edit-distance matcher, column side read as raw views off the pinned page.
 type psiKernel struct {
 	ev        *evaluator
-	col       int
+	skip      types.SkipPlan
 	langs     []types.LangID
 	m         *phonetic.BoundedMatcher
 	probeKind types.Kind
@@ -121,17 +139,11 @@ func (k *psiKernel) operandErr(colKind types.Kind) error {
 	return fmt.Errorf("exec: LEXEQUAL operands must be text, got %s and %s", lk, rk)
 }
 
-// count mirrors evalPsi's statistics: one Ψ evaluation reached the
-// edit-distance stage.
-func (k *psiKernel) count() {
-	if k.ev.stats != nil {
-		k.ev.stats.PsiEvaluations++
-	}
-	mPsiEvals.Inc()
-}
-
+// matchRec counts an evaluation (evaluator.countPsi, as evalPsi does) for
+// every row that reaches the matcher, whether the matcher then rejects it on
+// length alone or runs the full distance computation.
 func (k *psiKernel) matchRec(rec []byte) (bool, error) {
-	field, err := types.RawField(rec, k.col)
+	field, err := k.skip.Seek(rec)
 	if err != nil {
 		return false, err
 	}
@@ -153,10 +165,10 @@ func (k *psiKernel) matchRec(rec []byte) (bool, error) {
 			if err != nil {
 				return false, err
 			}
-			k.count()
+			k.ev.countPsi()
 			return k.m.Match(k.ev.phoneme(v.UniText())), nil
 		}
-		k.count()
+		k.ev.countPsi()
 		return k.m.MatchBytes(ph), nil
 	case types.KindText:
 		v, _, err := types.DecodeValue(field)
@@ -164,14 +176,14 @@ func (k *psiKernel) matchRec(rec []byte) (bool, error) {
 			return false, err
 		}
 		ph, _, _ := k.ev.psiOperand(v, k.langs)
-		k.count()
+		k.ev.countPsi()
 		return k.m.Match(ph), nil
 	default:
 		return false, k.operandErr(types.Kind(field[0]))
 	}
 }
 
-func (ev *evaluator) compileFusedOmega(x *plan.Omega) fusedCond {
+func (ev *evaluator) compileFusedOmega(x *plan.Omega, cols []plan.ColInfo) fusedCond {
 	m := ev.env.Semantic()
 	if m == nil {
 		// No taxonomy: the generic path raises the row engine's error.
@@ -192,9 +204,13 @@ func (ev *evaluator) compileFusedOmega(x *plan.Omega) fusedCond {
 	if !okp {
 		return nil
 	}
+	skip, ok := skipTo(cols, col)
+	if !ok {
+		return nil
+	}
 	return &omegaKernel{
 		ev:        ev,
-		col:       col,
+		skip:      skip,
 		m:         m,
 		langs:     x.Langs,
 		probe:     pu,
@@ -208,7 +224,7 @@ func (ev *evaluator) compileFusedOmega(x *plan.Omega) fusedCond {
 // so operand order is preserved.
 type omegaKernel struct {
 	ev        *evaluator
-	col       int
+	skip      types.SkipPlan
 	m         *wordnet.Matcher
 	langs     []types.LangID
 	probe     types.UniText
@@ -217,7 +233,7 @@ type omegaKernel struct {
 }
 
 func (k *omegaKernel) matchRec(rec []byte) (bool, error) {
-	field, err := types.RawField(rec, k.col)
+	field, err := k.skip.Seek(rec)
 	if err != nil {
 		return false, err
 	}
@@ -236,10 +252,7 @@ func (k *omegaKernel) matchRec(rec []byte) (bool, error) {
 		}
 		return false, fmt.Errorf("exec: SEMEQUAL operands must be text, got %s and %s", lk, rk)
 	}
-	if k.ev.stats != nil {
-		k.ev.stats.OmegaProbes++
-	}
-	mOmegaProbes.Inc()
+	k.ev.countOmega()
 	lu, ru := cu, k.probe
 	if !k.colIsLeft {
 		lu, ru = ru, lu
@@ -309,6 +322,8 @@ func (f *fusedScanIter) NextBatch() (*Batch, error) {
 			break
 		}
 	}
+	// One shared-memory write per batch, however many rows it scanned.
+	f.ev.publishCounts()
 	if f.scanSt != nil {
 		f.scanSt.Rows += scanned
 		f.scanSt.Nexts += scanned

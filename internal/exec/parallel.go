@@ -190,6 +190,18 @@ func (s *stripedIter) Next() (types.Tuple, bool, error) {
 
 func (s *stripedIter) Close() error { return s.child.Close() }
 
+// workerCell holds what a worker writes on every row — its evaluator's tick
+// and unpublished tallies, its RunStats — with a cache line of padding on
+// either side. The cells of one Gather are allocated back to back by the
+// building goroutine; unpadded, two workers' counters land on one line and
+// every row's increment steals it from the other core.
+type workerCell struct {
+	_     [64]byte
+	ev    evaluator
+	stats RunStats
+	_     [64]byte
+}
+
 // gatherWorker is one worker pipeline plus its isolated measuring state.
 // Exactly one of root/broot is set: vectorized workers drive a batch
 // pipeline and ship whole pooled batches through the merge channel.
@@ -231,9 +243,11 @@ func buildGather(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
 	shared := &gatherShared{sources: make(map[*plan.Node]*morselSource)}
 	g := &gatherIter{parent: ev, res: ev.res, stop: make(chan struct{})}
 	for i := 0; i < w; i++ {
-		wev := &evaluator{
+		cell := &workerCell{}
+		wev := &cell.ev
+		*wev = evaluator{
 			env:   env,
-			stats: &RunStats{},
+			stats: &cell.stats,
 			par:   &parallelCtx{id: i, workers: w, shared: shared},
 			// Workers share the query's governance state (it is atomic /
 			// context-based), but each keeps its own tick counter.
@@ -482,9 +496,10 @@ func (g *gatherIter) Next() (types.Tuple, bool, error) {
 	return batch.rows[0], true, nil
 }
 
-// finish folds every worker's counters into the parent evaluator and joins
-// worker errors. Idempotent: the fold happens exactly once no matter how
-// the Gather winds down.
+// finish folds every worker's counters into the parent evaluator, publishes
+// what a worker counted since its last batch, and joins worker errors.
+// Idempotent: the fold happens exactly once no matter how the Gather winds
+// down.
 func (g *gatherIter) finish() error {
 	if g.merged {
 		return nil
@@ -492,6 +507,7 @@ func (g *gatherIter) finish() error {
 	g.merged = true
 	var errs []error
 	for _, w := range g.workers {
+		w.ev.publishCounts()
 		g.parent.stats.merge(w.ev.stats)
 		if g.parent.collector != nil {
 			g.parent.collector.Merge(w.ev.collector)

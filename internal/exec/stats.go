@@ -17,6 +17,45 @@ var (
 	mOmegaProbes = metrics.Default.Counter("mural_omega_probes_total")
 )
 
+// Counting rule. An evaluation is counted where it happens, in memory only
+// the evaluating goroutine touches: the evaluator's RunStats (what EXPLAIN
+// ANALYZE prints) and its unpublished tally. The process-wide counters above
+// are a cache line every Gather worker shares, so a row loop never writes
+// them; publishCounts moves the tally over with one Add per counter — after
+// each fused batch, when a Gather folds its workers, and when the cursor
+// closes — which keeps /metrics exact at statement end on every exit path
+// (drain, early Close, error, cancellation) and at most a batch behind while
+// the statement runs.
+
+// countPsi records one Ψ evaluation that reached the edit-distance stage.
+func (ev *evaluator) countPsi() {
+	ev.stats.PsiEvaluations++
+	ev.unpubPsi++
+}
+
+// countOmega records one Ω closure probe.
+func (ev *evaluator) countOmega() {
+	ev.stats.OmegaProbes++
+	ev.unpubOmega++
+}
+
+// publishCounts adds the evaluator's unpublished Ψ/Ω tallies to the
+// process-wide counters. It runs on the goroutine that runs the evaluator
+// or, for a Gather worker's evaluator, on the consumer's once the worker has
+// exited.
+//
+//lint:hot-metric the one publication point: called per batch, per worker fold and per statement, never per row
+func (ev *evaluator) publishCounts() {
+	if ev.unpubPsi != 0 {
+		mPsiEvals.Add(ev.unpubPsi)
+		ev.unpubPsi = 0
+	}
+	if ev.unpubOmega != 0 {
+		mOmegaProbes.Add(ev.unpubOmega)
+		ev.unpubOmega = 0
+	}
+}
+
 // OpStats is what one plan operator measured while running under EXPLAIN
 // ANALYZE. Counters are totals across all loops (rescans), mirroring
 // PostgreSQL's convention of reporting aggregate, not per-loop, figures.

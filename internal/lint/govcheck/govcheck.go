@@ -46,12 +46,7 @@ func run(pass *analysis.Pass) error {
 	ann := lintutil.CollectAnnotations(pass)
 	table := summary.ForPkg(pass.Fset, pass.Pkg, pass.TypesInfo, pass.Files)
 
-	decls := map[*types.Func]*ast.FuncDecl{}
-	for _, fd := range lintutil.FuncDecls(pass) {
-		if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-			decls[fn] = fd
-		}
-	}
+	decls := localDecls(pass)
 
 	// Seed: operator Next methods; then close over package-local callees.
 	reachable := map[*types.Func]bool{}
@@ -81,6 +76,17 @@ func run(pass *analysis.Pass) error {
 		checkFunc(pass, ann, table, decls[fn])
 	}
 	return nil
+}
+
+// localDecls maps the package's functions to their declarations.
+func localDecls(pass *analysis.Pass) map[*types.Func]*ast.FuncDecl {
+	decls := map[*types.Func]*ast.FuncDecl{}
+	for _, fd := range lintutil.FuncDecls(pass) {
+		if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+			decls[fn] = fd
+		}
+	}
+	return decls
 }
 
 // isRowSig reports the operator row signature: (T, bool, error).

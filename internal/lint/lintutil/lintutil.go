@@ -27,6 +27,12 @@
 //	                       callers.
 //	//lint:gov-exempt    — govcheck: this row loop intentionally runs
 //	                       without a cancellation checkpoint.
+//	//lint:hot-metric    — hotmetric: this write to a process-wide metric
+//	                       (or other package-level atomic) on a per-row
+//	                       path is audited: it runs per batch or per
+//	                       statement in practice. On a function declaration
+//	                       it exempts the whole function and stops the
+//	                       effect from propagating to callers.
 //	//lint:mem-exempt    — membalance: this memory charge is intentionally
 //	                       balanced elsewhere.
 //	//lint:batch-exempt  — membalance: this pooled batch is intentionally

@@ -10,8 +10,8 @@ import (
 // effects (checkpoint, batch commit, memory release, metric registration)
 // propagate from callees to callers, parameter fates flow along argument
 // edges, AlwaysNil resolves its callee dependencies, transitive blocking-op
-// lists are materialized, and pending under-lock call sites become
-// acquisition-order edges. After Freeze the table is read-only.
+// and hot-write lists are materialized, and pending under-lock call sites
+// become acquisition-order edges. After Freeze the table is read-only.
 func (t *Table) Freeze() {
 	if t.frozen {
 		return
@@ -126,6 +126,11 @@ func (t *Table) Freeze() {
 	// 6. Transitive blocking ops.
 	for _, fi := range t.funcs {
 		t.blockingClosure(fi, map[*FuncInfo]bool{})
+	}
+
+	// 7. Transitive writes to package-level atomics.
+	for _, fi := range t.funcs {
+		t.hotClosure(fi, map[*FuncInfo]bool{})
 	}
 
 	t.frozen = true

@@ -33,6 +33,7 @@ func (t *Table) scanFunc(pkg *types.Package, info *types.Info, fd *ast.FuncDecl,
 	}
 	fi.Exempt = dirs.has(t.fset, fd.Pos(), "lock-held-io")
 	fi.HandoffOK = dirs.has(t.fset, fd.Pos(), "lock-handoff")
+	fi.HotExempt = dirs.has(t.fset, fd.Pos(), "hot-metric")
 
 	sig := obj.Type().(*types.Signature)
 	np := sig.Params().Len()
@@ -368,6 +369,11 @@ func (s *scanner) callEffects(call *ast.CallExpr) {
 		if receiverTypeName(s.info, call) == "Registry" {
 			s.fi.RegistersMetric = true
 		}
+	}
+
+	// Writes to package-level atomics (process-wide metrics).
+	if what, ok := HotWriteOf(s.info, call); ok && !s.dirs.has(s.t.fset, call.Pos(), "hot-metric") {
+		s.fi.HotWrites = append(s.fi.HotWrites, HotWrite{What: what})
 	}
 
 	// Parameter release: verb methods invoked directly on a parameter.

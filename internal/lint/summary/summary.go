@@ -4,7 +4,8 @@
 // amortized cancellation checkpoint, what it does with its parameters
 // (releases them, takes ownership, or merely borrows them), and a handful of
 // engine-specific effects (commits a WAL batch, releases governed memory,
-// registers a metric, provably returns a nil error).
+// registers a metric, writes a package-level atomic, provably returns a nil
+// error).
 //
 // Summaries are computed bottom-up: murallint loads every module package in
 // dependency order (go list -deps lists dependencies first), adds each to one
@@ -127,6 +128,12 @@ type FuncInfo struct {
 	ReleasesMem bool
 	// RegistersMetric: the function (transitively) registers a metric.
 	RegistersMetric bool
+	// HotWrites are the writes to package-level atomics the function itself
+	// performs (sites annotated //lint:hot-metric excluded); HotExempt: the
+	// declaration carries //lint:hot-metric, so neither its own writes nor
+	// its callees' propagate to callers.
+	HotWrites []HotWrite
+	HotExempt bool
 
 	// ParamReleased[i]: the function (transitively) releases parameter i
 	// (calls Close/Unpin/Release/Abort on it, or hands it to a releasing
@@ -143,6 +150,8 @@ type FuncInfo struct {
 	effBlocking []BlockOp
 	effAcquired map[Key]bool
 	effDone     bool
+	effHot      []HotWrite
+	hotDone     bool
 }
 
 // Table holds the summaries of every scanned package.

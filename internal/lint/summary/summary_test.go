@@ -15,6 +15,7 @@ const src = `package summarytest
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -49,6 +50,30 @@ type holder struct{ h *handle }
 func releases(h *handle)          { h.Close() }
 func escapes(o *holder, h *handle) { o.h = h }
 func borrows(h *handle) bool       { return h.open }
+
+type Counter struct{ v atomic.Int64 }
+
+func (c *Counter) Inc() { c.v.Add(1) }
+
+var (
+	mRows  Counter
+	legacy int64
+)
+
+type cache struct{ hits atomic.Int64 }
+
+func bumps()            { mRows.Inc() }
+func viaBumps()         { bumps() }
+func bumpsLegacy()      { atomic.AddInt64(&legacy, 1) }
+func private(c *cache)  { c.hits.Add(1) }
+func reads() int64      { return atomic.LoadInt64(&legacy) }
+
+//lint:hot-metric publishes a batch
+func publishes() { mRows.Inc() }
+func viaPublishes() { publishes() }
+func audited() {
+	mRows.Inc() //lint:hot-metric once per statement
+}
 
 func (g *guarded) order1() {
 	g.a.Lock()
@@ -128,6 +153,28 @@ func TestCheckpointPropagates(t *testing.T) {
 	}
 	if tab.Checkpoints(fn(t, pkg, "harmless")) {
 		t.Errorf("harmless: want Checkpoints=false")
+	}
+}
+
+func TestHotWritesPropagate(t *testing.T) {
+	tab, pkg := buildTable(t)
+	direct := tab.HotWrites(fn(t, pkg, "bumps"))
+	if len(direct) != 1 || direct[0].What != "summarytest.mRows.Inc" || direct[0].Via != "" {
+		t.Fatalf("bumps: want one direct summarytest.mRows.Inc, got %+v", direct)
+	}
+	via := tab.HotWrites(fn(t, pkg, "viaBumps"))
+	if len(via) != 1 || via[0].Via != "summarytest.bumps" {
+		t.Fatalf("viaBumps: want the write with Via=summarytest.bumps, got %+v", via)
+	}
+	if hw := tab.HotWrites(fn(t, pkg, "bumpsLegacy")); len(hw) != 1 || hw[0].What != "summarytest: atomic.AddInt64(&legacy)" {
+		t.Fatalf("bumpsLegacy: want summarytest: atomic.AddInt64(&legacy), got %+v", hw)
+	}
+	// A struct-field atomic is the owner's business, a load writes nothing,
+	// and //lint:hot-metric on a site or a declaration stops the effect.
+	for _, name := range []string{"private", "reads", "publishes", "viaPublishes", "audited", "harmless"} {
+		if hw := tab.HotWrites(fn(t, pkg, name)); len(hw) != 0 {
+			t.Errorf("%s: want no hot writes, got %+v", name, hw)
+		}
 	}
 }
 

@@ -244,58 +244,3 @@ func WithinDistance(a, b string, k int) bool {
 	_, ok := BoundedEditDistance(a, b, k)
 	return ok
 }
-
-// BoundedMatcher answers "is the edit distance to this pattern ≤ k" over a
-// stream of candidates, pre-decoding the pattern's runes once. The
-// executor's fused Ψ kernels compile one matcher per scan, so each stored
-// phoneme costs a single rune-decode pass plus the Myers bit-parallel loop —
-// with zero heap allocation on the ≤64-rune fast path.
-type BoundedMatcher struct {
-	pattern string
-	pat     [64]rune
-	n       int
-	fits    bool
-	k       int
-}
-
-// NewBoundedMatcher compiles pattern for threshold k.
-func NewBoundedMatcher(pattern string, k int) *BoundedMatcher {
-	m := &BoundedMatcher{pattern: pattern, k: k}
-	m.n, m.fits = runesInto(pattern, &m.pat)
-	return m
-}
-
-// Match reports whether the distance between the pattern and cand is ≤ k.
-func (m *BoundedMatcher) Match(cand string) bool {
-	if !m.fits {
-		return WithinDistance(m.pattern, cand, m.k)
-	}
-	var buf [64]rune
-	n, ok := runesInto(cand, &buf)
-	if !ok {
-		return WithinDistance(m.pattern, cand, m.k)
-	}
-	_, within := myersBounded(m.pat[:m.n], buf[:n], m.k)
-	return within
-}
-
-// MatchBytes is Match over a raw UTF-8 byte view: the fused scan path hands
-// phoneme bytes straight off a pinned heap page. Ranging over string(cand)
-// decodes the bytes in place (the compiler elides the conversion), so the
-// fast path stays allocation-free.
-func (m *BoundedMatcher) MatchBytes(cand []byte) bool {
-	if !m.fits {
-		return WithinDistance(m.pattern, string(cand), m.k)
-	}
-	var buf [64]rune
-	n := 0
-	for _, r := range string(cand) {
-		if n == len(buf) {
-			return WithinDistance(m.pattern, string(cand), m.k)
-		}
-		buf[n] = r
-		n++
-	}
-	_, within := myersBounded(m.pat[:m.n], buf[:n], m.k)
-	return within
-}

@@ -137,6 +137,17 @@ func FuzzEditDistanceAgree(f *testing.F) {
 	f.Add("தமிழ்", "tamiɻ", 5)
 	f.Add(strings.Repeat("ab", 40), strings.Repeat("ba", 40), 6)
 	f.Add(strings.Repeat("x", 64), strings.Repeat("x", 65), 1)
+	// The compiled matcher's corners: a pattern that just fits a word against
+	// a candidate that does not and the reverse, multi-byte IPA on both
+	// sides, invalid UTF-8 (each bad byte is one U+FFFD), exact match only.
+	f.Add(strings.Repeat("ʃ", 64), strings.Repeat("ʃ", 65), 1)
+	f.Add(strings.Repeat("ə", 65), strings.Repeat("ə", 64), 1)
+	f.Add("tʃəndrəʃekər", "tʃandraʃekhar", 4)
+	f.Add("a\xffb", "a\uFFFDb", 0)
+	f.Add("\xe2\x82", "\xff\xfe", 0)
+	f.Add("nasər", "nasər", 0)
+	f.Add("nasər", "nasir", 0)
+	f.Add("", "ab", 2)
 	f.Fuzz(func(t *testing.T, a, b string, k int) {
 		if k < 0 || k > 128 {
 			return
@@ -153,6 +164,15 @@ func FuzzEditDistanceAgree(f *testing.F) {
 		}
 		if ok && d != want {
 			t.Fatalf("BoundedEditDistance(%q,%q,%d) = %d, reference %d", a, b, k, d, want)
+		}
+		// The compiled matcher (a as the pattern, b streamed as raw bytes
+		// and as a string) must answer what the reference answers.
+		m := NewBoundedMatcher(a, k)
+		if got := m.MatchBytes([]byte(b)); got != (want <= k) {
+			t.Fatalf("NewBoundedMatcher(%q,%d).MatchBytes(%q) = %v, reference distance %d", a, k, b, got, want)
+		}
+		if got := m.Match(b); got != (want <= k) {
+			t.Fatalf("NewBoundedMatcher(%q,%d).Match(%q) = %v, reference distance %d", a, k, b, got, want)
 		}
 		// And the banded DP must agree with Myers on inputs where both
 		// apply, regardless of which one the entry point picked.

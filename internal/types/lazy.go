@@ -7,35 +7,77 @@ import (
 
 // Lazy field access over encoded tuples. The executor's fused scan kernels
 // evaluate predicates against raw heap records without materializing a
-// Tuple: RawField skips to the predicate's column in one pass over the
-// length prefixes, and UniTextViews exposes the payload as byte views that
-// alias the record buffer. Nothing here allocates.
+// Tuple: a SkipPlan, compiled once per scan from the table's declared column
+// kinds, walks a record to the predicate's column, and UniTextViews exposes
+// the payload as byte views that alias the record buffer. Nothing here
+// allocates.
 
-// RawField returns the encoded bytes (kind byte plus payload) of field idx
-// of an encoded tuple. The returned slice aliases rec and is only valid as
-// long as rec is; DecodeValue accepts it directly when the caller does want
-// a materialized value.
-func RawField(rec []byte, idx int) ([]byte, error) {
-	n64, sz := binary.Uvarint(rec)
-	if sz <= 0 {
-		return nil, fmt.Errorf("types: raw field: bad column count")
+// SkipPlan reaches one column of an encoded tuple. What depends only on the
+// schema is decided when the plan is built — which columns precede the
+// target and what each is declared to hold — so the per-record walk steps
+// over a value of its declared kind with a couple of byte compares and
+// sizes generically only what the declaration does not predict (a NULL, a
+// string, a kind the schema did not promise).
+type SkipPlan struct {
+	// before holds the declared kind of every column ahead of the target.
+	before []Kind
+}
+
+// NewSkipPlan compiles the walk to column idx of a table whose columns are
+// declared with the given kinds. ok=false when idx is not one of them.
+func NewSkipPlan(kinds []Kind, idx int) (SkipPlan, bool) {
+	if idx < 0 || idx >= len(kinds) {
+		return SkipPlan{}, false
 	}
-	if idx < 0 || uint64(idx) >= n64 {
-		return nil, fmt.Errorf("types: raw field %d out of range (tuple width %d)", idx, n64)
+	return SkipPlan{before: append([]Kind(nil), kinds[:idx]...)}, true
+}
+
+// Seek returns rec from the target column's kind byte on. The slice is not
+// cut at the end of the value — DecodeValue and UniTextViews read exactly one
+// value off its front — and it aliases rec, so it is only valid as long as
+// rec is. A record narrower than the plan, or too short to hold the kind
+// byte, is an error.
+func (p SkipPlan) Seek(rec []byte) ([]byte, error) {
+	n, off := binary.Uvarint(rec)
+	if off <= 0 {
+		return nil, fmt.Errorf("types: seek field: bad column count")
 	}
-	off := sz
-	for i := 0; i < idx; i++ {
+	idx := len(p.before)
+	if uint64(idx) >= n {
+		return nil, fmt.Errorf("types: seek field %d out of range (tuple width %d)", idx, n)
+	}
+	for _, want := range p.before {
+		if off < len(rec) && Kind(rec[off]) == want {
+			switch want {
+			case KindInt:
+				// A varint ends at its first byte without the continuation bit.
+				off++
+				for off < len(rec) && rec[off] >= 0x80 {
+					off++
+				}
+				off++
+				continue
+			case KindBool:
+				off += 2
+				continue
+			case KindFloat:
+				off += 9
+				continue
+			}
+		}
+		if off >= len(rec) {
+			break
+		}
 		w, err := encodedValueSize(rec[off:])
 		if err != nil {
 			return nil, err
 		}
 		off += w
 	}
-	w, err := encodedValueSize(rec[off:])
-	if err != nil {
-		return nil, err
+	if off >= len(rec) {
+		return nil, fmt.Errorf("types: seek field %d: short record", idx)
 	}
-	return rec[off : off+w], nil
+	return rec[off:], nil
 }
 
 // encodedValueSize computes the width of one encoded value by walking its
@@ -95,7 +137,7 @@ func skipLenPrefixed(buf []byte) (int, error) {
 	return sz + int(l), nil
 }
 
-// UniTextViews decodes a KindUniText field (as returned by RawField) into
+// UniTextViews decodes a KindUniText field (as returned by SkipPlan.Seek) into
 // its language plus zero-copy views of the text and phoneme bytes. The
 // returned slices alias field — and through it the pinned page the record
 // sits on — so they must not be retained past the page pin.

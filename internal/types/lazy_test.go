@@ -17,50 +17,86 @@ func lazyFixtureTuple() Tuple {
 	}
 }
 
-// RawField must land on exactly the bytes DecodeValue consumes for that
-// column, for every column and kind.
-func TestRawFieldMatchesDecode(t *testing.T) {
+func kindsOf(t Tuple) []Kind {
+	kinds := make([]Kind, len(t))
+	for i, v := range t {
+		kinds[i] = v.Kind()
+	}
+	return kinds
+}
+
+func seek(t *testing.T, kinds []Kind, rec []byte, idx int) []byte {
+	t.Helper()
+	p, ok := NewSkipPlan(kinds, idx)
+	if !ok {
+		t.Fatalf("NewSkipPlan(%v, %d) not ok", kinds, idx)
+	}
+	field, err := p.Seek(rec)
+	if err != nil {
+		t.Fatalf("Seek(%d): %v", idx, err)
+	}
+	return field
+}
+
+// Seek must land on exactly the byte DecodeValue starts that column at, for
+// every column and kind — whether the schema declares the kinds the record
+// holds (the fast steps) or something else entirely (NULLs in typed columns,
+// a stale declaration: the generic steps).
+func TestSkipPlanMatchesDecode(t *testing.T) {
 	tup := lazyFixtureTuple()
 	rec := EncodeTuple(tup)
-	for i, want := range tup {
-		field, err := RawField(rec, i)
-		if err != nil {
-			t.Fatalf("RawField(%d): %v", i, err)
+	wrong := make([]Kind, len(tup))
+	for i := range wrong {
+		wrong[i] = KindInt
+	}
+	for name, kinds := range map[string][]Kind{"declared": kindsOf(tup), "mismatched": wrong} {
+		for i, want := range tup {
+			v, _, err := DecodeValue(seek(t, kinds, rec, i))
+			if err != nil {
+				t.Fatalf("%s: DecodeValue(field %d): %v", name, i, err)
+			}
+			if !Equal(v, want) && !(v.IsNull() && want.IsNull()) {
+				t.Errorf("%s: field %d: decoded %v, want %v", name, i, v, want)
+			}
 		}
-		v, n, err := DecodeValue(field)
-		if err != nil {
-			t.Fatalf("DecodeValue(field %d): %v", i, err)
-		}
-		if n != len(field) {
-			t.Errorf("field %d: DecodeValue consumed %d of %d bytes", i, n, len(field))
-		}
-		if !Equal(v, want) && !(v.IsNull() && want.IsNull()) {
-			t.Errorf("field %d: decoded %v, want %v", i, v, want)
-		}
+	}
+	// A multi-byte varint ahead of the target.
+	rec = EncodeTuple(Tuple{NewInt(1 << 40), NewInt(-1 << 40), NewText("x")})
+	v, _, err := DecodeValue(seek(t, []Kind{KindInt, KindInt, KindText}, rec, 2))
+	if err != nil || v.Text() != "x" {
+		t.Errorf("past two wide ints: %v, %v", v, err)
 	}
 }
 
-func TestRawFieldOutOfRange(t *testing.T) {
-	rec := EncodeTuple(Tuple{NewInt(1)})
-	if _, err := RawField(rec, 1); err == nil {
-		t.Error("RawField past the last column should fail")
+func TestSkipPlanOutOfRange(t *testing.T) {
+	kinds := []Kind{KindInt, KindInt}
+	if _, ok := NewSkipPlan(kinds, 2); ok {
+		t.Error("a plan past the last declared column should not compile")
 	}
-	if _, err := RawField(rec, -1); err == nil {
-		t.Error("RawField(-1) should fail")
+	if _, ok := NewSkipPlan(kinds, -1); ok {
+		t.Error("a plan for column -1 should not compile")
 	}
-	if _, err := RawField([]byte{}, 0); err == nil {
-		t.Error("RawField on an empty record should fail")
+	p, _ := NewSkipPlan(kinds, 1)
+	if _, err := p.Seek(EncodeTuple(Tuple{NewInt(1)})); err == nil {
+		t.Error("Seek past a narrower record's last column should fail")
+	}
+	if _, err := p.Seek([]byte{}); err == nil {
+		t.Error("Seek on an empty record should fail")
+	}
+	// Truncated mid-record: the column count promises a second value.
+	rec := EncodeTuple(Tuple{NewInt(1 << 40), NewInt(2)})
+	for cut := 1; cut < len(rec)-1; cut++ {
+		if _, err := p.Seek(rec[:cut]); err == nil {
+			t.Errorf("Seek on a record cut to %d bytes should fail", cut)
+		}
 	}
 }
 
 func TestUniTextViews(t *testing.T) {
 	u := UniText{Text: "Süßmayr", Lang: LangEnglish, Phoneme: "suːsmair"}
 	rec := EncodeTuple(Tuple{NewInt(7), NewUniText(u)})
-	field, err := RawField(rec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lang, text, ph, err := UniTextViews(field)
+	kinds := []Kind{KindInt, KindUniText}
+	lang, text, ph, err := UniTextViews(seek(t, kinds, rec, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +111,8 @@ func TestUniTextViews(t *testing.T) {
 	}
 
 	// Empty phoneme: the view is empty, signalling "unmaterialized".
-	field, err = RawField(EncodeTuple(Tuple{NewUniText(UniText{Text: "x", Lang: LangTamil})}), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, ph, err = UniTextViews(field)
+	rec2 := EncodeTuple(Tuple{NewUniText(UniText{Text: "x", Lang: LangTamil})})
+	_, _, ph, err = UniTextViews(seek(t, []Kind{KindUniText}, rec2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,18 +121,19 @@ func TestUniTextViews(t *testing.T) {
 	}
 
 	// Wrong kind is rejected.
-	field, _ = RawField(rec, 0)
-	if _, _, _, err := UniTextViews(field); err == nil {
+	if _, _, _, err := UniTextViews(seek(t, kinds, rec, 0)); err == nil {
 		t.Error("UniTextViews on an INT field should fail")
 	}
 }
 
-// RawField and UniTextViews are the fused scan's per-row path; neither may
+// Seek and UniTextViews are the fused scan's per-row path; neither may
 // allocate.
-func TestRawFieldZeroAllocations(t *testing.T) {
-	rec := EncodeTuple(lazyFixtureTuple())
+func TestSkipPlanZeroAllocations(t *testing.T) {
+	tup := lazyFixtureTuple()
+	rec := EncodeTuple(tup)
+	p, _ := NewSkipPlan(kindsOf(tup), 5)
 	allocs := testing.AllocsPerRun(200, func() {
-		field, err := RawField(rec, 5)
+		field, err := p.Seek(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,6 +142,6 @@ func TestRawFieldZeroAllocations(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("RawField+UniTextViews allocate %.1f/op, want 0", allocs)
+		t.Errorf("Seek+UniTextViews allocate %.1f/op, want 0", allocs)
 	}
 }

@@ -19,7 +19,7 @@ type heapScanIter struct {
 
 // Next implements exec.TupleIter.
 func (h *heapScanIter) Next() (types.Tuple, bool, error) {
-	_, rec, ok, err := h.it.Next()
+	_, rec, ok, err := h.it.Next() //lint:hot-metric the heap iterator pins (and counts) once per page, not per row
 	if err != nil || !ok {
 		return nil, false, err
 	}

@@ -110,6 +110,8 @@ func (e *Engine) queryResources(ctx context.Context) (*exec.Resources, func()) {
 }
 
 // noteGovernedErr counts governed terminations in the engine metrics.
+//
+//lint:hot-metric writes only for the error that ends a statement: at most once per statement
 func noteGovernedErr(err error) {
 	switch {
 	case err == nil:

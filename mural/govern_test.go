@@ -58,7 +58,10 @@ func TestStatementTimeoutSetting(t *testing.T) {
 // Canceling ExecContext mid-statement surfaces ErrCanceled promptly.
 func TestExecContextCancel(t *testing.T) {
 	e := memEngine(t)
-	loadUniTable(t, e, "t", 400)
+	// 800² evaluations run several times longer than the 20 ms the canceler
+	// sleeps plus the time one busy P takes to schedule it (at 400 rows the
+	// join took ~45 ms and sometimes finished first under GOMAXPROCS=1).
+	loadUniTable(t, e, "t", 800)
 	before := mQueriesCanceled.Value()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
