@@ -9,7 +9,6 @@
 //	benchrunner -exp fig8 -synsets 111223 -full
 //	benchrunner -exp fig6|fig7|regress|ablation
 //	benchrunner -exp parallel            # intra-query parallel speedup sweep
-//	benchrunner -exp batch               # row vs batched vs fused execution comparison
 //	benchrunner -exp concurrent          # concurrent-session insert throughput sweep
 //	benchrunner -exp govern              # cancellation-checkpoint overhead on the Ψ scan
 //	benchrunner -exp observe             # observability (stats+feedback+tracing) overhead
@@ -31,7 +30,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table4|fig6|fig7|fig8|regress|ablation|parallel|batch|concurrent|govern|observe|shard|all")
+		exp      = flag.String("exp", "all", "experiment: table4|fig6|fig7|fig8|regress|ablation|parallel|concurrent|govern|observe|shard|all")
 		names    = flag.Int("names", 5000, "names table size for table4 (paper: ~25000)")
 		probes   = flag.Int("probes", 50, "probe table size for table4 joins")
 		synsets  = flag.Int("synsets", 20000, "taxonomy size for fig8 (paper: 111223)")
@@ -77,7 +76,6 @@ func main() {
 	run("regress", func() error { return runRegress(*seed) })
 	run("ablation", func() error { return runAblation(*seed) })
 	run("parallel", func() error { return runParallel(*names, *probes, *seed) })
-	run("batch", func() error { return runBatch(*names, *probes, *seed) })
 	run("concurrent", func() error { return runConcurrent() })
 	run("govern", func() error { return runGovern(*names, *seed) })
 	run("observe", func() error { return runObserve(*names, *seed) })
@@ -194,41 +192,6 @@ func runParallel(names, probes int, seed int64) error {
 			speedup = base[p.Workload] / p.Seconds
 		}
 		fmt.Printf("%-10s %8d %12.4f %9.2fx %10d\n", p.Workload, p.Workers, p.Seconds, speedup, p.Matches)
-	}
-	return nil
-}
-
-func runBatch(names, probes int, seed int64) error {
-	fmt.Printf("Vectorized execution — %d names, Ψ scan + join under row / batch / fused engines\n\n", names)
-	res, err := bench.RunBatchSpeedup(bench.BatchSpeedupConfig{
-		Names: names, ProbeNames: probes, Threshold: 3, Queries: 5, Seed: seed})
-	if err != nil {
-		return err
-	}
-	base := map[string]float64{}
-	fmt.Printf("%-10s %8s %12s %10s %10s\n", "workload", "mode", "time (s)", "speedup", "matches")
-	for _, p := range res.Points {
-		if p.Mode == "row" {
-			base[p.Workload] = p.Seconds
-		}
-		speedup := 0.0
-		if p.Seconds > 0 {
-			speedup = base[p.Workload] / p.Seconds
-		}
-		fmt.Printf("%-10s %8s %12.4f %9.2fx %10d\n", p.Workload, p.Mode, p.Seconds, speedup, p.Matches)
-	}
-	fmt.Printf("\nfused Ψ scan under SET workers (batch exchange, %d cores):\n", runtime.NumCPU())
-	fmt.Printf("%8s %12s %10s\n", "workers", "time (s)", "speedup")
-	var serial float64
-	for _, p := range res.Parallel {
-		if p.Workers == 1 {
-			serial = p.Seconds
-		}
-		speedup := 0.0
-		if p.Seconds > 0 {
-			speedup = serial / p.Seconds
-		}
-		fmt.Printf("%8d %12.4f %9.2fx\n", p.Workers, p.Seconds, speedup)
 	}
 	return nil
 }

@@ -55,23 +55,6 @@ type perfSnapshot struct {
 		Speedup  float64 `json:"speedup_vs_1_worker"`
 	} `json:"parallel"`
 
-	// Batch is the vectorized-execution comparison: the Table 4 Ψ scan and
-	// join under the row engine, the generic batch engine, and the fused
-	// Ψ-scan pipeline, plus the fused scan's workers=1/2 check.
-	Batch struct {
-		Points []struct {
-			Workload string  `json:"workload"`
-			Mode     string  `json:"mode"`
-			Seconds  float64 `json:"seconds"`
-			Speedup  float64 `json:"speedup_vs_row"`
-		} `json:"points"`
-		Parallel []struct {
-			Workers int     `json:"workers"`
-			Seconds float64 `json:"seconds"`
-			Speedup float64 `json:"speedup_vs_1_worker"`
-		} `json:"parallel"`
-	} `json:"batch"`
-
 	// Concurrent is the concurrent-session durable insert sweep: N wire
 	// sessions inserting against one group-commit WAL.
 	Concurrent []struct {
@@ -188,48 +171,6 @@ func runSnapshot(path string, seed int64) error {
 			Seconds  float64 `json:"seconds"`
 			Speedup  float64 `json:"speedup_vs_1_worker"`
 		}{p.Workload, p.Workers, p.Seconds, speedup})
-	}
-
-	// The batch comparison runs above snapshot scale: at 1500 names the
-	// fused serial scan finishes in ~200µs, so the workers=2 leg measures
-	// nothing but Gather startup. 5000 names keeps the check meaningful
-	// while staying a few seconds.
-	fmt.Println("snapshot: vectorized execution comparison (reduced scale)")
-	bt, err := bench.RunBatchSpeedup(bench.BatchSpeedupConfig{
-		Names: 5000, ProbeNames: 20, Threshold: 3, Queries: 3, Seed: seed})
-	if err != nil {
-		return fmt.Errorf("batch: %w", err)
-	}
-	rowBase := map[string]float64{}
-	for _, p := range bt.Points {
-		if p.Mode == "row" {
-			rowBase[p.Workload] = p.Seconds
-		}
-		speedup := 0.0
-		if p.Seconds > 0 {
-			speedup = rowBase[p.Workload] / p.Seconds
-		}
-		snap.Batch.Points = append(snap.Batch.Points, struct {
-			Workload string  `json:"workload"`
-			Mode     string  `json:"mode"`
-			Seconds  float64 `json:"seconds"`
-			Speedup  float64 `json:"speedup_vs_row"`
-		}{p.Workload, p.Mode, p.Seconds, speedup})
-	}
-	var vecSerial float64
-	for _, p := range bt.Parallel {
-		if p.Workers == 1 {
-			vecSerial = p.Seconds
-		}
-		speedup := 0.0
-		if p.Seconds > 0 {
-			speedup = vecSerial / p.Seconds
-		}
-		snap.Batch.Parallel = append(snap.Batch.Parallel, struct {
-			Workers int     `json:"workers"`
-			Seconds float64 `json:"seconds"`
-			Speedup float64 `json:"speedup_vs_1_worker"`
-		}{p.Workers, p.Seconds, speedup})
 	}
 
 	fmt.Println("snapshot: concurrent-session throughput (reduced scale)")

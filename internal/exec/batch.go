@@ -8,33 +8,39 @@ import (
 	"github.com/mural-db/mural/internal/types"
 )
 
-// Batch-at-a-time execution. Eligible subtrees (scans, filters, projections,
-// and the fused Ψ/Ω kernels in fuse.go) move rows in pooled ~BatchRows
-// vectors instead of one interface call per tuple, so the per-row cost of a
-// pipeline collapses to a slice append. Batch containers come from a
-// sync.Pool-backed BatchPool owned by the query (workers of a Gather share
-// the parent's), and every batch is either handed to the consumer or
-// recycled on all paths — the membalance lint's pooled-batch rule enforces
-// this, and BatchPool.InFlight lets tests assert it dynamically.
+// Batch-at-a-time execution. Every operator moves rows in ~BatchRows vectors
+// instead of one interface call per tuple, so the per-row cost of a pipeline
+// collapses to a slice append. Operators that produce new rows (scans, joins)
+// draw their containers from a sync.Pool-backed BatchPool owned by the query
+// (workers of a Gather share the parent's); operators that already hold their
+// rows (index fetches, sorts, aggregates, Materialize) hand them on as
+// unpooled batches aliasing the slice they hold, so a point read never
+// touches the pool.
 //
 // Ownership contract: NextBatch transfers the batch to the caller, which
-// must recycle it through evaluator.putBatch once consumed. A batch carries
-// the governed-memory charge of its rows (chargeBatch/retire), so recycling
-// also settles the query's memory accounting.
+// either hands it on or recycles it through evaluator.putBatch on every path
+// — the membalance lint's pooled-batch rule enforces this, and
+// BatchPool.InFlight lets tests assert it dynamically. The caller may rewrite
+// or compact Rows in place. A pooled batch carries the governed-memory charge
+// of its rows (chargeBatch/retire), so recycling also settles the query's
+// memory accounting; the rows of an unpooled batch stay charged to the
+// operator that holds them until its Close.
 
 // BatchRows is the target vector width: large enough to amortize interface
 // and channel hops over ~a thousand rows, small enough that a batch of
 // typical tuples stays cache- and budget-friendly. It deliberately equals
-// the governance checkpoint interval, so "one cancellation check per batch"
-// is the same cadence the row engine amortizes to.
+// the governance checkpoint interval, so one cancellation check per batch is
+// the cadence the per-row tick amortizes to.
 const BatchRows = 1024
 
-// Batch is one vector of rows flowing between batch operators.
+// Batch is one vector of rows flowing between operators.
 type Batch struct {
 	Rows []types.Tuple
 	// bytes is the governed-memory charge riding on this batch; retire
 	// releases it when the batch is consumed or abandoned.
 	bytes int64
+	// pooled marks a container drawn from the query's BatchPool.
+	pooled bool
 }
 
 // retire returns the batch's accounted bytes to the query's accountant.
@@ -65,7 +71,7 @@ func (p *BatchPool) Get() *Batch {
 	if v := p.pool.Get(); v != nil {
 		return v.(*Batch)
 	}
-	return &Batch{Rows: make([]types.Tuple, 0, BatchRows)}
+	return &Batch{Rows: make([]types.Tuple, 0, BatchRows), pooled: true}
 }
 
 // Put recycles a batch container. The caller must have settled the batch's
@@ -92,9 +98,9 @@ func (p *BatchPool) InFlight() int64 {
 	return p.outstanding.Load()
 }
 
-// BatchIter is the batch-at-a-time operator face. NextBatch returns the
-// next non-empty vector of rows, or nil at exhaustion; ownership of the
-// returned batch transfers to the caller.
+// BatchIter is the operator interface. NextBatch returns the next non-empty
+// vector of rows, or nil at exhaustion; ownership of the returned batch
+// transfers to the caller.
 type BatchIter interface {
 	NextBatch() (*Batch, error)
 	Close() error
@@ -106,19 +112,21 @@ func (ev *evaluator) getBatch() *Batch {
 }
 
 // putBatch settles and recycles a consumed (or abandoned) batch: the
-// accounted bytes are released and the container returns to the pool.
+// accounted bytes are released and a pooled container returns to the pool.
 func (ev *evaluator) putBatch(b *Batch) {
 	if b == nil {
 		return
 	}
 	b.retire(ev)
-	ev.pool.Put(b)
+	if b.pooled {
+		ev.pool.Put(b)
+	}
 }
 
 // chargeBatch charges a freshly filled batch's rows to the query's memory
 // accountant; the charge rides on the batch until retire. Grow records the
 // charge even when it fails (the caller still putBatches the batch, which
-// releases it), mirroring the row engine's materializing operators.
+// releases it).
 func (ev *evaluator) chargeBatch(b *Batch) error {
 	if ev.res == nil {
 		return nil
@@ -128,109 +136,119 @@ func (ev *evaluator) chargeBatch(b *Batch) error {
 	return ev.grow(n)
 }
 
-// wrapVec interposes batch-level instrumentation when a collector is armed;
-// it is build()'s wrap() for batch operators.
-func (ev *evaluator) wrapVec(n *plan.Node, it BatchIter) BatchIter {
-	if ev.collector == nil {
-		return it
+// finishBatch is the common tail of a producing operator's NextBatch: an
+// empty batch is recycled and reported as exhaustion, a filled one is charged
+// and handed on.
+func (ev *evaluator) finishBatch(b *Batch, err error) (*Batch, error) {
+	if err == nil && len(b.Rows) > 0 {
+		err = ev.chargeBatch(b)
 	}
-	return ev.collector.wrapBatch(n, it)
-}
-
-// batchRowIter adapts a batch pipeline to the row-at-a-time face for
-// consumers that stayed Volcano (joins, sorts, the cursor itself). Consumed
-// batches are recycled as soon as their last row is handed out; the row
-// slices themselves stay valid — tuples own their memory.
-type batchRowIter struct {
-	ev   *evaluator
-	src  BatchIter
-	cur  *Batch
-	pos  int
-	done bool
-}
-
-func (a *batchRowIter) Next() (types.Tuple, bool, error) {
-	for {
-		if a.cur != nil && a.pos < len(a.cur.Rows) {
-			t := a.cur.Rows[a.pos]
-			a.pos++
-			return t, true, nil
-		}
-		if a.cur != nil {
-			a.ev.putBatch(a.cur)
-			a.cur = nil
-		}
-		if a.done {
-			return nil, false, nil
-		}
-		b, err := a.src.NextBatch()
-		if err != nil {
-			return nil, false, err
-		}
-		if b == nil {
-			a.done = true
-			return nil, false, nil
-		}
-		a.cur, a.pos = b, 0
-	}
-}
-
-func (a *batchRowIter) Close() error {
-	if a.cur != nil {
-		a.ev.putBatch(a.cur)
-		a.cur = nil
-	}
-	return a.src.Close()
-}
-
-// rowBatchIter adapts a row iterator to the batch face: the fallback when a
-// scan's Env has no raw record access (or a striped partition forces row
-// granularity). Each row is a cancellation checkpoint; the final batch may
-// be short, and empty batches are never surfaced.
-type rowBatchIter struct {
-	ev   *evaluator
-	src  TupleIter
-	done bool
-}
-
-func (r *rowBatchIter) NextBatch() (*Batch, error) {
-	if r.done {
-		return nil, nil
-	}
-	b := r.ev.getBatch()
-	for len(b.Rows) < BatchRows {
-		if err := r.ev.tick(); err != nil {
-			r.ev.putBatch(b)
-			return nil, err
-		}
-		t, ok, err := r.src.Next()
-		if err != nil {
-			r.ev.putBatch(b)
-			return nil, err
-		}
-		if !ok {
-			r.done = true
-			break
-		}
-		b.Rows = append(b.Rows, t)
-	}
-	if len(b.Rows) == 0 {
-		r.ev.putBatch(b)
-		return nil, nil
-	}
-	if err := r.ev.chargeBatch(b); err != nil {
-		r.ev.putBatch(b)
+	if err != nil || len(b.Rows) == 0 {
+		ev.putBatch(b)
 		return nil, err
 	}
 	return b, nil
 }
 
-func (r *rowBatchIter) Close() error { return r.src.Close() }
+// heldRows hands out rows an operator already holds, BatchRows at a time, as
+// unpooled batches aliasing the held slice — no copy into a pooled container.
+// Each row is handed out once (a rescanned Materialize aside, whose one
+// consumer only reads), so a consumer compacting its batch in place never
+// disturbs rows still to come.
+type heldRows struct {
+	rows []types.Tuple
+	pos  int
+}
 
-// vectorFilterIter evaluates a predicate over whole batches, compacting
-// survivors in place — no second buffer, no per-row operator hop. Batches
-// that filter down to empty are recycled and the next one is pulled, so
-// consumers never see an empty batch.
+func (h *heldRows) next() *Batch {
+	if h.pos >= len(h.rows) {
+		return nil
+	}
+	end := min(h.pos+BatchRows, len(h.rows))
+	b := &Batch{Rows: h.rows[h.pos:end:end]}
+	h.pos = end
+	return b
+}
+
+// rowsIter is a source whose rows exist before the first pull: an index
+// scan's fetched result set, or the static rows of NewSliceCursor. bytes is
+// what the source charged for them, held until Close.
+type rowsIter struct {
+	ev    *evaluator
+	held  heldRows
+	bytes int64
+}
+
+func (r *rowsIter) NextBatch() (*Batch, error) { return r.held.next(), nil }
+
+func (r *rowsIter) Close() error {
+	r.ev.release(r.bytes)
+	r.bytes = 0
+	return nil
+}
+
+// drainRows pulls child to exhaustion and closes it, handing every row to fn
+// behind a cancellation checkpoint and recycling each batch: the input loop
+// of the operators that consume everything before producing anything.
+func (ev *evaluator) drainRows(child BatchIter, fn func(types.Tuple) error) error {
+	for {
+		b, err := child.NextBatch()
+		if err != nil {
+			return err
+		}
+		if b == nil {
+			return child.Close()
+		}
+		for _, t := range b.Rows {
+			if err = ev.tick(); err == nil {
+				err = fn(t)
+			}
+			if err != nil {
+				ev.putBatch(b)
+				return err
+			}
+		}
+		ev.putBatch(b)
+	}
+}
+
+// nextKept pulls child's next batch and compacts it in place to the rows keep
+// accepts — no second buffer, no per-row operator hop. Batches that compact
+// down to empty are recycled and the next one is pulled, so consumers never
+// see an empty batch.
+func (ev *evaluator) nextKept(child BatchIter, keep func(types.Tuple) (bool, error)) (*Batch, error) {
+	for {
+		b, err := child.NextBatch()
+		if err != nil || b == nil {
+			return nil, err
+		}
+		kept := b.Rows[:0]
+		for _, t := range b.Rows {
+			ok := false
+			if err = ev.tick(); err == nil {
+				ok, err = keep(t)
+			}
+			if err != nil {
+				ev.putBatch(b)
+				return nil, err
+			}
+			if ok {
+				kept = append(kept, t)
+			}
+		}
+		// Clear the dropped tail so the container doesn't pin dead rows.
+		clear(b.Rows[len(kept):])
+		b.Rows = kept
+		if len(b.Rows) > 0 {
+			return b, nil
+		}
+		ev.putBatch(b)
+	}
+}
+
+// vectorFilterIter evaluates a predicate through eval.go over whole batches.
+// It is the generic form of Filter: the fused kernels' fallback and their
+// test reference.
 type vectorFilterIter struct {
 	ev    *evaluator
 	child BatchIter
@@ -238,34 +256,9 @@ type vectorFilterIter struct {
 }
 
 func (f *vectorFilterIter) NextBatch() (*Batch, error) {
-	for {
-		b, err := f.child.NextBatch()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		keep := b.Rows[:0]
-		for _, t := range b.Rows {
-			if err := f.ev.tick(); err != nil {
-				f.ev.putBatch(b)
-				return nil, err
-			}
-			pass, err := f.ev.evalBool(f.cond, t)
-			if err != nil {
-				f.ev.putBatch(b)
-				return nil, err
-			}
-			if pass {
-				keep = append(keep, t)
-			}
-		}
-		// Clear the dropped tail so the container doesn't pin dead rows.
-		clear(b.Rows[len(keep):])
-		b.Rows = keep
-		if len(b.Rows) > 0 {
-			return b, nil
-		}
-		f.ev.putBatch(b)
-	}
+	return f.ev.nextKept(f.child, func(t types.Tuple) (bool, error) {
+		return f.ev.evalBool(f.cond, t)
+	})
 }
 
 func (f *vectorFilterIter) Close() error { return f.child.Close() }
@@ -304,97 +297,92 @@ func (p *vectorProjectIter) NextBatch() (*Batch, error) {
 
 func (p *vectorProjectIter) Close() error { return p.child.Close() }
 
-// recordSource feeds raw encoded records page-at-a-time to batch scans:
-// either one serial RecordScan or a sequence of them claimed from a shared
-// morselSource (inside a Gather worker).
-type recordSource interface {
-	nextPage(fn func(rec []byte) error) (bool, error)
-	Close() error
-}
-
-// serialRecordSource wraps a single whole-table RecordScan.
-type serialRecordSource struct {
-	scan RecordScan
-}
-
-func (s *serialRecordSource) nextPage(fn func(rec []byte) error) (bool, error) {
-	return s.scan.NextPage(fn)
-}
-
-func (s *serialRecordSource) Close() error { return s.scan.Close() }
-
-// morselRecordSource claims page ranges from the shared morsel cursor and
-// streams each claim's pages: the batch engine's face of a parallel scan.
-type morselRecordSource struct {
-	env RecordScanner
+// recordSource feeds raw encoded records page-at-a-time to the scans. It
+// claims page ranges from a morselSource and streams each claim's pages; the
+// source is shared by the workers of a Gather, or private and one claim wide
+// for a serial scan. A striped source (small table under a Gather) claims the
+// whole table privately and keeps only the records whose ordinal falls on
+// this worker, which preserves exactly-once at row granularity.
+type recordSource struct {
+	env Env
+	ev  *evaluator
 	src *morselSource
 	cur RecordScan
+	// Striping: keep record n when n%mod == idx; mod 0 keeps every record.
+	idx, mod, n int64
 }
 
-func (m *morselRecordSource) nextPage(fn func(rec []byte) error) (bool, error) {
+// newRecordSource builds the record feed for a scan node: this worker's share
+// inside a Gather, the whole table otherwise.
+func newRecordSource(env Env, ev *evaluator, n *plan.Node) (*recordSource, error) {
+	rs := &recordSource{env: env, ev: ev}
+	if n.Parallel && ev.par != nil {
+		src, err := ev.par.morselsFor(env, n)
+		if err != nil {
+			return nil, err
+		}
+		if !src.striped {
+			rs.src = src
+			return rs, nil
+		}
+		rs.idx, rs.mod = int64(ev.par.id), int64(ev.par.workers)
+	}
+	np, err := env.TablePages(n.Table)
+	if err != nil {
+		return nil, err
+	}
+	rs.src = &morselSource{table: n.Table, npages: np, chunk: np}
+	return rs, nil
+}
+
+func (s *recordSource) nextPage(fn func(rec []byte) error) (bool, error) {
+	if s.mod > 0 {
+		keep := fn
+		fn = func(rec []byte) error {
+			mine := s.n%s.mod == s.idx
+			s.n++
+			if !mine {
+				// A worker skips mod-1 of every mod records without
+				// surfacing one: the skip is its own checkpoint.
+				return s.ev.tick()
+			}
+			return keep(rec)
+		}
+	}
 	for {
-		if m.cur == nil {
-			lo, hi, ok := m.src.claim()
+		if s.cur == nil {
+			lo, hi, ok := s.src.claim()
 			if !ok {
 				return false, nil
 			}
-			rs, err := m.env.ScanRecords(m.src.table, lo, hi)
+			rs, err := s.env.ScanRecords(s.src.table, lo, hi)
 			if err != nil {
 				return false, err
 			}
-			m.cur = rs
+			s.cur = rs
 		}
-		more, err := m.cur.NextPage(fn)
+		more, err := s.cur.NextPage(fn)
 		if err != nil {
 			return true, err
 		}
 		if more {
 			return true, nil
 		}
-		err = m.cur.Close()
-		m.cur = nil
+		err = s.cur.Close()
+		s.cur = nil
 		if err != nil {
 			return false, err
 		}
 	}
 }
 
-func (m *morselRecordSource) Close() error {
-	if m.cur == nil {
+func (s *recordSource) Close() error {
+	if s.cur == nil {
 		return nil
 	}
-	err := m.cur.Close()
-	m.cur = nil
+	err := s.cur.Close()
+	s.cur = nil
 	return err
-}
-
-// recordSourceFor builds the page-at-a-time record feed for a scan node, or
-// ok=false when the Env has no raw record access or the morsel source fell
-// back to row striping (table too small for page-granularity partitioning).
-func recordSourceFor(env Env, ev *evaluator, n *plan.Node) (recordSource, bool, error) {
-	rs, ok := env.(RecordScanner)
-	if !ok {
-		return nil, false, nil
-	}
-	if n.Parallel && ev.par != nil {
-		src, err := ev.par.morselsFor(env, n)
-		if err != nil {
-			return nil, false, err
-		}
-		if src.striped {
-			return nil, false, nil
-		}
-		return &morselRecordSource{env: rs, src: src}, true, nil
-	}
-	np, err := env.TablePages(n.Table)
-	if err != nil {
-		return nil, false, err
-	}
-	scan, err := rs.ScanRecords(n.Table, 0, np)
-	if err != nil {
-		return nil, false, err
-	}
-	return &serialRecordSource{scan: scan}, true, nil
 }
 
 // batchScanIter fills batches straight from heap pages: decode every live
@@ -403,7 +391,7 @@ func recordSourceFor(env Env, ev *evaluator, n *plan.Node) (recordSource, bool, 
 // split across a pin boundary.
 type batchScanIter struct {
 	ev   *evaluator
-	src  recordSource
+	src  *recordSource
 	done bool
 }
 
@@ -434,72 +422,7 @@ func (s *batchScanIter) NextBatch() (*Batch, error) {
 			break
 		}
 	}
-	if len(b.Rows) == 0 {
-		s.ev.putBatch(b)
-		return nil, nil
-	}
-	if err := s.ev.chargeBatch(b); err != nil {
-		s.ev.putBatch(b)
-		return nil, err
-	}
-	return b, nil
+	return s.ev.finishBatch(b, nil)
 }
 
 func (s *batchScanIter) Close() error { return s.src.Close() }
-
-// buildVec attempts a batch-at-a-time pipeline for the subtree rooted at n.
-// ok=false (with nil error) means this subtree has no vectorized form; the
-// caller falls back to the row engine. Instrumentation happens here at
-// batch granularity (wrapVec / the fused iterator's own buckets), so build
-// must not re-wrap what buildVec returns.
-func buildVec(env Env, ev *evaluator, n *plan.Node) (BatchIter, bool, error) {
-	switch n.Op {
-	case plan.OpSeqScan:
-		src, ok, err := recordSourceFor(env, ev, n)
-		if err != nil {
-			return nil, false, err
-		}
-		var bi BatchIter
-		if ok {
-			bi = &batchScanIter{ev: ev, src: src}
-		} else {
-			it, err := buildRowScan(env, ev, n)
-			if err != nil {
-				return nil, false, err
-			}
-			bi = &rowBatchIter{ev: ev, src: unwrapGov(it)}
-		}
-		return ev.wrapVec(n, bi), true, nil
-	case plan.OpFilter:
-		child := n.Children[0]
-		if ev.fuse && child.Op == plan.OpSeqScan {
-			if kern := ev.compileFused(n.Cond, child.Schema()); kern != nil {
-				src, ok, err := recordSourceFor(env, ev, child)
-				if err != nil {
-					return nil, false, err
-				}
-				if ok {
-					f := &fusedScanIter{ev: ev, src: src, kern: kern}
-					if ev.collector != nil {
-						f.scanSt = ev.collector.Stats(child)
-						f.filtSt = ev.collector.Stats(n)
-						f.timed = ev.collector.Timed()
-					}
-					return f, true, nil
-				}
-			}
-		}
-		cb, ok, err := buildVec(env, ev, child)
-		if err != nil || !ok {
-			return nil, ok, err
-		}
-		return ev.wrapVec(n, &vectorFilterIter{ev: ev, child: cb, cond: n.Cond}), true, nil
-	case plan.OpProject:
-		cb, ok, err := buildVec(env, ev, n.Children[0])
-		if err != nil || !ok {
-			return nil, ok, err
-		}
-		return ev.wrapVec(n, &vectorProjectIter{ev: ev, child: cb, projs: n.Projs}), true, nil
-	}
-	return nil, false, nil
-}

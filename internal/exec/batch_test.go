@@ -5,177 +5,233 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/mural-db/mural/internal/leakcheck"
 	"github.com/mural-db/mural/internal/plan"
+	"github.com/mural-db/mural/internal/sql"
 	"github.com/mural-db/mural/internal/types"
 	"github.com/mural-db/mural/internal/wordnet"
 )
 
-// recordMockEnv extends mockEnv with RecordScanner: tuples are pre-encoded
-// into fake pages of mockPageRows records, so the vectorized and fused scan
-// paths run against the same tables the row tests use. Pages are encoded
-// once per table (like a real heap) so allocation tests see only the
-// executor's own allocations.
-type recordMockEnv struct {
-	*mockEnv
-	mu    sync.Mutex
-	pages map[string][][][]byte
-}
-
-func newRecordMockEnv(m *mockEnv) *recordMockEnv {
-	return &recordMockEnv{mockEnv: m, pages: map[string][][][]byte{}}
-}
-
-func (m *recordMockEnv) pagesFor(table string) [][][]byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p, ok := m.pages[table]; ok {
-		return p
-	}
-	rows := m.tables[table]
-	var pages [][][]byte
-	for start := 0; start < len(rows); start += mockPageRows {
-		end := start + mockPageRows
-		if end > len(rows) {
-			end = len(rows)
-		}
-		var page [][]byte
-		for _, t := range rows[start:end] {
-			page = append(page, types.EncodeTuple(t))
-		}
-		pages = append(pages, page)
-	}
-	m.pages[table] = pages
-	return pages
-}
-
-type mockRecordScan struct {
-	pages [][][]byte
-	pos   int
-}
-
-func (s *mockRecordScan) NextPage(fn func(rec []byte) error) (bool, error) {
-	if s.pos >= len(s.pages) {
-		return false, nil
-	}
-	for _, rec := range s.pages[s.pos] {
-		if err := fn(rec); err != nil {
-			return true, err
-		}
-	}
-	s.pos++
-	return true, nil
-}
-
-func (s *mockRecordScan) Close() error { return nil }
-
-func (m *recordMockEnv) ScanRecords(table string, lo, hi int64) (RecordScan, error) {
-	if _, ok := m.tables[table]; !ok {
-		return nil, fmt.Errorf("mock: no table %q", table)
-	}
-	pages := m.pagesFor(table)
-	if lo > int64(len(pages)) {
-		lo = int64(len(pages))
-	}
-	if hi > int64(len(pages)) {
-		hi = int64(len(pages))
-	}
-	return &mockRecordScan{pages: pages[lo:hi]}, nil
-}
-
-// tupleStrings renders result rows for order-insensitive comparison.
+// tupleStrings renders result rows for comparison; sorted, because Gather
+// merges worker streams in arrival order.
 func tupleStrings(rows []types.Tuple) []string {
 	out := make([]string, len(rows))
 	for i, t := range rows {
 		out[i] = fmt.Sprint(t)
 	}
+	sort.Strings(out)
 	return out
 }
 
-// drainTuned runs a plan under the given options and returns rows plus the
-// collectors, failing the test on any error.
-func drainTuned(t *testing.T, env Env, node *plan.Node, res *Resources, opts RunOptions) ([]types.Tuple, *RunStats, *ExecStats) {
+func sameRows(t *testing.T, got, want []types.Tuple) {
 	t.Helper()
-	es := NewCountStats()
-	cur, err := RunTuned(env, node, es, res, opts)
-	if err != nil {
-		t.Fatal(err)
+	g, w := tupleStrings(got), tupleStrings(want)
+	if fmt.Sprint(g) != fmt.Sprint(w) {
+		t.Errorf("rows diverge: got %d rows, want %d", len(g), len(w))
 	}
-	rows, err := cur.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rows, cur.Stats, es
 }
 
-// The vectorized and fused engines must produce exactly the row engine's
-// results, operator statistics, and Ψ evaluation counts across batch
-// boundary shapes: empty tables, single rows, one-short-of-a-batch, exactly
-// one batch, one over, and multi-batch.
-func TestVectorizedParityAcrossSizes(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 1023, 1024, 1025, 2500} {
-		t.Run(fmt.Sprintf("rows=%d", n), func(t *testing.T) {
-			env := newRecordMockEnv(newMockEnv())
-			mkUniTable(env.mockEnv, "t", n)
-			node := psiFilterScan("t", false)
-			scan := node.Children[0]
-
-			wantRows, wantStats, wantES := drainTuned(t, env, node, nil, RunOptions{})
-			for _, opts := range []RunOptions{
-				{Vectorize: true},
-				{Vectorize: true, Fuse: true},
-			} {
-				gotRows, gotStats, gotES := drainTuned(t, env, node, nil, opts)
-				if fmt.Sprint(tupleStrings(gotRows)) != fmt.Sprint(tupleStrings(wantRows)) {
-					t.Errorf("opts %+v: rows diverge: got %d want %d", opts, len(gotRows), len(wantRows))
-				}
-				if gotStats.PsiEvaluations != wantStats.PsiEvaluations {
-					t.Errorf("opts %+v: PsiEvaluations = %d, want %d", opts, gotStats.PsiEvaluations, wantStats.PsiEvaluations)
-				}
-				for _, nd := range []*plan.Node{scan, node} {
-					want, _ := wantES.Actual(nd)
-					got, _ := gotES.Actual(nd)
-					if got.Rows != want.Rows || got.Nexts != want.Nexts || got.Loops != want.Loops {
-						t.Errorf("opts %+v: node %s stats = %+v, want %+v", opts, nd.Op, got, want)
-					}
-				}
+// oracleFilter is the reference answer of a filter over a table: decode every
+// record the mock heap serves and apply the generic evaluator.
+func oracleFilter(t *testing.T, env *mockEnv, table string, cond plan.Expr) (rows []types.Tuple, psiEvals int64) {
+	t.Helper()
+	ev := &evaluator{env: env, stats: &RunStats{}}
+	for _, page := range env.pagesFor(table) {
+		for _, rec := range page {
+			tup, _, err := types.DecodeTuple(rec)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
+			pass, err := ev.evalBool(cond, tup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pass {
+				rows = append(rows, tup)
+			}
+		}
+	}
+	return rows, ev.stats.PsiEvaluations
+}
+
+var errInjected = errors.New("injected scan failure")
+
+// flakyEnv fails every scan once failAfter records have been served.
+type flakyEnv struct {
+	*mockEnv
+	failAfter int64
+	served    atomic.Int64
+}
+
+type flakyScan struct {
+	RecordScan
+	env *flakyEnv
+}
+
+func (e *flakyEnv) ScanRecords(table string, lo, hi int64) (RecordScan, error) {
+	rs, err := e.mockEnv.ScanRecords(table, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	return &flakyScan{RecordScan: rs, env: e}, nil
+}
+
+func (s *flakyScan) NextPage(fn func(rec []byte) error) (bool, error) {
+	return s.RecordScan.NextPage(func(rec []byte) error {
+		if s.env.served.Add(1) > s.env.failAfter {
+			return errInjected
+		}
+		return fn(rec)
+	})
+}
+
+// settled asserts a closed query holds nothing: every pooled batch is back in
+// the pool and every accounted byte released.
+func settled(t *testing.T, cur *Cursor, res *Resources) {
+	t.Helper()
+	if n := cur.ev.pool.InFlight(); n != 0 {
+		t.Errorf("batches in flight after Close = %d, want 0", n)
+	}
+	if b := res.MemBytes(); b != 0 {
+		t.Errorf("MemBytes after Close = %d, want 0", b)
 	}
 }
 
-// A projection over a filtered scan runs through vectorProjectIter; results
-// must match the row engine.
-func TestVectorizedProjectParity(t *testing.T) {
-	env := newRecordMockEnv(newMockEnv())
-	mkUniTable(env.mockEnv, "t", 3000)
-	filter := psiFilterScan("t", false)
-	node := &plan.Node{
-		Op:       plan.OpProject,
-		Children: []*plan.Node{filter},
-		Cols:     []plan.ColInfo{{Name: "n", Kind: types.KindUniText}},
-		Projs:    []plan.Expr{&plan.ColIdx{Idx: 0, Kind: types.KindUniText}},
+// everyExit runs the plan to each kind of end — full drain, early Close,
+// scan error, cancellation — asserting after each that no goroutine, pooled
+// batch or accounted byte is left behind. The drained rows go to check.
+// failAfter is how many scanned records the error exit lets through (skipped
+// when negative: a plan over empty inputs has no scan to fail).
+func everyExit(t *testing.T, env *mockEnv, node *plan.Node, failAfter int64, check func(t *testing.T, rows []types.Tuple, cur *Cursor, es *ExecStats)) {
+	t.Helper()
+	start := func(t *testing.T, e Env, ctx context.Context) (*Cursor, *Resources, *ExecStats) {
+		t.Helper()
+		leakcheck.Check(t)
+		res, es := NewResources(ctx, 0), NewCountStats()
+		cur, err := Run(e, node, es, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cur, res, es
 	}
-	want, _, _ := drainTuned(t, env, node, nil, RunOptions{})
-	got, _, _ := drainTuned(t, env, node, nil, DefaultRunOptions())
-	if fmt.Sprint(tupleStrings(got)) != fmt.Sprint(tupleStrings(want)) {
-		t.Errorf("projected rows diverge: got %d want %d", len(got), len(want))
+	t.Run("drain", func(t *testing.T) {
+		cur, res, es := start(t, env, context.Background())
+		rows, err := cur.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		settled(t, cur, res)
+		check(t, rows, cur, es)
+	})
+	t.Run("early-close", func(t *testing.T) {
+		cur, res, _ := start(t, env, context.Background())
+		if _, _, err := cur.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cur.Close(); err != nil {
+			t.Fatalf("early Close: %v", err)
+		}
+		settled(t, cur, res)
+	})
+	t.Run("cancel", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cur, res, _ := start(t, env, ctx)
+		if _, _, err := cur.Next(); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		for {
+			_, ok, err := cur.Next()
+			if err != nil && !errors.Is(err, ErrCanceled) {
+				t.Fatalf("Next after cancel = %v, want ErrCanceled or a complete drain", err)
+			}
+			if err != nil || !ok {
+				break
+			}
+		}
+		if err := cur.Close(); err != nil {
+			t.Fatalf("Close after cancel: %v", err)
+		}
+		settled(t, cur, res)
+	})
+	if failAfter < 0 {
+		return
 	}
-	if len(want) == 0 {
-		t.Fatal("test expects survivors")
+	t.Run("error", func(t *testing.T) {
+		cur, res, _ := start(t, &flakyEnv{mockEnv: env, failAfter: failAfter}, context.Background())
+		_, err := cur.All()
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("drain over a failing scan = %v, want the injected error", err)
+		}
+		settled(t, cur, res)
+	})
+}
+
+var sweepSizes = []int{0, 1, 5, 1023, 1024, 1025, 2500}
+
+// A filtered scan must return exactly the oracle's rows, evaluation counts
+// and operator statistics across batch-boundary shapes — empty, one row, one
+// short of a batch, exactly one, one over, several — serial and under a
+// Gather, for the fused kernel and for the generic filter it falls back to,
+// with a projection rewriting every batch on top.
+func TestFilteredScanMatchesOracleAcrossSizes(t *testing.T) {
+	for _, n := range sweepSizes {
+		for _, workers := range []int{0, 4} {
+			for _, shape := range []string{"fused", "generic"} {
+				t.Run(fmt.Sprintf("rows=%d/workers=%d/%s", n, workers, shape), func(t *testing.T) {
+					env := newMockEnv()
+					mkUniTable(env, "t", n)
+					filter := psiFilterScan("t", workers > 0)
+					if shape == "generic" {
+						// A conjunction is not a fusible shape.
+						filter.Cond = &plan.AndOr{L: filter.Cond, R: &plan.Const{Val: types.NewBool(true)}}
+					}
+					scan := filter.Children[0]
+					node := filter
+					if workers > 0 {
+						node = &plan.Node{Op: plan.OpGather, Children: []*plan.Node{filter}, Cols: filter.Cols, Workers: workers}
+					}
+					// The shape every SELECT has: a projection on top.
+					node = &plan.Node{Op: plan.OpProject, Children: []*plan.Node{node}, Cols: filter.Cols,
+						Projs: []plan.Expr{&plan.ColIdx{Idx: 0, Kind: types.KindUniText}}}
+					want, wantEvals := oracleFilter(t, env, "t", filter.Cond)
+					failAfter := int64(n / 2)
+					if n == 0 {
+						failAfter = -1
+					}
+					everyExit(t, env, node, failAfter, func(t *testing.T, rows []types.Tuple, cur *Cursor, es *ExecStats) {
+						sameRows(t, rows, want)
+						if cur.Stats.PsiEvaluations != wantEvals {
+							t.Errorf("PsiEvaluations = %d, want %d", cur.Stats.PsiEvaluations, wantEvals)
+						}
+						// Each pipeline (one per worker) ends on one exhausted pull.
+						loops := int64(max(workers, 1))
+						sa, _ := es.Actual(scan)
+						fa, _ := es.Actual(filter)
+						if sa.Rows != int64(n) || sa.Nexts != int64(n)+loops || sa.Loops != loops {
+							t.Errorf("scan actual = %+v, want rows=%d nexts=%d loops=%d", sa, n, int64(n)+loops, loops)
+						}
+						if fa.Rows != int64(len(want)) || fa.Nexts != int64(len(want))+loops || fa.Loops != loops {
+							t.Errorf("filter actual = %+v, want rows=%d nexts=%d loops=%d", fa, len(want), int64(len(want))+loops, loops)
+						}
+					})
+				})
+			}
+		}
 	}
 }
 
-// The fused Ω kernel must reproduce the row evaluator's matches and probe
+// The fused Ω kernel must reproduce the generic evaluator's matches and probe
 // counts.
-func TestFusedOmegaScanParity(t *testing.T) {
+func TestFusedOmegaScanMatchesOracle(t *testing.T) {
 	net := wordnet.Generate(wordnet.Config{Synsets: 2000, Seed: 9})
-	env := newRecordMockEnv(newMockEnv())
-	env.mockEnv.matcher = wordnet.NewMatcher(net)
-	env.mockEnv.tables["cat"] = []types.Tuple{
+	env := newMockEnv()
+	env.matcher = wordnet.NewMatcher(net)
+	env.tables["cat"] = []types.Tuple{
 		{u("historiography", types.LangEnglish)},
 		{u("physics", types.LangEnglish)},
 		{u("history", types.LangEnglish)},
@@ -187,56 +243,259 @@ func TestFusedOmegaScanParity(t *testing.T) {
 		Cols:     cols,
 		Cond:     &plan.Omega{L: &plan.ColIdx{Idx: 0}, R: &plan.Const{Val: u("history", types.LangEnglish)}},
 	}
-	want, wantStats, _ := drainTuned(t, env, node, nil, RunOptions{})
-	got, gotStats, _ := drainTuned(t, env, node, nil, DefaultRunOptions())
-	if fmt.Sprint(tupleStrings(got)) != fmt.Sprint(tupleStrings(want)) {
-		t.Errorf("Ω rows diverge: got %v want %v", tupleStrings(got), tupleStrings(want))
-	}
-	if gotStats.OmegaProbes != wantStats.OmegaProbes {
-		t.Errorf("OmegaProbes = %d, want %d", gotStats.OmegaProbes, wantStats.OmegaProbes)
-	}
+	want, _ := oracleFilter(t, env, "cat", node.Cond)
 	if len(want) == 0 {
 		t.Fatal("test expects Ω survivors")
 	}
-}
-
-// Canceling a vectorized query mid-batch must surface ErrCanceled and leave
-// every pooled batch recycled.
-func TestBatchCancellationMidBatch(t *testing.T) {
-	env := newRecordMockEnv(newMockEnv())
-	mkUniTable(env.mockEnv, "t", 20000)
-	node := psiFilterScan("t", false)
-	pool := NewBatchPool()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cur, err := RunTuned(env, node, nil, NewResources(ctx, 0), RunOptions{Vectorize: true, Fuse: true, Pool: pool})
+	cur, err := Run(env, node, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := cur.Next(); err != nil || !ok {
-		t.Fatalf("first Next = ok=%v err=%v", ok, err)
+	if _, ok := cur.src.(*fusedScanIter); !ok {
+		t.Fatalf("root operator is %T, want the fused kernel", cur.src)
 	}
-	cancel()
-	var lastErr error
-	for i := 0; i < 100000; i++ {
-		_, ok, err := cur.Next()
+	got, err := cur.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, got, want)
+	if cur.Stats.OmegaProbes != 3 {
+		t.Errorf("OmegaProbes = %d, want 3", cur.Stats.OmegaProbes)
+	}
+}
+
+// intRows builds n single-column rows valued i%mod.
+func intRows(n, mod int) []types.Tuple {
+	rows := make([]types.Tuple, n)
+	for i := range rows {
+		rows[i] = types.Tuple{types.NewInt(int64(i % mod))}
+	}
+	return rows
+}
+
+var intCol = []plan.ColInfo{{Name: "v", Kind: types.KindInt}}
+
+// Join output that does not fit one batch must come out whole, in every join
+// shape, and settle on every exit.
+func TestJoinOutputStraddlesBatches(t *testing.T) {
+	env := newMockEnv()
+	env.tables["l"] = intRows(60, 6) // 10 rows per key
+	env.tables["r"] = intRows(150, 6)
+	var want []types.Tuple // the equi-join, by nested loops: 60 × 25 = 1500 rows
+	for _, l := range env.tables["l"] {
+		for _, r := range env.tables["r"] {
+			if l[0].Int() == r[0].Int() {
+				want = append(want, joinedTuple(l, r))
+			}
+		}
+	}
+	cols := append(append([]plan.ColInfo{}, intCol...), intCol...)
+	eq := &plan.Cmp{Op: sql.OpEq, L: &plan.ColIdx{Idx: 0, Kind: types.KindInt}, R: &plan.ColIdx{Idx: 1, Kind: types.KindInt}}
+	sides := func() []*plan.Node {
+		return []*plan.Node{scanNode("l", intCol), scanNode("r", intCol)}
+	}
+	for name, node := range map[string]*plan.Node{
+		"nl":   {Op: plan.OpNLJoin, Children: sides(), Cols: cols, Cond: eq},
+		"hash": {Op: plan.OpHashJoin, Children: sides(), Cols: cols, HashLeft: 0, HashRight: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			// The inner side is read first: fail while the outer is mid-way.
+			everyExit(t, env, node, 150+30, func(t *testing.T, rows []types.Tuple, _ *Cursor, es *ExecStats) {
+				sameRows(t, rows, want)
+				if a, _ := es.Actual(node); a.Rows != int64(len(want)) || a.Nexts != int64(len(want))+1 {
+					t.Errorf("join actual = %+v, want rows=%d nexts=%d", a, len(want), len(want)+1)
+				}
+			})
+		})
+	}
+}
+
+// LIMIT 1025 over 2500 rows cuts inside the second batch and stops pulling
+// its child; the rows never asked for go back to the pool at Close.
+func TestLimitCutsInsideABatch(t *testing.T) {
+	for _, workers := range []int{0, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			env := newMockEnv()
+			mkIntTable(env, "t", 2500)
+			var child *plan.Node = scanNode("t", intCol)
+			if workers > 0 {
+				child = gatherOverScan("t", workers, true)
+			}
+			node := &plan.Node{Op: plan.OpLimit, Children: []*plan.Node{child}, Cols: intCol, LimitN: 1025}
+			everyExit(t, env, node, 10, func(t *testing.T, rows []types.Tuple, _ *Cursor, es *ExecStats) {
+				if len(rows) != 1025 {
+					t.Fatalf("rows = %d, want 1025", len(rows))
+				}
+				seen := map[int64]bool{}
+				for _, r := range rows {
+					seen[r[0].Int()] = true
+				}
+				if len(seen) != 1025 {
+					t.Errorf("distinct rows = %d, want 1025 (no row handed out twice)", len(seen))
+				}
+				if a, _ := es.Actual(node); a.Rows != 1025 {
+					t.Errorf("limit actual = %+v, want rows=1025", a)
+				}
+			})
+		})
+	}
+}
+
+// A join under a LIMIT stops at the row the LIMIT stops at, as an executor
+// pulling one row at a time would: a selective Ψ join evaluates no pair past
+// its first match, a dense join builds no row it will not hand on. The budget
+// reaches the join through Project and Filter.
+func TestLimitStopsJoinAtItsBudget(t *testing.T) {
+	const inner, match = 2000, 700
+	env := newMockEnv()
+	env.tables["l"] = []types.Tuple{{u("nehru", types.LangEnglish)}, {u("nehru", types.LangEnglish)}}
+	for i := 0; i < inner; i++ {
+		name := "krishnamurthy"
+		if i == match {
+			name = "neru"
+		}
+		env.tables["r"] = append(env.tables["r"], types.Tuple{u(name, types.LangEnglish)})
+	}
+	mkIntTable(env, "a", 50)
+	mkIntTable(env, "b", 50)
+	uni := func(rel string) []plan.ColInfo {
+		return []plan.ColInfo{{Rel: rel, Name: "n", Kind: types.KindUniText}}
+	}
+	limitOver := func(join *plan.Node, n int64) *plan.Node {
+		proj := &plan.Node{Op: plan.OpProject, Children: []*plan.Node{join}, Cols: join.Cols[:1],
+			Projs: []plan.Expr{&plan.ColIdx{Idx: 0, Kind: join.Cols[0].Kind}}}
+		return &plan.Node{Op: plan.OpLimit, Children: []*plan.Node{proj}, Cols: proj.Cols, LimitN: n}
+	}
+	run := func(t *testing.T, node *plan.Node) (*Cursor, *ExecStats, []types.Tuple) {
+		es := NewCountStats()
+		cur, err := Run(env, node, es, nil)
 		if err != nil {
-			lastErr = err
-			break
+			t.Fatal(err)
 		}
-		if !ok {
-			break
+		rows, err := cur.All()
+		if err != nil {
+			t.Fatal(err)
 		}
+		return cur, es, rows
 	}
-	if !errors.Is(lastErr, ErrCanceled) {
-		t.Fatalf("Next after cancel = %v, want ErrCanceled", lastErr)
+
+	psi := &plan.Node{
+		Op:           plan.OpPsiJoin,
+		Children:     []*plan.Node{scanNode("l", uni("l")), scanNode("r", uni("r"))},
+		Cols:         append(uni("l"), uni("r")...),
+		PsiThreshold: 1, PsiLeftCol: 0, PsiRightCol: 1,
 	}
-	if err := cur.Close(); err != nil {
-		t.Fatalf("Close after cancel: %v", err)
+	cur, _, rows := run(t, limitOver(psi, 1))
+	if len(rows) != 1 || cur.Stats.PsiEvaluations != match+1 {
+		t.Errorf("LIMIT 1 over a Ψ join: %d rows, %d Ψ evaluations, want 1 and %d (first match, no further)",
+			len(rows), cur.Stats.PsiEvaluations, match+1)
 	}
-	if n := pool.InFlight(); n != 0 {
-		t.Errorf("pool in-flight after canceled query = %d, want 0", n)
+
+	cols := append(append([]plan.ColInfo{}, intCol...), intCol...)
+	sides := func() []*plan.Node { return []*plan.Node{scanNode("a", intCol), scanNode("b", intCol)} }
+	late := &plan.Cmp{Op: sql.OpGe, L: &plan.ColIdx{Idx: 1, Kind: types.KindInt}, R: &plan.Const{Val: types.NewInt(3)}}
+	for name, join := range map[string]*plan.Node{
+		"nl":   {Op: plan.OpNLJoin, Children: sides(), Cols: cols},
+		"hash": {Op: plan.OpHashJoin, Children: sides(), Cols: cols, HashLeft: 0, HashRight: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, es, rows := run(t, limitOver(join, 1))
+			if a, _ := es.Actual(join); len(rows) != 1 || a.Rows != 1 {
+				t.Errorf("LIMIT 1 over a dense join: %d rows, join built %d, want 1 and 1", len(rows), a.Rows)
+			}
+			// A Filter between the two passes the budget on and drops the
+			// join's first three rows: the join is pulled again for what is
+			// still missing.
+			filt := &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{join}, Cols: cols, Cond: late}
+			_, es, rows = run(t, limitOver(filt, 3))
+			if a, _ := es.Actual(join); len(rows) != 3 || a.Rows > 2*3 {
+				t.Errorf("LIMIT 3 over a filtered join: %d rows, join built %d, want 3 and at most 6", len(rows), a.Rows)
+			}
+		})
 	}
+}
+
+// Sort, Distinct and a grouped Aggregate over an empty input yield no rows
+// and no batch; over a multi-batch input they yield what a loop over the
+// table yields.
+func TestBlockingOperatorsOverEmptyAndLargeInputs(t *testing.T) {
+	unary := func(op plan.OpType) *plan.Node {
+		n := &plan.Node{Op: op, Children: []*plan.Node{scanNode("t", intCol)}, Cols: intCol}
+		switch op {
+		case plan.OpSort:
+			n.SortKeys, n.SortDesc = []plan.Expr{&plan.ColIdx{Idx: 0, Kind: types.KindInt}}, []bool{false}
+		case plan.OpAggregate:
+			n.GroupBy = []plan.Expr{&plan.ColIdx{Idx: 0, Kind: types.KindInt}}
+			n.Aggs = []plan.AggSpec{{Kind: sql.FuncCount}}
+			n.Projs = []plan.Expr{&plan.ColIdx{Idx: 0, Kind: types.KindInt}, nil}
+			n.Cols = []plan.ColInfo{intCol[0], {Name: "count", Kind: types.KindInt}}
+		}
+		return n
+	}
+	for _, op := range []plan.OpType{plan.OpSort, plan.OpDistinct, plan.OpAggregate} {
+		t.Run(op.String()+"/empty", func(t *testing.T) {
+			env := newMockEnv()
+			env.tables["t"] = nil
+			everyExit(t, env, unary(op), -1, func(t *testing.T, rows []types.Tuple, _ *Cursor, _ *ExecStats) {
+				if len(rows) != 0 {
+					t.Errorf("rows over empty input = %v, want none", rows)
+				}
+			})
+		})
+		t.Run(op.String()+"/2500", func(t *testing.T) {
+			env := newMockEnv()
+			env.tables["t"] = intRows(2500, 1300) // 1300 distinct values, 1200 of them twice
+			everyExit(t, env, unary(op), 2000, func(t *testing.T, rows []types.Tuple, _ *Cursor, _ *ExecStats) {
+				switch op {
+				case plan.OpSort:
+					if len(rows) != 2500 || !sort.SliceIsSorted(rows, func(i, j int) bool { return rows[i][0].Int() < rows[j][0].Int() }) {
+						t.Errorf("sort returned %d rows, sorted=false or short", len(rows))
+					}
+				case plan.OpDistinct:
+					if len(rows) != 1300 {
+						t.Errorf("distinct rows = %d, want 1300", len(rows))
+					}
+				case plan.OpAggregate:
+					if len(rows) != 1300 {
+						t.Fatalf("groups = %d, want 1300", len(rows))
+					}
+					for _, r := range rows {
+						if want := int64(1 + (2500-1-int(r[0].Int()))/1300); r[1].Int() != want {
+							t.Fatalf("count(%d) = %d, want %d", r[0].Int(), r[1].Int(), want)
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// A Materialize rescanned by a nested-loops join once per outer row reports
+// loops = outer rows, rows = every row it handed the join, and one exhausted
+// pull per pass, while its own input runs once.
+func TestMaterializeRescansReportLoops(t *testing.T) {
+	const outer, inner = 3, 1500
+	env := newMockEnv()
+	mkIntTable(env, "a", outer)
+	mkIntTable(env, "b", inner)
+	mat := &plan.Node{Op: plan.OpMaterialize, Children: []*plan.Node{scanNode("b", intCol)}, Cols: intCol}
+	node := &plan.Node{
+		Op:       plan.OpNLJoin,
+		Children: []*plan.Node{scanNode("a", intCol), mat},
+		Cols:     append(append([]plan.ColInfo{}, intCol...), intCol...),
+	}
+	everyExit(t, env, node, inner+1, func(t *testing.T, rows []types.Tuple, _ *Cursor, es *ExecStats) {
+		if len(rows) != outer*inner {
+			t.Fatalf("cross product rows = %d, want %d", len(rows), outer*inner)
+		}
+		ma, _ := es.Actual(mat)
+		if ma.Loops != outer || ma.Rows != outer*inner || ma.Nexts != outer*(inner+1) {
+			t.Errorf("materialize actual = %+v, want loops=%d rows=%d nexts=%d", ma, outer, outer*inner, outer*(inner+1))
+		}
+		if sa, _ := es.Actual(mat.Children[0]); sa.Rows != inner || sa.Loops != 1 {
+			t.Errorf("inner scan actual = %+v, want rows=%d loops=1", sa, inner)
+		}
+	})
 }
 
 // gatherPsiPlan builds Gather over a parallel Ψ-filtered scan.
@@ -249,80 +508,24 @@ func gatherPsiPlan(workers int) *plan.Node {
 	}
 }
 
-// A vectorized Gather must produce the row engine's result multiset and
-// sum worker loops, with every pooled batch back in the pool afterward.
-func TestVectorizedGatherParity(t *testing.T) {
-	leakcheck.Check(t)
-	env := newRecordMockEnv(newMockEnv())
-	mkUniTable(env.mockEnv, "t", 5000)
-	node := gatherPsiPlan(4)
-	scan := node.Children[0].Children[0]
-
-	want, wantStats, _ := drainTuned(t, env, node, nil, RunOptions{})
-	pool := NewBatchPool()
-	got, gotStats, gotES := drainTuned(t, env, node, nil, RunOptions{Vectorize: true, Fuse: true, Pool: pool})
-
-	ws, gs := tupleStrings(want), tupleStrings(got)
-	sort.Strings(ws)
-	sort.Strings(gs)
-	if fmt.Sprint(gs) != fmt.Sprint(ws) {
-		t.Errorf("gather rows diverge: got %d want %d", len(gs), len(ws))
-	}
-	if gotStats.PsiEvaluations != wantStats.PsiEvaluations {
-		t.Errorf("PsiEvaluations = %d, want %d", gotStats.PsiEvaluations, wantStats.PsiEvaluations)
-	}
-	if st, ok := gotES.Actual(scan); !ok || st.Loops != 4 {
-		t.Errorf("parallel scan loops = %+v (ok=%v), want 4 workers", st, ok)
-	}
-	if n := pool.InFlight(); n != 0 {
-		t.Errorf("pool in-flight after gather drain = %d, want 0", n)
-	}
-}
-
-// Closing a vectorized Gather early must return the in-flight batches —
-// those queued on the merge channel and the one being consumed — to the
-// pool, and stop every worker.
-func TestGatherEarlyCloseReturnsBatchesToPool(t *testing.T) {
-	leakcheck.Check(t)
-	env := newRecordMockEnv(newMockEnv())
-	mkUniTable(env.mockEnv, "t", 20000)
-	node := gatherPsiPlan(4)
-	pool := NewBatchPool()
-	cur, err := RunTuned(env, node, nil, NewResources(context.Background(), 0),
-		RunOptions{Vectorize: true, Fuse: true, Pool: pool})
+// With more surviving rows than the exchange channel and the workers' current
+// batches can park, an early Close or a cancellation finds batches queued on
+// the channel and one being consumed: all must return to the pool, and the
+// batches' charge must have been accounted while they were out.
+func TestGatherWindsDownWithBatchesQueued(t *testing.T) {
+	env := newMockEnv()
+	mkUniTable(env, "t", 20000)
+	want, _ := oracleFilter(t, env, "t", psiFilterScan("t", false).Cond)
+	everyExit(t, env, gatherPsiPlan(4), 10000, func(t *testing.T, rows []types.Tuple, _ *Cursor, _ *ExecStats) {
+		sameRows(t, rows, want)
+	})
+	res := NewResources(context.Background(), 0)
+	cur, err := Run(env, gatherPsiPlan(4), nil, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, ok, err := cur.Next(); err != nil || !ok {
-			t.Fatalf("Next %d = ok=%v err=%v", i, ok, err)
-		}
-	}
-	if err := cur.Close(); err != nil {
-		t.Fatalf("early Close: %v", err)
-	}
-	if n := pool.InFlight(); n != 0 {
-		t.Errorf("pool in-flight after early Close = %d, want 0", n)
-	}
-}
-
-// A fully drained vectorized query must leave the pool empty and the memory
-// accountant settled.
-func TestVectorizedDrainSettlesPoolAndMemory(t *testing.T) {
-	env := newRecordMockEnv(newMockEnv())
-	mkUniTable(env.mockEnv, "t", 4000)
-	node := psiFilterScan("t", false)
-	pool := NewBatchPool()
-	res := NewResources(context.Background(), 0)
-	rows, _, _ := drainTuned(t, env, node, res, RunOptions{Vectorize: true, Fuse: true, Pool: pool})
-	if len(rows) == 0 {
-		t.Fatal("test expects survivors")
-	}
-	if n := pool.InFlight(); n != 0 {
-		t.Errorf("pool in-flight after drain = %d, want 0", n)
-	}
-	if b := res.MemBytes(); b != 0 {
-		t.Errorf("accounted bytes after drain = %d, want 0", b)
+	if _, err := cur.All(); err != nil {
+		t.Fatal(err)
 	}
 	if res.PeakBytes() == 0 {
 		t.Error("peak bytes = 0: batches were never charged")
@@ -334,23 +537,20 @@ func TestVectorizedDrainSettlesPoolAndMemory(t *testing.T) {
 // budget (pipeline construction plus one pooled batch), pinning the
 // zero-alloc reject path.
 func TestFusedPsiScanSteadyStateAllocs(t *testing.T) {
-	env := newRecordMockEnv(newMockEnv())
+	env := newMockEnv()
 	const n = 4096
-	mkUniTable(env.mockEnv, "t", n)
+	mkUniTable(env, "t", n)
 	env.pagesFor("t")
 	cols := []plan.ColInfo{{Rel: "t", Name: "n", Kind: types.KindUniText}}
-	scan := scanNode("t", cols)
 	node := &plan.Node{
 		Op:       plan.OpFilter,
-		Children: []*plan.Node{scan},
+		Children: []*plan.Node{scanNode("t", cols)},
 		Cols:     cols,
 		// No stored name is within distance 0 of this probe: zero survivors.
 		Cond: &plan.Psi{L: &plan.ColIdx{Idx: 0}, R: &plan.Const{Val: types.NewText("zzzzzzzz")}},
 	}
-	pool := NewBatchPool()
-	opts := RunOptions{Vectorize: true, Fuse: true, Pool: pool}
 	run := func() {
-		cur, err := RunTuned(env, node, nil, nil, opts)
+		cur, err := Run(env, node, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,9 +562,46 @@ func TestFusedPsiScanSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("expected zero survivors, got %d", len(rows))
 		}
 	}
-	run() // warm the pool and the G2P caches
+	run() // warm the G2P caches
 	allocs := testing.AllocsPerRun(20, run)
 	if allocs > 100 {
 		t.Errorf("fused Ψ scan allocated %.0f times for %d rows; want a small constant (allocs/row ~0)", allocs, n)
 	}
+}
+
+// A source that already holds its rows hands them on as they are: an index
+// scan's point read never draws a container from the batch pool.
+func TestIndexScanNeverTouchesBatchPool(t *testing.T) {
+	env := newMockEnv()
+	env.tables["names"] = []types.Tuple{{u("nehru", types.LangEnglish)}, {u("patel", types.LangEnglish)}}
+	env.mtree["mt"] = struct {
+		table string
+		col   int
+	}{table: "names", col: 0}
+	cols := []plan.ColInfo{{Rel: "names", Name: "n", Kind: types.KindUniText}}
+	scan := &plan.Node{
+		Op: plan.OpMTreeScan, Table: "names", Cols: cols,
+		Index: &plan.IndexCond{Index: "mt", Probe: &plan.Const{Val: types.NewText("nehru")}, Threshold: 1},
+		Cond:  &plan.Psi{L: &plan.ColIdx{Idx: 0}, R: &plan.Const{Val: types.NewText("nehru")}, Threshold: 1},
+	}
+	node := &plan.Node{Op: plan.OpProject, Children: []*plan.Node{scan}, Cols: cols,
+		Projs: []plan.Expr{&plan.ColIdx{Idx: 0, Kind: types.KindUniText}}}
+	res := NewResources(context.Background(), 0)
+	cur, err := Run(env, node, nil, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := cur.Next(); err != nil || !ok {
+		t.Fatalf("Next = ok=%v err=%v", ok, err)
+	}
+	if n := cur.ev.pool.InFlight(); n != 0 {
+		t.Errorf("batches in flight mid-read = %d, want 0: the fetched rows were copied into a pooled batch", n)
+	}
+	if res.MemBytes() == 0 {
+		t.Error("MemBytes mid-read = 0: the fetched rows were never charged")
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	settled(t, cur, res)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/types"
 )
 
@@ -24,8 +23,8 @@ import (
 //   - typed terminal errors, so every layer above (engine, server, wire,
 //     client) can classify the failure without string matching.
 //
-// A nil *Resources disables all of it: ungoverned runs build the exact
-// iterator tree they always did and pay nothing on the row path.
+// A nil *Resources disables all of it: ungoverned runs build the same
+// operator tree and pay only a counter increment per row.
 
 // Typed terminal errors for governed executions (check with errors.Is).
 var (
@@ -180,97 +179,4 @@ func tuplesBytes(rows []types.Tuple) int64 {
 		n += tupleBytes(t)
 	}
 	return n
-}
-
-// govIter wraps a governed scan source: Next checks the cancellation
-// checkpoint, Close releases whatever the source had accounted (index scans
-// charge their fetched result set up front).
-type govIter struct {
-	child TupleIter
-	ev    *evaluator
-	bytes int64
-}
-
-func (g *govIter) Next() (types.Tuple, bool, error) {
-	if err := g.ev.tick(); err != nil {
-		return nil, false, err
-	}
-	return g.child.Next()
-}
-
-func (g *govIter) Close() error {
-	g.ev.release(g.bytes)
-	g.bytes = 0
-	return g.child.Close()
-}
-
-// unwrapGov strips a pure-checkpoint govIter (one carrying no accounted
-// bytes): an operator that ticks on every row it pulls makes the wrapper's
-// per-row indirection redundant. Wrappers holding an up-front charge (index
-// scans) keep their Close-side release duty and are never stripped, and
-// stats-collected runs wrap operators in instrumentation so the govIter is
-// not the direct child there.
-func unwrapGov(it TupleIter) TupleIter {
-	if g, ok := it.(*govIter); ok && g.bytes == 0 {
-		return g.child
-	}
-	return it
-}
-
-// RunGoverned instantiates the operator tree under per-query governance:
-// res carries the cancellation context and memory accountant that every
-// checkpointed loop consults. A nil res makes this identical to
-// RunWithStats; a nil es additionally skips per-operator instrumentation.
-// Execution is row-at-a-time; RunTuned with DefaultRunOptions enables the
-// vectorized engine.
-func RunGoverned(env Env, node *plan.Node, es *ExecStats, res *Resources) (*Cursor, error) {
-	return RunTuned(env, node, es, res, RunOptions{})
-}
-
-// RunOptions selects execution-engine strategies for one query. The zero
-// value is the classic row-at-a-time engine.
-type RunOptions struct {
-	// Vectorize compiles eligible subtrees (scans, filters, projections)
-	// into batch-at-a-time pipelines exchanging pooled ~BatchRows vectors.
-	Vectorize bool
-	// Fuse additionally compiles Ψ/Ω-filter-over-scan pairs into single
-	// page-at-a-time kernels (implies nothing unless Vectorize is set).
-	Fuse bool
-	// Pool, when non-nil, supplies the query's batch pool; tests inject one
-	// to assert InFlight returns to zero. Nil allocates a fresh pool.
-	Pool *BatchPool
-}
-
-// DefaultRunOptions is the engine's production configuration: vectorized
-// with fusion.
-func DefaultRunOptions() RunOptions {
-	return RunOptions{Vectorize: true, Fuse: true}
-}
-
-// RunTuned is RunGoverned with explicit engine strategy selection.
-func RunTuned(env Env, node *plan.Node, es *ExecStats, res *Resources, opts RunOptions) (*Cursor, error) {
-	if err := res.Err(); err != nil {
-		return nil, err
-	}
-	stats := &RunStats{}
-	ev := &evaluator{env: env, stats: stats, collector: es, res: res}
-	if opts.Vectorize {
-		ev.vec = true
-		ev.fuse = opts.Fuse
-		ev.pool = opts.Pool
-		if ev.pool == nil {
-			ev.pool = NewBatchPool()
-		}
-	}
-	it, err := build(env, ev, node)
-	if err != nil {
-		return nil, err
-	}
-	cols := node.ColNames
-	if cols == nil {
-		for _, ci := range node.Schema() {
-			cols = append(cols, ci.Name)
-		}
-	}
-	return &Cursor{Cols: cols, Stats: stats, it: it, ev: ev}, nil
 }

@@ -52,7 +52,7 @@ func TestCancelDuringParallelPsiScan(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cur, err := RunGoverned(env, gather, nil, NewResources(ctx, 0))
+	cur, err := Run(env, gather, nil, NewResources(ctx, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestCancelDuringParallelPsiScan(t *testing.T) {
 }
 
 // A deadline expiring mid-drain surfaces ErrQueryTimeout at the next
-// checkpoint; one expiring before the run starts fails RunGoverned itself.
+// checkpoint; one expiring before the run starts fails Run itself.
 func TestTimeoutSurfacesTypedError(t *testing.T) {
 	env := newMockEnv()
 	mkUniTable(env, "t", 8192)
@@ -88,7 +88,7 @@ func TestTimeoutSurfacesTypedError(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()
-	cur, err := RunGoverned(env, node, nil, NewResources(ctx, 0))
+	cur, err := Run(env, node, nil, NewResources(ctx, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +115,8 @@ func TestTimeoutSurfacesTypedError(t *testing.T) {
 	// Already-expired deadline: refused before any iterator is built.
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
-	if _, err := RunGoverned(env, node, nil, NewResources(expired, 0)); !errors.Is(err, ErrQueryTimeout) {
-		t.Fatalf("RunGoverned with expired deadline = %v, want ErrQueryTimeout", err)
+	if _, err := Run(env, node, nil, NewResources(expired, 0)); !errors.Is(err, ErrQueryTimeout) {
+		t.Fatalf("Run with expired deadline = %v, want ErrQueryTimeout", err)
 	}
 }
 
@@ -134,7 +134,7 @@ func TestMemoryLimitFailsMaterializingQuery(t *testing.T) {
 		SortDesc: []bool{false},
 	}
 	res := NewResources(context.Background(), 16<<10)
-	cur, err := RunGoverned(env, node, nil, res)
+	cur, err := Run(env, node, nil, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestPeakAccountingBalancesOnSuccess(t *testing.T) {
 		Workers: 2,
 	}
 	res := NewResources(context.Background(), 0)
-	cur, err := RunGoverned(env, gather, nil, res)
+	cur, err := Run(env, gather, nil, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCancelRacesCompletion(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		cur, err := RunGoverned(env, gather, nil, NewResources(ctx, 0))
+		cur, err := Run(env, gather, nil, NewResources(ctx, 0))
 		if err != nil {
 			t.Fatal(err)
 		}

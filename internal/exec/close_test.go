@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -8,60 +9,57 @@ import (
 	"github.com/mural-db/mural/internal/types"
 )
 
-// trackIter wraps a child iterator and records Close calls; closeErr is
+// trackIter is an empty operator that records Close calls; closeErr is
 // returned from Close to test error propagation.
 type trackIter struct {
-	TupleIter
 	closed   bool
 	closeErr error
 }
+
+func (t *trackIter) NextBatch() (*Batch, error) { return nil, nil }
 
 func (t *trackIter) Close() error {
 	t.closed = true
 	return t.closeErr
 }
 
-// closeTrackEnv wraps mockEnv so every ScanTable iterator is tracked.
-type closeTrackEnv struct {
-	*mockEnv
-	tracked []*trackIter
-}
-
-func (e *closeTrackEnv) ScanTable(table string) (TupleIter, error) {
-	it, err := e.mockEnv.ScanTable(table)
-	if err != nil {
-		return nil, err
+// chargedScan returns an env and an index-scan node over its table "l". A
+// table scan opens nothing until its first pull, but an index scan holds its
+// fetched rows, charged to the query, from the moment it is built — so an
+// operator a builder's error path forgot to close shows as bytes still
+// accounted.
+func chargedScan() (*mockEnv, *plan.Node) {
+	env := newMockEnv()
+	env.tables["l"] = []types.Tuple{{u("nehru", types.LangEnglish)}, {u("neru", types.LangEnglish)}}
+	env.mtree["mt_l"] = struct {
+		table string
+		col   int
+	}{table: "l", col: 0}
+	return env, &plan.Node{
+		Op: plan.OpMTreeScan, Table: "l",
+		Cols:  []plan.ColInfo{{Rel: "l", Name: "n", Kind: types.KindUniText}},
+		Index: &plan.IndexCond{Index: "mt_l", Probe: &plan.Const{Val: types.NewText("nehru")}, Threshold: 1},
 	}
-	t := &trackIter{TupleIter: it}
-	e.tracked = append(e.tracked, t)
-	return t, nil
 }
 
 // A join builder whose right child fails to build must close the left
-// child it already opened, not leak it.
+// child it already built, not leak it.
 func TestJoinBuildersCloseLeftOnRightFailure(t *testing.T) {
 	ops := []plan.OpType{plan.OpNLJoin, plan.OpHashJoin, plan.OpPsiJoin, plan.OpOmegaJoin}
 	for _, op := range ops {
-		env := &closeTrackEnv{mockEnv: newMockEnv()}
-		env.tables["l"] = []types.Tuple{{types.NewInt(1)}}
+		env, left := chargedScan()
 		// "r" is absent: building the right child fails after the left
-		// child's iterator is live.
-		n := &plan.Node{
-			Op: op,
-			Children: []*plan.Node{
-				{Op: plan.OpSeqScan, Table: "l"},
-				{Op: plan.OpSeqScan, Table: "r"},
-			},
-		}
-		ev := &evaluator{env: env, stats: &RunStats{}}
-		if _, err := build(env, ev, n); err == nil {
+		// child holds its rows.
+		n := &plan.Node{Op: op, Children: []*plan.Node{left, {Op: plan.OpSeqScan, Table: "r"}}}
+		res := NewResources(context.Background(), 0)
+		if _, err := Run(env, n, nil, res); err == nil {
 			t.Fatalf("%s: expected build error for missing right table", op)
 		}
-		if len(env.tracked) != 1 {
-			t.Fatalf("%s: expected exactly one live child iterator, got %d", op, len(env.tracked))
+		if res.PeakBytes() == 0 {
+			t.Fatalf("%s: left child never charged its rows; the test observes nothing", op)
 		}
-		if !env.tracked[0].closed {
-			t.Errorf("%s: left child iterator leaked when right build failed", op)
+		if b := res.MemBytes(); b != 0 {
+			t.Errorf("%s: left child leaked when right build failed: %d bytes still accounted", op, b)
 		}
 	}
 }
@@ -69,28 +67,32 @@ func TestJoinBuildersCloseLeftOnRightFailure(t *testing.T) {
 func TestNLJoinClosePropagatesOuterError(t *testing.T) {
 	outerErr := errors.New("outer close failed")
 	j := &nlJoinIter{
-		outer: &trackIter{TupleIter: &sliceIter{}, closeErr: outerErr},
-		inner: asRewindable(nil, &trackIter{TupleIter: &sliceIter{}}),
+		outer: &trackIter{closeErr: outerErr},
+		inner: &materializeIter{child: &trackIter{}},
 	}
 	if err := j.Close(); !errors.Is(err, outerErr) {
-		t.Fatalf("nlJoinIter.Close dropped the outer iterator's error: got %v", err)
+		t.Fatalf("nlJoinIter.Close dropped the outer operator's error: got %v", err)
 	}
 }
 
 func TestHashJoinClosePropagatesProbeError(t *testing.T) {
 	probeErr := errors.New("probe close failed")
-	j := &hashJoinIter{
-		probe:    &trackIter{TupleIter: &sliceIter{}, closeErr: probeErr},
-		buildSrc: &trackIter{TupleIter: &sliceIter{}},
+	build := &trackIter{}
+	j := &lookupJoinIter{
+		outer: &trackIter{closeErr: probeErr},
+		hash:  &hashSide{src: build},
 	}
 	if err := j.Close(); !errors.Is(err, probeErr) {
-		t.Fatalf("hashJoinIter.Close dropped the probe iterator's error: got %v", err)
+		t.Fatalf("lookupJoinIter.Close dropped the probe operator's error: got %v", err)
+	}
+	if !build.closed {
+		t.Error("lookupJoinIter.Close left the hash build side open")
 	}
 }
 
 func TestCursorAllPropagatesCloseError(t *testing.T) {
 	closeErr := errors.New("close failed")
-	c := &Cursor{it: &trackIter{TupleIter: &sliceIter{}, closeErr: closeErr}}
+	c := &Cursor{src: &trackIter{closeErr: closeErr}}
 	if _, err := c.All(); !errors.Is(err, closeErr) {
 		t.Fatalf("Cursor.All dropped the close error: got %v", err)
 	}

@@ -19,7 +19,7 @@ import (
 // only through the cancellation checkpoint or the operand-kind error, so a
 // callback that returned nil is a row that reached the Ψ kernel.
 type reachedEnv struct {
-	*recordMockEnv
+	*mockEnv
 	reached atomic.Int64
 }
 
@@ -29,7 +29,7 @@ type reachedScan struct {
 }
 
 func (e *reachedEnv) ScanRecords(table string, lo, hi int64) (RecordScan, error) {
-	rs, err := e.recordMockEnv.ScanRecords(table, lo, hi)
+	rs, err := e.mockEnv.ScanRecords(table, lo, hi)
 	if err != nil {
 		return nil, err
 	}
@@ -110,8 +110,8 @@ func TestPsiCountsExactOnEveryExit(t *testing.T) {
 	}
 	// Two tables, encoded once: all names, and the same with a non-text value
 	// halfway down.
-	good, bad := newRecordMockEnv(newMockEnv()), newRecordMockEnv(newMockEnv())
-	mkUniTable(good.mockEnv, "t", rows)
+	good, bad := newMockEnv(), newMockEnv()
+	mkUniTable(good, "t", rows)
 	bad.tables["t"] = append([]types.Tuple(nil), good.tables["t"]...)
 	bad.tables["t"][rows/2] = types.Tuple{types.NewInt(7)}
 	// workers 0 is the serial plan: no Gather, the cursor's own evaluator
@@ -120,9 +120,9 @@ func TestPsiCountsExactOnEveryExit(t *testing.T) {
 		for _, exit := range exits {
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, exit.name), func(t *testing.T) {
 				leakcheck.Check(t)
-				env := &reachedEnv{recordMockEnv: good}
+				env := &reachedEnv{mockEnv: good}
 				if exit.badRow {
-					env.recordMockEnv = bad
+					env.mockEnv = bad
 				}
 				node := psiFilterScan("t", false)
 				if workers > 0 {
@@ -133,9 +133,8 @@ func TestPsiCountsExactOnEveryExit(t *testing.T) {
 				}
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				pool := NewBatchPool()
 				before := mPsiEvals.Value()
-				cur, err := RunTuned(env, node, nil, NewResources(ctx, 0), RunOptions{Vectorize: true, Fuse: true, Pool: pool})
+				cur, err := Run(env, node, nil, NewResources(ctx, 0))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,7 +151,7 @@ func TestPsiCountsExactOnEveryExit(t *testing.T) {
 				if exit.name == "drain" && reached != rows {
 					t.Errorf("a full drain evaluated %d of %d rows", reached, rows)
 				}
-				if n := pool.InFlight(); n != 0 {
+				if n := cur.ev.pool.InFlight(); n != 0 {
 					t.Errorf("pool in-flight = %d, want 0", n)
 				}
 			})
@@ -160,15 +159,21 @@ func TestPsiCountsExactOnEveryExit(t *testing.T) {
 	}
 }
 
-// The row evaluator counts through the same two helpers; a statement that
+// The generic evaluator counts through the same two helpers; a statement that
 // never enters a fused kernel still publishes at Close.
-func TestRowPathCountsPublishAtClose(t *testing.T) {
+func TestGenericPathCountsPublishAtClose(t *testing.T) {
 	env := newMockEnv()
 	mkUniTable(env, "t", 100)
+	node := psiFilterScan("t", false)
+	// Column against column is a join shape, not a fusible one.
+	node.Cond.(*plan.Psi).R = &plan.ColIdx{Idx: 0}
 	before := mPsiEvals.Value()
-	cur, err := RunTuned(env, psiFilterScan("t", false), nil, nil, RunOptions{})
+	cur, err := Run(env, node, nil, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := cur.src.(*vectorFilterIter); !ok {
+		t.Fatalf("root operator is %T, want the generic filter", cur.src)
 	}
 	if _, err := cur.All(); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,10 @@
 // Package exec interprets physical plans produced by the plan package with
-// a Volcano-style iterator per operator. All data access flows through the
-// Env interface, which the engine implements over its heaps and indexes;
-// the multilingual operators reach the phonetic and semantic runtimes the
-// same way, mirroring how the paper's in-kernel operators call the linked
-// Dhvani converter and the pinned WordNet hierarchies.
+// one batch-at-a-time operator (BatchIter) per plan node. All data access
+// flows through the Env interface, which the engine implements over its
+// heaps and indexes; the multilingual operators reach the phonetic and
+// semantic runtimes the same way, mirroring how the paper's in-kernel
+// operators call the linked Dhvani converter and the pinned WordNet
+// hierarchies.
 package exec
 
 import (
@@ -13,7 +14,9 @@ import (
 	"github.com/mural-db/mural/internal/wordnet"
 )
 
-// TupleIter streams tuples.
+// TupleIter streams tuples one at a time: the face of a shard's wire stream
+// (FragmentRunner.RunFragment), which the Remote operator turns into batches.
+// Operators themselves are BatchIters.
 type TupleIter interface {
 	// Next returns the next tuple; ok=false signals exhaustion.
 	Next() (types.Tuple, bool, error)
@@ -23,14 +26,12 @@ type TupleIter interface {
 
 // Env is the runtime surface the executor needs from the engine.
 type Env interface {
-	// ScanTable streams every live tuple of a base table.
-	ScanTable(table string) (TupleIter, error)
 	// TablePages reports the table's heap size in pages, the unit a Gather
 	// worker claims morsels in.
 	TablePages(table string) (int64, error)
-	// ScanTablePages streams the live tuples on heap pages [lo, hi): one
-	// morsel of a parallel scan.
-	ScanTablePages(table string, lo, hi int64) (TupleIter, error)
+	// ScanRecords streams the raw records of heap pages [lo, hi) of a table:
+	// the whole table for a serial scan, one morsel for a Gather worker.
+	ScanRecords(table string, lo, hi int64) (RecordScan, error)
 	// FetchRIDs decodes the tuples at the given RIDs of a base table.
 	FetchRIDs(table string, rids []storage.RID) ([]types.Tuple, error)
 	// IndexSearch probes a B-tree index: nil lo/hi leave the bound open.
@@ -63,16 +64,6 @@ type RecordScan interface {
 	NextPage(fn func(rec []byte) error) (more bool, err error)
 	// Close releases the scan.
 	Close() error
-}
-
-// RecordScanner is an optional Env extension: engines whose tables are
-// slotted heap files expose raw record access here, and the executor's
-// vectorized scans and fused Ψ/Ω kernels then read pinned pages zero-copy
-// instead of materializing a tuple per row. Envs without it (tests,
-// harnesses) transparently fall back to row-at-a-time adapters.
-type RecordScanner interface {
-	// ScanRecords streams the records of heap pages [lo, hi) of a table.
-	ScanRecords(table string, lo, hi int64) (RecordScan, error)
 }
 
 // SharedG2PProvider is an optional Env extension: engines that keep an

@@ -15,7 +15,7 @@ type evaluator struct {
 	env   Env
 	stats *RunStats
 	// collector, when non-nil, makes build wrap every operator with a
-	// timing iterator (EXPLAIN ANALYZE).
+	// counting (and, when timed, timing) iterator.
 	collector *ExecStats
 	// par, when non-nil, marks this evaluator as one Gather worker's: scans
 	// of Parallel plan nodes claim morsels instead of the whole table.
@@ -28,12 +28,7 @@ type evaluator struct {
 	// amortization counter for the cancellation checkpoint.
 	res   *Resources
 	ticks uint32
-	// vec enables batch-at-a-time execution for eligible subtrees; fuse
-	// additionally compiles Ψ/Ω-filter-over-scan pipelines into single
-	// page-at-a-time loops. pool is the query's shared batch pool (set
-	// whenever vec is; Gather workers share the parent's).
-	vec  bool
-	fuse bool
+	// pool is the query's batch pool; Gather workers share the parent's.
 	pool *BatchPool
 	// unpubPsi/unpubOmega are evaluations counted into stats but not yet
 	// added to the process-wide metrics (see publishCounts).

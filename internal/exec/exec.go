@@ -4,32 +4,55 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"github.com/mural-db/mural/internal/invariant"
 	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/sql"
+	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
 )
 
-// Cursor is a running query: column names plus a tuple stream.
+// Cursor is a running query: column names plus the row face of the operator
+// tree. It pulls batches from the root operator and hands their rows out one
+// at a time, recycling each batch once its last row is out; the tuples
+// themselves stay valid — they own their memory.
 type Cursor struct {
 	Cols  []string
 	Stats *RunStats
-	it    TupleIter
+	src   BatchIter
+	cur   *Batch
+	pos   int
 	// ev is the root evaluator of an executing plan (nil for static rows);
 	// Close publishes what it counted.
 	ev     *evaluator
 	closed bool
 }
 
-// Next returns the next result row.
+// Next returns the next result row. Handing a row out is a cancellation
+// checkpoint like any other row step: the operators below may have finished
+// whole batches ahead of a slow consumer, and a statement must not go on
+// delivering them (and holding its admission slot) past a cancel or deadline.
 func (c *Cursor) Next() (types.Tuple, bool, error) {
 	invariant.Assert(!c.closed, "exec: Next on a closed cursor")
-	t, ok, err := c.it.Next()
-	if ok && c.Stats != nil {
+	if err := c.ev.tick(); err != nil {
+		return nil, false, err
+	}
+	for c.cur == nil || c.pos >= len(c.cur.Rows) {
+		c.ev.putBatch(c.cur)
+		c.cur = nil
+		b, err := c.src.NextBatch()
+		if err != nil || b == nil {
+			return nil, false, err
+		}
+		c.cur, c.pos = b, 0
+	}
+	t := c.cur.Rows[c.pos]
+	c.pos++
+	if c.Stats != nil {
 		c.Stats.RowsOut++
 	}
-	return t, ok, err
+	return t, true, nil
 }
 
 // Close releases the cursor and publishes the statement's remaining Ψ/Ω
@@ -37,7 +60,9 @@ func (c *Cursor) Next() (types.Tuple, bool, error) {
 // canceled — ends here. Close is idempotent.
 func (c *Cursor) Close() error {
 	c.closed = true
-	err := c.it.Close()
+	c.ev.putBatch(c.cur)
+	c.cur = nil
+	err := c.src.Close()
 	if c.ev != nil {
 		c.ev.publishCounts()
 	}
@@ -49,353 +74,259 @@ func (c *Cursor) Close() error {
 func (c *Cursor) All() (out []types.Tuple, err error) {
 	defer func() { err = errors.Join(err, c.Close()) }()
 	for {
-		t, ok, err := c.it.Next()
-		if err != nil {
+		t, ok, err := c.Next()
+		if err != nil || !ok {
 			return out, err
-		}
-		if !ok {
-			return out, nil
-		}
-		if c.Stats != nil {
-			c.Stats.RowsOut++
 		}
 		out = append(out, t)
 	}
 }
 
-// Run instantiates the operator tree for a physical plan.
-func Run(env Env, node *plan.Node) (*Cursor, error) {
-	return RunWithStats(env, node, nil)
+// NewSliceCursor wraps pre-materialized rows as a Cursor; the server uses it
+// to stream EXPLAIN output through the ordinary row protocol.
+func NewSliceCursor(cols []string, rows []types.Tuple) *Cursor {
+	return &Cursor{Cols: cols, src: &rowsIter{held: heldRows{rows: rows}}}
 }
 
-// RunWithStats instantiates the operator tree with per-operator statistics
-// collection (EXPLAIN ANALYZE). A nil collector makes this identical to Run:
-// no wrapper iterators are interposed.
-func RunWithStats(env Env, node *plan.Node, es *ExecStats) (*Cursor, error) {
-	return RunGoverned(env, node, es, nil)
-}
-
-// build instantiates one operator and, when a collector is active, wraps it
-// so rows and wall time are attributed to its plan node. Under vectorized
-// execution eligible subtrees compile to a batch pipeline instead; the
-// pipeline carries its own batch-level instrumentation, so its row adapter
-// is returned unwrapped.
-func build(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
-	if ev.vec {
-		bi, ok, err := buildVec(env, ev, n)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return &batchRowIter{ev: ev, src: bi}, nil
+// Run instantiates the operator tree for a physical plan. es, when non-nil,
+// collects per-operator statistics (EXPLAIN ANALYZE, feedback); res, when
+// non-nil, carries the cancellation context and memory accountant that every
+// checkpointed loop consults. Either may be nil and then costs nothing: no
+// wrapper operators, no accounting.
+func Run(env Env, node *plan.Node, es *ExecStats, res *Resources) (*Cursor, error) {
+	if err := res.Err(); err != nil {
+		return nil, err
+	}
+	stats := &RunStats{}
+	ev := &evaluator{env: env, stats: stats, collector: es, res: res, pool: NewBatchPool()}
+	src, err := build(env, ev, node, nil)
+	if err != nil {
+		return nil, err
+	}
+	cols := node.ColNames
+	if cols == nil {
+		for _, ci := range node.Schema() {
+			cols = append(cols, ci.Name)
 		}
 	}
-	it, err := buildOp(env, ev, n)
+	return &Cursor{Cols: cols, Stats: stats, src: src, ev: ev}, nil
+}
+
+// build instantiates one operator over its already-built children and, when
+// a collector is active, wraps it so rows and wall time are attributed to its
+// plan node. A Ψ/Ω filter directly over a table scan compiles to the fused
+// kernel (fuse.go), which is both plan nodes at once and attributes to both
+// itself.
+//
+// budget, when non-nil, is the number of rows a Limit above still wants. It
+// reaches the operators that produce the Limit's rows through Filter, Project
+// and Gather only (the Limit writes it, Gather workers read it: an atomic),
+// and matters to the joins: one output row of a selective join can cost a
+// whole pass over the inner side, so a join fills its batch no further than
+// the budget (a scan's batch costs about a page either way).
+func build(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIter, error) {
+	var it BatchIter
+	var err error
+	switch n.Op {
+	case plan.OpSeqScan:
+		var src *recordSource
+		if src, err = newRecordSource(env, ev, n); err == nil {
+			it = &batchScanIter{ev: ev, src: src}
+		}
+	case plan.OpGather:
+		it, err = buildGather(env, ev, n, budget)
+	case plan.OpRemote:
+		it, err = buildRemote(env, ev, n)
+	case plan.OpBTreeScan, plan.OpMTreeScan, plan.OpMDIScan, plan.OpQGramScan:
+		it, err = buildIndexScan(env, ev, n)
+	case plan.OpNLJoin, plan.OpPsiJoin, plan.OpOmegaJoin:
+		it, err = buildNLJoin(env, ev, n, budget)
+	case plan.OpHashJoin, plan.OpPsiIndexJoin:
+		it, err = buildLookupJoin(env, ev, n, budget)
+	case plan.OpFilter, plan.OpProject, plan.OpMaterialize, plan.OpAggregate,
+		plan.OpSort, plan.OpDistinct, plan.OpLimit:
+		if n.Op == plan.OpFilter && n.Children[0].Op == plan.OpSeqScan {
+			if kern := ev.compileFused(n.Cond, n.Children[0].Schema()); kern != nil {
+				return buildFusedScan(env, ev, n, kern)
+			}
+		}
+		switch n.Op {
+		case plan.OpLimit:
+			budget = new(atomic.Int64)
+			budget.Store(n.LimitN)
+		case plan.OpFilter, plan.OpProject:
+		default:
+			budget = nil
+		}
+		var child BatchIter
+		if child, err = build(env, ev, n.Children[0], budget); err == nil {
+			it = buildUnary(ev, n, child, budget)
+		}
+	default:
+		err = fmt.Errorf("exec: unsupported operator %s", n.Op)
+	}
 	if err != nil || ev.collector == nil {
 		return it, err
 	}
-	return ev.collector.wrap(n, it), nil
+	return &batchStatsIter{child: it, st: ev.collector.Stats(n), timed: ev.collector.timed}, nil
 }
 
-// buildRowScan builds the row-at-a-time form of a table scan: the morsel (or
-// striped) share inside a Gather worker, the whole table otherwise.
-func buildRowScan(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
-	if n.Parallel && ev.par != nil {
-		return ev.par.scanIter(env, ev, n)
-	}
-	it, err := env.ScanTable(n.Table)
-	if err != nil || ev.res == nil {
-		return it, err
-	}
-	return &govIter{child: it, ev: ev}, nil
-}
-
-func buildOp(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
+// buildUnary instantiates a single-input operator over its built child; a
+// Limit counts down the budget its subtree was built with.
+func buildUnary(ev *evaluator, n *plan.Node, child BatchIter, budget *atomic.Int64) BatchIter {
 	switch n.Op {
-	case plan.OpSeqScan:
-		return buildRowScan(env, ev, n)
-	case plan.OpGather:
-		return buildGather(env, ev, n)
-	case plan.OpRemote:
-		return buildRemote(env, ev, n)
-	case plan.OpBTreeScan, plan.OpMTreeScan, plan.OpMDIScan, plan.OpQGramScan:
-		return buildIndexScan(env, ev, n)
 	case plan.OpFilter:
-		child, err := build(env, ev, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return &filterIter{child: unwrapGov(child), cond: n.Cond, ev: ev}, nil
+		return &vectorFilterIter{ev: ev, child: child, cond: n.Cond}
 	case plan.OpProject:
-		child, err := build(env, ev, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return &projectIter{child: child, projs: n.Projs, ev: ev}, nil
+		return &vectorProjectIter{ev: ev, child: child, projs: n.Projs}
 	case plan.OpMaterialize:
-		child, err := build(env, ev, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return &materializeIter{child: unwrapGov(child), ev: ev}, nil
-	case plan.OpNLJoin:
-		return buildNLJoin(env, ev, n)
-	case plan.OpHashJoin:
-		return buildHashJoin(env, ev, n)
-	case plan.OpPsiJoin:
-		return buildPsiJoin(env, ev, n)
-	case plan.OpPsiIndexJoin:
-		return buildPsiIndexJoin(env, ev, n)
-	case plan.OpOmegaJoin:
-		return buildOmegaJoin(env, ev, n)
+		return &materializeIter{ev: ev, child: child}
 	case plan.OpAggregate:
-		return buildAggregate(env, ev, n)
+		return &aggregateIter{ev: ev, child: child, node: n}
 	case plan.OpSort:
-		return buildSort(env, ev, n)
+		return &sortIter{ev: ev, child: child, keys: n.SortKeys, desc: n.SortDesc}
 	case plan.OpDistinct:
-		child, err := build(env, ev, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return &distinctIter{child: unwrapGov(child), ev: ev, seen: make(map[string]bool)}, nil
-	case plan.OpLimit:
-		child, err := build(env, ev, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return &limitIter{child: child, n: n.LimitN}, nil
+		return &distinctIter{ev: ev, child: child, seen: make(map[string]bool)}
 	default:
-		return nil, fmt.Errorf("exec: unsupported operator %s", n.Op)
+		return &limitIter{child: child, rest: budget}
 	}
 }
 
-// sliceIter iterates a materialized tuple slice.
-type sliceIter struct {
-	rows []types.Tuple
-	pos  int
-}
-
-func (s *sliceIter) Next() (types.Tuple, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
-}
-
-func (s *sliceIter) Close() error { return nil }
-
-// buildIndexScan probes the index named by the plan node, fetches the heap
-// tuples and replays the recheck condition.
-func buildIndexScan(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
-	var rows []types.Tuple
-	switch n.Op {
-	case plan.OpBTreeScan:
-		var lo, hi []byte
-		if n.Index.EqKey != nil {
-			v, err := ev.eval(n.Index.EqKey, nil)
-			if err != nil {
-				return nil, err
-			}
-			key := types.KeyOf(v)
-			lo, hi = key, key
+// indexProbe runs the index lookup a scan node names and returns the
+// matching RIDs, recording pages visited and candidates on the run.
+func indexProbe(env Env, ev *evaluator, n *plan.Node) ([]storage.RID, error) {
+	bound := func(e plan.Expr) ([]byte, error) {
+		if e == nil {
+			return nil, nil
 		}
+		v, err := ev.eval(e, nil)
+		if err != nil {
+			return nil, err
+		}
+		return types.KeyOf(v), nil
+	}
+	if n.Op == plan.OpBTreeScan {
+		lo, err := bound(n.Index.EqKey)
+		if err != nil {
+			return nil, err
+		}
+		hi := lo
 		if n.Index.Lo != nil {
-			v, err := ev.eval(n.Index.Lo, nil)
-			if err != nil {
+			if lo, err = bound(n.Index.Lo); err != nil {
 				return nil, err
 			}
-			lo = types.KeyOf(v)
 		}
 		if n.Index.Hi != nil {
-			v, err := ev.eval(n.Index.Hi, nil)
-			if err != nil {
+			if hi, err = bound(n.Index.Hi); err != nil {
 				return nil, err
 			}
-			hi = types.KeyOf(v)
 			// Keys share the class tag; extend so every key with this
 			// prefix is included (recheck trims overshoot).
 			hi = append(hi, 0xFF)
 		}
 		rids, pages, err := env.IndexSearch(n.Index.Index, lo, hi)
-		if err != nil {
-			return nil, err
-		}
 		ev.stats.IndexPages += int64(pages)
-		rows, err = env.FetchRIDs(n.Table, rids)
-		if err != nil {
-			return nil, err
-		}
-	case plan.OpMTreeScan, plan.OpMDIScan, plan.OpQGramScan:
-		v, err := ev.eval(n.Index.Probe, nil)
-		if err != nil {
-			return nil, err
-		}
-		ph, _, ok := ev.psiOperand(v, n.Index.Langs)
-		if !ok {
-			return nil, fmt.Errorf("exec: index probe value must be text")
-		}
-		if n.Op == plan.OpMTreeScan {
-			rids, pages, err := env.MTreeSearch(n.Index.Index, ph, n.Index.Threshold)
-			if err != nil {
-				return nil, err
-			}
-			ev.stats.IndexPages += int64(pages)
-			rows, err = env.FetchRIDs(n.Table, rids)
-			if err != nil {
-				return nil, err
-			}
-		} else if n.Op == plan.OpQGramScan {
-			rids, cands, err := env.QGramSearch(n.Index.Index, ph, n.Index.Threshold)
-			if err != nil {
-				return nil, err
-			}
-			ev.stats.MDICandidates += int64(cands)
-			rows, err = env.FetchRIDs(n.Table, rids)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			rids, pages, cands, err := env.MDISearch(n.Index.Index, ph, n.Index.Threshold)
-			if err != nil {
-				return nil, err
-			}
-			ev.stats.IndexPages += int64(pages)
-			ev.stats.MDICandidates += int64(cands)
-			rows, err = env.FetchRIDs(n.Table, rids)
-			if err != nil {
-				return nil, err
-			}
-		}
+		return rids, err
 	}
-	var it TupleIter = &sliceIter{rows: rows}
+	v, err := ev.eval(n.Index.Probe, nil)
+	if err != nil {
+		return nil, err
+	}
+	ph, _, ok := ev.psiOperand(v, n.Index.Langs)
+	if !ok {
+		return nil, fmt.Errorf("exec: index probe value must be text")
+	}
+	var rids []storage.RID
+	var pages, cands int
+	switch n.Op {
+	case plan.OpMTreeScan:
+		rids, pages, err = env.MTreeSearch(n.Index.Index, ph, n.Index.Threshold)
+	case plan.OpQGramScan:
+		rids, cands, err = env.QGramSearch(n.Index.Index, ph, n.Index.Threshold)
+	default:
+		rids, pages, cands, err = env.MDISearch(n.Index.Index, ph, n.Index.Threshold)
+	}
+	ev.stats.IndexPages += int64(pages)
+	ev.stats.MDICandidates += int64(cands)
+	return rids, err
+}
+
+// buildIndexScan probes the index named by the plan node, fetches the heap
+// tuples and replays the recheck condition. The fetched rows are handed on
+// as they are (rowsIter): a point read copies nothing into a pooled batch.
+func buildIndexScan(env Env, ev *evaluator, n *plan.Node) (BatchIter, error) {
+	rids, err := indexProbe(env, ev, n)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := env.FetchRIDs(n.Table, rids)
+	if err != nil {
+		return nil, err
+	}
+	src := &rowsIter{ev: ev, held: heldRows{rows: rows}}
 	if ev.res != nil {
 		// The probe materialized its result set up front; charge it for the
-		// iterator's lifetime (released by govIter.Close).
-		b := tuplesBytes(rows)
-		if err := ev.grow(b); err != nil {
-			ev.release(b)
-			return nil, err
-		}
-		it = &govIter{child: it, ev: ev, bytes: b}
-	}
-	if n.Cond != nil {
-		it = &filterIter{child: it, cond: n.Cond, ev: ev}
-	}
-	return it, nil
-}
-
-type filterIter struct {
-	child TupleIter
-	cond  plan.Expr
-	ev    *evaluator
-}
-
-func (f *filterIter) Next() (types.Tuple, bool, error) {
-	for {
-		if err := f.ev.tick(); err != nil {
-			return nil, false, err
-		}
-		t, ok, err := f.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		pass, err := f.ev.evalBool(f.cond, t)
-		if err != nil {
-			return nil, false, err
-		}
-		if pass {
-			return t, true, nil
+		// operator's lifetime (released by rowsIter.Close).
+		src.bytes = tuplesBytes(rows)
+		if err := ev.grow(src.bytes); err != nil {
+			return nil, errors.Join(err, src.Close())
 		}
 	}
-}
-
-func (f *filterIter) Close() error { return f.child.Close() }
-
-type projectIter struct {
-	child TupleIter
-	projs []plan.Expr
-	ev    *evaluator
-}
-
-func (p *projectIter) Next() (types.Tuple, bool, error) {
-	t, ok, err := p.child.Next()
-	if err != nil || !ok {
-		return nil, false, err
+	if n.Cond == nil {
+		return src, nil
 	}
-	out := make(types.Tuple, len(p.projs))
-	for i, e := range p.projs {
-		v, err := p.ev.eval(e, t)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = v
-	}
-	return out, true, nil
+	return &vectorFilterIter{ev: ev, child: src, cond: n.Cond}, nil
 }
 
-func (p *projectIter) Close() error { return p.child.Close() }
-
-// materializeIter caches its child's output; Rewind replays it, giving
-// nested-loops joins a cheap inner rescan (the Materialize of Figure 7).
-// Under governance (ev with Resources) the cached rows are charged to the
-// query and released on Close.
+// materializeIter caches its child's output (the Materialize of Figure 7) and
+// hands it on like any source that holds its rows. It is also the inner side
+// a nested-loops join passes over once per outer row: rescan starts the next
+// pass. The cached rows are charged to the query and released on Close.
 type materializeIter struct {
-	child  TupleIter
 	ev     *evaluator
-	rows   []types.Tuple
+	child  BatchIter
+	held   heldRows
 	bytes  int64
 	loaded bool
-	pos    int
 }
 
-func (m *materializeIter) load() error {
-	if m.loaded {
-		return nil
-	}
-	for {
-		if err := m.ev.tick(); err != nil {
-			return err
-		}
-		t, ok, err := m.child.Next()
+func (m *materializeIter) NextBatch() (*Batch, error) {
+	if !m.loaded {
+		err := m.ev.drainRows(m.child, func(t types.Tuple) error {
+			m.held.rows = append(m.held.rows, t)
+			if m.ev.res == nil {
+				return nil
+			}
+			// Record the charge before checking it: Grow counts even a failing
+			// charge, so Close must release it too.
+			n := tupleBytes(t)
+			m.bytes += n
+			return m.ev.grow(n)
+		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if !ok {
-			break
-		}
-		b := tupleBytes(t)
-		// Record the charge before checking it: Grow counts even a failing
-		// charge, so Close must release it too.
-		m.bytes += b
-		if err := m.ev.grow(b); err != nil {
-			return err
-		}
-		m.rows = append(m.rows, t)
+		m.loaded = true
 	}
-	m.loaded = true
-	return m.child.Close()
+	return m.held.next(), nil
 }
 
-func (m *materializeIter) Next() (types.Tuple, bool, error) {
-	if err := m.load(); err != nil {
-		return nil, false, err
-	}
-	if m.pos >= len(m.rows) {
-		return nil, false, nil
-	}
-	t := m.rows[m.pos]
-	m.pos++
-	return t, true, nil
-}
-
-func (m *materializeIter) Rewind() { m.pos = 0 }
+// rescan makes the next NextBatch start over at the first cached row. Batches
+// alias the cache, so only a consumer that leaves its batches' rows alone may
+// rescan: the nested-loops join.
+func (m *materializeIter) rescan() { m.held.pos = 0 }
 
 func (m *materializeIter) Close() error {
 	m.ev.release(m.bytes)
 	m.bytes = 0
 	return m.child.Close()
+}
+
+// rescannable is the inner side of a nested-loops join: a materializeIter,
+// bare or inside the stats wrapper that counts its passes.
+type rescannable interface {
+	BatchIter
+	rescan()
 }
 
 // joinedTuple concatenates left and right.
@@ -405,526 +336,519 @@ func joinedTuple(l, r types.Tuple) types.Tuple {
 	return append(out, r...)
 }
 
-func buildNLJoin(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
-	left, err := build(env, ev, n.Children[0])
-	if err != nil {
-		return nil, err
+// nlJoinCond is the predicate a nested-loops join evaluates over the joint
+// schema: for the Ψ and Ω joins a synthetic Psi/Omega expression over the two
+// join columns (the planner already arranged the Ω join's outer side to carry
+// the closure roots when profitable — RHS-outer, §4.3), ahead of any residual.
+func nlJoinCond(n *plan.Node) plan.Expr {
+	var op plan.Expr
+	switch n.Op {
+	case plan.OpPsiJoin:
+		op = psiJoinCond(n)
+	case plan.OpOmegaJoin:
+		op = &plan.Omega{
+			L:     &plan.ColIdx{Idx: n.OmegaLeftCol},
+			R:     &plan.ColIdx{Idx: n.OmegaRightCol},
+			Langs: n.OmegaLangs,
+		}
+	default:
+		return n.Cond
 	}
-	right, err := build(env, ev, n.Children[1])
-	if err != nil {
-		return nil, errors.Join(err, left.Close())
+	if n.Cond != nil {
+		return &plan.AndOr{L: op, R: n.Cond}
 	}
-	return &nlJoinIter{ev: ev, outer: left, inner: asRewindable(ev, right), cond: n.Cond}, nil
+	return op
 }
 
-// asRewindable returns right as a rewindable iterator, materializing it when
-// it cannot rescan on its own. A stats-wrapped Materialize stays rewindable
-// (rewindStatsIter forwards Rewind), so the instrumented plan runs the same
-// shape as the bare one. The evaluator (nil in some unit tests) lets the
-// implicit Materialize charge its cached rows to the query's accountant.
-func asRewindable(ev *evaluator, right TupleIter) rewindIter {
-	if r, ok := right.(rewindIter); ok {
-		return r
-	}
-	return &materializeIter{child: right, ev: ev}
-}
-
-type nlJoinIter struct {
-	ev       *evaluator
-	outer    TupleIter
-	inner    rewindIter
-	cond     plan.Expr
-	curOuter types.Tuple
-	started  bool
-}
-
-func (j *nlJoinIter) Next() (types.Tuple, bool, error) {
-	for {
-		if !j.started || j.curOuter == nil {
-			t, ok, err := j.outer.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.curOuter = t
-			j.inner.Rewind()
-			j.started = true
-		}
-		for {
-			if err := j.ev.tick(); err != nil {
-				return nil, false, err
-			}
-			rt, ok, err := j.inner.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				j.curOuter = nil
-				break
-			}
-			joined := joinedTuple(j.curOuter, rt)
-			if j.cond != nil {
-				pass, err := j.ev.evalBool(j.cond, joined)
-				if err != nil {
-					return nil, false, err
-				}
-				if !pass {
-					continue
-				}
-			}
-			return joined, true, nil
-		}
-	}
-}
-
-func (j *nlJoinIter) Close() error {
-	return errors.Join(j.outer.Close(), j.inner.Close())
-}
-
-func buildHashJoin(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
-	left, err := build(env, ev, n.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	right, err := build(env, ev, n.Children[1])
-	if err != nil {
-		return nil, errors.Join(err, left.Close())
-	}
-	leftWidth := len(n.Children[0].Schema())
-	return &hashJoinIter{
-		ev: ev, probe: left, buildSrc: right,
-		probeCol: n.HashLeft, buildCol: n.HashRight - leftWidth,
-		cond: n.Cond,
-	}, nil
-}
-
-type hashJoinIter struct {
-	ev       *evaluator
-	probe    TupleIter
-	buildSrc TupleIter
-	probeCol int
-	buildCol int
-	cond     plan.Expr
-
-	table   map[string][]types.Tuple
-	bytes   int64
-	cur     types.Tuple // current probe tuple
-	matches []types.Tuple
-	mi      int
-}
-
-func (j *hashJoinIter) init() error {
-	if j.table != nil {
-		return nil
-	}
-	j.table = make(map[string][]types.Tuple)
-	for {
-		if err := j.ev.tick(); err != nil {
-			return err
-		}
-		t, ok, err := j.buildSrc.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		v := t[j.buildCol]
-		if v.IsNull() {
-			continue
-		}
-		k := string(types.KeyOf(v))
-		// Charge the build side as it grows: tuple, bucket key, slice slot.
-		b := tupleBytes(t) + int64(len(k)) + 16
-		j.bytes += b
-		if err := j.ev.grow(b); err != nil {
-			return err
-		}
-		j.table[k] = append(j.table[k], t)
-	}
-	return j.buildSrc.Close()
-}
-
-func (j *hashJoinIter) Next() (types.Tuple, bool, error) {
-	if err := j.init(); err != nil {
-		return nil, false, err
-	}
-	for {
-		if err := j.ev.tick(); err != nil {
-			return nil, false, err
-		}
-		for j.mi < len(j.matches) {
-			rt := j.matches[j.mi]
-			j.mi++
-			joined := joinedTuple(j.cur, rt)
-			if j.cond != nil {
-				pass, err := j.ev.evalBool(j.cond, joined)
-				if err != nil {
-					return nil, false, err
-				}
-				if !pass {
-					continue
-				}
-			}
-			return joined, true, nil
-		}
-		t, ok, err := j.probe.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		j.cur = t
-		v := t[j.probeCol]
-		if v.IsNull() {
-			j.matches, j.mi = nil, 0
-			continue
-		}
-		j.matches = j.table[string(types.KeyOf(v))]
-		j.mi = 0
-	}
-}
-
-func (j *hashJoinIter) Close() error {
-	j.ev.release(j.bytes)
-	j.bytes = 0
-	return errors.Join(j.probe.Close(), j.buildSrc.Close())
-}
-
-// buildPsiJoin wires the nested-loops Ψ join: the condition is a synthetic
-// Psi expression over the joint schema.
-func buildPsiJoin(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
-	cond := &plan.Psi{
+func psiJoinCond(n *plan.Node) *plan.Psi {
+	return &plan.Psi{
 		L:         &plan.ColIdx{Idx: n.PsiLeftCol},
 		R:         &plan.ColIdx{Idx: n.PsiRightCol},
 		Threshold: n.PsiThreshold,
 		Langs:     n.PsiLangs,
 	}
-	full := cond
-	var fullCond plan.Expr = full
-	if n.Cond != nil {
-		fullCond = &plan.AndOr{L: full, R: n.Cond}
-	}
-	left, err := build(env, ev, n.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	right, err := build(env, ev, n.Children[1])
-	if err != nil {
-		return nil, errors.Join(err, left.Close())
-	}
-	return &nlJoinIter{ev: ev, outer: left, inner: asRewindable(ev, right), cond: fullCond}, nil
 }
 
-// buildPsiIndexJoin probes an M-Tree on the inner relation per outer row.
-func buildPsiIndexJoin(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
-	left, err := build(env, ev, n.Children[0])
+// buildNLJoin wires the nested-loops joins (plain, Ψ, Ω). The inner side is
+// always materialized and rescanned: by the plan's Materialize node when there
+// is one, by an implicit one otherwise.
+func buildNLJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIter, error) {
+	outer, err := build(env, ev, n.Children[0], nil)
 	if err != nil {
 		return nil, err
 	}
+	inner, err := build(env, ev, n.Children[1], nil)
+	if err != nil {
+		return nil, errors.Join(err, outer.Close())
+	}
+	if n.Children[1].Op != plan.OpMaterialize {
+		inner = &materializeIter{ev: ev, child: inner}
+	}
+	return &nlJoinIter{ev: ev, outer: outer, inner: inner.(rescannable), cond: nlJoinCond(n), budget: budget}, nil
+}
+
+// batchLimit is how many rows a join puts in one output batch: BatchRows, or
+// what the Limit above still wants when that is less.
+func batchLimit(budget *atomic.Int64) int {
+	if budget != nil {
+		// A worker may look after the Limit was satisfied; it still owes its
+		// caller a non-empty batch or exhaustion.
+		return int(min(max(budget.Load(), 1), BatchRows))
+	}
+	return BatchRows
+}
+
+type nlJoinIter struct {
+	ev     *evaluator
+	outer  BatchIter
+	inner  rescannable
+	cond   plan.Expr
+	budget *atomic.Int64
+
+	ob     *Batch // outer batch being joined
+	oi     int    // current outer row in ob
+	ib     *Batch // inner batch of the current pass
+	ri     int    // next inner row in ib
+	inPass bool   // the current outer row's pass over the inner side has begun
+	passed bool   // some pass has begun: the next one must rescan
+	done   bool
+}
+
+func (j *nlJoinIter) NextBatch() (*Batch, error) {
+	if j.done {
+		return nil, nil
+	}
+	out := j.ev.getBatch()
+	return j.ev.finishBatch(out, j.fill(out, batchLimit(j.budget)))
+}
+
+// fill joins outer rows against the inner side until out holds limit rows or
+// the outer side is exhausted.
+func (j *nlJoinIter) fill(out *Batch, limit int) error {
+	for len(out.Rows) < limit {
+		if err := j.ev.tick(); err != nil {
+			return err
+		}
+		if j.ob == nil || j.oi >= len(j.ob.Rows) {
+			j.ev.putBatch(j.ob)
+			var err error
+			if j.ob, err = j.outer.NextBatch(); err != nil {
+				return err
+			}
+			j.oi = 0
+			if j.ob == nil {
+				j.done = true
+				return nil
+			}
+		}
+		if !j.inPass {
+			if j.passed {
+				j.inner.rescan()
+			}
+			j.inPass, j.passed = true, true
+		}
+		if j.ib == nil {
+			var err error
+			if j.ib, err = j.inner.NextBatch(); err != nil {
+				return err
+			}
+			j.ri = 0
+			if j.ib == nil {
+				j.oi, j.inPass = j.oi+1, false
+				continue
+			}
+		}
+		o := j.ob.Rows[j.oi]
+		for ; j.ri < len(j.ib.Rows) && len(out.Rows) < limit; j.ri++ {
+			if err := j.ev.tick(); err != nil {
+				return err
+			}
+			joined := joinedTuple(o, j.ib.Rows[j.ri])
+			if j.cond != nil {
+				pass, err := j.ev.evalBool(j.cond, joined)
+				if err != nil {
+					return err
+				}
+				if !pass {
+					continue
+				}
+			}
+			out.Rows = append(out.Rows, joined)
+		}
+		if j.ri == len(j.ib.Rows) {
+			j.ev.putBatch(j.ib)
+			j.ib = nil
+		}
+	}
+	return nil
+}
+
+func (j *nlJoinIter) Close() error {
+	j.ev.putBatch(j.ob)
+	j.ev.putBatch(j.ib)
+	j.ob, j.ib = nil, nil
+	return errors.Join(j.outer.Close(), j.inner.Close())
+}
+
+// buildLookupJoin wires the joins that find an outer row's inner candidates
+// by lookup: the hash join in a table built from its right input, the Ψ index
+// join in an M-Tree on the inner relation (which it never scans).
+func buildLookupJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIter, error) {
 	leftWidth := len(n.Children[0].Schema())
+	left, err := build(env, ev, n.Children[0], nil)
+	if err != nil {
+		return nil, err
+	}
+	if n.Op == plan.OpHashJoin {
+		right, err := build(env, ev, n.Children[1], nil)
+		if err != nil {
+			return nil, errors.Join(err, left.Close())
+		}
+		h := &hashSide{ev: ev, src: right, col: n.HashRight - leftWidth, probeCol: n.HashLeft}
+		return &lookupJoinIter{ev: ev, outer: left, hash: h, lookup: h.lookup, cond: n.Cond, budget: budget}, nil
+	}
 	outerCol := n.PsiLeftCol
 	if outerCol >= leftWidth {
 		outerCol = n.PsiRightCol
 	}
-	recheck := &plan.Psi{
-		L:         &plan.ColIdx{Idx: n.PsiLeftCol},
-		R:         &plan.ColIdx{Idx: n.PsiRightCol},
-		Threshold: n.PsiThreshold,
-		Langs:     n.PsiLangs,
+	table := n.Children[1].Table
+	lookup := func(t types.Tuple) ([]types.Tuple, error) {
+		v := t[outerCol]
+		if v.IsNull() {
+			return nil, nil
+		}
+		ph, _, ok := ev.psiOperand(v, n.PsiLangs)
+		if !ok {
+			return nil, fmt.Errorf("exec: Ψ join operand must be text")
+		}
+		rids, pages, err := env.MTreeSearch(n.Index.Index, ph, n.PsiThreshold)
+		if err != nil {
+			return nil, err
+		}
+		ev.stats.IndexPages += int64(pages)
+		return env.FetchRIDs(table, rids)
 	}
-	return &psiIndexJoinIter{
-		ev:        ev,
-		env:       env,
-		outer:     left,
-		index:     n.Index.Index,
-		table:     n.Children[1].Table,
-		outerCol:  outerCol,
-		threshold: n.PsiThreshold,
-		langs:     n.PsiLangs,
-		recheck:   recheck,
-		cond:      n.Cond,
-	}, nil
+	// The index returns candidates; the Ψ predicate itself rechecks them.
+	var cond plan.Expr = psiJoinCond(n)
+	if n.Cond != nil {
+		cond = &plan.AndOr{L: cond, R: n.Cond}
+	}
+	return &lookupJoinIter{ev: ev, outer: left, lookup: lookup, cond: cond, budget: budget}, nil
 }
 
-type psiIndexJoinIter struct {
-	ev        *evaluator
-	env       Env
-	outer     TupleIter
-	index     string
-	table     string
-	outerCol  int
-	threshold int
-	langs     []types.LangID
-	recheck   plan.Expr
-	cond      plan.Expr
+// hashSide is a hash join's build side: its input drained into a table keyed
+// by the join column, charged to the query as it grows.
+type hashSide struct {
+	ev       *evaluator
+	src      BatchIter
+	col      int
+	probeCol int
+	table    map[string][]types.Tuple
+	bytes    int64
+}
 
-	cur     types.Tuple
+func (h *hashSide) build() error {
+	h.table = make(map[string][]types.Tuple)
+	return h.ev.drainRows(h.src, func(t types.Tuple) error {
+		v := t[h.col]
+		if v.IsNull() {
+			return nil
+		}
+		k := string(types.KeyOf(v))
+		// Charge the build side as it grows: tuple, bucket key, slice slot.
+		n := tupleBytes(t) + int64(len(k)) + 16
+		h.bytes += n
+		h.table[k] = append(h.table[k], t)
+		return h.ev.grow(n)
+	})
+}
+
+func (h *hashSide) lookup(t types.Tuple) ([]types.Tuple, error) {
+	v := t[h.probeCol]
+	if v.IsNull() {
+		return nil, nil
+	}
+	return h.table[string(types.KeyOf(v))], nil
+}
+
+func (h *hashSide) Close() error {
+	h.ev.release(h.bytes)
+	h.bytes = 0
+	return h.src.Close()
+}
+
+// lookupJoinIter joins each outer row with the inner rows lookup returns for
+// it, keeping the pairs that pass cond.
+type lookupJoinIter struct {
+	ev    *evaluator
+	outer BatchIter
+	// hash is the build side of a hash join (nil for an index join): built
+	// before the first probe, closed with the join.
+	hash   *hashSide
+	lookup func(outer types.Tuple) ([]types.Tuple, error)
+	cond   plan.Expr
+	budget *atomic.Int64
+
+	ob      *Batch      // outer batch being joined
+	oi      int         // next outer row in ob
+	cur     types.Tuple // outer row whose matches are being joined
 	matches []types.Tuple
 	mi      int
+	done    bool
 }
 
-func (j *psiIndexJoinIter) Next() (types.Tuple, bool, error) {
-	for {
-		if err := j.ev.tick(); err != nil {
-			return nil, false, err
+func (j *lookupJoinIter) NextBatch() (*Batch, error) {
+	if j.done {
+		return nil, nil
+	}
+	if j.hash != nil && j.hash.table == nil {
+		if err := j.hash.build(); err != nil {
+			return nil, err
 		}
-		for j.mi < len(j.matches) {
-			rt := j.matches[j.mi]
+	}
+	out := j.ev.getBatch()
+	return j.ev.finishBatch(out, j.fill(out, batchLimit(j.budget)))
+}
+
+func (j *lookupJoinIter) fill(out *Batch, limit int) error {
+	for len(out.Rows) < limit {
+		if err := j.ev.tick(); err != nil {
+			return err
+		}
+		if j.mi < len(j.matches) {
+			joined := joinedTuple(j.cur, j.matches[j.mi])
 			j.mi++
-			joined := joinedTuple(j.cur, rt)
-			pass, err := j.ev.evalBool(j.recheck, joined)
-			if err != nil {
-				return nil, false, err
-			}
-			if !pass {
-				continue
-			}
 			if j.cond != nil {
-				p2, err := j.ev.evalBool(j.cond, joined)
+				pass, err := j.ev.evalBool(j.cond, joined)
 				if err != nil {
-					return nil, false, err
+					return err
 				}
-				if !p2 {
+				if !pass {
 					continue
 				}
 			}
-			return joined, true, nil
-		}
-		t, ok, err := j.outer.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		j.cur = t
-		v := t[j.outerCol]
-		if v.IsNull() {
-			j.matches, j.mi = nil, 0
+			out.Rows = append(out.Rows, joined)
 			continue
 		}
-		ph, _, okp := j.ev.psiOperand(v, j.langs)
-		if !okp {
-			return nil, false, fmt.Errorf("exec: Ψ join operand must be text")
+		if j.ob == nil || j.oi >= len(j.ob.Rows) {
+			j.ev.putBatch(j.ob)
+			var err error
+			if j.ob, err = j.outer.NextBatch(); err != nil {
+				return err
+			}
+			j.oi = 0
+			if j.ob == nil {
+				j.done = true
+				return nil
+			}
 		}
-		rids, pages, err := j.env.MTreeSearch(j.index, ph, j.threshold)
-		if err != nil {
-			return nil, false, err
+		j.cur = j.ob.Rows[j.oi]
+		j.oi++
+		var err error
+		if j.matches, err = j.lookup(j.cur); err != nil {
+			return err
 		}
-		j.ev.stats.IndexPages += int64(pages)
-		rows, err := j.env.FetchRIDs(j.table, rids)
-		if err != nil {
-			return nil, false, err
-		}
-		j.matches, j.mi = rows, 0
+		j.mi = 0
 	}
+	return nil
 }
 
-func (j *psiIndexJoinIter) Close() error { return j.outer.Close() }
-
-// buildOmegaJoin wires the Ω join with the closure-memoizing matcher; the
-// planner already arranged the outer side to carry the closure roots when
-// profitable (RHS-outer, §4.3).
-func buildOmegaJoin(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
-	cond := &plan.Omega{
-		L:     &plan.ColIdx{Idx: n.OmegaLeftCol},
-		R:     &plan.ColIdx{Idx: n.OmegaRightCol},
-		Langs: n.OmegaLangs,
+func (j *lookupJoinIter) Close() error {
+	j.ev.putBatch(j.ob)
+	j.ob = nil
+	err := j.outer.Close()
+	if j.hash != nil {
+		err = errors.Join(err, j.hash.Close())
 	}
-	var fullCond plan.Expr = cond
-	if n.Cond != nil {
-		fullCond = &plan.AndOr{L: cond, R: n.Cond}
-	}
-	left, err := build(env, ev, n.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	right, err := build(env, ev, n.Children[1])
-	if err != nil {
-		return nil, errors.Join(err, left.Close())
-	}
-	return &nlJoinIter{ev: ev, outer: left, inner: asRewindable(ev, right), cond: fullCond}, nil
+	return err
 }
 
-func buildAggregate(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
-	child, err := build(env, ev, n.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	return &aggregateIter{ev: ev, child: unwrapGov(child), node: n}, nil
-}
-
-// aggState accumulates one aggregate for one group.
+// aggState accumulates one aggregate for one group. SUM and AVG add ints in
+// integer arithmetic and floats into an exact accumulator, so the result is a
+// function of the multiset of inputs, not of the order a plan delivers them
+// in (index vs heap order, Gather arrival order).
 type aggState struct {
 	count int64
-	sum   float64
+	isum  int64
+	fsum  exactSum
 	min   types.Value
 	max   types.Value
 	any   bool
 }
 
+// addInt adds x to the int total. A total about to leave int64 moves into the
+// exact float accumulator first, so it never wraps.
+func (st *aggState) addInt(x int64) {
+	s := st.isum + x
+	if (s < st.isum) != (x < 0) {
+		st.spillInts()
+		s = x
+	}
+	st.isum = s
+}
+
+// spillInts moves the int total into the float accumulator as two halves,
+// both exactly representable.
+func (st *aggState) spillInts() {
+	st.fsum.add(float64(st.isum >> 32 << 32))
+	st.fsum.add(float64(st.isum & 0xFFFFFFFF))
+	st.isum = 0
+}
+
+// sum is the group's SUM: the exact total of its int and float inputs,
+// rounded once.
+func (st *aggState) sum() float64 {
+	st.spillInts()
+	return st.fsum.result()
+}
+
+// aggGroup is one GROUP BY group: its key values and one state per aggregate.
+type aggGroup struct {
+	keys   []types.Value
+	states []aggState
+}
+
 type aggregateIter struct {
 	ev    *evaluator
-	child TupleIter
+	child BatchIter
 	node  *plan.Node
 
-	out   []types.Tuple
+	held  heldRows
 	bytes int64
-	pos   int
 	run   bool
 }
 
-func (a *aggregateIter) compute() error {
-	type group struct {
-		keys   []types.Value
-		states []aggState
-	}
-	groups := make(map[string]*group)
-	var order []string
-
-	for {
-		if err := a.ev.tick(); err != nil {
-			return err
-		}
-		t, ok, err := a.child.Next()
+// accumulate folds one input row into its group.
+func (a *aggregateIter) accumulate(groups map[string]*aggGroup, order *[]string, t types.Tuple) error {
+	keys := make([]types.Value, len(a.node.GroupBy))
+	keyBytes := []byte{}
+	for i, g := range a.node.GroupBy {
+		v, err := a.ev.eval(g, t)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			break
-		}
-		keys := make([]types.Value, len(a.node.GroupBy))
-		keyBytes := []byte{}
-		for i, g := range a.node.GroupBy {
-			v, err := a.ev.eval(g, t)
-			if err != nil {
-				return err
-			}
-			keys[i] = v
-			keyBytes = types.AppendValue(keyBytes, v)
-		}
-		k := string(keyBytes)
-		grp, ok := groups[k]
-		if !ok {
-			grp = &group{keys: keys, states: make([]aggState, len(a.node.Aggs))}
-			// Charge the new group's resident state: map key, group keys,
-			// one aggState per aggregate.
-			b := int64(len(k)) + tupleBytes(keys) + 56*int64(len(a.node.Aggs)) + 48
-			a.bytes += b
-			if err := a.ev.grow(b); err != nil {
-				return err
-			}
-			groups[k] = grp
-			order = append(order, k)
-		}
-		for i, spec := range a.node.Aggs {
-			st := &grp.states[i]
-			if spec.Arg == nil { // COUNT(*)
-				st.count++
-				continue
-			}
-			v, err := a.ev.eval(spec.Arg, t)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				continue
-			}
-			if spec.Merge && spec.Kind == sql.FuncCount {
-				// Coordinator half of a distributed COUNT: sum the shards'
-				// int64 partial counts instead of counting input rows. The
-				// sum stays in integer arithmetic, so the merged COUNT is
-				// bit-identical to the single-node answer.
-				st.count += v.Int()
-				st.any = true
-				continue
-			}
-			st.count++
-			switch spec.Kind {
-			case sql.FuncSum, sql.FuncAvg:
-				if k := v.Kind(); k != types.KindInt && k != types.KindFloat {
-					return fmt.Errorf("exec: %s over %s values", spec.Kind, k)
-				}
-				st.sum += v.Float()
-			case sql.FuncMin:
-				if !st.any || types.Compare(v, st.min) < 0 {
-					st.min = v
-				}
-			case sql.FuncMax:
-				if !st.any || types.Compare(v, st.max) > 0 {
-					st.max = v
-				}
-			}
-			st.any = true
-		}
+		keys[i] = v
+		keyBytes = types.AppendValue(keyBytes, v)
 	}
-	if err := a.child.Close(); err != nil {
+	k := string(keyBytes)
+	grp, ok := groups[k]
+	if !ok {
+		grp = &aggGroup{keys: keys, states: make([]aggState, len(a.node.Aggs))}
+		// Charge the new group's resident state: map key, group keys,
+		// one aggState per aggregate.
+		b := int64(len(k)) + tupleBytes(keys) + 56*int64(len(a.node.Aggs)) + 48
+		a.bytes += b
+		if err := a.ev.grow(b); err != nil {
+			return err
+		}
+		groups[k] = grp
+		*order = append(*order, k)
+	}
+	for i, spec := range a.node.Aggs {
+		st := &grp.states[i]
+		if spec.Arg == nil { // COUNT(*)
+			st.count++
+			continue
+		}
+		v, err := a.ev.eval(spec.Arg, t)
+		if err != nil {
+			return err
+		}
+		if v.IsNull() {
+			continue
+		}
+		if spec.Merge && spec.Kind == sql.FuncCount {
+			// Coordinator half of a distributed COUNT: sum the shards'
+			// int64 partial counts instead of counting input rows. The
+			// sum stays in integer arithmetic, so the merged COUNT is
+			// bit-identical to the single-node answer.
+			st.count += v.Int()
+			st.any = true
+			continue
+		}
+		st.count++
+		switch spec.Kind {
+		case sql.FuncSum, sql.FuncAvg:
+			switch v.Kind() {
+			case types.KindInt:
+				st.addInt(v.Int())
+			case types.KindFloat:
+				st.fsum.add(v.Float())
+			default:
+				return fmt.Errorf("exec: %s over %s values", spec.Kind, v.Kind())
+			}
+		case sql.FuncMin:
+			if !st.any || types.Compare(v, st.min) < 0 {
+				st.min = v
+			}
+		case sql.FuncMax:
+			if !st.any || types.Compare(v, st.max) > 0 {
+				st.max = v
+			}
+		}
+		st.any = true
+	}
+	return nil
+}
+
+// result is the finished value of one aggregate.
+func (st *aggState) result(kind sql.FuncKind) types.Value {
+	switch {
+	case kind == sql.FuncCount:
+		return types.NewInt(st.count)
+	case kind == sql.FuncSum && st.count > 0:
+		return types.NewFloat(st.sum())
+	case kind == sql.FuncAvg && st.count > 0:
+		return types.NewFloat(st.sum() / float64(st.count))
+	case kind == sql.FuncMin && st.any:
+		return st.min
+	case kind == sql.FuncMax && st.any:
+		return st.max
+	}
+	return types.Null()
+}
+
+func (a *aggregateIter) compute() error {
+	groups := make(map[string]*aggGroup)
+	var order []string
+	err := a.ev.drainRows(a.child, func(t types.Tuple) error {
+		return a.accumulate(groups, &order, t)
+	})
+	if err != nil {
 		return err
 	}
 	// A global aggregate over zero rows still yields one row.
 	if len(groups) == 0 && len(a.node.GroupBy) == 0 {
-		grp := &group{states: make([]aggState, len(a.node.Aggs))}
-		groups[""] = grp
+		groups[""] = &aggGroup{states: make([]aggState, len(a.node.Aggs))}
 		order = append(order, "")
 	}
-
 	for _, k := range order {
 		grp := groups[k]
-		aggVal := func(i int) types.Value {
-			st := grp.states[i]
-			switch a.node.Aggs[i].Kind {
-			case sql.FuncCount:
-				return types.NewInt(st.count)
-			case sql.FuncSum:
-				if st.count == 0 {
-					return types.Null()
-				}
-				return types.NewFloat(st.sum)
-			case sql.FuncAvg:
-				if st.count == 0 {
-					return types.Null()
-				}
-				return types.NewFloat(st.sum / float64(st.count))
-			case sql.FuncMin:
-				if !st.any {
-					return types.Null()
-				}
-				return st.min
-			case sql.FuncMax:
-				if !st.any {
-					return types.Null()
-				}
-				return st.max
-			default:
-				return types.Null()
-			}
-		}
 		// Output per plan convention: Projs[i] == nil means "next aggregate
 		// in order"; a ColIdx means "group key at that position".
 		out := make(types.Tuple, len(a.node.Projs))
 		aggIdx := 0
 		for i, pe := range a.node.Projs {
 			if pe == nil {
-				out[i] = aggVal(aggIdx)
+				out[i] = grp.states[aggIdx].result(a.node.Aggs[aggIdx].Kind)
 				aggIdx++
 				continue
 			}
-			ci := pe.(*plan.ColIdx)
-			out[i] = grp.keys[ci.Idx]
+			out[i] = grp.keys[pe.(*plan.ColIdx).Idx]
 		}
-		a.out = append(a.out, out)
+		a.held.rows = append(a.held.rows, out)
 	}
 	return nil
 }
 
-func (a *aggregateIter) Next() (types.Tuple, bool, error) {
+func (a *aggregateIter) NextBatch() (*Batch, error) {
 	if !a.run {
 		if err := a.compute(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		a.run = true
 	}
-	if a.pos >= len(a.out) {
-		return nil, false, nil
-	}
-	t := a.out[a.pos]
-	a.pos++
-	return t, true, nil
+	return a.held.next(), nil
 }
 
 func (a *aggregateIter) Close() error {
@@ -933,89 +857,71 @@ func (a *aggregateIter) Close() error {
 	return a.child.Close()
 }
 
-func buildSort(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
-	child, err := build(env, ev, n.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	return &sortIter{ev: ev, child: unwrapGov(child), keys: n.SortKeys, desc: n.SortDesc}, nil
-}
-
 type sortIter struct {
 	ev    *evaluator
-	child TupleIter
+	child BatchIter
 	keys  []plan.Expr
 	desc  []bool
 
-	rows  []types.Tuple
+	held  heldRows
 	bytes int64
-	pos   int
 	run   bool
 }
 
-func (s *sortIter) Next() (types.Tuple, bool, error) {
-	if !s.run {
-		var keyVals [][]types.Value
-		for {
-			if err := s.ev.tick(); err != nil {
-				return nil, false, err
-			}
-			t, ok, err := s.child.Next()
+// load drains the child, then orders the rows by their evaluated keys.
+func (s *sortIter) load() error {
+	var rows []types.Tuple
+	var keyVals [][]types.Value
+	err := s.ev.drainRows(s.child, func(t types.Tuple) error {
+		kv := make([]types.Value, len(s.keys))
+		for i, k := range s.keys {
+			v, err := s.ev.eval(k, t)
 			if err != nil {
-				return nil, false, err
+				return err
 			}
-			if !ok {
-				break
-			}
-			kv := make([]types.Value, len(s.keys))
-			for i, k := range s.keys {
-				v, err := s.ev.eval(k, t)
-				if err != nil {
-					return nil, false, err
-				}
-				kv[i] = v
-			}
-			b := tupleBytes(t) + tupleBytes(kv)
-			s.bytes += b
-			if err := s.ev.grow(b); err != nil {
-				return nil, false, err
-			}
-			s.rows = append(s.rows, t)
-			keyVals = append(keyVals, kv)
+			kv[i] = v
 		}
-		if err := s.child.Close(); err != nil {
-			return nil, false, err
-		}
-		idx := make([]int, len(s.rows))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			for i := range s.keys {
-				c := types.Compare(keyVals[idx[a]][i], keyVals[idx[b]][i])
-				if c == 0 {
-					continue
-				}
-				if s.desc[i] {
-					return c > 0
-				}
-				return c < 0
+		rows = append(rows, t)
+		keyVals = append(keyVals, kv)
+		n := tupleBytes(t) + tupleBytes(kv)
+		s.bytes += n
+		return s.ev.grow(n)
+	})
+	if err != nil {
+		return err
+	}
+	idx := make([]int, len(rows))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		for i := range s.keys {
+			c := types.Compare(keyVals[idx[a]][i], keyVals[idx[b]][i])
+			if c == 0 {
+				continue
 			}
-			return false
-		})
-		sorted := make([]types.Tuple, len(s.rows))
-		for i, j := range idx {
-			sorted[i] = s.rows[j]
+			if s.desc[i] {
+				return c > 0
+			}
+			return c < 0
 		}
-		s.rows = sorted
+		return false
+	})
+	s.held.rows = make([]types.Tuple, len(rows))
+	for i, j := range idx {
+		s.held.rows[i] = rows[j]
+	}
+	return nil
+}
+
+func (s *sortIter) NextBatch() (*Batch, error) {
+	if !s.run {
+		if err := s.load(); err != nil {
+			return nil, err
+		}
 		s.run = true
 	}
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
+	return s.held.next(), nil
 }
 
 func (s *sortIter) Close() error {
@@ -1024,34 +930,25 @@ func (s *sortIter) Close() error {
 	return s.child.Close()
 }
 
+// distinctIter drops rows it has already seen.
 type distinctIter struct {
-	child TupleIter
 	ev    *evaluator
+	child BatchIter
 	seen  map[string]bool
 	bytes int64
 }
 
-func (d *distinctIter) Next() (types.Tuple, bool, error) {
-	for {
-		if err := d.ev.tick(); err != nil {
-			return nil, false, err
-		}
-		t, ok, err := d.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
+func (d *distinctIter) NextBatch() (*Batch, error) {
+	return d.ev.nextKept(d.child, func(t types.Tuple) (bool, error) {
 		k := string(types.EncodeTuple(t))
 		if d.seen[k] {
-			continue
-		}
-		b := int64(len(k)) + 16
-		d.bytes += b
-		if err := d.ev.grow(b); err != nil {
-			return nil, false, err
+			return false, nil
 		}
 		d.seen[k] = true
-		return t, true, nil
-	}
+		n := int64(len(k)) + 16
+		d.bytes += n
+		return true, d.ev.grow(n)
+	})
 }
 
 func (d *distinctIter) Close() error {
@@ -1060,22 +957,28 @@ func (d *distinctIter) Close() error {
 	return d.child.Close()
 }
 
+// limitIter passes the first n rows on and stops pulling its child. rest is
+// what it still wants: the budget the joins below it read (build).
 type limitIter struct {
-	child TupleIter
-	n     int64
-	done  int64
+	child BatchIter
+	rest  *atomic.Int64
 }
 
-func (l *limitIter) Next() (types.Tuple, bool, error) {
-	if l.done >= l.n {
-		return nil, false, nil
+func (l *limitIter) NextBatch() (*Batch, error) {
+	rest := l.rest.Load()
+	if rest <= 0 {
+		return nil, nil
 	}
-	t, ok, err := l.child.Next()
-	if err != nil || !ok {
-		return nil, false, err
+	b, err := l.child.NextBatch()
+	if err != nil || b == nil {
+		return nil, err
 	}
-	l.done++
-	return t, true, nil
+	if int64(len(b.Rows)) > rest {
+		clear(b.Rows[rest:])
+		b.Rows = b.Rows[:rest]
+	}
+	l.rest.Store(rest - int64(len(b.Rows)))
+	return b, nil
 }
 
 func (l *limitIter) Close() error { return l.child.Close() }

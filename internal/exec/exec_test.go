@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/mural-db/mural/internal/phonetic"
@@ -14,6 +15,9 @@ import (
 
 // mockEnv backs the executor with in-memory tables; index probes answer by
 // brute force so operator logic can be tested without the storage stack.
+// Scans serve the tables as encoded records in fake pages of mockPageRows
+// records, encoded once per table (like a real heap) so allocation tests see
+// only the executor's own allocations.
 type mockEnv struct {
 	tables  map[string][]types.Tuple
 	phon    *phonetic.Registry
@@ -23,6 +27,14 @@ type mockEnv struct {
 		table string
 		col   int
 	}
+	mu    sync.Mutex
+	pages map[string]mockPages
+}
+
+// mockPages is one table's encoded form and the rows it was encoded from.
+type mockPages struct {
+	rows  []types.Tuple
+	pages [][][]byte
 }
 
 func newMockEnv() *mockEnv {
@@ -33,15 +45,8 @@ func newMockEnv() *mockEnv {
 			table string
 			col   int
 		}{},
+		pages: map[string]mockPages{},
 	}
-}
-
-func (m *mockEnv) ScanTable(table string) (TupleIter, error) {
-	rows, ok := m.tables[table]
-	if !ok {
-		return nil, fmt.Errorf("mock: no table %q", table)
-	}
-	return &sliceIter{rows: rows}, nil
 }
 
 // mockPageRows is the mock heap's page capacity: small, so parallel-scan
@@ -56,20 +61,54 @@ func (m *mockEnv) TablePages(table string) (int64, error) {
 	return int64((len(rows) + mockPageRows - 1) / mockPageRows), nil
 }
 
-func (m *mockEnv) ScanTablePages(table string, lo, hi int64) (TupleIter, error) {
-	rows, ok := m.tables[table]
-	if !ok {
+// pagesFor encodes a table's rows into pages, re-encoding when a test has
+// replaced the table since.
+func (m *mockEnv) pagesFor(table string) [][][]byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rows := m.tables[table]
+	if p, ok := m.pages[table]; ok && len(p.rows) == len(rows) && (len(rows) == 0 || &p.rows[0] == &rows[0]) {
+		return p.pages
+	}
+	var pages [][][]byte
+	for start := 0; start < len(rows); start += mockPageRows {
+		var page [][]byte
+		for _, t := range rows[start:min(start+mockPageRows, len(rows))] {
+			page = append(page, types.EncodeTuple(t))
+		}
+		pages = append(pages, page)
+	}
+	m.pages[table] = mockPages{rows: rows, pages: pages}
+	return pages
+}
+
+type mockRecordScan struct {
+	pages [][][]byte
+	pos   int
+}
+
+func (s *mockRecordScan) NextPage(fn func(rec []byte) error) (bool, error) {
+	if s.pos >= len(s.pages) {
+		return false, nil
+	}
+	for _, rec := range s.pages[s.pos] {
+		if err := fn(rec); err != nil {
+			return true, err
+		}
+	}
+	s.pos++
+	return true, nil
+}
+
+func (s *mockRecordScan) Close() error { return nil }
+
+func (m *mockEnv) ScanRecords(table string, lo, hi int64) (RecordScan, error) {
+	if _, ok := m.tables[table]; !ok {
 		return nil, fmt.Errorf("mock: no table %q", table)
 	}
-	start := int(lo) * mockPageRows
-	end := int(hi) * mockPageRows
-	if start > len(rows) {
-		start = len(rows)
-	}
-	if end > len(rows) {
-		end = len(rows)
-	}
-	return &sliceIter{rows: rows[start:end]}, nil
+	pages := m.pagesFor(table)
+	lo, hi = min(lo, int64(len(pages))), min(hi, int64(len(pages)))
+	return &mockRecordScan{pages: pages[lo:hi]}, nil
 }
 
 func (m *mockEnv) FetchRIDs(table string, rids []storage.RID) ([]types.Tuple, error) {
@@ -130,7 +169,7 @@ func scanNode(table string, cols []plan.ColInfo) *plan.Node {
 
 func runAll(t *testing.T, env Env, node *plan.Node) []types.Tuple {
 	t.Helper()
-	cur, err := Run(env, node)
+	cur, err := Run(env, node, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +525,7 @@ func TestRunStatsCount(t *testing.T) {
 		Cond: &plan.Psi{L: &plan.ColIdx{Idx: 0}, R: &plan.Const{Val: types.NewText("a")},
 			Threshold: 0},
 	}
-	cur, err := Run(env, node)
+	cur, err := Run(env, node, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,24 +11,24 @@ import (
 )
 
 // Fused Ψ/Ω-scan pipelines. A Filter(Ψ)-over-SeqScan pair — the shape of
-// every LexEQUAL selection in the paper's Table 4 — normally pays, per row:
-// a tuple decode, two iterator hops, an expression-tree walk, and (for the
-// common materialized-phoneme case) an edit distance that re-splits both
-// strings into runes. The fused form compiles the predicate once into a
+// every LexEQUAL selection in the paper's Table 4 — would pay, per row, a
+// tuple decode, an expression-tree walk, and (for the common
+// materialized-phoneme case) an edit distance that re-splits both strings
+// into runes. The fused form compiles the predicate once into a
 // kernel that evaluates against the raw encoded record while the heap page
 // is pinned: walk to the column's bytes (types.SkipPlan), read the phoneme
 // view in place, and run a precompiled bounded matcher. Whatever depends only
 // on the probe or the schema — the matcher's match table, the walk to the
 // column — is computed once, when the kernel is compiled. Only
 // survivors are decoded into tuples. Rejected rows therefore cost zero
-// allocations, which is where the batch engine's speedup comes from — Ψ
-// selectivities in the workloads are a few percent.
+// allocations — Ψ selectivities in the workloads are a few percent.
 //
-// Fusion is strictly an execution-strategy change: the kernels reproduce the
-// row evaluator's semantics bit-for-bit (operand-kind errors, NULL handling,
-// IN-langs admission, statement-statistics counting), and any shape they
-// cannot handle falls back to the generic vectorized — or row — path, which
-// surfaces identical errors.
+// Fusion is the compiled form of Filter over SeqScan, chosen by build from
+// the predicate's shape alone: the kernels reproduce the generic evaluator's
+// semantics bit-for-bit (operand-kind errors, NULL handling, IN-langs
+// admission, statement-statistics counting), and any shape they cannot
+// handle runs as vectorFilterIter over batchScanIter, which surfaces
+// identical errors and is the reference the kernels are tested against.
 
 // fusedCond is a compiled predicate evaluated against a raw encoded record.
 type fusedCond interface {
@@ -36,8 +36,8 @@ type fusedCond interface {
 }
 
 // constFalseKernel rejects every row: the compiled form of a predicate with
-// a NULL or language-inadmissible probe, which the row evaluator also fails
-// without counting an evaluation.
+// a NULL or language-inadmissible probe, which the generic evaluator also
+// fails without counting an evaluation.
 type constFalseKernel struct{}
 
 func (constFalseKernel) matchRec([]byte) (bool, error) { return false, nil }
@@ -72,7 +72,7 @@ func (ev *evaluator) compileFused(cond plan.Expr, cols []plan.ColInfo) fusedCond
 
 // skipTo compiles the walk to column col of a record of the scanned table.
 // ok=false for a column the scan does not produce: the generic path raises
-// the row engine's out-of-range error.
+// the out-of-range error.
 func skipTo(cols []plan.ColInfo, col int) (types.SkipPlan, bool) {
 	kinds := make([]types.Kind, len(cols))
 	for i, c := range cols {
@@ -93,7 +93,7 @@ func (ev *evaluator) compileFusedPsi(x *plan.Psi, cols []plan.ColInfo) fusedCond
 	pv, err := ev.eval(probeExpr, nil)
 	if err != nil {
 		// Not a constant probe (or an erroring expression): the generic path
-		// evaluates — and errors — exactly as the row engine would.
+		// evaluates it, and surfaces its error, per row.
 		return nil
 	}
 	if pv.IsNull() {
@@ -102,7 +102,7 @@ func (ev *evaluator) compileFusedPsi(x *plan.Psi, cols []plan.ColInfo) fusedCond
 	pph, plang, okp := ev.psiOperand(pv, x.Langs)
 	if !okp {
 		// Non-text probe: leave it to the generic path so the operand-kind
-		// error carries the row evaluator's exact message.
+		// error carries evalPsi's exact message.
 		return nil
 	}
 	if pv.Kind() == types.KindUniText && !langAdmitted(plang, x.Langs) {
@@ -186,7 +186,7 @@ func (k *psiKernel) matchRec(rec []byte) (bool, error) {
 func (ev *evaluator) compileFusedOmega(x *plan.Omega, cols []plan.ColInfo) fusedCond {
 	m := ev.env.Semantic()
 	if m == nil {
-		// No taxonomy: the generic path raises the row engine's error.
+		// No taxonomy: the generic path raises evalOmega's error.
 		return nil
 	}
 	col, probeExpr, colIsLeft, ok := colAndConst(x.L, x.R)
@@ -266,12 +266,12 @@ func (k *omegaKernel) matchRec(rec []byte) (bool, error) {
 // fusedScanIter is the fused pipeline: scan a heap page, run the kernel on
 // each raw record, decode survivors into the output batch — one loop, no
 // operator hops. It attributes its measurements to both the scan and the
-// filter plan nodes itself (it IS both operators), so buildVec installs it
-// without a batch-stats wrapper. Full wall time is charged to both buckets,
-// matching the parent-includes-child convention of the row engine.
+// filter plan nodes itself (it IS both operators), so build installs it
+// without a stats wrapper. Full wall time is charged to both buckets,
+// matching the parent-includes-child convention.
 type fusedScanIter struct {
 	ev   *evaluator
-	src  recordSource
+	src  *recordSource
 	kern fusedCond
 
 	scanSt     *OpStats
@@ -279,6 +279,23 @@ type fusedScanIter struct {
 	timed      bool
 	done       bool
 	eosCounted bool
+}
+
+// buildFusedScan instantiates the fused form of filter node n over its scan
+// child.
+func buildFusedScan(env Env, ev *evaluator, n *plan.Node, kern fusedCond) (BatchIter, error) {
+	scan := n.Children[0]
+	src, err := newRecordSource(env, ev, scan)
+	if err != nil {
+		return nil, err
+	}
+	f := &fusedScanIter{ev: ev, src: src, kern: kern}
+	if ev.collector != nil {
+		f.scanSt = ev.collector.Stats(scan)
+		f.filtSt = ev.collector.Stats(n)
+		f.timed = ev.collector.timed
+	}
+	return f, nil
 }
 
 func (f *fusedScanIter) NextBatch() (*Batch, error) {
@@ -335,24 +352,14 @@ func (f *fusedScanIter) NextBatch() (*Batch, error) {
 			f.filtSt.Elapsed += el
 		}
 	}
-	if ferr != nil {
-		f.ev.putBatch(b)
-		return nil, ferr
-	}
-	if len(b.Rows) == 0 {
-		f.ev.putBatch(b)
+	if ferr == nil && len(b.Rows) == 0 {
 		f.countEOS()
-		return nil, nil
 	}
-	if err := f.ev.chargeBatch(b); err != nil {
-		f.ev.putBatch(b)
-		return nil, err
-	}
-	return b, nil
+	return f.ev.finishBatch(b, ferr)
 }
 
 // countEOS records the final exhausted pull once, keeping the Nexts = Rows+1
-// convention of the row engine's full drain.
+// convention of a full drain.
 func (f *fusedScanIter) countEOS() {
 	if f.eosCounted || f.scanSt == nil {
 		return

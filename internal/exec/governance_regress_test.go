@@ -8,19 +8,18 @@ import (
 	"github.com/mural-db/mural/internal/leakcheck"
 )
 
-// A Gather worker whose merge-batch Grow trips the memory ceiling must
-// return the failed batch's bytes: Grow records the charge even on failure,
-// and the batch never reaches the consumer, so nothing downstream can
-// release it. Regression test — the flush path used to return the error
-// with the charge still accounted.
+// A Gather worker whose batch charge trips the memory ceiling must return the
+// failed batch's bytes: Grow records the charge even on failure, and the
+// batch never reaches the consumer, so nothing downstream can release it.
+// Regression test — a failing charge used to stay accounted.
 func TestGatherGrowFailureReleasesBatchCharge(t *testing.T) {
 	leakcheck.Check(t)
 	env := newMockEnv()
 	mkIntTable(env, "t", 2000)
 	gather := gatherOverScan("t", 2, true)
-	// A 1-byte ceiling fails the first merge-batch Grow in every worker.
+	// A 1-byte ceiling fails the first batch charge in every worker.
 	res := NewResources(context.Background(), 1)
-	cur, err := RunGoverned(env, gather, nil, res)
+	cur, err := Run(env, gather, nil, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,16 +45,11 @@ func TestGatherGrowFailureReleasesBatchCharge(t *testing.T) {
 	}
 }
 
-// governedWorkerEvaluator builds the evaluator shape a Gather worker gets:
+// canceledScan builds a table scan over 4*cancelInterval rows under an
+// already-canceled query, with the evaluator shape a Gather worker gets:
 // shared governance state, private tick counter.
-func governedWorkerEvaluator(env Env, ctx context.Context) *evaluator {
-	return &evaluator{env: env, stats: &RunStats{}, res: NewResources(ctx, 0)}
-}
-
-// A morsel scan over a canceled query must surface ErrCanceled within one
-// tick interval instead of draining the table. Regression test — the claim
-// loop used to run without a cancellation checkpoint.
-func TestMorselScanChecksCancellation(t *testing.T) {
+func canceledScan(t *testing.T, stripe func(*recordSource)) *batchScanIter {
+	t.Helper()
 	env := newMockEnv()
 	// Enough rows that the amortized checkpoint (every cancelInterval rows)
 	// fires well before exhaustion.
@@ -66,56 +60,35 @@ func TestMorselScanChecksCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	it := &morselScanIter{
-		env: env,
-		ev:  governedWorkerEvaluator(env, ctx),
-		src: &morselSource{table: "t", npages: np},
+	ev := &evaluator{env: env, stats: &RunStats{}, res: NewResources(ctx, 0), pool: NewBatchPool()}
+	src := &recordSource{env: env, ev: ev, src: &morselSource{table: "t", npages: np, chunk: morselChunkPages}}
+	if stripe != nil {
+		stripe(src)
 	}
+	return &batchScanIter{ev: ev, src: src}
+}
+
+// A morsel scan over a canceled query must surface ErrCanceled within one
+// tick interval instead of draining the table. Regression test — the claim
+// loop used to run without a cancellation checkpoint.
+func TestMorselScanChecksCancellation(t *testing.T) {
+	it := canceledScan(t, nil)
 	defer it.Close()
-	var lastErr error
-	for i := 0; i < 4*cancelInterval; i++ {
-		_, ok, err := it.Next()
-		if err != nil {
-			lastErr = err
-			break
-		}
-		if !ok {
-			t.Fatal("morsel scan drained to completion despite canceled context")
-		}
-	}
-	if !errors.Is(lastErr, ErrCanceled) {
-		t.Fatalf("morsel scan under canceled context = %v, want ErrCanceled", lastErr)
+	if _, err := it.NextBatch(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("morsel scan under canceled context = %v, want ErrCanceled", err)
 	}
 }
 
-// The striped fallback partition must checkpoint too: a worker can skip
-// through mod-1 of every mod rows without surfacing one, so the checkpoint
-// cannot live only in the consumer loop. Regression test — the stripe loop
-// used to run without a cancellation checkpoint.
+// The striped fallback partition must checkpoint too: a worker skips through
+// mod-1 of every mod records without surfacing one, so the checkpoint cannot
+// live only on the rows it keeps. Regression test — the stripe loop used to
+// run without a cancellation checkpoint. The stripe here keeps no record at
+// all, so only the skip path can notice the cancellation.
 func TestStripedScanChecksCancellation(t *testing.T) {
-	env := newMockEnv()
-	mkIntTable(env, "t", 4*cancelInterval)
-	child, err := env.ScanTable("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	it := &stripedIter{child: child, ev: governedWorkerEvaluator(env, ctx), idx: 0, mod: 4}
+	it := canceledScan(t, func(s *recordSource) { s.idx, s.mod = 4*cancelInterval, 4*cancelInterval+1 })
 	defer it.Close()
-	var lastErr error
-	for i := 0; i < 4*cancelInterval; i++ {
-		_, ok, err := it.Next()
-		if err != nil {
-			lastErr = err
-			break
-		}
-		if !ok {
-			t.Fatal("striped scan drained to completion despite canceled context")
-		}
-	}
-	if !errors.Is(lastErr, ErrCanceled) {
-		t.Fatalf("striped scan under canceled context = %v, want ErrCanceled", lastErr)
+	if _, err := it.NextBatch(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("striped scan under canceled context = %v, want ErrCanceled", err)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestCursorNextAfterClosePanics(t *testing.T) {
-	c := &Cursor{it: &sliceIter{}}
+	c := NewSliceCursor(nil, nil)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"github.com/mural-db/mural/internal/plan"
-	"github.com/mural-db/mural/internal/types"
 )
 
 // Parallel execution: a Gather operator runs its child subtree on N worker
@@ -17,7 +16,8 @@ import (
 // guarded) buffer pool — so the heap is read exactly once in total. Tables
 // too small for page-granularity morsels fall back to striping: every
 // worker scans the table but keeps only rows whose ordinal matches its
-// worker id, which preserves the exactly-once guarantee at row granularity.
+// worker id, which preserves the exactly-once guarantee at row granularity
+// (recordSource in batch.go implements both shapes).
 //
 // Isolation contract: each worker gets its own evaluator — its own RunStats,
 // its own ExecStats collector (when the parent collects), and its own G2P
@@ -29,11 +29,6 @@ import (
 // never write, so the WAL's no-steal batch protocol is untouched — a
 // concurrent writer's batch pins simply serialize with worker page pins at
 // the buffer pool as usual.
-
-// gatherBatchSize is how many tuples a worker accumulates per channel send;
-// batching amortizes the channel transfer over rows that each cost far more
-// than a send to produce (a Ψ evaluation is ~µs).
-const gatherBatchSize = 64
 
 // morselChunkPages is how many heap pages one morsel claim covers.
 const morselChunkPages = 4
@@ -57,22 +52,21 @@ type gatherShared struct {
 // that asks. Claims are a single atomic add, the morsel-driven scheduling
 // discipline: fast workers naturally take more of the table.
 type morselSource struct {
-	table   string
-	npages  int64
+	table  string
+	npages int64
+	// chunk is how many pages one claim covers: morselChunkPages when Gather
+	// workers share the source, the whole table for a private one.
+	chunk   int64
 	striped bool
 	next    atomic.Int64
 }
 
 func (m *morselSource) claim() (lo, hi int64, ok bool) {
-	lo = m.next.Add(morselChunkPages) - morselChunkPages
+	lo = m.next.Add(m.chunk) - m.chunk
 	if lo >= m.npages {
 		return 0, 0, false
 	}
-	hi = lo + morselChunkPages
-	if hi > m.npages {
-		hi = m.npages
-	}
-	return lo, hi, true
+	return lo, min(lo+m.chunk, m.npages), true
 }
 
 // morselsFor returns (creating on first use) the shared morsel source for a
@@ -84,111 +78,14 @@ func (pc *parallelCtx) morselsFor(env Env, n *plan.Node) (*morselSource, error) 
 		if err != nil {
 			return nil, err
 		}
-		src = &morselSource{table: n.Table, npages: np}
+		src = &morselSource{table: n.Table, npages: np, chunk: morselChunkPages}
 		// A table with fewer pages than workers×chunk cannot keep everyone
-		// busy at page granularity; stripe rows instead.
+		// busy at page granularity; stripe rows instead (newRecordSource).
 		src.striped = np < int64(pc.workers)*morselChunkPages
 		pc.shared.sources[n] = src
 	}
 	return src, nil
 }
-
-// scanIter builds this worker's share of a parallel table scan. The
-// worker's evaluator threads through so both partition shapes checkpoint
-// cancellation: a worker can spin through many claimed pages (or skip long
-// stripe runs) without ever surfacing a row to a governed parent iterator.
-func (pc *parallelCtx) scanIter(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
-	src, err := pc.morselsFor(env, n)
-	if err != nil {
-		return nil, err
-	}
-	if src.striped {
-		child, err := env.ScanTable(n.Table)
-		if err != nil {
-			return nil, err
-		}
-		return &stripedIter{child: child, ev: ev, idx: int64(pc.id), mod: int64(pc.workers)}, nil
-	}
-	return &morselScanIter{env: env, ev: ev, src: src}, nil
-}
-
-// morselScanIter scans morsels claimed from the shared source until the
-// table is exhausted.
-type morselScanIter struct {
-	env Env
-	ev  *evaluator
-	src *morselSource
-	cur TupleIter
-}
-
-func (m *morselScanIter) Next() (types.Tuple, bool, error) {
-	for {
-		if err := m.ev.tick(); err != nil {
-			return nil, false, err
-		}
-		if m.cur == nil {
-			lo, hi, ok := m.src.claim()
-			if !ok {
-				return nil, false, nil
-			}
-			it, err := m.env.ScanTablePages(m.src.table, lo, hi)
-			if err != nil {
-				return nil, false, err
-			}
-			m.cur = it
-		}
-		t, ok, err := m.cur.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return t, true, nil
-		}
-		err = m.cur.Close()
-		m.cur = nil
-		if err != nil {
-			return nil, false, err
-		}
-	}
-}
-
-func (m *morselScanIter) Close() error {
-	if m.cur == nil {
-		return nil
-	}
-	err := m.cur.Close()
-	m.cur = nil
-	return err
-}
-
-// stripedIter keeps every mod-th row of its child, offset by this worker's
-// id: the row-granularity fallback partition for small tables.
-type stripedIter struct {
-	child TupleIter
-	ev    *evaluator
-	idx   int64
-	mod   int64
-	n     int64
-}
-
-func (s *stripedIter) Next() (types.Tuple, bool, error) {
-	for {
-		if err := s.ev.tick(); err != nil {
-			return nil, false, err
-		}
-		t, ok, err := s.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		keep := s.n%s.mod == s.idx
-		s.n++
-		if keep {
-			return t, true, nil
-		}
-	}
-}
-
-func (s *stripedIter) Close() error { return s.child.Close() }
 
 // workerCell holds what a worker writes on every row — its evaluator's tick
 // and unpublished tallies, its RunStats — with a cache line of padding on
@@ -203,28 +100,18 @@ type workerCell struct {
 }
 
 // gatherWorker is one worker pipeline plus its isolated measuring state.
-// Exactly one of root/broot is set: vectorized workers drive a batch
-// pipeline and ship whole pooled batches through the merge channel.
 type gatherWorker struct {
-	root  TupleIter
-	broot BatchIter
-	ev    *evaluator
-	// err is this worker's terminal error (Next or Close); written by the
-	// worker goroutine, read only after wg.Wait.
+	root BatchIter
+	ev   *evaluator
+	// err is this worker's terminal error (NextBatch or Close); written by
+	// the worker goroutine, read only after wg.Wait.
 	err error
-}
-
-func (w *gatherWorker) close() error {
-	if w.broot != nil {
-		return w.broot.Close()
-	}
-	return w.root.Close()
 }
 
 // buildGather instantiates the worker pipelines for a Gather node. Workers
 // are built sequentially on the calling goroutine — nothing runs until the
-// first Next — so shared build state needs no synchronization.
-func buildGather(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
+// first NextBatch — so shared build state needs no synchronization.
+func buildGather(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIter, error) {
 	if ev.par != nil {
 		return nil, fmt.Errorf("exec: nested Gather operators are not supported")
 	}
@@ -241,7 +128,7 @@ func buildGather(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
 		w = len(n.Children)
 	}
 	shared := &gatherShared{sources: make(map[*plan.Node]*morselSource)}
-	g := &gatherIter{parent: ev, res: ev.res, stop: make(chan struct{})}
+	g := &gatherIter{parent: ev, stop: make(chan struct{})}
 	for i := 0; i < w; i++ {
 		cell := &workerCell{}
 		wev := &cell.ev
@@ -250,8 +137,11 @@ func buildGather(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
 			stats: &cell.stats,
 			par:   &parallelCtx{id: i, workers: w, shared: shared},
 			// Workers share the query's governance state (it is atomic /
-			// context-based), but each keeps its own tick counter.
-			res: ev.res,
+			// context-based) and its batch pool, so a worker's batches flow
+			// to the consumer and back into the shared pool; each keeps its
+			// own tick counter.
+			res:  ev.res,
+			pool: ev.pool,
 		}
 		if ev.collector != nil {
 			if ev.collector.Timed() {
@@ -260,91 +150,49 @@ func buildGather(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
 				wev.collector = NewCountStats()
 			}
 		}
-		// Vectorized workers inherit the parent's strategy and batch pool, so
-		// a worker's batches flow to the consumer and back into the shared
-		// pool. The worker drives the batch pipeline directly — one channel
-		// send per ~BatchRows rows instead of per gatherBatchSize.
-		wev.vec, wev.fuse, wev.pool = ev.vec, ev.fuse, ev.pool
 		child := n.Children[0]
 		if fanout {
 			child = n.Children[i]
 		}
-		w := &gatherWorker{ev: wev}
-		var err error
-		if wev.vec {
-			var ok bool
-			w.broot, ok, err = buildVec(env, wev, child)
-			if err == nil && !ok {
-				w.root, err = build(env, wev, child)
-			}
-		} else {
-			w.root, err = build(env, wev, child)
-		}
+		root, err := build(env, wev, child, budget)
 		if err != nil {
 			errs := []error{err}
 			for _, built := range g.workers {
-				errs = append(errs, built.close())
+				errs = append(errs, built.root.Close())
 			}
 			return nil, errors.Join(errs...)
 		}
-		g.workers = append(g.workers, w)
+		g.workers = append(g.workers, &gatherWorker{root: root, ev: wev})
 	}
 	return g, nil
 }
 
-// gatherIter merges the worker streams. Workers start lazily on the first
-// Next; until then Close releases the pipelines synchronously. After start,
-// every worker owns (and closes) its root on its own goroutine, and Close
-// only signals stop and waits — no iterator is ever touched from two
-// goroutines.
-// gatherBatch is one merged unit: the rows plus their accounted bytes (zero
-// when the query is ungoverned). Bytes stay charged from the producer's
-// Grow until the consumer finishes the batch or the Gather winds down. When
-// a vectorized worker produced it, b is the pooled batch carrying the rows;
-// the consumer recycles it (which also settles the bytes) instead of a bare
-// Release.
-type gatherBatch struct {
-	rows  []types.Tuple
-	bytes int64
-	b     *Batch
-}
-
+// gatherIter merges the worker streams: whole pooled batches cross the
+// exchange channel, their memory charge riding along, one send per ~BatchRows
+// rows. Workers start lazily on the first NextBatch; until then Close
+// releases the pipelines synchronously. After start, every worker owns (and
+// closes) its root on its own goroutine, and Close only signals stop and
+// waits — no operator is ever touched from two goroutines.
 type gatherIter struct {
 	parent  *evaluator
-	res     *Resources
 	workers []*gatherWorker
 
-	out      chan gatherBatch
+	out      chan *Batch
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	started    bool
-	closed     bool
-	merged     bool
-	finished   bool
-	failed     error
-	batch      []types.Tuple
-	batchBytes int64
-	curBatch   *Batch
-	bi         int
-}
-
-// finishBatch settles the batch currently being consumed: a pooled batch is
-// recycled (which releases its charge), a row-drain batch just releases.
-func (g *gatherIter) finishBatch() {
-	if g.curBatch != nil {
-		g.parent.putBatch(g.curBatch)
-		g.curBatch = nil
-	} else {
-		g.res.Release(g.batchBytes)
-	}
-	g.batchBytes = 0
+	started  bool
+	closed   bool
+	merged   bool
+	finished bool
+	failed   error
 }
 
 func (g *gatherIter) start() {
 	g.started = true
-	g.out = make(chan gatherBatch, len(g.workers)*2)
+	// Two slots per worker: one batch queued while the next is being filled.
+	g.out = make(chan *Batch, len(g.workers)*2)
 	for _, w := range g.workers {
 		g.wg.Add(1)
 		go g.runWorker(w)
@@ -359,141 +207,58 @@ func (g *gatherIter) interrupt() {
 	g.stopOnce.Do(func() { close(g.stop) })
 }
 
+// runWorker pulls one worker pipeline to exhaustion, forwarding its batches.
+// It returns early when the consumer signalled stop; a batch that can no
+// longer be delivered is recycled here (settling its charge).
 func (g *gatherIter) runWorker(w *gatherWorker) {
 	defer g.wg.Done()
-	var err error
-	if w.broot != nil {
-		err = g.drainBatches(w)
-	} else {
-		err = g.drain(w)
-	}
-	err = errors.Join(err, w.close())
-	if err != nil {
+	err := func() error {
+		for {
+			select {
+			case <-g.stop:
+				return nil
+			default:
+			}
+			b, err := w.root.NextBatch()
+			if err != nil || b == nil {
+				return err
+			}
+			select {
+			case g.out <- b:
+			case <-g.stop:
+				w.ev.putBatch(b)
+				return nil
+			}
+		}
+	}()
+	if err = errors.Join(err, w.root.Close()); err != nil {
 		w.err = err
 		// The stream is dead: stop the other workers promptly too.
 		g.interrupt()
 	}
 }
 
-// drainBatches pulls a vectorized worker pipeline to exhaustion, forwarding
-// whole pooled batches: one send per ~BatchRows rows. The producer already
-// charged each batch's bytes (chargeBatch), so the charge simply rides the
-// channel; a batch that cannot be delivered because the consumer stopped is
-// recycled here (settling its charge).
-func (g *gatherIter) drainBatches(w *gatherWorker) error {
-	for {
-		select {
-		case <-g.stop:
-			return nil
-		default:
-		}
-		b, err := w.broot.NextBatch()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return nil
-		}
-		select {
-		case g.out <- gatherBatch{rows: b.Rows, bytes: b.bytes, b: b}:
-		case <-g.stop:
-			w.ev.putBatch(b)
-			return nil
-		}
-	}
-}
-
-// drain pulls the worker pipeline to exhaustion, shipping rows in batches.
-// It returns early (nil) when the consumer signalled stop. Each row is a
-// cancellation checkpoint (through the worker's own evaluator), so a
-// canceled parallel scan stops within one tick interval per worker; under a
-// memory budget every in-flight merge batch is charged before it is queued.
-func (g *gatherIter) drain(w *gatherWorker) error {
-	batch := make([]types.Tuple, 0, gatherBatchSize)
-	var batchBytes int64
-	flush := func() (bool, error) {
-		if len(batch) == 0 {
-			return true, nil
-		}
-		if err := g.res.Grow(batchBytes); err != nil {
-			// Grow records the charge even on failure, and this batch never
-			// reaches the consumer — return the bytes here, or they stay
-			// accounted for the rest of the query.
-			g.res.Release(batchBytes)
-			return false, err
-		}
-		select {
-		case g.out <- gatherBatch{rows: batch, bytes: batchBytes}:
-			batch = make([]types.Tuple, 0, gatherBatchSize)
-			batchBytes = 0
-			return true, nil
-		case <-g.stop:
-			g.res.Release(batchBytes)
-			return false, nil
-		}
-	}
-	for {
-		select {
-		case <-g.stop:
-			return nil
-		default:
-		}
-		if err := w.ev.tick(); err != nil {
-			return err
-		}
-		t, ok, err := w.root.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			_, err := flush()
-			return err
-		}
-		batch = append(batch, t)
-		if g.res != nil {
-			batchBytes += tupleBytes(t)
-		}
-		if len(batch) == gatherBatchSize {
-			ok, err := flush()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		}
-	}
-}
-
-func (g *gatherIter) Next() (types.Tuple, bool, error) {
+func (g *gatherIter) NextBatch() (*Batch, error) {
 	if g.failed != nil {
-		return nil, false, g.failed
+		return nil, g.failed
 	}
 	if g.finished {
-		return nil, false, nil
+		return nil, nil
 	}
 	if !g.started {
 		g.start()
 	}
-	if g.bi < len(g.batch) {
-		t := g.batch[g.bi]
-		g.bi++
-		return t, true, nil
+	if b, ok := <-g.out; ok {
+		return b, nil
 	}
-	g.finishBatch()
-	batch, ok := <-g.out
-	if !ok {
-		// All workers done (wg.Wait happened-before the channel close, so
-		// worker state is visible): merge stats and surface any error.
-		if err := g.finish(); err != nil {
-			g.failed = err
-			return nil, false, err
-		}
-		g.finished = true
-		return nil, false, nil
+	// All workers done (wg.Wait happened-before the channel close, so
+	// worker state is visible): merge stats and surface any error.
+	if err := g.finish(); err != nil {
+		g.failed = err
+		return nil, err
 	}
-	g.batch, g.bi, g.batchBytes, g.curBatch = batch.rows, 1, batch.bytes, batch.b
-	return batch.rows[0], true, nil
+	g.finished = true
+	return nil, nil
 }
 
 // finish folds every worker's counters into the parent evaluator, publishes
@@ -527,27 +292,30 @@ func (g *gatherIter) Close() error {
 	if !g.started {
 		var errs []error
 		for _, w := range g.workers {
-			errs = append(errs, w.close())
+			errs = append(errs, w.root.Close())
 		}
 		return errors.Join(errs...)
 	}
 	g.interrupt()
 	g.wg.Wait()
-	// Settle the batch being consumed and any batches still queued (the
-	// closer goroutine closes g.out once wg.Wait returns, so the range
-	// terminates); pooled batches go back to the pool, their charge with
-	// them.
-	g.finishBatch()
+	// Recycle the batches still queued (the closer goroutine closes g.out
+	// once wg.Wait returns, so the range terminates), their charge with them.
 	for b := range g.out {
-		if b.b != nil {
-			g.parent.putBatch(b.b)
-		} else {
-			g.res.Release(b.bytes)
+		g.parent.putBatch(b)
+	}
+	// A worker stopped by the query's own cancel or deadline is no failure of
+	// Close: the consumer had stopped pulling, and the checkpoint that told it
+	// to (Cursor.Next's, an operator's above) already surfaced the error.
+	if stop := g.parent.res.Err(); stop != nil {
+		for _, w := range g.workers {
+			if errors.Is(w.err, stop) {
+				w.err = nil
+			}
 		}
 	}
 	err := g.finish()
 	if g.failed != nil {
-		// Next already surfaced this error; don't report it twice.
+		// NextBatch already surfaced this error; don't report it twice.
 		return nil
 	}
 	return err

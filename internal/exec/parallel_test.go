@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -8,6 +9,7 @@ import (
 
 	"github.com/mural-db/mural/internal/leakcheck"
 	"github.com/mural-db/mural/internal/plan"
+	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
 )
 
@@ -131,7 +133,7 @@ func TestGatherPsiFilterMergesRunStats(t *testing.T) {
 		Cols:     cols,
 		Workers:  4,
 	}
-	cur, err := Run(env, gather)
+	cur, err := Run(env, gather, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +162,7 @@ func TestGatherMergesExecStats(t *testing.T) {
 	scan := gather.Children[0]
 
 	es := NewExecStats()
-	cur, err := RunWithStats(env, gather, es)
+	cur, err := Run(env, gather, es, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,7 @@ func TestGatherEarlyCloseStopsWorkers(t *testing.T) {
 	env := newMockEnv()
 	mkIntTable(env, "big", 4096)
 	checkNoGoroutineLeak(t, func() {
-		cur, err := Run(env, gatherOverScan("big", 4, true))
+		cur, err := Run(env, gatherOverScan("big", 4, true), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,59 +216,60 @@ func TestGatherEarlyCloseStopsWorkers(t *testing.T) {
 	})
 }
 
+// gatherOverChargedScan puts a Gather over chargedScan's index scan: every
+// worker holds charged rows from build time on.
+func gatherOverChargedScan(workers int) (*mockEnv, *plan.Node) {
+	env, scan := chargedScan()
+	return env, &plan.Node{Op: plan.OpGather, Children: []*plan.Node{scan}, Cols: scan.Cols, Workers: workers}
+}
+
 // Close before the first Next must release the worker pipelines without ever
 // starting a goroutine.
 func TestGatherCloseBeforeNext(t *testing.T) {
-	env := &closeTrackEnv{mockEnv: newMockEnv()}
-	mkIntTable(env.mockEnv, "small", 4)
+	env, gather := gatherOverChargedScan(3)
+	res := NewResources(context.Background(), 0)
 	checkNoGoroutineLeak(t, func() {
-		cur, err := Run(env, gatherOverScan("small", 3, true))
+		cur, err := Run(env, gather, nil, res)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if res.MemBytes() == 0 {
+			t.Fatal("built workers hold no charged rows; the test observes nothing")
 		}
 		if err := cur.Close(); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Striped path: every worker opened one full-table scan at build time.
-	if len(env.tracked) != 3 {
-		t.Fatalf("tracked scans = %d, want 3", len(env.tracked))
-	}
-	for i, tr := range env.tracked {
-		if !tr.closed {
-			t.Errorf("worker %d scan never closed", i)
-		}
+	if b := res.MemBytes(); b != 0 {
+		t.Errorf("worker pipelines never closed: %d bytes still accounted", b)
 	}
 }
 
-// errAfterIter fails with failErr after emitting n rows.
-type errAfterIter struct {
-	n       int
-	failErr error
-}
-
-func (e *errAfterIter) Next() (types.Tuple, bool, error) {
-	if e.n <= 0 {
-		return nil, false, e.failErr
-	}
-	e.n--
-	return types.Tuple{types.NewInt(int64(e.n))}, true, nil
-}
-
-func (e *errAfterIter) Close() error { return nil }
-
-// errScanEnv makes every table scan fail after a few rows.
+// errScanEnv makes every table scan fail after a few records.
 type errScanEnv struct {
 	*mockEnv
 	failErr error
 }
 
-func (e *errScanEnv) ScanTable(string) (TupleIter, error) {
-	return &errAfterIter{n: 2, failErr: e.failErr}, nil
+type errAfterScan struct {
+	RecordScan
+	n       int
+	failErr error
 }
 
-func (e *errScanEnv) ScanTablePages(string, int64, int64) (TupleIter, error) {
-	return &errAfterIter{n: 2, failErr: e.failErr}, nil
+func (e *errScanEnv) ScanRecords(table string, lo, hi int64) (RecordScan, error) {
+	rs, err := e.mockEnv.ScanRecords(table, lo, hi)
+	return &errAfterScan{RecordScan: rs, n: 2, failErr: e.failErr}, err
+}
+
+func (s *errAfterScan) NextPage(fn func(rec []byte) error) (bool, error) {
+	return s.RecordScan.NextPage(func(rec []byte) error {
+		if s.n <= 0 {
+			return s.failErr
+		}
+		s.n--
+		return fn(rec)
+	})
 }
 
 // A worker's Next error must surface from the Gather exactly once, stay
@@ -276,7 +279,7 @@ func TestGatherWorkerErrorPropagates(t *testing.T) {
 	env := &errScanEnv{mockEnv: newMockEnv(), failErr: scanErr}
 	mkIntTable(env.mockEnv, "t", 64)
 	checkNoGoroutineLeak(t, func() {
-		cur, err := Run(env, gatherOverScan("t", 4, true))
+		cur, err := Run(env, gatherOverScan("t", 4, true), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,46 +308,33 @@ func TestGatherWorkerErrorPropagates(t *testing.T) {
 	})
 }
 
-// failNthScanEnv fails the k-th ScanTable call, tracking earlier iterators
-// so the builder's error path can be checked for leaks.
-type failNthScanEnv struct {
+// failNthProbeEnv fails the k-th M-Tree probe.
+type failNthProbeEnv struct {
 	*mockEnv
-	tracked []*trackIter
-	calls   int
-	failOn  int
+	calls  int
+	failOn int
 }
 
-func (e *failNthScanEnv) ScanTable(table string) (TupleIter, error) {
-	e.calls++
-	if e.calls == e.failOn {
-		return nil, fmt.Errorf("scan %d refused", e.calls)
+func (e *failNthProbeEnv) MTreeSearch(index, phoneme string, threshold int) ([]storage.RID, int, error) {
+	if e.calls++; e.calls == e.failOn {
+		return nil, 0, fmt.Errorf("probe %d refused", e.calls)
 	}
-	it, err := e.mockEnv.ScanTable(table)
-	if err != nil {
-		return nil, err
-	}
-	tr := &trackIter{TupleIter: it}
-	e.tracked = append(e.tracked, tr)
-	return tr, nil
+	return e.mockEnv.MTreeSearch(index, phoneme, threshold)
 }
 
 // When a later worker's pipeline fails to build, the Gather builder must
 // close every root built before it.
 func TestGatherBuilderClosesEarlierWorkersOnError(t *testing.T) {
-	env := &failNthScanEnv{mockEnv: newMockEnv(), failOn: 3}
-	mkIntTable(env.mockEnv, "small", 4) // 2 pages: striped, one ScanTable per worker
-	ev := &evaluator{env: env, stats: &RunStats{}}
-	n := gatherOverScan("small", 4, true)
-	if _, err := build(env, ev, n); err == nil {
-		t.Fatal("expected build error from the refused scan")
+	env, gather := gatherOverChargedScan(4)
+	res := NewResources(context.Background(), 0)
+	if _, err := Run(&failNthProbeEnv{mockEnv: env, failOn: 3}, gather, nil, res); err == nil {
+		t.Fatal("expected build error from the refused probe")
 	}
-	if len(env.tracked) != 2 {
-		t.Fatalf("live iterators before failure = %d, want 2", len(env.tracked))
+	if res.PeakBytes() == 0 {
+		t.Fatal("no worker charged its rows before the failure; the test observes nothing")
 	}
-	for i, tr := range env.tracked {
-		if !tr.closed {
-			t.Errorf("worker %d root leaked when worker 2 failed to build", i)
-		}
+	if b := res.MemBytes(); b != 0 {
+		t.Errorf("earlier workers' roots leaked when worker 2 failed to build: %d bytes still accounted", b)
 	}
 }
 
@@ -359,7 +349,7 @@ func TestNestedGatherRejected(t *testing.T) {
 		Cols:     inner.Cols,
 		Workers:  2,
 	}
-	if _, err := Run(env, outer); err == nil {
+	if _, err := Run(env, outer, nil, nil); err == nil {
 		t.Fatal("nested Gather must fail to build")
 	}
 }
@@ -380,7 +370,7 @@ func TestParallelScanOutsideGatherIsSerial(t *testing.T) {
 // Two parallel scans of the same table node share one morsel source; a
 // morselSource must hand out each page range exactly once.
 func TestMorselSourceClaimsAreDisjoint(t *testing.T) {
-	src := &morselSource{table: "t", npages: 10}
+	src := &morselSource{table: "t", npages: 10, chunk: morselChunkPages}
 	type rng struct{ lo, hi int64 }
 	var got []rng
 	for {

@@ -1,12 +1,10 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 
-	"context"
-
 	"github.com/mural-db/mural/internal/plan"
-	"github.com/mural-db/mural/internal/types"
 )
 
 // FragmentRunner is an optional Env extension: an engine that can serialize
@@ -20,7 +18,7 @@ type FragmentRunner interface {
 	RunFragment(ctx context.Context, shardID int, addr string, frag *plan.Node) (TupleIter, error)
 }
 
-func buildRemote(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
+func buildRemote(env Env, ev *evaluator, n *plan.Node) (BatchIter, error) {
 	fr, ok := env.(FragmentRunner)
 	if !ok {
 		return nil, fmt.Errorf("exec: environment cannot execute Remote fragments")
@@ -28,35 +26,50 @@ func buildRemote(env Env, ev *evaluator, n *plan.Node) (TupleIter, error) {
 	return &remoteIter{fr: fr, ev: ev, n: n}, nil
 }
 
-// remoteIter streams one shard's rows. The connection opens lazily on the
-// first Next: under a shard Gather that call happens on the worker goroutine
-// driving this shard, so N shards dial and execute concurrently instead of
-// serially at build time — and a plan that is built but never run (EXPLAIN)
-// touches no network at all.
+// remoteIter streams one shard's rows, gathering the wire cursor's tuples
+// into batches: the executor's one row→batch adapter. The connection opens
+// lazily on the first NextBatch: under a shard Gather that call happens on
+// the worker goroutine driving this shard, so N shards dial and execute
+// concurrently instead of serially at build time — and a plan that is built
+// but never run (EXPLAIN) touches no network at all.
 type remoteIter struct {
-	fr     FragmentRunner
-	ev     *evaluator
-	n      *plan.Node
-	src    TupleIter
-	opened bool
+	fr   FragmentRunner
+	ev   *evaluator
+	n    *plan.Node
+	src  TupleIter
+	done bool
 }
 
-func (r *remoteIter) Next() (types.Tuple, bool, error) {
-	if err := r.ev.tick(); err != nil {
-		return nil, false, err
+func (r *remoteIter) NextBatch() (*Batch, error) {
+	if r.done {
+		return nil, nil
 	}
-	if !r.opened {
-		r.opened = true
+	if r.src == nil {
 		src, err := r.fr.RunFragment(r.ev.res.Context(), r.n.ShardID, r.n.ShardAddr, r.n.Children[0])
 		if err != nil {
-			return nil, false, err
+			r.done = true
+			return nil, err
 		}
 		r.src = src
 	}
-	if r.src == nil {
-		return nil, false, nil
+	b := r.ev.getBatch()
+	for len(b.Rows) < BatchRows {
+		if err := r.ev.tick(); err != nil {
+			r.ev.putBatch(b)
+			return nil, err
+		}
+		t, ok, err := r.src.Next()
+		if err != nil {
+			r.ev.putBatch(b)
+			return nil, err
+		}
+		if !ok {
+			r.done = true
+			break
+		}
+		b.Rows = append(b.Rows, t)
 	}
-	return r.src.Next()
+	return r.ev.finishBatch(b, nil)
 }
 
 func (r *remoteIter) Close() error {
@@ -64,6 +77,6 @@ func (r *remoteIter) Close() error {
 		return nil
 	}
 	err := r.src.Close()
-	r.src = nil
+	r.src, r.done = nil, true
 	return err
 }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/mural-db/mural/internal/metrics"
 	"github.com/mural-db/mural/internal/plan"
-	"github.com/mural-db/mural/internal/types"
 )
 
 // Engine-wide operator counters: every Ψ (LexEQUAL) evaluation runs an
@@ -66,7 +65,7 @@ type OpStats struct {
 	// pulls).
 	Nexts int64
 	// Loops is the number of passes over the operator: 1, plus one per
-	// Rewind by a nested-loops join parent.
+	// further rescan by a nested-loops join parent.
 	Loops int64
 	// Elapsed is cumulative wall time inside Next(), children included
 	// (subtract a child's Elapsed for self time).
@@ -74,13 +73,12 @@ type OpStats struct {
 }
 
 // ExecStats collects per-operator statistics for one query execution. A nil
-// *ExecStats disables collection entirely: the executor then builds the exact
-// iterator tree it would without instrumentation (no wrappers, no atomics,
-// zero allocations).
+// *ExecStats disables collection entirely: the executor then builds the
+// operator tree without instrumentation (no wrappers, no clock reads).
 type ExecStats struct {
 	byNode map[*plan.Node]*OpStats
 	// timed selects the full collector (row counts plus wall time per
-	// Next, two clock reads per row). Counts-only collectors skip the
+	// NextBatch, two clock reads per batch). Counts-only collectors skip the
 	// clock: cheap enough to run on every governed query, they feed the
 	// planner's selectivity feedback, where only cardinalities matter.
 	timed bool
@@ -152,43 +150,10 @@ func (es *ExecStats) Merge(o *ExecStats) {
 	}
 }
 
-// rewindIter is the executor's rewindable-input contract: nested-loops joins
-// rescan their inner side through it. materializeIter implements it, and so
-// does the instrumented wrapper around a rewindable child.
-type rewindIter interface {
-	TupleIter
-	Rewind()
-}
-
-// wrap interposes a timing wrapper for node n. Children wrapped earlier keep
-// their own buckets, so parent Elapsed includes child time (standard EXPLAIN
-// ANALYZE semantics). Rewindability is preserved — and only real
-// rewindability: wrapping a non-rewindable iterator must not fabricate a
-// Rewind method, or a nested-loops join would silently rescan nothing.
-func (es *ExecStats) wrap(n *plan.Node, it TupleIter) TupleIter {
-	st := es.Stats(n)
-	if !es.timed {
-		if r, ok := it.(rewindIter); ok {
-			return &rewindCountIter{countIter: countIter{child: it, st: st}, rewinder: r}
-		}
-		return &countIter{child: it, st: st}
-	}
-	if r, ok := it.(rewindIter); ok {
-		return &rewindStatsIter{statsIter: statsIter{child: it, st: st}, rewinder: r}
-	}
-	return &statsIter{child: it, st: st}
-}
-
-// wrapBatch is wrap for batch operators: per-batch instrumentation keeps
-// the row engine's reporting conventions (Rows = tuples emitted, Nexts =
-// Rows plus one exhausted pull on a full drain) at one wrapper call per
-// ~BatchRows rows instead of one per row.
-func (es *ExecStats) wrapBatch(n *plan.Node, it BatchIter) BatchIter {
-	return &batchStatsIter{child: it, st: es.Stats(n), timed: es.timed}
-}
-
 // batchStatsIter counts (and under a timed collector, times) NextBatch
-// calls for one batch operator.
+// calls for one operator, at one wrapper call per ~BatchRows rows. Rows is
+// the tuples emitted; Nexts counts one pull per tuple plus the one exhausted
+// pull of a full drain, so a drained operator reports Nexts = Rows+1.
 type batchStatsIter struct {
 	child BatchIter
 	st    *OpStats
@@ -217,76 +182,12 @@ func (s *batchStatsIter) NextBatch() (*Batch, error) {
 
 func (s *batchStatsIter) Close() error { return s.child.Close() }
 
-// statsIter times and counts Next() calls for one operator.
-type statsIter struct {
-	child TupleIter
-	st    *OpStats
-}
-
-func (s *statsIter) Next() (types.Tuple, bool, error) {
-	start := time.Now()
-	t, ok, err := s.child.Next()
-	s.st.Elapsed += time.Since(start)
-	s.st.Nexts++
-	if ok {
-		s.st.Rows++
-	}
-	return t, ok, err
-}
-
-func (s *statsIter) Close() error { return s.child.Close() }
-
-// rewindStatsIter additionally forwards Rewind, counting each rescan as a
-// loop. Nested-loops joins rewind the inner side before the first pass as
-// well; only a rewind that follows at least one Next starts a genuinely new
-// pass, so Loops ends up as the number of passes (PostgreSQL's convention).
-type rewindStatsIter struct {
-	statsIter
-	rewinder  rewindIter
-	lastNexts int64
-}
-
-func (s *rewindStatsIter) Rewind() {
-	s.rewinder.Rewind()
-	if s.st.Nexts > s.lastNexts {
-		s.st.Loops++
-		s.lastNexts = s.st.Nexts
-	}
-}
-
-// countIter counts Next() calls and rows for one operator without reading
-// the clock — the counts-only collector's per-row cost is two integer
-// increments through one indirect call.
-type countIter struct {
-	child TupleIter
-	st    *OpStats
-}
-
-func (s *countIter) Next() (types.Tuple, bool, error) {
-	t, ok, err := s.child.Next()
-	s.st.Nexts++
-	if ok {
-		s.st.Rows++
-	}
-	return t, ok, err
-}
-
-func (s *countIter) Close() error { return s.child.Close() }
-
-// rewindCountIter is countIter for rewindable children, with the same
-// pass-counting convention as rewindStatsIter.
-type rewindCountIter struct {
-	countIter
-	rewinder  rewindIter
-	lastNexts int64
-}
-
-func (s *rewindCountIter) Rewind() {
-	s.rewinder.Rewind()
-	if s.st.Nexts > s.lastNexts {
-		s.st.Loops++
-		s.lastNexts = s.st.Nexts
-	}
+// rescan counts one more pass (loop) over the wrapped Materialize and starts
+// it; the pass earns its own exhausted pull, so Nexts = Rows + passes.
+func (s *batchStatsIter) rescan() {
+	s.st.Loops++
+	s.done = false
+	s.child.(rescannable).rescan()
 }
 
 // Tracer receives query lifecycle callbacks. Implementations must be safe
@@ -318,10 +219,4 @@ func (es *ExecStats) EmitSpans(root *plan.Node, tr Tracer) {
 		}
 	}
 	walk(root)
-}
-
-// NewSliceCursor wraps pre-materialized rows as a Cursor; the server uses it
-// to stream EXPLAIN output through the ordinary row protocol.
-func NewSliceCursor(cols []string, rows []types.Tuple) *Cursor {
-	return &Cursor{Cols: cols, it: &sliceIter{rows: rows}}
 }

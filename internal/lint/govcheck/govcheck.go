@@ -3,16 +3,19 @@
 // cancellation checkpoint, so a canceled or timed-out query stops within a
 // bounded amount of row work no matter which operators its plan uses.
 //
-// Concretely: starting from every operator `Next` method — a method named
-// Next returning (T, bool, error) — the analyzer walks the package-local
-// static call graph (including goroutine launches, which is how Gather
-// workers run). In every reached function, each for/range loop whose body
-// pulls rows (calls a 3-result Next) must also reach a checkpoint: a direct
-// `tick()` / `Resources.Err()` call, or a call to a function whose summary
-// transitively checkpoints. Loops that iterate bounded, row-independent
-// structures (projection column lists, schema slices) don't pull rows and
-// are not flagged. Intentional exceptions carry //lint:gov-exempt on the
-// loop or the function declaration.
+// Concretely: starting from every operator entry point — a method named
+// NextBatch returning (T, error), or a row-face Next returning (T, bool,
+// error) — the analyzer walks the package-local static call graph (including
+// goroutine launches, which is how Gather workers run). In every reached
+// function, each row loop must reach a checkpoint: a direct `tick()` /
+// `Resources.Err()` call, or a call to a function whose summary transitively
+// checkpoints. A row loop is a for/range loop that ranges over a Batch's
+// Rows or whose body pulls rows (calls a 3-result Next); a per-record
+// function literal handed to nextPage/NextPage — the body of a page scan's
+// loop — is held to the same rule. Loops that iterate bounded,
+// row-independent structures (projection column lists, schema slices) are
+// not flagged. Intentional exceptions carry //lint:gov-exempt on the loop or
+// the function declaration.
 package govcheck
 
 import (
@@ -27,7 +30,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "govcheck",
-	Doc:  "every operator Next row loop reachable from the executor contains an amortized cancellation checkpoint (tick / Resources.Err, directly or via a summarized callee)",
+	Doc:  "every row loop and per-record callback reachable from an operator NextBatch/Next contains an amortized cancellation checkpoint (tick / Resources.Err, directly or via a summarized callee)",
 	Run:  run,
 }
 
@@ -48,11 +51,11 @@ func run(pass *analysis.Pass) error {
 
 	decls := localDecls(pass)
 
-	// Seed: operator Next methods; then close over package-local callees.
+	// Seed: operator entry points; then close over package-local callees.
 	reachable := map[*types.Func]bool{}
 	var queue []*types.Func
 	for fn, fd := range decls {
-		if fd.Recv != nil && fn.Name() == "Next" && isRowSig(fn) {
+		if fd.Recv != nil && (fn.Name() == "Next" && isRowSig(fn) || fn.Name() == "NextBatch" && isBatchSig(fn)) {
 			reachable[fn] = true
 			queue = append(queue, fn)
 		}
@@ -105,21 +108,54 @@ func isRowSig(fn *types.Func) bool {
 	return lintutil.IsErrorType(res.At(2).Type())
 }
 
+// isBatchSig reports the operator batch signature: (T, error).
+func isBatchSig(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok {
+		return false
+	}
+	res := sig.Results()
+	return res.Len() == 2 && lintutil.IsErrorType(res.At(1).Type())
+}
+
 func checkFunc(pass *analysis.Pass, ann *lintutil.Annotations, table *summary.Table, fd *ast.FuncDecl) {
 	if fd == nil || ann.Has(fd.Pos(), "gov-exempt") {
 		return
 	}
+	// Local function literals by the variable they are bound to, so a
+	// callback handed to nextPage by name resolves to its body.
+	lits := map[types.Object]*ast.FuncLit{}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+			for i, rhs := range as.Rhs {
+				id, isIdent := as.Lhs[i].(*ast.Ident)
+				if lit, isLit := rhs.(*ast.FuncLit); isIdent && isLit {
+					if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
+						lits[obj] = lit
+					}
+				}
+			}
+		}
+		return true
+	})
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		var body *ast.BlockStmt
-		switch loop := n.(type) {
+		rowLoop := false
+		switch x := n.(type) {
 		case *ast.ForStmt:
-			body = loop.Body
+			body = x.Body
 		case *ast.RangeStmt:
-			body = loop.Body
+			body = x.Body
+			rowLoop = isBatchRows(pass, x.X)
+		case *ast.CallExpr:
+			if name := lintutil.CalleeName(x); name == "nextPage" || name == "NextPage" {
+				checkPageCallbacks(pass, ann, table, lits, x)
+			}
+			return true
 		default:
 			return true
 		}
-		if !pullsRows(pass, body) || hasCheckpoint(pass, table, body) {
+		if !(rowLoop || pullsRows(pass, body)) || hasCheckpoint(pass, table, body) {
 			return true
 		}
 		if ann.Has(n.Pos(), "gov-exempt") {
@@ -130,6 +166,38 @@ func checkFunc(pass *analysis.Pass, ann *lintutil.Annotations, table *summary.Ta
 		// Don't descend: one report covers the nested loops too.
 		return false
 	})
+}
+
+// isBatchRows reports an expression of the form b.Rows with b a Batch (or a
+// pointer to one): the rows of one vector flowing between operators.
+func isBatchRows(pass *analysis.Pass, x ast.Expr) bool {
+	sel, ok := x.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Rows" {
+		return false
+	}
+	t := pass.TypesInfo.TypeOf(sel.X)
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Batch"
+}
+
+// checkPageCallbacks holds the function literals a page-scan call receives —
+// inline or through a local variable — to the row-loop rule: the scan runs
+// them once per record.
+func checkPageCallbacks(pass *analysis.Pass, ann *lintutil.Annotations, table *summary.Table, lits map[types.Object]*ast.FuncLit, call *ast.CallExpr) {
+	for _, arg := range call.Args {
+		lit, _ := arg.(*ast.FuncLit)
+		if id, ok := arg.(*ast.Ident); ok {
+			lit = lits[pass.TypesInfo.ObjectOf(id)]
+		}
+		if lit == nil || hasCheckpoint(pass, table, lit.Body) || ann.Has(lit.Pos(), "gov-exempt") {
+			continue
+		}
+		pass.Reportf(lit.Pos(),
+			"per-record callback runs without a cancellation checkpoint: a canceled query keeps scanning pages through it; call tick()/Resources.Err() per record (or a helper that does) or annotate with //lint:gov-exempt")
+	}
 }
 
 // pullsRows reports whether the loop body calls a 3-result Next — the mark

@@ -1,5 +1,5 @@
-// Package iterclose checks Volcano iterator discipline: any value with both
-// a Next and a Close() error method obtained from a call must have Close
+// Package iterclose checks iterator discipline: any value with a Next or
+// NextBatch method and a Close() error method obtained from a call must have Close
 // called on every path, be handed off (returned, stored, or passed to a
 // wrapping constructor — composite iterators take ownership of their
 // children), be drained by a call that closes internally (Cursor.All), or
@@ -25,7 +25,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "iterclose",
-	Doc:  "iterators (values with Next and Close() error methods) must be Closed on every path, handed off, or annotated //lint:iter-escapes",
+	Doc:  "iterators (values with Next or NextBatch and Close() error methods) must be Closed on every path, handed off, or annotated //lint:iter-escapes",
 	Run:  run,
 }
 
@@ -51,7 +51,8 @@ func run(pass *analysis.Pass) error {
 }
 
 // isIterAcquire reports calls whose first result is an iterator: its method
-// set contains Next and Close, with Close returning exactly one error.
+// set contains Next (the row face) or NextBatch (an operator) and Close, with
+// Close returning exactly one error.
 func isIterAcquire(pass *analysis.Pass, call *ast.CallExpr) bool {
 	tv, ok := pass.TypesInfo.Types[call]
 	if !ok {
@@ -67,7 +68,7 @@ func isIterAcquire(pass *analysis.Pass, call *ast.CallExpr) bool {
 	if t == nil || !hasCloseError(t) {
 		return false
 	}
-	return lintutil.HasMethod(t, "Next")
+	return lintutil.HasMethod(t, "Next") || lintutil.HasMethod(t, "NextBatch")
 }
 
 func hasCloseError(t types.Type) bool {

@@ -1,6 +1,7 @@
-// Golden package for the iterclose analyzer. Any value with Next and
-// Close() error methods counts as an iterator; the local scanIter mirrors
-// the exec package's TupleIter shape.
+// Golden package for the iterclose analyzer. Any value with Next (or
+// NextBatch) and Close() error methods counts as an iterator; the local
+// scanIter mirrors the exec package's TupleIter shape, batchScan (at the end)
+// its BatchIter.
 package iterclose
 
 import "errors"
@@ -241,7 +242,7 @@ func (c *cancelIter) Next() (Tuple, bool, error) {
 }
 func (c *cancelIter) Close() error { return c.child.Close() }
 
-// governedBuildClosesOnError is the exec.RunGoverned shape: the child is
+// governedBuildClosesOnError is the governed exec.Run shape: the child is
 // built first, and if the pre-run checkpoint already fails, the child is
 // closed before the error escapes.
 func governedBuildClosesOnError(res *resources) (*cancelIter, error) {
@@ -327,4 +328,69 @@ func governedMaterializeLeaksOnGrowFailure(res *resources) ([]Tuple, error) {
 	}
 	_ = it.Close()
 	return out, nil
+}
+
+// ---- batch operators: NextBatch + Close() error is an iterator too ----
+
+type Batch struct{ Rows []Tuple }
+
+type batchScan struct{ closed bool }
+
+func (s *batchScan) NextBatch() (*Batch, error) { return nil, nil }
+func (s *batchScan) Close() error               { s.closed = true; return nil }
+
+func openBatch(name string) (*batchScan, error) { return &batchScan{}, nil }
+
+// batchJoin owns its two inputs.
+type batchJoin struct{ left, right *batchScan }
+
+func (j *batchJoin) NextBatch() (*Batch, error) { return nil, nil }
+func (j *batchJoin) Close() error {
+	return errors.Join(j.left.Close(), j.right.Close())
+}
+
+// batchJoinBuilderClosesLeft is the join-builder shape: the right input's
+// build failure closes the left one already built.
+func batchJoinBuilderClosesLeft() (*batchJoin, error) {
+	left, err := openBatch("l")
+	if err != nil {
+		return nil, err
+	}
+	right, err := openBatch("r")
+	if err != nil {
+		return nil, errors.Join(err, left.Close())
+	}
+	return &batchJoin{left: left, right: right}, nil
+}
+
+func batchJoinBuilderLeaksLeft() (*batchJoin, error) {
+	left, err := openBatch("l") // want `iterator acquired by openBatch is not released`
+	if err != nil {
+		return nil, err
+	}
+	right, err := openBatch("r")
+	if err != nil {
+		return nil, err // left leaks
+	}
+	return &batchJoin{left: left, right: right}, nil
+}
+
+// batchDrainLeaksOnError pulls batches and forgets the operator when a pull
+// fails.
+func batchDrainLeaksOnError() (int, error) {
+	it, err := openBatch("t") // want `iterator acquired by openBatch is not released`
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for {
+		b, err := it.NextBatch()
+		if err != nil {
+			return n, err // it leaks
+		}
+		if b == nil {
+			return n, it.Close()
+		}
+		n += len(b.Rows)
+	}
 }

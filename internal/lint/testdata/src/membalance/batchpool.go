@@ -95,7 +95,7 @@ func batchInEnvelope(ev *evaluator) envelope {
 	return envelope{b: b}
 }
 
-// cursor mirrors batchRowIter: stashing the batch in a field moves the duty
+// cursor mirrors exec.Cursor: stashing the batch in a field moves the duty
 // to the owner's Close.
 type cursor struct{ cur *Batch }
 

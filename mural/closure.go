@@ -42,30 +42,37 @@ func (e *Engine) ComputeClosureScan(table, idCol, parentCol string, root int64) 
 	frontier := map[int64]bool{root: true}
 	for len(frontier) > 0 {
 		next := make(map[int64]bool)
-		it, err := e.ScanTable(table)
+		np, err := e.TablePages(table)
+		if err != nil {
+			return nil, err
+		}
+		scan, err := e.ScanRecords(table, 0, np)
 		if err != nil {
 			return nil, err
 		}
 		res.HeapScans++
-		for {
-			tup, ok, err := it.Next()
+		visit := func(rec []byte) error {
+			tup, _, err := types.DecodeTuple(rec)
 			if err != nil {
-				return nil, errors.Join(err, it.Close())
-			}
-			if !ok {
-				break
+				return err
 			}
 			p := tup[parIdx]
 			if p.IsNull() || !frontier[p.Int()] {
-				continue
+				return nil
 			}
 			id := tup[idIdx].Int()
 			if !closure[id] {
 				closure[id] = true
 				next[id] = true
 			}
+			return nil
 		}
-		if err := it.Close(); err != nil {
+		for more := true; more; {
+			if more, err = scan.NextPage(visit); err != nil {
+				return nil, errors.Join(err, scan.Close())
+			}
+		}
+		if err := scan.Close(); err != nil {
 			return nil, err
 		}
 		frontier = next

@@ -701,7 +701,7 @@ func (e *Engine) QueryContext(ctx context.Context, q string) (*Rows, error) {
 		release()
 	}
 	es, traceID, sampled := e.armCollector(ctx, res, node)
-	cur, err := exec.RunTuned(e, node, es, res, e.runOptions())
+	cur, err := exec.Run(e, node, es, res)
 	if err != nil {
 		peak := res.PeakBytes()
 		done()
@@ -721,23 +721,6 @@ func (e *Engine) QueryContext(ctx context.Context, q string) (*Rows, error) {
 		e.observe(ctx, q, streamed, elapsed, ferr, res.PeakBytes(), base)
 	}
 	return r, nil
-}
-
-// runOptions reads the execution-engine settings: SET vectorize = off
-// reverts to the row engine, SET fuse = off keeps vectorized execution but
-// disables the fused Ψ/Ω-scan kernels. Both default on.
-func (e *Engine) runOptions() exec.RunOptions {
-	boolSetting := func(name string, def bool) bool {
-		v, ok := e.cat.Setting(name)
-		if !ok {
-			return def
-		}
-		return v != "off" && v != "false" && v != "0"
-	}
-	opts := exec.DefaultRunOptions()
-	opts.Vectorize = boolSetting("vectorize", true)
-	opts.Fuse = opts.Vectorize && boolSetting("fuse", true)
-	return opts
 }
 
 // planner assembles a Planner with the current optimizer settings.
@@ -826,7 +809,7 @@ func (e *Engine) execSelect(ctx context.Context, q string, sel *sql.Select, res 
 	planDur := time.Since(planStart)
 	es, traceID, sampled := e.armCollector(ctx, res, node)
 	start := time.Now()
-	cur, err := exec.RunTuned(e, node, es, res, e.runOptions())
+	cur, err := exec.Run(e, node, es, res)
 	if err != nil {
 		return nil, err
 	}
@@ -863,7 +846,7 @@ func (e *Engine) execExplain(s *sql.Explain, qres *exec.Resources) (*Result, err
 			qres = exec.NewResources(context.Background(), 0)
 		}
 		start := time.Now()
-		cur, err := exec.RunTuned(e, node, es, qres, e.runOptions())
+		cur, err := exec.Run(e, node, es, qres)
 		if err != nil {
 			return nil, err
 		}

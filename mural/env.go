@@ -12,38 +12,6 @@ import (
 
 // The Engine implements exec.Env: all executor data access lands here.
 
-// heapScanIter adapts a heap scan to exec.TupleIter, decoding records.
-type heapScanIter struct {
-	it *storage.Iter
-}
-
-// Next implements exec.TupleIter.
-func (h *heapScanIter) Next() (types.Tuple, bool, error) {
-	_, rec, ok, err := h.it.Next() //lint:hot-metric the heap iterator pins (and counts) once per page, not per row
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	tup, _, err := types.DecodeTuple(rec)
-	if err != nil {
-		return nil, false, err
-	}
-	return tup, true, nil
-}
-
-// Close implements exec.TupleIter.
-func (h *heapScanIter) Close() error { return nil }
-
-// ScanTable implements exec.Env.
-func (e *Engine) ScanTable(table string) (exec.TupleIter, error) {
-	e.mu.RLock()
-	h := e.heaps[table]
-	e.mu.RUnlock()
-	if h == nil {
-		return nil, fmt.Errorf("mural: no such table %q", table)
-	}
-	return &heapScanIter{it: h.Scan()}, nil
-}
-
 // TablePages implements exec.Env.
 func (e *Engine) TablePages(table string) (int64, error) {
 	e.mu.RLock()
@@ -55,19 +23,8 @@ func (e *Engine) TablePages(table string) (int64, error) {
 	return int64(h.NumPages()), nil
 }
 
-// ScanTablePages implements exec.Env: one morsel of a parallel scan.
-func (e *Engine) ScanTablePages(table string, lo, hi int64) (exec.TupleIter, error) {
-	e.mu.RLock()
-	h := e.heaps[table]
-	e.mu.RUnlock()
-	if h == nil {
-		return nil, fmt.Errorf("mural: no such table %q", table)
-	}
-	return &heapScanIter{it: h.ScanRange(storage.PageID(lo), storage.PageID(hi))}, nil
-}
-
 // recordScan adapts a heap iterator to exec.RecordScan: the raw-record,
-// page-at-a-time feed behind the executor's vectorized and fused scans.
+// page-at-a-time feed behind the executor's scans.
 type recordScan struct {
 	it *storage.Iter
 }
@@ -80,8 +37,7 @@ func (r *recordScan) NextPage(fn func(rec []byte) error) (bool, error) {
 // Close implements exec.RecordScan.
 func (r *recordScan) Close() error { return nil }
 
-// ScanRecords implements exec.RecordScanner: raw records of heap pages
-// [lo, hi).
+// ScanRecords implements exec.Env: raw records of heap pages [lo, hi).
 func (e *Engine) ScanRecords(table string, lo, hi int64) (exec.RecordScan, error) {
 	e.mu.RLock()
 	h := e.heaps[table]

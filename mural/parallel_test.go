@@ -126,7 +126,9 @@ func TestExplainAnalyzeGather(t *testing.T) {
 
 // The per-query G2P memo must convert a repeated probe constant once per
 // worker, not once per row: conversions stay flat while cache hits scale
-// with the row count.
+// with the row count. The conjunction keeps the predicate on the generic
+// filter — a bare Ψ over a scan compiles its probe once into the fused
+// kernel and never consults the memo per row.
 func TestPsiSelectionMemoizesProbeConversions(t *testing.T) {
 	e, err := Open(Config{Workers: 2})
 	if err != nil {
@@ -138,7 +140,7 @@ func TestPsiSelectionMemoizesProbeConversions(t *testing.T) {
 
 	counter := func(s metrics.Snapshot, name string) int64 { return s.Counters[name] }
 	before := metrics.Default.Snapshot()
-	e.MustExec(psiNamesQuery)
+	e.MustExec(psiNamesQuery + ` AND id >= 0`)
 	after := metrics.Default.Snapshot()
 
 	conv := counter(after, "mural_g2p_conversions_total") - counter(before, "mural_g2p_conversions_total")
@@ -158,6 +160,22 @@ func TestPsiSelectionMemoizesProbeConversions(t *testing.T) {
 	// memoized probe phoneme.
 	if hits < n {
 		t.Errorf("cache hits = %d, want >= %d", hits, n)
+	}
+
+	// The bare Ψ over the (striped) parallel scan is the fused kernel: each
+	// worker converts the probe once when it compiles its matcher, and no row
+	// goes near the memo — while every row is still evaluated.
+	before = metrics.Default.Snapshot()
+	res := e.MustExec(psiNamesQuery)
+	after = metrics.Default.Snapshot()
+	conv = counter(after, "mural_g2p_conversions_total") - counter(before, "mural_g2p_conversions_total")
+	lookups := counter(after, "mural_g2p_cache_hits_total") - counter(before, "mural_g2p_cache_hits_total") +
+		counter(after, "mural_g2p_cache_misses_total") - counter(before, "mural_g2p_cache_misses_total")
+	if conv > 10 || lookups > 10 {
+		t.Errorf("fused Ψ scan: %d conversions, %d memo lookups, want a few per worker, none per row", conv, lookups)
+	}
+	if res.Stats.PsiEvaluations != n {
+		t.Errorf("fused Ψ scan evaluated %d rows, want %d", res.Stats.PsiEvaluations, n)
 	}
 }
 

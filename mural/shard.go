@@ -447,7 +447,7 @@ func (e *Engine) QueryFragment(ctx context.Context, frag *plan.Node) (*Rows, err
 		stop()
 		release()
 	}
-	cur, err := exec.RunTuned(e, node, nil, res, e.runOptions())
+	cur, err := exec.Run(e, node, nil, res)
 	if err != nil {
 		done()
 		noteGovernedErr(err)
