@@ -189,34 +189,3 @@ func (s *batchStatsIter) rescan() {
 	s.done = false
 	s.child.(rescannable).rescan()
 }
-
-// Tracer receives query lifecycle callbacks. Implementations must be safe
-// for concurrent use; the engine invokes them inline, so they should return
-// quickly. OperatorSpan fires once per plan operator after an EXPLAIN
-// ANALYZE (or traced) execution completes, in depth-first plan order.
-type Tracer interface {
-	// QueryStart fires before planning+execution of a statement.
-	QueryStart(query string)
-	// QueryEnd fires after the statement finishes (err nil on success).
-	QueryEnd(query string, elapsed time.Duration, rows int64, err error)
-	// OperatorSpan reports one operator's measured execution.
-	OperatorSpan(op string, rows int64, loops int64, elapsed time.Duration)
-}
-
-// EmitSpans walks the plan tree depth-first and reports every measured
-// operator to the tracer.
-func (es *ExecStats) EmitSpans(root *plan.Node, tr Tracer) {
-	if es == nil || tr == nil || root == nil {
-		return
-	}
-	var walk func(n *plan.Node)
-	walk = func(n *plan.Node) {
-		if st, ok := es.byNode[n]; ok {
-			tr.OperatorSpan(n.Op.String(), st.Rows, st.Loops, st.Elapsed)
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(root)
-}

@@ -22,7 +22,6 @@ import (
 
 	"github.com/mural-db/mural/internal/obs"
 	"github.com/mural-db/mural/internal/plan"
-	"github.com/mural-db/mural/internal/sql"
 	"github.com/mural-db/mural/internal/wire"
 	"github.com/mural-db/mural/mural"
 )
@@ -433,98 +432,8 @@ func (s *Server) dispatch(w io.Writer, sess *session, typ wire.MsgType, payload 
 		}
 		sess.traceID = id
 		return nil // no reply: the frame only re-tags the session
-	case wire.MsgExec:
-		if s.isDraining() {
-			mErrors.Inc()
-			return wire.Write(w, wire.MsgErr, wire.EncodeErr(wire.ErrCodeShutdown, "server: shutting down"))
-		}
-		ctx, cancel := context.WithCancel(sess.stmtCtx(s.baseCtx))
-		done := sess.begin(cancel)
-		res, err := s.eng.ExecContext(ctx, string(payload))
-		done()
-		cancel()
-		if err != nil {
-			return sendErr(err)
-		}
-		return wire.Write(w, wire.MsgOK, wire.EncodeUvarint(uint64(res.RowsAffected)))
-	case wire.MsgQuery:
-		if s.isDraining() {
-			mErrors.Inc()
-			return wire.Write(w, wire.MsgErr, wire.EncodeErr(wire.ErrCodeShutdown, "server: shutting down"))
-		}
-		q := string(payload)
-		stmt, err := sql.Parse(q)
-		if err != nil {
-			return sendErr(err)
-		}
-		// The query context outlives this dispatch: it governs every later
-		// fetch on the cursor, so it is canceled at cursor close, not here.
-		ctx, cancel := context.WithCancel(sess.stmtCtx(s.baseCtx))
-		done := sess.begin(cancel)
-		var rows *mural.Rows
-		if _, isSelect := stmt.(*sql.Select); !isSelect {
-			res, err := s.eng.ExecContext(ctx, q)
-			done()
-			if err != nil {
-				cancel()
-				return sendErr(err)
-			}
-			if len(res.Cols) == 0 {
-				cancel()
-				return wire.Write(w, wire.MsgOK, wire.EncodeUvarint(uint64(res.RowsAffected)))
-			}
-			// Row-bearing non-SELECTs (EXPLAIN [ANALYZE], SHOW) stream
-			// their materialized output through the cursor protocol.
-			rows = mural.StaticRows(res.Cols, res.Rows)
-		} else {
-			rows, err = s.eng.QueryContext(ctx, q)
-			done()
-			if err != nil {
-				cancel()
-				return sendErr(err)
-			}
-		}
-		id := sess.nextID
-		sess.nextID++
-		sess.cursors[id] = &cursorState{rows: rows, cancel: cancel}
-		sess.setOpen(len(sess.cursors))
-		return wire.Write(w, wire.MsgRowDesc, wire.EncodeRowDesc(id, rows.Cols))
-	case wire.MsgFragment:
-		if s.isDraining() {
-			mErrors.Inc()
-			return wire.Write(w, wire.MsgErr, wire.EncodeErr(wire.ErrCodeShutdown, "server: shutting down"))
-		}
-		deadlineMillis, fragBytes, err := wire.DecodeFragmentPayload(payload)
-		if err != nil {
-			return sendErr(err)
-		}
-		frag, err := plan.DecodeFragment(fragBytes)
-		if err != nil {
-			return sendErr(err)
-		}
-		// Like MsgQuery, the context outlives this dispatch (it governs the
-		// fetches); the coordinator's remaining deadline, when shipped, caps
-		// it so an orphaned fragment cannot outlive its statement.
-		base := sess.stmtCtx(s.baseCtx)
-		var ctx context.Context
-		var cancel context.CancelFunc
-		if deadlineMillis > 0 {
-			ctx, cancel = context.WithTimeout(base, time.Duration(deadlineMillis)*time.Millisecond)
-		} else {
-			ctx, cancel = context.WithCancel(base)
-		}
-		done := sess.begin(cancel)
-		rows, err := s.eng.QueryFragment(ctx, frag)
-		done()
-		if err != nil {
-			cancel()
-			return sendErr(err)
-		}
-		id := sess.nextID
-		sess.nextID++
-		sess.cursors[id] = &cursorState{rows: rows, cancel: cancel}
-		sess.setOpen(len(sess.cursors))
-		return wire.Write(w, wire.MsgRowDesc, wire.EncodeRowDesc(id, rows.Cols))
+	case wire.MsgExec, wire.MsgQuery, wire.MsgFragment:
+		return s.statement(w, sess, typ, payload, sendErr)
 	case wire.MsgFetch:
 		id, maxRows, err := wire.DecodeFetch(payload)
 		if err != nil {
@@ -578,4 +487,75 @@ func (s *Server) dispatch(w io.Writer, sess *session, typ wire.MsgType, payload 
 	default:
 		return sendErr(fmt.Errorf("server: unknown message type 0x%02x", typ))
 	}
+}
+
+// statement serves the three messages that start a statement: the text of
+// MsgExec and MsgQuery, the serialized plan of MsgFragment. Each goes to the
+// engine once, under a context MsgCancel can fire, and what comes back picks
+// the reply: rows to stream become a cursor (MsgRowDesc), anything else is
+// MsgOK with the rows affected. MsgExec asks for no rows, so the engine
+// drains a SELECT sent that way and the reply is MsgOK(0).
+func (s *Server) statement(w io.Writer, sess *session, typ wire.MsgType, payload []byte, sendErr func(error) error) error {
+	if s.isDraining() {
+		mErrors.Inc()
+		return wire.Write(w, wire.MsgErr, wire.EncodeErr(wire.ErrCodeShutdown, "server: shutting down"))
+	}
+	var frag *plan.Node
+	var timeout time.Duration
+	if typ == wire.MsgFragment {
+		deadlineMillis, fragBytes, err := wire.DecodeFragmentPayload(payload)
+		if err != nil {
+			return sendErr(err)
+		}
+		if frag, err = plan.DecodeFragment(fragBytes); err != nil {
+			return sendErr(err)
+		}
+		timeout = time.Duration(deadlineMillis) * time.Millisecond
+	}
+	// A cursor's context outlives this dispatch: it governs every later
+	// fetch, so it is canceled at cursor close, not here. The coordinator's
+	// remaining deadline, when shipped, caps it so an orphaned fragment
+	// cannot outlive its statement.
+	base := sess.stmtCtx(s.baseCtx)
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if timeout > 0 {
+		ctx, cancel = context.WithTimeout(base, timeout)
+	} else {
+		ctx, cancel = context.WithCancel(base)
+	}
+	done := sess.begin(cancel)
+	var rows *mural.Rows
+	var affected int64
+	var err error
+	switch typ {
+	case wire.MsgExec:
+		var res *mural.Result
+		if res, err = s.eng.ExecContext(ctx, string(payload)); err == nil {
+			affected = res.RowsAffected
+		}
+	case wire.MsgQuery:
+		rows, err = s.eng.QueryContext(ctx, string(payload))
+	case wire.MsgFragment:
+		rows, err = s.eng.QueryFragment(ctx, frag)
+	}
+	done()
+	if err != nil {
+		cancel()
+		return sendErr(err)
+	}
+	if rows != nil && len(rows.Cols) == 0 {
+		affected = rows.RowsAffected
+		_ = rows.Close()
+		rows = nil
+	}
+	if rows == nil {
+		cancel()
+		return wire.Write(w, wire.MsgOK, wire.EncodeUvarint(uint64(affected)))
+	}
+	id := sess.nextID
+	sess.nextID++
+	sess.cursors[id] = &cursorState{rows: rows, cancel: cancel}
+	sess.setOpen(len(sess.cursors))
+	return wire.Write(w, wire.MsgRowDesc, wire.EncodeRowDesc(id, rows.Cols))
 }

@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"github.com/mural-db/mural/internal/client"
+	"github.com/mural-db/mural/internal/metrics"
 	"github.com/mural-db/mural/internal/phonetic"
+	"github.com/mural-db/mural/internal/sql"
 	"github.com/mural-db/mural/internal/types"
 	"github.com/mural-db/mural/mural"
 )
@@ -122,6 +124,27 @@ func TestServerErrorPropagates(t *testing.T) {
 	// The connection stays usable after an error.
 	if err := conn.Ping(); err != nil {
 		t.Errorf("connection broken after error: %v", err)
+	}
+}
+
+// A syntax error sent as MsgQuery is the engine's to report: the client sees
+// the parser's text under the generic code, and the engine counts the failed
+// statement (the server used to parse first and answer it alone).
+func TestQuerySyntaxErrorReachesEngine(t *testing.T) {
+	_, conn := startServer(t)
+	const q = `SELEC nonsense`
+	_, perr := sql.Parse(q)
+	if perr == nil {
+		t.Fatal("test statement parses")
+	}
+	failed := metrics.Default.Counter("mural_engine_query_errors_total")
+	before := failed.Value()
+	_, err := conn.Query(q)
+	if want := "client: server error: " + perr.Error(); err == nil || err.Error() != want {
+		t.Errorf("Query(%q) = %v, want %q", q, err, want)
+	}
+	if got := failed.Value() - before; got != 1 {
+		t.Errorf("mural_engine_query_errors_total moved by %d, want 1", got)
 	}
 }
 

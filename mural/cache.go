@@ -21,7 +21,7 @@ const defaultPlanCacheEntries = 256
 // planCacheKey identifies a cached plan: the exact SQL text plus the
 // catalog version it was planned under. Any DDL, ANALYZE or SET bumps the
 // version, so stale plans stop matching without explicit invalidation (the
-// DDL purge just reclaims their memory). fbgen is the selectivity-feedback
+// purge just reclaims their memory). fbgen is the selectivity-feedback
 // generation: it moves only when newly observed selectivities could change
 // a plan, so warm feedback re-plans exactly the statements it could improve.
 type planCacheKey struct {
@@ -79,8 +79,12 @@ func (c *planCache) put(key planCacheKey, n *plan.Node) {
 	c.m[key] = n
 }
 
-// purge drops every entry, keeping the counters (DDL invalidation).
+// purge drops every entry, keeping the counters (DDL and SET invalidation).
+// A nil cache (disabled) has nothing to drop.
 func (c *planCache) purge() {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.m = make(map[planCacheKey]*plan.Node)
@@ -130,14 +134,17 @@ func (e *Engine) CacheStats() CacheStats {
 	return cs
 }
 
-// invalidateCaches purges every shared cache after a successful DDL-class
-// statement (CREATE/DROP/ANALYZE/SET). The plan cache would age out on its
-// own (keys carry the catalog version); purging reclaims the memory and
-// keeps the caches' visible state honest for tests and EXPLAIN.
-func (e *Engine) invalidateCaches() {
-	if e.plans != nil {
-		e.plans.purge()
+// ddlDone passes a DDL result through and, when the statement succeeded,
+// purges everything that described the old schema or data: the plan cache
+// (its keys carry the catalog version, so it would age out on its own;
+// purging reclaims the memory), the G2P and closure caches, and the
+// selectivity feedback — DDL and ANALYZE change the distribution the
+// observations described. SET purges plans only (dispatch).
+func (e *Engine) ddlDone(r *Result, err error) (*Result, error) {
+	if err != nil {
+		return r, err
 	}
+	e.plans.purge()
 	if e.g2p != nil {
 		e.g2p.Purge()
 	}
@@ -147,20 +154,10 @@ func (e *Engine) invalidateCaches() {
 	if m != nil {
 		m.Cache().Purge()
 	}
-}
-
-// ddlDone passes a DDL result through, invalidating the shared caches when
-// the statement succeeded. Selectivity feedback purges here too — DDL and
-// ANALYZE change the data distribution the observations described — but NOT
-// on SET, which only flips planner switches (invalidateCaches is enough).
-func (e *Engine) ddlDone(r *Result, err error) (*Result, error) {
-	if err == nil {
-		e.invalidateCaches()
-		if e.fb != nil {
-			e.fb.Purge()
-		}
+	if e.fb != nil {
+		e.fb.Purge()
 	}
-	return r, err
+	return r, nil
 }
 
 // feedbackGen reads the feedback sketch's plan-invalidation counter (0 when

@@ -3,6 +3,8 @@ package mural
 import (
 	"strings"
 	"testing"
+
+	"github.com/mural-db/mural/internal/wordnet"
 )
 
 // Repeated identical SELECTs must reuse the cached plan; the second run is
@@ -121,5 +123,42 @@ func TestCachesDisabled(t *testing.T) {
 	s := e.CacheStats()
 	if s.Plan.Hits != 0 || s.G2P.Hits != 0 {
 		t.Errorf("disabled caches recorded hits: %+v", s)
+	}
+}
+
+// SET changes what the planner may choose and nothing else: cached plans go
+// (their catalog version moved), while G2P conversions and Ω closures, which
+// depend on no setting, stay.
+func TestSetPurgesPlansOnly(t *testing.T) {
+	e, err := Open(Config{WordNet: wordnet.Generate(wordnet.Config{Synsets: 2000, Seed: 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.MustExec(`CREATE TABLE doc (id INT, name UNITEXT, cat UNITEXT)`)
+	e.MustExec(`INSERT INTO doc VALUES (1, unitext('Nehru', english), unitext('history', english))`)
+	const q = `SELECT id FROM doc WHERE name LEXEQUAL 'Nehru' THRESHOLD 2 IN english`
+	e.MustExec(q)
+	e.MustExec(`SELECT id FROM doc WHERE cat SEMEQUAL 'history'`)
+	before := e.CacheStats()
+	if before.Plan.Entries == 0 || before.G2P.Entries == 0 || before.Closure.Entries == 0 {
+		t.Fatalf("caches not populated before SET: %+v", before)
+	}
+
+	e.MustExec(`SET statement_timeout = 5000`)
+	after := e.CacheStats()
+	if after.G2P.Entries != before.G2P.Entries || after.Closure.Entries != before.Closure.Entries {
+		t.Errorf("SET statement_timeout dropped conversions or closures: %+v -> %+v", before, after)
+	}
+
+	e.MustExec(q)
+	e.MustExec(`SET enable_mtree = off`)
+	after = e.CacheStats()
+	if after.Plan.Entries != 0 {
+		t.Errorf("plan cache holds %d entries after SET enable_mtree, want 0", after.Plan.Entries)
+	}
+	e.MustExec(q)
+	if got := e.CacheStats().Plan; got.Misses != after.Plan.Misses+1 {
+		t.Errorf("plan misses %d -> %d, want +1 (a plan made under the old setting must not be served)", after.Plan.Misses, got.Misses)
 	}
 }

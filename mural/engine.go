@@ -65,9 +65,6 @@ type Config struct {
 	// SlowQueryLog receives slow-query lines (required for the threshold to
 	// have any effect; os.Stderr is a reasonable choice).
 	SlowQueryLog io.Writer
-	// Tracer, when set, receives query lifecycle callbacks (and per-operator
-	// spans for EXPLAIN ANALYZE executions).
-	Tracer exec.Tracer
 	// Workers caps intra-query parallelism: eligible plan subtrees run
 	// under a Gather exchange over up to this many goroutines. Zero
 	// defaults to GOMAXPROCS; 1 disables parallel plans. `SET workers = N`
@@ -504,63 +501,135 @@ func (e *Engine) MustExec(q string) *Result {
 	return r
 }
 
-// Exec parses and runs one statement, materializing the result. Every call
-// is observed: engine query counters and the latency histogram always
-// update, statements slower than Config.SlowQueryThreshold are logged, and
-// the configured Tracer sees start/end events.
+// Exec parses and runs one statement, materializing the result.
 func (e *Engine) Exec(q string) (*Result, error) {
 	return e.ExecContext(context.Background(), q)
 }
 
-// ExecContext is Exec under a caller context: cancellation and deadline
-// fires are observed at the executor's amortized checkpoints and surface as
-// ErrCanceled / ErrQueryTimeout. The statement also runs under the engine's
-// admission control and the configured per-query deadline and memory
-// ceiling (Config or session settings).
+// ExecContext is QueryContext drained into a Result: the statement's
+// admission slot and deadline are released by the time it returns.
 func (e *Engine) ExecContext(ctx context.Context, q string) (*Result, error) {
-	if tr := e.cfg.Tracer; tr != nil {
-		tr.QueryStart(q)
-	}
-	base := e.cacheBase()
-	start := time.Now()
-	res, peak, err := e.execGoverned(ctx, q)
-	var rows int64
-	if res != nil {
-		rows = int64(len(res.Rows)) + res.RowsAffected
-	}
-	e.observe(ctx, q, rows, time.Since(start), err, peak, base)
-	return res, err
-}
-
-// execGoverned claims an admission slot and governance state, runs the
-// statement, and accounts a governed termination in the metrics. The second
-// return value is the statement's peak governed memory (0 when ungoverned).
-func (e *Engine) execGoverned(ctx context.Context, q string) (*Result, int64, error) {
-	release, err := e.admit()
-	if err != nil {
-		return nil, 0, err
-	}
-	defer release()
-	res, stop := e.queryResources(ctx)
-	defer stop()
-	result, err := e.exec(ctx, q, res)
-	noteGovernedErr(err)
-	return result, res.PeakBytes(), err
-}
-
-func (e *Engine) exec(ctx context.Context, q string, res *exec.Resources) (*Result, error) {
-	if err := res.Err(); err != nil {
-		return nil, err
-	}
-	stmt, err := sql.Parse(q)
+	r, err := e.QueryContext(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	// Under a shard map, writes and schema changes involve the shard peers
-	// (INSERT hash-routes, DDL and DELETE broadcast); SELECT falls through —
-	// the planner rewrites it into remote fragments instead.
-	if shards := e.shardAddrs(); shards != nil {
-		if handled, result, err := e.shardExec(stmt, q, shards, res); handled {
+	if r.result != nil {
+		return r.result, nil
+	}
+	st := &r.st
+	rows, err := st.cursor.All()
+	if err != nil {
+		st.finish(0, false, err)
+		return nil, err
+	}
+	res := &Result{
+		Cols:     r.Cols,
+		Rows:     rows,
+		Plan:     plan.Format(st.node),
+		PlanCost: st.node.EstCost,
+		Elapsed:  time.Since(st.start) - st.planDur,
+		Stats:    *st.cursor.Stats,
+	}
+	st.finish(int64(len(rows)), true, nil)
+	return res, nil
+}
+
+// Rows is a statement's result as a stream. A SELECT streams from the
+// running plan and holds its admission slot, deadline and memory budget
+// until Close; every other statement has already finished when its Rows is
+// returned — one with output (EXPLAIN, SHOW) streams the materialized lines,
+// one without has no Cols and reports RowsAffected.
+type Rows struct {
+	Cols         []string
+	RowsAffected int64
+	// result is the materialized outcome of a statement that is not a
+	// streaming SELECT (what ExecContext returns for it).
+	result *Result
+	st     statement
+	// streamed/eof/err track what the consumer actually saw, for finish.
+	streamed int64
+	eof      bool
+	err      error
+}
+
+// Next returns the next row.
+func (r *Rows) Next() (Tuple, bool, error) {
+	if r.st.cursor == nil { // a statement without output
+		return nil, false, nil
+	}
+	t, ok, err := r.st.cursor.Next()
+	switch {
+	case ok:
+		r.streamed++
+	case err == nil:
+		r.eof = true
+	default:
+		r.err = err
+	}
+	return t, ok, err
+}
+
+// Close releases the cursor and finishes the statement.
+func (r *Rows) Close() error {
+	var err error
+	if r.st.cursor != nil {
+		err = r.st.cursor.Close()
+	}
+	r.st.finish(r.streamed, r.eof, r.err)
+	return err
+}
+
+// Query runs one statement, returning a streaming cursor.
+func (e *Engine) Query(q string) (*Rows, error) {
+	return e.QueryContext(context.Background(), q)
+}
+
+// QueryContext takes one statement from text to a started Rows: begin, the
+// one parse, dispatch. A statement that fails here, or that dispatch ran to
+// completion, is finished before it returns; only a streaming SELECT is left
+// for Close to finish. Canceling ctx (or hitting the configured deadline or
+// memory ceiling) fails the statement, or a streaming SELECT's subsequent
+// Next calls, with the typed error.
+func (e *Engine) QueryContext(ctx context.Context, q string) (*Rows, error) {
+	r := &Rows{}
+	st := &r.st
+	err := st.begin(ctx, e, q)
+	if err != nil {
+		return nil, err
+	}
+	var stmt sql.Statement
+	if stmt, err = sql.Parse(q); err == nil {
+		r.result, err = e.dispatch(st, stmt, e.shardAddrs())
+	}
+	if err != nil {
+		st.finish(0, false, err)
+		return nil, err
+	}
+	if res := r.result; res != nil {
+		st.finish(int64(len(res.Rows))+res.RowsAffected, true, nil)
+		r.Cols, r.RowsAffected = res.Cols, res.RowsAffected
+		if len(res.Cols) > 0 {
+			st.cursor = exec.NewSliceCursor(res.Cols, res.Rows)
+		}
+		return r, nil
+	}
+	r.Cols = st.cursor.Cols
+	return r, nil
+}
+
+// dispatch is the one switch from a parsed statement to the code that runs
+// it. A SELECT leaves its running cursor in st and returns no Result; every
+// other statement runs to completion here. Under a shard map, writes and
+// schema changes involve the shard peers first (INSERT hash-routes, DDL and
+// DELETE broadcast and come back here with shards nil for their local half);
+// SELECT needs no interception — the planner rewrites it into remote
+// fragments.
+func (e *Engine) dispatch(st *statement, stmt sql.Statement, shards []string) (*Result, error) {
+	if err := st.res.Err(); err != nil {
+		return nil, err
+	}
+	if shards != nil {
+		if handled, result, err := e.shardExec(st, stmt, shards); handled {
 			return result, err
 		}
 	}
@@ -577,14 +646,18 @@ func (e *Engine) exec(ctx context.Context, q string, res *exec.Resources) (*Resu
 	case *sql.DropIndex:
 		return e.ddlDone(e.execDropIndex(s))
 	case *sql.Insert:
-		return e.execInsert(s, res)
+		return e.execInsert(s, st.res)
 	case *sql.Delete:
-		return e.execDelete(s, res)
+		return e.execDelete(s, st.res)
 	case *sql.Analyze:
 		return e.ddlDone(e.execAnalyze(s))
 	case *sql.Set:
+		// A setting can change a plan and nothing else: SetSetting bumps the
+		// catalog version every plan-cache key carries, and the purge
+		// reclaims the stranded plans. G2P conversions and Ω closures depend
+		// on no setting and stay.
 		e.cat.SetSetting(s.Name, s.Value)
-		e.invalidateCaches()
+		e.plans.purge()
 		return &Result{}, nil
 	case *sql.Show:
 		if strings.EqualFold(s.Name, "statements") {
@@ -597,130 +670,16 @@ func (e *Engine) exec(ctx context.Context, q string, res *exec.Resources) (*Resu
 		}
 		return res, nil
 	case *sql.Explain:
-		return e.execExplain(s, res)
+		return e.execExplain(st, s)
 	case *sql.Select:
-		return e.execSelect(ctx, q, s, res)
+		node, err := e.planSelectCached(st.text, s)
+		if err != nil {
+			return nil, err
+		}
+		return nil, st.run(node, false)
 	default:
 		return nil, fmt.Errorf("mural: unsupported statement %T", stmt)
 	}
-}
-
-// Rows is a streaming SELECT result (the server uses it for row-at-a-time
-// cursors).
-type Rows struct {
-	Cols   []string
-	cursor *exec.Cursor
-	// done releases per-query state (admission slot, deadline timer); Close
-	// calls it exactly once.
-	done func()
-	// noted guards the governed-termination metrics against double counting
-	// when Next keeps being called after a failure.
-	noted bool
-	// finish, when set, runs the end-of-statement observability work exactly
-	// once at Close: statement statistics, selectivity-feedback folding (only
-	// when the cursor drained to EOF error-free — a partial drain undercounts
-	// output rows) and span export.
-	finish func(streamed int64, eof bool, err error)
-	// streamed/eof/err track what the consumer actually saw, for finish.
-	streamed int64
-	eof      bool
-	err      error
-}
-
-// StaticRows wraps already-materialized rows as a streaming Rows; the server
-// uses it to push EXPLAIN and SHOW output through the ordinary cursor
-// protocol.
-func StaticRows(cols []string, rows []Tuple) *Rows {
-	return &Rows{Cols: cols, cursor: exec.NewSliceCursor(cols, rows)}
-}
-
-// Next returns the next row.
-func (r *Rows) Next() (Tuple, bool, error) {
-	t, ok, err := r.cursor.Next()
-	switch {
-	case ok:
-		r.streamed++
-	case err == nil:
-		r.eof = true
-	default:
-		r.err = err
-		if !r.noted {
-			r.noted = true
-			noteGovernedErr(err)
-		}
-	}
-	return t, ok, err
-}
-
-// Close releases the cursor and the query's admission slot.
-func (r *Rows) Close() error {
-	err := r.cursor.Close()
-	if r.done != nil {
-		r.done()
-		r.done = nil
-	}
-	if r.finish != nil {
-		r.finish(r.streamed, r.eof, r.err)
-		r.finish = nil
-	}
-	return err
-}
-
-// Query plans and starts a SELECT, returning a streaming cursor.
-func (e *Engine) Query(q string) (*Rows, error) {
-	return e.QueryContext(context.Background(), q)
-}
-
-// QueryContext is Query under a caller context. The cursor holds its
-// admission slot and governance state until Close; canceling ctx (or hitting
-// the configured deadline or memory ceiling) fails subsequent Next calls
-// with the typed error.
-func (e *Engine) QueryContext(ctx context.Context, q string) (*Rows, error) {
-	base := e.cacheBase()
-	start := time.Now()
-	stmt, err := sql.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*sql.Select)
-	if !ok {
-		return nil, fmt.Errorf("mural: Query requires a SELECT statement")
-	}
-	node, err := e.planSelectCached(q, sel)
-	if err != nil {
-		return nil, err
-	}
-	planDur := time.Since(start)
-	release, err := e.admit()
-	if err != nil {
-		return nil, err
-	}
-	res, stop := e.queryResources(ctx)
-	done := func() {
-		stop()
-		release()
-	}
-	es, traceID, sampled := e.armCollector(ctx, res, node)
-	cur, err := exec.Run(e, node, es, res)
-	if err != nil {
-		peak := res.PeakBytes()
-		done()
-		noteGovernedErr(err)
-		e.observe(ctx, q, 0, time.Since(start), err, peak, base)
-		return nil, err
-	}
-	r := &Rows{Cols: cur.Cols, cursor: cur, done: done}
-	r.finish = func(streamed int64, eof bool, ferr error) {
-		elapsed := time.Since(start)
-		if eof && ferr == nil {
-			e.foldFeedback(node, es, res)
-		}
-		if sampled {
-			e.exportTrace(q, traceID, start, planDur, elapsed-planDur, streamed, node, es)
-		}
-		e.observe(ctx, q, streamed, elapsed, ferr, res.PeakBytes(), base)
-	}
-	return r, nil
 }
 
 // planner assembles a Planner with the current optimizer settings.
@@ -800,72 +759,32 @@ func (e *Engine) planSelectCached(q string, sel *sql.Select) (*plan.Node, error)
 	return node, nil
 }
 
-func (e *Engine) execSelect(ctx context.Context, q string, sel *sql.Select, res *exec.Resources) (*Result, error) {
-	planStart := time.Now()
-	node, err := e.planSelectCached(q, sel)
-	if err != nil {
-		return nil, err
-	}
-	planDur := time.Since(planStart)
-	es, traceID, sampled := e.armCollector(ctx, res, node)
-	start := time.Now()
-	cur, err := exec.Run(e, node, es, res)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := cur.All()
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	e.foldFeedback(node, es, res)
-	if sampled {
-		e.exportTrace(q, traceID, planStart, planDur, elapsed, int64(len(rows)), node, es)
-	}
-	return &Result{
-		Cols:     cur.Cols,
-		Rows:     rows,
-		Plan:     plan.Format(node),
-		PlanCost: node.EstCost,
-		Elapsed:  elapsed,
-		Stats:    *cur.Stats,
-	}, nil
-}
-
-func (e *Engine) execExplain(s *sql.Explain, qres *exec.Resources) (*Result, error) {
+// execExplain renders EXPLAIN. Under ANALYZE the plan also runs, through the
+// statement's one run with a timed collector, and the drain's measurements
+// are rendered next to the estimates.
+func (e *Engine) execExplain(st *statement, s *sql.Explain) (*Result, error) {
 	node, err := e.planSelect(s.Stmt)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{PlanCost: node.EstCost, Cols: []string{"plan"}}
 	if s.Analyze {
-		es := exec.NewExecStats()
-		// ANALYZE always runs governed (even with no limits configured) so
-		// the memory accountant tracks the query's peak footprint.
-		if qres == nil {
-			qres = exec.NewResources(context.Background(), 0)
+		if err := st.run(node, true); err != nil {
+			return nil, err
 		}
-		start := time.Now()
-		cur, err := exec.Run(e, node, es, qres)
+		rows, err := st.cursor.All()
 		if err != nil {
 			return nil, err
 		}
-		rows, err := cur.All()
-		if err != nil {
-			return nil, err
-		}
-		res.Elapsed = time.Since(start)
-		res.Stats = *cur.Stats
-		res.Plan = plan.FormatAnalyze(node, es.Actual)
+		res.Elapsed = time.Since(st.start) - st.planDur
+		res.Stats = *st.cursor.Stats
+		res.Plan = plan.FormatAnalyze(node, st.es.Actual)
 		res.Plan += fmt.Sprintf("Actual: rows=%d elapsed=%s index_pages=%d psi_evals=%d omega_probes=%d\n",
 			len(rows), res.Elapsed, res.Stats.IndexPages, res.Stats.PsiEvaluations, res.Stats.OmegaProbes)
 		cs := e.CacheStats()
 		res.Plan += fmt.Sprintf("Caches: g2p=%d/%d plan=%d/%d closure=%d/%d (hits/misses, engine lifetime)\n",
 			cs.G2P.Hits, cs.G2P.Misses, cs.Plan.Hits, cs.Plan.Misses, cs.Closure.Hits, cs.Closure.Misses)
-		res.Plan += fmt.Sprintf("Memory: peak=%d bytes accounted\n", qres.PeakBytes())
-		if tr := e.cfg.Tracer; tr != nil {
-			es.EmitSpans(node, tr)
-		}
+		res.Plan += fmt.Sprintf("Memory: peak=%d bytes accounted\n", st.res.PeakBytes())
 	} else {
 		res.Plan = plan.Format(node)
 	}

@@ -514,8 +514,16 @@ func TestQueryStreaming(t *testing.T) {
 	if count != 6 {
 		t.Errorf("streamed %d rows", count)
 	}
-	if _, err := e.Query(`INSERT INTO book VALUES (9, unitext('x', english), 'y', 1.0)`); err == nil {
-		t.Error("Query must reject non-SELECT")
+	// A statement without rows comes back finished: no columns, the count set.
+	ins, err := e.Query(`INSERT INTO book VALUES (9, unitext('x', english), 'y', 1.0)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := ins.Next(); ok || err != nil || len(ins.Cols) != 0 || ins.RowsAffected != 1 {
+		t.Errorf("Query(INSERT): cols=%v affected=%d next=%v/%v, want none/1/false/nil", ins.Cols, ins.RowsAffected, ok, err)
+	}
+	if err := ins.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

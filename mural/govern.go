@@ -44,24 +44,22 @@ var (
 )
 
 // admit claims an execution slot, or fails with ErrAdmissionRejected when
-// Config.MaxConcurrentQueries slots are taken. The returned release is
-// idempotent and must always be called.
-func (e *Engine) admit() (func(), error) {
+// Config.MaxConcurrentQueries slots are taken. Every admitted statement
+// releases its slot exactly once (statement.finish).
+func (e *Engine) admit() error {
 	n := e.inflight.Add(1)
 	if max := int64(e.cfg.MaxConcurrentQueries); max > 0 && n > max {
 		e.inflight.Add(-1)
 		mAdmissionRejected.Inc()
-		return nil, fmt.Errorf("%w (%d running, limit %d)", ErrAdmissionRejected, n-1, max)
+		return fmt.Errorf("%w (%d running, limit %d)", ErrAdmissionRejected, n-1, max)
 	}
 	gQueriesInflight.Set(n)
-	released := false
-	return func() {
-		if released {
-			return
-		}
-		released = true
-		gQueriesInflight.Set(e.inflight.Add(-1))
-	}, nil
+	return nil
+}
+
+// release gives back the slot admit claimed.
+func (e *Engine) release() {
+	gQueriesInflight.Set(e.inflight.Add(-1))
 }
 
 // statementTimeout resolves the active per-statement deadline: the session's

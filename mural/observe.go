@@ -1,7 +1,6 @@
 package mural
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -61,20 +60,20 @@ type slowQueryRecord struct {
 }
 
 // observe records one finished statement: metrics, the statement statistics
-// store, the slow-query log, and the tracer's QueryEnd hook. peakMem is the
-// statement's governed memory high-water mark (0 when ungoverned); base is
-// the shared-cache counter snapshot taken before the statement started.
-func (e *Engine) observe(ctx context.Context, q string, rows int64, elapsed time.Duration, err error, peakMem int64, base cacheTotals) {
+// store and the slow-query log.
+func (e *Engine) observe(st *statement, rows int64, elapsed time.Duration, err error) {
 	mQueries.Inc()
 	mQueryLatNs.Observe(int64(elapsed))
 	if err != nil {
 		mQueryErrors.Inc()
 	}
+	// The statement's governed memory high-water mark (0 when ungoverned).
+	peakMem := st.res.PeakBytes()
 	var hits, misses int64
 	if e.stmts != nil {
 		now := e.cacheBase()
-		hits, misses = now.hits-base.hits, now.misses-base.misses
-		e.stmts.Record(obs.Fingerprint(q), obs.Observation{
+		hits, misses = now.hits-st.base.hits, now.misses-st.base.misses
+		e.stmts.Record(obs.Fingerprint(st.text), obs.Observation{
 			DurNs:       int64(elapsed),
 			Rows:        rows,
 			Err:         err != nil,
@@ -87,14 +86,14 @@ func (e *Engine) observe(ctx context.Context, q string, rows int64, elapsed time
 		mSlowQueries.Inc()
 		rec := slowQueryRecord{
 			TS:          time.Now().UTC().Format(time.RFC3339Nano),
-			Query:       q,
+			Query:       st.text,
 			ElapsedMS:   float64(elapsed) / float64(time.Millisecond),
 			Rows:        rows,
 			PeakMem:     peakMem,
 			CacheHits:   hits,
 			CacheMisses: misses,
 		}
-		if id, ok := obs.TraceIDFrom(ctx); ok {
+		if id, ok := obs.TraceIDFrom(st.ctx); ok {
 			rec.TraceID = fmt.Sprintf("%016x", id)
 		}
 		if err != nil {
@@ -106,28 +105,21 @@ func (e *Engine) observe(ctx context.Context, q string, rows int64, elapsed time
 			e.slowMu.Unlock()
 		}
 	}
-	if tr := e.cfg.Tracer; tr != nil {
-		tr.QueryEnd(q, elapsed, rows, err)
-	}
 }
 
-// armCollector decides the per-statement collector for a SELECT: a timed
-// collector when the statement's spans will export (client-tagged or hit by
-// the sampler), a counts-only collector when a governed run should feed the
+// armCollector decides the per-statement collector: a timed one when the
+// per-operator times will be read (the statement's spans export, or it is an
+// EXPLAIN ANALYZE), a counts-only one when a governed run should feed the
 // selectivity sketch, nil otherwise — which keeps the ungoverned nil-stats
 // execution path at zero overhead.
-func (e *Engine) armCollector(ctx context.Context, res *exec.Resources, node *plan.Node) (*exec.ExecStats, uint64, bool) {
-	traceID, forced := obs.TraceIDFrom(ctx)
-	if e.traces.Sampled(forced) {
-		if traceID == 0 {
-			traceID = e.newTraceID()
-		}
-		return exec.NewExecStats(), traceID, true
+func (e *Engine) armCollector(timed bool, res *exec.Resources, node *plan.Node) *exec.ExecStats {
+	if timed {
+		return exec.NewExecStats()
 	}
 	if res != nil && e.fb != nil && e.wantFeedback(node) {
-		return exec.NewCountStats(), 0, false
+		return exec.NewCountStats()
 	}
-	return nil, 0, false
+	return nil
 }
 
 // fbRefreshEvery paces the re-measurement of established feedback cells:
@@ -193,20 +185,23 @@ func (e *Engine) foldFeedback(node *plan.Node, es *exec.ExecStats, res *exec.Res
 	}
 }
 
-// exportTrace writes one statement's span tree: a root query span covering
-// plan + execution, a parse+plan span, and one span per executed operator.
-func (e *Engine) exportTrace(q string, traceID uint64, start time.Time, planDur, execDur time.Duration, rows int64, node *plan.Node, es *exec.ExecStats) {
-	startNs := start.UnixNano()
+// exportTrace writes one statement's span tree: a root query span and, for a
+// statement that ran a plan, a parse+plan span and one span per executed
+// operator.
+func (e *Engine) exportTrace(st *statement, elapsed time.Duration, rows int64) {
+	startNs := st.start.UnixNano()
 	spans := make([]exec.Span, 0, 8)
 	spans = append(spans, exec.Span{
-		TraceID: traceID, SpanID: 1, Kind: "query", Name: q,
-		StartNs: startNs, DurNs: int64(planDur + execDur), Rows: rows,
+		TraceID: st.traceID, SpanID: 1, Kind: "query", Name: st.text,
+		StartNs: startNs, DurNs: int64(elapsed), Rows: rows,
 	})
-	spans = append(spans, exec.Span{
-		TraceID: traceID, SpanID: 2, ParentID: 1, Kind: "plan", Name: "parse+plan",
-		StartNs: startNs, DurNs: int64(planDur),
-	})
-	spans = append(spans, es.BuildSpans(node, traceID, startNs+int64(planDur), 3, 1)...)
+	if st.node != nil {
+		spans = append(spans, exec.Span{
+			TraceID: st.traceID, SpanID: 2, ParentID: 1, Kind: "plan", Name: "parse+plan",
+			StartNs: startNs, DurNs: int64(st.planDur),
+		})
+		spans = append(spans, st.es.BuildSpans(st.node, st.traceID, startNs+int64(st.planDur), 3, 1)...)
+	}
 	_ = e.traces.WriteSpans(spans)
 }
 

@@ -7,7 +7,6 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -174,60 +173,34 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
-// recordingTracer captures the Tracer callbacks.
-type recordingTracer struct {
-	mu     sync.Mutex
-	starts []string
-	ends   []string
-	spans  []string
-}
-
-func (r *recordingTracer) QueryStart(q string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.starts = append(r.starts, q)
-}
-
-func (r *recordingTracer) QueryEnd(q string, elapsed time.Duration, rows int64, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ends = append(r.ends, fmt.Sprintf("%s rows=%d err=%v", q, rows, err))
-}
-
-func (r *recordingTracer) OperatorSpan(op string, rows, loops int64, elapsed time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.spans = append(r.spans, op)
-}
-
-func TestTracerHooks(t *testing.T) {
-	tr := &recordingTracer{}
-	e, err := Open(Config{Tracer: tr})
+// TestExplainAnalyzeSpans: a sampled EXPLAIN ANALYZE exports to the trace
+// sink like any statement — one root span, and one span per executed
+// operator from the same timed collector the plan text was rendered from.
+func TestExplainAnalyzeSpans(t *testing.T) {
+	var sink bytes.Buffer
+	e, err := Open(Config{TraceSink: &sink, TraceSampleRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	e.MustExec(`CREATE TABLE tt (x INT)`)
 	e.MustExec(`INSERT INTO tt VALUES (1)`)
+	sink.Reset()
 	e.MustExec(`EXPLAIN ANALYZE SELECT * FROM tt WHERE x = 1`)
-	if len(tr.starts) != 3 || len(tr.ends) != 3 {
-		t.Fatalf("starts=%d ends=%d, want 3/3", len(tr.starts), len(tr.ends))
-	}
-	if tr.starts[0] != `CREATE TABLE tt (x INT)` {
-		t.Errorf("first start = %q", tr.starts[0])
-	}
-	// EXPLAIN ANALYZE emits one span per executed operator.
-	if len(tr.spans) == 0 {
-		t.Error("no operator spans emitted for EXPLAIN ANALYZE")
-	}
-	found := false
-	for _, s := range tr.spans {
-		if s == "SeqScan" {
-			found = true
+	var roots, scans int
+	for _, s := range decodeSpans(t, sink.String()) {
+		switch {
+		case s["kind"] == "query":
+			roots++
+			if s["name"] != `EXPLAIN ANALYZE SELECT * FROM tt WHERE x = 1` {
+				t.Errorf("root span name = %v", s["name"])
+			}
+		case s["kind"] == "operator" && strings.HasPrefix(s["name"].(string), "SeqScan"):
+			scans++
 		}
 	}
-	if !found {
-		t.Errorf("spans %v missing SeqScan", tr.spans)
+	if roots != 1 || scans != 1 {
+		t.Errorf("root spans = %d, SeqScan spans = %d, want 1/1:\n%s", roots, scans, sink.String())
 	}
 }
 

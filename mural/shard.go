@@ -205,61 +205,35 @@ func (e *Engine) closeShardConns() {
 // shardExec intercepts statements that must involve the shards. It reports
 // handled=false for statements that stay purely local (SELECT is rewritten
 // by the planner instead; SET/SHOW/EXPLAIN are coordinator state).
-func (e *Engine) shardExec(stmt sql.Statement, q string, shards []string, res *exec.Resources) (bool, *Result, error) {
+func (e *Engine) shardExec(st *statement, stmt sql.Statement, shards []string) (bool, *Result, error) {
+	var total *int64
 	switch s := stmt.(type) {
 	case *sql.Insert:
-		result, err := e.shardInsert(s, shards, res)
+		result, err := e.shardInsert(s, shards, st.res)
 		return true, result, err
 	case *sql.CreateTable, *sql.DropTable, *sql.CreateIndex, *sql.DropIndex, *sql.Analyze:
 		// Schema changes apply everywhere: locally first (the coordinator
 		// plans against its own catalog), then on every shard. A local
 		// failure (duplicate table, bad column) stops before any shard sees
 		// the statement.
-		result, err := e.execLocal(stmt, res)
-		if err != nil {
-			return true, nil, err
-		}
-		if err := e.shardBroadcast(q, shards, nil); err != nil {
-			return true, nil, err
-		}
-		return true, result, nil
 	case *sql.Delete:
 		// Every shard deletes its own partition; the local delete is a
 		// no-op over empty heaps but keeps the code path uniform.
-		result, err := e.execLocal(stmt, res)
-		if err != nil {
-			return true, nil, err
-		}
-		var total int64
-		if err := e.shardBroadcast(q, shards, &total); err != nil {
-			return true, nil, err
-		}
-		result.RowsAffected += total
-		return true, result, nil
+		total = new(int64)
 	default:
 		return false, nil, nil
 	}
-}
-
-// execLocal dispatches the already-parsed statement through the ordinary
-// local paths (with cache invalidation for the DDL-class ones).
-func (e *Engine) execLocal(stmt sql.Statement, res *exec.Resources) (*Result, error) {
-	switch s := stmt.(type) {
-	case *sql.CreateTable:
-		return e.ddlDone(e.execCreateTable(s))
-	case *sql.DropTable:
-		return e.ddlDone(e.execDropTable(s))
-	case *sql.CreateIndex:
-		return e.ddlDone(e.execCreateIndex(s))
-	case *sql.DropIndex:
-		return e.ddlDone(e.execDropIndex(s))
-	case *sql.Analyze:
-		return e.ddlDone(e.execAnalyze(s))
-	case *sql.Delete:
-		return e.execDelete(s, res)
-	default:
-		return nil, fmt.Errorf("mural: statement %T cannot run locally under sharding", stmt)
+	result, err := e.dispatch(st, stmt, nil)
+	if err != nil {
+		return true, nil, err
 	}
+	if err := e.shardBroadcast(st.text, shards, total); err != nil {
+		return true, nil, err
+	}
+	if total != nil {
+		result.RowsAffected += *total
+	}
+	return true, result, nil
 }
 
 // shardBroadcast runs one statement on every shard in order, summing rows
@@ -433,25 +407,23 @@ func (e *Engine) evalInsertRows(s *sql.Insert, res *exec.Resources) ([]types.Tup
 }
 
 // QueryFragment executes a decoded plan fragment shipped by a coordinator:
-// QueryContext minus parsing, planning and the plan cache. The fragment
-// re-parallelizes against this shard's own worker budget (the coordinator
-// stripped Parallel markings before serializing).
+// the statement lifecycle entered with a ready plan instead of SQL text, so
+// it is admitted, governed and observed on the shard that runs it, under a
+// label built from its root operator. The fragment re-parallelizes against
+// this shard's own worker budget (the coordinator stripped Parallel markings
+// before serializing).
 func (e *Engine) QueryFragment(ctx context.Context, frag *plan.Node) (*Rows, error) {
 	node := plan.Parallelize(frag, e.workerCount())
-	release, err := e.admit()
-	if err != nil {
+	root, _, _ := strings.Cut(plan.Format(node), "  (rows=")
+	r := &Rows{}
+	st := &r.st
+	if err := st.begin(ctx, e, "fragment "+root); err != nil {
 		return nil, err
 	}
-	res, stop := e.queryResources(ctx)
-	done := func() {
-		stop()
-		release()
-	}
-	cur, err := exec.Run(e, node, nil, res)
-	if err != nil {
-		done()
-		noteGovernedErr(err)
+	if err := st.run(node, false); err != nil {
+		st.finish(0, false, err)
 		return nil, err
 	}
-	return &Rows{Cols: cur.Cols, cursor: cur, done: done}, nil
+	r.Cols = st.cursor.Cols
+	return r, nil
 }
