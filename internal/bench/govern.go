@@ -76,9 +76,8 @@ func RunGovernOverhead(cfg GovernOverheadConfig) (*GovernOverheadResult, error) 
 		return total, matches, nil
 	}
 
-	// measure runs one mode once: the SET purges the engine's shared caches
-	// (every SET bumps the catalog version), so an untimed warm-up pass
-	// re-fills them before the timed pass.
+	// measure runs one mode once, after an untimed warm-up pass that plans
+	// the statements under the mode's settings.
 	measure := func(setting string) (time.Duration, int64, error) {
 		if _, err := db.Eng.Exec(setting); err != nil {
 			return 0, 0, err

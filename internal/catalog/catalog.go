@@ -1,9 +1,6 @@
-// Package catalog holds the engine's metadata: table and index definitions,
-// per-column statistics (end-biased histograms gathered by ANALYZE), and the
-// session/system settings table. The settings table is where the paper's
-// "user-settable threshold in a system table" workaround lives (§4.2):
-// PostgreSQL's operator facility is binary-only, so the Ψ threshold travels
-// out of band when a query does not spell THRESHOLD explicitly.
+// Package catalog holds the engine's metadata: table and index definitions
+// and per-column statistics (end-biased histograms gathered by ANALYZE).
+// Settings are not metadata: they belong to a session (package mural).
 package catalog
 
 import (
@@ -12,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 
 	"github.com/mural-db/mural/internal/histogram"
@@ -73,13 +69,6 @@ type TableStats struct {
 	Columns map[string]*ColumnStats `json:"columns"`
 }
 
-// Default settings. LexThresholdKey mirrors the paper's system-table
-// parameter; the others are the optimizer's cost knobs.
-const (
-	LexThresholdKey     = "lexequal_threshold"
-	DefaultLexThreshold = 2
-)
-
 // Catalog is the full metadata store. All methods are safe for concurrent
 // use.
 type Catalog struct {
@@ -87,9 +76,8 @@ type Catalog struct {
 	tables   map[string]*Table
 	indexes  map[string]*Index
 	stats    map[string]*TableStats
-	settings map[string]string
 	nextFile storage.FileID
-	// version counts metadata mutations (DDL, stats, settings). Plan caches
+	// version counts metadata mutations (DDL and stats). Plan caches
 	// key on it: any change that could alter planning bumps it, so stale
 	// plans simply stop matching.
 	version uint64
@@ -108,7 +96,6 @@ func New() *Catalog {
 		tables:   make(map[string]*Table),
 		indexes:  make(map[string]*Index),
 		stats:    make(map[string]*TableStats),
-		settings: map[string]string{LexThresholdKey: strconv.Itoa(DefaultLexThreshold)},
 		nextFile: 1,
 	}
 }
@@ -221,13 +208,14 @@ func (c *Catalog) IndexByName(name string) (*Index, bool) {
 	return ix, ok
 }
 
-// IndexesOn lists the indexes on a table column, sorted by name.
+// IndexesOn lists the indexes on a table column (every column when column
+// is empty), sorted by name.
 func (c *Catalog) IndexesOn(table, column string) []*Index {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var out []*Index
 	for _, ix := range c.indexes {
-		if ix.Table == table && ix.Column == column {
+		if ix.Table == table && (column == "" || ix.Column == column) {
 			out = append(out, ix)
 		}
 	}
@@ -262,42 +250,11 @@ func (c *Catalog) Stats(table string) *TableStats {
 	return c.stats[table]
 }
 
-// SetSetting stores a session/system setting.
-func (c *Catalog) SetSetting(name, value string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.settings[name] = value
-	c.version++
-}
-
-// Setting reads a setting.
-func (c *Catalog) Setting(name string) (string, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	v, ok := c.settings[name]
-	return v, ok
-}
-
-// LexThreshold returns the session Ψ threshold (the paper's system-table
-// parameter).
-func (c *Catalog) LexThreshold() int {
-	v, ok := c.Setting(LexThresholdKey)
-	if !ok {
-		return DefaultLexThreshold
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return DefaultLexThreshold
-	}
-	return n
-}
-
 // persisted is the JSON disk image.
 type persisted struct {
 	Tables   []*Table               `json:"tables"`
 	Indexes  []*Index               `json:"indexes"`
 	Stats    map[string]*TableStats `json:"stats"`
-	Settings map[string]string      `json:"settings"`
 	NextFile storage.FileID         `json:"next_file"`
 }
 
@@ -308,7 +265,6 @@ func (c *Catalog) Marshal() ([]byte, error) {
 	c.mu.RLock()
 	img := persisted{
 		Stats:    c.stats,
-		Settings: c.settings,
 		NextFile: c.nextFile,
 	}
 	for _, t := range c.tables {
@@ -370,9 +326,6 @@ func Load(dir string) (*Catalog, error) {
 	}
 	if img.Stats != nil {
 		c.stats = img.Stats
-	}
-	for k, v := range img.Settings {
-		c.settings[k] = v
 	}
 	if img.NextFile > c.nextFile {
 		c.nextFile = img.NextFile

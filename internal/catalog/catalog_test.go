@@ -107,24 +107,6 @@ func TestDropTableCascades(t *testing.T) {
 	}
 }
 
-func TestSettings(t *testing.T) {
-	c := New()
-	if got := c.LexThreshold(); got != DefaultLexThreshold {
-		t.Errorf("default threshold = %d", got)
-	}
-	c.SetSetting(LexThresholdKey, "5")
-	if got := c.LexThreshold(); got != 5 {
-		t.Errorf("threshold = %d", got)
-	}
-	c.SetSetting(LexThresholdKey, "garbage")
-	if got := c.LexThreshold(); got != DefaultLexThreshold {
-		t.Errorf("bad value must fall back: %d", got)
-	}
-	if _, ok := c.Setting("unset_thing"); ok {
-		t.Error("unset setting must miss")
-	}
-}
-
 func TestFileAllocation(t *testing.T) {
 	c := New()
 	a, b := c.AllocateFile(), c.AllocateFile()
@@ -149,7 +131,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			"author": {Hist: histogram.Build([]string{"a", "b", "a"}, 10), AvgWidth: 12},
 		},
 	})
-	c.SetSetting(LexThresholdKey, "4")
 	c.AllocateFile()
 	next := c.AllocateFile() + 1
 
@@ -171,9 +152,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	st := c2.Stats("book")
 	if st == nil || st.Rows != 123 || st.Columns["author"].Hist.TotalRows != 3 {
 		t.Errorf("reloaded stats: %+v", st)
-	}
-	if c2.LexThreshold() != 4 {
-		t.Error("reloaded settings")
 	}
 	if got := c2.AllocateFile(); got < next {
 		t.Errorf("file allocation regressed: %d < %d", got, next)

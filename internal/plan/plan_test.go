@@ -240,9 +240,8 @@ func TestProjectionSchema(t *testing.T) {
 }
 
 func TestSessionThresholdFlowsIntoPlan(t *testing.T) {
-	cat := testCatalog()
-	cat.SetSetting(catalog.LexThresholdKey, "4")
-	p := mkPlanner(cat)
+	p := mkPlanner(testCatalog())
+	p.Opts.Threshold = 4
 	node := planQuery(t, p, `SELECT count(*) FROM names WHERE name LEXEQUAL 'nehru'`)
 	s := Format(node)
 	if !strings.Contains(s, "k=4") {

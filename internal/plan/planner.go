@@ -33,11 +33,13 @@ type Options struct {
 	// table as hash-sharded across them: the Shard post-pass (shard.go)
 	// rewrites table accesses into Remote fragments merged by a Gather.
 	Shards []string
+	// Threshold replaces a LEXEQUAL threshold the query leaves unspecified.
+	Threshold int
 }
 
-// DefaultOptions enables everything.
+// DefaultOptions enables everything, with the paper's default Ψ threshold.
 func DefaultOptions() Options {
-	return Options{EnableHashJoin: true, EnableIndexScan: true, EnableMTree: true, EnableMDI: true, EnableQGram: true}
+	return Options{EnableHashJoin: true, EnableIndexScan: true, EnableMTree: true, EnableMDI: true, EnableQGram: true, Threshold: 2}
 }
 
 // Planner builds physical plans.
@@ -134,7 +136,7 @@ func (p *Planner) Plan(sel *sql.Select) (*Node, error) {
 		stats: map[string]Stats{},
 		phon:  p.Phon,
 		sem:   p.Sem,
-		defK:  p.Cat.LexThreshold(),
+		defK:  p.Opts.Threshold,
 	}
 	se.tables = map[string]string{}
 	se.fb = p.Feedback

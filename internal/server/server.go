@@ -87,7 +87,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if s.ConnWrap != nil {
 			conn = s.ConnWrap(conn)
 		}
-		sess := newSession()
+		sess := &session{db: s.eng.Session(), cursors: make(map[uint64]*cursorState), nextID: 1}
 		s.mu.Lock()
 		if s.closed || s.draining {
 			s.mu.Unlock()
@@ -213,10 +213,12 @@ type cursorState struct {
 	cancel context.CancelFunc
 }
 
-// session is per-connection state. The cursors map belongs to the session
-// loop alone; the mutex-guarded fields are shared with the read pump (which
-// fires cancels) and with Shutdown (which polls activity).
+// session is per-connection state; a SET lasts as long as its db. The
+// cursors map belongs to the session loop alone; the mutex-guarded fields are
+// shared with the read pump (which fires cancels) and with Shutdown (which
+// polls activity).
 type session struct {
+	db      *mural.Session
 	cursors map[uint64]*cursorState
 	nextID  uint64
 	// traceID tags every statement on this connection until the client
@@ -232,10 +234,6 @@ type session struct {
 	// keeps the connection alive through a graceful drain.
 	busy bool
 	open int
-}
-
-func newSession() *session {
-	return &session{cursors: make(map[uint64]*cursorState), nextID: 1}
 }
 
 // stmtCtx derives the context a statement executes under: the server's base
@@ -531,13 +529,13 @@ func (s *Server) statement(w io.Writer, sess *session, typ wire.MsgType, payload
 	switch typ {
 	case wire.MsgExec:
 		var res *mural.Result
-		if res, err = s.eng.ExecContext(ctx, string(payload)); err == nil {
+		if res, err = sess.db.ExecContext(ctx, string(payload)); err == nil {
 			affected = res.RowsAffected
 		}
 	case wire.MsgQuery:
-		rows, err = s.eng.QueryContext(ctx, string(payload))
+		rows, err = sess.db.QueryContext(ctx, string(payload))
 	case wire.MsgFragment:
-		rows, err = s.eng.QueryFragment(ctx, frag)
+		rows, err = sess.db.QueryFragment(ctx, frag)
 	}
 	done()
 	if err != nil {

@@ -18,14 +18,15 @@ var (
 // against unbounded distinct SQL texts (e.g. un-parameterized literals).
 const defaultPlanCacheEntries = 256
 
-// planCacheKey identifies a cached plan: the exact SQL text plus the
-// catalog version it was planned under. Any DDL, ANALYZE or SET bumps the
-// version, so stale plans stop matching without explicit invalidation (the
-// purge just reclaims their memory). fbgen is the selectivity-feedback
-// generation: it moves only when newly observed selectivities could change
-// a plan, so warm feedback re-plans exactly the statements it could improve.
+// planCacheKey identifies a cached plan: the exact SQL text, the planner
+// settings (settings.planKey) and the catalog version it was planned under;
+// DDL and ANALYZE bump the version, so stale plans stop matching (the purge
+// just reclaims their memory). fbgen is the selectivity-feedback generation:
+// it moves only when newly observed selectivities could change a plan, so
+// warm feedback re-plans exactly the statements it could improve.
 type planCacheKey struct {
 	sql     string
+	opts    string
 	version uint64
 	fbgen   uint64
 }
@@ -79,7 +80,7 @@ func (c *planCache) put(key planCacheKey, n *plan.Node) {
 	c.m[key] = n
 }
 
-// purge drops every entry, keeping the counters (DDL and SET invalidation).
+// purge drops every entry, keeping the counters (DDL invalidation).
 // A nil cache (disabled) has nothing to drop.
 func (c *planCache) purge() {
 	if c == nil {
@@ -139,7 +140,7 @@ func (e *Engine) CacheStats() CacheStats {
 // (its keys carry the catalog version, so it would age out on its own;
 // purging reclaims the memory), the G2P and closure caches, and the
 // selectivity feedback — DDL and ANALYZE change the distribution the
-// observations described. SET purges plans only (dispatch).
+// observations described.
 func (e *Engine) ddlDone(r *Result, err error) (*Result, error) {
 	if err != nil {
 		return r, err

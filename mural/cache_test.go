@@ -126,10 +126,11 @@ func TestCachesDisabled(t *testing.T) {
 	}
 }
 
-// SET changes what the planner may choose and nothing else: cached plans go
-// (their catalog version moved), while G2P conversions and Ω closures, which
-// depend on no setting, stay.
-func TestSetPurgesPlansOnly(t *testing.T) {
+// SET changes what the planner may choose for one session and purges
+// nothing: conversions, closures and plans all stay, the catalog version does
+// not move, a plan made under other settings is not served, and switching
+// back finds the first plan again.
+func TestSetKeepsCaches(t *testing.T) {
 	e, err := Open(Config{WordNet: wordnet.Generate(wordnet.Config{Synsets: 2000, Seed: 1})})
 	if err != nil {
 		t.Fatal(err)
@@ -140,25 +141,29 @@ func TestSetPurgesPlansOnly(t *testing.T) {
 	const q = `SELECT id FROM doc WHERE name LEXEQUAL 'Nehru' THRESHOLD 2 IN english`
 	e.MustExec(q)
 	e.MustExec(`SELECT id FROM doc WHERE cat SEMEQUAL 'history'`)
-	before := e.CacheStats()
+	before, version := e.CacheStats(), e.Catalog().Version()
 	if before.Plan.Entries == 0 || before.G2P.Entries == 0 || before.Closure.Entries == 0 {
 		t.Fatalf("caches not populated before SET: %+v", before)
 	}
 
-	e.MustExec(`SET statement_timeout = 5000`)
-	after := e.CacheStats()
-	if after.G2P.Entries != before.G2P.Entries || after.Closure.Entries != before.Closure.Entries {
-		t.Errorf("SET statement_timeout dropped conversions or closures: %+v -> %+v", before, after)
+	e.MustExec(`SET enable_mtree = off`)
+	e.MustExec(q)
+	if got := e.CacheStats().Plan; got.Misses != before.Plan.Misses+1 {
+		t.Errorf("plan misses %d -> %d, want +1 (a plan made under other settings must not be served)", before.Plan.Misses, got.Misses)
+	}
+	e.MustExec(`SET enable_mtree = on`)
+	e.MustExec(q)
+	if got := e.CacheStats().Plan; got.Hits != before.Plan.Hits+1 {
+		t.Errorf("plan hits %d -> %d, want +1 (switching back must find the first plan)", before.Plan.Hits, got.Hits)
 	}
 
-	e.MustExec(q)
-	e.MustExec(`SET enable_mtree = off`)
-	after = e.CacheStats()
-	if after.Plan.Entries != 0 {
-		t.Errorf("plan cache holds %d entries after SET enable_mtree, want 0", after.Plan.Entries)
+	mid := e.CacheStats()
+	e.MustExec(`SET statement_timeout = 5000`)
+	e.MustExec(`SET enable_hashjoin = off`)
+	if after := e.CacheStats(); after.G2P.Entries != mid.G2P.Entries || after.Closure.Entries != mid.Closure.Entries || after.Plan.Entries != mid.Plan.Entries {
+		t.Errorf("SET purged a cache: %+v -> %+v", mid, after)
 	}
-	e.MustExec(q)
-	if got := e.CacheStats().Plan; got.Misses != after.Plan.Misses+1 {
-		t.Errorf("plan misses %d -> %d, want +1 (a plan made under the old setting must not be served)", after.Plan.Misses, got.Misses)
+	if v := e.Catalog().Version(); v != version {
+		t.Errorf("SET moved the catalog version %d -> %d", version, v)
 	}
 }

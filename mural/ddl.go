@@ -334,52 +334,14 @@ func (e *Engine) phonemeOf(v types.Value) string {
 	}
 }
 
-func (e *Engine) execInsert(s *sql.Insert, res *exec.Resources) (*Result, error) {
+func (e *Engine) execInsert(st *statement, s *sql.Insert) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	t, ok := e.cat.TableByName(s.Table)
-	if !ok {
-		return nil, fmt.Errorf("mural: no such table %q", s.Table)
+	tuples, t, err := e.evalInsertRows(st, s)
+	if err != nil {
+		return nil, err
 	}
-	h := e.heaps[s.Table]
-	idxs := make([]*catalog.Index, 0)
-	for _, ix := range e.cat.Indexes() {
-		if ix.Table == s.Table {
-			idxs = append(idxs, ix)
-		}
-	}
-	comp := &plan.Compiler{DefaultThreshold: e.cat.LexThreshold()}
-	ev := exec.NewEvaluator(e)
-	// Evaluate every row before touching storage, so value errors (bad
-	// coercion, unknown function) never require a rollback at all.
-	tuples := make([]types.Tuple, 0, len(s.Rows))
-	for _, row := range s.Rows {
-		// Cancellation checkpoint: value evaluation runs before any mutation,
-		// so aborting here needs no rollback.
-		if err := res.Err(); err != nil {
-			return nil, err
-		}
-		if len(row) != len(t.Columns) {
-			return nil, fmt.Errorf("mural: INSERT has %d values, table %q has %d columns", len(row), s.Table, len(t.Columns))
-		}
-		tup := make(types.Tuple, len(row))
-		for i, expr := range row {
-			ce, err := comp.Compile(expr)
-			if err != nil {
-				return nil, err
-			}
-			v, err := ev.Eval(ce, nil)
-			if err != nil {
-				return nil, err
-			}
-			v, err = coerce(v, t.Columns[i].Kind, e)
-			if err != nil {
-				return nil, fmt.Errorf("mural: column %q: %w", t.Columns[i].Name, err)
-			}
-			tup[i] = v
-		}
-		tuples = append(tuples, tup)
-	}
+	h, idxs := e.heaps[s.Table], e.cat.IndexesOn(s.Table, "")
 	// The statement is one atomic batch: heap insert plus every index
 	// insert either all commit or all roll back.
 	if err := e.beginBatch(); err != nil {
@@ -389,7 +351,7 @@ func (e *Engine) execInsert(s *sql.Insert, res *exec.Resources) (*Result, error)
 	for _, tup := range tuples {
 		// Mid-batch abort is safe: the whole statement is one WAL batch, so
 		// rollback discards every row inserted so far atomically.
-		if err := res.Err(); err != nil {
+		if err := st.res.Err(); err != nil {
 			_ = e.rollbackBatch(s.Table)
 			return nil, err
 		}
@@ -415,6 +377,47 @@ func (e *Engine) execInsert(s *sql.Insert, res *exec.Resources) (*Result, error)
 		return nil, err
 	}
 	return &Result{RowsAffected: inserted}, nil
+}
+
+// evalInsertRows evaluates an INSERT's rows against its table before any
+// storage is touched, so a value error (bad coercion, unknown function)
+// never needs a rollback. The caller holds e.mu.
+func (e *Engine) evalInsertRows(st *statement, s *sql.Insert) ([]types.Tuple, *catalog.Table, error) {
+	t, ok := e.cat.TableByName(s.Table)
+	if !ok {
+		return nil, nil, fmt.Errorf("mural: no such table %q", s.Table)
+	}
+	comp := &plan.Compiler{DefaultThreshold: st.set.opts.Threshold}
+	ev := exec.NewEvaluator(e)
+	tuples := make([]types.Tuple, 0, len(s.Rows))
+	for _, row := range s.Rows {
+		// Cancellation checkpoint: nothing is mutated yet, so aborting here
+		// needs no rollback.
+		if err := st.res.Err(); err != nil {
+			return nil, nil, err
+		}
+		if len(row) != len(t.Columns) {
+			return nil, nil, fmt.Errorf("mural: INSERT has %d values, table %q has %d columns", len(row), s.Table, len(t.Columns))
+		}
+		tup := make(types.Tuple, len(row))
+		for i, expr := range row {
+			ce, err := comp.Compile(expr)
+			if err != nil {
+				return nil, nil, err
+			}
+			v, err := ev.Eval(ce, nil)
+			if err != nil {
+				return nil, nil, err
+			}
+			v, err = coerce(v, t.Columns[i].Kind, e)
+			if err != nil {
+				return nil, nil, fmt.Errorf("mural: column %q: %w", t.Columns[i].Name, err)
+			}
+			tup[i] = v
+		}
+		tuples = append(tuples, tup)
+	}
+	return tuples, t, nil
 }
 
 // coerce adapts a literal value to the column type: integer widening,
@@ -458,27 +461,21 @@ func coerce(v types.Value, want types.Kind, e *Engine) (types.Value, error) {
 // execDelete removes every row matching the predicate, maintaining all
 // indexes. The heap space is tombstoned, not compacted (the engine's
 // workloads are load-then-query).
-func (e *Engine) execDelete(s *sql.Delete, res *exec.Resources) (*Result, error) {
+func (e *Engine) execDelete(st *statement, s *sql.Delete) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t, ok := e.cat.TableByName(s.Table)
 	if !ok {
 		return nil, fmt.Errorf("mural: no such table %q", s.Table)
 	}
-	h := e.heaps[s.Table]
-	var idxs []*catalog.Index
-	for _, ix := range e.cat.Indexes() {
-		if ix.Table == s.Table {
-			idxs = append(idxs, ix)
-		}
-	}
+	h, idxs := e.heaps[s.Table], e.cat.IndexesOn(s.Table, "")
 	var cond plan.Expr
 	if s.Where != nil {
 		schema := make([]plan.ColInfo, len(t.Columns))
 		for i, c := range t.Columns {
 			schema[i] = plan.ColInfo{Rel: s.Table, Name: c.Name, Kind: c.Kind}
 		}
-		comp := &plan.Compiler{Schema: schema, DefaultThreshold: e.cat.LexThreshold()}
+		comp := &plan.Compiler{Schema: schema, DefaultThreshold: st.set.opts.Threshold}
 		var err error
 		cond, err = comp.Compile(s.Where)
 		if err != nil {
@@ -494,7 +491,7 @@ func (e *Engine) execDelete(s *sql.Delete, res *exec.Resources) (*Result, error)
 	it := h.Scan()
 	for {
 		// The victim scan is read-only; aborting it leaves nothing to undo.
-		if err := res.Err(); err != nil {
+		if err := st.res.Err(); err != nil {
 			return nil, err
 		}
 		rid, rec, ok, err := it.Next()

@@ -1,6 +1,7 @@
 package mural
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -11,51 +12,44 @@ import (
 // TestDifferentialAccessPaths is the randomized cross-check: the same query
 // executed through maximally different physical plans (every index and join
 // algorithm enabled vs everything disabled) must return identical result
-// multisets. The two configurations share no code above the heap scan, so
-// agreement across hundreds of random predicates is strong evidence that
-// the index, join and recheck machinery is sound.
+// multisets. The two plans come from two sessions of one engine that differ
+// only in SET, and share no code above the heap scan, so agreement across
+// hundreds of random predicates is strong evidence that the index, join and
+// recheck machinery is sound.
 func TestDifferentialAccessPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(20060705))
 
-	build := func() *Engine {
-		e, err := Open(Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { e.Close() })
-		e.MustExec(`CREATE TABLE t (id INT, grp INT, val FLOAT, name UNITEXT)`)
-		e.MustExec(`CREATE TABLE s (sid INT, ref INT, sname UNITEXT)`)
-		names := []string{"nehru", "neru", "gandhi", "gandi", "patel", "menon", "bose", "varma", "sharma", "reddy"}
-		langs := []string{"english", "hindi", "tamil", "kannada"}
-		local := rand.New(rand.NewSource(77)) // same data in both engines
-		var rows []string
-		for i := 0; i < 800; i++ {
-			rows = append(rows, fmt.Sprintf("(%d, %d, %d.%d, unitext('%s', %s))",
-				i, local.Intn(20), local.Intn(50), local.Intn(10),
-				names[local.Intn(len(names))], langs[local.Intn(len(langs))]))
-		}
-		e.MustExec(`INSERT INTO t VALUES ` + strings.Join(rows, ","))
-		rows = rows[:0]
-		for i := 0; i < 120; i++ {
-			rows = append(rows, fmt.Sprintf("(%d, %d, unitext('%s', english))",
-				i, local.Intn(800), names[local.Intn(len(names))]))
-		}
-		e.MustExec(`INSERT INTO s VALUES ` + strings.Join(rows, ","))
-		return e
+	fast := memEngine(t)
+	fast.MustExec(`CREATE TABLE t (id INT, grp INT, val FLOAT, name UNITEXT)`)
+	fast.MustExec(`CREATE TABLE s (sid INT, ref INT, sname UNITEXT)`)
+	names := []string{"nehru", "neru", "gandhi", "gandi", "patel", "menon", "bose", "varma", "sharma", "reddy"}
+	langs := []string{"english", "hindi", "tamil", "kannada"}
+	local := rand.New(rand.NewSource(77))
+	var rows []string
+	for i := 0; i < 800; i++ {
+		rows = append(rows, fmt.Sprintf("(%d, %d, %d.%d, unitext('%s', %s))",
+			i, local.Intn(20), local.Intn(50), local.Intn(10),
+			names[local.Intn(len(names))], langs[local.Intn(len(langs))]))
 	}
-
-	fast := build()
+	fast.MustExec(`INSERT INTO t VALUES ` + strings.Join(rows, ","))
+	rows = rows[:0]
+	for i := 0; i < 120; i++ {
+		rows = append(rows, fmt.Sprintf("(%d, %d, unitext('%s', english))",
+			i, local.Intn(800), names[local.Intn(len(names))]))
+	}
+	fast.MustExec(`INSERT INTO s VALUES ` + strings.Join(rows, ","))
 	fast.MustExec(`CREATE INDEX dt_id ON t (id) USING BTREE`)
 	fast.MustExec(`CREATE INDEX dt_grp ON t (grp) USING BTREE`)
 	fast.MustExec(`CREATE INDEX dt_name_mt ON t (name) USING MTREE`)
 	fast.MustExec(`CREATE INDEX dt_name_md ON t (name) USING MDI`)
 	fast.MustExec(`ANALYZE`)
 
-	slow := build()
-	slow.MustExec(`SET enable_hashjoin = off`)
-	slow.MustExec(`SET enable_indexscan = off`)
-	slow.MustExec(`SET enable_mtree = off`)
-	slow.MustExec(`SET enable_mdi = off`)
+	slow := fast.Session()
+	for _, set := range []string{"enable_hashjoin", "enable_indexscan", "enable_mtree", "enable_mdi"} {
+		if _, err := slow.ExecContext(context.Background(), `SET `+set+` = off`); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Random predicate grammar over table t (and joins with s).
 	randPred := func(depth int) string {
@@ -97,16 +91,21 @@ func TestDifferentialAccessPaths(t *testing.T) {
 		return out
 	}
 
+	fastPaths := false // the fast session took an index or a hash join at least once
 	runBoth := func(q string) {
 		t.Helper()
 		fr, err := fast.Exec(q)
 		if err != nil {
 			t.Fatalf("fast %q: %v", q, err)
 		}
-		sr, err := slow.Exec(q)
+		sr, err := slow.ExecContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("slow %q: %v", q, err)
 		}
+		if strings.Contains(sr.Plan, "IndexScan") || strings.Contains(sr.Plan, "HashJoin") || strings.Contains(sr.Plan, "PsiJoin(MTree)") {
+			t.Fatalf("slow session planned a disabled path for %q:\n%s", q, sr.Plan)
+		}
+		fastPaths = fastPaths || strings.Contains(fr.Plan, "IndexScan") || strings.Contains(fr.Plan, "HashJoin")
 		f, s := normalize(fr), normalize(sr)
 		if len(f) != len(s) {
 			t.Fatalf("row count differs for %q: fast=%d slow=%d\nfast plan:\n%s\nslow plan:\n%s",
@@ -136,6 +135,9 @@ func TestDifferentialAccessPaths(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		runBoth(fmt.Sprintf(
 			`SELECT count(*) FROM s, t WHERE s.sname LEXEQUAL t.name THRESHOLD %d`, rng.Intn(3)))
+	}
+	if !fastPaths {
+		t.Fatal("the fast session never used an index or a hash join: the two sessions planned alike")
 	}
 }
 

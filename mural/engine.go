@@ -6,8 +6,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -68,7 +66,7 @@ type Config struct {
 	// Workers caps intra-query parallelism: eligible plan subtrees run
 	// under a Gather exchange over up to this many goroutines. Zero
 	// defaults to GOMAXPROCS; 1 disables parallel plans. `SET workers = N`
-	// overrides per session.
+	// changes it for one session.
 	Workers int
 	// CommitDelay is the WAL group-commit window: after becoming the sync
 	// leader, a committing session waits up to this long for concurrent
@@ -81,13 +79,13 @@ type Config struct {
 	PlanCacheEntries int
 	// QueryTimeout is the default per-statement deadline; a statement
 	// exceeding it fails with ErrQueryTimeout. Zero means no deadline.
-	// `SET statement_timeout = <ms>` overrides per session (0 disables).
+	// `SET statement_timeout = <ms>` changes it for one session (0 disables).
 	QueryTimeout time.Duration
 	// MaxQueryMem caps the bytes one statement may hold in materializing
 	// operators (hash-join builds, sorts, aggregates, Gather merge buffers,
 	// Ω closure materializations); crossing it fails the statement with
 	// ErrMemoryLimit. Zero means unlimited. `SET max_query_mem = <bytes>`
-	// overrides per session (0 disables).
+	// changes it for one session (0 disables).
 	MaxQueryMem int64
 	// MaxConcurrentQueries bounds statements running at once; excess
 	// arrivals fail immediately with ErrAdmissionRejected. Zero means
@@ -118,9 +116,9 @@ type Config struct {
 	// (systematic 1-in-N sampling, deterministic). Statements carrying a
 	// client trace ID always trace; zero samples nothing else.
 	TraceSampleRate float64
-	// ShardRetry bounds reconnection attempts to shard peers when this
-	// engine coordinates a sharded cluster (`SET shards = ...`); the zero
-	// value uses client.DefaultRetry.
+	// ShardRetry bounds reconnection attempts to shard peers when a session
+	// coordinates a sharded cluster (`SET shards = ...`); the zero value uses
+	// client.DefaultRetry.
 	ShardRetry client.RetryPolicy
 	// ShardOpTimeout bounds each wire round trip to a shard (dial, exec,
 	// fetch); zero means no per-operation deadline. It is the backstop that
@@ -173,8 +171,10 @@ type Engine struct {
 	traceSeq atomic.Uint64
 	fbTick   atomic.Uint64
 	// shards is the coordinator's DML connection cache (shard.go); empty
-	// until a `SET shards` statement makes this engine a coordinator.
+	// until a session's `SET shards` makes it a coordinator.
 	shards shardConns
+	// sess is the engine's own session, the one Exec and Query run on.
+	sess *Session
 	// pins tracks index handles checked out by concurrent searches so DROP
 	// can wait for them instead of racing (env.go / pins.go).
 	pins pinSet
@@ -258,6 +258,7 @@ func Open(cfg Config) (*Engine, error) {
 		disks:     make(map[storage.FileID]storage.Disk),
 		operators: make(map[string]func(a, b Value) (bool, error)),
 	}
+	e.sess = e.Session()
 	if cfg.PlanCacheEntries >= 0 {
 		e.plans = newPlanCache(cfg.PlanCacheEntries)
 	}
@@ -501,37 +502,12 @@ func (e *Engine) MustExec(q string) *Result {
 	return r
 }
 
-// Exec parses and runs one statement, materializing the result.
-func (e *Engine) Exec(q string) (*Result, error) {
-	return e.ExecContext(context.Background(), q)
-}
+// Exec runs one statement on the engine's own session (Session.ExecContext).
+func (e *Engine) Exec(q string) (*Result, error) { return e.sess.ExecContext(context.Background(), q) }
 
-// ExecContext is QueryContext drained into a Result: the statement's
-// admission slot and deadline are released by the time it returns.
+// ExecContext is Session.ExecContext on the engine's own session.
 func (e *Engine) ExecContext(ctx context.Context, q string) (*Result, error) {
-	r, err := e.QueryContext(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	if r.result != nil {
-		return r.result, nil
-	}
-	st := &r.st
-	rows, err := st.cursor.All()
-	if err != nil {
-		st.finish(0, false, err)
-		return nil, err
-	}
-	res := &Result{
-		Cols:     r.Cols,
-		Rows:     rows,
-		Plan:     plan.Format(st.node),
-		PlanCost: st.node.EstCost,
-		Elapsed:  time.Since(st.start) - st.planDur,
-		Stats:    *st.cursor.Stats,
-	}
-	st.finish(int64(len(rows)), true, nil)
-	return res, nil
+	return e.sess.ExecContext(ctx, q)
 }
 
 // Rows is a statement's result as a stream. A SELECT streams from the
@@ -579,56 +555,26 @@ func (r *Rows) Close() error {
 	return err
 }
 
-// Query runs one statement, returning a streaming cursor.
-func (e *Engine) Query(q string) (*Rows, error) {
-	return e.QueryContext(context.Background(), q)
-}
+// Query runs one statement on the engine's own session (Session.QueryContext).
+func (e *Engine) Query(q string) (*Rows, error) { return e.sess.QueryContext(context.Background(), q) }
 
-// QueryContext takes one statement from text to a started Rows: begin, the
-// one parse, dispatch. A statement that fails here, or that dispatch ran to
-// completion, is finished before it returns; only a streaming SELECT is left
-// for Close to finish. Canceling ctx (or hitting the configured deadline or
-// memory ceiling) fails the statement, or a streaming SELECT's subsequent
-// Next calls, with the typed error.
+// QueryContext is Session.QueryContext on the engine's own session.
 func (e *Engine) QueryContext(ctx context.Context, q string) (*Rows, error) {
-	r := &Rows{}
-	st := &r.st
-	err := st.begin(ctx, e, q)
-	if err != nil {
-		return nil, err
-	}
-	var stmt sql.Statement
-	if stmt, err = sql.Parse(q); err == nil {
-		r.result, err = e.dispatch(st, stmt, e.shardAddrs())
-	}
-	if err != nil {
-		st.finish(0, false, err)
-		return nil, err
-	}
-	if res := r.result; res != nil {
-		st.finish(int64(len(res.Rows))+res.RowsAffected, true, nil)
-		r.Cols, r.RowsAffected = res.Cols, res.RowsAffected
-		if len(res.Cols) > 0 {
-			st.cursor = exec.NewSliceCursor(res.Cols, res.Rows)
-		}
-		return r, nil
-	}
-	r.Cols = st.cursor.Cols
-	return r, nil
+	return e.sess.QueryContext(ctx, q)
 }
 
 // dispatch is the one switch from a parsed statement to the code that runs
 // it. A SELECT leaves its running cursor in st and returns no Result; every
-// other statement runs to completion here. Under a shard map, writes and
-// schema changes involve the shard peers first (INSERT hash-routes, DDL and
-// DELETE broadcast and come back here with shards nil for their local half);
-// SELECT needs no interception — the planner rewrites it into remote
-// fragments.
+// other statement runs to completion here. Under a shard map of two or more
+// peers, writes and schema changes involve the shard peers first (INSERT
+// hash-routes, DDL and DELETE broadcast and come back here with shards nil
+// for their local half); SELECT needs no interception — the planner rewrites
+// it into remote fragments.
 func (e *Engine) dispatch(st *statement, stmt sql.Statement, shards []string) (*Result, error) {
 	if err := st.res.Err(); err != nil {
 		return nil, err
 	}
-	if shards != nil {
+	if len(shards) > 1 {
 		if handled, result, err := e.shardExec(st, stmt, shards); handled {
 			return result, err
 		}
@@ -646,33 +592,30 @@ func (e *Engine) dispatch(st *statement, stmt sql.Statement, shards []string) (*
 	case *sql.DropIndex:
 		return e.ddlDone(e.execDropIndex(s))
 	case *sql.Insert:
-		return e.execInsert(s, st.res)
+		return e.execInsert(st, s)
 	case *sql.Delete:
-		return e.execDelete(s, st.res)
+		return e.execDelete(st, s)
 	case *sql.Analyze:
 		return e.ddlDone(e.execAnalyze(s))
 	case *sql.Set:
-		// A setting can change a plan and nothing else: SetSetting bumps the
-		// catalog version every plan-cache key carries, and the purge
-		// reclaims the stranded plans. G2P conversions and Ω closures depend
-		// on no setting and stay.
-		e.cat.SetSetting(s.Name, s.Value)
-		e.plans.purge()
+		// A setting belongs to the session and purges nothing (see planKey).
+		if err := st.sess.apply(s.Name, s.Value); err != nil {
+			return nil, err
+		}
 		return &Result{}, nil
 	case *sql.Show:
 		if strings.EqualFold(s.Name, "statements") {
 			return e.showStatements(), nil
 		}
-		v, ok := e.cat.Setting(s.Name)
-		res := &Result{Cols: []string{s.Name}}
-		if ok {
-			res.Rows = []Tuple{{types.NewText(v)}}
+		def, err := lookupSetting(s.Name)
+		if err != nil {
+			return nil, err
 		}
-		return res, nil
+		return &Result{Cols: []string{s.Name}, Rows: []Tuple{{types.NewText(def.show(st.set))}}}, nil
 	case *sql.Explain:
 		return e.execExplain(st, s)
 	case *sql.Select:
-		node, err := e.planSelectCached(st.text, s)
+		node, err := e.planSelectCached(st, s)
 		if err != nil {
 			return nil, err
 		}
@@ -682,34 +625,12 @@ func (e *Engine) dispatch(st *statement, stmt sql.Statement, shards []string) (*
 	}
 }
 
-// planner assembles a Planner with the current optimizer settings.
-func (e *Engine) planner() *plan.Planner {
-	opts := plan.DefaultOptions()
-	boolSetting := func(name string, def bool) bool {
-		v, ok := e.cat.Setting(name)
-		if !ok {
-			return def
-		}
-		return v != "off" && v != "false" && v != "0"
-	}
-	opts.EnableHashJoin = boolSetting("enable_hashjoin", true)
-	opts.EnableIndexScan = boolSetting("enable_indexscan", true)
-	opts.EnableMTree = boolSetting("enable_mtree", true)
-	opts.EnableMDI = boolSetting("enable_mdi", true)
-	opts.EnableQGram = boolSetting("enable_qgram", true)
-	opts.Workers = e.workerCount()
-	opts.Shards = e.shardAddrs()
-	if v, ok := e.cat.Setting("force_join_order"); ok && v != "" {
-		for _, part := range strings.Split(v, ",") {
-			if p := strings.TrimSpace(p2l(part)); p != "" {
-				opts.ForceOrder = append(opts.ForceOrder, p)
-			}
-		}
-	}
+// planner assembles a Planner under one session's settings.
+func (e *Engine) planner(set *settings) *plan.Planner {
 	e.mu.RLock()
 	sem := e.sem
 	e.mu.RUnlock()
-	pl := &plan.Planner{Cat: e.cat, Phon: e.phon, Sem: sem, Opts: opts}
+	pl := &plan.Planner{Cat: e.cat, Phon: e.phon, Sem: sem, Opts: set.opts}
 	// Explicit nil check: assigning a nil *obs.Feedback directly would make
 	// the interface non-nil and panic inside the estimator.
 	if e.fb != nil {
@@ -718,40 +639,19 @@ func (e *Engine) planner() *plan.Planner {
 	return pl
 }
 
-func p2l(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
-
-// workerCount resolves the intra-query parallelism budget: Config.Workers,
-// overridden per session by `SET workers = N`, defaulting to GOMAXPROCS.
-func (e *Engine) workerCount() int {
-	w := e.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if v, ok := e.cat.Setting("workers"); ok {
-		if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n >= 1 {
-			w = n
-		}
-	}
-	return w
-}
-
-func (e *Engine) planSelect(sel *sql.Select) (*plan.Node, error) {
-	return e.planner().Plan(sel)
-}
-
 // planSelectCached serves the plan for a SELECT from the shared plan cache
-// when the exact SQL text was planned under the current catalog version;
-// otherwise it plans and caches. Cached plans are shared across concurrent
-// executions — the executor never mutates a plan tree.
-func (e *Engine) planSelectCached(q string, sel *sql.Select) (*plan.Node, error) {
+// when the exact SQL text was planned under the same settings and catalog
+// version; otherwise it plans and caches. Cached plans are shared across
+// concurrent executions — the executor never mutates a plan tree.
+func (e *Engine) planSelectCached(st *statement, sel *sql.Select) (*plan.Node, error) {
 	if e.plans == nil {
-		return e.planSelect(sel)
+		return e.planner(st.set).Plan(sel)
 	}
-	key := planCacheKey{sql: q, version: e.cat.Version(), fbgen: e.feedbackGen()}
+	key := planCacheKey{sql: st.text, opts: st.set.planKey, version: e.cat.Version(), fbgen: e.feedbackGen()}
 	if node, ok := e.plans.get(key); ok {
 		return node, nil
 	}
-	node, err := e.planSelect(sel)
+	node, err := e.planner(st.set).Plan(sel)
 	if err != nil {
 		return nil, err
 	}
@@ -763,7 +663,7 @@ func (e *Engine) planSelectCached(q string, sel *sql.Select) (*plan.Node, error)
 // statement's one run with a timed collector, and the drain's measurements
 // are rendered next to the estimates.
 func (e *Engine) execExplain(st *statement, s *sql.Explain) (*Result, error) {
-	node, err := e.planSelect(s.Stmt)
+	node, err := e.planner(st.set).Plan(s.Stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -796,10 +696,9 @@ func (e *Engine) execExplain(st *statement, s *sql.Explain) (*Result, error) {
 
 // RegisterOperator installs a binary predicate under the given lowercase
 // name, callable from SQL as name(a, b). It mirrors PostgreSQL's operator
-// addition facility (§4.2): like the paper's Ψ workaround, anything beyond
-// two operands must travel through session settings. Registering a name
-// twice replaces the previous function; built-in function names are
-// rejected.
+// addition facility (§4.2), binary-only like it; settings are a fixed
+// built-in set, so a third operand has no way in. Registering a name twice
+// replaces the previous function; built-in function names are rejected.
 func (e *Engine) RegisterOperator(name string, fn func(a, b Value) (bool, error)) error {
 	name = strings.ToLower(name)
 	switch name {
@@ -856,6 +755,6 @@ func (e *Engine) rebuildQGram(meta *catalog.Index) error {
 	return nil
 }
 
-// Catalog exposes the metadata store (tables, indexes, stats, settings);
+// Catalog exposes the metadata store (tables, indexes, stats);
 // the shell and tools use it for introspection.
 func (e *Engine) Catalog() *catalog.Catalog { return e.cat }

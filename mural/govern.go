@@ -4,18 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
-	"time"
 
 	"github.com/mural-db/mural/internal/exec"
 	"github.com/mural-db/mural/internal/metrics"
 )
 
 // Resource governance: per-statement deadlines, a memory ceiling and
-// admission control. The knobs layer in the usual way — session settings
-// (SET statement_timeout / max_query_mem) override the Config defaults, and
-// a zero at either level disables that limit. Governance is pay-as-you-go: a
+// admission control. The knobs layer in the usual way — a session's SET
+// statement_timeout / max_query_mem overrides the Config default, and a zero
+// at either level disables that limit. Governance is pay-as-you-go: a
 // statement with no context, no deadline and no memory cap runs exactly the
 // ungoverned code path it always did.
 
@@ -62,49 +59,23 @@ func (e *Engine) release() {
 	gQueriesInflight.Set(e.inflight.Add(-1))
 }
 
-// statementTimeout resolves the active per-statement deadline: the session's
-// `SET statement_timeout = <ms>` when set (0 disables), else
-// Config.QueryTimeout.
-func (e *Engine) statementTimeout() time.Duration {
-	if v, ok := e.cat.Setting("statement_timeout"); ok {
-		if ms, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64); err == nil && ms >= 0 {
-			return time.Duration(ms) * time.Millisecond
-		}
-	}
-	return e.cfg.QueryTimeout
-}
-
-// queryMemLimit resolves the active per-statement memory ceiling in bytes:
-// `SET max_query_mem = <bytes>` when set (0 disables), else
-// Config.MaxQueryMem.
-func (e *Engine) queryMemLimit() int64 {
-	if v, ok := e.cat.Setting("max_query_mem"); ok {
-		if b, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64); err == nil && b >= 0 {
-			return b
-		}
-	}
-	return e.cfg.MaxQueryMem
-}
-
-// queryResources assembles the governance state for one statement. It
-// returns a nil Resources — the zero-overhead ungoverned path — when the
-// caller's context can never fire and no limit is configured. The returned
-// stop must be called when the statement finishes (it releases the deadline
-// timer); it is non-nil even for ungoverned statements.
-func (e *Engine) queryResources(ctx context.Context) (*exec.Resources, func()) {
+// queryResources assembles the governance state for one statement under
+// these limits. It returns a nil Resources — the zero-overhead ungoverned
+// path — when the caller's context can never fire and no limit is set. The
+// returned stop must be called when the statement finishes (it releases the
+// deadline timer); it is non-nil even for ungoverned statements.
+func (s *settings) queryResources(ctx context.Context) (*exec.Resources, func()) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	timeout := e.statementTimeout()
-	maxMem := e.queryMemLimit()
-	if ctx.Done() == nil && timeout <= 0 && maxMem <= 0 {
+	if ctx.Done() == nil && s.timeout <= 0 && s.maxMem <= 0 {
 		return nil, func() {}
 	}
 	stop := func() {}
-	if timeout > 0 {
-		ctx, stop = context.WithTimeout(ctx, timeout)
+	if s.timeout > 0 {
+		ctx, stop = context.WithTimeout(ctx, s.timeout)
 	}
-	return exec.NewResources(ctx, maxMem), stop
+	return exec.NewResources(ctx, int64(s.maxMem)), stop
 }
 
 // noteGovernedErr counts governed terminations in the engine metrics.

@@ -182,7 +182,7 @@ func TestExplainAnalyzeMemoryLine(t *testing.T) {
 func TestUngovernedPathStillWorks(t *testing.T) {
 	e := memEngine(t)
 	loadUniTable(t, e, "t", 100)
-	res, stop := e.queryResources(context.Background())
+	res, stop := e.sess.set.Load().queryResources(context.Background())
 	stop()
 	if res != nil {
 		t.Fatalf("queryResources with no limits = %v, want nil (ungoverned)", res)

@@ -507,3 +507,35 @@ func TestRecoveryReplaysAbandonedWAL(t *testing.T) {
 		t.Errorf("rows lost across clean reopen: %v", res.Rows)
 	}
 }
+
+// Settings are not durable state. A catalog.json written before settings
+// left the catalog opens with its "settings" ignored; a database closed
+// after SETs reopens with Config's defaults, and its image has no settings.
+func TestSettingsNotDurable(t *testing.T) {
+	dir := t.TempDir()
+	legacy := `{"tables": [{"name": "t", "columns": [{"name": "id", "kind": 2}], "file": 1}],
+		"stats": {}, "settings": {"statement_timeout": "5", "enable_mtree": "off"}, "next_file": 2}`
+	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		e, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, want := range map[string]string{"statement_timeout": "0", "enable_mtree": "on"} {
+			if got := showSetting(t, e.sess, name); got != want {
+				t.Errorf("open %d: SHOW %s = %q, want the default %q", round, name, got, want)
+			}
+		}
+		e.MustExec(`INSERT INTO t VALUES (1)`)
+		e.MustExec(`SET statement_timeout = 5`)
+		e.MustExec(`SET enable_mtree = off`)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if img, err := os.ReadFile(filepath.Join(dir, "catalog.json")); err != nil || strings.Contains(string(img), "settings") {
+		t.Errorf("catalog image carries settings (err %v):\n%s", err, img)
+	}
+}

@@ -2,10 +2,10 @@ package mural
 
 // Sharded execution, coordinator side. `SET shards = 'host:p1,host:p2'`
 // declares every user table hash-partitioned across N peer engine processes
-// by its first column; the engine that received the SET becomes the
-// coordinator. Reads are rewritten by the planner's Shard pass into
-// Gather-over-Remote trees whose fragments this file ships over the wire
-// protocol (MsgFragment); writes are routed here — INSERT rows hash to
+// by its first column; the session that ran the SET becomes a coordinator,
+// and the engine's other sessions stay single-node. Reads are rewritten by
+// the planner's Shard pass into Gather-over-Remote trees whose fragments
+// this file ships over the wire protocol (MsgFragment); writes are routed here — INSERT rows hash to
 // exactly one shard, DDL and DELETE broadcast to all of them. The
 // coordinator executes DDL locally too, so its catalog can plan against the
 // shared schema; its own heaps stay empty.
@@ -37,26 +37,6 @@ var ErrShardUnavailable = errors.New("mural: shard unavailable")
 // fragment ships whole result batches — the exchange cost model prices rows,
 // not round trips, so fetch big.
 const shardFetchSize = 512
-
-// shardAddrs parses the session shard map: nil unless the `shards` setting
-// names at least two addresses (a one-shard "cluster" is just a slower
-// single node, so it is not worth the wire hop).
-func (e *Engine) shardAddrs() []string {
-	v, ok := e.cat.Setting("shards")
-	if !ok {
-		return nil
-	}
-	var addrs []string
-	for _, part := range strings.Split(v, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			addrs = append(addrs, p)
-		}
-	}
-	if len(addrs) < 2 {
-		return nil
-	}
-	return addrs
-}
 
 // shardDialer builds the dialer for shard connections: the configured retry
 // budget (DefaultRetry when unset), per-operation deadline, and the
@@ -204,12 +184,12 @@ func (e *Engine) closeShardConns() {
 
 // shardExec intercepts statements that must involve the shards. It reports
 // handled=false for statements that stay purely local (SELECT is rewritten
-// by the planner instead; SET/SHOW/EXPLAIN are coordinator state).
+// by the planner instead; SET/SHOW/EXPLAIN are the coordinator session's).
 func (e *Engine) shardExec(st *statement, stmt sql.Statement, shards []string) (bool, *Result, error) {
 	var total *int64
 	switch s := stmt.(type) {
 	case *sql.Insert:
-		result, err := e.shardInsert(s, shards, st.res)
+		result, err := e.shardInsert(st, s, shards)
 		return true, result, err
 	case *sql.CreateTable, *sql.DropTable, *sql.CreateIndex, *sql.DropIndex, *sql.Analyze:
 		// Schema changes apply everywhere: locally first (the coordinator
@@ -272,8 +252,10 @@ func shardFor(tup types.Tuple, n int) int {
 // UNITEXT value is re-rendered as its unitext(text, lang) constructor so the
 // shard re-materializes the phoneme with its own (identical) converter —
 // bit-identical to a direct insert there.
-func (e *Engine) shardInsert(s *sql.Insert, shards []string, res *exec.Resources) (*Result, error) {
-	tuples, err := e.evalInsertRows(s, res)
+func (e *Engine) shardInsert(st *statement, s *sql.Insert, shards []string) (*Result, error) {
+	e.mu.RLock()
+	tuples, _, err := e.evalInsertRows(st, s)
+	e.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
@@ -363,67 +345,4 @@ func renderValue(v types.Value) (string, error) {
 // quoteSQL single-quotes a string, doubling embedded quotes.
 func quoteSQL(s string) string {
 	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
-}
-
-// evalInsertRows evaluates an INSERT's value expressions against the local
-// catalog (shared with execInsert's first phase): schema check, expression
-// evaluation, column coercion — everything short of touching storage.
-func (e *Engine) evalInsertRows(s *sql.Insert, res *exec.Resources) ([]types.Tuple, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	t, ok := e.cat.TableByName(s.Table)
-	if !ok {
-		return nil, fmt.Errorf("mural: no such table %q", s.Table)
-	}
-	comp := &plan.Compiler{DefaultThreshold: e.cat.LexThreshold()}
-	ev := exec.NewEvaluator(e)
-	tuples := make([]types.Tuple, 0, len(s.Rows))
-	for _, row := range s.Rows {
-		if err := res.Err(); err != nil {
-			return nil, err
-		}
-		if len(row) != len(t.Columns) {
-			return nil, fmt.Errorf("mural: INSERT has %d values, table %q has %d columns", len(row), s.Table, len(t.Columns))
-		}
-		tup := make(types.Tuple, len(row))
-		for i, expr := range row {
-			ce, err := comp.Compile(expr)
-			if err != nil {
-				return nil, err
-			}
-			v, err := ev.Eval(ce, nil)
-			if err != nil {
-				return nil, err
-			}
-			v, err = coerce(v, t.Columns[i].Kind, e)
-			if err != nil {
-				return nil, fmt.Errorf("mural: column %q: %w", t.Columns[i].Name, err)
-			}
-			tup[i] = v
-		}
-		tuples = append(tuples, tup)
-	}
-	return tuples, nil
-}
-
-// QueryFragment executes a decoded plan fragment shipped by a coordinator:
-// the statement lifecycle entered with a ready plan instead of SQL text, so
-// it is admitted, governed and observed on the shard that runs it, under a
-// label built from its root operator. The fragment re-parallelizes against
-// this shard's own worker budget (the coordinator stripped Parallel markings
-// before serializing).
-func (e *Engine) QueryFragment(ctx context.Context, frag *plan.Node) (*Rows, error) {
-	node := plan.Parallelize(frag, e.workerCount())
-	root, _, _ := strings.Cut(plan.Format(node), "  (rows=")
-	r := &Rows{}
-	st := &r.st
-	if err := st.begin(ctx, e, "fragment "+root); err != nil {
-		return nil, err
-	}
-	if err := st.run(node, false); err != nil {
-		st.finish(0, false, err)
-		return nil, err
-	}
-	r.Cols = st.cursor.Cols
-	return r, nil
 }

@@ -16,9 +16,11 @@ import (
 // begin took. It lives by value inside its Rows, so a statement costs no
 // allocation of its own.
 type statement struct {
-	// e is nil before begin and again after finish.
-	e   *Engine
-	ctx context.Context
+	// sess is nil before begin and again after finish; set is the session's
+	// settings, loaded once at begin.
+	sess *Session
+	set  *settings
+	ctx  context.Context
 	// text is the SQL text, or a label for a statement that has none.
 	text  string
 	start time.Time
@@ -41,9 +43,10 @@ type statement struct {
 
 // begin starts the clock, decides whether the statement is traced (a client
 // tag always is, the sampler picks among the rest) and claims an admission
-// slot and the governance state. A rejected statement is finished here.
-func (st *statement) begin(ctx context.Context, e *Engine, text string) error {
-	*st = statement{e: e, ctx: ctx, text: text, start: time.Now(), base: e.cacheBase()}
+// slot and the governance state set asks for. A rejection finishes it here.
+func (st *statement) begin(ctx context.Context, s *Session, set *settings, text string) error {
+	e := s.e
+	*st = statement{sess: s, set: set, ctx: ctx, text: text, start: time.Now(), base: e.cacheBase()}
 	if e.traces != nil {
 		id, tagged := obs.TraceIDFrom(ctx)
 		if e.traces.Sampled(tagged) {
@@ -57,7 +60,7 @@ func (st *statement) begin(ctx context.Context, e *Engine, text string) error {
 		st.finish(0, false, err)
 		return err
 	}
-	st.res, st.stop = e.queryResources(ctx)
+	st.res, st.stop = set.queryResources(ctx)
 	return nil
 }
 
@@ -70,9 +73,9 @@ func (st *statement) run(node *plan.Node, analyze bool) error {
 		st.res = exec.NewResources(context.Background(), 0)
 	}
 	st.node, st.planDur = node, time.Since(st.start)
-	st.es = st.e.armCollector(analyze || st.traceID != 0, st.res, node)
+	st.es = st.sess.e.armCollector(analyze || st.traceID != 0, st.res, node)
 	var err error
-	st.cursor, err = exec.Run(st.e, node, st.es, st.res)
+	st.cursor, err = exec.Run(st.sess.e, node, st.es, st.res)
 	return err
 }
 
@@ -81,11 +84,11 @@ func (st *statement) run(node *plan.Node, analyze bool) error {
 // only from a full error-free drain — a partial one undercounts output rows.
 // Calls after the first do nothing.
 func (st *statement) finish(rows int64, drained bool, err error) {
-	e := st.e
-	if e == nil {
+	if st.sess == nil {
 		return
 	}
-	st.e = nil
+	e := st.sess.e
+	st.sess = nil
 	elapsed := time.Since(st.start)
 	noteGovernedErr(err)
 	if drained && err == nil {

@@ -69,11 +69,11 @@ func TestStatementObservedExactlyOnce(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			frag, err := e.planSelect(stmt.(*sql.Select))
+			frag, err := e.planner(e.sess.set.Load()).Plan(stmt.(*sql.Select))
 			if err != nil {
 				return err
 			}
-			rows, err := e.QueryFragment(ctx, frag)
+			rows, err := e.Session().QueryFragment(ctx, frag)
 			if err != nil {
 				return err
 			}
