@@ -254,7 +254,7 @@ func runAblation(seed int64) error {
 		fmt.Printf("  %-22s %.5fs (%d probes)\n", r.Mode, r.Seconds, r.Probes)
 	}
 	fmt.Printf("  speedup: %.0fx\n", cache[1].Seconds/cache[0].Seconds)
-	fmt.Println("\nE9: closure connection index (§4.3.1 future work)")
+	fmt.Println("\nE9: closure connection index (§4.3.1 future work, Ω's production path)")
 	conn, err := bench.RunAblationClosureIndex(20000, 200000, 4, seed)
 	if err != nil {
 		return err

@@ -1,8 +1,8 @@
 // Semsearch: concept search over an interlinked multilingual taxonomy —
 // the SemEQUAL workload of the paper's Figure 4 at scale. A document table
 // is categorized with word forms from three linked WordNets; queries
-// retrieve everything subsumed by a concept, across languages, with the
-// closure cache amortizing taxonomy traversals (§4.3).
+// retrieve everything subsumed by a concept, across languages, each scan
+// resolving its concept once against the taxonomy's interval labels.
 package main
 
 import (

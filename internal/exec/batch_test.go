@@ -225,45 +225,6 @@ func TestFilteredScanMatchesOracleAcrossSizes(t *testing.T) {
 	}
 }
 
-// The fused Ω kernel must reproduce the generic evaluator's matches and probe
-// counts.
-func TestFusedOmegaScanMatchesOracle(t *testing.T) {
-	net := wordnet.Generate(wordnet.Config{Synsets: 2000, Seed: 9})
-	env := newMockEnv()
-	env.matcher = wordnet.NewMatcher(net)
-	env.tables["cat"] = []types.Tuple{
-		{u("historiography", types.LangEnglish)},
-		{u("physics", types.LangEnglish)},
-		{u("history", types.LangEnglish)},
-	}
-	cols := []plan.ColInfo{{Rel: "cat", Name: "v", Kind: types.KindUniText}}
-	node := &plan.Node{
-		Op:       plan.OpFilter,
-		Children: []*plan.Node{scanNode("cat", cols)},
-		Cols:     cols,
-		Cond:     &plan.Omega{L: &plan.ColIdx{Idx: 0}, R: &plan.Const{Val: u("history", types.LangEnglish)}},
-	}
-	want, _ := oracleFilter(t, env, "cat", node.Cond)
-	if len(want) == 0 {
-		t.Fatal("test expects Ω survivors")
-	}
-	cur, err := Run(env, node, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cur.src.(*fusedScanIter); !ok {
-		t.Fatalf("root operator is %T, want the fused kernel", cur.src)
-	}
-	got, err := cur.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, got, want)
-	if cur.Stats.OmegaProbes != 3 {
-		t.Errorf("OmegaProbes = %d, want 3", cur.Stats.OmegaProbes)
-	}
-}
-
 // intRows builds n single-column rows valued i%mod.
 func intRows(n, mod int) []types.Tuple {
 	rows := make([]types.Tuple, n)
@@ -566,6 +527,53 @@ func TestFusedPsiScanSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, run)
 	if allocs > 100 {
 		t.Errorf("fused Ψ scan allocated %.0f times for %d rows; want a small constant (allocs/row ~0)", allocs, n)
+	}
+}
+
+// The same pin for the fused Ω scan, in both compiled forms: a rejected row
+// is read in place off the page and probed, never decoded.
+func TestFusedOmegaScanSteadyStateAllocs(t *testing.T) {
+	net := wordnet.Generate(wordnet.Config{Synsets: 5000, Seed: 9})
+	env := newMockEnv()
+	env.net = net
+	const n = 4096
+	// The constant is a leaf; no row names it.
+	leaf := wordnet.SynsetID(net.NumSynsets() - 1)
+	for len(net.Children(leaf)) > 0 {
+		leaf--
+	}
+	for i := 0; len(env.tables["t"]) < n; i++ {
+		if id := wordnet.SynsetID(i % net.NumSynsets()); id != leaf {
+			env.tables["t"] = append(env.tables["t"], types.Tuple{types.NewUniText(types.Compose(net.Lemma(types.LangEnglish, id), types.LangEnglish))})
+		}
+	}
+	env.pagesFor("t")
+	cols := []plan.ColInfo{{Rel: "t", Name: "c", Kind: types.KindUniText}}
+	for _, est := range []float64{n, 0} {
+		scan := scanNode("t", cols)
+		scan.EstRows = est
+		node := &plan.Node{
+			Op:       plan.OpFilter,
+			Children: []*plan.Node{scan},
+			Cols:     cols,
+			Cond:     &plan.Omega{L: &plan.ColIdx{Idx: 0}, R: &plan.Const{Val: types.NewText(net.Lemma(types.LangEnglish, leaf))}},
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			cur, err := Run(env, node, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := cur.All()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != 0 || cur.Stats.OmegaProbes != n {
+				t.Fatalf("%d survivors and %d probes, want 0 and %d", len(rows), cur.Stats.OmegaProbes, n)
+			}
+		})
+		if allocs > 100 {
+			t.Errorf("fused Ω scan (row estimate %g) allocated %.0f times for %d rows; want a small constant (allocs/row ~0)", est, allocs, n)
+		}
 	}
 }
 

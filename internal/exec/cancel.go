@@ -18,8 +18,8 @@ import (
 //     amortized schedule (every cancelInterval rows), so cancel/deadline
 //     fires are observed within a bounded amount of work per pipeline;
 //   - a per-query memory ceiling: operators that materialize (hash-join
-//     build sides, sorts, aggregates, Gather merge buffers, Ω closures)
-//     charge an accountant before holding rows;
+//     build sides, sorts, aggregates, Gather merge buffers, compiled Ω
+//     operands) charge an accountant before holding rows;
 //   - typed terminal errors, so every layer above (engine, server, wire,
 //     client) can classify the failure without string matching.
 //

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/mural-db/mural/internal/leakcheck"
+	"github.com/mural-db/mural/internal/metrics"
 	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/types"
 )
@@ -46,9 +47,20 @@ func (s *reachedScan) NextPage(fn func(rec []byte) error) (bool, error) {
 	})
 }
 
-// The process-wide Ψ counter is published in batches, not per row; however a
-// statement ends, what it added to mural_psi_evaluations_total must equal its
-// own RunStats.PsiEvaluations and the number of rows that reached the kernel.
+// g2pLookups reads the process-wide G2P totals: memo lookups (hits plus
+// misses) and converter runs (conversions plus fallbacks).
+func g2pLookups() (lookups, converted int64) {
+	c := metrics.Default.Snapshot().Counters
+	return c["mural_g2p_cache_hits_total"] + c["mural_g2p_cache_misses_total"],
+		c["mural_g2p_conversions_total"] + c["mural_g2p_fallbacks_total"]
+}
+
+// The process-wide Ψ and G2P counters are published in batches, not per row;
+// however a statement ends, what it added to mural_psi_evaluations_total must
+// equal its own RunStats.PsiEvaluations and the number of rows that reached
+// the kernel, and the mural_g2p_* totals must hold every phoneme lookup: one
+// per kernel for the probe, when it is compiled, and one per row that reached
+// the kernel without a stored phoneme.
 func TestPsiCountsExactOnEveryExit(t *testing.T) {
 	// More surviving rows (3 in 5) than eight workers can park in the merge
 	// channel and their current batches, so a cancellation after the first
@@ -108,53 +120,78 @@ func TestPsiCountsExactOnEveryExit(t *testing.T) {
 			}
 		}},
 	}
-	// Two tables, encoded once: all names, and the same with a non-text value
-	// halfway down.
-	good, bad := newMockEnv(), newMockEnv()
+	// Tables encoded once: all names, the same with a non-text value halfway
+	// down, and the names without their stored phonemes, which the kernel
+	// converts through its memo.
+	good, bad, bare := newMockEnv(), newMockEnv(), newMockEnv()
 	mkUniTable(good, "t", rows)
 	bad.tables["t"] = append([]types.Tuple(nil), good.tables["t"]...)
 	bad.tables["t"][rows/2] = types.Tuple{types.NewInt(7)}
+	for _, row := range good.tables["t"] {
+		bare.tables["t"] = append(bare.tables["t"], types.Tuple{types.NewUniText(types.Compose(row[0].UniText().Text, types.LangEnglish))})
+	}
 	// workers 0 is the serial plan: no Gather, the cursor's own evaluator
 	// runs the kernel.
 	for _, workers := range []int{0, 1, 2, 8} {
 		for _, exit := range exits {
-			t.Run(fmt.Sprintf("workers=%d/%s", workers, exit.name), func(t *testing.T) {
-				leakcheck.Check(t)
-				env := &reachedEnv{mockEnv: good}
-				if exit.badRow {
-					env.mockEnv = bad
+			for _, stored := range []bool{true, false} {
+				if exit.badRow && !stored {
+					continue
 				}
-				node := psiFilterScan("t", false)
-				if workers > 0 {
-					node = gatherPsiPlan(workers)
-				}
-				if exit.name == "limit1" {
-					node = &plan.Node{Op: plan.OpLimit, Children: []*plan.Node{node}, Cols: node.Cols, LimitN: 1}
-				}
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				before := mPsiEvals.Value()
-				cur, err := Run(env, node, nil, NewResources(ctx, 0))
-				if err != nil {
-					t.Fatal(err)
-				}
-				exit.drive(t, cur, cancel)
-				if err := cur.Close(); err != nil {
-					t.Fatalf("Close: %v", err)
-				}
-				published := mPsiEvals.Value() - before
-				reached := env.reached.Load()
-				if published != reached || cur.Stats.PsiEvaluations != reached {
-					t.Errorf("published %d, RunStats %d, rows that reached the kernel %d: all three must agree",
-						published, cur.Stats.PsiEvaluations, reached)
-				}
-				if exit.name == "drain" && reached != rows {
-					t.Errorf("a full drain evaluated %d of %d rows", reached, rows)
-				}
-				if n := cur.ev.pool.InFlight(); n != 0 {
-					t.Errorf("pool in-flight = %d, want 0", n)
-				}
-			})
+				t.Run(fmt.Sprintf("workers=%d/%s/stored=%v", workers, exit.name, stored), func(t *testing.T) {
+					leakcheck.Check(t)
+					env := &reachedEnv{mockEnv: good}
+					switch {
+					case exit.badRow:
+						env.mockEnv = bad
+					case !stored:
+						env.mockEnv = bare
+					}
+					node := psiFilterScan("t", false)
+					if workers > 0 {
+						node = gatherPsiPlan(workers)
+					}
+					if exit.name == "limit1" {
+						node = &plan.Node{Op: plan.OpLimit, Children: []*plan.Node{node}, Cols: node.Cols, LimitN: 1}
+					}
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					before := mPsiEvals.Value()
+					lookups0, converted0 := g2pLookups()
+					cur, err := Run(env, node, nil, NewResources(ctx, 0))
+					if err != nil {
+						t.Fatal(err)
+					}
+					exit.drive(t, cur, cancel)
+					if err := cur.Close(); err != nil {
+						t.Fatalf("Close: %v", err)
+					}
+					published := mPsiEvals.Value() - before
+					reached := env.reached.Load()
+					if published != reached || cur.Stats.PsiEvaluations != reached {
+						t.Errorf("published %d, RunStats %d, rows that reached the kernel %d: all three must agree",
+							published, cur.Stats.PsiEvaluations, reached)
+					}
+					if exit.name == "drain" && reached != rows {
+						t.Errorf("a full drain evaluated %d of %d rows", reached, rows)
+					}
+					lookups, converted := g2pLookups()
+					wantLookups := int64(max(workers, 1))
+					if !stored {
+						wantLookups += reached
+					}
+					if lookups-lookups0 != wantLookups {
+						t.Errorf("G2P lookups published = %d, want %d: one per kernel's probe plus one per reached row without a stored phoneme",
+							lookups-lookups0, wantLookups)
+					}
+					if converted-converted0 == 0 || converted-converted0 > lookups-lookups0 {
+						t.Errorf("G2P conversions published = %d for %d lookups", converted-converted0, lookups-lookups0)
+					}
+					if n := cur.ev.pool.InFlight(); n != 0 {
+						t.Errorf("pool in-flight = %d, want 0", n)
+					}
+				})
+			}
 		}
 	}
 }

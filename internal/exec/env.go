@@ -50,8 +50,9 @@ type Env interface {
 	CustomOperator(name string) func(a, b types.Value) (bool, error)
 	// Phonetic returns the converter registry.
 	Phonetic() *phonetic.Registry
-	// Semantic returns the Ω matcher, or nil when no taxonomy is loaded.
-	Semantic() *wordnet.Matcher
+	// WordNet returns the pinned taxonomy Ω probes, or nil when none is
+	// loaded.
+	WordNet() *wordnet.Net
 }
 
 // RecordScan streams the raw encoded records of a heap page range,

@@ -7,6 +7,7 @@ import (
 	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/sql"
 	"github.com/mural-db/mural/internal/types"
+	"github.com/mural-db/mural/internal/wordnet"
 )
 
 // evaluator evaluates compiled expressions against tuples, with access to
@@ -31,9 +32,22 @@ type evaluator struct {
 	// pool is the query's batch pool; Gather workers share the parent's.
 	pool *BatchPool
 	// unpubPsi/unpubOmega are evaluations counted into stats but not yet
-	// added to the process-wide metrics (see publishCounts).
+	// added to the process-wide metrics, g2p the G2P cache and converter
+	// events likewise (see publishCounts).
 	unpubPsi   int64
 	unpubOmega int64
+	g2p        phonetic.Tally
+	// net is the taxonomy, read from the Env (under the engine's lock) once.
+	net *wordnet.Net
+}
+
+// taxonomy returns the taxonomy Ω probes, nil when none is loaded (then the
+// statement fails on its first Ω evaluation).
+func (ev *evaluator) taxonomy() *wordnet.Net {
+	if ev.net == nil {
+		ev.net = ev.env.WordNet()
+	}
+	return ev.net
 }
 
 // phoneme converts through the per-query memo cache: in a Ψ join, the inner
@@ -48,7 +62,7 @@ func (ev *evaluator) phoneme(u types.UniText) string {
 			}
 		}
 	}
-	return ev.memo.ToPhoneme(u)
+	return ev.memo.ToPhoneme(u, &ev.g2p)
 }
 
 // eval evaluates e over t.
@@ -266,25 +280,21 @@ func (ev *evaluator) evalPsi(x *plan.Psi, t types.Tuple) (types.Value, error) {
 	return types.NewBool(phonetic.WithinDistance(lph, rph, x.Threshold)), nil
 }
 
-// omegaOperand coerces a value to UniText for the Ω matcher.
-func omegaOperand(v types.Value, langs []types.LangID) (types.UniText, bool) {
+// omegaOperand coerces a value to UniText for Ω: bare TEXT is English.
+func omegaOperand(v types.Value) (types.UniText, bool) {
 	switch v.Kind() {
 	case types.KindUniText:
 		return v.UniText(), true
 	case types.KindText:
-		lang := types.LangEnglish
-		if len(langs) > 0 {
-			lang = langs[0]
-		}
-		return types.Compose(v.Text(), lang), true
+		return types.Compose(v.Text(), types.LangEnglish), true
 	default:
 		return types.UniText{}, false
 	}
 }
 
 func (ev *evaluator) evalOmega(x *plan.Omega, t types.Tuple) (types.Value, error) {
-	m := ev.env.Semantic()
-	if m == nil {
+	net := ev.taxonomy()
+	if net == nil {
 		return types.Value{}, fmt.Errorf("exec: SEMEQUAL requires a loaded taxonomy")
 	}
 	l, err := ev.eval(x.L, t)
@@ -302,25 +312,16 @@ func (ev *evaluator) evalOmega(x *plan.Omega, t types.Tuple) (types.Value, error
 	// languages (which rows may match), not the language of the query
 	// concept — 'History' in Figure 4 is an English word even though the
 	// results span English, French and Tamil.
-	lu, okL := omegaOperand(l, nil)
-	ru, okR := omegaOperand(r, nil)
+	lu, okL := omegaOperand(l)
+	ru, okR := omegaOperand(r)
 	if !okL || !okR {
 		return types.Value{}, fmt.Errorf("exec: SEMEQUAL operands must be text, got %s and %s", l.Kind(), r.Kind())
 	}
 	ev.countOmega()
-	if ev.res != nil {
-		// Governed probes check the cancel checkpoint and charge fresh
-		// closure materializations against the query's memory budget.
-		if err := ev.tick(); err != nil {
-			return types.Value{}, err
-		}
-		ok, err := m.MatchMeter(lu, ru, x.Langs, ev.res)
-		if err != nil {
-			return types.Value{}, err
-		}
-		return types.NewBool(ok), nil
+	if err := ev.tick(); err != nil {
+		return types.Value{}, err
 	}
-	return types.NewBool(m.Match(lu, ru, x.Langs)), nil
+	return types.NewBool(net.CompileRight(ru, x.Langs, 0).Match(lu.Lang, []byte(lu.Text))), nil
 }
 
 func (ev *evaluator) evalCall(x *plan.Call, t types.Tuple) (types.Value, error) {
@@ -354,7 +355,8 @@ func (ev *evaluator) evalCall(x *plan.Call, t types.Tuple) (types.Value, error) 
 		if !ok {
 			return types.Value{}, fmt.Errorf("exec: unknown language %q", args[1].Text())
 		}
-		u := ev.env.Phonetic().Materialize(types.Compose(args[0].Text(), lang))
+		u := types.Compose(args[0].Text(), lang)
+		u.Phoneme = ev.env.Phonetic().Convert(u, &ev.g2p)
 		return types.NewUniText(u), nil
 	case sql.FuncText:
 		if args[0].IsNull() {
@@ -376,7 +378,7 @@ func (ev *evaluator) evalCall(x *plan.Call, t types.Tuple) (types.Value, error) 
 		if args[0].Kind() != types.KindUniText {
 			return types.Value{}, fmt.Errorf("exec: phoneme() takes a UNITEXT value")
 		}
-		return types.NewText(ev.env.Phonetic().ToPhoneme(args[0].UniText())), nil
+		return types.NewText(ev.env.Phonetic().Convert(args[0].UniText(), &ev.g2p)), nil
 	default:
 		return types.Value{}, fmt.Errorf("exec: function %s is not scalar", x.Kind)
 	}

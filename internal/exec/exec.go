@@ -146,7 +146,11 @@ func build(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIte
 	case plan.OpFilter, plan.OpProject, plan.OpMaterialize, plan.OpAggregate,
 		plan.OpSort, plan.OpDistinct, plan.OpLimit:
 		if n.Op == plan.OpFilter && n.Children[0].Op == plan.OpSeqScan {
-			if kern := ev.compileFused(n.Cond, n.Children[0].Schema()); kern != nil {
+			kern, err := ev.compileFused(n.Cond, n.Children[0])
+			if err != nil {
+				return nil, err
+			}
+			if kern != nil {
 				return buildFusedScan(env, ev, n, kern)
 			}
 		}

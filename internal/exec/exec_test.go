@@ -19,9 +19,9 @@ import (
 // records, encoded once per table (like a real heap) so allocation tests see
 // only the executor's own allocations.
 type mockEnv struct {
-	tables  map[string][]types.Tuple
-	phon    *phonetic.Registry
-	matcher *wordnet.Matcher
+	tables map[string][]types.Tuple
+	phon   *phonetic.Registry
+	net    *wordnet.Net
 	// mtreeCol maps index name -> (table, column position).
 	mtree map[string]struct {
 		table string
@@ -157,7 +157,7 @@ func (m *mockEnv) QGramSearch(string, string, int) ([]storage.RID, int, error) {
 func (m *mockEnv) CustomOperator(string) func(a, b types.Value) (bool, error) { return nil }
 
 func (m *mockEnv) Phonetic() *phonetic.Registry { return m.phon }
-func (m *mockEnv) Semantic() *wordnet.Matcher   { return m.matcher }
+func (m *mockEnv) WordNet() *wordnet.Net        { return m.net }
 
 func u(text string, lang types.LangID) types.Value {
 	return types.NewUniText(phonetic.DefaultRegistry().Materialize(types.Compose(text, lang)))
@@ -308,7 +308,7 @@ func TestPsiIndexJoinOperator(t *testing.T) {
 func TestOmegaJoinOperator(t *testing.T) {
 	net := wordnet.Generate(wordnet.Config{Synsets: 2000, Seed: 9})
 	env := newMockEnv()
-	env.matcher = wordnet.NewMatcher(net)
+	env.net = net
 	env.tables["cat"] = []types.Tuple{
 		{u("historiography", types.LangEnglish)},
 		{u("physics", types.LangEnglish)},
@@ -506,7 +506,7 @@ func TestEvaluatorPsiLangFilter(t *testing.T) {
 }
 
 func TestOmegaWithoutMatcherErrors(t *testing.T) {
-	env := newMockEnv() // matcher nil
+	env := newMockEnv() // no taxonomy
 	ev := NewEvaluator(env)
 	om := &plan.Omega{L: &plan.Const{Val: types.NewText("a")}, R: &plan.Const{Val: types.NewText("b")}}
 	if _, err := ev.Eval(om, nil); err == nil {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/mural-db/mural/internal/phonetic"
@@ -31,8 +32,10 @@ import (
 // identical errors and is the reference the kernels are tested against.
 
 // fusedCond is a compiled predicate evaluated against a raw encoded record.
+// close releases what compiling it charged to the query.
 type fusedCond interface {
 	matchRec(rec []byte) (bool, error)
+	close()
 }
 
 // constFalseKernel rejects every row: the compiled form of a predicate with
@@ -41,6 +44,7 @@ type fusedCond interface {
 type constFalseKernel struct{}
 
 func (constFalseKernel) matchRec([]byte) (bool, error) { return false, nil }
+func (constFalseKernel) close()                        {}
 
 // colAndConst splits a binary predicate into its column side and its
 // (expected-constant) probe side. ok=false when neither or both sides are
@@ -57,17 +61,18 @@ func colAndConst(l, r plan.Expr) (col int, probe plan.Expr, colIsLeft, ok bool) 
 	return 0, nil, false, false
 }
 
-// compileFused compiles a filter condition over a scan with the given output
-// columns into a record kernel, or nil when the shape is not fusible (the
-// generic path then runs it unchanged).
-func (ev *evaluator) compileFused(cond plan.Expr, cols []plan.ColInfo) fusedCond {
+// compileFused compiles a filter condition over a scan node into a record
+// kernel, or nil when the shape is not fusible (the generic path then runs it
+// unchanged). The error is a governance failure: a compiled operand the
+// query's memory budget cannot hold.
+func (ev *evaluator) compileFused(cond plan.Expr, scan *plan.Node) (fusedCond, error) {
 	switch x := cond.(type) {
 	case *plan.Psi:
-		return ev.compileFusedPsi(x, cols)
+		return ev.compileFusedPsi(x, scan.Schema()), nil
 	case *plan.Omega:
-		return ev.compileFusedOmega(x, cols)
+		return ev.compileFusedOmega(x, scan)
 	}
-	return nil
+	return nil, nil
 }
 
 // skipTo compiles the walk to column col of a record of the scanned table.
@@ -129,14 +134,15 @@ type psiKernel struct {
 	colIsLeft bool
 }
 
-// operandErr reproduces evalPsi's kind error with the operands in their
-// original left/right order.
-func (k *psiKernel) operandErr(colKind types.Kind) error {
-	lk, rk := colKind, k.probeKind
-	if !k.colIsLeft {
-		lk, rk = rk, lk
+func (k *psiKernel) close() {}
+
+// operandErr reproduces evalPsi's and evalOmega's kind error, naming the
+// operands in their original left/right order.
+func operandErr(op string, colKind, probeKind types.Kind, colIsLeft bool) error {
+	if !colIsLeft {
+		colKind, probeKind = probeKind, colKind
 	}
-	return fmt.Errorf("exec: LEXEQUAL operands must be text, got %s and %s", lk, rk)
+	return fmt.Errorf("exec: %s operands must be text, got %s and %s", op, colKind, probeKind)
 }
 
 // matchRec counts an evaluation (evaluator.countPsi, as evalPsi does) for
@@ -179,88 +185,125 @@ func (k *psiKernel) matchRec(rec []byte) (bool, error) {
 		k.ev.countPsi()
 		return k.m.Match(ph), nil
 	default:
-		return false, k.operandErr(types.Kind(field[0]))
+		return false, operandErr("LEXEQUAL", types.Kind(field[0]), k.probeKind, k.colIsLeft)
 	}
 }
 
-func (ev *evaluator) compileFusedOmega(x *plan.Omega, cols []plan.ColInfo) fusedCond {
-	m := ev.env.Semantic()
-	if m == nil {
+// compileFusedOmega resolves the constant operand once per statement into a
+// wordnet.Probe, bounded by the rows the scan is estimated to read.
+func (ev *evaluator) compileFusedOmega(x *plan.Omega, scan *plan.Node) (fusedCond, error) {
+	net := ev.taxonomy()
+	if net == nil {
 		// No taxonomy: the generic path raises evalOmega's error.
-		return nil
+		return nil, nil
 	}
 	col, probeExpr, colIsLeft, ok := colAndConst(x.L, x.R)
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	pv, err := ev.eval(probeExpr, nil)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
 	if pv.IsNull() {
-		return constFalseKernel{}
+		return constFalseKernel{}, nil
 	}
-	pu, okp := omegaOperand(pv, nil)
+	pu, okp := omegaOperand(pv)
 	if !okp {
-		return nil
+		return nil, nil
 	}
-	skip, ok := skipTo(cols, col)
+	skip, ok := skipTo(scan.Schema(), col)
 	if !ok {
-		return nil
+		return nil, nil
 	}
+	var shared map[*plan.Omega]*compiledOmega
+	if ev.par != nil {
+		shared = ev.par.shared.omega
+	}
+	c := shared[x]
+	if c == nil {
+		c = &compiledOmega{res: ev.res}
+		if colIsLeft {
+			c.probe = net.CompileRight(pu, x.Langs, int(scan.EstimatedRows()))
+		} else {
+			c.probe = net.CompileLeft(pu, x.Langs)
+		}
+		c.bytes = c.probe.MemBytes()
+		if err := ev.grow(c.bytes); err != nil {
+			ev.release(c.bytes)
+			return nil, err
+		}
+		if shared != nil {
+			shared[x] = c
+		}
+	}
+	c.refs.Add(1)
 	return &omegaKernel{
 		ev:        ev,
 		skip:      skip,
-		m:         m,
-		langs:     x.Langs,
-		probe:     pu,
+		probe:     c.probe,
+		held:      c,
 		probeKind: pv.Kind(),
 		colIsLeft: colIsLeft,
-	}
+	}, nil
 }
 
-// omegaKernel is a fused Ω predicate: probe operand precoerced, column side
-// decoded per surviving candidate. The closure probe itself is asymmetric,
-// so operand order is preserved.
+// compiledOmega is a statement's compiled Ω operand and its charge. A
+// Gather's workers compile it once: the first builds and charges it, the
+// others take a reference, and the last kernel to close releases it.
+type compiledOmega struct {
+	probe *wordnet.Probe
+	res   *Resources
+	bytes int64
+	refs  atomic.Int32
+}
+
+// omegaKernel is a fused Ω predicate: the column's language and text read as
+// views on the pinned page and handed to the compiled probe, so a row costs
+// no decode, no lock and no allocation.
 type omegaKernel struct {
 	ev        *evaluator
 	skip      types.SkipPlan
-	m         *wordnet.Matcher
-	langs     []types.LangID
-	probe     types.UniText
+	probe     *wordnet.Probe
+	held      *compiledOmega
 	probeKind types.Kind
 	colIsLeft bool
 }
 
+// matchRec counts a probe (evaluator.countOmega, as evalOmega does) for every
+// non-NULL text row, whether or not its language is admitted.
 func (k *omegaKernel) matchRec(rec []byte) (bool, error) {
 	field, err := k.skip.Seek(rec)
 	if err != nil {
 		return false, err
 	}
-	if types.Kind(field[0]) == types.KindNull {
+	var lang types.LangID
+	var text []byte
+	switch types.Kind(field[0]) {
+	case types.KindNull:
 		return false, nil
+	case types.KindUniText:
+		lang, text, _, err = types.UniTextViews(field)
+	case types.KindText:
+		// Bare TEXT is read as English, as omegaOperand reads it.
+		var v types.Value
+		v, _, err = types.DecodeValue(field)
+		lang, text = types.LangEnglish, []byte(v.Text())
+	default:
+		return false, operandErr("SEMEQUAL", types.Kind(field[0]), k.probeKind, k.colIsLeft)
 	}
-	v, _, err := types.DecodeValue(field)
 	if err != nil {
 		return false, err
 	}
-	cu, ok := omegaOperand(v, nil)
-	if !ok {
-		lk, rk := v.Kind(), k.probeKind
-		if !k.colIsLeft {
-			lk, rk = rk, lk
-		}
-		return false, fmt.Errorf("exec: SEMEQUAL operands must be text, got %s and %s", lk, rk)
-	}
 	k.ev.countOmega()
-	lu, ru := cu, k.probe
-	if !k.colIsLeft {
-		lu, ru = ru, lu
+	return k.probe.Match(lang, text), nil
+}
+
+func (k *omegaKernel) close() {
+	if k.held != nil && k.held.refs.Add(-1) == 0 {
+		k.held.res.Release(k.held.bytes)
 	}
-	if k.ev.res != nil {
-		return k.m.MatchMeter(lu, ru, k.langs, k.ev.res)
-	}
-	return k.m.Match(lu, ru, k.langs), nil
+	k.held = nil
 }
 
 // fusedScanIter is the fused pipeline: scan a heap page, run the kernel on
@@ -282,11 +325,12 @@ type fusedScanIter struct {
 }
 
 // buildFusedScan instantiates the fused form of filter node n over its scan
-// child.
+// child; from here on the scan owns the kernel.
 func buildFusedScan(env Env, ev *evaluator, n *plan.Node, kern fusedCond) (BatchIter, error) {
 	scan := n.Children[0]
 	src, err := newRecordSource(env, ev, scan)
 	if err != nil {
+		kern.close()
 		return nil, err
 	}
 	f := &fusedScanIter{ev: ev, src: src, kern: kern}
@@ -369,4 +413,7 @@ func (f *fusedScanIter) countEOS() {
 	f.filtSt.Nexts++
 }
 
-func (f *fusedScanIter) Close() error { return f.src.Close() }
+func (f *fusedScanIter) Close() error {
+	f.kern.close()
+	return f.src.Close()
+}

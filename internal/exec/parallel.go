@@ -21,14 +21,15 @@ import (
 //
 // Isolation contract: each worker gets its own evaluator — its own RunStats,
 // its own ExecStats collector (when the parent collects), and its own G2P
-// memo cache — so no executor state is shared between goroutines. Worker
+// memo cache — so no mutable executor state is shared between goroutines
+// (a compiled Ω operand, built once for all workers, is immutable). Worker
 // figures are folded into the parent's at stream end or Close, whichever
 // comes first. Shared engine structures (buffer pool, heaps, B-/M-Tree,
-// q-gram, closure cache, converter registry) are internally synchronized
-// and safe for the concurrent readers a Gather creates; parallel plans
-// never write, so the WAL's no-steal batch protocol is untouched — a
-// concurrent writer's batch pins simply serialize with worker page pins at
-// the buffer pool as usual.
+// q-gram, converter registry, the pinned taxonomy) are internally
+// synchronized or immutable, and safe for the concurrent readers a Gather
+// creates; parallel plans never write, so the WAL's no-steal batch protocol
+// is untouched — a concurrent writer's batch pins simply serialize with
+// worker page pins at the buffer pool as usual.
 
 // morselChunkPages is how many heap pages one morsel claim covers.
 const morselChunkPages = 4
@@ -41,11 +42,13 @@ type parallelCtx struct {
 	shared  *gatherShared
 }
 
-// gatherShared is built once per Gather and shared by its workers. The map
-// is populated while workers are built sequentially and only read after, so
-// it needs no lock; the morselSources inside hand out ranges atomically.
+// gatherShared is built once per Gather and shared by its workers. The maps
+// are populated while workers are built sequentially and only read after, so
+// they need no lock; the morselSources inside hand out ranges atomically, and
+// a compiled Ω operand is immutable.
 type gatherShared struct {
 	sources map[*plan.Node]*morselSource
+	omega   map[*plan.Omega]*compiledOmega
 }
 
 // morselSource hands out disjoint page ranges of one table to any worker
@@ -127,7 +130,7 @@ func buildGather(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (Ba
 	if fanout {
 		w = len(n.Children)
 	}
-	shared := &gatherShared{sources: make(map[*plan.Node]*morselSource)}
+	shared := &gatherShared{sources: make(map[*plan.Node]*morselSource), omega: make(map[*plan.Omega]*compiledOmega)}
 	g := &gatherIter{parent: ev, stop: make(chan struct{})}
 	for i := 0; i < w; i++ {
 		cell := &workerCell{}

@@ -38,7 +38,7 @@ func (ev *evaluator) countOmega() {
 	ev.unpubOmega++
 }
 
-// publishCounts adds the evaluator's unpublished Ψ/Ω tallies to the
+// publishCounts adds the evaluator's unpublished Ψ/Ω and G2P tallies to the
 // process-wide counters. It runs on the goroutine that runs the evaluator
 // or, for a Gather worker's evaluator, on the consumer's once the worker has
 // exited.
@@ -53,6 +53,7 @@ func (ev *evaluator) publishCounts() {
 		mOmegaProbes.Add(ev.unpubOmega)
 		ev.unpubOmega = 0
 	}
+	ev.g2p.Publish()
 }
 
 // OpStats is what one plan operator measured while running under EXPLAIN

@@ -5,17 +5,7 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/mural-db/mural/internal/metrics"
 	"github.com/mural-db/mural/internal/types"
-)
-
-// G2P observability: conversions vs cache hits separates "the converter
-// ran" from "the materialized phoneme string (§3.1) was reused" — the
-// ratio is the payoff of phoneme materialization at insert time.
-var (
-	mG2PConversions = metrics.Default.Counter("mural_g2p_conversions_total")
-	mG2PCacheHits   = metrics.Default.Counter("mural_g2p_cache_hits_total")
-	mG2PFallbacks   = metrics.Default.Counter("mural_g2p_fallbacks_total")
 )
 
 // Converter renders text of one language into a canonical IPA phoneme
@@ -85,16 +75,25 @@ func (r *Registry) Langs() []types.LangID {
 // phoneme string, that is returned without reconversion. Unknown languages
 // fall back to a lowercase copy of the text, so that Ψ degrades to
 // case-insensitive approximate string matching rather than failing.
+// ToPhoneme publishes its count at once; a row loop uses Convert.
 func (r *Registry) ToPhoneme(u types.UniText) string {
+	var t Tally
+	p := r.Convert(u, &t)
+	t.Publish()
+	return p
+}
+
+// Convert is ToPhoneme counting into t instead of the process-wide counters.
+func (r *Registry) Convert(u types.UniText, t *Tally) string {
 	if u.Phoneme != "" {
-		mG2PCacheHits.Inc()
+		t.hits++
 		return u.Phoneme
 	}
 	if c, ok := r.Lookup(u.Lang); ok {
-		mG2PConversions.Inc()
+		t.conversions++
 		return c.ToPhoneme(u.Text)
 	}
-	mG2PFallbacks.Inc()
+	t.fallbacks++
 	return strings.ToLower(u.Text)
 }
 

@@ -98,19 +98,24 @@ func TestMemoCacheCountsHitsAndMisses(t *testing.T) {
 	metrics.Default.Reset()
 	reg := DefaultRegistry()
 	mc := NewMemoCache(reg)
+	var tl Tally
 
 	u := types.UniText{Text: "Krishna", Lang: types.LangEnglish}
-	first := mc.ToPhoneme(u)
-	if got := mc.ToPhoneme(u); got != first {
+	first := mc.ToPhoneme(u, &tl)
+	if got := mc.ToPhoneme(u, &tl); got != first {
 		t.Fatalf("memoized phoneme mismatch: %q vs %q", got, first)
 	}
-	mc.ToPhoneme(u)
+	mc.ToPhoneme(u, &tl)
 	if mc.Len() != 1 {
 		t.Fatalf("memo Len = %d, want 1", mc.Len())
 	}
+	if snap := metrics.Default.Snapshot(); snap.Counters["mural_g2p_cache_hits_total"]+snap.Counters["mural_g2p_cache_misses_total"] != 0 {
+		t.Fatalf("lookups reached the process-wide counters before Publish: %v", snap.Counters)
+	}
+	tl.Publish()
 	snap := metrics.Default.Snapshot()
-	if snap.Counters["mural_g2p_cache_misses_total"] != 1 {
-		t.Fatalf("misses = %d, want 1", snap.Counters["mural_g2p_cache_misses_total"])
+	if snap.Counters["mural_g2p_cache_misses_total"] != 1 || snap.Counters["mural_g2p_conversions_total"] != 1 {
+		t.Fatalf("misses = %d, conversions = %d, want 1 and 1", snap.Counters["mural_g2p_cache_misses_total"], snap.Counters["mural_g2p_conversions_total"])
 	}
 	if snap.Counters["mural_g2p_cache_hits_total"] != 2 {
 		t.Fatalf("hits = %d, want 2", snap.Counters["mural_g2p_cache_hits_total"])
@@ -118,7 +123,8 @@ func TestMemoCacheCountsHitsAndMisses(t *testing.T) {
 
 	// Materialized values bypass the memo entirely and count as hits.
 	mat := reg.Materialize(types.UniText{Text: "Crishna", Lang: types.LangEnglish})
-	mc.ToPhoneme(mat)
+	mc.ToPhoneme(mat, &tl)
+	tl.Publish()
 	snap = metrics.Default.Snapshot()
 	if snap.Counters["mural_g2p_cache_hits_total"] != 3 {
 		t.Fatalf("hits after materialized = %d, want 3", snap.Counters["mural_g2p_cache_hits_total"])

@@ -1,20 +1,6 @@
 package phonetic
 
-import (
-	"github.com/mural-db/mural/internal/metrics"
-	"github.com/mural-db/mural/internal/types"
-)
-
-// mG2PCacheMisses counts memo-cache lookups that had to run a conversion.
-// Together with mural_g2p_cache_hits_total it measures how much repeated
-// G2P work a Ψ join avoids (inner tuples are converted once per distinct
-// string, not once per probe).
-var mG2PCacheMisses = metrics.Default.Counter("mural_g2p_cache_misses_total")
-
-// mG2PCacheEvictions counts entries the per-query memo dropped at its size
-// cap. A nonzero value means the query saw more distinct strings than the
-// memo holds — expected for scans over huge high-cardinality columns.
-var mG2PCacheEvictions = metrics.Default.Counter("mural_g2p_cache_evictions_total")
+import "github.com/mural-db/mural/internal/types"
 
 // DefaultMemoEntries bounds the per-query memo. A scan over millions of
 // distinct names must not hold the whole column's phonemes in memory; at
@@ -64,23 +50,24 @@ func (c *MemoCache) SetShared(s *SharedCache) { c.shared = s }
 
 // ToPhoneme returns the phoneme string for u, converting on the first
 // sighting of each distinct (text, lang) pair and serving repeats from the
-// memo (or the attached shared cache).
-func (c *MemoCache) ToPhoneme(u types.UniText) string {
+// memo (or the attached shared cache). It counts into t, which the memo's
+// owner publishes.
+func (c *MemoCache) ToPhoneme(u types.UniText, t *Tally) string {
 	if u.Phoneme != "" {
-		mG2PCacheHits.Inc()
+		t.hits++
 		return u.Phoneme
 	}
 	key := memoKey{text: u.Text, lang: u.Lang}
 	if p, ok := c.m[key]; ok {
-		mG2PCacheHits.Inc()
+		t.hits++
 		return p
 	}
-	mG2PCacheMisses.Inc()
+	t.misses++
 	var p string
 	if c.shared != nil {
-		p = c.shared.ToPhoneme(u)
+		p = c.shared.ToPhoneme(u, t)
 	} else {
-		p = c.reg.ToPhoneme(u)
+		p = c.reg.Convert(u, t)
 	}
 	if c.m == nil {
 		c.m = make(map[memoKey]string)
@@ -88,7 +75,7 @@ func (c *MemoCache) ToPhoneme(u types.UniText) string {
 	if c.cap > 0 && len(c.m) >= c.cap {
 		for k := range c.m {
 			delete(c.m, k)
-			mG2PCacheEvictions.Inc()
+			t.evictions++
 			break
 		}
 	}

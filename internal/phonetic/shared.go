@@ -5,14 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/mural-db/mural/internal/metrics"
 	"github.com/mural-db/mural/internal/types"
-)
-
-var (
-	mG2PSharedHits      = metrics.Default.Counter("mural_g2p_shared_cache_hits_total")
-	mG2PSharedMisses    = metrics.Default.Counter("mural_g2p_shared_cache_misses_total")
-	mG2PSharedEvictions = metrics.Default.Counter("mural_g2p_shared_cache_evictions_total")
 )
 
 // sharedShards spreads the engine-lifetime cache over independent locks so
@@ -78,7 +71,9 @@ func (c *SharedCache) shard(key memoKey) *sharedShard {
 // ToPhoneme returns the phoneme string for u, converting through the
 // registry on the first engine-wide sighting of each distinct (text, lang)
 // pair. Values carrying a materialized phoneme bypass the cache entirely.
-func (c *SharedCache) ToPhoneme(u types.UniText) string {
+// The process-wide counters get their share through t; Stats reads the
+// cache's own.
+func (c *SharedCache) ToPhoneme(u types.UniText, t *Tally) string {
 	if u.Phoneme != "" {
 		return u.Phoneme
 	}
@@ -88,16 +83,16 @@ func (c *SharedCache) ToPhoneme(u types.UniText) string {
 	if p, ok := s.m[key]; ok {
 		s.mu.Unlock()
 		c.hits.Add(1)
-		mG2PSharedHits.Inc()
+		t.sharedHits++
 		return p
 	}
 	s.mu.Unlock()
 	c.misses.Add(1)
-	mG2PSharedMisses.Inc()
+	t.sharedMisses++
 	// Convert outside the shard lock: G2P is the expensive part, and other
 	// keys of this shard shouldn't wait behind it. A racing conversion of
 	// the same key is wasted work, not an error.
-	p := c.reg.ToPhoneme(u)
+	p := c.reg.Convert(u, t)
 	s.mu.Lock()
 	if _, ok := s.m[key]; !ok {
 		if s.m == nil {
@@ -110,7 +105,7 @@ func (c *SharedCache) ToPhoneme(u types.UniText) string {
 			for k := range s.m {
 				delete(s.m, k)
 				c.evictions.Add(1)
-				mG2PSharedEvictions.Inc()
+				t.sharedEvictions++
 				break
 			}
 		}

@@ -15,14 +15,14 @@ func TestMemoCacheBounded(t *testing.T) {
 	mc := NewMemoCache(DefaultRegistry())
 	mc.SetCap(8)
 	for i := 0; i < 100; i++ {
-		mc.ToPhoneme(types.UniText{Text: fmt.Sprintf("name%d", i), Lang: types.LangEnglish})
+		mc.ToPhoneme(types.UniText{Text: fmt.Sprintf("name%d", i), Lang: types.LangEnglish}, new(Tally))
 	}
 	if mc.Len() > 8 {
 		t.Fatalf("memo grew past its cap: Len = %d, cap 8", mc.Len())
 	}
 	// Entries still serve correct values after evictions churned the map.
 	u := types.UniText{Text: "name99", Lang: types.LangEnglish}
-	if got, want := mc.ToPhoneme(u), DefaultRegistry().ToPhoneme(u); got != want {
+	if got, want := mc.ToPhoneme(u, new(Tally)), DefaultRegistry().ToPhoneme(u); got != want {
 		t.Fatalf("post-eviction phoneme = %q, want %q", got, want)
 	}
 }
@@ -36,14 +36,14 @@ func TestSharedCacheServesAcrossMemos(t *testing.T) {
 	m1 := NewMemoCache(reg)
 	m1.SetShared(shared)
 	u := types.UniText{Text: "Krishna", Lang: types.LangEnglish}
-	want := m1.ToPhoneme(u)
+	want := m1.ToPhoneme(u, new(Tally))
 	if s := shared.Stats(); s.Misses != 1 || s.Hits != 0 {
 		t.Fatalf("after first conversion: %+v, want 1 miss 0 hits", s)
 	}
 
 	m2 := NewMemoCache(reg)
 	m2.SetShared(shared)
-	if got := m2.ToPhoneme(u); got != want {
+	if got := m2.ToPhoneme(u, new(Tally)); got != want {
 		t.Fatalf("second memo phoneme = %q, want %q", got, want)
 	}
 	s := shared.Stats()
@@ -60,7 +60,7 @@ func TestSharedCacheBoundedAndCounted(t *testing.T) {
 	reg := DefaultRegistry()
 	shared := NewSharedCache(reg, 32) // tiny: forces evictions across shards
 	for i := 0; i < 500; i++ {
-		shared.ToPhoneme(types.UniText{Text: fmt.Sprintf("n%d", i), Lang: types.LangEnglish})
+		shared.ToPhoneme(types.UniText{Text: fmt.Sprintf("n%d", i), Lang: types.LangEnglish}, new(Tally))
 	}
 	s := shared.Stats()
 	if s.Entries > 32+sharedShards {
@@ -78,13 +78,13 @@ func TestSharedCacheBoundedAndCounted(t *testing.T) {
 func TestSharedCachePurge(t *testing.T) {
 	shared := NewSharedCache(DefaultRegistry(), 1024)
 	u := types.UniText{Text: "Nehru", Lang: types.LangEnglish}
-	shared.ToPhoneme(u)
-	shared.ToPhoneme(u)
+	shared.ToPhoneme(u, new(Tally))
+	shared.ToPhoneme(u, new(Tally))
 	shared.Purge()
 	if shared.Len() != 0 {
 		t.Fatalf("Len after purge = %d", shared.Len())
 	}
-	shared.ToPhoneme(u)
+	shared.ToPhoneme(u, new(Tally))
 	s := shared.Stats()
 	if s.Hits != 1 || s.Misses != 2 {
 		t.Fatalf("counters after purge = %+v, want hits 1 misses 2 (kept across purge)", s)
@@ -103,7 +103,7 @@ func TestSharedCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				u := types.UniText{Text: fmt.Sprintf("n%d", i%64), Lang: types.LangEnglish}
-				if got, want := shared.ToPhoneme(u), reg.ToPhoneme(u); got != want {
+				if got, want := shared.ToPhoneme(u, new(Tally)), reg.ToPhoneme(u); got != want {
 					t.Errorf("concurrent phoneme = %q, want %q", got, want)
 					return
 				}

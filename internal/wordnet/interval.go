@@ -13,10 +13,10 @@ package wordnet
 // enumerates as the contiguous pre-order slice [pre(x), post(x)), so
 // |TC(x)| = post(x) − pre(x) without visiting anything.
 //
-// The trade-offs the paper anticipated hold: the index costs O(n) space and
-// a full rebuild on taxonomy update, whereas the §4.3 hash-table
-// memoization needs no precomputation. Ablation E7x (bench) quantifies the
-// comparison.
+// Every Net is labeled once, at generation, and Ω runs on the labels. The
+// trade-offs the paper anticipated hold: the index costs O(n) space and a
+// full rebuild on taxonomy update, whereas the §4.3 hash-table memoization
+// needs no precomputation. Ablation E9 (bench) quantifies the comparison.
 type IntervalIndex struct {
 	pre  []int32
 	post []int32

@@ -2,9 +2,10 @@
 // operator: an interlinked multilingual noun hierarchy in the shape of the
 // Princeton WordNet, a deterministic synthetic generator calibrated to the
 // structural statistics the paper reports (§5.1: ~146K word forms, ~111K
-// synsets, ~283K relations, ~16 MB for the English noun hierarchy), and a
-// memoized transitive-closure engine implementing the paper's §4.3
-// hash-table materialization strategy.
+// synsets, ~283K relations, ~16 MB for the English noun hierarchy), and the
+// closure machinery Ω runs on: DFS interval labels computed once per Net
+// (the connection index of the paper's §4.3.1 future work), and Probe, an Ω
+// predicate compiled once per statement against its constant operand.
 //
 // The paper itself simulates non-English WordNets by replicating the
 // English hierarchy and adding equivalence links between corresponding
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 
 	"github.com/mural-db/mural/internal/types"
 )
@@ -43,9 +43,7 @@ type Net struct {
 	// byWord[lang][word] lists the synsets a word form belongs to.
 	byWord map[types.LangID]map[string][]SynsetID
 	langs  []types.LangID
-
-	sizesOnce sync.Once
-	sizes     []int32 // lazily computed subtree sizes (closure cardinalities)
+	ix     *IntervalIndex // the tree's DFS interval labels (interval.go)
 }
 
 // Config parameterizes Generate.
@@ -198,6 +196,7 @@ seed:
 		net.lemmas[lang] = lem
 		net.byWord[lang] = byW
 	}
+	net.ix = NewIntervalIndex(net)
 	return net
 }
 
@@ -317,22 +316,8 @@ func (w *Net) Closure(root SynsetID) map[SynsetID]struct{} {
 	return out
 }
 
-// ClosureSize returns |TC(root)| from the lazily computed subtree-size
-// table. Generation guarantees parent IDs precede child IDs, so one reverse
-// pass suffices.
-func (w *Net) ClosureSize(root SynsetID) int {
-	w.sizesOnce.Do(func() {
-		sizes := make([]int32, len(w.parent))
-		for i := range sizes {
-			sizes[i] = 1
-		}
-		for id := len(w.parent) - 1; id >= 1; id-- {
-			sizes[w.parent[id]] += sizes[id]
-		}
-		w.sizes = sizes
-	})
-	return int(w.sizes[root])
-}
+// ClosureSize returns |TC(root)| in O(1), from the interval labels.
+func (w *Net) ClosureSize(root SynsetID) int { return w.ix.ClosureSize(root) }
 
 // IsDescendant reports whether node is in TC(root) by walking parent
 // pointers upward — the O(depth) check the in-memory pinned hierarchy

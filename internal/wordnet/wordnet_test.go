@@ -55,8 +55,7 @@ func TestGenerateShape(t *testing.T) {
 	if ratio < 1.1 || ratio > 1.6 {
 		t.Errorf("word forms per synset = %g, want ~1.32", ratio)
 	}
-	// Every non-root parent precedes its child (the invariant ClosureSize
-	// relies on).
+	// Every non-root parent precedes its child.
 	for id := 1; id < net.NumSynsets(); id++ {
 		if p := net.Parent(SynsetID(id)); p >= SynsetID(id) || p == NoSynset {
 			t.Fatalf("node %d has parent %d", id, p)
@@ -150,31 +149,15 @@ func TestCrossLanguageEquivalence(t *testing.T) {
 	}
 }
 
-func TestClosureCache(t *testing.T) {
-	net := smallNet(t)
-	cache := NewClosureCache(net)
-	root := net.SynsetsOf(types.LangEnglish, "history")[0]
-	c1 := cache.Closure(root)
-	c2 := cache.Closure(root)
-	if &c1 == nil || len(c1) != len(c2) {
-		t.Fatal("cache returned different sets")
-	}
-	hits, misses := cache.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = %d hits %d misses, want 1/1", hits, misses)
-	}
-	if !cache.Contains(net.SynsetsOf(types.LangEnglish, "historiography")[0], root) {
-		t.Error("Contains(historiography, history) must hold")
-	}
-	cache.Reset()
-	if h, m := cache.Stats(); h != 0 || m != 0 {
-		t.Error("Reset must clear counters")
-	}
+// match is Ω(lhs, rhs) as the generic evaluator runs it.
+type match struct{ *Net }
+
+func (m match) Match(lhs, rhs types.UniText, langs []types.LangID) bool {
+	return m.CompileRight(rhs, langs, 0).Match(lhs.Lang, []byte(lhs.Text))
 }
 
-func TestMatcher(t *testing.T) {
-	net := smallNet(t)
-	m := NewMatcher(net)
+func TestMatch(t *testing.T) {
+	m := match{smallNet(t)}
 	history := types.Compose("history", types.LangEnglish)
 	historiography := types.Compose("historiography", types.LangEnglish)
 	taHistoriography := types.Compose("tamil:historiography", types.LangTamil)
@@ -209,19 +192,6 @@ func TestMatcher(t *testing.T) {
 	}
 }
 
-func TestMatchNoCacheAgreesWithMatch(t *testing.T) {
-	net := smallNet(t)
-	m := NewMatcher(net)
-	history := types.Compose("history", types.LangEnglish)
-	words := []string{"historiography", "autobiography", "science", "music", "history", "entity", "concept_002000"}
-	for _, w := range words {
-		lhs := types.Compose(w, types.LangEnglish)
-		if m.Match(lhs, history, nil) != m.MatchNoCache(lhs, history, nil) {
-			t.Errorf("Match and MatchNoCache disagree on %q", w)
-		}
-	}
-}
-
 func TestFullScaleGenerationStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale WordNet generation in -short mode")
@@ -249,9 +219,8 @@ func BenchmarkClosureLarge(b *testing.B) {
 	}
 }
 
-func BenchmarkMatchCached(b *testing.B) {
-	net := Generate(Config{Synsets: 50000, Seed: 2})
-	m := NewMatcher(net)
+func BenchmarkMatch(b *testing.B) {
+	m := match{Generate(Config{Synsets: 50000, Seed: 2})}
 	history := types.Compose("history", types.LangEnglish)
 	lhs := types.Compose("historiography", types.LangEnglish)
 	b.ReportAllocs()

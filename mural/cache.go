@@ -105,9 +105,10 @@ type CacheCounters struct {
 	Entries   int
 }
 
-// CacheStats reports the engine's shared caches: the G2P conversion cache,
-// the SELECT plan cache, and the Ω closure cache (zero when no taxonomy is
-// loaded).
+// CacheStats reports the engine's shared caches: the G2P conversion cache
+// and the SELECT plan cache. Closure is always zero: Ω keeps no cache (a
+// statement compiles its constant operand against the taxonomy's interval
+// labels), and the field stays for callers that read it.
 type CacheStats struct {
 	G2P     CacheCounters
 	Plan    CacheCounters
@@ -124,23 +125,15 @@ func (e *Engine) CacheStats() CacheStats {
 	if e.plans != nil {
 		cs.Plan = e.plans.snapshot()
 	}
-	e.mu.RLock()
-	m := e.matcher
-	e.mu.RUnlock()
-	if m != nil {
-		cc := m.Cache()
-		hits, misses := cc.Stats()
-		cs.Closure = CacheCounters{Hits: hits, Misses: misses, Evictions: cc.Evictions(), Entries: cc.Len()}
-	}
 	return cs
 }
 
 // ddlDone passes a DDL result through and, when the statement succeeded,
 // purges everything that described the old schema or data: the plan cache
 // (its keys carry the catalog version, so it would age out on its own;
-// purging reclaims the memory), the G2P and closure caches, and the
-// selectivity feedback — DDL and ANALYZE change the distribution the
-// observations described.
+// purging reclaims the memory), the G2P cache, and the selectivity
+// feedback — DDL and ANALYZE change the distribution the observations
+// described.
 func (e *Engine) ddlDone(r *Result, err error) (*Result, error) {
 	if err != nil {
 		return r, err
@@ -148,12 +141,6 @@ func (e *Engine) ddlDone(r *Result, err error) (*Result, error) {
 	e.plans.purge()
 	if e.g2p != nil {
 		e.g2p.Purge()
-	}
-	e.mu.RLock()
-	m := e.matcher
-	e.mu.RUnlock()
-	if m != nil {
-		m.Cache().Purge()
 	}
 	if e.fb != nil {
 		e.fb.Purge()
@@ -183,7 +170,7 @@ func (e *Engine) cacheBase() cacheTotals {
 	}
 	cs := e.CacheStats()
 	return cacheTotals{
-		hits:   int64(cs.G2P.Hits + cs.Plan.Hits + cs.Closure.Hits),
-		misses: int64(cs.G2P.Misses + cs.Plan.Misses + cs.Closure.Misses),
+		hits:   int64(cs.G2P.Hits + cs.Plan.Hits),
+		misses: int64(cs.G2P.Misses + cs.Plan.Misses),
 	}
 }

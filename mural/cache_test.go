@@ -127,9 +127,9 @@ func TestCachesDisabled(t *testing.T) {
 }
 
 // SET changes what the planner may choose for one session and purges
-// nothing: conversions, closures and plans all stay, the catalog version does
-// not move, a plan made under other settings is not served, and switching
-// back finds the first plan again.
+// nothing: conversions and plans stay, the catalog version does not move, a
+// plan made under other settings is not served, and switching back finds the
+// first plan again.
 func TestSetKeepsCaches(t *testing.T) {
 	e, err := Open(Config{WordNet: wordnet.Generate(wordnet.Config{Synsets: 2000, Seed: 1})})
 	if err != nil {
@@ -142,7 +142,7 @@ func TestSetKeepsCaches(t *testing.T) {
 	e.MustExec(q)
 	e.MustExec(`SELECT id FROM doc WHERE cat SEMEQUAL 'history'`)
 	before, version := e.CacheStats(), e.Catalog().Version()
-	if before.Plan.Entries == 0 || before.G2P.Entries == 0 || before.Closure.Entries == 0 {
+	if before.Plan.Entries == 0 || before.G2P.Entries == 0 {
 		t.Fatalf("caches not populated before SET: %+v", before)
 	}
 
@@ -160,7 +160,7 @@ func TestSetKeepsCaches(t *testing.T) {
 	mid := e.CacheStats()
 	e.MustExec(`SET statement_timeout = 5000`)
 	e.MustExec(`SET enable_hashjoin = off`)
-	if after := e.CacheStats(); after.G2P.Entries != mid.G2P.Entries || after.Closure.Entries != mid.Closure.Entries || after.Plan.Entries != mid.Plan.Entries {
+	if after := e.CacheStats(); after.G2P.Entries != mid.G2P.Entries || after.Plan.Entries != mid.Plan.Entries {
 		t.Errorf("SET purged a cache: %+v -> %+v", mid, after)
 	}
 	if v := e.Catalog().Version(); v != version {

@@ -83,7 +83,7 @@ type Config struct {
 	QueryTimeout time.Duration
 	// MaxQueryMem caps the bytes one statement may hold in materializing
 	// operators (hash-join builds, sorts, aggregates, Gather merge buffers,
-	// Ω closure materializations); crossing it fails the statement with
+	// compiled Ω operands); crossing it fails the statement with
 	// ErrMemoryLimit. Zero means unlimited. `SET max_query_mem = <bytes>`
 	// changes it for one session (0 disables).
 	MaxQueryMem int64
@@ -183,15 +183,15 @@ type Engine struct {
 	// non-nil return aborts that delete (ddl.go).
 	failIndexDelete func(index string) error
 
-	mu      sync.RWMutex
-	heaps   map[string]*storage.Heap
-	btrees  map[string]*btree.BTree
-	mtrees  map[string]*mtree.Index
-	mdis    map[string]*mdi.Index
-	qgrams  map[string]*qgram.Index
-	disks   map[storage.FileID]storage.Disk
-	matcher *wordnet.Matcher
-	sem     plan.SemEstimator
+	mu     sync.RWMutex
+	heaps  map[string]*storage.Heap
+	btrees map[string]*btree.BTree
+	mtrees map[string]*mtree.Index
+	mdis   map[string]*mdi.Index
+	qgrams map[string]*qgram.Index
+	disks  map[storage.FileID]storage.Disk
+	net    *wordnet.Net
+	sem    plan.SemEstimator
 	// operators holds user-registered binary predicates, callable from SQL
 	// as name(a, b) — the analog of PostgreSQL's operator addition
 	// facility the paper's prototype built on (§4.2).
@@ -398,18 +398,16 @@ func (e *Engine) attachFile(id storage.FileID) error {
 func (e *Engine) LoadWordNet(net *wordnet.Net) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.matcher = wordnet.NewMatcher(net)
+	e.net = net
 	e.sem = &semEstimator{net: net}
 }
 
-// WordNet returns the pinned taxonomy (nil when none is loaded).
+// WordNet returns the pinned taxonomy (nil when none is loaded); it
+// implements exec.Env.
 func (e *Engine) WordNet() *wordnet.Net {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.matcher == nil {
-		return nil
-	}
-	return e.matcher.Net()
+	return e.net
 }
 
 // Close checkpoints (flushing every dirty page, saving the catalog, and
@@ -582,7 +580,7 @@ func (e *Engine) dispatch(st *statement, stmt sql.Statement, shards []string) (*
 	switch s := stmt.(type) {
 	// DDL-class statements invalidate the shared caches on success: the
 	// plan cache's catalog-version keys already stop matching, and the G2P
-	// and closure caches are purged so no statement observes pre-DDL state.
+	// cache is purged so no statement observes pre-DDL state.
 	case *sql.CreateTable:
 		return e.ddlDone(e.execCreateTable(s))
 	case *sql.DropTable:
@@ -682,8 +680,8 @@ func (e *Engine) execExplain(st *statement, s *sql.Explain) (*Result, error) {
 		res.Plan += fmt.Sprintf("Actual: rows=%d elapsed=%s index_pages=%d psi_evals=%d omega_probes=%d\n",
 			len(rows), res.Elapsed, res.Stats.IndexPages, res.Stats.PsiEvaluations, res.Stats.OmegaProbes)
 		cs := e.CacheStats()
-		res.Plan += fmt.Sprintf("Caches: g2p=%d/%d plan=%d/%d closure=%d/%d (hits/misses, engine lifetime)\n",
-			cs.G2P.Hits, cs.G2P.Misses, cs.Plan.Hits, cs.Plan.Misses, cs.Closure.Hits, cs.Closure.Misses)
+		res.Plan += fmt.Sprintf("Caches: g2p=%d/%d plan=%d/%d (hits/misses, engine lifetime)\n",
+			cs.G2P.Hits, cs.G2P.Misses, cs.Plan.Hits, cs.Plan.Misses)
 		res.Plan += fmt.Sprintf("Memory: peak=%d bytes accounted\n", st.res.PeakBytes())
 	} else {
 		res.Plan = plan.Format(node)

@@ -7,7 +7,6 @@ import (
 	"github.com/mural-db/mural/internal/phonetic"
 	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
-	"github.com/mural-db/mural/internal/wordnet"
 )
 
 // The Engine implements exec.Env: all executor data access lands here.
@@ -148,10 +147,3 @@ func (e *Engine) QGramSearch(index string, phoneme string, threshold int) ([]sto
 
 // Phonetic implements exec.Env.
 func (e *Engine) Phonetic() *phonetic.Registry { return e.phon }
-
-// Semantic implements exec.Env.
-func (e *Engine) Semantic() *wordnet.Matcher {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.matcher
-}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/mural-db/mural/internal/types"
 	"github.com/mural-db/mural/internal/wordnet"
 )
 
@@ -82,9 +83,9 @@ func TestExecContextCancel(t *testing.T) {
 	}
 }
 
-// A deadline expiring while Ω probes materialize closures surfaces
-// ErrQueryTimeout: the closure work is on the checkpointed path.
-func TestTimeoutDuringOmegaClosureExpansion(t *testing.T) {
+// A deadline expiring during an Ω join surfaces ErrQueryTimeout: every probe
+// of the generic evaluator is on the checkpointed path.
+func TestTimeoutDuringOmegaJoin(t *testing.T) {
 	net := wordnet.Generate(wordnet.Config{Synsets: 20000, Seed: 1})
 	e, err := Open(Config{WordNet: net})
 	if err != nil {
@@ -131,6 +132,48 @@ func TestQueryMemLimitSetting(t *testing.T) {
 	e.MustExec(`SET max_query_mem = 0`)
 	if _, err := e.Exec(`SELECT id, name FROM t ORDER BY name`); err != nil {
 		t.Fatalf("sort with budget lifted: %v", err)
+	}
+}
+
+// SET max_query_mem bounds an Ω scan's compiled operand like any other
+// materialization: a concept whose word set overruns 16 KiB fails with
+// ErrMemoryLimit while a leaf concept runs, and lifting the limit runs both.
+func TestQueryMemLimitCoversOmegaOperand(t *testing.T) {
+	net := wordnet.Generate(wordnet.Config{Synsets: 20000, Seed: 1})
+	e, err := Open(Config{WordNet: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.MustExec(`CREATE TABLE doc (id INT, cat UNITEXT)`)
+	var sb strings.Builder
+	sb.WriteString(`INSERT INTO doc VALUES `)
+	for i := 0; i < 3000; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, unitext('%s', english))", i, net.Lemma(types.LangEnglish, wordnet.SynsetID(i*6)))
+	}
+	e.MustExec(sb.String())
+	// With the table's size known, a closure of ~1500 synsets compiles to its
+	// word set: some 2000 word forms, far over 16 KiB.
+	e.MustExec(`ANALYZE doc`)
+	big := fmt.Sprintf(`SELECT id FROM doc WHERE cat SEMEQUAL '%s'`, net.Lemma(types.LangEnglish, net.FindClosureOfSize(1500)))
+	leaf := fmt.Sprintf(`SELECT id FROM doc WHERE cat SEMEQUAL '%s'`, net.Lemma(types.LangEnglish, net.FindClosureOfSize(1)))
+	e.MustExec(`SET max_query_mem = 16384`)
+	if _, err := e.Exec(big); !errors.Is(err, ErrMemoryLimit) {
+		t.Fatalf("Ω scan of a 1500-synset closure under a 16KiB budget = %v, want ErrMemoryLimit", err)
+	}
+	if _, err := e.Exec(leaf); err != nil {
+		t.Fatalf("Ω scan of a leaf under a 16KiB budget: %v", err)
+	}
+	e.MustExec(`SET max_query_mem = 0`)
+	res, err := e.Exec(big)
+	if err != nil {
+		t.Fatalf("Ω scan with the budget lifted: %v", err)
+	}
+	if len(res.Rows) == 0 {
+		t.Error("the 1500-synset closure holds no document")
 	}
 }
 
