@@ -48,8 +48,11 @@ type Env interface {
 	// CustomOperator resolves a predicate registered through the engine's
 	// operator-addition facility (nil when unknown).
 	CustomOperator(name string) func(a, b types.Value) (bool, error)
-	// Phonetic returns the converter registry.
-	Phonetic() *phonetic.Registry
+	// G2P returns the engine's G2P converter: the engine-lifetime cache over
+	// its converter registry. Stored phonemes never reach it; a value stored
+	// without one converts through it, and the unitext() and phoneme()
+	// functions convert through its registry as INSERT materializes.
+	G2P() *phonetic.SharedCache
 	// WordNet returns the pinned taxonomy Ω probes, or nil when none is
 	// loaded.
 	WordNet() *wordnet.Net
@@ -65,15 +68,6 @@ type RecordScan interface {
 	NextPage(fn func(rec []byte) error) (more bool, err error)
 	// Close releases the scan.
 	Close() error
-}
-
-// SharedG2PProvider is an optional Env extension: engines that keep an
-// engine-lifetime G2P cache expose it here, and each per-query memo then
-// uses it as its L2 so sessions reuse each other's conversions. Declared as
-// a separate interface so Env implementations outside the engine (tests,
-// harnesses) need not change.
-type SharedG2PProvider interface {
-	SharedG2P() *phonetic.SharedCache
 }
 
 // RunStats aggregates executor-side counters for EXPLAIN ANALYZE and the

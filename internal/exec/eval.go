@@ -21,9 +21,9 @@ type evaluator struct {
 	// par, when non-nil, marks this evaluator as one Gather worker's: scans
 	// of Parallel plan nodes claim morsels instead of the whole table.
 	par *parallelCtx
-	// memo is the per-query (per-worker) G2P memoization cache, created on
-	// the first Ψ conversion so plain queries never pay for it.
-	memo *phonetic.MemoCache
+	// preds is the statement's compiled Ψ/Ω predicates (predicate.go),
+	// shared with its Gather workers.
+	preds *stmtPreds
 	// res, when non-nil, is the query's shared governance state (cancel
 	// context + memory accountant); ticks is this evaluator's private
 	// amortization counter for the cancellation checkpoint.
@@ -48,21 +48,6 @@ func (ev *evaluator) taxonomy() *wordnet.Net {
 		ev.net = ev.env.WordNet()
 	}
 	return ev.net
-}
-
-// phoneme converts through the per-query memo cache: in a Ψ join, the inner
-// side's unmaterialized values convert once per distinct string rather than
-// once per probe. Each worker owns its evaluator, so the cache is unshared.
-func (ev *evaluator) phoneme(u types.UniText) string {
-	if ev.memo == nil {
-		ev.memo = phonetic.NewMemoCache(ev.env.Phonetic())
-		if sp, ok := ev.env.(SharedG2PProvider); ok {
-			if shared := sp.SharedG2P(); shared != nil {
-				ev.memo.SetShared(shared)
-			}
-		}
-	}
-	return ev.memo.ToPhoneme(u, &ev.g2p)
 }
 
 // eval evaluates e over t.
@@ -147,15 +132,19 @@ func (ev *evaluator) eval(e plan.Expr, t types.Tuple) (types.Value, error) {
 		}
 		return types.NewBool(likeMatch(l.Text(), p.Text())), nil
 	case *plan.Psi:
-		return ev.evalPsi(x, t)
+		return boolValue(ev.evalPsi(x, t))
 	case *plan.Omega:
-		return ev.evalOmega(x, t)
+		return boolValue(ev.evalOmega(x, t))
+	case *constPred:
+		return boolValue(x.eval(ev, t))
 	case *plan.Call:
 		return ev.evalCall(x, t)
 	default:
 		return types.Value{}, fmt.Errorf("exec: unsupported expression %T", e)
 	}
 }
+
+func boolValue(ok bool, err error) (types.Value, error) { return types.NewBool(ok), err }
 
 func (ev *evaluator) evalBool(e plan.Expr, t types.Tuple) (bool, error) {
 	v, err := ev.eval(e, t)
@@ -211,119 +200,6 @@ func likeMatch(s, pattern string) bool {
 	return match(0, 0)
 }
 
-// psiOperand extracts the phoneme string and language of a Ψ operand value.
-// UNITEXT values use their materialized phoneme (converting on demand);
-// bare TEXT is read as the query's first listed language, defaulting to
-// English — the paper's queries supply the input name "in one language".
-func (ev *evaluator) psiOperand(v types.Value, langs []types.LangID) (string, types.LangID, bool) {
-	switch v.Kind() {
-	case types.KindUniText:
-		u := v.UniText()
-		return ev.phoneme(u), u.Lang, true
-	case types.KindText:
-		lang := types.LangEnglish
-		if len(langs) > 0 {
-			lang = langs[0]
-		}
-		return ev.phoneme(types.Compose(v.Text(), lang)), lang, true
-	default:
-		return "", types.LangUnknown, false
-	}
-}
-
-// langAdmitted applies the IN-langs clause of Figure 2: when the query
-// names output languages, a stored (column) value only matches if its
-// language is listed.
-func langAdmitted(lang types.LangID, langs []types.LangID) bool {
-	if len(langs) == 0 {
-		return true
-	}
-	for _, l := range langs {
-		if l == lang {
-			return true
-		}
-	}
-	return false
-}
-
-func (ev *evaluator) evalPsi(x *plan.Psi, t types.Tuple) (types.Value, error) {
-	// Ψ is the expensive per-row work of a LexEQUAL plan (G2P conversion +
-	// edit distance), so the evaluation path carries its own checkpoint.
-	if err := ev.tick(); err != nil {
-		return types.Value{}, err
-	}
-	l, err := ev.eval(x.L, t)
-	if err != nil {
-		return types.Value{}, err
-	}
-	r, err := ev.eval(x.R, t)
-	if err != nil {
-		return types.Value{}, err
-	}
-	if l.IsNull() || r.IsNull() {
-		return types.NewBool(false), nil
-	}
-	lph, llang, okL := ev.psiOperand(l, x.Langs)
-	rph, rlang, okR := ev.psiOperand(r, x.Langs)
-	if !okL || !okR {
-		return types.Value{}, fmt.Errorf("exec: LEXEQUAL operands must be text, got %s and %s", l.Kind(), r.Kind())
-	}
-	// The IN clause restricts stored (UNITEXT column) values; both sides
-	// are checked so the operator is symmetric, per the Mural algebra.
-	if l.Kind() == types.KindUniText && !langAdmitted(llang, x.Langs) {
-		return types.NewBool(false), nil
-	}
-	if r.Kind() == types.KindUniText && !langAdmitted(rlang, x.Langs) {
-		return types.NewBool(false), nil
-	}
-	ev.countPsi()
-	return types.NewBool(phonetic.WithinDistance(lph, rph, x.Threshold)), nil
-}
-
-// omegaOperand coerces a value to UniText for Ω: bare TEXT is English.
-func omegaOperand(v types.Value) (types.UniText, bool) {
-	switch v.Kind() {
-	case types.KindUniText:
-		return v.UniText(), true
-	case types.KindText:
-		return types.Compose(v.Text(), types.LangEnglish), true
-	default:
-		return types.UniText{}, false
-	}
-}
-
-func (ev *evaluator) evalOmega(x *plan.Omega, t types.Tuple) (types.Value, error) {
-	net := ev.taxonomy()
-	if net == nil {
-		return types.Value{}, fmt.Errorf("exec: SEMEQUAL requires a loaded taxonomy")
-	}
-	l, err := ev.eval(x.L, t)
-	if err != nil {
-		return types.Value{}, err
-	}
-	r, err := ev.eval(x.R, t)
-	if err != nil {
-		return types.Value{}, err
-	}
-	if l.IsNull() || r.IsNull() {
-		return types.NewBool(false), nil
-	}
-	// Both operands keep their own language: the IN clause names *output*
-	// languages (which rows may match), not the language of the query
-	// concept — 'History' in Figure 4 is an English word even though the
-	// results span English, French and Tamil.
-	lu, okL := omegaOperand(l)
-	ru, okR := omegaOperand(r)
-	if !okL || !okR {
-		return types.Value{}, fmt.Errorf("exec: SEMEQUAL operands must be text, got %s and %s", l.Kind(), r.Kind())
-	}
-	ev.countOmega()
-	if err := ev.tick(); err != nil {
-		return types.Value{}, err
-	}
-	return types.NewBool(net.CompileRight(ru, x.Langs, 0).Match(lu.Lang, []byte(lu.Text))), nil
-}
-
 func (ev *evaluator) evalCall(x *plan.Call, t types.Tuple) (types.Value, error) {
 	args := make([]types.Value, len(x.Args))
 	for i, a := range x.Args {
@@ -356,7 +232,7 @@ func (ev *evaluator) evalCall(x *plan.Call, t types.Tuple) (types.Value, error) 
 			return types.Value{}, fmt.Errorf("exec: unknown language %q", args[1].Text())
 		}
 		u := types.Compose(args[0].Text(), lang)
-		u.Phoneme = ev.env.Phonetic().Convert(u, &ev.g2p)
+		u.Phoneme = ev.env.G2P().Registry().Convert(u, &ev.g2p)
 		return types.NewUniText(u), nil
 	case sql.FuncText:
 		if args[0].IsNull() {
@@ -378,7 +254,7 @@ func (ev *evaluator) evalCall(x *plan.Call, t types.Tuple) (types.Value, error) 
 		if args[0].Kind() != types.KindUniText {
 			return types.Value{}, fmt.Errorf("exec: phoneme() takes a UNITEXT value")
 		}
-		return types.NewText(ev.env.Phonetic().Convert(args[0].UniText(), &ev.g2p)), nil
+		return types.NewText(ev.env.G2P().Registry().Convert(args[0].UniText(), &ev.g2p)), nil
 	default:
 		return types.Value{}, fmt.Errorf("exec: function %s is not scalar", x.Kind)
 	}

@@ -55,9 +55,10 @@ func (c *Cursor) Next() (types.Tuple, bool, error) {
 	return t, true, nil
 }
 
-// Close releases the cursor and publishes the statement's remaining Ψ/Ω
-// counts: every way a statement ends — drained, abandoned early, failed,
-// canceled — ends here. Close is idempotent.
+// Close releases the cursor, publishes the statement's remaining Ψ/Ω counts
+// and releases its compiled predicates: every way a statement ends —
+// drained, abandoned early, failed, canceled — ends here. Close is
+// idempotent.
 func (c *Cursor) Close() error {
 	c.closed = true
 	c.ev.putBatch(c.cur)
@@ -65,6 +66,7 @@ func (c *Cursor) Close() error {
 	err := c.src.Close()
 	if c.ev != nil {
 		c.ev.publishCounts()
+		c.ev.preds.release(c.ev.res)
 	}
 	return err
 }
@@ -98,9 +100,10 @@ func Run(env Env, node *plan.Node, es *ExecStats, res *Resources) (*Cursor, erro
 		return nil, err
 	}
 	stats := &RunStats{}
-	ev := &evaluator{env: env, stats: stats, collector: es, res: res, pool: NewBatchPool()}
+	ev := &evaluator{env: env, stats: stats, collector: es, res: res, pool: NewBatchPool(), preds: &stmtPreds{}}
 	src, err := build(env, ev, node, nil)
 	if err != nil {
+		ev.preds.release(res)
 		return nil, err
 	}
 	cols := node.ColNames
@@ -114,9 +117,9 @@ func Run(env Env, node *plan.Node, es *ExecStats, res *Resources) (*Cursor, erro
 
 // build instantiates one operator over its already-built children and, when
 // a collector is active, wraps it so rows and wall time are attributed to its
-// plan node. A Ψ/Ω filter directly over a table scan compiles to the fused
-// kernel (fuse.go), which is both plan nodes at once and attributes to both
-// itself.
+// plan node. Every condition is bound first (predicate.go); a Ψ/Ω filter
+// directly over a table scan then runs as the fused kernel (fuse.go), which
+// is both plan nodes at once and attributes to both itself.
 //
 // budget, when non-nil, is the number of rows a Limit above still wants. It
 // reaches the operators that produce the Limit's rows through Filter, Project
@@ -145,13 +148,16 @@ func build(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIte
 		it, err = buildLookupJoin(env, ev, n, budget)
 	case plan.OpFilter, plan.OpProject, plan.OpMaterialize, plan.OpAggregate,
 		plan.OpSort, plan.OpDistinct, plan.OpLimit:
-		if n.Op == plan.OpFilter && n.Children[0].Op == plan.OpSeqScan {
-			kern, err := ev.compileFused(n.Cond, n.Children[0])
-			if err != nil {
+		var cond plan.Expr
+		if n.Op == plan.OpFilter {
+			child := n.Children[0]
+			if cond, err = ev.bind(n.Cond, child.EstimatedRows()); err != nil {
 				return nil, err
 			}
-			if kern != nil {
-				return buildFusedScan(env, ev, n, kern)
+			if child.Op == plan.OpSeqScan {
+				if kern := ev.fusedKernel(cond, child.Schema()); kern != nil {
+					return buildFusedScan(env, ev, n, kern)
+				}
 			}
 		}
 		switch n.Op {
@@ -164,7 +170,7 @@ func build(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIte
 		}
 		var child BatchIter
 		if child, err = build(env, ev, n.Children[0], budget); err == nil {
-			it = buildUnary(ev, n, child, budget)
+			it = buildUnary(ev, n, child, cond, budget)
 		}
 	default:
 		err = fmt.Errorf("exec: unsupported operator %s", n.Op)
@@ -176,11 +182,12 @@ func build(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIte
 }
 
 // buildUnary instantiates a single-input operator over its built child; a
-// Limit counts down the budget its subtree was built with.
-func buildUnary(ev *evaluator, n *plan.Node, child BatchIter, budget *atomic.Int64) BatchIter {
+// Filter evaluates cond, its bound condition, and a Limit counts down the
+// budget its subtree was built with.
+func buildUnary(ev *evaluator, n *plan.Node, child BatchIter, cond plan.Expr, budget *atomic.Int64) BatchIter {
 	switch n.Op {
 	case plan.OpFilter:
-		return &vectorFilterIter{ev: ev, child: child, cond: n.Cond}
+		return &vectorFilterIter{ev: ev, child: child, cond: cond}
 	case plan.OpProject:
 		return &vectorProjectIter{ev: ev, child: child, projs: n.Projs}
 	case plan.OpMaterialize:
@@ -197,8 +204,11 @@ func buildUnary(ev *evaluator, n *plan.Node, child BatchIter, budget *atomic.Int
 }
 
 // indexProbe runs the index lookup a scan node names and returns the
-// matching RIDs, recording pages visited and candidates on the run.
-func indexProbe(env Env, ev *evaluator, n *plan.Node) ([]storage.RID, error) {
+// matching RIDs, recording pages visited and candidates on the run. A metric
+// index searches for the constant phoneme of psi, the scan's compiled Ψ; a
+// constant that never matches searches for nothing, and one that failed or
+// is not text fails the probe with the error a row would raise.
+func indexProbe(env Env, ev *evaluator, n *plan.Node, psi *constPred) ([]storage.RID, error) {
 	bound := func(e plan.Expr) ([]byte, error) {
 		if e == nil {
 			return nil, nil
@@ -232,15 +242,13 @@ func indexProbe(env Env, ev *evaluator, n *plan.Node) ([]storage.RID, error) {
 		ev.stats.IndexPages += int64(pages)
 		return rids, err
 	}
-	v, err := ev.eval(n.Index.Probe, nil)
-	if err != nil {
+	if psi.m == nil {
+		_, err := psi.admits(types.KindUniText, types.LangUnknown)
 		return nil, err
 	}
-	ph, _, ok := ev.psiOperand(v, n.Index.Langs)
-	if !ok {
-		return nil, fmt.Errorf("exec: index probe value must be text")
-	}
+	ph := psi.ph
 	var rids []storage.RID
+	var err error
 	var pages, cands int
 	switch n.Op {
 	case plan.OpMTreeScan:
@@ -259,7 +267,22 @@ func indexProbe(env Env, ev *evaluator, n *plan.Node) ([]storage.RID, error) {
 // tuples and replays the recheck condition. The fetched rows are handed on
 // as they are (rowsIter): a point read copies nothing into a pooled batch.
 func buildIndexScan(env Env, ev *evaluator, n *plan.Node) (BatchIter, error) {
-	rids, err := indexProbe(env, ev, n)
+	cond, err := ev.bind(n.Cond, n.EstimatedRows())
+	if err != nil {
+		return nil, err
+	}
+	var psi *constPred
+	if n.Op != plan.OpBTreeScan {
+		// The planner's recheck is the Ψ the index answers: probe with its
+		// compiled constant, or compile one from the index condition.
+		if psi, _ = cond.(*constPred); psi == nil || psi.op != "LEXEQUAL" {
+			x := &plan.Psi{L: &plan.ColIdx{Idx: n.Index.Col, Kind: types.KindUniText}, R: n.Index.Probe,
+				Threshold: n.Index.Threshold, Langs: n.Index.Langs}
+			c, _ := ev.bindConst(x, x.L, x.R, 0)
+			psi = c.(*constPred)
+		}
+	}
+	rids, err := indexProbe(env, ev, n, psi)
 	if err != nil {
 		return nil, err
 	}
@@ -276,10 +299,10 @@ func buildIndexScan(env Env, ev *evaluator, n *plan.Node) (BatchIter, error) {
 			return nil, errors.Join(err, src.Close())
 		}
 	}
-	if n.Cond == nil {
+	if cond == nil {
 		return src, nil
 	}
-	return &vectorFilterIter{ev: ev, child: src, cond: n.Cond}, nil
+	return &vectorFilterIter{ev: ev, child: src, cond: cond}, nil
 }
 
 // materializeIter caches its child's output (the Materialize of Figure 7) and
@@ -340,15 +363,21 @@ func joinedTuple(l, r types.Tuple) types.Tuple {
 	return append(out, r...)
 }
 
-// nlJoinCond is the predicate a nested-loops join evaluates over the joint
-// schema: for the Ψ and Ω joins a synthetic Psi/Omega expression over the two
-// join columns (the planner already arranged the Ω join's outer side to carry
-// the closure roots when profitable — RHS-outer, §4.3), ahead of any residual.
-func nlJoinCond(n *plan.Node) plan.Expr {
+// joinCond is the predicate a join evaluates over the joint schema: for the
+// Ψ and Ω joins a synthetic Psi/Omega expression over the two join columns
+// (the planner already arranged the Ω join's outer side to carry the closure
+// roots when profitable — RHS-outer, §4.3; the Ψ index join's candidates are
+// rechecked by it), ahead of any residual.
+func joinCond(n *plan.Node) plan.Expr {
 	var op plan.Expr
 	switch n.Op {
-	case plan.OpPsiJoin:
-		op = psiJoinCond(n)
+	case plan.OpPsiJoin, plan.OpPsiIndexJoin:
+		op = &plan.Psi{
+			L:         &plan.ColIdx{Idx: n.PsiLeftCol},
+			R:         &plan.ColIdx{Idx: n.PsiRightCol},
+			Threshold: n.PsiThreshold,
+			Langs:     n.PsiLangs,
+		}
 	case plan.OpOmegaJoin:
 		op = &plan.Omega{
 			L:     &plan.ColIdx{Idx: n.OmegaLeftCol},
@@ -364,19 +393,14 @@ func nlJoinCond(n *plan.Node) plan.Expr {
 	return op
 }
 
-func psiJoinCond(n *plan.Node) *plan.Psi {
-	return &plan.Psi{
-		L:         &plan.ColIdx{Idx: n.PsiLeftCol},
-		R:         &plan.ColIdx{Idx: n.PsiRightCol},
-		Threshold: n.PsiThreshold,
-		Langs:     n.PsiLangs,
-	}
-}
-
 // buildNLJoin wires the nested-loops joins (plain, Ψ, Ω). The inner side is
 // always materialized and rescanned: by the plan's Materialize node when there
 // is one, by an implicit one otherwise.
 func buildNLJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIter, error) {
+	cond, err := ev.bind(joinCond(n), n.EstimatedRows())
+	if err != nil {
+		return nil, err
+	}
 	outer, err := build(env, ev, n.Children[0], nil)
 	if err != nil {
 		return nil, err
@@ -388,7 +412,7 @@ func buildNLJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (Ba
 	if n.Children[1].Op != plan.OpMaterialize {
 		inner = &materializeIter{ev: ev, child: inner}
 	}
-	return &nlJoinIter{ev: ev, outer: outer, inner: inner.(rescannable), cond: nlJoinCond(n), budget: budget}, nil
+	return &nlJoinIter{ev: ev, outer: outer, inner: inner.(rescannable), cond: cond, budget: budget}, nil
 }
 
 // batchLimit is how many rows a join puts in one output batch: BatchRows, or
@@ -498,6 +522,10 @@ func (j *nlJoinIter) Close() error {
 // by lookup: the hash join in a table built from its right input, the Ψ index
 // join in an M-Tree on the inner relation (which it never scans).
 func buildLookupJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIter, error) {
+	cond, err := ev.bind(joinCond(n), n.EstimatedRows())
+	if err != nil {
+		return nil, err
+	}
 	leftWidth := len(n.Children[0].Schema())
 	left, err := build(env, ev, n.Children[0], nil)
 	if err != nil {
@@ -509,7 +537,7 @@ func buildLookupJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64)
 			return nil, errors.Join(err, left.Close())
 		}
 		h := &hashSide{ev: ev, src: right, col: n.HashRight - leftWidth, probeCol: n.HashLeft}
-		return &lookupJoinIter{ev: ev, outer: left, hash: h, lookup: h.lookup, cond: n.Cond, budget: budget}, nil
+		return &lookupJoinIter{ev: ev, outer: left, hash: h, lookup: h.lookup, cond: cond, budget: budget}, nil
 	}
 	outerCol := n.PsiLeftCol
 	if outerCol >= leftWidth {
@@ -517,25 +545,21 @@ func buildLookupJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64)
 	}
 	table := n.Children[1].Table
 	lookup := func(t types.Tuple) ([]types.Tuple, error) {
+		// The inner side is the M-Tree's column, which is UNITEXT.
 		v := t[outerCol]
-		if v.IsNull() {
-			return nil, nil
+		l, r := v.Kind(), types.KindUniText
+		if outerCol != n.PsiLeftCol {
+			l, r = r, l
 		}
-		ph, _, ok := ev.psiOperand(v, n.PsiLangs)
-		if !ok {
-			return nil, fmt.Errorf("exec: Ψ join operand must be text")
+		if ok, err := operandKinds("LEXEQUAL", l, r); !ok {
+			return nil, err
 		}
-		rids, pages, err := env.MTreeSearch(n.Index.Index, ph, n.PsiThreshold)
+		rids, pages, err := env.MTreeSearch(n.Index.Index, ev.phoneme(psiText(v, n.PsiLangs)), n.PsiThreshold)
 		if err != nil {
 			return nil, err
 		}
 		ev.stats.IndexPages += int64(pages)
 		return env.FetchRIDs(table, rids)
-	}
-	// The index returns candidates; the Ψ predicate itself rechecks them.
-	var cond plan.Expr = psiJoinCond(n)
-	if n.Cond != nil {
-		cond = &plan.AndOr{L: cond, R: n.Cond}
 	}
 	return &lookupJoinIter{ev: ev, outer: left, lookup: lookup, cond: cond, budget: budget}, nil
 }

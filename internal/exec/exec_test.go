@@ -20,7 +20,7 @@ import (
 // only the executor's own allocations.
 type mockEnv struct {
 	tables map[string][]types.Tuple
-	phon   *phonetic.Registry
+	g2p    *phonetic.SharedCache
 	net    *wordnet.Net
 	// mtreeCol maps index name -> (table, column position).
 	mtree map[string]struct {
@@ -40,7 +40,7 @@ type mockPages struct {
 func newMockEnv() *mockEnv {
 	return &mockEnv{
 		tables: map[string][]types.Tuple{},
-		phon:   phonetic.DefaultRegistry(),
+		g2p:    phonetic.NewSharedCache(phonetic.DefaultRegistry(), 0),
 		mtree: map[string]struct {
 			table string
 			col   int
@@ -138,7 +138,7 @@ func (m *mockEnv) MTreeSearch(index string, phoneme string, threshold int) ([]st
 		if v.IsNull() {
 			continue
 		}
-		ph := m.phon.ToPhoneme(v.UniText())
+		ph := m.g2p.Registry().ToPhoneme(v.UniText())
 		if phonetic.WithinDistance(ph, phoneme, threshold) {
 			rids = append(rids, storage.RID{Slot: uint16(i)})
 		}
@@ -156,8 +156,8 @@ func (m *mockEnv) QGramSearch(string, string, int) ([]storage.RID, int, error) {
 
 func (m *mockEnv) CustomOperator(string) func(a, b types.Value) (bool, error) { return nil }
 
-func (m *mockEnv) Phonetic() *phonetic.Registry { return m.phon }
-func (m *mockEnv) WordNet() *wordnet.Net        { return m.net }
+func (m *mockEnv) G2P() *phonetic.SharedCache { return m.g2p }
+func (m *mockEnv) WordNet() *wordnet.Net      { return m.net }
 
 func u(text string, lang types.LangID) types.Value {
 	return types.NewUniText(phonetic.DefaultRegistry().Materialize(types.Compose(text, lang)))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func omegaWalk(net *wordnet.Net, l, r types.Value, langs []types.LangID) bool {
 		return v.UniText()
 	}
 	lu, ru := uni(l), uni(r)
-	if !langAdmitted(lu.Lang, langs) {
+	if len(langs) > 0 && !slices.Contains(langs, lu.Lang) {
 		return false
 	}
 	for _, s := range net.SynsetsOf(lu.Lang, lu.Text) {

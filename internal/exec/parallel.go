@@ -21,8 +21,9 @@ import (
 //
 // Isolation contract: each worker gets its own evaluator — its own RunStats,
 // its own ExecStats collector (when the parent collects), and its own G2P
-// memo cache — so no mutable executor state is shared between goroutines
-// (a compiled Ω operand, built once for all workers, is immutable). Worker
+// tally — so no mutable executor state is shared between goroutines (the
+// statement's compiled Ψ/Ω predicates, built once for all workers while they
+// are built, are immutable). Worker
 // figures are folded into the parent's at stream end or Close, whichever
 // comes first. Shared engine structures (buffer pool, heaps, B-/M-Tree,
 // q-gram, converter registry, the pinned taxonomy) are internally
@@ -42,13 +43,11 @@ type parallelCtx struct {
 	shared  *gatherShared
 }
 
-// gatherShared is built once per Gather and shared by its workers. The maps
-// are populated while workers are built sequentially and only read after, so
-// they need no lock; the morselSources inside hand out ranges atomically, and
-// a compiled Ω operand is immutable.
+// gatherShared is built once per Gather and shared by its workers. The map
+// is populated while workers are built sequentially and only read after, so
+// it needs no lock; the morselSources inside hand out ranges atomically.
 type gatherShared struct {
 	sources map[*plan.Node]*morselSource
-	omega   map[*plan.Omega]*compiledOmega
 }
 
 // morselSource hands out disjoint page ranges of one table to any worker
@@ -130,7 +129,7 @@ func buildGather(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (Ba
 	if fanout {
 		w = len(n.Children)
 	}
-	shared := &gatherShared{sources: make(map[*plan.Node]*morselSource), omega: make(map[*plan.Omega]*compiledOmega)}
+	shared := &gatherShared{sources: make(map[*plan.Node]*morselSource)}
 	g := &gatherIter{parent: ev, stop: make(chan struct{})}
 	for i := 0; i < w; i++ {
 		cell := &workerCell{}
@@ -140,11 +139,12 @@ func buildGather(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (Ba
 			stats: &cell.stats,
 			par:   &parallelCtx{id: i, workers: w, shared: shared},
 			// Workers share the query's governance state (it is atomic /
-			// context-based) and its batch pool, so a worker's batches flow
-			// to the consumer and back into the shared pool; each keeps its
-			// own tick counter.
-			res:  ev.res,
-			pool: ev.pool,
+			// context-based), its batch pool, so a worker's batches flow to
+			// the consumer and back into the shared pool, and its compiled
+			// predicates; each keeps its own tick counter.
+			res:   ev.res,
+			pool:  ev.pool,
+			preds: ev.preds,
 		}
 		if ev.collector != nil {
 			if ev.collector.Timed() {

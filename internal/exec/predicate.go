@@ -1,0 +1,374 @@
+package exec
+
+import (
+	"fmt"
+
+	"github.com/mural-db/mural/internal/phonetic"
+	"github.com/mural-db/mural/internal/plan"
+	"github.com/mural-db/mural/internal/types"
+	"github.com/mural-db/mural/internal/wordnet"
+)
+
+// Ψ (LexEQUAL) and Ω (SemEQUAL) are defined in this file and nowhere else:
+// how an operand is read (TEXT is the query's first listed language to Ψ,
+// English to Ω), that a NULL operand never matches, which languages the IN
+// clause admits, the one operand-kind error, and where an evaluation is
+// counted (countPsi/countOmega, stats.go).
+//
+// A predicate with a constant operand — column ⊗ constant, in either order —
+// is compiled once per statement (bind): the constant is evaluated, read and
+// admitted once and becomes a constPred — for Ψ its phoneme compiled into a
+// BoundedMatcher, for Ω a wordnet.Probe. Three callers apply the
+// compiled form: the fused kernels (fuse.go), which read the column's views
+// off the pinned page; the generic filter, join and index rechecks, which
+// read the decoded Value; and indexProbe, which searches for the constant's
+// phoneme. A constant that fails to evaluate or is not text compiles too: its
+// error is raised at each row that reaches the predicate, where evaluating it
+// per row would have raised it. Column ⊗ column predicates — the Ψ and Ω
+// joins — go through the same rules row by row (evalPsi, evalOmega).
+
+// isText reports whether a value of kind k can be a Ψ or Ω operand.
+func isText(k types.Kind) bool { return k == types.KindText || k == types.KindUniText }
+
+// operandKinds applies the rules Ψ and Ω share to the kinds of their
+// operands, in the order the query wrote them: a NULL operand never matches
+// (ok=false), and past that both must be text.
+func operandKinds(op string, l, r types.Kind) (ok bool, err error) {
+	if l == types.KindNull || r == types.KindNull {
+		return false, nil
+	}
+	if !isText(l) || !isText(r) {
+		return false, fmt.Errorf("exec: %s operands must be text, got %s and %s", op, l, r)
+	}
+	return true, nil
+}
+
+// langAdmitted applies the IN-langs clause of Figure 2: when the query
+// names output languages, a value only matches if its language is listed.
+func langAdmitted(lang types.LangID, langs []types.LangID) bool {
+	if len(langs) == 0 {
+		return true
+	}
+	for _, l := range langs {
+		if l == lang {
+			return true
+		}
+	}
+	return false
+}
+
+// psiAdmits applies the IN clause to one Ψ operand of kind k: a UNITEXT
+// value must be in a listed language, bare TEXT is read in one and always
+// is. Both operands are checked, so the operator is symmetric, per the Mural
+// algebra.
+func psiAdmits(k types.Kind, lang types.LangID, langs []types.LangID) bool {
+	return k != types.KindUniText || langAdmitted(lang, langs)
+}
+
+// uniLang is a UNITEXT value's language (LangUnknown for any other kind).
+func uniLang(v types.Value) types.LangID {
+	if v.Kind() != types.KindUniText {
+		return types.LangUnknown
+	}
+	return v.UniText().Lang
+}
+
+// psiText reads a text value as Ψ does: a UNITEXT value as stored, bare
+// TEXT in the query's first listed language, English when it lists none —
+// the paper's query names arrive "in one language".
+func psiText(v types.Value, langs []types.LangID) types.UniText {
+	if v.Kind() == types.KindUniText {
+		return v.UniText()
+	}
+	lang := types.LangEnglish
+	if len(langs) > 0 {
+		lang = langs[0]
+	}
+	return types.Compose(v.Text(), lang)
+}
+
+// phoneme is u's phoneme string: the stored one, or for a value stored
+// without it a conversion through the engine's G2P cache.
+func (ev *evaluator) phoneme(u types.UniText) string {
+	if u.Phoneme != "" {
+		return u.Phoneme
+	}
+	return ev.convert(u)
+}
+
+// convert is phoneme's slow path, apart so that phoneme inlines into the Ψ
+// join's per-pair loop.
+func (ev *evaluator) convert(u types.UniText) string { return ev.env.G2P().ToPhoneme(u, &ev.g2p) }
+
+// omegaOperand reads a text value as Ω does: bare TEXT is English.
+func omegaOperand(v types.Value) types.UniText {
+	if v.Kind() == types.KindText {
+		return types.Compose(v.Text(), types.LangEnglish)
+	}
+	return v.UniText()
+}
+
+// evalPsi is Ψ evaluated per row over two operand expressions: the Ψ join's
+// column pairs, and any Ψ bind left as it was.
+func (ev *evaluator) evalPsi(x *plan.Psi, t types.Tuple) (bool, error) {
+	// Ψ is the expensive per-row work of a LexEQUAL plan (G2P conversion +
+	// edit distance), so the evaluation path carries its own checkpoint.
+	if err := ev.tick(); err != nil {
+		return false, err
+	}
+	l, err := ev.eval(x.L, t)
+	if err != nil {
+		return false, err
+	}
+	r, err := ev.eval(x.R, t)
+	if err != nil {
+		return false, err
+	}
+	if ok, err := operandKinds("LEXEQUAL", l.Kind(), r.Kind()); !ok {
+		return false, err
+	}
+	lu, ru := psiText(l, x.Langs), psiText(r, x.Langs)
+	if !psiAdmits(l.Kind(), lu.Lang, x.Langs) || !psiAdmits(r.Kind(), ru.Lang, x.Langs) {
+		return false, nil
+	}
+	ev.countPsi()
+	return phonetic.WithinDistance(ev.phoneme(lu), ev.phoneme(ru), x.Threshold), nil
+}
+
+// evalOmega is Ω evaluated per row over two operand expressions: the Ω
+// join's column pairs, and any Ω bind left as it was. Both operands keep
+// their own language: the IN clause names *output* languages (which values
+// of the left operand may match), not the language of the query concept —
+// 'History' in Figure 4 is an English word even though the results span
+// English, French and Tamil.
+func (ev *evaluator) evalOmega(x *plan.Omega, t types.Tuple) (bool, error) {
+	net := ev.taxonomy()
+	if net == nil {
+		return false, fmt.Errorf("exec: SEMEQUAL requires a loaded taxonomy")
+	}
+	if err := ev.tick(); err != nil {
+		return false, err
+	}
+	l, err := ev.eval(x.L, t)
+	if err != nil {
+		return false, err
+	}
+	r, err := ev.eval(x.R, t)
+	if err != nil {
+		return false, err
+	}
+	if ok, err := operandKinds("SEMEQUAL", l.Kind(), r.Kind()); !ok {
+		return false, err
+	}
+	ev.countOmega()
+	lu := omegaOperand(l)
+	return net.CompileRight(omegaOperand(r), x.Langs, 0).Match(lu.Lang, []byte(lu.Text)), nil
+}
+
+// colAndConst splits a binary predicate into its column side and its
+// constant side, an expression that reads no column. ok=false for any other
+// shape: column ⊗ column, or an operand computed from a column.
+func colAndConst(l, r plan.Expr) (col *plan.ColIdx, konst plan.Expr, constLeft, ok bool) {
+	if c, isCol := l.(*plan.ColIdx); isCol && constant(r) {
+		return c, r, false, true
+	}
+	if c, isCol := r.(*plan.ColIdx); isCol && constant(l) {
+		return c, l, true, true
+	}
+	return nil, nil, false, false
+}
+
+// constant reports whether e reads no column.
+func constant(e plan.Expr) bool {
+	reads := false
+	plan.Walk(e, func(x plan.Expr) {
+		if _, ok := x.(*plan.ColIdx); ok {
+			reads = true
+		}
+	})
+	return !reads
+}
+
+// stmtPreds holds a statement's compiled predicates by the plan node each
+// one compiles, so every operator and Gather worker that evaluates a node
+// shares one compiled form. What compiling charged to the query (Ω's word
+// sets) is held until the statement closes.
+type stmtPreds struct {
+	m     map[plan.Expr]*constPred
+	bytes int64
+}
+
+// release returns what the statement's compiled predicates charged.
+func (s *stmtPreds) release(res *Resources) {
+	res.Release(s.bytes)
+	s.bytes = 0
+}
+
+// bind returns cond with every Ψ and Ω of its AND/OR/NOT structure that has a
+// constant operand replaced by its compiled form; the rest of the tree is
+// shared, not copied. rows is how many rows cond is expected to see, the
+// bound on an Ω word set. The error is a governance failure: a compiled
+// operand the query's memory budget cannot hold.
+func (ev *evaluator) bind(cond plan.Expr, rows float64) (plan.Expr, error) {
+	switch x := cond.(type) {
+	case *plan.AndOr:
+		l, err := ev.bind(x.L, rows)
+		if err != nil {
+			return nil, err
+		}
+		r, err := ev.bind(x.R, rows)
+		if err != nil || (l == x.L && r == x.R) {
+			return x, err
+		}
+		return &plan.AndOr{Or: x.Or, L: l, R: r}, nil
+	case *plan.Neg:
+		inner, err := ev.bind(x.Inner, rows)
+		if err != nil || inner == x.Inner {
+			return x, err
+		}
+		return &plan.Neg{Inner: inner}, nil
+	case *plan.Psi:
+		return ev.bindConst(x, x.L, x.R, rows)
+	case *plan.Omega:
+		if ev.taxonomy() == nil {
+			return x, nil // evalOmega raises the missing-taxonomy error per row
+		}
+		return ev.bindConst(x, x.L, x.R, rows)
+	}
+	return cond, nil
+}
+
+// constPred is a Ψ or Ω node with a constant operand, compiled: the
+// constant's kind and, for Ψ, its admission and its phoneme as a
+// BoundedMatcher, for Ω a wordnet.Probe — with the constant on the right,
+// its closure's word forms in the admitted languages when there are no more
+// of them than rows to probe, else its interval labels; with it on the left,
+// its ancestors' word forms. It is immutable, so a Gather's workers share it,
+// and it embeds its plan node, so a bound condition is still a plan.Expr.
+type constPred struct {
+	plan.Expr
+	op        string // LEXEQUAL or SEMEQUAL, for the operand-kind error
+	col       *plan.ColIdx
+	constLeft bool
+	kind      types.Kind // the constant's; KindNull never matches
+	err       error      // the constant's evaluation error
+	// uniRows: the rules admit every UNITEXT row — the constant is admitted
+	// text and Ψ has no IN list to apply to the row — so matchView, the
+	// per-row path of every scan, skips them.
+	uniRows bool
+	// Ψ: the IN list, and the constant's phoneme and matcher (nil unless
+	// the constant is text the IN list admits).
+	langs    []types.LangID
+	admitted bool
+	ph       string
+	m        *phonetic.BoundedMatcher
+	// Ω: nil unless the constant is text. The IN list is the probe's to
+	// apply: it restricts the left operand, the row or the constant.
+	probe *wordnet.Probe
+}
+
+// bindConst returns the statement's compiled form of x, whose operands are l
+// and r, compiling it on first use; x itself when it has no constant operand.
+func (ev *evaluator) bindConst(x, l, r plan.Expr, rows float64) (plan.Expr, error) {
+	if p, ok := ev.preds.m[x]; ok {
+		return p, nil
+	}
+	col, konst, constLeft, ok := colAndConst(l, r)
+	if !ok {
+		return x, nil
+	}
+	p := &constPred{Expr: x, col: col, constLeft: constLeft, admitted: true}
+	v, err := ev.eval(konst, nil)
+	p.kind, p.err = v.Kind(), err
+	text := err == nil && isText(p.kind)
+	var charge error
+	switch x := x.(type) {
+	case *plan.Psi:
+		p.op, p.langs = "LEXEQUAL", x.Langs
+		if p.admitted = psiAdmits(p.kind, uniLang(v), x.Langs); text && p.admitted {
+			p.ph = ev.phoneme(psiText(v, x.Langs))
+			p.m = phonetic.NewBoundedMatcher(p.ph, x.Threshold)
+		}
+	case *plan.Omega:
+		p.op = "SEMEQUAL"
+		if net := ev.taxonomy(); text && constLeft {
+			p.probe = net.CompileLeft(omegaOperand(v), x.Langs)
+		} else if text {
+			p.probe = net.CompileRight(omegaOperand(v), x.Langs, int(rows))
+		}
+		if p.probe != nil {
+			n := p.probe.MemBytes()
+			ev.preds.bytes += n
+			charge = ev.grow(n)
+		}
+	}
+	if ev.preds.m == nil {
+		ev.preds.m = make(map[plan.Expr]*constPred)
+	}
+	p.uniRows = (p.m != nil || p.probe != nil) && len(p.langs) == 0
+	ev.preds.m[x] = p
+	return p, charge
+}
+
+// admits applies Ψ's or Ω's rules to a row whose column value has kind k
+// (and, for UNITEXT, language lang): ok=true when the pair goes on to the
+// matcher or probe.
+func (p *constPred) admits(k types.Kind, lang types.LangID) (bool, error) {
+	if p.err != nil {
+		return false, p.err
+	}
+	l, r := k, p.kind
+	if p.constLeft {
+		l, r = r, l
+	}
+	if ok, err := operandKinds(p.op, l, r); !ok {
+		return false, err
+	}
+	return p.admitted && psiAdmits(k, lang, p.langs), nil
+}
+
+// matchView evaluates the predicate on a UNITEXT column value read as views
+// on a pinned page: its language, text and stored phoneme. done=false leaves
+// the row to matchValue: Ψ over a value stored without its phoneme.
+func (p *constPred) matchView(ev *evaluator, lang types.LangID, text, ph []byte) (match, done bool, err error) {
+	if !p.uniRows {
+		if ok, err := p.admits(types.KindUniText, lang); !ok {
+			return false, true, err
+		}
+	}
+	switch {
+	case p.probe != nil:
+		ev.countOmega()
+		return p.probe.Match(lang, text), true, nil
+	case len(ph) > 0:
+		ev.countPsi()
+		return p.m.MatchBytes(ph), true, nil
+	}
+	return false, false, nil
+}
+
+// matchValue evaluates the predicate on the column's decoded value.
+func (p *constPred) matchValue(ev *evaluator, v types.Value) (bool, error) {
+	if ok, err := p.admits(v.Kind(), uniLang(v)); !ok {
+		return false, err
+	}
+	if p.probe != nil {
+		ev.countOmega()
+		u := omegaOperand(v)
+		return p.probe.Match(u.Lang, []byte(u.Text)), nil
+	}
+	ev.countPsi()
+	return p.m.Match(ev.phoneme(psiText(v, p.langs))), nil
+}
+
+// eval evaluates the predicate on a decoded row.
+func (p *constPred) eval(ev *evaluator, t types.Tuple) (bool, error) {
+	if err := ev.tick(); err != nil {
+		return false, err
+	}
+	v, err := ev.eval(p.col, t)
+	if err != nil {
+		return false, err
+	}
+	return p.matchValue(ev, v)
+}

@@ -1,0 +1,85 @@
+package exec
+
+import (
+	"testing"
+
+	"github.com/mural-db/mural/internal/plan"
+	"github.com/mural-db/mural/internal/types"
+)
+
+// The Ψ benchmarks: a fused scan and a join over stored phonemes (the per-row
+// and per-pair paths the workloads take), and the same over a bare TEXT
+// column — the one operand Ψ still converts at run time, through the G2P
+// cache.
+//
+//	go test ./internal/exec -run '^$' -bench BenchmarkPsi -benchmem -count 10
+
+// benchNames fills table name with n rows of one column of the given kind,
+// cycling through 64 distinct names, one of which is "nehru".
+func benchNames(env *mockEnv, name string, n int, kind types.Kind) {
+	onsets := []string{"ne", "ga", "pa", "bo", "ra", "ki", "su", "mo"}
+	codas := []string{"hru", "ndhi", "tel", "se", "jan", "shna", "resh", "van"}
+	for i := 0; i < n; i++ {
+		text := onsets[i%8] + codas[i/8%8]
+		v := types.NewText(text)
+		if kind == types.KindUniText {
+			v = u(text, types.LangEnglish)
+		}
+		env.tables[name] = append(env.tables[name], types.Tuple{v})
+	}
+	env.pagesFor(name)
+}
+
+func benchPsiScan(b *testing.B, kind types.Kind) {
+	env := newMockEnv()
+	const n = 4096
+	benchNames(env, "t", n, kind)
+	cols := []plan.ColInfo{{Rel: "t", Name: "n", Kind: kind}}
+	node := &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{scanNode("t", cols)}, Cols: cols,
+		Cond: &plan.Psi{L: &plan.ColIdx{Idx: 0, Kind: kind}, R: &plan.Const{Val: types.NewText("nehru")}}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cur, err := Run(env, node, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows, err := cur.All()
+		if err != nil || len(rows) == 0 {
+			b.Fatalf("%d rows, %v", len(rows), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+}
+
+func BenchmarkPsiScanStored(b *testing.B) { benchPsiScan(b, types.KindUniText) }
+
+func BenchmarkPsiScanText(b *testing.B) { benchPsiScan(b, types.KindText) }
+
+func benchPsiJoin(b *testing.B, kind types.Kind) {
+	env := newMockEnv()
+	const outer, inner = 8, 1024
+	benchNames(env, "o", outer, kind)
+	benchNames(env, "i", inner, kind)
+	oc := []plan.ColInfo{{Rel: "o", Name: "n", Kind: kind}}
+	ic := []plan.ColInfo{{Rel: "i", Name: "n", Kind: kind}}
+	node := &plan.Node{Op: plan.OpPsiJoin, Children: []*plan.Node{scanNode("o", oc), scanNode("i", ic)},
+		Cols: append(append([]plan.ColInfo{}, oc...), ic...), PsiThreshold: 1, PsiLeftCol: 0, PsiRightCol: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cur, err := Run(env, node, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows, err := cur.All()
+		if err != nil || len(rows) == 0 {
+			b.Fatalf("%d rows, %v", len(rows), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*outer*inner), "ns/pair")
+}
+
+func BenchmarkPsiJoinStored(b *testing.B) { benchPsiJoin(b, types.KindUniText) }
+
+func BenchmarkPsiJoinText(b *testing.B) { benchPsiJoin(b, types.KindText) }

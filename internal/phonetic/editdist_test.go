@@ -94,43 +94,38 @@ func TestBoundedEditDistanceLongFallback(t *testing.T) {
 	}
 }
 
-func TestMemoCacheCountsHitsAndMisses(t *testing.T) {
+// A Tally keeps every G2P event off the shared counters until it publishes;
+// a materialized value is a hit and never reaches the shared cache.
+func TestTallyPublishesG2PCounts(t *testing.T) {
 	metrics.Default.Reset()
 	reg := DefaultRegistry()
-	mc := NewMemoCache(reg)
+	shared := NewSharedCache(reg, 1024)
 	var tl Tally
 
 	u := types.UniText{Text: "Krishna", Lang: types.LangEnglish}
-	first := mc.ToPhoneme(u, &tl)
-	if got := mc.ToPhoneme(u, &tl); got != first {
-		t.Fatalf("memoized phoneme mismatch: %q vs %q", got, first)
+	first := shared.ToPhoneme(u, &tl)
+	if got := shared.ToPhoneme(u, &tl); got != first {
+		t.Fatalf("cached phoneme mismatch: %q vs %q", got, first)
 	}
-	mc.ToPhoneme(u, &tl)
-	if mc.Len() != 1 {
-		t.Fatalf("memo Len = %d, want 1", mc.Len())
-	}
-	if snap := metrics.Default.Snapshot(); snap.Counters["mural_g2p_cache_hits_total"]+snap.Counters["mural_g2p_cache_misses_total"] != 0 {
+	reg.Convert(reg.Materialize(types.UniText{Text: "Crishna", Lang: types.LangEnglish}), &tl)
+	if snap := metrics.Default.Snapshot(); snap.Counters["mural_g2p_shared_cache_hits_total"]+snap.Counters["mural_g2p_shared_cache_misses_total"] != 0 {
 		t.Fatalf("lookups reached the process-wide counters before Publish: %v", snap.Counters)
 	}
 	tl.Publish()
 	snap := metrics.Default.Snapshot()
-	if snap.Counters["mural_g2p_cache_misses_total"] != 1 || snap.Counters["mural_g2p_conversions_total"] != 1 {
-		t.Fatalf("misses = %d, conversions = %d, want 1 and 1", snap.Counters["mural_g2p_cache_misses_total"], snap.Counters["mural_g2p_conversions_total"])
+	for name, want := range map[string]int64{
+		"mural_g2p_shared_cache_misses_total": 1,
+		"mural_g2p_shared_cache_hits_total":   1,
+		// Materialize publishes its own conversion at once.
+		"mural_g2p_conversions_total": 2,
+		"mural_g2p_cache_hits_total":  1,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
-	if snap.Counters["mural_g2p_cache_hits_total"] != 2 {
-		t.Fatalf("hits = %d, want 2", snap.Counters["mural_g2p_cache_hits_total"])
-	}
-
-	// Materialized values bypass the memo entirely and count as hits.
-	mat := reg.Materialize(types.UniText{Text: "Crishna", Lang: types.LangEnglish})
-	mc.ToPhoneme(mat, &tl)
-	tl.Publish()
-	snap = metrics.Default.Snapshot()
-	if snap.Counters["mural_g2p_cache_hits_total"] != 3 {
-		t.Fatalf("hits after materialized = %d, want 3", snap.Counters["mural_g2p_cache_hits_total"])
-	}
-	if mc.Len() != 1 {
-		t.Fatalf("memo grew on materialized value: Len = %d", mc.Len())
+	if s := shared.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Errorf("shared cache stats = %+v, want 1 hit 1 miss", s)
 	}
 }
 

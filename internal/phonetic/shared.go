@@ -13,7 +13,7 @@ import (
 const sharedShards = 16
 
 // DefaultSharedEntries bounds the engine-lifetime G2P cache (total across
-// shards) when the engine config doesn't say otherwise.
+// shards).
 const DefaultSharedEntries = 1 << 18
 
 // CacheStats is a point-in-time snapshot of one cache's counters.
@@ -24,24 +24,34 @@ type CacheStats struct {
 	Entries   int
 }
 
-// SharedCache is a bounded, sharded, engine-lifetime G2P cache: the L2
-// under each query's private MemoCache. Distinct sessions querying the same
-// names convert each (text, lang) pair once for the life of the engine, not
-// once per query. Safe for concurrent use.
+// SharedCache is a bounded, sharded, engine-lifetime G2P cache: the one
+// converter the executor uses at run time. Values stored with their phoneme
+// (every UNITEXT value, §3.1) never reach its map, a statement converts each
+// constant operand once, so what it serves is a column stored without
+// phonemes — bare TEXT, or UNITEXT inserted unmaterialized — each distinct
+// (text, lang) pair converted once for the life of the engine. Safe for
+// concurrent use.
 type SharedCache struct {
 	reg    *Registry
 	seed   maphash.Seed
 	capPer int // per-shard entry cap
 	shards [sharedShards]sharedShard
 
+	// Lifetime counters, folded in from the Tallies that counted them when
+	// those publish (Tally.Publish): a lookup writes no shared memory.
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 }
 
+type cacheKey struct {
+	text string
+	lang types.LangID
+}
+
 type sharedShard struct {
 	mu sync.Mutex
-	m  map[memoKey]string
+	m  map[cacheKey]string
 }
 
 // NewSharedCache returns an empty engine-lifetime cache backed by reg,
@@ -60,7 +70,7 @@ func NewSharedCache(reg *Registry, entries int) *SharedCache {
 // Registry returns the converter registry behind the cache.
 func (c *SharedCache) Registry() *Registry { return c.reg }
 
-func (c *SharedCache) shard(key memoKey) *sharedShard {
+func (c *SharedCache) shard(key cacheKey) *sharedShard {
 	var h maphash.Hash
 	h.SetSeed(c.seed)
 	_, _ = h.WriteString(key.text)
@@ -71,23 +81,22 @@ func (c *SharedCache) shard(key memoKey) *sharedShard {
 // ToPhoneme returns the phoneme string for u, converting through the
 // registry on the first engine-wide sighting of each distinct (text, lang)
 // pair. Values carrying a materialized phoneme bypass the cache entirely.
-// The process-wide counters get their share through t; Stats reads the
-// cache's own.
+// Hits, misses and evictions are counted into t; Stats sees them once t
+// publishes.
 func (c *SharedCache) ToPhoneme(u types.UniText, t *Tally) string {
 	if u.Phoneme != "" {
 		return u.Phoneme
 	}
-	key := memoKey{text: u.Text, lang: u.Lang}
+	t.shared = c
+	key := cacheKey{text: u.Text, lang: u.Lang}
 	s := c.shard(key)
 	s.mu.Lock()
 	if p, ok := s.m[key]; ok {
 		s.mu.Unlock()
-		c.hits.Add(1)
 		t.sharedHits++
 		return p
 	}
 	s.mu.Unlock()
-	c.misses.Add(1)
 	t.sharedMisses++
 	// Convert outside the shard lock: G2P is the expensive part, and other
 	// keys of this shard shouldn't wait behind it. A racing conversion of
@@ -96,7 +105,7 @@ func (c *SharedCache) ToPhoneme(u types.UniText, t *Tally) string {
 	s.mu.Lock()
 	if _, ok := s.m[key]; !ok {
 		if s.m == nil {
-			s.m = make(map[memoKey]string)
+			s.m = make(map[cacheKey]string)
 		}
 		if len(s.m) >= c.capPer {
 			// Random replacement: map iteration order is already randomized,
@@ -104,7 +113,6 @@ func (c *SharedCache) ToPhoneme(u types.UniText, t *Tally) string {
 			// bookkeeping on the hit path.
 			for k := range s.m {
 				delete(s.m, k)
-				c.evictions.Add(1)
 				t.sharedEvictions++
 				break
 			}
@@ -137,7 +145,8 @@ func (c *SharedCache) Len() int {
 	return n
 }
 
-// Stats snapshots the cache counters.
+// Stats snapshots the cache counters: every lookup whose Tally has
+// published.
 func (c *SharedCache) Stats() CacheStats {
 	return CacheStats{
 		Hits:      c.hits.Load(),

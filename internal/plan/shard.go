@@ -15,8 +15,10 @@ import (
 
 // Shard rewrites every access to a sharded table in the tree rooted at n.
 // With no shards configured it returns n unchanged. It runs before
-// Parallelize: the coordinator-side remainder may still grow local Gather
-// exchanges, and each shard re-runs Parallelize over its decoded fragment.
+// Parallelize, so no fragment it ships carries a Parallel flag: the
+// coordinator-side remainder may still grow local Gather exchanges (which
+// stop at a Remote), and each shard re-runs Parallelize over its decoded
+// fragment.
 func Shard(n *Node, shards []string) *Node {
 	if len(shards) < 2 || n == nil {
 		return n
@@ -93,7 +95,6 @@ func splittableAggs(aggs []AggSpec) bool {
 // cut (and per-shard DISTINCT can leave cross-shard duplicates only for
 // rows that hash-routed apart, which re-deduplicate here).
 func remoteOver(n *Node, shards []string) *Node {
-	clearParallel(n)
 	g := gatherShards(n, shards)
 	switch n.Op {
 	case OpLimit:
@@ -144,7 +145,6 @@ func gatherShards(frag *Node, shards []string) *Node {
 // bit-identical to the single-node answer).
 func splitAggregate(n *Node, shards []string) *Node {
 	child := n.Children[0]
-	clearParallel(child)
 	g := len(n.GroupBy)
 
 	// Partial: same grouping and aggregates, output schema fixed to
@@ -212,19 +212,5 @@ func aggOutKind(a AggSpec) types.Kind {
 			return ExprKind(a.Arg)
 		}
 		return types.KindInt
-	}
-}
-
-// clearParallel strips Parallelize markings from a subtree about to be
-// serialized: the shard runs its own Parallelize pass over the decoded
-// fragment, and a stale Parallel flag outside a Gather would make the
-// row-scan builder look for a worker context that does not exist.
-func clearParallel(n *Node) {
-	if n == nil {
-		return
-	}
-	n.Parallel = false
-	for _, c := range n.Children {
-		clearParallel(c)
 	}
 }

@@ -123,3 +123,34 @@ func TestShardPushesLimitWithCoordinatorCopy(t *testing.T) {
 		t.Errorf("no coordinator-side Limit above the Gather:\n%s", Format(node))
 	}
 }
+
+// Planner.Plan shards before it parallelizes, so a fragment shipped to a
+// shard carries no Parallel flag — the shard parallelizes what it decodes —
+// even when the planner runs with workers to spare.
+func TestShardedFragmentsAreSerial(t *testing.T) {
+	p := mkPlanner(testCatalog())
+	p.Opts.Shards, p.Opts.Workers = testShards, 4
+	for _, q := range []string{
+		`SELECT * FROM names WHERE name LEXEQUAL unitext('nehru', english) THRESHOLD 2`,
+		`SELECT count(*) FROM names WHERE name LEXEQUAL unitext('nehru', english) THRESHOLD 2`,
+		`SELECT count(*) FROM probe p, names n WHERE p.pname LEXEQUAL n.name THRESHOLD 2`,
+	} {
+		node := planQuery(t, p, q)
+		remotes := findOps(node, OpRemote)
+		if len(remotes) == 0 {
+			t.Fatalf("%s: no Remote:\n%s", q, Format(node))
+		}
+		for _, r := range remotes {
+			var walk func(n *Node)
+			walk = func(n *Node) {
+				if n.Parallel {
+					t.Errorf("%s: %s under a Remote is marked parallel:\n%s", q, n.Op, Format(node))
+				}
+				for _, c := range n.Children {
+					walk(c)
+				}
+			}
+			walk(r)
+		}
+	}
+}

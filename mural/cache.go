@@ -13,10 +13,10 @@ var (
 	mPlanCacheEvictions = metrics.Default.Counter("mural_plan_cache_evictions_total")
 )
 
-// defaultPlanCacheEntries bounds the plan cache when Config doesn't say
-// otherwise. Plans are small (a few nodes), so the bound mostly guards
-// against unbounded distinct SQL texts (e.g. un-parameterized literals).
-const defaultPlanCacheEntries = 256
+// planCacheEntries bounds the plan cache. Plans are small (a few nodes), so
+// the bound mostly guards against unbounded distinct SQL texts (e.g.
+// un-parameterized literals).
+const planCacheEntries = 256
 
 // planCacheKey identifies a cached plan: the exact SQL text, the planner
 // settings (settings.planKey) and the catalog version it was planned under;
@@ -41,11 +41,8 @@ type planCache struct {
 	hits, misses, evictions uint64
 }
 
-func newPlanCache(entries int) *planCache {
-	if entries <= 0 {
-		entries = defaultPlanCacheEntries
-	}
-	return &planCache{m: make(map[planCacheKey]*plan.Node), cap: entries}
+func newPlanCache() *planCache {
+	return &planCache{m: make(map[planCacheKey]*plan.Node), cap: planCacheEntries}
 }
 
 func (c *planCache) get(key planCacheKey) (*plan.Node, bool) {
@@ -81,11 +78,7 @@ func (c *planCache) put(key planCacheKey, n *plan.Node) {
 }
 
 // purge drops every entry, keeping the counters (DDL invalidation).
-// A nil cache (disabled) has nothing to drop.
 func (c *planCache) purge() {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.m = make(map[planCacheKey]*plan.Node)
@@ -117,15 +110,11 @@ type CacheStats struct {
 
 // CacheStats snapshots every engine-lifetime cache.
 func (e *Engine) CacheStats() CacheStats {
-	var cs CacheStats
-	if e.g2p != nil {
-		s := e.g2p.Stats()
-		cs.G2P = CacheCounters{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Entries: s.Entries}
+	s := e.g2p.Stats()
+	return CacheStats{
+		G2P:  CacheCounters{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Entries: s.Entries},
+		Plan: e.plans.snapshot(),
 	}
-	if e.plans != nil {
-		cs.Plan = e.plans.snapshot()
-	}
-	return cs
 }
 
 // ddlDone passes a DDL result through and, when the statement succeeded,
@@ -139,9 +128,7 @@ func (e *Engine) ddlDone(r *Result, err error) (*Result, error) {
 		return r, err
 	}
 	e.plans.purge()
-	if e.g2p != nil {
-		e.g2p.Purge()
-	}
+	e.g2p.Purge()
 	if e.fb != nil {
 		e.fb.Purge()
 	}

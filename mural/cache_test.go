@@ -107,25 +107,6 @@ func TestExplainAnalyzeShowsCacheCounters(t *testing.T) {
 	}
 }
 
-// Disabling the caches via config must not break queries.
-func TestCachesDisabled(t *testing.T) {
-	e, err := Open(Config{PlanCacheEntries: -1, G2PCacheEntries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.MustExec(`CREATE TABLE t (id INT, name UNITEXT)`)
-	e.MustExec(`INSERT INTO t VALUES (1, unitext('Nehru', english))`)
-	res := e.MustExec(`SELECT id FROM t WHERE name LEXEQUAL 'Nehru' THRESHOLD 1 IN english`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d, want 1", len(res.Rows))
-	}
-	s := e.CacheStats()
-	if s.Plan.Hits != 0 || s.G2P.Hits != 0 {
-		t.Errorf("disabled caches recorded hits: %+v", s)
-	}
-}
-
 // SET changes what the planner may choose for one session and purges
 // nothing: conversions and plans stay, the catalog version does not move, a
 // plan made under other settings is not served, and switching back finds the

@@ -237,7 +237,7 @@ func (e *Engine) execCreateIndex(s *sql.CreateIndex) (*Result, error) {
 		}
 		e.btrees[s.Name] = bt
 	case sql.IndexMTree:
-		mt, err := mtree.Create(e.pool, file, e.cfg.MTreeSplit)
+		mt, err := mtree.Create(e.pool, file, mtree.SplitRandom)
 		if err != nil {
 			return fail(err)
 		}

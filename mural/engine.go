@@ -40,14 +40,6 @@ type Config struct {
 	// Phonetics overrides the converter registry (default: English, Hindi,
 	// Tamil, Kannada, French).
 	Phonetics *phonetic.Registry
-	// MTreeSplit selects the M-Tree split policy for new MTREE indexes;
-	// the zero value is the paper's random split.
-	MTreeSplit MTreeSplitPolicy
-	// WALDisabled turns off write-ahead logging and crash recovery for
-	// on-disk databases. Mutations then reach the data files with no
-	// atomicity across heap, indexes and catalog — only safe for bulk
-	// loads that re-create the database on failure.
-	WALDisabled bool
 	// CheckpointBytes is the WAL size that triggers an automatic
 	// checkpoint after a commit (default 4 MiB).
 	CheckpointBytes int64
@@ -74,9 +66,6 @@ type Config struct {
 	// Zero syncs immediately (commits still group behind an in-flight
 	// fsync); a fraction of a millisecond is plenty on most disks.
 	CommitDelay time.Duration
-	// PlanCacheEntries bounds the shared SELECT plan cache (default 256;
-	// negative disables the cache).
-	PlanCacheEntries int
 	// QueryTimeout is the default per-statement deadline; a statement
 	// exceeding it fails with ErrQueryTimeout. Zero means no deadline.
 	// `SET statement_timeout = <ms>` changes it for one session (0 disables).
@@ -91,9 +80,6 @@ type Config struct {
 	// arrivals fail immediately with ErrAdmissionRejected. Zero means
 	// unbounded.
 	MaxConcurrentQueries int
-	// G2PCacheEntries bounds the shared engine-lifetime G2P conversion
-	// cache (default 262144 entries; negative disables the cache).
-	G2PCacheEntries int
 	// StmtStatsEntries bounds the statement statistics store behind SHOW
 	// STATEMENTS and the /statements HTTP endpoint (default 256
 	// fingerprints; negative disables collection).
@@ -102,10 +88,6 @@ type Config struct {
 	// sketch (default 1024 cells; negative disables feedback, so the
 	// planner always costs from static histograms).
 	FeedbackEntries int
-	// FeedbackMinObs is how many observed executions establish a feedback
-	// cell before the planner trusts it over the histogram estimate
-	// (default 1: a single completed run already beats an approximation).
-	FeedbackMinObs int
 	// TraceSink receives exported query span trees; nil disables tracing.
 	TraceSink io.Writer
 	// TraceFormat selects the trace encoding: "jsonl" (default, one JSON
@@ -130,15 +112,6 @@ type Config struct {
 	ShardWrap func(net.Conn) net.Conn
 }
 
-// MTreeSplitPolicy re-exports the split policies.
-type MTreeSplitPolicy = mtree.SplitPolicy
-
-// Split policies for CREATE INDEX ... USING MTREE.
-const (
-	MTreeSplitRandom       = mtree.SplitRandom
-	MTreeSplitMinMaxRadius = mtree.SplitMinMaxRadius
-)
-
 // Engine is one open database. It is safe for concurrent use; DDL and
 // inserts serialize against queries coarsely.
 type Engine struct {
@@ -146,15 +119,15 @@ type Engine struct {
 	pool *storage.Pool
 	cat  *catalog.Catalog
 	phon *phonetic.Registry
-	// wal is the write-ahead log (nil for in-memory databases and
-	// WALDisabled); recovery reports what replay did at Open.
+	// wal is the write-ahead log (nil for in-memory databases); recovery
+	// reports what replay did at Open.
 	wal      *storage.WAL
 	recovery RecoveryStats
 	// slowMu serializes slow-query log writes.
 	slowMu sync.Mutex
-	// plans and g2p are the engine-lifetime shared caches (nil when
-	// disabled): parsed SELECT plans keyed by SQL text + catalog version,
-	// and G2P conversions shared across every session's per-query memo.
+	// plans and g2p are the engine-lifetime shared caches: parsed SELECT
+	// plans keyed by SQL text + catalog version, and the run-time G2P
+	// conversions of every session.
 	plans *planCache
 	g2p   *phonetic.SharedCache
 	// inflight counts statements currently executing (admission control).
@@ -214,32 +187,25 @@ func Open(cfg Config) (*Engine, error) {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("mural: create dir: %w", err)
 		}
-		if !cfg.WALDisabled {
-			// Crash recovery: replay committed WAL batches into the data
-			// files and restore the logged catalog snapshot before loading
-			// anything.
-			wal, recStats, err = openWALWithRecovery(&cfg)
-			if err != nil {
-				return nil, err
-			}
+		// Crash recovery: replay committed WAL batches into the data files
+		// and restore the logged catalog snapshot before loading anything.
+		wal, recStats, err = openWALWithRecovery(&cfg)
+		if err != nil {
+			return nil, err
 		}
 		cat, err = catalog.Load(cfg.Dir)
 		if err != nil {
-			if wal != nil {
-				_ = wal.Close()
-			}
+			_ = wal.Close()
 			return nil, err
 		}
-		if !cfg.WALDisabled {
-			// Uncommitted DDL may have left data files the recovered
-			// catalog never references; their ids will be reused.
-			removed, err := removeOrphanFiles(cfg.Dir, cat)
-			if err != nil {
-				_ = wal.Close()
-				return nil, err
-			}
-			recStats.OrphansRemoved = removed
+		// Uncommitted DDL may have left data files the recovered catalog
+		// never references; their ids will be reused.
+		removed, err := removeOrphanFiles(cfg.Dir, cat)
+		if err != nil {
+			_ = wal.Close()
+			return nil, err
 		}
+		recStats.OrphansRemoved = removed
 	} else {
 		cat = catalog.New()
 	}
@@ -257,14 +223,10 @@ func Open(cfg Config) (*Engine, error) {
 		qgrams:    make(map[string]*qgram.Index),
 		disks:     make(map[storage.FileID]storage.Disk),
 		operators: make(map[string]func(a, b Value) (bool, error)),
+		plans:     newPlanCache(),
+		g2p:       phonetic.NewSharedCache(cfg.Phonetics, phonetic.DefaultSharedEntries),
 	}
 	e.sess = e.Session()
-	if cfg.PlanCacheEntries >= 0 {
-		e.plans = newPlanCache(cfg.PlanCacheEntries)
-	}
-	if cfg.G2PCacheEntries >= 0 {
-		e.g2p = phonetic.NewSharedCache(e.phon, cfg.G2PCacheEntries)
-	}
 	if cfg.StmtStatsEntries >= 0 {
 		n := cfg.StmtStatsEntries
 		if n == 0 {
@@ -277,7 +239,7 @@ func Open(cfg Config) (*Engine, error) {
 		if n == 0 {
 			n = defaultFeedbackEntries
 		}
-		e.fb = obs.NewFeedback(n, cfg.FeedbackMinObs)
+		e.fb = obs.NewFeedback(n, 1)
 	}
 	if cfg.TraceSink != nil {
 		format := cfg.TraceFormat
@@ -338,7 +300,7 @@ func Open(cfg Config) (*Engine, error) {
 			}
 			e.btrees[ix.Name] = bt
 		case sql.IndexMTree:
-			mt, err := mtree.Open(e.pool, ix.File, cfg.MTreeSplit)
+			mt, err := mtree.Open(e.pool, ix.File, mtree.SplitRandom)
 			if err != nil {
 				return fail(err)
 			}
@@ -353,10 +315,6 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	return e, nil
 }
-
-// SharedG2P implements exec.SharedG2PProvider: per-query memos use the
-// engine-lifetime conversion cache as their L2 (nil when disabled).
-func (e *Engine) SharedG2P() *phonetic.SharedCache { return e.g2p }
 
 // WALStats snapshots the write-ahead log counters (zero when no WAL).
 // Under concurrent commit load Syncs stays below Commits: that gap is the
@@ -642,9 +600,6 @@ func (e *Engine) planner(set *settings) *plan.Planner {
 // version; otherwise it plans and caches. Cached plans are shared across
 // concurrent executions — the executor never mutates a plan tree.
 func (e *Engine) planSelectCached(st *statement, sel *sql.Select) (*plan.Node, error) {
-	if e.plans == nil {
-		return e.planner(st.set).Plan(sel)
-	}
 	key := planCacheKey{sql: st.text, opts: st.set.planKey, version: e.cat.Version(), fbgen: e.feedbackGen()}
 	if node, ok := e.plans.get(key); ok {
 		return node, nil

@@ -145,5 +145,5 @@ func (e *Engine) QGramSearch(index string, phoneme string, threshold int) ([]sto
 	return rids, st.Candidates, err
 }
 
-// Phonetic implements exec.Env.
-func (e *Engine) Phonetic() *phonetic.Registry { return e.phon }
+// G2P implements exec.Env.
+func (e *Engine) G2P() *phonetic.SharedCache { return e.g2p }

@@ -282,7 +282,7 @@ func (e *Engine) reopenIndex(ix *catalog.Index) error {
 		}
 	case sql.IndexMTree:
 		if _, open := e.mtrees[ix.Name]; open {
-			mt, err := mtree.Open(e.pool, ix.File, e.cfg.MTreeSplit)
+			mt, err := mtree.Open(e.pool, ix.File, mtree.SplitRandom)
 			if err != nil {
 				return err
 			}
