@@ -341,10 +341,10 @@ func TestLimitStopsJoinAtItsBudget(t *testing.T) {
 	}
 
 	psi := &plan.Node{
-		Op:           plan.OpPsiJoin,
-		Children:     []*plan.Node{scanNode("l", uni("l")), scanNode("r", uni("r"))},
-		Cols:         append(uni("l"), uni("r")...),
-		PsiThreshold: 1, PsiLeftCol: 0, PsiRightCol: 1,
+		Op:       plan.OpPsiJoin,
+		Children: []*plan.Node{scanNode("l", uni("l")), scanNode("r", uni("r"))},
+		Cols:     append(uni("l"), uni("r")...),
+		Cond:     &plan.Psi{L: &plan.ColIdx{Idx: 0}, R: &plan.ColIdx{Idx: 1}, Threshold: 1},
 	}
 	cur, _, rows := run(t, limitOver(psi, 1))
 	if len(rows) != 1 || cur.Stats.PsiEvaluations != match+1 {

@@ -363,41 +363,12 @@ func joinedTuple(l, r types.Tuple) types.Tuple {
 	return append(out, r...)
 }
 
-// joinCond is the predicate a join evaluates over the joint schema: for the
-// Ψ and Ω joins a synthetic Psi/Omega expression over the two join columns
-// (the planner already arranged the Ω join's outer side to carry the closure
-// roots when profitable — RHS-outer, §4.3; the Ψ index join's candidates are
-// rechecked by it), ahead of any residual.
-func joinCond(n *plan.Node) plan.Expr {
-	var op plan.Expr
-	switch n.Op {
-	case plan.OpPsiJoin, plan.OpPsiIndexJoin:
-		op = &plan.Psi{
-			L:         &plan.ColIdx{Idx: n.PsiLeftCol},
-			R:         &plan.ColIdx{Idx: n.PsiRightCol},
-			Threshold: n.PsiThreshold,
-			Langs:     n.PsiLangs,
-		}
-	case plan.OpOmegaJoin:
-		op = &plan.Omega{
-			L:     &plan.ColIdx{Idx: n.OmegaLeftCol},
-			R:     &plan.ColIdx{Idx: n.OmegaRightCol},
-			Langs: n.OmegaLangs,
-		}
-	default:
-		return n.Cond
-	}
-	if n.Cond != nil {
-		return &plan.AndOr{L: op, R: n.Cond}
-	}
-	return op
-}
-
-// buildNLJoin wires the nested-loops joins (plain, Ψ, Ω). The inner side is
-// always materialized and rescanned: by the plan's Materialize node when there
-// is one, by an implicit one otherwise.
+// buildNLJoin wires the nested-loops joins (plain, Ψ, Ω), each evaluating its
+// condition over the joint schema. The inner side is always materialized and
+// rescanned: by the plan's Materialize node when there is one, by an implicit
+// one otherwise.
 func buildNLJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIter, error) {
-	cond, err := ev.bind(joinCond(n), n.EstimatedRows())
+	cond, err := ev.bind(n.Cond, n.EstimatedRows())
 	if err != nil {
 		return nil, err
 	}
@@ -520,9 +491,11 @@ func (j *nlJoinIter) Close() error {
 
 // buildLookupJoin wires the joins that find an outer row's inner candidates
 // by lookup: the hash join in a table built from its right input, the Ψ index
-// join in an M-Tree on the inner relation (which it never scans).
+// join in an M-Tree on the inner relation (which it never scans). Each pair
+// then passes the join's condition: for the index join its Ψ, which rechecks
+// every candidate.
 func buildLookupJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIter, error) {
-	cond, err := ev.bind(joinCond(n), n.EstimatedRows())
+	cond, err := ev.bind(n.Cond, n.EstimatedRows())
 	if err != nil {
 		return nil, err
 	}
@@ -539,22 +512,24 @@ func buildLookupJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64)
 		h := &hashSide{ev: ev, src: right, col: n.HashRight - leftWidth, probeCol: n.HashLeft}
 		return &lookupJoinIter{ev: ev, outer: left, hash: h, lookup: h.lookup, cond: cond, budget: budget}, nil
 	}
-	outerCol := n.PsiLeftCol
+	// The Ψ is over one column of each side; the outer row's operand probes.
+	psi := n.Cond.(*plan.Psi)
+	outerCol, outerLeft := psi.L.(*plan.ColIdx).Idx, true
 	if outerCol >= leftWidth {
-		outerCol = n.PsiRightCol
+		outerCol, outerLeft = psi.R.(*plan.ColIdx).Idx, false
 	}
 	table := n.Children[1].Table
 	lookup := func(t types.Tuple) ([]types.Tuple, error) {
 		// The inner side is the M-Tree's column, which is UNITEXT.
 		v := t[outerCol]
 		l, r := v.Kind(), types.KindUniText
-		if outerCol != n.PsiLeftCol {
+		if !outerLeft {
 			l, r = r, l
 		}
 		if ok, err := operandKinds("LEXEQUAL", l, r); !ok {
 			return nil, err
 		}
-		rids, pages, err := env.MTreeSearch(n.Index.Index, ev.phoneme(psiText(v, n.PsiLangs)), n.PsiThreshold)
+		rids, pages, err := env.MTreeSearch(n.Index.Index, ev.phoneme(psiText(v, psi.Langs)), psi.Threshold)
 		if err != nil {
 			return nil, err
 		}

@@ -264,12 +264,10 @@ func TestPsiJoinOperator(t *testing.T) {
 	aCols := []plan.ColInfo{{Rel: "a", Name: "n", Kind: types.KindUniText}}
 	bCols := []plan.ColInfo{{Rel: "b", Name: "n", Kind: types.KindUniText}}
 	node := &plan.Node{
-		Op:           plan.OpPsiJoin,
-		Children:     []*plan.Node{scanNode("a", aCols), scanNode("b", bCols)},
-		Cols:         append(append([]plan.ColInfo{}, aCols...), bCols...),
-		PsiThreshold: 2,
-		PsiLeftCol:   0,
-		PsiRightCol:  1,
+		Op:       plan.OpPsiJoin,
+		Children: []*plan.Node{scanNode("a", aCols), scanNode("b", bCols)},
+		Cols:     append(append([]plan.ColInfo{}, aCols...), bCols...),
+		Cond:     &plan.Psi{L: &plan.ColIdx{Idx: 0}, R: &plan.ColIdx{Idx: 1}, Threshold: 2},
 	}
 	rows := runAll(t, env, node)
 	if len(rows) != 1 {
@@ -291,13 +289,11 @@ func TestPsiIndexJoinOperator(t *testing.T) {
 	oCols := []plan.ColInfo{{Rel: "o", Name: "n", Kind: types.KindUniText}}
 	iCols := []plan.ColInfo{{Rel: "i", Name: "n", Kind: types.KindUniText}}
 	node := &plan.Node{
-		Op:           plan.OpPsiIndexJoin,
-		Children:     []*plan.Node{scanNode("outer", oCols), scanNode("inner", iCols)},
-		Cols:         append(append([]plan.ColInfo{}, oCols...), iCols...),
-		PsiThreshold: 1,
-		PsiLeftCol:   0,
-		PsiRightCol:  1,
-		Index:        &plan.IndexCond{Index: "ix", Threshold: 1},
+		Op:       plan.OpPsiIndexJoin,
+		Children: []*plan.Node{scanNode("outer", oCols), scanNode("inner", iCols)},
+		Cols:     append(append([]plan.ColInfo{}, oCols...), iCols...),
+		Cond:     &plan.Psi{L: &plan.ColIdx{Idx: 0}, R: &plan.ColIdx{Idx: 1}, Threshold: 1},
+		Index:    &plan.IndexCond{Index: "ix"},
 	}
 	rows := runAll(t, env, node)
 	if len(rows) != 1 || rows[0][1].UniText().Text != "neru" {
@@ -317,11 +313,10 @@ func TestOmegaJoinOperator(t *testing.T) {
 	lCols := []plan.ColInfo{{Rel: "c", Name: "v", Kind: types.KindUniText}}
 	rCols := []plan.ColInfo{{Rel: "k", Name: "v", Kind: types.KindUniText}}
 	node := &plan.Node{
-		Op:            plan.OpOmegaJoin,
-		Children:      []*plan.Node{scanNode("cat", lCols), scanNode("concept", rCols)},
-		Cols:          append(append([]plan.ColInfo{}, lCols...), rCols...),
-		OmegaLeftCol:  0,
-		OmegaRightCol: 1,
+		Op:       plan.OpOmegaJoin,
+		Children: []*plan.Node{scanNode("cat", lCols), scanNode("concept", rCols)},
+		Cols:     append(append([]plan.ColInfo{}, lCols...), rCols...),
+		Cond:     &plan.Omega{L: &plan.ColIdx{Idx: 0}, R: &plan.ColIdx{Idx: 1}},
 	}
 	rows := runAll(t, env, node)
 	if len(rows) != 1 || rows[0][0].UniText().Text != "historiography" {

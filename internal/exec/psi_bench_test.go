@@ -64,7 +64,7 @@ func benchPsiJoin(b *testing.B, kind types.Kind) {
 	oc := []plan.ColInfo{{Rel: "o", Name: "n", Kind: kind}}
 	ic := []plan.ColInfo{{Rel: "i", Name: "n", Kind: kind}}
 	node := &plan.Node{Op: plan.OpPsiJoin, Children: []*plan.Node{scanNode("o", oc), scanNode("i", ic)},
-		Cols: append(append([]plan.ColInfo{}, oc...), ic...), PsiThreshold: 1, PsiLeftCol: 0, PsiRightCol: 1}
+		Cols: append(append([]plan.ColInfo{}, oc...), ic...), Cond: &plan.Psi{L: &plan.ColIdx{Idx: 0}, R: &plan.ColIdx{Idx: 1}, Threshold: 1}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -101,10 +101,12 @@ type Stats struct {
 	Cols  map[string]*catalog.ColumnStats
 }
 
-// defaultStats is assumed for never-analyzed tables (PostgreSQL does the
-// same with its default page/row estimates).
+// The size assumed for a never-analyzed table (PostgreSQL does the same with
+// its default page/row estimates).
+const defaultRows, defaultPages = 1000, 10
+
 func defaultStats() Stats {
-	return Stats{Rows: 1000, Pages: 10, Cols: map[string]*catalog.ColumnStats{}}
+	return Stats{Rows: defaultRows, Pages: defaultPages, Cols: map[string]*catalog.ColumnStats{}}
 }
 
 // statsFor reads the catalog's ANALYZE results.

@@ -370,35 +370,3 @@ func Walk(e Expr, fn func(Expr)) {
 		}
 	}
 }
-
-// shiftCols returns a copy of e with every ColIdx offset by delta (used
-// when an expression compiled against a join schema must be evaluated
-// against the right input only).
-func shiftCols(e Expr, delta int) Expr {
-	switch x := e.(type) {
-	case *ColIdx:
-		return &ColIdx{Idx: x.Idx + delta, Kind: x.Kind, Display: x.Display}
-	case *Const:
-		return x
-	case *Cmp:
-		return &Cmp{Op: x.Op, L: shiftCols(x.L, delta), R: shiftCols(x.R, delta)}
-	case *AndOr:
-		return &AndOr{Or: x.Or, L: shiftCols(x.L, delta), R: shiftCols(x.R, delta)}
-	case *Neg:
-		return &Neg{Inner: shiftCols(x.Inner, delta)}
-	case *Like:
-		return &Like{L: shiftCols(x.L, delta), Pattern: shiftCols(x.Pattern, delta)}
-	case *Psi:
-		return &Psi{L: shiftCols(x.L, delta), R: shiftCols(x.R, delta), Threshold: x.Threshold, Langs: x.Langs}
-	case *Omega:
-		return &Omega{L: shiftCols(x.L, delta), R: shiftCols(x.R, delta), Langs: x.Langs}
-	case *Call:
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = shiftCols(a, delta)
-		}
-		return &Call{Kind: x.Kind, Args: args}
-	default:
-		return e
-	}
-}

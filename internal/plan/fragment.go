@@ -1,12 +1,12 @@
 // Fragment (de)serialization: the coordinator ships a plan subtree to a
 // shard as a MsgFragment payload, and the shard decodes it back into a Node
-// tree it executes locally. The codec is a JSON tagged union over a strict
-// whitelist of operators and expression forms — a shard never executes an
-// operator kind the coordinator did not mean to push down (in particular,
-// exchange operators: a fragment containing Gather or Remote is rejected,
-// so fragments cannot recurse). Constants travel in the storage value
-// encoding, so a probe constant reaches the shard bit-identical to the
-// coordinator's.
+// tree it places and executes locally. The codec is a JSON tagged union over
+// a strict whitelist of operators and expression forms, and a fragment is
+// accepted only in the shape exchange placement ships (pushable) — a shard
+// never executes an operator the coordinator could not have meant to push
+// down (no join, no sort, and no exchange: fragments cannot recurse).
+// Constants travel in the storage value encoding, so a probe constant
+// reaches the shard bit-identical to the coordinator's.
 package plan
 
 import (
@@ -17,27 +17,20 @@ import (
 	"github.com/mural-db/mural/internal/types"
 )
 
-// fragOps maps the wire operator tags to OpTypes. Only operators a shard
-// may execute appear; notably absent are OpGather (the shard re-runs its
-// own Parallelize pass instead) and OpRemote (fragments never nest).
+// fragOps maps the wire operator tags to OpTypes: exactly the operators
+// pushable admits.
 var fragOps = map[string]OpType{
-	"seqscan":      OpSeqScan,
-	"btreescan":    OpBTreeScan,
-	"mtreescan":    OpMTreeScan,
-	"mdiscan":      OpMDIScan,
-	"qgramscan":    OpQGramScan,
-	"filter":       OpFilter,
-	"project":      OpProject,
-	"nljoin":       OpNLJoin,
-	"hashjoin":     OpHashJoin,
-	"psijoin":      OpPsiJoin,
-	"psiindexjoin": OpPsiIndexJoin,
-	"omegajoin":    OpOmegaJoin,
-	"aggregate":    OpAggregate,
-	"sort":         OpSort,
-	"limit":        OpLimit,
-	"distinct":     OpDistinct,
-	"materialize":  OpMaterialize,
+	"seqscan":     OpSeqScan,
+	"btreescan":   OpBTreeScan,
+	"mtreescan":   OpMTreeScan,
+	"mdiscan":     OpMDIScan,
+	"qgramscan":   OpQGramScan,
+	"filter":      OpFilter,
+	"project":     OpProject,
+	"materialize": OpMaterialize,
+	"limit":       OpLimit,
+	"distinct":    OpDistinct,
+	"aggregate":   OpAggregate,
 }
 
 var fragOpNames = func() map[OpType]string {
@@ -63,28 +56,12 @@ type fragNode struct {
 
 	Cond *fragExpr `json:"cond,omitempty"`
 
-	HashLeft  int `json:"hash_left,omitempty"`
-	HashRight int `json:"hash_right,omitempty"`
-
-	PsiThreshold int   `json:"psi_threshold,omitempty"`
-	PsiLangs     []int `json:"psi_langs,omitempty"`
-	PsiLeftCol   int   `json:"psi_left,omitempty"`
-	PsiRightCol  int   `json:"psi_right,omitempty"`
-
-	OmegaLeftCol  int   `json:"omega_left,omitempty"`
-	OmegaRightCol int   `json:"omega_right,omitempty"`
-	OmegaLangs    []int `json:"omega_langs,omitempty"`
-	RHSOuter      bool  `json:"rhs_outer,omitempty"`
-
 	Projs    []*fragExpr `json:"projs,omitempty"`
 	HasProjs bool        `json:"has_projs,omitempty"`
 	ColNames []string    `json:"col_names,omitempty"`
 
 	GroupBy []*fragExpr `json:"group_by,omitempty"`
 	Aggs    []fragAgg   `json:"aggs,omitempty"`
-
-	SortKeys []*fragExpr `json:"sort_keys,omitempty"`
-	SortDesc []bool      `json:"sort_desc,omitempty"`
 
 	LimitN int64 `json:"limit_n,omitempty"`
 }
@@ -106,10 +83,10 @@ type fragIndex struct {
 	Col       int       `json:"col,omitempty"`
 }
 
+// fragAgg is one aggregate of a partial Aggregate (never a merging one).
 type fragAgg struct {
-	Kind  int       `json:"kind"`
-	Arg   *fragExpr `json:"arg,omitempty"`
-	Merge bool      `json:"merge,omitempty"`
+	Kind int       `json:"kind"`
+	Arg  *fragExpr `json:"arg,omitempty"`
 }
 
 // fragExpr is the wire form of one compiled expression: a tagged union with
@@ -144,8 +121,11 @@ type fragExpr struct {
 	Args     []*fragExpr `json:"args,omitempty"`
 }
 
-// EncodeFragment serializes a plan subtree for shipment to a shard.
+// EncodeFragment serializes a pushable plan subtree for shipment to a shard.
 func EncodeFragment(n *Node) ([]byte, error) {
+	if !pushable(n, true) {
+		return nil, fmt.Errorf("plan: %s cannot be shipped in a fragment", n.Op)
+	}
 	fn, err := encodeNode(n)
 	if err != nil {
 		return nil, err
@@ -154,43 +134,30 @@ func EncodeFragment(n *Node) ([]byte, error) {
 }
 
 // DecodeFragment parses a shipped fragment back into an executable plan
-// tree. Unknown operators or expression forms are rejected — a malformed or
-// hostile fragment fails decode, it never reaches the executor.
+// tree. Unknown operators or expression forms, and any tree pushable rejects,
+// are refused — a malformed or hostile fragment fails decode, it never
+// reaches the executor.
 func DecodeFragment(data []byte) (*Node, error) {
 	var fn fragNode
 	if err := json.Unmarshal(data, &fn); err != nil {
 		return nil, fmt.Errorf("plan: bad fragment: %w", err)
 	}
-	return decodeNode(&fn, 0)
+	n, err := decodeNode(&fn, 0)
+	if err == nil && !pushable(n, true) {
+		return nil, fmt.Errorf("plan: fragment rooted at %s is not a plan a shard runs", n.Op)
+	}
+	return n, err
 }
 
 func encodeNode(n *Node) (*fragNode, error) {
-	if n == nil {
-		return nil, fmt.Errorf("plan: nil node in fragment")
-	}
-	name, ok := fragOpNames[n.Op]
-	if !ok {
-		return nil, fmt.Errorf("plan: operator %s cannot be shipped in a fragment", n.Op)
-	}
 	fn := &fragNode{
-		Op:            name,
-		EstRows:       n.EstRows,
-		EstCost:       n.EstCost,
-		Table:         n.Table,
-		Alias:         n.Alias,
-		HashLeft:      n.HashLeft,
-		HashRight:     n.HashRight,
-		PsiThreshold:  n.PsiThreshold,
-		PsiLangs:      encodeLangs(n.PsiLangs),
-		PsiLeftCol:    n.PsiLeftCol,
-		PsiRightCol:   n.PsiRightCol,
-		OmegaLeftCol:  n.OmegaLeftCol,
-		OmegaRightCol: n.OmegaRightCol,
-		OmegaLangs:    encodeLangs(n.OmegaLangs),
-		RHSOuter:      n.RHSOuter,
-		ColNames:      n.ColNames,
-		SortDesc:      n.SortDesc,
-		LimitN:        n.LimitN,
+		Op:       fragOpNames[n.Op],
+		EstRows:  n.EstRows,
+		EstCost:  n.EstCost,
+		Table:    n.Table,
+		Alias:    n.Alias,
+		ColNames: n.ColNames,
+		LimitN:   n.LimitN,
 	}
 	for _, c := range n.Children {
 		fc, err := encodeNode(c)
@@ -244,7 +211,7 @@ func encodeNode(n *Node) (*fragNode, error) {
 		fn.GroupBy = append(fn.GroupBy, fg)
 	}
 	for _, a := range n.Aggs {
-		fa := fragAgg{Kind: int(a.Kind), Merge: a.Merge}
+		fa := fragAgg{Kind: int(a.Kind)}
 		if a.Arg != nil {
 			var err error
 			if fa.Arg, err = encodeExpr(a.Arg); err != nil {
@@ -252,13 +219,6 @@ func encodeNode(n *Node) (*fragNode, error) {
 			}
 		}
 		fn.Aggs = append(fn.Aggs, fa)
-	}
-	for _, k := range n.SortKeys {
-		fk, err := encodeExpr(k)
-		if err != nil {
-			return nil, err
-		}
-		fn.SortKeys = append(fn.SortKeys, fk)
 	}
 	return fn, nil
 }
@@ -279,24 +239,13 @@ func decodeNode(fn *fragNode, depth int) (*Node, error) {
 		return nil, fmt.Errorf("plan: fragment carries unknown operator %q", fn.Op)
 	}
 	n := &Node{
-		Op:            op,
-		EstRows:       fn.EstRows,
-		EstCost:       fn.EstCost,
-		Table:         fn.Table,
-		Alias:         fn.Alias,
-		HashLeft:      fn.HashLeft,
-		HashRight:     fn.HashRight,
-		PsiThreshold:  fn.PsiThreshold,
-		PsiLangs:      decodeLangs(fn.PsiLangs),
-		PsiLeftCol:    fn.PsiLeftCol,
-		PsiRightCol:   fn.PsiRightCol,
-		OmegaLeftCol:  fn.OmegaLeftCol,
-		OmegaRightCol: fn.OmegaRightCol,
-		OmegaLangs:    decodeLangs(fn.OmegaLangs),
-		RHSOuter:      fn.RHSOuter,
-		ColNames:      fn.ColNames,
-		SortDesc:      fn.SortDesc,
-		LimitN:        fn.LimitN,
+		Op:       op,
+		EstRows:  fn.EstRows,
+		EstCost:  fn.EstCost,
+		Table:    fn.Table,
+		Alias:    fn.Alias,
+		ColNames: fn.ColNames,
+		LimitN:   fn.LimitN,
 	}
 	for _, fc := range fn.Children {
 		c, err := decodeNode(fc, depth+1)
@@ -304,9 +253,6 @@ func decodeNode(fn *fragNode, depth int) (*Node, error) {
 			return nil, err
 		}
 		n.Children = append(n.Children, c)
-	}
-	if nc := childCount(op); len(n.Children) != nc {
-		return nil, fmt.Errorf("plan: fragment %s has %d children, want %d", op, len(n.Children), nc)
 	}
 	for _, col := range fn.Cols {
 		n.Cols = append(n.Cols, ColInfo{Rel: col.Rel, Name: col.Name, Kind: types.Kind(col.Kind)})
@@ -327,8 +273,6 @@ func decodeNode(fn *fragNode, depth int) (*Node, error) {
 			return nil, err
 		}
 		n.Index = ic
-	} else if isIndexScan(op) {
-		return nil, fmt.Errorf("plan: fragment %s lacks index parameters", op)
 	}
 	var err error
 	if n.Cond, err = decodeExprOpt(fn.Cond, depth); err != nil {
@@ -352,7 +296,7 @@ func decodeNode(fn *fragNode, depth int) (*Node, error) {
 		n.GroupBy = append(n.GroupBy, g)
 	}
 	for _, fa := range fn.Aggs {
-		a := AggSpec{Kind: sql.FuncKind(fa.Kind), Merge: fa.Merge}
+		a := AggSpec{Kind: sql.FuncKind(fa.Kind)}
 		if !a.Kind.IsAggregate() {
 			return nil, fmt.Errorf("plan: fragment aggregate kind %d is not an aggregate", fa.Kind)
 		}
@@ -363,37 +307,7 @@ func decodeNode(fn *fragNode, depth int) (*Node, error) {
 		}
 		n.Aggs = append(n.Aggs, a)
 	}
-	for _, fk := range fn.SortKeys {
-		k, err := decodeExpr(fk, depth)
-		if err != nil {
-			return nil, err
-		}
-		n.SortKeys = append(n.SortKeys, k)
-	}
-	if len(n.SortDesc) != len(n.SortKeys) && len(n.SortKeys) > 0 {
-		return nil, fmt.Errorf("plan: fragment sort has %d keys but %d directions", len(n.SortKeys), len(n.SortDesc))
-	}
 	return n, nil
-}
-
-// childCount is the arity each fragment operator must arrive with.
-func childCount(op OpType) int {
-	switch op {
-	case OpSeqScan, OpBTreeScan, OpMTreeScan, OpMDIScan, OpQGramScan:
-		return 0
-	case OpNLJoin, OpHashJoin, OpPsiJoin, OpPsiIndexJoin, OpOmegaJoin:
-		return 2
-	default:
-		return 1
-	}
-}
-
-func isIndexScan(op OpType) bool {
-	switch op {
-	case OpBTreeScan, OpMTreeScan, OpMDIScan, OpQGramScan:
-		return true
-	}
-	return false
 }
 
 func encodeExprOpt(e Expr) (*fragExpr, error) {

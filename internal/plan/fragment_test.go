@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -97,6 +98,38 @@ func TestDecodeFragmentRejectsMalformed(t *testing.T) {
 	}
 }
 
+// The codec admits exactly what exchange placement ships: joins and sorts
+// stay at the coordinator, so a fragment carrying one is refused whole.
+func TestDecodeFragmentRejectsCoordinatorOps(t *testing.T) {
+	scan := `{"op":"seqscan","table":"t","cols":[{"name":"n","kind":1}]}`
+	for _, op := range []string{"nljoin", "hashjoin", "psijoin", "psiindexjoin", "omegajoin"} {
+		data := `{"op":"` + op + `","children":[` + scan + `,` + scan + `],"index":{"index":"ix"}}`
+		if _, err := DecodeFragment([]byte(data)); err == nil {
+			t.Errorf("DecodeFragment accepted a %s", op)
+		}
+	}
+	sort := `{"op":"sort","children":[` + scan + `],"sort_keys":[{"t":"col"}],"sort_desc":[false]}`
+	if _, err := DecodeFragment([]byte(sort)); err == nil {
+		t.Error("DecodeFragment accepted a sort")
+	}
+	// Nor may a partial aggregate sit anywhere but at the fragment's root.
+	nested := `{"op":"limit","limit_n":1,"children":[{"op":"aggregate","children":[` + scan + `],"aggs":[{"kind":` +
+		fmt.Sprint(int(sql.FuncCount)) + `}]}]}`
+	if _, err := DecodeFragment([]byte(nested)); err == nil {
+		t.Error("DecodeFragment accepted an aggregate below a limit")
+	}
+}
+
+// shippedFragments are the fragments the sharded planner ships for q: the
+// subtree under each Remote.
+func shippedFragments(tb testing.TB, p *Planner, q string) []*Node {
+	var out []*Node
+	for _, r := range findOps(planQuery(tb, p, q), OpRemote) {
+		out = append(out, r.Children[0])
+	}
+	return out
+}
+
 func TestDecodeFragmentDepthBounded(t *testing.T) {
 	// 300 nested Filters exceed maxFragmentDepth; decode must fail cleanly,
 	// not exhaust the stack.
@@ -116,11 +149,28 @@ func TestDecodeFragmentDepthBounded(t *testing.T) {
 func FuzzDecodeFragment(f *testing.F) {
 	p := mkPlanner(testCatalog())
 	for _, q := range fragmentQueries {
-		node := pushableSubtree(planQueryF(f, p, q))
+		node := pushableSubtree(planQuery(f, p, q))
 		if node == nil {
 			continue
 		}
 		if data, err := EncodeFragment(node); err == nil {
+			f.Add(data)
+		}
+	}
+	// What the sharded planner ships: the partial Aggregate with its
+	// placeholder Projs, and the pushed Limit and Distinct.
+	sharded := mkPlanner(testCatalog())
+	sharded.Opts.Shards = testShards
+	for _, q := range []string{
+		`SELECT lang(name), count(*), min(id) FROM names GROUP BY lang(name)`,
+		`SELECT id FROM names WHERE pdist < 4 LIMIT 10`,
+		`SELECT DISTINCT pdist FROM names`,
+	} {
+		for _, frag := range shippedFragments(f, sharded, q) {
+			data, err := EncodeFragment(frag)
+			if err != nil {
+				f.Fatalf("%s: shipped fragment does not encode: %v", q, err)
+			}
 			f.Add(data)
 		}
 	}
@@ -131,25 +181,15 @@ func FuzzDecodeFragment(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Whatever decodes must re-encode: the coordinator never ships a
-		// fragment the shard cannot validate and the shard never accepts one
-		// it could not have produced.
+		// Whatever decodes is a plan placement could have shipped, and
+		// re-encodes: the coordinator never ships a fragment the shard
+		// cannot validate and the shard never accepts one it could not have
+		// produced.
+		if !pushable(node, true) {
+			t.Fatalf("decoded fragment is not pushable:\n%s", Format(node))
+		}
 		if _, err := EncodeFragment(node); err != nil {
 			t.Fatalf("decoded fragment does not re-encode: %v", err)
 		}
 	})
-}
-
-// planQueryF is planQuery for fuzz seeding (testing.F is not a *testing.T).
-func planQueryF(f *testing.F, p *Planner, q string) *Node {
-	f.Helper()
-	stmt, err := sql.Parse(q)
-	if err != nil {
-		f.Fatalf("parse %q: %v", q, err)
-	}
-	node, err := p.Plan(stmt.(*sql.Select))
-	if err != nil {
-		f.Fatalf("plan %q: %v", q, err)
-	}
-	return node
 }

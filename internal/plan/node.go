@@ -23,9 +23,9 @@ const (
 	OpProject
 	OpNLJoin
 	OpHashJoin
-	OpPsiJoin      // nested-loops Ψ join on materialized phonemes
+	OpPsiJoin      // nested-loops Ψ join over a materialized inner side
 	OpPsiIndexJoin // probe an M-Tree per outer row
-	OpOmegaJoin    // RHS-outer nested loops with closure memoization (§4.3)
+	OpOmegaJoin    // nested-loops Ω join over a materialized inner side (§4.3)
 	OpAggregate
 	OpSort
 	OpLimit
@@ -61,7 +61,7 @@ func (o OpType) String() string {
 	case OpPsiIndexJoin:
 		return "PsiJoin(MTree)"
 	case OpOmegaJoin:
-		return "OmegaJoin(NL,closure-cache)"
+		return "OmegaJoin(NL)"
 	case OpAggregate:
 		return "Aggregate"
 	case OpSort:
@@ -124,23 +124,12 @@ type Node struct {
 	Index *IndexCond
 
 	// Filter / join condition (positional, over the node's input schema;
-	// for joins the schema is left ++ right).
+	// for joins the schema is left ++ right). A Ψ, Ψ-index or Ω join's
+	// condition is its Ψ or Ω over one column of each side.
 	Cond Expr
 
-	// Hash join equi-columns (positions in left/right schemas).
+	// Hash join equi-columns (positions in the joint schema).
 	HashLeft, HashRight int
-
-	// Psi join parameters.
-	PsiThreshold int
-	PsiLangs     []types.LangID
-	// PsiLeftCol/PsiRightCol are the operand positions in the joint schema.
-	PsiLeftCol, PsiRightCol int
-
-	// Omega join: operand positions in the joint schema; RHSOuter records
-	// that the planner made the closure-providing side the outer input.
-	OmegaLeftCol, OmegaRightCol int
-	OmegaLangs                  []types.LangID
-	RHSOuter                    bool
 
 	// Projection.
 	Projs    []Expr
@@ -255,8 +244,6 @@ func format(b *strings.Builder, n *Node, depth int, actuals func(*Node) (Actual,
 		}
 	case OpHashJoin:
 		fmt.Fprintf(b, " on $%d = $%d", n.HashLeft, n.HashRight)
-	case OpPsiJoin, OpPsiIndexJoin:
-		fmt.Fprintf(b, " k=%d", n.PsiThreshold)
 	case OpLimit:
 		fmt.Fprintf(b, " %d", n.LimitN)
 	}

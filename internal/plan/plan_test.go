@@ -66,15 +66,15 @@ func mkPlanner(cat *catalog.Catalog) *Planner {
 	return &Planner{Cat: cat, Phon: phonetic.DefaultRegistry(), Opts: DefaultOptions()}
 }
 
-func planQuery(t *testing.T, p *Planner, q string) *Node {
-	t.Helper()
+func planQuery(tb testing.TB, p *Planner, q string) *Node {
+	tb.Helper()
 	stmt, err := sql.Parse(q)
 	if err != nil {
-		t.Fatalf("parse %q: %v", q, err)
+		tb.Fatalf("parse %q: %v", q, err)
 	}
 	node, err := p.Plan(stmt.(*sql.Select))
 	if err != nil {
-		t.Fatalf("plan %q: %v", q, err)
+		tb.Fatalf("plan %q: %v", q, err)
 	}
 	return node
 }
@@ -310,25 +310,6 @@ func TestMDIFraction(t *testing.T) {
 	}
 	if MDIFraction(3, 0) > 1 {
 		t.Error("degenerate avg length must clamp")
-	}
-}
-
-func TestShiftCols(t *testing.T) {
-	e := &AndOr{
-		L: &Cmp{Op: sql.OpEq, L: &ColIdx{Idx: 1}, R: &Const{Val: types.NewInt(1)}},
-		R: &Psi{L: &ColIdx{Idx: 0}, R: &ColIdx{Idx: 2}, Threshold: 2},
-	}
-	shifted := shiftCols(e, 10).(*AndOr)
-	if shifted.L.(*Cmp).L.(*ColIdx).Idx != 11 {
-		t.Error("cmp shift")
-	}
-	psi := shifted.R.(*Psi)
-	if psi.L.(*ColIdx).Idx != 10 || psi.R.(*ColIdx).Idx != 12 {
-		t.Error("psi shift")
-	}
-	// Original untouched.
-	if e.L.(*Cmp).L.(*ColIdx).Idx != 1 {
-		t.Error("shiftCols mutated its input")
 	}
 }
 

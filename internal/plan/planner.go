@@ -26,12 +26,12 @@ type Options struct {
 	// ForceOrder, when non-empty, pins the join order to the given relation
 	// aliases (left to right).
 	ForceOrder []string
-	// Workers > 1 enables parallel plans: eligible subtrees are wrapped in
-	// a Gather exchange over up to this many workers (see parallel.go).
+	// Workers > 1 enables parallel plans: exchange placement (place.go)
+	// wraps eligible subtrees in a Gather over up to this many workers.
 	Workers int
 	// Shards, when it names two or more engine addresses, marks every user
-	// table as hash-sharded across them: the Shard post-pass (shard.go)
-	// rewrites table accesses into Remote fragments merged by a Gather.
+	// table as hash-sharded across them: exchange placement ships table
+	// accesses as Remote fragments merged by a Gather.
 	Shards []string
 	// Threshold replaces a LEXEQUAL threshold the query leaves unspecified.
 	Threshold int
@@ -50,7 +50,11 @@ type Planner struct {
 	// Feedback, when set, supplies observed selectivities from past
 	// executions; established cells override histogram estimates.
 	Feedback SelFeedback
-	Opts     Options
+	// Pages reports a table's heap size in pages (exec.Env's TablePages):
+	// the exchange gate sizes a table that was never ANALYZEd by it (nil
+	// assumes the default size).
+	Pages func(table string) (int64, error)
+	Opts  Options
 }
 
 // relation is one FROM-clause entry during planning.
@@ -164,20 +168,12 @@ func (p *Planner) Plan(sel *sql.Select) (*Node, error) {
 	if best == nil {
 		return nil, fmt.Errorf("plan: no join order produced a plan")
 	}
-	// Re-mark conjuncts against the chosen plan to find leftovers. (The
-	// builder consumes every conjunct it can; any leftover is a bug.)
-
-	node := best
-
 	// Aggregation / projection.
-	node, err := p.finishSelect(node, sel, fullSchema, se)
+	node, err := p.finishSelect(best, sel, fullSchema, se)
 	if err != nil {
 		return nil, err
 	}
-	// Shard first (data placement is correctness, not cost), then let the
-	// coordinator-side remainder grow local exchanges.
-	node = Shard(node, p.Opts.Shards)
-	return Parallelize(node, p.Opts.Workers), nil
+	return Place(node, p.Opts.Workers, p.Opts.Shards, HeapRows(p.Cat, p.Pages)), nil
 }
 
 // referencedRels finds which relations an expression touches, validating
@@ -306,7 +302,7 @@ func (p *Planner) buildJoinTree(order []*relation, conjuncts []*conjunct, se *se
 	}
 	// Any conjunct never consumed (e.g. referencing no relation, or OR
 	// trees spanning everything) becomes a final filter.
-	cur, err = p.applyFilters(cur, conjuncts, func(c *conjunct) bool { return !c.used }, se)
+	cur, err = p.applyFilters(cur, conjuncts, se)
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +364,7 @@ func (p *Planner) buildAccess(rel *relation, conjuncts []*conjunct, se *selEstim
 		bestConsumed.used = true
 	}
 	// Apply the remaining single-relation conjuncts as a filter.
-	return p.applyFilters(best, mine, func(c *conjunct) bool { return !c.used }, se)
+	return p.applyFilters(best, mine, se)
 }
 
 type accessCandidate struct {
@@ -436,98 +432,39 @@ func (p *Planner) indexCandidates(rel *relation, c *conjunct, se *selEstimator) 
 		if !ok {
 			return nil
 		}
-		k := x.Threshold
-		if k < 0 {
-			k = se.defK
+		recheck, err := comp.Compile(c.expr) // the recheck applies the IN-langs filter
+		if err != nil {
+			return nil
 		}
+		k := recheck.(*Psi).Threshold
 		sel := se.selectivity(c.expr, rel.schema)
 		rows := math.Max(rel.stats.Rows*sel, 0.1)
 		lbar := rel.stats.avgKeyLen(ref.Column)
+		n, pages, fetch := rel.stats.Rows, rel.stats.Pages, rows*(RandomPageCost+CPUTupleCost)
+		// metric proposes a scan of index ix by operator op at its Table 3 cost.
+		metric := func(op OpType, ix string, cost float64) {
+			out = append(out, &accessCandidate{consumed: c, node: &Node{
+				Op: op, Table: rel.table.Name, Alias: name, Cols: rel.schema, EstRows: rows, EstCost: cost,
+				Cond:   recheck,
+				Index:  &IndexCond{Index: ix, Probe: &Const{Val: lit.Value}, Threshold: k, Langs: x.Langs, Col: rel.table.ColumnIndex(ref.Column)},
+				FbKind: FeedbackPsi, FbTable: rel.table.Name, FbBand: k, FbInput: n,
+			}})
+		}
 		for _, ix := range p.Cat.IndexesOn(rel.table.Name, ref.Column) {
-			switch ix.Kind {
-			case sql.IndexMTree:
-				if !p.Opts.EnableMTree {
-					continue
-				}
-				// Table 3, Ψ scan with approximate index:
-				// f(k)·(P_AI + P) I/O + f(k)·n·k·l̄ CPU.
+			switch {
+			case ix.Kind == sql.IndexMTree && p.Opts.EnableMTree:
+				// Ψ scan with approximate index: f(k)·(P_AI + P) I/O +
+				// f(k)·n·k·l̄ CPU.
 				f := MTreeFraction(k)
-				cost := f*(rel.stats.Pages+rel.stats.Pages)*RandomPageCost +
-					f*rel.stats.Rows*float64(k)*lbar*PsiCharCost +
-					rows*(RandomPageCost+CPUTupleCost)
-				probe, err := comp.Compile(&sql.Literal{Value: lit.Value})
-				if err != nil {
-					continue
-				}
-				recheck, err := comp.Compile(c.expr)
-				if err != nil {
-					continue
-				}
-				out = append(out, &accessCandidate{
-					node: &Node{
-						Op: OpMTreeScan, Table: rel.table.Name, Alias: name,
-						Cols: rel.schema, EstRows: rows, EstCost: cost,
-						Cond:   recheck, // recheck applies the IN-langs filter
-						Index:  &IndexCond{Index: ix.Name, Probe: probe, Threshold: k, Langs: x.Langs, Col: rel.table.ColumnIndex(ref.Column)},
-						FbKind: FeedbackPsi, FbTable: rel.table.Name, FbBand: k, FbInput: rel.stats.Rows,
-					},
-					consumed: c,
-				})
-			case sql.IndexQGram:
-				if !p.Opts.EnableQGram {
-					continue
-				}
+				metric(OpMTreeScan, ix.Name, f*(pages+pages)*RandomPageCost+f*n*float64(k)*lbar*PsiCharCost+fetch)
+			case ix.Kind == sql.IndexQGram && p.Opts.EnableQGram:
 				// In-memory inverted lists: no page I/O, candidate
 				// verification dominates.
-				fq := QGramFraction(k, 2, lbar)
-				cands := rel.stats.Rows * fq
-				costQ := cands*(float64(k)*lbar*PsiCharCost+CPUOperCost) +
-					rows*(RandomPageCost+CPUTupleCost)
-				probeQ, err := comp.Compile(&sql.Literal{Value: lit.Value})
-				if err != nil {
-					continue
-				}
-				recheckQ, err := comp.Compile(c.expr)
-				if err != nil {
-					continue
-				}
-				out = append(out, &accessCandidate{
-					node: &Node{
-						Op: OpQGramScan, Table: rel.table.Name, Alias: name,
-						Cols: rel.schema, EstRows: rows, EstCost: costQ,
-						Cond:   recheckQ,
-						Index:  &IndexCond{Index: ix.Name, Probe: probeQ, Threshold: k, Langs: x.Langs, Col: rel.table.ColumnIndex(ref.Column)},
-						FbKind: FeedbackPsi, FbTable: rel.table.Name, FbBand: k, FbInput: rel.stats.Rows,
-					},
-					consumed: c,
-				})
-			case sql.IndexMDI:
-				if !p.Opts.EnableMDI {
-					continue
-				}
+				cands := n * QGramFraction(k, 2, lbar)
+				metric(OpQGramScan, ix.Name, cands*(float64(k)*lbar*PsiCharCost+CPUOperCost)+fetch)
+			case ix.Kind == sql.IndexMDI && p.Opts.EnableMDI:
 				f := MDIFraction(k, lbar)
-				cands := rel.stats.Rows * f
-				cost := f*rel.stats.Pages*SeqPageCost +
-					cands*(float64(k)*lbar*PsiCharCost) +
-					rows*(RandomPageCost+CPUTupleCost)
-				probe, err := comp.Compile(&sql.Literal{Value: lit.Value})
-				if err != nil {
-					continue
-				}
-				recheck, err := comp.Compile(c.expr)
-				if err != nil {
-					continue
-				}
-				out = append(out, &accessCandidate{
-					node: &Node{
-						Op: OpMDIScan, Table: rel.table.Name, Alias: name,
-						Cols: rel.schema, EstRows: rows, EstCost: cost,
-						Cond:   recheck,
-						Index:  &IndexCond{Index: ix.Name, Probe: probe, Threshold: k, Langs: x.Langs, Col: rel.table.ColumnIndex(ref.Column)},
-						FbKind: FeedbackPsi, FbTable: rel.table.Name, FbBand: k, FbInput: rel.stats.Rows,
-					},
-					consumed: c,
-				})
+				metric(OpMDIScan, ix.Name, f*pages*SeqPageCost+n*f*(float64(k)*lbar*PsiCharCost)+fetch)
 			}
 		}
 	}
@@ -575,56 +512,71 @@ func psiColConst(x *sql.LexEqual) (*sql.ColumnRef, *sql.Literal, bool) {
 	return nil, nil, false
 }
 
-// applyFilters wraps node in a Filter for every conjunct matching keep that
-// references only columns available in node's schema.
-func (p *Planner) applyFilters(node *Node, conjuncts []*conjunct, keep func(*conjunct) bool, se *selEstimator) (*Node, error) {
-	comp := &Compiler{Schema: node.Cols, DefaultThreshold: se.defK}
-	var exprs []Expr
-	var taken []sql.Expr
-	sel := 1.0
-	opCost := 0.0
-	for _, c := range conjuncts {
-		if c.used || !keep(c) {
-			continue
-		}
-		compiled, err := comp.Compile(c.expr)
-		if err != nil {
-			if errors.Is(err, ErrUnknownColumn) {
-				// Not evaluable over this schema yet (other relations).
-				continue
-			}
-			return nil, err
-		}
+// applyFilters wraps node in a Filter for every unused conjunct that
+// references only columns available in node's schema, and marks them used.
+func (p *Planner) applyFilters(node *Node, conjuncts []*conjunct, se *selEstimator) (*Node, error) {
+	cond, took, sel, cost, err := conjoin(conjuncts, node.Cols, se)
+	if err != nil || cond == nil {
+		return node, err
+	}
+	for _, c := range took {
 		c.used = true
-		exprs = append(exprs, compiled)
-		taken = append(taken, c.expr)
-		sel *= se.selectivity(c.expr, node.Cols)
-		opCost += condOpCost(compiled, node.Cols, se)
 	}
-	if len(exprs) == 0 {
-		return node, nil
-	}
-	cond := exprs[0]
-	for _, e := range exprs[1:] {
-		cond = &AndOr{L: cond, R: e}
-	}
-	rows := math.Max(node.EstRows*sel, 0.1)
-	f := &Node{
-		Op:       OpFilter,
-		Children: []*Node{node},
-		Cols:     node.Cols,
-		Cond:     cond,
-		EstRows:  rows,
-		EstCost:  node.EstCost + node.EstRows*opCost,
-	}
+	f := filter(node, cond, sel, cost)
 	// A filter evaluating exactly one Ψ/Ω predicate is a clean selectivity
 	// observation point: its output over its child's output measures that
 	// predicate alone. Mixed filters stay unannotated — their combined
 	// ratio would poison the per-predicate cell.
-	if len(taken) == 1 {
-		annotateFeedback(f, taken[0], node.Cols, se)
+	if len(took) == 1 {
+		annotateFeedback(f, took[0].expr, node.Cols, se)
 	}
 	return f, nil
+}
+
+// conjoin compiles the unused conjuncts over schema and ANDs them in order:
+// the condition (nil for none), the conjuncts it took, its selectivity and
+// its cost per input row. A conjunct reading a column schema lacks is left
+// for a wider schema; any other compile error is the query's.
+func conjoin(conjuncts []*conjunct, schema []ColInfo, se *selEstimator) (cond Expr, took []*conjunct, sel, cost float64, err error) {
+	comp := &Compiler{Schema: schema, DefaultThreshold: se.defK}
+	sel = 1
+	for _, c := range conjuncts {
+		if c.used {
+			continue
+		}
+		e, err := comp.Compile(c.expr)
+		if errors.Is(err, ErrUnknownColumn) {
+			continue
+		}
+		if err != nil {
+			return nil, nil, 0, 0, err
+		}
+		if cond == nil {
+			cond = e
+		} else {
+			cond = &AndOr{L: cond, R: e}
+		}
+		took = append(took, c)
+		sel *= se.selectivity(c.expr, schema)
+		cost += condOpCost(e, schema, se)
+	}
+	return cond, took, sel, cost, nil
+}
+
+// filter wraps node in a Filter evaluating cond, a conjunction of the given
+// selectivity and per-row cost; a nil cond leaves node as it is.
+func filter(node *Node, cond Expr, sel, cost float64) *Node {
+	if cond == nil {
+		return node
+	}
+	return &Node{
+		Op:       OpFilter,
+		Children: []*Node{node},
+		Cols:     node.Cols,
+		Cond:     cond,
+		EstRows:  math.Max(node.EstRows*sel, 0.1),
+		EstCost:  node.EstCost + node.EstRows*cost,
+	}
 }
 
 // annotateFeedback stamps the feedback cell a single-predicate filter
@@ -695,6 +647,8 @@ func condOpCost(e Expr, schema []ColInfo, se *selEstimator) float64 {
 
 // buildJoin joins cur (left) with right (the access path of rel), choosing
 // among hash join, Ψ join (NL or index probe), Ω join and generic NL join.
+// Each candidate but the last evaluates one join conjunct itself and the
+// others in a residual Filter above it; the generic NL join evaluates all.
 func (p *Planner) buildJoin(left, right *Node, rel *relation, joined map[string]bool, conjuncts []*conjunct, se *selEstimator) (*Node, error) {
 	name := rel.ref.Name()
 	jointSchema := append(append([]ColInfo{}, left.Cols...), right.Cols...)
@@ -719,8 +673,24 @@ func (p *Planner) buildJoin(left, right *Node, rel *relation, joined map[string]
 		}
 	}
 
+	// The generic NL join evaluates every join conjunct (a cross product when
+	// there are none). Compiling them first fails the query on the first one
+	// that does not compile, before any candidate is costed.
+	all, took, allSel, allCost, err := conjoin(joinConjs, jointSchema, se)
+	if err != nil {
+		return nil, err
+	}
 	crossRows := left.EstRows * right.EstRows
+	inner := &Node{Op: OpMaterialize, Children: []*Node{right}, Cols: right.Cols, EstRows: right.EstRows, EstCost: right.EstCost + right.EstRows*CPUTupleCost}
 	var candidates []*Node
+	// propose adds a join that evaluates c itself, under a Filter of the
+	// other join conjuncts (which compiled above: conjoin cannot fail).
+	propose := func(node *Node, c *conjunct) {
+		c.used = true
+		cond, _, sel, cost, _ := conjoin(joinConjs, jointSchema, se)
+		c.used = false
+		candidates = append(candidates, filter(node, cond, sel, cost))
+	}
 
 	// Hash join on an equality conjunct.
 	if p.Opts.EnableHashJoin {
@@ -733,9 +703,8 @@ func (p *Planner) buildJoin(left, right *Node, rel *relation, joined map[string]
 			if !ok {
 				continue
 			}
-			sel := se.selectivity(c.expr, jointSchema)
-			rows := math.Max(crossRows*sel, 0.1)
-			node := &Node{
+			rows := math.Max(crossRows*se.selectivity(c.expr, jointSchema), 0.1)
+			propose(&Node{
 				Op:        OpHashJoin,
 				Children:  []*Node{left, right},
 				Cols:      jointSchema,
@@ -745,243 +714,142 @@ func (p *Planner) buildJoin(left, right *Node, rel *relation, joined map[string]
 				EstCost: left.EstCost + right.EstCost +
 					right.EstRows*HashBuildCost + left.EstRows*HashProbeCost +
 					rows*CPUTupleCost,
-			}
-			node = markUsedAndFilter(p, node, c, joinConjs, se)
-			candidates = append(candidates, node)
-			c.used = false // restore for other candidates; chosen one re-marks
+			}, c)
 		}
 	}
 
-	// Ψ join.
+	// Ψ join: its condition is the Ψ conjunct, over a column of each side.
 	for _, c := range joinConjs {
-		psiE, ok := c.expr.(*sql.LexEqual)
+		if _, ok := c.expr.(*sql.LexEqual); !ok {
+			continue
+		}
+		cond, l, r, ok := colPair(comp, c)
 		if !ok {
 			continue
 		}
-		lRef, okL := psiE.Left.(*sql.ColumnRef)
-		rRef, okR := psiE.Right.(*sql.ColumnRef)
-		if !okL || !okR {
-			continue
-		}
-		lIdx := findCol(jointSchema, lRef)
-		rIdx := findCol(jointSchema, rRef)
-		if lIdx < 0 || rIdx < 0 {
-			continue
-		}
-		k := psiE.Threshold
-		if k < 0 {
-			k = se.defK
-		}
-		sel := se.selectivity(c.expr, jointSchema)
-		rows := math.Max(crossRows*sel, 0.1)
-		lbar := (se.lbarOf(jointSchema, lIdx) + se.lbarOf(jointSchema, rIdx)) / 2
+		k := cond.(*Psi).Threshold
+		rows := math.Max(crossRows*se.selectivity(c.expr, jointSchema), 0.1)
+		lbar := (se.lbarOf(jointSchema, l) + se.lbarOf(jointSchema, r)) / 2
 
 		// NL Ψ join (Table 3 join-no-index: P_l + P_r I/O, n_l·n_r·k·l̄ CPU).
-		nl := &Node{
-			Op:           OpPsiJoin,
-			Children:     []*Node{left, &Node{Op: OpMaterialize, Children: []*Node{right}, Cols: right.Cols, EstRows: right.EstRows, EstCost: right.EstCost + right.EstRows*CPUTupleCost}},
-			Cols:         jointSchema,
-			PsiThreshold: k,
-			PsiLangs:     psiE.Langs,
-			PsiLeftCol:   lIdx,
-			PsiRightCol:  rIdx,
-			EstRows:      rows,
+		propose(&Node{
+			Op:       OpPsiJoin,
+			Children: []*Node{left, inner},
+			Cols:     jointSchema,
+			Cond:     cond,
+			EstRows:  rows,
 			EstCost: left.EstCost + right.EstCost +
 				left.EstRows*right.EstRows*(float64(k)*lbar*PsiCharCost+MaterializeRowCost) +
 				rows*CPUTupleCost,
-		}
-		candidates = append(candidates, markUsedAndFilter(p, nl, c, joinConjs, se))
-		c.used = false
+		}, c)
 
 		// Index Ψ join: probe an M-Tree on the inner column per outer row
 		// (Table 3 join-with-index: P_l + n_l·f(k)·P_AI). Disabled under
 		// sharding: joins run at the coordinator, whose local indexes are
 		// empty routers — the probes would silently match nothing.
-		if p.Opts.EnableMTree && len(p.Opts.Shards) < 2 && right.Op == OpSeqScan {
-			innerCol := ""
-			if colOf(right.Cols, rIdx-len(left.Cols)) == rRef.Column {
-				innerCol = rRef.Column
-			} else if colOf(right.Cols, lIdx-len(left.Cols)) == lRef.Column {
-				innerCol = lRef.Column
+		innerCol := r
+		if innerCol < len(left.Cols) {
+			innerCol = l
+		}
+		if !p.Opts.EnableMTree || len(p.Opts.Shards) >= 2 || right.Op != OpSeqScan || innerCol < len(left.Cols) {
+			continue
+		}
+		for _, ix := range p.Cat.IndexesOn(right.Table, jointSchema[innerCol].Name) {
+			if ix.Kind != sql.IndexMTree {
+				continue
 			}
-			if innerCol != "" {
-				for _, ix := range p.Cat.IndexesOn(right.Table, innerCol) {
-					if ix.Kind != sql.IndexMTree {
-						continue
-					}
-					f := MTreeFraction(k)
-					idxPages := math.Max(right.EstRows/200, 1) // index page estimate
-					node := &Node{
-						Op:           OpPsiIndexJoin,
-						Children:     []*Node{left, right},
-						Cols:         jointSchema,
-						PsiThreshold: k,
-						PsiLangs:     psiE.Langs,
-						PsiLeftCol:   lIdx,
-						PsiRightCol:  rIdx,
-						Index:        &IndexCond{Index: ix.Name, Threshold: k},
-						EstRows:      rows,
-						EstCost: left.EstCost +
-							left.EstRows*(f*idxPages*RandomPageCost+f*right.EstRows*float64(k)*lbar*PsiCharCost) +
-							rows*(RandomPageCost+CPUTupleCost),
-					}
-					candidates = append(candidates, markUsedAndFilter(p, node, c, joinConjs, se))
-					c.used = false
-				}
-			}
+			f := MTreeFraction(k)
+			idxPages := math.Max(right.EstRows/200, 1) // index page estimate
+			propose(&Node{
+				Op:       OpPsiIndexJoin,
+				Children: []*Node{left, right},
+				Cols:     jointSchema,
+				Cond:     cond,
+				Index:    &IndexCond{Index: ix.Name},
+				EstRows:  rows,
+				EstCost: left.EstCost +
+					left.EstRows*(f*idxPages*RandomPageCost+f*right.EstRows*float64(k)*lbar*PsiCharCost) +
+					rows*(RandomPageCost+CPUTupleCost),
+			}, c)
 		}
 	}
 
-	// Ω join: RHS-outer nested loops with closure memoization (§4.3).
+	// Ω join: its condition is the Ω conjunct, over a column of each side
+	// (Table 3: P_l + P_r I/O, Σ|TC| + n_l·n_r CPU). The closure sum counts
+	// one closure per distinct RHS value: the outer rows when the RHS column
+	// comes from the outer input, the inner rows otherwise.
 	for _, c := range joinConjs {
-		omE, ok := c.expr.(*sql.SemEqual)
+		if _, ok := c.expr.(*sql.SemEqual); !ok {
+			continue
+		}
+		cond, _, r, ok := colPair(comp, c)
 		if !ok {
 			continue
 		}
-		lRef, okL := omE.Left.(*sql.ColumnRef)
-		rRef, okR := omE.Right.(*sql.ColumnRef)
-		if !okL || !okR {
-			continue
-		}
-		lIdx := findCol(jointSchema, lRef)
-		rIdx := findCol(jointSchema, rRef)
-		if lIdx < 0 || rIdx < 0 {
-			continue
-		}
-		sel := se.selectivity(c.expr, jointSchema)
-		rows := math.Max(crossRows*sel, 0.1)
-		// The closure is computed per distinct RHS value; if the RHS column
-		// comes from the outer (left) input, closures amortize across the
-		// whole inner relation (RHSOuter). Otherwise each outer row may
-		// recompute, which the cache still dampens but costs more.
-		rhsOuter := rIdx < len(left.Cols)
-		closureCost := 0.0
+		rows := math.Max(crossRows*se.selectivity(c.expr, jointSchema), 0.1)
+		closureCost := 100 * OmegaNodeCost
 		if p.Sem != nil {
 			closureCost = p.Sem.AvgClosureFrac() * float64(p.Sem.TaxonomySize()) * OmegaNodeCost
-		} else {
-			closureCost = 100 * OmegaNodeCost
 		}
-		distinctRoots := left.EstRows
-		if !rhsOuter {
-			distinctRoots = right.EstRows
+		roots := right.EstRows
+		if r < len(left.Cols) {
+			roots = left.EstRows
 		}
-		node := &Node{
-			Op:            OpOmegaJoin,
-			Children:      []*Node{left, &Node{Op: OpMaterialize, Children: []*Node{right}, Cols: right.Cols, EstRows: right.EstRows, EstCost: right.EstCost + right.EstRows*CPUTupleCost}},
-			Cols:          jointSchema,
-			OmegaLeftCol:  lIdx,
-			OmegaRightCol: rIdx,
-			OmegaLangs:    omE.Langs,
-			RHSOuter:      rhsOuter,
-			EstRows:       rows,
-			EstCost: left.EstCost + right.EstCost +
-				distinctRoots*closureCost +
-				crossRows*(OmegaProbeCost+MaterializeRowCost) +
-				rows*CPUTupleCost,
-		}
-		candidates = append(candidates, markUsedAndFilter(p, node, c, joinConjs, se))
-		c.used = false
-	}
-
-	// Fallback: generic NL join over all join conjuncts (cross product when
-	// none exist).
-	{
-		var exprs []Expr
-		sel := 1.0
-		opCost := CPUOperCost
-		for _, c := range joinConjs {
-			compiled, err := comp.Compile(c.expr)
-			if err != nil {
-				if errors.Is(err, ErrUnknownColumn) {
-					continue
-				}
-				return nil, err
-			}
-			exprs = append(exprs, compiled)
-			sel *= se.selectivity(c.expr, jointSchema)
-			opCost += condOpCost(compiled, jointSchema, se)
-		}
-		var cond Expr
-		if len(exprs) > 0 {
-			cond = exprs[0]
-			for _, e := range exprs[1:] {
-				cond = &AndOr{L: cond, R: e}
-			}
-		}
-		rows := math.Max(crossRows*sel, 0.1)
-		nl := &Node{
-			Op:       OpNLJoin,
-			Children: []*Node{left, &Node{Op: OpMaterialize, Children: []*Node{right}, Cols: right.Cols, EstRows: right.EstRows, EstCost: right.EstCost + right.EstRows*CPUTupleCost}},
+		propose(&Node{
+			Op:       OpOmegaJoin,
+			Children: []*Node{left, inner},
 			Cols:     jointSchema,
 			Cond:     cond,
 			EstRows:  rows,
 			EstCost: left.EstCost + right.EstCost +
-				crossRows*(opCost+MaterializeRowCost) + rows*CPUTupleCost,
-		}
-		// This candidate consumes every join conjunct.
-		candidates = append(candidates, nl)
+				roots*closureCost +
+				crossRows*(OmegaProbeCost+MaterializeRowCost) +
+				rows*CPUTupleCost,
+		}, c)
 	}
 
-	// Pick the cheapest; then mark consumed conjuncts for real.
+	rows := math.Max(crossRows*allSel, 0.1)
+	candidates = append(candidates, &Node{
+		Op:       OpNLJoin,
+		Children: []*Node{left, inner},
+		Cols:     jointSchema,
+		Cond:     all,
+		EstRows:  rows,
+		EstCost: left.EstCost + right.EstCost +
+			crossRows*(CPUOperCost+allCost+MaterializeRowCost) + rows*CPUTupleCost,
+	})
+
+	// The cheapest candidate evaluates every join conjunct, itself or in its
+	// residual Filter.
 	best := candidates[0]
 	for _, cand := range candidates[1:] {
 		if cand.EstCost < best.EstCost {
 			best = cand
 		}
 	}
-	markConsumed(best, joinConjs, comp)
-	// Residual join conjuncts not folded into the chosen node become a
-	// filter above it.
-	return p.applyFilters(best, joinConjs, func(c *conjunct) bool { return !c.used }, se)
+	for _, c := range took {
+		c.used = true
+	}
+	return best, nil
 }
 
-// markUsedAndFilter marks c used and wraps node with the other join
-// conjuncts as a residual filter (costed). It restores nothing; the caller
-// resets c.used afterwards because candidates are speculative.
-func markUsedAndFilter(p *Planner, node *Node, c *conjunct, joinConjs []*conjunct, se *selEstimator) *Node {
-	c.used = true
-	comp := &Compiler{Schema: node.Cols, DefaultThreshold: se.defK}
-	var exprs []Expr
-	sel := 1.0
-	opCost := 0.0
-	for _, other := range joinConjs {
-		if other == c {
-			continue
-		}
-		compiled, err := comp.Compile(other.expr)
-		if err != nil {
-			continue
-		}
-		exprs = append(exprs, compiled)
-		sel *= se.selectivity(other.expr, node.Cols)
-		opCost += condOpCost(compiled, node.Cols, se)
+// colPair compiles c, a Ψ or Ω conjunct, for a join: ok when both of its
+// operands are columns, at positions l and r of the joint schema.
+func colPair(comp *Compiler, c *conjunct) (cond Expr, l, r int, ok bool) {
+	cond, err := comp.Compile(c.expr)
+	var x, y Expr
+	switch e := cond.(type) {
+	case *Psi:
+		x, y = e.L, e.R
+	case *Omega:
+		x, y = e.L, e.R
 	}
-	if len(exprs) == 0 {
-		return node
+	lc, okL := x.(*ColIdx)
+	rc, okR := y.(*ColIdx)
+	if err != nil || !okL || !okR {
+		return nil, 0, 0, false
 	}
-	cond := exprs[0]
-	for _, e := range exprs[1:] {
-		cond = &AndOr{L: cond, R: e}
-	}
-	rows := math.Max(node.EstRows*sel, 0.1)
-	return &Node{
-		Op:       OpFilter,
-		Children: []*Node{node},
-		Cols:     node.Cols,
-		Cond:     cond,
-		EstRows:  rows,
-		EstCost:  node.EstCost + node.EstRows*opCost,
-	}
-}
-
-// markConsumed marks every join conjunct the chosen subtree evaluates.
-func markConsumed(node *Node, joinConjs []*conjunct, comp *Compiler) {
-	for _, c := range joinConjs {
-		if _, err := comp.Compile(c.expr); err == nil {
-			c.used = true
-		}
-	}
-	_ = node
+	return cond, lc.Idx, rc.Idx, true
 }
 
 func (se *selEstimator) lbarOf(schema []ColInfo, idx int) float64 {
@@ -1002,13 +870,6 @@ func findCol(schema []ColInfo, ref *sql.ColumnRef) int {
 		}
 	}
 	return -1
-}
-
-func colOf(schema []ColInfo, idx int) string {
-	if idx < 0 || idx >= len(schema) {
-		return ""
-	}
-	return schema[idx].Name
 }
 
 // splitJoinCols resolves an equality conjunct to (left position, right

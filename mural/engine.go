@@ -586,7 +586,7 @@ func (e *Engine) planner(set *settings) *plan.Planner {
 	e.mu.RLock()
 	sem := e.sem
 	e.mu.RUnlock()
-	pl := &plan.Planner{Cat: e.cat, Phon: e.phon, Sem: sem, Opts: set.opts}
+	pl := &plan.Planner{Cat: e.cat, Phon: e.phon, Sem: sem, Pages: e.TablePages, Opts: set.opts}
 	// Explicit nil check: assigning a nil *obs.Feedback directly would make
 	// the interface non-nil and panic inside the estimator.
 	if e.fb != nil {

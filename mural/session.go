@@ -234,12 +234,12 @@ func (s *Session) QueryContext(ctx context.Context, q string) (*Rows, error) {
 // QueryFragment executes a decoded plan fragment shipped by a coordinator:
 // the statement lifecycle entered with a ready plan instead of SQL text, so
 // it is admitted, governed and observed on the shard that runs it, under a
-// label built from its root operator. The fragment re-parallelizes against
-// this session's worker budget (the coordinator stripped Parallel markings
-// before serializing).
+// label built from its root operator. The shard places the fragment's
+// exchanges itself, with the pass the coordinator ran: under this session's
+// worker budget, sized by this engine's own tables, never sharded again.
 func (s *Session) QueryFragment(ctx context.Context, frag *plan.Node) (*Rows, error) {
 	set := s.set.Load()
-	node := plan.Parallelize(frag, set.opts.Workers)
+	node := plan.Place(frag, set.opts.Workers, nil, plan.HeapRows(s.e.cat, s.e.TablePages))
 	root, _, _ := strings.Cut(plan.Format(node), "  (rows=")
 	r := &Rows{}
 	st := &r.st

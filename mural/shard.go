@@ -3,9 +3,10 @@ package mural
 // Sharded execution, coordinator side. `SET shards = 'host:p1,host:p2'`
 // declares every user table hash-partitioned across N peer engine processes
 // by its first column; the session that ran the SET becomes a coordinator,
-// and the engine's other sessions stay single-node. Reads are rewritten by
-// the planner's Shard pass into Gather-over-Remote trees whose fragments
-// this file ships over the wire protocol (MsgFragment); writes are routed here — INSERT rows hash to
+// and the engine's other sessions stay single-node. Reads are placed by the
+// planner's exchange-placement pass (plan.Place) into Gather-over-Remote
+// trees whose fragments this file ships over the wire protocol
+// (MsgFragment); writes are routed here — INSERT rows hash to
 // exactly one shard, DDL and DELETE broadcast to all of them. The
 // coordinator executes DDL locally too, so its catalog can plan against the
 // shared schema; its own heaps stay empty.
