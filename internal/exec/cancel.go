@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"github.com/mural-db/mural/internal/types"
 )
@@ -47,10 +48,15 @@ const cancelInterval = 1024
 // query (Gather workers included), so all methods are safe for concurrent
 // use, and every method tolerates a nil receiver (ungoverned execution).
 type Resources struct {
-	ctx    context.Context
-	maxMem int64
-	mem    atomic.Int64
-	peak   atomic.Int64
+	ctx context.Context
+	// deadline is ctx's, which Err also reads off the clock: ctx's own timer
+	// fires on a goroutine that needs a free P, and a query busy on the only
+	// one (GOMAXPROCS=1) leaves it none until the scheduler preempts the
+	// query.
+	deadline time.Time
+	maxMem   int64
+	mem      atomic.Int64
+	peak     atomic.Int64
 }
 
 // NewResources builds governance state for one query. A nil ctx means
@@ -60,7 +66,8 @@ func NewResources(ctx context.Context, maxMem int64) *Resources {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Resources{ctx: ctx, maxMem: maxMem}
+	deadline, _ := ctx.Deadline()
+	return &Resources{ctx: ctx, deadline: deadline, maxMem: maxMem}
 }
 
 // Context returns the query's context (Background for nil Resources).
@@ -78,6 +85,9 @@ func (r *Resources) Err() error {
 		return nil
 	}
 	err := r.ctx.Err()
+	if err == nil && !r.deadline.IsZero() && !time.Now().Before(r.deadline) {
+		err = context.DeadlineExceeded
+	}
 	switch {
 	case err == nil:
 		return nil

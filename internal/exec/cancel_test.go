@@ -118,7 +118,22 @@ func TestTimeoutSurfacesTypedError(t *testing.T) {
 	if _, err := Run(env, node, nil, NewResources(expired, 0)); !errors.Is(err, ErrQueryTimeout) {
 		t.Fatalf("Run with expired deadline = %v, want ErrQueryTimeout", err)
 	}
+
+	// A deadline that passed before its context's timer ran — a query busy
+	// on the only P holds that timer off — is read off the clock.
+	if err := NewResources(unfiredCtx{time.Now().Add(-time.Millisecond)}, 0).Err(); !errors.Is(err, ErrQueryTimeout) {
+		t.Fatalf("Err past an unfired deadline = %v, want ErrQueryTimeout", err)
+	}
 }
+
+// unfiredCtx is a context whose deadline has passed but whose timer has not
+// yet canceled it.
+type unfiredCtx struct{ d time.Time }
+
+func (c unfiredCtx) Deadline() (time.Time, bool) { return c.d, true }
+func (unfiredCtx) Done() <-chan struct{}         { return nil }
+func (unfiredCtx) Err() error                    { return nil }
+func (unfiredCtx) Value(any) any                 { return nil }
 
 // A sort that materializes past the memory ceiling fails with ErrMemoryLimit,
 // and closing the cursor returns every accounted byte.

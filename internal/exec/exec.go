@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -343,6 +344,9 @@ func (m *materializeIter) NextBatch() (*Batch, error) {
 // rescan: the nested-loops join.
 func (m *materializeIter) rescan() { m.held.pos = 0 }
 
+// size is how many rows the cache holds: all of them from the first NextBatch.
+func (m *materializeIter) size() int { return len(m.held.rows) }
+
 func (m *materializeIter) Close() error {
 	m.ev.release(m.bytes)
 	m.bytes = 0
@@ -354,6 +358,7 @@ func (m *materializeIter) Close() error {
 type rescannable interface {
 	BatchIter
 	rescan()
+	size() int
 }
 
 // joinedTuple concatenates left and right.
@@ -363,10 +368,11 @@ func joinedTuple(l, r types.Tuple) types.Tuple {
 	return append(out, r...)
 }
 
-// buildNLJoin wires the nested-loops joins (plain, Ψ, Ω), each evaluating its
-// condition over the joint schema. The inner side is always materialized and
-// rescanned: by the plan's Materialize node when there is one, by an implicit
-// one otherwise.
+// buildNLJoin wires the nested-loops joins (plain, Ψ, Ω). The inner side is
+// always materialized and rescanned: by the plan's Materialize node when
+// there is one, by an implicit one otherwise. A condition that is a lone Ψ or
+// Ω over a column of each side is hoisted (joinPred); any other is evaluated
+// per pair over the joint schema.
 func buildNLJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIter, error) {
 	cond, err := ev.bind(n.Cond, n.EstimatedRows())
 	if err != nil {
@@ -383,7 +389,96 @@ func buildNLJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (Ba
 	if n.Children[1].Op != plan.OpMaterialize {
 		inner = &materializeIter{ev: ev, child: inner}
 	}
-	return &nlJoinIter{ev: ev, outer: outer, inner: inner.(rescannable), cond: cond, budget: budget}, nil
+	j := &nlJoinIter{ev: ev, outer: outer, inner: inner.(rescannable), cond: cond, budget: budget}
+	if j.jp = ev.joinPredOf(n); j.jp != nil {
+		j.cond = nil
+	}
+	return j, nil
+}
+
+// joinPredOf returns the hoisted form of join n's condition: nil unless it is
+// a lone Ψ, or a lone Ω over a loaded taxonomy, between a column of each side.
+func (ev *evaluator) joinPredOf(n *plan.Node) *joinPred {
+	var l, r plan.Expr
+	switch x := n.Cond.(type) {
+	case *plan.Psi:
+		l, r = x.L, x.R
+	case *plan.Omega:
+		if ev.taxonomy() == nil {
+			return nil // evalOmega raises the missing-taxonomy error per pair
+		}
+		l, r = x.L, x.R
+	default:
+		return nil
+	}
+	oc, ook := l.(*plan.ColIdx)
+	ic, iok := r.(*plan.ColIdx)
+	if !ook || !iok {
+		return nil
+	}
+	outerLeft := oc.Idx < ic.Idx
+	if !outerLeft {
+		oc, ic = ic, oc
+	}
+	width := len(n.Children[0].Schema())
+	if oc.Idx < 0 || oc.Idx >= width || ic.Idx < width || ic.Idx >= width+len(n.Children[1].Schema()) {
+		return nil // the per-pair path raises the out-of-range error
+	}
+	return &joinPred{x: n.Cond, outerCol: oc.Idx, innerCol: ic.Idx - width, outerLeft: outerLeft}
+}
+
+// joinPred is a Ψ/Ω join condition hoisted out of the pair loop, the loop
+// invariant of each pass compiled once: p is the current outer row's operand
+// compiled as a scan's constant is (pbytes its charge, held for the pass),
+// and ops the inner rows' operands, read on the first pass (bytes their
+// charge, held to Close).
+type joinPred struct {
+	x                  plan.Expr
+	outerCol, innerCol int
+	outerLeft          bool
+	p                  *constPred
+	pbytes             int64
+	ops                []joinOperand
+	bytes              int64
+}
+
+// prepare readies a pass's inner batch rows, whose first row is the pass's
+// base-th, for outer row o: on the first pass it reads their operands, and at
+// a pass's first batch it compiles o's, sized by the size inner rows.
+func (h *joinPred) prepare(ev *evaluator, o types.Tuple, rows []types.Tuple, base, size int) error {
+	if base == len(h.ops) {
+		if h.ops == nil {
+			h.ops = make([]joinOperand, 0, size)
+		}
+		h.ops = slices.Grow(h.ops, len(rows))[:base+len(rows)]
+		for i, t := range rows {
+			h.ops[base+i].read(h.x, &t[h.innerCol])
+		}
+		n := int64(len(rows)) * joinOperandBytes
+		h.bytes += n
+		if err := ev.grow(n); err != nil {
+			return err
+		}
+	}
+	if h.p != nil {
+		return nil
+	}
+	h.p = ev.compile(h.x, h.outerLeft, o[h.outerCol], nil, float64(size))
+	n := h.p.memBytes()
+	h.pbytes += n
+	return ev.grow(n)
+}
+
+// endPass drops the pass's compiled operand and releases its charge.
+func (h *joinPred) endPass(ev *evaluator) {
+	ev.release(h.pbytes)
+	h.p, h.pbytes = nil, 0
+}
+
+func (h *joinPred) close(ev *evaluator) {
+	h.endPass(ev)
+	ev.release(h.bytes)
+	h.bytes = 0
 }
 
 // batchLimit is how many rows a join puts in one output batch: BatchRows, or
@@ -402,11 +497,13 @@ type nlJoinIter struct {
 	outer  BatchIter
 	inner  rescannable
 	cond   plan.Expr
+	jp     *joinPred // the hoisted condition, in place of cond
 	budget *atomic.Int64
 
 	ob     *Batch // outer batch being joined
 	oi     int    // current outer row in ob
 	ib     *Batch // inner batch of the current pass
+	ibase  int    // the pass's row number of ib's first row
 	ri     int    // next inner row in ib
 	inPass bool   // the current outer row's pass over the inner side has begun
 	passed bool   // some pass has begun: the next one must rescan
@@ -440,11 +537,12 @@ func (j *nlJoinIter) fill(out *Batch, limit int) error {
 				return nil
 			}
 		}
+		o := j.ob.Rows[j.oi]
 		if !j.inPass {
 			if j.passed {
 				j.inner.rescan()
 			}
-			j.inPass, j.passed = true, true
+			j.inPass, j.passed, j.ibase = true, true, 0
 		}
 		if j.ib == nil {
 			var err error
@@ -453,28 +551,32 @@ func (j *nlJoinIter) fill(out *Batch, limit int) error {
 			}
 			j.ri = 0
 			if j.ib == nil {
+				if j.jp != nil {
+					j.jp.endPass(j.ev)
+				}
 				j.oi, j.inPass = j.oi+1, false
 				continue
 			}
+			if j.jp != nil {
+				if err := j.jp.prepare(j.ev, o, j.ib.Rows, j.ibase, j.inner.size()); err != nil {
+					return err
+				}
+			}
 		}
-		o := j.ob.Rows[j.oi]
 		for ; j.ri < len(j.ib.Rows) && len(out.Rows) < limit; j.ri++ {
 			if err := j.ev.tick(); err != nil {
 				return err
 			}
-			joined := joinedTuple(o, j.ib.Rows[j.ri])
-			if j.cond != nil {
-				pass, err := j.ev.evalBool(j.cond, joined)
-				if err != nil {
-					return err
-				}
-				if !pass {
-					continue
-				}
+			joined, err := j.pair(o, j.ib.Rows[j.ri], j.ibase+j.ri)
+			if err != nil {
+				return err
 			}
-			out.Rows = append(out.Rows, joined)
+			if joined != nil {
+				out.Rows = append(out.Rows, joined)
+			}
 		}
 		if j.ri == len(j.ib.Rows) {
+			j.ibase += len(j.ib.Rows)
 			j.ev.putBatch(j.ib)
 			j.ib = nil
 		}
@@ -482,18 +584,41 @@ func (j *nlJoinIter) fill(out *Batch, limit int) error {
 	return nil
 }
 
+// pair joins outer row o with in, the pass's i-th inner row: the joined row,
+// or nil when the condition rejects the pair. Under a hoisted condition the
+// row is built only for a match.
+func (j *nlJoinIter) pair(o, in types.Tuple, i int) (types.Tuple, error) {
+	if j.jp != nil {
+		if ok, err := j.jp.p.matchOperand(j.ev, &j.jp.ops[i]); !ok {
+			return nil, err
+		}
+		return joinedTuple(o, in), nil
+	}
+	joined := joinedTuple(o, in)
+	if j.cond != nil {
+		if ok, err := j.ev.evalBool(j.cond, joined); !ok {
+			return nil, err
+		}
+	}
+	return joined, nil
+}
+
 func (j *nlJoinIter) Close() error {
 	j.ev.putBatch(j.ob)
 	j.ev.putBatch(j.ib)
 	j.ob, j.ib = nil, nil
+	if j.jp != nil {
+		j.jp.close(j.ev)
+	}
 	return errors.Join(j.outer.Close(), j.inner.Close())
 }
 
 // buildLookupJoin wires the joins that find an outer row's inner candidates
-// by lookup: the hash join in a table built from its right input, the Ψ index
-// join in an M-Tree on the inner relation (which it never scans). Each pair
-// then passes the join's condition: for the index join its Ψ, which rechecks
-// every candidate.
+// by lookup: the hash join in a table built from its right input, whose pairs
+// then pass its condition, and the Ψ index join in an M-Tree on the inner
+// relation (which it never scans). The index join compiles each outer row's
+// operand once (compile), probes with its phoneme and rechecks every
+// candidate with it.
 func buildLookupJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIter, error) {
 	cond, err := ev.bind(n.Cond, n.EstimatedRows())
 	if err != nil {
@@ -514,29 +639,27 @@ func buildLookupJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64)
 	}
 	// The Ψ is over one column of each side; the outer row's operand probes.
 	psi := n.Cond.(*plan.Psi)
-	outerCol, outerLeft := psi.L.(*plan.ColIdx).Idx, true
+	outerCol, innerCol, outerLeft := psi.L.(*plan.ColIdx).Idx, psi.R.(*plan.ColIdx).Idx, true
 	if outerCol >= leftWidth {
-		outerCol, outerLeft = psi.R.(*plan.ColIdx).Idx, false
+		outerCol, innerCol, outerLeft = innerCol, outerCol, false
 	}
 	table := n.Children[1].Table
+	var p *constPred
 	lookup := func(t types.Tuple) ([]types.Tuple, error) {
 		// The inner side is the M-Tree's column, which is UNITEXT.
-		v := t[outerCol]
-		l, r := v.Kind(), types.KindUniText
-		if !outerLeft {
-			l, r = r, l
-		}
-		if ok, err := operandKinds("LEXEQUAL", l, r); !ok {
+		if p = ev.compile(psi, outerLeft, t[outerCol], nil, 0); p.m == nil {
+			_, err := p.admits(types.KindUniText, types.LangUnknown)
 			return nil, err
 		}
-		rids, pages, err := env.MTreeSearch(n.Index.Index, ev.phoneme(psiText(v, psi.Langs)), psi.Threshold)
+		rids, pages, err := env.MTreeSearch(n.Index.Index, p.ph, psi.Threshold)
 		if err != nil {
 			return nil, err
 		}
 		ev.stats.IndexPages += int64(pages)
 		return env.FetchRIDs(table, rids)
 	}
-	return &lookupJoinIter{ev: ev, outer: left, lookup: lookup, cond: cond, budget: budget}, nil
+	recheck := func(in types.Tuple) (bool, error) { return p.matchValue(ev, in[innerCol-leftWidth]) }
+	return &lookupJoinIter{ev: ev, outer: left, lookup: lookup, recheck: recheck, budget: budget}, nil
 }
 
 // hashSide is a hash join's build side: its input drained into a table keyed
@@ -581,16 +704,18 @@ func (h *hashSide) Close() error {
 }
 
 // lookupJoinIter joins each outer row with the inner rows lookup returns for
-// it, keeping the pairs that pass cond.
+// it, keeping the pairs whose inner row passes recheck, when there is one,
+// and whose joined row passes cond.
 type lookupJoinIter struct {
 	ev    *evaluator
 	outer BatchIter
 	// hash is the build side of a hash join (nil for an index join): built
 	// before the first probe, closed with the join.
-	hash   *hashSide
-	lookup func(outer types.Tuple) ([]types.Tuple, error)
-	cond   plan.Expr
-	budget *atomic.Int64
+	hash    *hashSide
+	lookup  func(outer types.Tuple) ([]types.Tuple, error)
+	recheck func(inner types.Tuple) (bool, error)
+	cond    plan.Expr
+	budget  *atomic.Int64
 
 	ob      *Batch      // outer batch being joined
 	oi      int         // next outer row in ob
@@ -619,8 +744,17 @@ func (j *lookupJoinIter) fill(out *Batch, limit int) error {
 			return err
 		}
 		if j.mi < len(j.matches) {
-			joined := joinedTuple(j.cur, j.matches[j.mi])
+			in := j.matches[j.mi]
 			j.mi++
+			if j.recheck != nil {
+				if ok, err := j.recheck(in); !ok {
+					if err != nil {
+						return err
+					}
+					continue
+				}
+			}
+			joined := joinedTuple(j.cur, in)
 			if j.cond != nil {
 				pass, err := j.ev.evalBool(j.cond, joined)
 				if err != nil {

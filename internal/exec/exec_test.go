@@ -299,6 +299,29 @@ func TestPsiIndexJoinOperator(t *testing.T) {
 	if len(rows) != 1 || rows[0][1].UniText().Text != "neru" {
 		t.Errorf("index Ψ join rows = %v", rows)
 	}
+
+	// A NULL outer value probes nothing; a non-text one fails with the
+	// operand-kind error, its operands in the order the query wrote them.
+	env.tables["outer"] = []types.Tuple{{types.Null()}, {types.NewText("nehru")}, {types.NewInt(7)}}
+	for _, outerLeft := range []bool{true, false} {
+		node.Cond = &plan.Psi{L: &plan.ColIdx{Idx: 0}, R: &plan.ColIdx{Idx: 1}, Threshold: 1}
+		want := "exec: LEXEQUAL operands must be text, got INT and UNITEXT"
+		if !outerLeft {
+			node.Cond = &plan.Psi{L: &plan.ColIdx{Idx: 1}, R: &plan.ColIdx{Idx: 0}, Threshold: 1}
+			want = "exec: LEXEQUAL operands must be text, got UNITEXT and INT"
+		}
+		cur, err := Run(env, node, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cur.All(); fmt.Sprint(err) != want {
+			t.Errorf("outer left=%v: error %v, want %q", outerLeft, err, want)
+		}
+		// Before the error, the TEXT row's one candidate is rechecked.
+		if cur.Stats.PsiEvaluations != 1 {
+			t.Errorf("outer left=%v: %d Ψ evaluations, want 1", outerLeft, cur.Stats.PsiEvaluations)
+		}
+	}
 }
 
 func TestOmegaJoinOperator(t *testing.T) {

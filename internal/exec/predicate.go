@@ -24,8 +24,15 @@ import (
 // read the decoded Value; and indexProbe, which searches for the constant's
 // phoneme. A constant that fails to evaluate or is not text compiles too: its
 // error is raised at each row that reaches the predicate, where evaluating it
-// per row would have raised it. Column ⊗ column predicates — the Ψ and Ω
-// joins — go through the same rules row by row (evalPsi, evalOmega).
+// per row would have raised it.
+//
+// A Ψ or Ω join over one column of each side compiles the same constPred
+// once per outer row, from that row's value (compile), and streams the inner
+// side past it: each inner row's operand is read once per statement
+// (joinOperand) and matched as the kernel matches a view (matchOperand). The
+// Ψ index join compiles its outer row the same way, to probe the M-Tree and
+// recheck the candidates. Any other Ψ or Ω over two computed operands goes
+// through the same rules row by row (evalPsi, evalOmega).
 
 // isText reports whether a value of kind k can be a Ψ or Ω operand.
 func isText(k types.Kind) bool { return k == types.KindText || k == types.KindUniText }
@@ -96,8 +103,7 @@ func (ev *evaluator) phoneme(u types.UniText) string {
 	return ev.convert(u)
 }
 
-// convert is phoneme's slow path, apart so that phoneme inlines into the Ψ
-// join's per-pair loop.
+// convert is phoneme's slow path, apart so that phoneme inlines.
 func (ev *evaluator) convert(u types.UniText) string { return ev.env.G2P().ToPhoneme(u, &ev.g2p) }
 
 // omegaOperand reads a text value as Ω does: bare TEXT is English.
@@ -108,8 +114,8 @@ func omegaOperand(v types.Value) types.UniText {
 	return v.UniText()
 }
 
-// evalPsi is Ψ evaluated per row over two operand expressions: the Ψ join's
-// column pairs, and any Ψ bind left as it was.
+// evalPsi is Ψ evaluated per row over two operand expressions: any Ψ that
+// bind and the joins' hoisting left as it was, such as a residual filter's.
 func (ev *evaluator) evalPsi(x *plan.Psi, t types.Tuple) (bool, error) {
 	// Ψ is the expensive per-row work of a LexEQUAL plan (G2P conversion +
 	// edit distance), so the evaluation path carries its own checkpoint.
@@ -135,8 +141,8 @@ func (ev *evaluator) evalPsi(x *plan.Psi, t types.Tuple) (bool, error) {
 	return phonetic.WithinDistance(ev.phoneme(lu), ev.phoneme(ru), x.Threshold), nil
 }
 
-// evalOmega is Ω evaluated per row over two operand expressions: the Ω
-// join's column pairs, and any Ω bind left as it was. Both operands keep
+// evalOmega is Ω evaluated per row over two operand expressions: any Ω that
+// bind and the joins' hoisting left as it was. Both operands keep
 // their own language: the IN clause names *output* languages (which values
 // of the left operand may match), not the language of the query concept —
 // 'History' in Figure 4 is an English word even though the results span
@@ -252,9 +258,9 @@ type constPred struct {
 	constLeft bool
 	kind      types.Kind // the constant's; KindNull never matches
 	err       error      // the constant's evaluation error
-	// uniRows: the rules admit every UNITEXT row — the constant is admitted
+	// uniRows: the rules admit every text row — the constant is admitted
 	// text and Ψ has no IN list to apply to the row — so matchView, the
-	// per-row path of every scan, skips them.
+	// per-row path of every scan and Ψ/Ω join, skips them.
 	uniRows bool
 	// Ψ: the IN list, and the constant's phoneme and matcher (nil unless
 	// the constant is text the IN list admits).
@@ -277,11 +283,25 @@ func (ev *evaluator) bindConst(x, l, r plan.Expr, rows float64) (plan.Expr, erro
 	if !ok {
 		return x, nil
 	}
-	p := &constPred{Expr: x, col: col, constLeft: constLeft, admitted: true}
 	v, err := ev.eval(konst, nil)
-	p.kind, p.err = v.Kind(), err
+	p := ev.compile(x, constLeft, v, err, rows)
+	p.col = col
+	n := p.memBytes()
+	ev.preds.bytes += n
+	if ev.preds.m == nil {
+		ev.preds.m = make(map[plan.Expr]*constPred)
+	}
+	ev.preds.m[x] = p
+	return p, ev.grow(n)
+}
+
+// compile builds the constPred of x, a Ψ or Ω (over a loaded taxonomy), with
+// v as its constant operand — its left one when constLeft — and err as v's
+// evaluation error. rows is how many rows it is expected to see, the bound on
+// an Ω word set. What the probe holds (memBytes) is the caller's to charge.
+func (ev *evaluator) compile(x plan.Expr, constLeft bool, v types.Value, err error, rows float64) *constPred {
+	p := &constPred{Expr: x, constLeft: constLeft, admitted: true, kind: v.Kind(), err: err}
 	text := err == nil && isText(p.kind)
-	var charge error
 	switch x := x.(type) {
 	case *plan.Psi:
 		p.op, p.langs = "LEXEQUAL", x.Langs
@@ -296,18 +316,18 @@ func (ev *evaluator) bindConst(x, l, r plan.Expr, rows float64) (plan.Expr, erro
 		} else if text {
 			p.probe = net.CompileRight(omegaOperand(v), x.Langs, int(rows))
 		}
-		if p.probe != nil {
-			n := p.probe.MemBytes()
-			ev.preds.bytes += n
-			charge = ev.grow(n)
-		}
-	}
-	if ev.preds.m == nil {
-		ev.preds.m = make(map[plan.Expr]*constPred)
 	}
 	p.uniRows = (p.m != nil || p.probe != nil) && len(p.langs) == 0
-	ev.preds.m[x] = p
-	return p, charge
+	return p
+}
+
+// memBytes is what the compiled operand holds beyond the net it reads: an Ω
+// probe's word set or labels.
+func (p *constPred) memBytes() int64 {
+	if p.probe == nil {
+		return 0
+	}
+	return p.probe.MemBytes()
 }
 
 // admits applies Ψ's or Ω's rules to a row whose column value has kind k
@@ -327,12 +347,13 @@ func (p *constPred) admits(k types.Kind, lang types.LangID) (bool, error) {
 	return p.admitted && psiAdmits(k, lang, p.langs), nil
 }
 
-// matchView evaluates the predicate on a UNITEXT column value read as views
-// on a pinned page: its language, text and stored phoneme. done=false leaves
-// the row to matchValue: Ψ over a value stored without its phoneme.
-func (p *constPred) matchView(ev *evaluator, lang types.LangID, text, ph []byte) (match, done bool, err error) {
+// matchView evaluates the predicate on a text column value of kind k read as
+// views — on a pinned page, or a join's inner operand: its language, text and
+// stored phoneme. done=false leaves the row to a conversion: Ψ over a value
+// stored without its phoneme.
+func (p *constPred) matchView(ev *evaluator, k types.Kind, lang types.LangID, text, ph []byte) (match, done bool, err error) {
 	if !p.uniRows {
-		if ok, err := p.admits(types.KindUniText, lang); !ok {
+		if ok, err := p.admits(k, lang); !ok {
 			return false, true, err
 		}
 	}
@@ -371,4 +392,52 @@ func (p *constPred) eval(ev *evaluator, t types.Tuple) (bool, error) {
 		return false, err
 	}
 	return p.matchValue(ev, v)
+}
+
+// joinOperand is a Ψ/Ω join's inner column value, read once per statement:
+// its kind and, for text, the value as the join's operator reads it — TEXT
+// in Ψ's first listed language or Ω's English. conv marks a phoneme
+// converted for a value stored without one, on the first pair that needed it.
+type joinOperand struct {
+	text, ph string
+	lang     types.LangID
+	kind     types.Kind
+	conv     bool
+}
+
+// joinOperandBytes is the size of a joinOperand; its strings are the inner
+// row's own.
+const joinOperandBytes = 40
+
+// read reads *v, an inner column value of the Ψ or Ω join x, into o.
+func (o *joinOperand) read(x plan.Expr, v *types.Value) {
+	if o.kind = v.Kind(); !isText(o.kind) {
+		return
+	}
+	var u types.UniText
+	if psi, ok := x.(*plan.Psi); ok {
+		u = psiText(*v, psi.Langs)
+	} else {
+		u = omegaOperand(*v)
+	}
+	o.text, o.ph, o.lang = u.Text, u.Phoneme, u.Lang
+}
+
+// matchOperand evaluates the predicate, compiled from an outer row, on a
+// join's inner operand: text as matchView reads a view, any other kind (NULL,
+// or the operand-kind error) through admits.
+func (p *constPred) matchOperand(ev *evaluator, o *joinOperand) (bool, error) {
+	if !isText(o.kind) {
+		_, err := p.admits(o.kind, types.LangUnknown)
+		return false, err
+	}
+	match, done, err := p.matchView(ev, o.kind, o.lang, []byte(o.text), []byte(o.ph))
+	if done {
+		return match, err
+	}
+	if !o.conv {
+		o.ph, o.conv = ev.convert(types.Compose(o.text, o.lang)), true
+	}
+	ev.countPsi()
+	return p.m.Match(o.ph), nil
 }

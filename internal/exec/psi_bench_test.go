@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/mural-db/mural/internal/plan"
@@ -10,9 +11,10 @@ import (
 // The Ψ benchmarks: a fused scan and a join over stored phonemes (the per-row
 // and per-pair paths the workloads take), and the same over a bare TEXT
 // column — the one operand Ψ still converts at run time, through the G2P
-// cache.
+// cache: once per row in a scan, once per inner row in a join. The Ω join
+// benchmark covers both forms an outer row's probe compiles to.
 //
-//	go test ./internal/exec -run '^$' -bench BenchmarkPsi -benchmem -count 10
+//	go test ./internal/exec -run '^$' -bench 'BenchmarkPsi|BenchmarkOmega' -benchmem -count 10
 
 // benchNames fills table name with n rows of one column of the given kind,
 // cycling through 64 distinct names, one of which is "nehru".
@@ -83,3 +85,51 @@ func benchPsiJoin(b *testing.B, kind types.Kind) {
 func BenchmarkPsiJoinStored(b *testing.B) { benchPsiJoin(b, types.KindUniText) }
 
 func BenchmarkPsiJoinText(b *testing.B) { benchPsiJoin(b, types.KindText) }
+
+// BenchmarkOmegaJoin joins 8 outer rows naming one concept with 1,024 inner
+// words, Ω(inner, outer). The concept's closure is small enough for the
+// word-set probe (words) or too large for it, so each outer row compiles to
+// the interval labels (intervals).
+func BenchmarkOmegaJoin(b *testing.B) {
+	net := omegaNet()
+	const outer, inner = 8, 1024
+	for _, bc := range []struct {
+		name    string
+		closure int
+	}{{"words", 20}, {"intervals", 1000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			env := newMockEnv()
+			env.net = net
+			concept := types.Compose(net.Lemma(types.LangEnglish, net.FindClosureOfSize(bc.closure)), types.LangEnglish)
+			words := net.CompileRight(concept, nil, inner).MemBytes() > net.CompileRight(concept, nil, 0).MemBytes()
+			if words != (bc.name == "words") {
+				b.Fatalf("%s: the probe compiled to the other form", bc.name)
+			}
+			for i := 0; i < outer; i++ {
+				env.tables["o"] = append(env.tables["o"], types.Tuple{types.NewUniText(concept)})
+			}
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < inner; i++ {
+				text, lang := omegaWord(rng, net)
+				env.tables["i"] = append(env.tables["i"], types.Tuple{types.NewUniText(types.Compose(text, lang))})
+			}
+			oc := []plan.ColInfo{{Rel: "o", Name: "n", Kind: types.KindUniText}}
+			ic := []plan.ColInfo{{Rel: "i", Name: "n", Kind: types.KindUniText}}
+			node := &plan.Node{Op: plan.OpOmegaJoin, Children: []*plan.Node{scanNode("o", oc), scanNode("i", ic)},
+				Cols: append(append([]plan.ColInfo{}, oc...), ic...), Cond: &plan.Omega{L: &plan.ColIdx{Idx: 1}, R: &plan.ColIdx{Idx: 0}}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cur, err := Run(env, node, nil, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows, err := cur.All()
+				if err != nil || len(rows) == 0 {
+					b.Fatalf("%d rows, %v", len(rows), err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*outer*inner), "ns/pair")
+		})
+	}
+}

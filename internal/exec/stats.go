@@ -190,3 +190,5 @@ func (s *batchStatsIter) rescan() {
 	s.done = false
 	s.child.(rescannable).rescan()
 }
+
+func (s *batchStatsIter) size() int { return s.child.(rescannable).size() }

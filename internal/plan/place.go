@@ -21,7 +21,9 @@ import (
 //     whose outer input is one runs on up to Workers goroutines, each over
 //     disjoint morsels of the driving scan's table, when that table is large
 //     enough for the per-row work (Table 3: Ψ/Ω cost k·l̄ character operations
-//     a tuple) to pay for the exchange; or
+//     a tuple) to pay for the exchange. A Ψ/Ω join whose outer input is too
+//     small to split is driven by the scan under its materialized inner
+//     input instead: every worker re-runs the outer input; or
 //   - recurses into its children.
 //
 // An exchange is final: the pass never recurses below a Gather or a Remote,
@@ -281,7 +283,9 @@ func aggOutKind(a AggSpec) types.Kind {
 // or a join whose outer input is one, and the driving scan's table is large
 // enough: a scan or filter by the table's rows, a join by its outer input's
 // rows (the plan's selectivity over the table's rows), each against the
-// threshold its condition's cost sets. The worker count is clamped so every
+// threshold its condition's cost sets. A Ψ/Ω join whose outer input falls
+// short of its threshold is driven by its materialized inner input instead,
+// gated as a Ψ/Ω filter over it. The worker count is clamped so every
 // worker keeps a useful share of the table. It returns nil to leave n serial.
 func (pl *placement) gatherLocal(n *Node) *Node {
 	var scan *Node
@@ -294,12 +298,18 @@ func (pl *placement) gatherLocal(n *Node) *Node {
 	case OpPsiJoin, OpPsiIndexJoin, OpOmegaJoin, OpNLJoin:
 		// Partition the outer (left) input; each worker re-runs the inner
 		// subtree (for NL-family joins, a Materialize it fills privately).
-		outer := n.Children[0]
-		if scan = drivingScan(outer); scan != nil {
-			share = outer.EstimatedRows() / math.Max(scan.EstimatedRows(), 1)
-		}
+		scan, share = drivenBy(n.Children[0])
 		if condExpensive(n.Cond) {
 			threshold = ParallelJoinOuterRows
+		}
+		// Or partition the inner: every worker re-runs the small outer input
+		// against its own share of the inner rows, so each pair is still
+		// evaluated once, by the worker that owns its inner row.
+		inner := n.Children[1]
+		if (n.Op == OpPsiJoin || n.Op == OpOmegaJoin) && scan != nil && pl.rows(scan.Table)*share < threshold && inner.Op == OpMaterialize {
+			if s, sh := drivenBy(inner.Children[0]); s != nil {
+				scan, share, threshold = s, sh, ParallelPsiRows
+			}
 		}
 	}
 	if scan == nil {
@@ -339,6 +349,16 @@ func drivingScan(n *Node) *Node {
 		}
 	}
 	return nil
+}
+
+// drivenBy returns input's driving scan and the share of the scan's rows
+// input passes on; nil when input has none.
+func drivenBy(input *Node) (*Node, float64) {
+	scan := drivingScan(input)
+	if scan == nil {
+		return nil, 1
+	}
+	return scan, input.EstimatedRows() / math.Max(scan.EstimatedRows(), 1)
 }
 
 // condExpensive reports whether the condition contains a Ψ or Ω operator,

@@ -148,6 +148,47 @@ func TestParallelizePsiJoinByOuterSize(t *testing.T) {
 	if countGathers(small) != 0 {
 		t.Errorf("Ψ join with 30-row outer was gathered:\n%s", Format(small))
 	}
+
+	// Over a materialized inner: an outer too small to split partitions the
+	// inner instead, a tiny inner stays serial, and an outer large enough
+	// still partitions the outer.
+	mkMatJoin := func(outerRows, innerRows float64) *Node {
+		outer, scan := pScan("a", outerRows), pScan("b", innerRows)
+		inner := &Node{Op: OpMaterialize, Children: []*Node{scan}, Cols: scan.Cols, EstRows: innerRows, EstCost: scan.EstCost}
+		return &Node{
+			Op:       OpPsiJoin,
+			Children: []*Node{outer, inner},
+			Cols:     append(append([]ColInfo{}, outer.Cols...), inner.Cols...),
+			Cond:     &Psi{L: &ColIdx{Idx: 0}, R: &ColIdx{Idx: 1}, Threshold: 2},
+			EstRows:  outerRows,
+			EstCost:  outer.EstCost + inner.EstCost + outerRows*innerRows*PsiCharCost*10,
+		}
+	}
+	for _, tc := range []struct {
+		outer, inner  float64
+		parallelOuter bool
+		parallelInner bool
+	}{
+		{outer: 2, inner: 25000, parallelInner: true},
+		{outer: 2, inner: 50},
+		{outer: 100, inner: 25000, parallelOuter: true},
+	} {
+		root := placeLocal(mkMatJoin(tc.outer, tc.inner), 2)
+		gathered := tc.parallelOuter || tc.parallelInner
+		if gathered != (root.Op == OpGather) || countGathers(root) != map[bool]int{true: 1}[gathered] {
+			t.Errorf("outer %g × inner %g: want Gather above the join %v:\n%s", tc.outer, tc.inner, gathered, Format(root))
+			continue
+		}
+		join := root
+		if gathered {
+			join = root.Children[0]
+		}
+		outer, inner := join.Children[0], join.Children[1].Children[0]
+		if outer.Parallel != tc.parallelOuter || inner.Parallel != tc.parallelInner {
+			t.Errorf("outer %g × inner %g: outer [parallel]=%v, inner [parallel]=%v, want %v and %v:\n%s",
+				tc.outer, tc.inner, outer.Parallel, inner.Parallel, tc.parallelOuter, tc.parallelInner, Format(root))
+		}
+	}
 }
 
 // The worker count is clamped so each worker keeps a useful share of the

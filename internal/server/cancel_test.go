@@ -41,7 +41,7 @@ const bigPsiJoin = `SELECT count(*) FROM names a, names b WHERE a.name LEXEQUAL 
 func TestWireCancelAbortsRunningQuery(t *testing.T) {
 	leakcheck.Check(t)
 	_, conn := startServer(t)
-	loadBigNames(t, conn, 800)
+	loadBigNames(t, conn, 1600)
 
 	cancelsBefore := mCancels.Value()
 	errCh := make(chan error, 1)
@@ -79,7 +79,7 @@ func TestWireCancelAbortsRunningQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0][0].Int() != 800 {
+	if rows[0][0].Int() != 1600 {
 		t.Errorf("count after cancel = %v", rows[0])
 	}
 }

@@ -40,7 +40,9 @@ func expensivePsiJoin(table string) string {
 // and SET statement_timeout = 0 must lift the bound again.
 func TestStatementTimeoutSetting(t *testing.T) {
 	e := memEngine(t)
-	loadUniTable(t, e, "t", 800)
+	// 1600² pairs: with each outer row's operand compiled once, the join
+	// still runs several times the 20 ms timeout on two cores.
+	loadUniTable(t, e, "t", 1600)
 	before := mQueryTimeouts.Value()
 	e.MustExec(`SET statement_timeout = 20`)
 	_, err := e.Exec(expensivePsiJoin("t"))
@@ -59,10 +61,10 @@ func TestStatementTimeoutSetting(t *testing.T) {
 // Canceling ExecContext mid-statement surfaces ErrCanceled promptly.
 func TestExecContextCancel(t *testing.T) {
 	e := memEngine(t)
-	// 800² evaluations run several times longer than the 20 ms the canceler
-	// sleeps plus the time one busy P takes to schedule it (at 400 rows the
-	// join took ~45 ms and sometimes finished first under GOMAXPROCS=1).
-	loadUniTable(t, e, "t", 800)
+	// 1600² evaluations run several times longer than the 20 ms the canceler
+	// sleeps plus the time one busy P takes to schedule it (at 800 rows the
+	// hoisted join takes ~35 ms on two cores, too close to finishing first).
+	loadUniTable(t, e, "t", 1600)
 	before := mQueriesCanceled.Value()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -83,8 +85,9 @@ func TestExecContextCancel(t *testing.T) {
 	}
 }
 
-// A deadline expiring during an Ω join surfaces ErrQueryTimeout: every probe
-// of the generic evaluator is on the checkpointed path.
+// A deadline expiring during an Ω join surfaces ErrQueryTimeout: the join's
+// pair loop checkpoints every pair it streams past an outer row's compiled
+// probe.
 func TestTimeoutDuringOmegaJoin(t *testing.T) {
 	net := wordnet.Generate(wordnet.Config{Synsets: 20000, Seed: 1})
 	e, err := Open(Config{WordNet: net})

@@ -3,6 +3,8 @@ package mural
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -155,6 +157,49 @@ func TestPsiSelectionMemoizesProbeConversions(t *testing.T) {
 		}
 		if res.Stats.PsiEvaluations != n {
 			t.Errorf("%s: evaluated %d rows, want %d", q, res.Stats.PsiEvaluations, n)
+		}
+	}
+}
+
+// The psi_join statement shape — a two-row window of a probe table joined by
+// Ψ to a large names table — is gathered above the join with only the inner
+// scan partitioned, and returns the serial multiset at any worker count.
+func TestPsiJoinPartitionsInnerMatchesSerial(t *testing.T) {
+	e := memEngine(t)
+	loadNames(t, e, 2000)
+	e.MustExec(`CREATE TABLE probe (id INT, name UNITEXT)`)
+	var rows []string
+	for i, name := range []string{"akash", "vikram", "nehru", "tagore", "priya", "gandhi", "akaash", "vikrm"} {
+		rows = append(rows, fmt.Sprintf("(%d, unitext('%s', english))", i, name))
+	}
+	e.MustExec(`INSERT INTO probe VALUES ` + strings.Join(rows, ", "))
+	e.MustExec(`ANALYZE probe`)
+	const q = `SELECT p.id, n.id FROM probe p, names n WHERE p.id >= 2 AND p.id < 4 AND p.name LEXEQUAL n.name THRESHOLD 1`
+	multiset := func(rows []Tuple) []string {
+		var out []string
+		for _, r := range rows {
+			out = append(out, fmt.Sprint(r))
+		}
+		sort.Strings(out)
+		return out
+	}
+	e.MustExec(`SET workers = 1`)
+	if ex := e.MustExec(`EXPLAIN ` + q); strings.Contains(ex.Plan, "Gather") {
+		t.Fatalf("workers=1 plan has a Gather:\n%s", ex.Plan)
+	}
+	serial := multiset(e.MustExec(q).Rows)
+	if len(serial) == 0 {
+		t.Fatal("the join matched nothing")
+	}
+	for _, w := range []int{2, 8} {
+		e.MustExec(fmt.Sprintf(`SET workers = %d`, w))
+		ex := e.MustExec(`EXPLAIN ` + q).Plan
+		gather, join := strings.Index(ex, "Gather workers="), strings.Index(ex, "PsiJoin(NL)")
+		if gather < 0 || join < gather || strings.Count(ex, "[parallel]") != 1 || !strings.Contains(ex, "SeqScan names AS n [parallel]") {
+			t.Fatalf("workers=%d: want a Gather above the join over a partitioned inner scan:\n%s", w, ex)
+		}
+		if got := multiset(e.MustExec(q).Rows); !slices.Equal(got, serial) {
+			t.Errorf("workers=%d: %d rows, want the serial %d:\n%v\n%v", w, len(got), len(serial), got, serial)
 		}
 	}
 }
