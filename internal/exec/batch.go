@@ -18,9 +18,8 @@ import (
 // touches the pool.
 //
 // Ownership contract: NextBatch transfers the batch to the caller, which
-// either hands it on or recycles it through evaluator.putBatch on every path
-// — the membalance lint's pooled-batch rule enforces this, and
-// BatchPool.InFlight lets tests assert it dynamically. The caller may rewrite
+// either hands it on or recycles it through evaluator.putBatch on every path;
+// BatchPool.InFlight lets tests assert it. The caller may rewrite
 // or compact Rows in place. A pooled batch carries the governed-memory charge
 // of its rows (chargeBatch/retire), so recycling also settles the query's
 // memory accounting; the rows of an unpooled batch stay charged to the
@@ -44,8 +43,6 @@ type Batch struct {
 }
 
 // retire returns the batch's accounted bytes to the query's accountant.
-// It hangs off Batch (not evaluator) so the release of the bytes field is
-// visible to the same-type audit that watches its accumulation.
 func (b *Batch) retire(ev *evaluator) {
 	ev.release(b.bytes)
 	b.bytes = 0

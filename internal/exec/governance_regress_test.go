@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"github.com/mural-db/mural/internal/leakcheck"
+	"github.com/mural-db/mural/internal/plan"
+	"github.com/mural-db/mural/internal/types"
 )
 
 // A Gather worker whose batch charge trips the memory ceiling must return the
@@ -89,6 +91,32 @@ func TestStripedScanChecksCancellation(t *testing.T) {
 	defer it.Close()
 	if _, err := it.NextBatch(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("striped scan under canceled context = %v, want ErrCanceled", err)
+	}
+}
+
+// A nested-loops join over a canceled query must surface ErrCanceled within
+// one tick interval of pairs, not finish its batch: the pass over the inner
+// side is a row loop like any other. The two scans tick 300 times between
+// them, fewer than one interval, so only the pair loop can notice.
+func TestNLJoinChecksCancellation(t *testing.T) {
+	leakcheck.Check(t)
+	env := newMockEnv()
+	mkIntTable(env, "o", 100)
+	mkIntTable(env, "i", 200)
+	cols := []plan.ColInfo{{Name: "v", Kind: types.KindInt}}
+	join := &plan.Node{Op: plan.OpNLJoin, Children: []*plan.Node{scanNode("o", cols), scanNode("i", cols)},
+		Cols: append(cols, cols...)}
+	ctx, cancel := context.WithCancel(context.Background())
+	cur, err := Run(env, join, nil, NewResources(ctx, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if _, _, err := cur.Next(); !errors.Is(err, ErrCanceled) {
+		t.Errorf("first Next of a canceled cross join = %v, want ErrCanceled", err)
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -41,9 +41,8 @@ func (ev *evaluator) countOmega() {
 // publishCounts adds the evaluator's unpublished Ψ/Ω and G2P tallies to the
 // process-wide counters. It runs on the goroutine that runs the evaluator
 // or, for a Gather worker's evaluator, on the consumer's once the worker has
-// exited.
-//
-//lint:hot-metric the one publication point: called per batch, per worker fold and per statement, never per row
+// exited. It is the one publication point: called per batch, per worker fold
+// and per statement, never per row.
 func (ev *evaluator) publishCounts() {
 	if ev.unpubPsi != 0 {
 		mPsiEvals.Add(ev.unpubPsi)

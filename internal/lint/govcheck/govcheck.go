@@ -46,7 +46,7 @@ func run(pass *analysis.Pass) error {
 	if !inScope(pass.ImportPath) {
 		return nil
 	}
-	ann := lintutil.CollectAnnotations(pass)
+	ann := lintutil.CollectAnnotations(pass.Fset, pass.Files)
 	table := summary.ForPkg(pass.Fset, pass.Pkg, pass.TypesInfo, pass.Files)
 
 	decls := localDecls(pass)

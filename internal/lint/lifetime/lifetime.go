@@ -1,5 +1,5 @@
 // Package lifetime implements the shared path-sensitive "acquire/release"
-// analysis under the pinbalance, iterclose and walorder analyzers: a value
+// analysis under the pinbalance and walorder analyzers: a value
 // acquired in a function must, on every path from the acquisition to a
 // function exit or to the end of the variable's scope, be released, escape
 // to the caller, or be covered by a registered defer.
@@ -15,10 +15,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"github.com/mural-db/mural/internal/lint/analysis"
 	"github.com/mural-db/mural/internal/lint/lintutil"
-	"github.com/mural-db/mural/internal/lint/summary"
 )
 
 // Spec configures one resource discipline.
@@ -27,50 +27,18 @@ type Spec struct {
 	Noun string
 	// IsAcquire reports whether the call acquires a resource.
 	IsAcquire func(pass *analysis.Pass, call *ast.CallExpr) bool
-	// ReleaseNames are method names on the resource that release it.
+	// ReleaseNames are the method names on the resource that release it; for
+	// a Valueless resource, the callee names that do.
 	ReleaseNames []string
-	// ReleaseFuncs are callee names that release the resource regardless of
-	// the receiver (used by the valueless walorder batch check).
-	ReleaseFuncs []string
-	// ArgsEscape treats passing the resource as a plain call argument as an
-	// ownership transfer (true for iterators, which get wrapped; false for
-	// page handles, which are only borrowed by callees).
-	ArgsEscape bool
 	// Annotation suppresses a finding at the acquisition site.
 	Annotation string
 	// Valueless tracks a resource with no variable (an open WAL batch): the
 	// acquisition is the call itself and releases match by callee name only.
 	Valueless bool
-	// CheckUseAfterRelease reports uses of the variable after an
-	// unconditional direct release on the same path.
-	CheckUseAfterRelease bool
-
-	// ResourceFromArg tracks the acquire call's first argument (an
-	// identifier) as the resource instead of its result — the membalance
-	// shape `if err := ev.grow(b); ...`, where the duty attaches to b.
-	ResourceFromArg bool
-	// NoErrGuard disables the error-guard idiom: the acquisition takes
-	// effect even on its error path (Resources.Grow records the charge
-	// before failing, so the failure branch must still discharge it).
-	NoErrGuard bool
-	// ReleaseArgMention treats a call as a release when its callee name is
-	// in ReleaseFuncs (or IsReleaseCall approves it) and an argument
-	// mentions the resource — the `ev.release(b)` shape, where the resource
-	// rides in an argument rather than the receiver.
-	ReleaseArgMention bool
-	// IsReleaseCall, when set, additionally classifies calls as releases;
-	// analyzers use it to consult callee summaries (a helper that
-	// transitively commits the batch or releases governed memory).
+	// IsReleaseCall, when set, additionally classifies calls as releases of a
+	// Valueless resource: walorder consults callee summaries with it (a
+	// helper that transitively commits the batch).
 	IsReleaseCall func(pass *analysis.Pass, call *ast.CallExpr) bool
-	// ArgFate, when set, classifies passing the resource as a direct call
-	// argument using callee summaries: FateReleases counts as a release,
-	// FateEscapes as an ownership transfer, FateBorrows keeps tracking, and
-	// FateUnknown falls back to the ArgsEscape default.
-	ArgFate func(pass *analysis.Pass, call *ast.CallExpr, argIdx int) summary.ParamFate
-	// AlreadyDischarged, when set, skips tracking an acquisition entirely —
-	// the membalance pre-accumulation idiom, where the charged amount was
-	// recorded into a struct field before the Grow call.
-	AlreadyDischarged func(pass *analysis.Pass, fd *ast.FuncDecl, acq *ast.CallExpr, v types.Object) bool
 }
 
 // Check runs the discipline over every function of the pass.
@@ -131,13 +99,10 @@ func checkFunc(pass *analysis.Pass, ann *lintutil.Annotations, spec Spec, fd *as
 					defining = append([]ast.Stmt{&cp}, stmts[i+1:]...)
 				}
 			}
-			if ok && spec.AlreadyDischarged != nil && spec.AlreadyDischarged(pass, fd, a.call, a.v) {
-				ok = false
-			}
 			if ok {
 				if !ann.Has(a.call.Pos(), spec.Annotation) {
 					c := &checker{pass: pass, spec: spec, acq: a}
-					st := state{errLive: a.errObj != nil && !spec.NoErrGuard}
+					st := state{errLive: a.errObj != nil}
 					out := c.seq(defining, st)
 					if out.falls && !out.st.released && !c.reported {
 						c.leak(end(stmts), "end of the variable's scope")
@@ -177,9 +142,6 @@ func matchAcquire(pass *analysis.Pass, spec Spec, s ast.Stmt) (acquisition, bool
 		if !ok || !spec.IsAcquire(pass, call) {
 			return acquisition{}, false
 		}
-		if spec.ResourceFromArg {
-			return argAcquisition(pass, call, st)
-		}
 		a := acquisition{call: call}
 		for i, lhs := range st.Lhs {
 			id, ok := lhs.(*ast.Ident)
@@ -209,48 +171,16 @@ func matchAcquire(pass *analysis.Pass, spec Spec, s ast.Stmt) (acquisition, bool
 		}
 		return a, true
 	case *ast.ExprStmt:
-		if !spec.Valueless && !spec.ResourceFromArg {
+		if !spec.Valueless {
 			return acquisition{}, false
 		}
 		call, ok := st.X.(*ast.CallExpr)
 		if !ok || !spec.IsAcquire(pass, call) {
 			return acquisition{}, false
 		}
-		if spec.ResourceFromArg {
-			return argAcquisition(pass, call, nil)
-		}
 		return acquisition{call: call}, true
 	}
 	return acquisition{}, false
-}
-
-// argAcquisition builds the acquisition for a ResourceFromArg spec: the
-// resource is the call's first argument (when it is a plain identifier; a
-// computed amount has no variable to track and is skipped), and the error
-// variable, if any, comes from the assignment's left-hand side.
-func argAcquisition(pass *analysis.Pass, call *ast.CallExpr, assign *ast.AssignStmt) (acquisition, bool) {
-	if len(call.Args) == 0 {
-		return acquisition{}, false
-	}
-	id, ok := call.Args[0].(*ast.Ident)
-	if !ok {
-		return acquisition{}, false
-	}
-	obj := pass.TypesInfo.ObjectOf(id)
-	if obj == nil {
-		return acquisition{}, false
-	}
-	a := acquisition{call: call, v: obj}
-	if assign != nil {
-		for _, lhs := range assign.Lhs {
-			if lid, ok := lhs.(*ast.Ident); ok {
-				if o := pass.TypesInfo.ObjectOf(lid); o != nil && lintutil.IsErrorType(o.Type()) {
-					a.errObj = o
-				}
-			}
-		}
-	}
-	return a, true
 }
 
 // outcome summarizes simulating a statement sequence.
@@ -535,26 +465,6 @@ func (c *checker) effects(s ast.Stmt, st state) state {
 				released = true
 				return false // don't treat the receiver as a plain use
 			}
-			if !c.spec.Valueless {
-				for i, arg := range t.Args {
-					if c.spec.ArgFate != nil && c.usesVDirect(arg) {
-						// Summary-driven classification of the hand-off.
-						switch c.spec.ArgFate(c.pass, t, i) {
-						case summary.FateReleases:
-							released = true
-							continue
-						case summary.FateEscapes:
-							escaped = true
-							continue
-						case summary.FateBorrows:
-							continue
-						}
-					}
-					if c.spec.ArgsEscape && c.usesV(arg) {
-						escaped = true
-					}
-				}
-			}
 		case *ast.CompositeLit:
 			for _, el := range t.Elts {
 				e := el
@@ -604,7 +514,7 @@ func (c *checker) effects(s ast.Stmt, st state) state {
 		return true
 	})
 
-	if c.spec.CheckUseAfterRelease && usedV && !released && !escaped &&
+	if usedV && !released && !escaped &&
 		st.released && st.directRelease && !c.reported {
 		c.reported = true
 		rp := c.pass.Position(st.releasePos)
@@ -626,49 +536,13 @@ func (c *checker) effects(s ast.Stmt, st state) state {
 // v.Release(...) for variable resources, or a callee-name match for
 // valueless ones.
 func (c *checker) releasesIn(call *ast.CallExpr) bool {
-	name := lintutil.CalleeName(call)
+	named := slices.Contains(c.spec.ReleaseNames, lintutil.CalleeName(call))
 	if c.spec.Valueless {
-		for _, rn := range c.spec.ReleaseFuncs {
-			if name == rn {
-				return true
-			}
-		}
 		// Summary-driven: a helper that transitively performs the release.
-		return c.spec.IsReleaseCall != nil && c.spec.IsReleaseCall(c.pass, call)
-	}
-	if c.spec.ReleaseArgMention {
-		match := c.spec.IsReleaseCall != nil && c.spec.IsReleaseCall(c.pass, call)
-		if !match {
-			for _, rn := range c.spec.ReleaseFuncs {
-				if name == rn {
-					match = true
-					break
-				}
-			}
-		}
-		if match {
-			for _, arg := range call.Args {
-				if c.usesV(arg) {
-					return true
-				}
-			}
-		}
-		// fall through: receiver-based ReleaseNames may still apply
+		return named || c.spec.IsReleaseCall != nil && c.spec.IsReleaseCall(c.pass, call)
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	match := false
-	for _, rn := range c.spec.ReleaseNames {
-		if name == rn {
-			match = true
-		}
-	}
-	if !match {
-		return false
-	}
-	return c.usesVDirect(sel.X)
+	return named && ok && c.usesVDirect(sel.X)
 }
 
 // releasesInClosure reports a release inside a func literal (the

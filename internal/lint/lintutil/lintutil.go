@@ -10,8 +10,6 @@
 //
 //	//lint:pin-escapes   — pinbalance: this Pin/NewPage handle deliberately
 //	                       outlives the function (ownership is transferred).
-//	//lint:iter-escapes  — iterclose: this iterator deliberately outlives
-//	                       the function.
 //	//lint:errdrop-ok    — errdrop: discarding this error is intentional.
 //	//lint:wal-exempt    — walorder: this page write is exempt from the
 //	                       log-before-write discipline (e.g. it IS the
@@ -27,22 +25,13 @@
 //	                       callers.
 //	//lint:gov-exempt    — govcheck: this row loop intentionally runs
 //	                       without a cancellation checkpoint.
-//	//lint:hot-metric    — hotmetric: this write to a process-wide metric
-//	                       (or other package-level atomic) on a per-row
-//	                       path is audited: it runs per batch or per
-//	                       statement in practice. On a function declaration
-//	                       it exempts the whole function and stops the
-//	                       effect from propagating to callers.
-//	//lint:mem-exempt    — membalance: this memory charge is intentionally
-//	                       balanced elsewhere.
-//	//lint:batch-exempt  — membalance: this pooled batch is intentionally
-//	                       returned to the pool (or abandoned) elsewhere.
 package lintutil
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"github.com/mural-db/mural/internal/lint/analysis"
@@ -50,27 +39,30 @@ import (
 
 // Annotations indexes every //lint: directive of a package by file and line.
 type Annotations struct {
-	fset *token.FileSet
-	// byLine maps "filename:line" to the directives on that line.
-	byLine map[string][]string
+	fset   *token.FileSet
+	byLine map[fileLine][]string
 }
 
-// CollectAnnotations scans the pass's files for //lint: directives.
-func CollectAnnotations(pass *analysis.Pass) *Annotations {
-	a := &Annotations{fset: pass.Fset, byLine: make(map[string][]string)}
-	for _, f := range pass.Files {
+type fileLine struct {
+	file string
+	line int
+}
+
+// CollectAnnotations scans files for //lint: directives.
+func CollectAnnotations(fset *token.FileSet, files []*ast.File) *Annotations {
+	a := &Annotations{fset: fset, byLine: make(map[fileLine][]string)}
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				if !strings.HasPrefix(text, "lint:") {
+				directive, ok := strings.CutPrefix(c.Text, "//lint:")
+				if !ok {
 					continue
 				}
-				directive := strings.TrimPrefix(text, "lint:")
 				if i := strings.IndexAny(directive, " \t"); i >= 0 {
 					directive = directive[:i]
 				}
-				p := pass.Fset.Position(c.Pos())
-				key := posKey(p.Filename, p.Line)
+				p := fset.Position(c.Pos())
+				key := fileLine{p.Filename, p.Line}
 				a.byLine[key] = append(a.byLine[key], directive)
 			}
 		}
@@ -83,39 +75,11 @@ func CollectAnnotations(pass *analysis.Pass) *Annotations {
 func (a *Annotations) Has(pos token.Pos, directive string) bool {
 	p := a.fset.Position(pos)
 	for _, line := range []int{p.Line, p.Line - 1} {
-		for _, d := range a.byLine[posKey(p.Filename, line)] {
-			if d == directive {
-				return true
-			}
+		if slices.Contains(a.byLine[fileLine{p.Filename, line}], directive) {
+			return true
 		}
 	}
 	return false
-}
-
-func posKey(file string, line int) string {
-	return file + ":" + itoa(line)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // NamedType returns the defined (named) type under t, unwrapping pointers,
@@ -189,32 +153,6 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// HasMethod reports whether type t (or *t) has a method with the given
-// name, searching the full method set.
-func HasMethod(t types.Type, name string) bool {
-	ms := types.NewMethodSet(t)
-	for i := 0; i < ms.Len(); i++ {
-		if ms.At(i).Obj().Name() == name {
-			return true
-		}
-	}
-	if _, ok := t.(*types.Pointer); !ok {
-		return HasMethodPtr(t, name)
-	}
-	return false
-}
-
-// HasMethodPtr reports whether *t has a method with the given name.
-func HasMethodPtr(t types.Type, name string) bool {
-	ms := types.NewMethodSet(types.NewPointer(t))
-	for i := 0; i < ms.Len(); i++ {
-		if ms.At(i).Obj().Name() == name {
-			return true
-		}
-	}
-	return false
 }
 
 // IsErrorType reports whether t is the predeclared error interface.

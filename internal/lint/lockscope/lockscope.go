@@ -42,7 +42,7 @@ func run(pass *analysis.Pass) error {
 	if !inScope(pass.ImportPath) {
 		return nil
 	}
-	ann := lintutil.CollectAnnotations(pass)
+	ann := lintutil.CollectAnnotations(pass.Fset, pass.Files)
 	table := summary.ForPkg(pass.Fset, pass.Pkg, pass.TypesInfo, pass.Files)
 
 	for _, fd := range lintutil.FuncDecls(pass) {

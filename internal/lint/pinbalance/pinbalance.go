@@ -3,12 +3,9 @@
 // the acquiring function, escape to the caller (returned or stored), or be
 // annotated //lint:pin-escapes where ownership deliberately transfers.
 // Uses of a handle after a direct Unpin on the same path are also flagged —
-// the frame may already hold a different page.
-//
-// Interprocedural: passing a handle to a summarized helper that Unpins its
-// parameter counts as the release (the caller's duty is met through the
-// callee); a helper that stores the handle counts as a hand-off. Helpers
-// that merely borrow leave the duty with the caller, as before.
+// the frame may already hold a different page. Handles passed as call
+// arguments are only borrowed by the callee (writeNode, readNode, ...): the
+// Unpin duty stays with the caller.
 package pinbalance
 
 import (
@@ -17,7 +14,6 @@ import (
 	"github.com/mural-db/mural/internal/lint/analysis"
 	"github.com/mural-db/mural/internal/lint/lifetime"
 	"github.com/mural-db/mural/internal/lint/lintutil"
-	"github.com/mural-db/mural/internal/lint/summary"
 )
 
 var Analyzer = &analysis.Analyzer{
@@ -27,8 +23,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	ann := lintutil.CollectAnnotations(pass)
-	table := summary.ForPkg(pass.Fset, pass.Pkg, pass.TypesInfo, pass.Files)
+	ann := lintutil.CollectAnnotations(pass.Fset, pass.Files)
 	lifetime.Check(pass, ann, lifetime.Spec{
 		Noun: "pinned page handle",
 		IsAcquire: func(pass *analysis.Pass, call *ast.CallExpr) bool {
@@ -39,15 +34,7 @@ func run(pass *analysis.Pass) error {
 			return lintutil.ReceiverTypeName(pass.TypesInfo, call) == "Pool"
 		},
 		ReleaseNames: []string{"Unpin"},
-		// Handles are only borrowed by callees (writeNode, readNode, ...):
-		// passing one as an argument does not discharge the Unpin duty —
-		// unless the callee's summary proves it Unpins or keeps the handle.
-		ArgsEscape:           false,
-		Annotation:           "pin-escapes",
-		CheckUseAfterRelease: true,
-		ArgFate: func(pass *analysis.Pass, call *ast.CallExpr, argIdx int) summary.ParamFate {
-			return table.ArgFate(lintutil.StaticCallee(pass.TypesInfo, call), argIdx)
-		},
+		Annotation:   "pin-escapes",
 	})
 	return nil
 }

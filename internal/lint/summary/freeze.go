@@ -1,17 +1,15 @@
 package summary
 
 import (
-	"go/token"
 	"go/types"
 	"sort"
 )
 
 // Freeze closes the direct per-function facts over the call graph: boolean
-// effects (checkpoint, batch commit, memory release, metric registration)
-// propagate from callees to callers, parameter fates flow along argument
-// edges, AlwaysNil resolves its callee dependencies, transitive blocking-op
-// and hot-write lists are materialized, and pending under-lock call sites
-// become acquisition-order edges. After Freeze the table is read-only.
+// effects (checkpoint, batch commit) propagate from callees to callers,
+// AlwaysNil resolves its callee dependencies, transitive blocking-op lists
+// are materialized, and pending under-lock call sites become
+// acquisition-order edges. After Freeze the table is read-only.
 func (t *Table) Freeze() {
 	if t.frozen {
 		return
@@ -37,46 +35,11 @@ func (t *Table) Freeze() {
 					fi.CommitsBatch = true
 					changed = true
 				}
-				if c.ReleasesMem && !fi.ReleasesMem {
-					fi.ReleasesMem = true
-					changed = true
-				}
-				if c.RegistersMetric && !fi.RegistersMetric {
-					fi.RegistersMetric = true
-					changed = true
-				}
 			}
 		}
 	}
 
-	// 2. Parameter fates along argument flows.
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range t.funcs {
-			for _, fl := range fi.paramFlows {
-				c := t.funcs[fl.Callee]
-				if c == nil {
-					// Callee summarized in another module run: ownership
-					// transfer, conservatively.
-					if !fi.ParamEscapes[fl.From] {
-						fi.ParamEscapes[fl.From] = true
-						changed = true
-					}
-					continue
-				}
-				if fl.Arg < len(c.ParamReleased) && c.ParamReleased[fl.Arg] && !fi.ParamReleased[fl.From] {
-					fi.ParamReleased[fl.From] = true
-					changed = true
-				}
-				if fl.Arg < len(c.ParamEscapes) && c.ParamEscapes[fl.Arg] && !fi.ParamEscapes[fl.From] {
-					fi.ParamEscapes[fl.From] = true
-					changed = true
-				}
-			}
-		}
-	}
-
-	// 3. AlwaysNil: a candidate holds once all its error-slot callees hold.
+	// 2. AlwaysNil: a candidate holds once all its error-slot callees hold.
 	for changed := true; changed; {
 		changed = false
 		for _, fi := range t.funcs {
@@ -98,12 +61,12 @@ func (t *Table) Freeze() {
 		}
 	}
 
-	// 4. Transitive acquired-lock sets (for order edges through calls).
+	// 3. Transitive acquired-lock sets (for order edges through calls).
 	for _, fi := range t.funcs {
 		fi.effAcquired = t.acquiredClosure(fi, map[*FuncInfo]bool{})
 	}
 
-	// 5. Pending under-lock call sites -> order edges via callee acquisitions.
+	// 4. Pending under-lock call sites -> order edges via callee acquisitions.
 	for _, pe := range t.pendingEdges {
 		c := t.funcs[pe.callee]
 		if c == nil {
@@ -123,14 +86,9 @@ func (t *Table) Freeze() {
 	t.pendingEdges = nil
 	t.dedupEdges()
 
-	// 6. Transitive blocking ops.
+	// 5. Transitive blocking ops.
 	for _, fi := range t.funcs {
 		t.blockingClosure(fi, map[*FuncInfo]bool{})
-	}
-
-	// 7. Transitive writes to package-level atomics.
-	for _, fi := range t.funcs {
-		t.hotClosure(fi, map[*FuncInfo]bool{})
 	}
 
 	t.frozen = true
@@ -280,17 +238,6 @@ func (t *Table) Callees(fn *types.Func) []*types.Func {
 		}
 	}
 	return out
-}
-
-// FuncAt returns the summarized function declared at pos (used by analyzers
-// to map their own FuncDecls back to summaries); O(n) but n is small.
-func (t *Table) FuncAt(pos token.Pos) *FuncInfo {
-	for _, fi := range t.funcs {
-		if fi.Pos == pos {
-			return fi
-		}
-	}
-	return nil
 }
 
 // LookupObj is Lookup with an untyped object (convenience for callers

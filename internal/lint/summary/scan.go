@@ -4,47 +4,35 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
+
+	"github.com/mural-db/mural/internal/lint/lintutil"
 )
 
 // scanner walks one function body in source order, tracking the lock balance
 // and collecting the function's direct facts.
 type scanner struct {
 	t    *Table
-	pkg  *types.Package
 	info *types.Info
 	fi   *FuncInfo
-	dirs directives
+	dirs *lintutil.Annotations
 
 	// held maps lock key -> balance. Positive: held; negative: released on
 	// the caller's behalf.
 	held map[Key]int
-
-	// params maps parameter objects to their index.
-	params map[types.Object]int
 }
 
-func (t *Table) scanFunc(pkg *types.Package, info *types.Info, fd *ast.FuncDecl, obj *types.Func, dirs directives) *FuncInfo {
+func (t *Table) scanFunc(info *types.Info, fd *ast.FuncDecl, obj *types.Func, dirs *lintutil.Annotations) *FuncInfo {
 	fi := &FuncInfo{
-		Fn:       obj,
 		Name:     shortName(obj),
-		Pos:      fd.Pos(),
 		Acquired: map[Key]bool{},
 	}
-	fi.Exempt = dirs.has(t.fset, fd.Pos(), "lock-held-io")
-	fi.HandoffOK = dirs.has(t.fset, fd.Pos(), "lock-handoff")
-	fi.HotExempt = dirs.has(t.fset, fd.Pos(), "hot-metric")
+	fi.Exempt = dirs.Has(fd.Pos(), "lock-held-io")
+	fi.HandoffOK = dirs.Has(fd.Pos(), "lock-handoff")
 
 	sig := obj.Type().(*types.Signature)
-	np := sig.Params().Len()
-	fi.ParamReleased = make([]bool, np)
-	fi.ParamEscapes = make([]bool, np)
-
-	s := &scanner{t: t, pkg: pkg, info: info, fi: fi, dirs: dirs,
-		held: map[Key]int{}, params: map[types.Object]int{}}
-	for i := 0; i < np; i++ {
-		s.params[sig.Params().At(i)] = i
-	}
+	s := &scanner{t: t, info: info, fi: fi, dirs: dirs, held: map[Key]int{}}
 
 	s.stmts(fd.Body.List)
 	s.scanAlwaysNil(fd, sig)
@@ -86,10 +74,10 @@ func (s *scanner) stmt(st ast.Stmt) bool {
 			s.stmt(t.Init)
 		}
 		s.expr(t.Cond, false)
-		saved := s.copyHeld()
+		saved := maps.Clone(s.held)
 		thenTerm := s.stmts(t.Body.List)
 		thenHeld := s.held
-		s.held = s.copyHeld2(saved)
+		s.held = maps.Clone(saved)
 		elseTerm := false
 		if t.Else != nil {
 			elseTerm = s.stmt(t.Else)
@@ -119,7 +107,7 @@ func (s *scanner) stmt(st ast.Stmt) bool {
 		if t.Cond != nil {
 			s.expr(t.Cond, false)
 		}
-		saved := s.copyHeld()
+		saved := maps.Clone(s.held)
 		s.stmts(t.Body.List)
 		if t.Post != nil {
 			s.stmt(t.Post)
@@ -129,7 +117,7 @@ func (s *scanner) stmt(st ast.Stmt) bool {
 
 	case *ast.RangeStmt:
 		s.expr(t.X, false)
-		saved := s.copyHeld()
+		saved := maps.Clone(s.held)
 		s.stmts(t.Body.List)
 		s.held = saved
 		return false
@@ -177,7 +165,7 @@ func (s *scanner) stmt(st ast.Stmt) bool {
 				// Fold non-channel effects (calls in the comm expr).
 				s.commEffects(cc.Comm)
 			}
-			saved := s.copyHeld()
+			saved := maps.Clone(s.held)
 			s.stmts(cc.Body)
 			s.held = saved
 		}
@@ -187,8 +175,8 @@ func (s *scanner) stmt(st ast.Stmt) bool {
 		// Deferred lock ops run at exit; they are not part of the linear
 		// balance (a deferred Unlock keeps the lock held for the rest of the
 		// body, which is exactly what callers of this scan need). Other
-		// deferred effects (blocking calls, releases of params) are folded
-		// at the defer site as an approximation.
+		// deferred effects (blocking calls) are folded at the defer site as
+		// an approximation.
 		s.deferredCall(t.Call)
 		return false
 
@@ -196,7 +184,7 @@ func (s *scanner) stmt(st ast.Stmt) bool {
 		// The goroutine's body runs concurrently: skip its effects, but
 		// record the static callee for call-graph reachability (govcheck
 		// follows worker launches).
-		if fn := staticCallee(s.info, t.Call); fn != nil {
+		if fn := lintutil.StaticCallee(s.info, t.Call); fn != nil {
 			s.fi.Ops = append(s.fi.Ops, Op{Pos: t.Call.Pos(), Kind: OpCall, Callee: fn})
 		}
 		for _, a := range t.Call.Args {
@@ -206,7 +194,7 @@ func (s *scanner) stmt(st ast.Stmt) bool {
 
 	case *ast.ExprStmt:
 		s.expr(t.X, false)
-		return isTerminal(t.X)
+		return lintutil.IsTerminalCall(t)
 
 	case *ast.SendStmt:
 		s.expr(t.Chan, false)
@@ -218,7 +206,6 @@ func (s *scanner) stmt(st ast.Stmt) bool {
 		for _, r := range t.Rhs {
 			s.expr(r, false)
 		}
-		s.assignEscapes(t)
 		// `<-ch` on the RHS is a blocking receive.
 		for _, r := range t.Rhs {
 			if u, ok := r.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
@@ -254,7 +241,7 @@ func (s *scanner) clauses(body *ast.BlockStmt, _ bool) {
 		for _, e := range cc.List {
 			s.expr(e, false)
 		}
-		saved := s.copyHeld()
+		saved := maps.Clone(s.held)
 		s.stmts(cc.Body)
 		s.held = saved
 	}
@@ -323,18 +310,16 @@ func (s *scanner) expr(e ast.Expr, insideComm bool) {
 			if t.Op == token.ARROW && !insideComm {
 				s.block(t.Pos(), "channel receive")
 			}
-		case *ast.CompositeLit:
-			s.compositeEscapes(t)
 		}
 		return true
 	})
 }
 
 // callEffects records the non-lock effects of one call: blocking ops,
-// static call sites, checkpoints, engine-specific verbs, parameter flows.
+// static call sites, checkpoints, engine-specific verbs.
 func (s *scanner) callEffects(call *ast.CallExpr) {
-	name := calleeName(call)
-	fn := staticCallee(s.info, call)
+	name := lintutil.CalleeName(call)
+	fn := lintutil.StaticCallee(s.info, call)
 
 	if what, ok := s.blockingCall(call, name); ok {
 		s.block(call.Pos(), what)
@@ -350,117 +335,22 @@ func (s *scanner) callEffects(call *ast.CallExpr) {
 	}
 
 	// Checkpoint verbs: evaluator.tick() or Resources.Err().
-	if name == "tick" || (name == "Err" && receiverTypeName(s.info, call) == "Resources") {
+	if name == "tick" || (name == "Err" && lintutil.ReceiverTypeName(s.info, call) == "Resources") {
 		s.fi.Checkpoint = true
-	}
-	// Governed-memory release verbs.
-	if (name == "release" || name == "Release") &&
-		isOneOf(receiverTypeName(s.info, call), "evaluator", "Resources") {
-		s.fi.ReleasesMem = true
 	}
 	// WAL batch commit/abort verbs (mirrors the walorder release set).
 	switch name {
 	case "CommitBatch", "AbortBatch", "commitBatch", "commitDDL", "commitGrouped", "rollbackBatch":
 		s.fi.CommitsBatch = true
 	}
-	// Metric registration.
-	switch name {
-	case "Counter", "Gauge", "Histogram":
-		if receiverTypeName(s.info, call) == "Registry" {
-			s.fi.RegistersMetric = true
-		}
-	}
 
-	// Writes to package-level atomics (process-wide metrics).
-	if what, ok := HotWriteOf(s.info, call); ok && !s.dirs.has(s.t.fset, call.Pos(), "hot-metric") {
-		s.fi.HotWrites = append(s.fi.HotWrites, HotWrite{What: what})
-	}
-
-	// Parameter release: verb methods invoked directly on a parameter.
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if pi, ok := s.paramIdx(sel.X); ok {
-			switch name {
-			case "Close", "Unpin", "Release", "Abort", "Stop":
-				s.fi.ParamReleased[pi] = true
-			}
-		}
-	}
-
-	// Parameter flows: a parameter passed as a direct argument.
-	sigLen, variadic := calleeParamShape(fn)
-	for i, arg := range call.Args {
-		pi, ok := s.paramIdx(arg)
-		if !ok {
-			continue
-		}
-		if fn == nil || i >= sigLen || (variadic && i >= sigLen-1) {
-			// Unknown callee or variadic bucket: assume ownership transfer.
-			s.fi.ParamEscapes[pi] = true
-			continue
-		}
-		s.fi.paramFlows = append(s.fi.paramFlows, paramFlow{From: pi, Callee: fn, Arg: i})
-	}
-}
-
-// assignEscapes marks parameters stored by an assignment.
-func (s *scanner) assignEscapes(t *ast.AssignStmt) {
-	for i, r := range t.Rhs {
-		pi, ok := s.paramIdx(r)
-		if !ok {
-			continue
-		}
-		if len(t.Lhs) == len(t.Rhs) {
-			if id, isID := t.Lhs[i].(*ast.Ident); isID && id.Name == "_" {
-				continue
-			}
-		}
-		s.fi.ParamEscapes[pi] = true
-	}
-}
-
-func (s *scanner) compositeEscapes(cl *ast.CompositeLit) {
-	for _, el := range cl.Elts {
-		e := el
-		if kv, ok := el.(*ast.KeyValueExpr); ok {
-			e = kv.Value
-		}
-		if pi, ok := s.paramIdx(e); ok {
-			s.fi.ParamEscapes[pi] = true
-		}
-	}
-}
-
-// paramIdx resolves e to a parameter index when e is (parenthesized) a
-// direct reference to one of the function's parameters.
-func (s *scanner) paramIdx(e ast.Expr) (int, bool) {
-	for {
-		if p, ok := e.(*ast.ParenExpr); ok {
-			e = p.X
-			continue
-		}
-		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-			e = u.X
-			continue
-		}
-		break
-	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return 0, false
-	}
-	obj := s.info.ObjectOf(id)
-	if obj == nil {
-		return 0, false
-	}
-	pi, ok := s.params[obj]
-	return pi, ok
 }
 
 // block records one blocking operation at pos with the current lock
 // snapshot, unless the site carries //lint:lock-held-io (an audited site is
 // neither reported locally nor propagated to callers).
 func (s *scanner) block(pos token.Pos, what string) {
-	if s.dirs.has(s.t.fset, pos, "lock-held-io") {
+	if s.dirs.Has(pos, "lock-held-io") {
 		return
 	}
 	s.fi.Ops = append(s.fi.Ops, Op{
@@ -484,7 +374,7 @@ func (s *scanner) blockingCall(call *ast.CallExpr, name string) (string, bool) {
 		}
 		// sync.Cond.Wait atomically unlocks its mutex: not a blocking op for
 		// lock-scope purposes.
-		if tv, ok := s.info.Types[sel.X]; ok && namedTypeName(tv.Type) == "Cond" && namedTypePkgPath(tv.Type) == "sync" {
+		if tv, ok := s.info.Types[sel.X]; ok && lintutil.TypeName(tv.Type) == "Cond" && namedTypePkgPath(tv.Type) == "sync" {
 			return "", false
 		}
 		return "Wait", true
@@ -574,7 +464,7 @@ func (s *scanner) lockKey(x ast.Expr) Key {
 	case *ast.SelectorExpr:
 		// owner.field — key on the owner's named type.
 		if tv, ok := s.info.Types[e.X]; ok {
-			if tn := namedTypeName(tv.Type); tn != "" {
+			if tn := lintutil.TypeName(tv.Type); tn != "" {
 				return Key(namedTypePkgName(tv.Type) + "." + tn + "." + e.Sel.Name)
 			}
 		}
@@ -591,7 +481,7 @@ func (s *scanner) lockKey(x ast.Expr) Key {
 			return Key("local:" + e.Name)
 		}
 		// A struct with an embedded mutex: key on the struct type.
-		if tn := namedTypeName(obj.Type()); tn != "" && tn != "Mutex" && tn != "RWMutex" {
+		if tn := lintutil.TypeName(obj.Type()); tn != "" && tn != "Mutex" && tn != "RWMutex" {
 			return Key(namedTypePkgName(obj.Type()) + "." + tn)
 		}
 		if v, ok := obj.(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
@@ -629,22 +519,6 @@ func (s *scanner) releasedKeys() []Key {
 	return out
 }
 
-func (s *scanner) copyHeld() map[Key]int {
-	cp := make(map[Key]int, len(s.held))
-	for k, v := range s.held {
-		cp[k] = v
-	}
-	return cp
-}
-
-func (s *scanner) copyHeld2(m map[Key]int) map[Key]int {
-	cp := make(map[Key]int, len(m))
-	for k, v := range m {
-		cp[k] = v
-	}
-	return cp
-}
-
 // scanAlwaysNil decides whether every return's error slot is provably nil
 // (directly, or via a callee resolved at Freeze).
 func (s *scanner) scanAlwaysNil(fd *ast.FuncDecl, sig *types.Signature) {
@@ -674,7 +548,7 @@ func (s *scanner) scanAlwaysNil(fd *ast.FuncDecl, sig *types.Signature) {
 					if len(t.Results) == 1 && res.Len() > 1 {
 						// return f() forwarding all results.
 						if call, ok := lastExpr.(*ast.CallExpr); ok {
-							if fn := staticCallee(s.info, call); fn != nil {
+							if fn := lintutil.StaticCallee(s.info, call); fn != nil {
 								deps = append(deps, fn)
 								return true
 							}
@@ -686,7 +560,7 @@ func (s *scanner) scanAlwaysNil(fd *ast.FuncDecl, sig *types.Signature) {
 						return true
 					}
 					if call, ok := lastExpr.(*ast.CallExpr); ok {
-						if fn := staticCallee(s.info, call); fn != nil {
+						if fn := lintutil.StaticCallee(s.info, call); fn != nil {
 							deps = append(deps, fn)
 							return true
 						}
@@ -702,90 +576,18 @@ func (s *scanner) scanAlwaysNil(fd *ast.FuncDecl, sig *types.Signature) {
 	s.fi.errDeps = deps
 }
 
-// --- small type/AST helpers (kept local; the summary package must not
-// depend on the analysis driver) ---
-
-func calleeName(call *ast.CallExpr) string {
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		return fn.Name
-	case *ast.SelectorExpr:
-		return fn.Sel.Name
-	}
-	return ""
-}
-
-// staticCallee resolves a call to its concrete *types.Func, or nil for
-// dynamic dispatch (interface methods, func values).
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			f, ok := sel.Obj().(*types.Func)
-			if !ok {
-				return nil
-			}
-			if types.IsInterface(sel.Recv()) {
-				return nil
-			}
-			return f
-		}
-		// Package-qualified call.
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
-}
-
-func receiverTypeName(info *types.Info, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	selection, ok := info.Selections[sel]
-	if !ok {
-		return ""
-	}
-	return namedTypeName(selection.Recv())
-}
-
-func namedTypeName(t types.Type) string {
-	if n := namedType(t); n != nil {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
 func namedTypePkgPath(t types.Type) string {
-	if n := namedType(t); n != nil && n.Obj().Pkg() != nil {
+	if n := lintutil.NamedType(t); n != nil && n.Obj().Pkg() != nil {
 		return n.Obj().Pkg().Path()
 	}
 	return ""
 }
 
 func namedTypePkgName(t types.Type) string {
-	if n := namedType(t); n != nil && n.Obj().Pkg() != nil {
+	if n := lintutil.NamedType(t); n != nil && n.Obj().Pkg() != nil {
 		return n.Obj().Pkg().Name()
 	}
 	return "?"
-}
-
-func namedType(t types.Type) *types.Named {
-	for {
-		switch u := t.(type) {
-		case *types.Pointer:
-			t = u.Elem()
-		case *types.Named:
-			return u
-		default:
-			return nil
-		}
-	}
 }
 
 func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath string) bool {
@@ -799,45 +601,11 @@ func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath string) bool {
 	return false
 }
 
-func isOneOf(s string, opts ...string) bool {
-	for _, o := range opts {
-		if s == o {
-			return true
-		}
-	}
-	return false
-}
-
-func isTerminal(e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	switch calleeName(call) {
-	case "panic", "Exit", "Goexit", "Fatal", "Fatalf", "Fatalln":
-		return true
-	}
-	return false
-}
-
-// calleeParamShape reports the parameter count and variadic-ness of fn's
-// signature (0, false for nil).
-func calleeParamShape(fn *types.Func) (int, bool) {
-	if fn == nil {
-		return 0, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return 0, false
-	}
-	return sig.Params().Len(), sig.Variadic()
-}
-
 // shortName renders "Recv.Method" or "pkg.Func" for diagnostics.
 func shortName(fn *types.Func) string {
 	sig, ok := fn.Type().(*types.Signature)
 	if ok && sig.Recv() != nil {
-		if tn := namedTypeName(sig.Recv().Type()); tn != "" {
+		if tn := lintutil.TypeName(sig.Recv().Type()); tn != "" {
 			return tn + "." + fn.Name()
 		}
 	}

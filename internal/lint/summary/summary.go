@@ -1,19 +1,14 @@
 // Package summary computes per-function effect summaries for the murallint
 // suite: which locks a function acquires and releases, which blocking
 // operations it performs (and under which locks), whether it contains an
-// amortized cancellation checkpoint, what it does with its parameters
-// (releases them, takes ownership, or merely borrows them), and a handful of
-// engine-specific effects (commits a WAL batch, releases governed memory,
-// registers a metric, writes a package-level atomic, provably returns a nil
-// error).
+// amortized cancellation checkpoint, and two engine-specific effects
+// (commits a WAL batch, provably returns a nil error).
 //
 // Summaries are computed bottom-up: murallint loads every module package in
 // dependency order (go list -deps lists dependencies first), adds each to one
 // shared Table, then calls Freeze, which closes the direct facts over the
-// call graph (a function that calls fsync transitively "performs fsync"; a
-// helper that hands its parameter to a releasing helper transitively
-// "releases its parameter"). After Freeze the table is immutable and safe
-// for the driver's parallel analyzer workers.
+// call graph (a function that calls fsync transitively "performs fsync").
+// After Freeze the table is immutable.
 //
 // The intraprocedural scan is a structured walk, not a CFG: lock state is
 // tracked linearly in source order, branch bodies run on a copy of the state,
@@ -31,8 +26,8 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
-	"sync"
+
+	"github.com/mural-db/mural/internal/lint/lintutil"
 )
 
 // Key identifies one lock for held-set and ordering purposes. Keys are
@@ -87,19 +82,9 @@ type OrderEdge struct {
 	Pos      token.Pos
 }
 
-// paramFlow records "parameter From of this function is passed as argument
-// Arg of Callee" for the parameter-fate fixpoint.
-type paramFlow struct {
-	From   int
-	Callee *types.Func
-	Arg    int
-}
-
 // FuncInfo is the summary of one function.
 type FuncInfo struct {
-	Fn   *types.Func
 	Name string // short display name ("Pool.CommitBatch")
-	Pos  token.Pos
 
 	// Ops are the function's blocking ops and static calls in source order.
 	Ops []Op
@@ -123,35 +108,13 @@ type FuncInfo struct {
 	AlwaysNil bool
 	// CommitsBatch: the function (transitively) commits or aborts a WAL batch.
 	CommitsBatch bool
-	// ReleasesMem: the function (transitively) calls Resources.Release /
-	// evaluator.release.
-	ReleasesMem bool
-	// RegistersMetric: the function (transitively) registers a metric.
-	RegistersMetric bool
-	// HotWrites are the writes to package-level atomics the function itself
-	// performs (sites annotated //lint:hot-metric excluded); HotExempt: the
-	// declaration carries //lint:hot-metric, so neither its own writes nor
-	// its callees' propagate to callers.
-	HotWrites []HotWrite
-	HotExempt bool
-
-	// ParamReleased[i]: the function (transitively) releases parameter i
-	// (calls Close/Unpin/Release/Abort on it, or hands it to a releasing
-	// callee).
-	ParamReleased []bool
-	// ParamEscapes[i]: the function takes ownership of parameter i (stores,
-	// returns, or sends it, or passes it to an unknown or escaping callee).
-	ParamEscapes []bool
 
 	nilCandidate bool
 	errDeps      []*types.Func
-	paramFlows   []paramFlow
 
 	effBlocking []BlockOp
 	effAcquired map[Key]bool
 	effDone     bool
-	effHot      []HotWrite
-	hotDone     bool
 }
 
 // Table holds the summaries of every scanned package.
@@ -182,32 +145,24 @@ func NewTable(fset *token.FileSet) *Table {
 	}
 }
 
-var (
-	globalMu sync.RWMutex
-	global   *Table
-)
+// global is the driver's whole-module table (nil outside the driver).
+var global *Table
 
-// SetGlobal installs a frozen table for ForPass lookups (the murallint
-// driver precomputes summaries for every loaded package, then analyzers run
-// in parallel against the shared table).
+// SetGlobal installs a frozen table for ForPkg lookups: the murallint driver
+// summarizes every loaded package before any analyzer runs.
 func SetGlobal(t *Table) {
 	if t != nil && !t.frozen {
 		panic("summary: SetGlobal of unfrozen table")
 	}
-	globalMu.Lock()
 	global = t
-	globalMu.Unlock()
 }
 
 // ForPkg returns the table covering pkg: the global precomputed table when it
 // includes pkg, else a fresh single-package table (the analysistest path,
 // where cross-package callees are out of scope anyway).
 func ForPkg(fset *token.FileSet, pkg *types.Package, info *types.Info, files []*ast.File) *Table {
-	globalMu.RLock()
-	g := global
-	globalMu.RUnlock()
-	if g != nil && g.pkgs[pkg] {
-		return g
+	if global != nil && global.pkgs[pkg] {
+		return global
 	}
 	t := NewTable(fset)
 	t.AddPackage(pkg, info, files)
@@ -252,51 +207,6 @@ func (t *Table) CommitsBatch(fn *types.Func) bool {
 	f := t.Lookup(fn)
 	return f != nil && f.CommitsBatch
 }
-
-// ReleasesMem reports whether fn transitively releases governed memory.
-func (t *Table) ReleasesMem(fn *types.Func) bool {
-	f := t.Lookup(fn)
-	return f != nil && f.ReleasesMem
-}
-
-// RegistersMetric reports whether fn transitively registers a metric.
-func (t *Table) RegistersMetric(fn *types.Func) bool {
-	f := t.Lookup(fn)
-	return f != nil && f.RegistersMetric
-}
-
-// ParamFate classifies what a callee does with one argument position.
-type ParamFate int
-
-const (
-	// FateUnknown: the callee is not summarized; assume nothing.
-	FateUnknown ParamFate = iota
-	// FateBorrows: the callee neither releases nor keeps the argument.
-	FateBorrows
-	// FateReleases: the callee releases the argument.
-	FateReleases
-	// FateEscapes: the callee takes ownership of the argument.
-	FateEscapes
-)
-
-// ArgFate reports what fn does with its i'th parameter.
-func (t *Table) ArgFate(fn *types.Func, i int) ParamFate {
-	f := t.Lookup(fn)
-	if f == nil || i < 0 || i >= len(f.ParamReleased) {
-		return FateUnknown
-	}
-	switch {
-	case f.ParamReleased[i]:
-		return FateReleases
-	case f.ParamEscapes[i]:
-		return FateEscapes
-	default:
-		return FateBorrows
-	}
-}
-
-// OrderEdges returns the deduplicated lock acquisition-order edges.
-func (t *Table) OrderEdges() []OrderEdge { return t.edges }
 
 // Cycle is one acquisition-order cycle: the locks of a strongly connected
 // component of the order graph, plus a deterministic anchor position.
@@ -403,7 +313,7 @@ func (t *Table) AddPackage(pkg *types.Package, info *types.Info, files []*ast.Fi
 		panic("summary: AddPackage after Freeze")
 	}
 	t.pkgs[pkg] = true
-	dirs := collectDirectives(t.fset, files)
+	dirs := lintutil.CollectAnnotations(t.fset, files)
 	for _, f := range files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -414,62 +324,8 @@ func (t *Table) AddPackage(pkg *types.Package, info *types.Info, files []*ast.Fi
 			if !ok {
 				continue
 			}
-			fi := t.scanFunc(pkg, info, fd, obj, dirs)
+			fi := t.scanFunc(info, fd, obj, dirs)
 			t.funcs[obj] = fi
 		}
 	}
-}
-
-// directives indexes //lint: comments by file:line for the scanner (the
-// lintutil.Annotations type is pass-oriented; the summary layer keeps its own
-// tiny copy to stay independent of the analysis driver).
-type directives map[string]map[string]bool
-
-func collectDirectives(fset *token.FileSet, files []*ast.File) directives {
-	d := directives{}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				if !strings.HasPrefix(text, "lint:") {
-					continue
-				}
-				name := strings.TrimPrefix(text, "lint:")
-				if i := strings.IndexAny(name, " \t"); i >= 0 {
-					name = name[:i]
-				}
-				p := fset.Position(c.Pos())
-				key := p.Filename + ":" + itoa(p.Line)
-				if d[key] == nil {
-					d[key] = map[string]bool{}
-				}
-				d[key][name] = true
-			}
-		}
-	}
-	return d
-}
-
-func (d directives) has(fset *token.FileSet, pos token.Pos, name string) bool {
-	p := fset.Position(pos)
-	for _, line := range []int{p.Line, p.Line - 1} {
-		if d[p.Filename+":"+itoa(line)][name] {
-			return true
-		}
-	}
-	return false
-}
-
-func itoa(n int) string {
-	if n <= 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

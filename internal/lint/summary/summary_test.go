@@ -15,7 +15,6 @@ const src = `package summarytest
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -29,6 +28,19 @@ func sleeps()        { time.Sleep(time.Millisecond) }
 func viaSleeps()     { sleeps() }
 func harmless() int  { return 1 }
 
+//lint:lock-held-io audited: sleeping is this function's job
+func auditedDecl()    { time.Sleep(time.Millisecond) }
+func viaAuditedDecl() { auditedDecl() }
+
+func auditedSite() {
+	time.Sleep(time.Millisecond) //lint:lock-held-io audited at the site
+}
+
+func (g *guarded) unlocks() { g.mu.Unlock() }
+
+//lint:lock-handoff callers delegate the unlock
+func (g *guarded) handsOff() { g.mu.Unlock() }
+
 type Resources struct{ n int }
 
 func (r *Resources) Err() error { r.n++; return nil }
@@ -40,40 +52,6 @@ func alwaysNil() error      { return nil }
 func forwardsNil() error    { return alwaysNil() }
 func realError() error      { return errors.New("boom") }
 func forwardsError() error  { return realError() }
-
-type handle struct{ open bool }
-
-func (h *handle) Close() error { h.open = false; return nil }
-
-type holder struct{ h *handle }
-
-func releases(h *handle)          { h.Close() }
-func escapes(o *holder, h *handle) { o.h = h }
-func borrows(h *handle) bool       { return h.open }
-
-type Counter struct{ v atomic.Int64 }
-
-func (c *Counter) Inc() { c.v.Add(1) }
-
-var (
-	mRows  Counter
-	legacy int64
-)
-
-type cache struct{ hits atomic.Int64 }
-
-func bumps()            { mRows.Inc() }
-func viaBumps()         { bumps() }
-func bumpsLegacy()      { atomic.AddInt64(&legacy, 1) }
-func private(c *cache)  { c.hits.Add(1) }
-func reads() int64      { return atomic.LoadInt64(&legacy) }
-
-//lint:hot-metric publishes a batch
-func publishes() { mRows.Inc() }
-func viaPublishes() { publishes() }
-func audited() {
-	mRows.Inc() //lint:hot-metric once per statement
-}
 
 func (g *guarded) order1() {
 	g.a.Lock()
@@ -126,6 +104,17 @@ func fn(t *testing.T, pkg *types.Package, name string) *types.Func {
 	return f
 }
 
+func method(t *testing.T, pkg *types.Package, typ, name string) *types.Func {
+	t.Helper()
+	recv := types.NewPointer(pkg.Scope().Lookup(typ).Type())
+	obj, _, _ := types.LookupFieldOrMethod(recv, true, pkg, name)
+	f, ok := obj.(*types.Func)
+	if !ok {
+		t.Fatalf("no method %s.%s in test package", typ, name)
+	}
+	return f
+}
+
 func TestBlockingPropagates(t *testing.T) {
 	tab, pkg := buildTable(t)
 	direct := tab.Blocking(fn(t, pkg, "sleeps"))
@@ -144,6 +133,46 @@ func TestBlockingPropagates(t *testing.T) {
 	}
 }
 
+// TestLockHeldIOStopsPropagation: //lint:lock-held-io on a declaration
+// exempts the function and its callers inherit nothing; on a site it drops
+// that one blocking op.
+func TestLockHeldIOStopsPropagation(t *testing.T) {
+	tab, pkg := buildTable(t)
+	if fi := tab.Lookup(fn(t, pkg, "auditedDecl")); fi == nil || !fi.Exempt {
+		t.Fatalf("auditedDecl: want an Exempt summary, got %+v", fi)
+	}
+	for _, name := range []string{"auditedDecl", "viaAuditedDecl", "auditedSite"} {
+		if ops := tab.Blocking(fn(t, pkg, name)); len(ops) != 0 {
+			t.Errorf("%s: want no blocking ops, got %+v", name, ops)
+		}
+	}
+	if tab.Lookup(fn(t, pkg, "auditedSite")).Exempt {
+		t.Errorf("auditedSite: a site annotation must not exempt the whole function")
+	}
+}
+
+// TestLockHandoffAnnotation: releasing a lock the caller holds records the
+// hand-off either way; only //lint:lock-handoff on the declaration marks it
+// intended.
+func TestLockHandoffAnnotation(t *testing.T) {
+	tab, pkg := buildTable(t)
+	for _, tc := range []struct {
+		name string
+		ok   bool
+	}{{"unlocks", false}, {"handsOff", true}} {
+		fi := tab.Lookup(method(t, pkg, "guarded", tc.name))
+		if fi == nil {
+			t.Fatalf("%s: no summary", tc.name)
+		}
+		if len(fi.HandedOff) != 1 || fi.HandedOff[0] != "summarytest.guarded.mu" || !fi.HandoffPos.IsValid() {
+			t.Errorf("%s: want guarded.mu handed off at a valid position, got %v at %v", tc.name, fi.HandedOff, fi.HandoffPos)
+		}
+		if fi.HandoffOK != tc.ok {
+			t.Errorf("%s: HandoffOK = %v, want %v", tc.name, fi.HandoffOK, tc.ok)
+		}
+	}
+}
+
 func TestCheckpointPropagates(t *testing.T) {
 	tab, pkg := buildTable(t)
 	for _, name := range []string{"checkpoints", "viaCheckpoints"} {
@@ -153,28 +182,6 @@ func TestCheckpointPropagates(t *testing.T) {
 	}
 	if tab.Checkpoints(fn(t, pkg, "harmless")) {
 		t.Errorf("harmless: want Checkpoints=false")
-	}
-}
-
-func TestHotWritesPropagate(t *testing.T) {
-	tab, pkg := buildTable(t)
-	direct := tab.HotWrites(fn(t, pkg, "bumps"))
-	if len(direct) != 1 || direct[0].What != "summarytest.mRows.Inc" || direct[0].Via != "" {
-		t.Fatalf("bumps: want one direct summarytest.mRows.Inc, got %+v", direct)
-	}
-	via := tab.HotWrites(fn(t, pkg, "viaBumps"))
-	if len(via) != 1 || via[0].Via != "summarytest.bumps" {
-		t.Fatalf("viaBumps: want the write with Via=summarytest.bumps, got %+v", via)
-	}
-	if hw := tab.HotWrites(fn(t, pkg, "bumpsLegacy")); len(hw) != 1 || hw[0].What != "summarytest: atomic.AddInt64(&legacy)" {
-		t.Fatalf("bumpsLegacy: want summarytest: atomic.AddInt64(&legacy), got %+v", hw)
-	}
-	// A struct-field atomic is the owner's business, a load writes nothing,
-	// and //lint:hot-metric on a site or a declaration stops the effect.
-	for _, name := range []string{"private", "reads", "publishes", "viaPublishes", "audited", "harmless"} {
-		if hw := tab.HotWrites(fn(t, pkg, name)); len(hw) != 0 {
-			t.Errorf("%s: want no hot writes, got %+v", name, hw)
-		}
 	}
 }
 
@@ -191,22 +198,6 @@ func TestAlwaysNilFixpoint(t *testing.T) {
 	}
 	if tab.AlwaysNilError(fn(t, pkg, "forwardsError")) {
 		t.Errorf("forwardsError: want AlwaysNilError=false")
-	}
-}
-
-func TestArgFates(t *testing.T) {
-	tab, pkg := buildTable(t)
-	if got := tab.ArgFate(fn(t, pkg, "releases"), 0); got != FateReleases {
-		t.Errorf("releases: want FateReleases, got %v", got)
-	}
-	if got := tab.ArgFate(fn(t, pkg, "escapes"), 1); got != FateEscapes {
-		t.Errorf("escapes: want FateEscapes, got %v", got)
-	}
-	if got := tab.ArgFate(fn(t, pkg, "borrows"), 0); got != FateBorrows {
-		t.Errorf("borrows: want FateBorrows, got %v", got)
-	}
-	if got := tab.ArgFate(nil, 0); got != FateUnknown {
-		t.Errorf("unknown callee: want FateUnknown, got %v", got)
 	}
 }
 

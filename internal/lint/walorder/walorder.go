@@ -20,6 +20,7 @@ package walorder
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 
 	"github.com/mural-db/mural/internal/lint/analysis"
@@ -38,7 +39,7 @@ func run(pass *analysis.Pass) error {
 	if !inScope(pass.ImportPath) {
 		return nil
 	}
-	ann := lintutil.CollectAnnotations(pass)
+	ann := lintutil.CollectAnnotations(pass.Fset, pass.Files)
 	table := summary.ForPkg(pass.Fset, pass.Pkg, pass.TypesInfo, pass.Files)
 	checkWritePageConfinement(pass, ann)
 	lifetime.Check(pass, ann, lifetime.Spec{
@@ -47,7 +48,7 @@ func run(pass *analysis.Pass) error {
 			name := lintutil.CalleeName(call)
 			return name == "BeginBatch" || name == "beginBatch"
 		},
-		ReleaseFuncs: []string{
+		ReleaseNames: []string{
 			"CommitBatch", "commitBatch", "commitDDL", "commitGrouped",
 			"AbortBatch", "rollbackBatch",
 		},
@@ -101,9 +102,11 @@ func receiverImplementsWritePage(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return false
 	}
-	tv, ok := pass.TypesInfo.Types[fd.Recv.List[0].Type]
-	if !ok {
+	t := pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)
+	if t == nil {
 		return false
 	}
-	return lintutil.HasMethod(tv.Type, "WritePage")
+	m, _, _ := types.LookupFieldOrMethod(t, true, pass.Pkg, "WritePage")
+	_, ok := m.(*types.Func)
+	return ok
 }

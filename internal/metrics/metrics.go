@@ -24,7 +24,25 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"github.com/mural-db/mural/internal/invariant"
 )
+
+// writes counts metric updates in builds with the muralinvariants tag, and
+// is never touched otherwise. A process-wide metric is one cache line that
+// every core running a loop shares, so per-row code must not write one; a
+// counter's value cannot show how many writes built it, and this can.
+var writes atomic.Int64
+
+func noteWrite() {
+	if invariant.Enabled {
+		writes.Add(1)
+	}
+}
+
+// Writes returns how many counter, gauge and histogram updates the process
+// has made: always 0 without the muralinvariants build tag.
+func Writes() int64 { return writes.Load() }
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
@@ -32,11 +50,15 @@ type Counter struct {
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() {
+	noteWrite()
+	c.v.Add(1)
+}
 
 // Add adds n (negative deltas are ignored: counters only go up).
 func (c *Counter) Add(n int64) {
 	if n > 0 {
+		noteWrite()
 		c.v.Add(n)
 	}
 }
@@ -52,10 +74,16 @@ type Gauge struct {
 }
 
 // Set stores the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
+func (g *Gauge) Set(n int64) {
+	noteWrite()
+	g.v.Store(n)
+}
 
 // Add moves the gauge by a delta.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
+func (g *Gauge) Add(n int64) {
+	noteWrite()
+	g.v.Add(n)
+}
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -81,6 +109,7 @@ func newHistogram(bounds []int64) *Histogram {
 
 // Observe records one observation.
 func (h *Histogram) Observe(v int64) {
+	noteWrite()
 	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
 	h.counts[i].Add(1)
 	h.sum.Add(v)

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/mural-db/mural/internal/invariant"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -92,6 +94,30 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if got := r.Histogram("h", nil).Count(); got != 8000 {
 		t.Errorf("concurrent histogram count = %d, want 8000", got)
+	}
+}
+
+// TestWritesCountsEveryUpdate: Writes counts one per update that changes a
+// metric — not per unit added, not for a dropped negative counter delta, not
+// for a read — and only in builds with the muralinvariants tag.
+func TestWritesCountsEveryUpdate(t *testing.T) {
+	r := NewRegistry()
+	c, g, h := r.Counter("c_total"), r.Gauge("g"), r.Histogram("h_ns", DurationBuckets)
+	before := Writes()
+	c.Inc()
+	c.Add(1000)
+	c.Add(-1)
+	g.Set(5)
+	g.Add(-2)
+	h.Observe(42)
+	_, _, _ = c.Value(), g.Value(), h.Count()
+	_ = r.Snapshot()
+	want := int64(0)
+	if invariant.Enabled {
+		want = 5
+	}
+	if got := Writes() - before; got != want {
+		t.Errorf("Writes moved by %d, want %d (invariant.Enabled = %v)", got, want, invariant.Enabled)
 	}
 }
 

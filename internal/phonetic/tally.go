@@ -28,9 +28,8 @@ type Tally struct {
 }
 
 // Publish adds the tally to the process-wide counters and to its shared
-// cache's, and zeroes it.
-//
-//lint:hot-metric the one publication point of a Tally: its owner calls it per batch or per statement, never per row
+// cache's, and zeroes it. It is the one publication point of a Tally: its
+// owner calls it per batch or per statement, never per row.
 func (t *Tally) Publish() {
 	if *t == (Tally{}) {
 		return

@@ -5,8 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/mural-db/mural/internal/metrics"
+	"github.com/mural-db/mural/mural"
 )
 
 // TestExplainOverWire streams EXPLAIN ANALYZE output through the ordinary
@@ -105,5 +109,44 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if v, ok := counters["mural_server_requests_total"].(float64); !ok || v < 1 {
 		t.Errorf("requests counter in JSON = %v", counters["mural_server_requests_total"])
+	}
+}
+
+// TestMetricNames holds every series the engine registers to the metrics
+// namespace: mural_-prefixed snake_case, _total on counters and only on
+// counters, and a _ns or _bytes unit on histograms. This package imports
+// every instrumented one, and an on-disk Open registers the recovery gauges.
+func TestMetricNames(t *testing.T) {
+	eng, err := mural.Open(mural.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	name := regexp.MustCompile(`^mural_[a-z0-9]+(_[a-z0-9]+)*$`)
+	snap := metrics.Default.Snapshot()
+	check := func(kind, n string) {
+		if !name.MatchString(n) {
+			t.Errorf("%s %q is not mural_-prefixed snake_case", kind, n)
+		}
+		if total := strings.HasSuffix(n, "_total"); total != (kind == "counter") {
+			t.Errorf("%s %q: _total is for counters and only for counters", kind, n)
+		}
+		if kind == "histogram" && !strings.HasSuffix(n, "_ns") && !strings.HasSuffix(n, "_bytes") {
+			t.Errorf("histogram %q carries no _ns or _bytes unit", n)
+		}
+	}
+	for n := range snap.Counters {
+		check("counter", n)
+	}
+	for n := range snap.Gauges {
+		check("gauge", n)
+	}
+	for n := range snap.Histograms {
+		check("histogram", n)
+	}
+	if len(snap.Counters) == 0 || len(snap.Histograms) == 0 {
+		t.Fatalf("registry holds %d counters and %d histograms; expected the engine's", len(snap.Counters), len(snap.Histograms))
 	}
 }

@@ -551,6 +551,7 @@ func (w *WAL) Truncate() error {
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("storage: wal truncate: %w", err)
 	}
+	//lint:lock-held-io a checkpoint's truncate: the loop above waited out every group commit, and releasing w.mu before this fsync would let an append land between Truncate(0) and the sync
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("storage: wal sync: %w", err)
 	}

@@ -78,9 +78,8 @@ func (s *settings) queryResources(ctx context.Context) (*exec.Resources, func())
 	return exec.NewResources(ctx, int64(s.maxMem)), stop
 }
 
-// noteGovernedErr counts governed terminations in the engine metrics.
-//
-//lint:hot-metric writes only for the error that ends a statement: at most once per statement
+// noteGovernedErr counts governed terminations in the engine metrics. It
+// runs only for the error that ends a statement: at most once per statement.
 func noteGovernedErr(err error) {
 	switch {
 	case err == nil:
