@@ -332,6 +332,24 @@ func newRecordSource(env Env, ev *evaluator, n *plan.Node) (*recordSource, error
 	return rs, nil
 }
 
+// fixShare makes a source whose morsels a Gather's workers claim read a
+// fixed share of the table instead — worker i of w the i-th of w runs of
+// pages, in one claim — and returns how many pages the source reads (for a
+// private source, the table's). It is for a consumer that does work in
+// proportion to the rows it read after reading them all: claiming as it
+// reads, a worker that starts late gets few morsels, and the other then does
+// most of that work alone, by a share that varies with scheduling.
+func (s *recordSource) fixShare() int64 {
+	if s.ev.par == nil || s.src.chunk == s.src.npages {
+		return s.src.npages
+	}
+	n, w, i := s.src.npages, int64(s.ev.par.workers), int64(s.ev.par.id)
+	lo, hi := n*i/w, n*(i+1)/w
+	s.src = &morselSource{table: s.src.table, npages: hi, chunk: hi - lo}
+	s.src.next.Store(lo)
+	return hi - lo
+}
+
 func (s *recordSource) nextPage(fn func(rec []byte) error) (bool, error) {
 	if s.mod > 0 {
 		keep := fn

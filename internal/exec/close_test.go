@@ -45,12 +45,17 @@ func chargedScan() (*mockEnv, *plan.Node) {
 // A join builder whose right child fails to build must close the left
 // child it already built, not leak it.
 func TestJoinBuildersCloseLeftOnRightFailure(t *testing.T) {
-	ops := []plan.OpType{plan.OpNLJoin, plan.OpHashJoin, plan.OpPsiJoin, plan.OpOmegaJoin}
-	for _, op := range ops {
+	// The last case hoists its Ψ, and its join opens the inner scan itself.
+	psi := &plan.Psi{L: &plan.ColIdx{Idx: 0}, R: &plan.ColIdx{Idx: 1}, Threshold: 1}
+	for _, tc := range []struct {
+		op   plan.OpType
+		cond plan.Expr
+	}{{plan.OpNLJoin, nil}, {plan.OpHashJoin, nil}, {plan.OpPsiJoin, nil}, {plan.OpOmegaJoin, nil}, {plan.OpPsiJoin, psi}} {
+		op := tc.op
 		env, left := chargedScan()
 		// "r" is absent: building the right child fails after the left
 		// child holds its rows.
-		n := &plan.Node{Op: op, Children: []*plan.Node{left, {Op: plan.OpSeqScan, Table: "r"}}}
+		n := &plan.Node{Op: op, Children: []*plan.Node{left, {Op: plan.OpSeqScan, Table: "r", Cols: left.Cols}}, Cond: tc.cond}
 		res := NewResources(context.Background(), 0)
 		if _, err := Run(env, n, nil, res); err == nil {
 			t.Fatalf("%s: expected build error for missing right table", op)

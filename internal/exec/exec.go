@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -344,9 +343,6 @@ func (m *materializeIter) NextBatch() (*Batch, error) {
 // rescan: the nested-loops join.
 func (m *materializeIter) rescan() { m.held.pos = 0 }
 
-// size is how many rows the cache holds: all of them from the first NextBatch.
-func (m *materializeIter) size() int { return len(m.held.rows) }
-
 func (m *materializeIter) Close() error {
 	m.ev.release(m.bytes)
 	m.bytes = 0
@@ -358,7 +354,6 @@ func (m *materializeIter) Close() error {
 type rescannable interface {
 	BatchIter
 	rescan()
-	size() int
 }
 
 // joinedTuple concatenates left and right.
@@ -368,12 +363,15 @@ func joinedTuple(l, r types.Tuple) types.Tuple {
 	return append(out, r...)
 }
 
-// buildNLJoin wires the nested-loops joins (plain, Ψ, Ω). The inner side is
-// always materialized and rescanned: by the plan's Materialize node when
-// there is one, by an implicit one otherwise. A condition that is a lone Ψ or
-// Ω over a column of each side is hoisted (joinPred); any other is evaluated
-// per pair over the joint schema.
+// buildNLJoin wires the nested-loops joins (plain, Ψ, Ω). A condition that is
+// a lone Ψ or Ω over a column of each side runs hoisted (join.go). Any other
+// is evaluated per pair over the joint schema, and the inner side is
+// materialized and rescanned: by the plan's Materialize node when there is
+// one, by an implicit one otherwise.
 func buildNLJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIter, error) {
+	if outerCol, innerCol, outerLeft, ok := ev.hoistedOperands(n); ok {
+		return buildHoistedJoin(env, ev, n, outerCol, innerCol, outerLeft, budget)
+	}
 	cond, err := ev.bind(n.Cond, n.EstimatedRows())
 	if err != nil {
 		return nil, err
@@ -389,96 +387,7 @@ func buildNLJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (Ba
 	if n.Children[1].Op != plan.OpMaterialize {
 		inner = &materializeIter{ev: ev, child: inner}
 	}
-	j := &nlJoinIter{ev: ev, outer: outer, inner: inner.(rescannable), cond: cond, budget: budget}
-	if j.jp = ev.joinPredOf(n); j.jp != nil {
-		j.cond = nil
-	}
-	return j, nil
-}
-
-// joinPredOf returns the hoisted form of join n's condition: nil unless it is
-// a lone Ψ, or a lone Ω over a loaded taxonomy, between a column of each side.
-func (ev *evaluator) joinPredOf(n *plan.Node) *joinPred {
-	var l, r plan.Expr
-	switch x := n.Cond.(type) {
-	case *plan.Psi:
-		l, r = x.L, x.R
-	case *plan.Omega:
-		if ev.taxonomy() == nil {
-			return nil // evalOmega raises the missing-taxonomy error per pair
-		}
-		l, r = x.L, x.R
-	default:
-		return nil
-	}
-	oc, ook := l.(*plan.ColIdx)
-	ic, iok := r.(*plan.ColIdx)
-	if !ook || !iok {
-		return nil
-	}
-	outerLeft := oc.Idx < ic.Idx
-	if !outerLeft {
-		oc, ic = ic, oc
-	}
-	width := len(n.Children[0].Schema())
-	if oc.Idx < 0 || oc.Idx >= width || ic.Idx < width || ic.Idx >= width+len(n.Children[1].Schema()) {
-		return nil // the per-pair path raises the out-of-range error
-	}
-	return &joinPred{x: n.Cond, outerCol: oc.Idx, innerCol: ic.Idx - width, outerLeft: outerLeft}
-}
-
-// joinPred is a Ψ/Ω join condition hoisted out of the pair loop, the loop
-// invariant of each pass compiled once: p is the current outer row's operand
-// compiled as a scan's constant is (pbytes its charge, held for the pass),
-// and ops the inner rows' operands, read on the first pass (bytes their
-// charge, held to Close).
-type joinPred struct {
-	x                  plan.Expr
-	outerCol, innerCol int
-	outerLeft          bool
-	p                  *constPred
-	pbytes             int64
-	ops                []joinOperand
-	bytes              int64
-}
-
-// prepare readies a pass's inner batch rows, whose first row is the pass's
-// base-th, for outer row o: on the first pass it reads their operands, and at
-// a pass's first batch it compiles o's, sized by the size inner rows.
-func (h *joinPred) prepare(ev *evaluator, o types.Tuple, rows []types.Tuple, base, size int) error {
-	if base == len(h.ops) {
-		if h.ops == nil {
-			h.ops = make([]joinOperand, 0, size)
-		}
-		h.ops = slices.Grow(h.ops, len(rows))[:base+len(rows)]
-		for i, t := range rows {
-			h.ops[base+i].read(h.x, &t[h.innerCol])
-		}
-		n := int64(len(rows)) * joinOperandBytes
-		h.bytes += n
-		if err := ev.grow(n); err != nil {
-			return err
-		}
-	}
-	if h.p != nil {
-		return nil
-	}
-	h.p = ev.compile(h.x, h.outerLeft, o[h.outerCol], nil, float64(size))
-	n := h.p.memBytes()
-	h.pbytes += n
-	return ev.grow(n)
-}
-
-// endPass drops the pass's compiled operand and releases its charge.
-func (h *joinPred) endPass(ev *evaluator) {
-	ev.release(h.pbytes)
-	h.p, h.pbytes = nil, 0
-}
-
-func (h *joinPred) close(ev *evaluator) {
-	h.endPass(ev)
-	ev.release(h.bytes)
-	h.bytes = 0
+	return &nlJoinIter{ev: ev, outer: outer, inner: inner.(rescannable), cond: cond, budget: budget}, nil
 }
 
 // batchLimit is how many rows a join puts in one output batch: BatchRows, or
@@ -492,18 +401,18 @@ func batchLimit(budget *atomic.Int64) int {
 	return BatchRows
 }
 
+// nlJoinIter is the nested-loops join of a condition that does not hoist:
+// every pair is joined, and the joined row is kept when cond passes it.
 type nlJoinIter struct {
 	ev     *evaluator
 	outer  BatchIter
 	inner  rescannable
 	cond   plan.Expr
-	jp     *joinPred // the hoisted condition, in place of cond
 	budget *atomic.Int64
 
 	ob     *Batch // outer batch being joined
 	oi     int    // current outer row in ob
 	ib     *Batch // inner batch of the current pass
-	ibase  int    // the pass's row number of ib's first row
 	ri     int    // next inner row in ib
 	inPass bool   // the current outer row's pass over the inner side has begun
 	passed bool   // some pass has begun: the next one must rescan
@@ -542,7 +451,7 @@ func (j *nlJoinIter) fill(out *Batch, limit int) error {
 			if j.passed {
 				j.inner.rescan()
 			}
-			j.inPass, j.passed, j.ibase = true, true, 0
+			j.inPass, j.passed = true, true
 		}
 		if j.ib == nil {
 			var err error
@@ -551,32 +460,27 @@ func (j *nlJoinIter) fill(out *Batch, limit int) error {
 			}
 			j.ri = 0
 			if j.ib == nil {
-				if j.jp != nil {
-					j.jp.endPass(j.ev)
-				}
 				j.oi, j.inPass = j.oi+1, false
 				continue
-			}
-			if j.jp != nil {
-				if err := j.jp.prepare(j.ev, o, j.ib.Rows, j.ibase, j.inner.size()); err != nil {
-					return err
-				}
 			}
 		}
 		for ; j.ri < len(j.ib.Rows) && len(out.Rows) < limit; j.ri++ {
 			if err := j.ev.tick(); err != nil {
 				return err
 			}
-			joined, err := j.pair(o, j.ib.Rows[j.ri], j.ibase+j.ri)
-			if err != nil {
-				return err
+			joined := joinedTuple(o, j.ib.Rows[j.ri])
+			if j.cond != nil {
+				ok, err := j.ev.evalBool(j.cond, joined)
+				if err != nil {
+					return err
+				}
+				if !ok {
+					continue
+				}
 			}
-			if joined != nil {
-				out.Rows = append(out.Rows, joined)
-			}
+			out.Rows = append(out.Rows, joined)
 		}
 		if j.ri == len(j.ib.Rows) {
-			j.ibase += len(j.ib.Rows)
 			j.ev.putBatch(j.ib)
 			j.ib = nil
 		}
@@ -584,32 +488,10 @@ func (j *nlJoinIter) fill(out *Batch, limit int) error {
 	return nil
 }
 
-// pair joins outer row o with in, the pass's i-th inner row: the joined row,
-// or nil when the condition rejects the pair. Under a hoisted condition the
-// row is built only for a match.
-func (j *nlJoinIter) pair(o, in types.Tuple, i int) (types.Tuple, error) {
-	if j.jp != nil {
-		if ok, err := j.jp.p.matchOperand(j.ev, &j.jp.ops[i]); !ok {
-			return nil, err
-		}
-		return joinedTuple(o, in), nil
-	}
-	joined := joinedTuple(o, in)
-	if j.cond != nil {
-		if ok, err := j.ev.evalBool(j.cond, joined); !ok {
-			return nil, err
-		}
-	}
-	return joined, nil
-}
-
 func (j *nlJoinIter) Close() error {
 	j.ev.putBatch(j.ob)
 	j.ev.putBatch(j.ib)
 	j.ob, j.ib = nil, nil
-	if j.jp != nil {
-		j.jp.close(j.ev)
-	}
 	return errors.Join(j.outer.Close(), j.inner.Close())
 }
 

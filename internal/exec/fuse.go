@@ -36,11 +36,7 @@ func (ev *evaluator) fusedKernel(cond plan.Expr, cols []plan.ColInfo) *predKerne
 	if !ok {
 		return nil
 	}
-	kinds := make([]types.Kind, len(cols))
-	for i, c := range cols {
-		kinds[i] = c.Kind
-	}
-	skip, ok := types.NewSkipPlan(kinds, p.col.Idx)
+	skip, ok := types.NewSkipPlan(schemaKinds(cols), p.col.Idx)
 	if !ok {
 		return nil
 	}

@@ -96,27 +96,37 @@ func TestStripedScanChecksCancellation(t *testing.T) {
 
 // A nested-loops join over a canceled query must surface ErrCanceled within
 // one tick interval of pairs, not finish its batch: the pass over the inner
-// side is a row loop like any other. The two scans tick 300 times between
+// side is a row loop like any other, in the general join and in the hoisted
+// Ψ join. The scans (and the hoisted join's load) tick 300 times between
 // them, fewer than one interval, so only the pair loop can notice.
 func TestNLJoinChecksCancellation(t *testing.T) {
 	leakcheck.Check(t)
 	env := newMockEnv()
 	mkIntTable(env, "o", 100)
 	mkIntTable(env, "i", 200)
-	cols := []plan.ColInfo{{Name: "v", Kind: types.KindInt}}
-	join := &plan.Node{Op: plan.OpNLJoin, Children: []*plan.Node{scanNode("o", cols), scanNode("i", cols)},
-		Cols: append(cols, cols...)}
-	ctx, cancel := context.WithCancel(context.Background())
-	cur, err := Run(env, join, nil, NewResources(ctx, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	if _, _, err := cur.Next(); !errors.Is(err, ErrCanceled) {
-		t.Errorf("first Next of a canceled cross join = %v, want ErrCanceled", err)
-	}
-	if err := cur.Close(); err != nil {
-		t.Fatal(err)
+	mkUniTable(env, "uo", 100)
+	mkUniTable(env, "ui", 200)
+	ints := []plan.ColInfo{{Name: "v", Kind: types.KindInt}}
+	unis := []plan.ColInfo{{Name: "n", Kind: types.KindUniText}}
+	for name, join := range map[string]*plan.Node{
+		"cross": {Op: plan.OpNLJoin, Children: []*plan.Node{scanNode("o", ints), scanNode("i", ints)}, Cols: append(ints, ints...)},
+		"hoisted Ψ": {Op: plan.OpPsiJoin, Children: []*plan.Node{scanNode("uo", unis), scanNode("ui", unis)}, Cols: append(unis, unis...),
+			Cond: &plan.Psi{L: &plan.ColIdx{Idx: 0}, R: &plan.ColIdx{Idx: 1}}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cur, err := Run(env, join, nil, NewResources(ctx, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cancel()
+			if _, _, err := cur.Next(); !errors.Is(err, ErrCanceled) {
+				t.Errorf("first Next of a canceled %s join = %v, want ErrCanceled", name, err)
+			}
+			if err := cur.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"github.com/mural-db/mural/internal/plan"
+	"github.com/mural-db/mural/internal/sql"
 	"github.com/mural-db/mural/internal/types"
 )
 
@@ -44,15 +46,37 @@ func joinTable(rng *rand.Rand, env *mockEnv, name string, rows int, word func() 
 }
 
 // joinCase is one Ψ or Ω join condition over joinCols, joining outer table
-// outer with inner table inner.
+// outer with inner table inner, whose rows reach the join as shape says.
 type joinCase struct {
 	outer, inner string
 	cond         plan.Expr
+	shape        innerShape
 }
 
 func (c joinCase) String() string {
-	return fmt.Sprintf("%s⋈%s %s", c.outer, c.inner, plan.ExprString(c.cond))
+	return fmt.Sprintf("%s⋈%s(%s) %s", c.outer, c.inner, c.shape, plan.ExprString(c.cond))
 }
+
+// innerShape is the plan a join's inner table reaches it through. A scan,
+// under a Materialize or bare, is read as records copied off the page; a
+// Filter's rows are encoded, under a Materialize or bare.
+type innerShape int
+
+const (
+	innerMaterialized innerShape = iota
+	innerBare
+	innerFiltered
+	innerMaterializedFilter
+	innerShapes
+)
+
+func (s innerShape) String() string {
+	return [...]string{"materialized", "bare", "filtered", "materialized filter"}[s]
+}
+
+// innerKeep is the Filter of the filtered inner shapes: id >= 3, which drops
+// the first rows and the NULL ids.
+var innerKeep = &plan.Cmp{Op: sql.OpGe, L: &plan.ColIdx{Idx: 0, Kind: types.KindInt}, R: &plan.Const{Val: types.NewInt(3)}}
 
 // joinCond builds a Ψ (threshold k) or Ω condition with an IN list between
 // column oc of the outer side and ic of the inner, the outer one on the left
@@ -68,13 +92,24 @@ func joinCond(omega, outerLeft bool, oc, ic, k int, langs []types.LangID) plan.E
 	return &plan.Psi{L: l, R: r, Threshold: k, Langs: langs}
 }
 
-// joinPlan is c's join, its inner side materialized; parallel marks the
+// joinPlan is c's join, its inner side shaped as c says; parallel marks the
 // inner scan as a Gather partitions it.
 func joinPlan(c joinCase, op plan.OpType, cond plan.Expr, parallel bool) *plan.Node {
 	inner := scanNode(c.inner, joinCols[2:])
 	inner.Parallel = parallel
-	mat := &plan.Node{Op: plan.OpMaterialize, Children: []*plan.Node{inner}, Cols: joinCols[2:]}
-	return &plan.Node{Op: op, Children: []*plan.Node{scanNode(c.outer, joinCols[:2]), mat}, Cols: joinCols, Cond: cond}
+	over := func(op plan.OpType, cond plan.Expr) {
+		inner = &plan.Node{Op: op, Children: []*plan.Node{inner}, Cols: joinCols[2:], Cond: cond}
+	}
+	switch c.shape {
+	case innerMaterialized:
+		over(plan.OpMaterialize, nil)
+	case innerFiltered:
+		over(plan.OpFilter, innerKeep)
+	case innerMaterializedFilter:
+		over(plan.OpFilter, innerKeep)
+		over(plan.OpMaterialize, nil)
+	}
+	return &plan.Node{Op: op, Children: []*plan.Node{scanNode(c.outer, joinCols[:2]), inner}, Cols: joinCols, Cond: cond}
 }
 
 // joinRun is one run of a join plan: its rows, error and Ψ/Ω counts.
@@ -92,8 +127,8 @@ func runJoin(t *testing.T, env *mockEnv, node *plan.Node) joinRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl, _ := cur.src.(*nlJoinIter)
-	r := joinRun{hoisted: nl != nil && nl.jp != nil}
+	_, hoisted := cur.src.(*hoistedJoinIter)
+	r := joinRun{hoisted: hoisted}
 	r.rows, r.err = cur.All()
 	r.psi, r.omega = cur.Stats.PsiEvaluations, cur.Stats.OmegaProbes
 	settled(t, cur, res)
@@ -173,7 +208,8 @@ func randomJoinCase(rng *rand.Rand, env *mockEnv, omega bool, outerRows, innerRo
 	case 1:
 		ic = 0
 	}
-	return joinCase{outer: "o", inner: "i", cond: joinCond(omega, rng.Intn(2) == 0, oc, ic, rng.Intn(4), langs)}
+	cond := joinCond(omega, rng.Intn(2) == 0, oc, ic, rng.Intn(4), langs)
+	return joinCase{outer: "o", inner: "i", cond: cond, shape: innerShape(rng.Intn(int(innerShapes)))}
 }
 
 // A Ψ or Ω join compiles each outer row's operand once and streams the inner
@@ -196,15 +232,15 @@ func TestJoinHoistedMatchesPerPair(t *testing.T) {
 			failed++
 		}
 		// The same condition with one side empty: no pair, no count.
-		for _, empty := range []joinCase{{outer: "empty", inner: "i", cond: c.cond}, {outer: "o", inner: "empty", cond: c.cond}} {
+		for _, empty := range []joinCase{{outer: "empty", inner: "i", cond: c.cond, shape: c.shape}, {outer: "o", inner: "empty", cond: c.cond, shape: c.shape}} {
 			joinAgree(t, env, empty)
 		}
 	}
 	if matched == 0 || failed == 0 {
 		t.Fatalf("%d rows matched, %d cases failed: the cases miss the match or the error path", matched, failed)
 	}
-	if size := reflect.TypeFor[joinOperand]().Size(); size != joinOperandBytes {
-		t.Errorf("a joinOperand is %d bytes, charged as %d", size, joinOperandBytes)
+	if size := reflect.TypeFor[innerRow]().Size(); size != innerRowBytes {
+		t.Errorf("an innerRow is %d bytes, charged as %d", size, innerRowBytes)
 	}
 }
 
@@ -221,4 +257,165 @@ func FuzzJoinAgree(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		joinAgree(t, env, randomJoinCase(rng, env, omega, int(outerRows%16), int(innerRows%64)))
 	})
+}
+
+// uniJoin is a Ψ join at threshold k of the UNITEXT tables o and i over
+// their one column, the inner one under a Materialize when materialized.
+func uniJoin(k int, materialized bool) *plan.Node {
+	oc := []plan.ColInfo{{Rel: "o", Name: "n", Kind: types.KindUniText}}
+	ic := []plan.ColInfo{{Rel: "i", Name: "n", Kind: types.KindUniText}}
+	inner := scanNode("i", ic)
+	if materialized {
+		inner = &plan.Node{Op: plan.OpMaterialize, Children: []*plan.Node{inner}, Cols: ic}
+	}
+	return &plan.Node{Op: plan.OpPsiJoin, Children: []*plan.Node{scanNode("o", oc), inner},
+		Cols: append(append([]plan.ColInfo{}, oc...), ic...), Cond: &plan.Psi{L: &plan.ColIdx{Idx: 0}, R: &plan.ColIdx{Idx: 1}, Threshold: k}}
+}
+
+// Under a collector — EXPLAIN ANALYZE's, the feedback counter's — a hoisted
+// join is the same iterator, and it reports for the inner nodes it absorbs
+// what they would report running alone: the Materialize one loop per pass,
+// every inner row once per pass and one exhausted pull per pass, the scan the
+// rows it read, once. Every exit leaves nothing behind.
+func TestHoistedJoinUnderCollector(t *testing.T) {
+	const outer, inner = 3, 1500
+	env := newMockEnv()
+	mkUniTable(env, "o", outer)
+	mkUniTable(env, "i", inner)
+	for _, materialized := range []bool{true, false} {
+		t.Run(fmt.Sprintf("materialized=%v", materialized), func(t *testing.T) {
+			node := uniJoin(1, materialized)
+			ref := &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{{Op: plan.OpNLJoin, Children: node.Children, Cols: node.Cols}},
+				Cols: node.Cols, Cond: node.Cond}
+			want := runAll(t, env, ref)
+			for _, es := range []*ExecStats{NewExecStats(), NewCountStats()} {
+				cur, err := Run(env, node, es, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w, ok := cur.src.(*batchStatsIter); !ok {
+					t.Fatalf("the join under a collector is a %T, want its stats wrapper", cur.src)
+				} else if _, ok := w.child.(*hoistedJoinIter); !ok {
+					t.Fatalf("the join under a collector is a %T, want the hoisted join", w.child)
+				}
+				rows, err := cur.All()
+				if err != nil {
+					t.Fatal(err)
+				}
+				eqRowSets(t, rows, want)
+				scan := node.Children[1]
+				if materialized {
+					scan = scan.Children[0]
+					if a, _ := es.Actual(node.Children[1]); a.Loops != outer || a.Rows != outer*inner || a.Nexts != outer*(inner+1) {
+						t.Errorf("materialize actual = %+v, want loops=%d rows=%d nexts=%d", a, outer, outer*inner, outer*(inner+1))
+					}
+				}
+				if a, _ := es.Actual(scan); a.Loops != 1 || a.Rows != inner || a.Nexts != inner+1 {
+					t.Errorf("inner scan actual = %+v, want loops=1 rows=%d nexts=%d", a, inner, inner+1)
+				}
+				if a, _ := es.Actual(node); a.Rows != int64(len(want)) {
+					t.Errorf("join actual = %+v, want rows=%d", a, len(want))
+				}
+			}
+			everyExit(t, env, node, outer+inner/2, func(*testing.T, []types.Tuple, *Cursor, *ExecStats) {})
+		})
+	}
+}
+
+// Under a Gather each worker of a hoisted join reads a fixed share of the
+// inner scan's pages, whichever worker runs first: a worker run alone to its
+// end reads half the table, not every morsel, and the other the rest. Each
+// then pairs its outer rows with the same number of inner rows.
+func TestHoistedJoinWorkersReadFixedShares(t *testing.T) {
+	const inner = 40 // 20 mock pages
+	env := newMockEnv()
+	mkUniTable(env, "o", 1)
+	mkUniTable(env, "i", inner)
+	for _, materialized := range []bool{true, false} {
+		node := uniJoin(1, materialized)
+		scan := node.Children[1]
+		if materialized {
+			scan = scan.Children[0]
+		}
+		scan.Parallel = true
+		gather := &plan.Node{Op: plan.OpGather, Children: []*plan.Node{node}, Cols: node.Cols, Workers: 2}
+		ev := &evaluator{env: env, stats: &RunStats{}, pool: NewBatchPool(), preds: &stmtPreds{}}
+		it, err := buildGather(env, ev, gather, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := it.(*gatherIter)
+		loaded := make([]int, len(g.workers))
+		for _, w := range []int{1, 0} {
+			j := g.workers[w].root.(*hoistedJoinIter)
+			for {
+				b, err := j.NextBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+				j.ev.putBatch(b)
+			}
+			loaded[w] = len(j.in.rows)
+		}
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if loaded[0] != inner/2 || loaded[1] != inner/2 {
+			t.Errorf("materialized=%v: the workers read %v inner rows, worker 1 first; want %d each", materialized, loaded, inner/2)
+		}
+	}
+}
+
+// A pair the hoisted join rejects allocates nothing, and reading the inner
+// side allocates the same at any size: its records go to one arena sized
+// after the first page, not one tuple per row. Every inner name is the same,
+// so the first page is like all the others. The batch pool may miss now and
+// then (the race detector drops pooled items on purpose), hence the slack of
+// two. Held as records, the inner side also costs the statement less memory
+// than the inner rows decoded would.
+func TestHoistedJoinAllocationsIndependentOfInnerRows(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := map[int]float64{}
+	for _, inner := range []int{1024, 4096} {
+		env := newMockEnv()
+		env.tables["o"] = nil
+		for i := 0; i < 8; i++ {
+			env.tables["o"] = append(env.tables["o"], types.Tuple{u("nehru", types.LangEnglish)})
+		}
+		for i := 0; i < inner; i++ {
+			env.tables["i"] = append(env.tables["i"], types.Tuple{u("krishnamurthy", types.LangEnglish)})
+		}
+		env.pagesFor("i")
+		node := uniJoin(0, true)
+		run := func() {
+			cur, err := Run(env, node, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := cur.All()
+			if err != nil || len(rows) != 0 || cur.Stats.PsiEvaluations != int64(8*inner) {
+				t.Fatalf("%d rows, %d Ψ evaluations, %v; want 0, %d and no error", len(rows), cur.Stats.PsiEvaluations, err, 8*inner)
+			}
+		}
+		run()
+		allocs[inner] = testing.AllocsPerRun(20, run)
+		res := NewResources(context.Background(), 0)
+		cur, err := Run(env, node, nil, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cur.All(); err != nil {
+			t.Fatal(err)
+		}
+		if peak, decoded := res.PeakBytes(), tuplesBytes(env.tables["i"]); peak >= decoded {
+			t.Errorf("%d inner rows: peak %d bytes accounted, not below the %d of the rows decoded", inner, peak, decoded)
+		}
+	}
+	t.Logf("allocations per statement: %v", allocs)
+	if allocs[4096] > allocs[1024]+2 {
+		t.Errorf("a join rejecting every pair made %.0f allocations over 1,024 inner rows and %.0f over 4,096; want the same", allocs[1024], allocs[4096])
+	}
 }

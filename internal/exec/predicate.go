@@ -28,11 +28,12 @@ import (
 //
 // A Ψ or Ω join over one column of each side compiles the same constPred
 // once per outer row, from that row's value (compile), and streams the inner
-// side past it: each inner row's operand is read once per statement
-// (joinOperand) and matched as the kernel matches a view (matchOperand). The
-// Ψ index join compiles its outer row the same way, to probe the M-Tree and
-// recheck the candidates. Any other Ψ or Ω over two computed operands goes
-// through the same rules row by row (evalPsi, evalOmega).
+// side past it: each inner row's operand is read as views on the join's
+// arena of inner records (join.go) and matched as the kernel matches a view
+// (matchOperand). The Ψ index join compiles its outer row the same way, to
+// probe the M-Tree and recheck the candidates. Any other Ψ or Ω over two
+// computed operands goes through the same rules row by row (evalPsi,
+// evalOmega).
 
 // isText reports whether a value of kind k can be a Ψ or Ω operand.
 func isText(k types.Kind) bool { return k == types.KindText || k == types.KindUniText }
@@ -87,11 +88,23 @@ func psiText(v types.Value, langs []types.LangID) types.UniText {
 	if v.Kind() == types.KindUniText {
 		return v.UniText()
 	}
-	lang := types.LangEnglish
+	return types.Compose(v.Text(), psiLang(langs))
+}
+
+// psiLang is the language Ψ reads bare TEXT in.
+func psiLang(langs []types.LangID) types.LangID {
 	if len(langs) > 0 {
-		lang = langs[0]
+		return langs[0]
 	}
-	return types.Compose(v.Text(), lang)
+	return types.LangEnglish
+}
+
+// textLang is the language x, a Ψ or an Ω, reads a bare TEXT operand in.
+func textLang(x plan.Expr) types.LangID {
+	if psi, ok := x.(*plan.Psi); ok {
+		return psiLang(psi.Langs)
+	}
+	return types.LangEnglish
 }
 
 // phoneme is u's phoneme string: the stored one, or for a value stored
@@ -394,50 +407,22 @@ func (p *constPred) eval(ev *evaluator, t types.Tuple) (bool, error) {
 	return p.matchValue(ev, v)
 }
 
-// joinOperand is a Ψ/Ω join's inner column value, read once per statement:
-// its kind and, for text, the value as the join's operator reads it — TEXT
-// in Ψ's first listed language or Ω's English. conv marks a phoneme
-// converted for a value stored without one, on the first pair that needed it.
-type joinOperand struct {
-	text, ph string
-	lang     types.LangID
-	kind     types.Kind
-	conv     bool
-}
-
-// joinOperandBytes is the size of a joinOperand; its strings are the inner
-// row's own.
-const joinOperandBytes = 40
-
-// read reads *v, an inner column value of the Ψ or Ω join x, into o.
-func (o *joinOperand) read(x plan.Expr, v *types.Value) {
-	if o.kind = v.Kind(); !isText(o.kind) {
-		return
-	}
-	var u types.UniText
-	if psi, ok := x.(*plan.Psi); ok {
-		u = psiText(*v, psi.Langs)
-	} else {
-		u = omegaOperand(*v)
-	}
-	o.text, o.ph, o.lang = u.Text, u.Phoneme, u.Lang
-}
-
 // matchOperand evaluates the predicate, compiled from an outer row, on a
-// join's inner operand: text as matchView reads a view, any other kind (NULL,
-// or the operand-kind error) through admits.
-func (p *constPred) matchOperand(ev *evaluator, o *joinOperand) (bool, error) {
-	if !isText(o.kind) {
-		_, err := p.admits(o.kind, types.LangUnknown)
-		return false, err
+// join's inner operand of kind k, read as views: text as matchView reads it
+// (TEXT in the language textLang names), any other kind — NULL, or the
+// operand-kind error — through admits. done=false leaves the row to a
+// conversion, as matchView does; matchConverted finishes it.
+func (p *constPred) matchOperand(ev *evaluator, k types.Kind, lang types.LangID, text, ph []byte) (match, done bool, err error) {
+	if !isText(k) {
+		_, err := p.admits(k, types.LangUnknown)
+		return false, true, err
 	}
-	match, done, err := p.matchView(ev, o.kind, o.lang, []byte(o.text), []byte(o.ph))
-	if done {
-		return match, err
-	}
-	if !o.conv {
-		o.ph, o.conv = ev.convert(types.Compose(o.text, o.lang)), true
-	}
+	return p.matchView(ev, k, lang, text, ph)
+}
+
+// matchConverted finishes a Ψ that matchView left to a conversion, on the
+// operand's converted phoneme.
+func (p *constPred) matchConverted(ev *evaluator, ph []byte) bool {
 	ev.countPsi()
-	return p.m.Match(o.ph), nil
+	return p.m.MatchBytes(ph)
 }

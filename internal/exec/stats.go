@@ -189,5 +189,3 @@ func (s *batchStatsIter) rescan() {
 	s.done = false
 	s.child.(rescannable).rescan()
 }
-
-func (s *batchStatsIter) size() int { return s.child.(rescannable).size() }

@@ -9,9 +9,11 @@
 package histogram
 
 import (
+	"encoding/hex"
 	"sort"
 
 	"github.com/mural-db/mural/internal/phonetic"
+	"github.com/mural-db/mural/internal/types"
 )
 
 // DefaultFrequentValues is the paper's histogram width ("the ten
@@ -136,10 +138,6 @@ func (h *Histogram) RangeSelectivity(lo, hi string, hasLo, hasHi bool) float64 {
 	if h.TailRows > 0 {
 		frac := 1.0
 		if hasLo || hasHi {
-			span := position(h.Max, h.Min, h.Max) - position(h.Min, h.Min, h.Max)
-			if span <= 0 {
-				span = 1
-			}
 			loPos, hiPos := 0.0, 1.0
 			if hasLo {
 				loPos = position(lo, h.Min, h.Max)
@@ -164,9 +162,18 @@ func (h *Histogram) RangeSelectivity(lo, hi string, hasLo, hasHi bool) float64 {
 	return sel
 }
 
-// position maps a key to [0,1] within [min, max] by comparing the first
-// distinguishing byte — a coarse lexicographic interpolation.
+// position maps a key to [0,1] within [min, max]. Numbers — ANALYZE keys an
+// INT or FLOAT column by its order-preserving key, hex-encoded (histKey) —
+// interpolate on their values; any other key on the first byte where min and
+// max differ, a coarse lexicographic interpolation.
 func position(key, min, max string) float64 {
+	if k, ok := number(key); ok {
+		if lo, ok := number(min); ok {
+			if hi, ok := number(max); ok {
+				return interpolate(k, lo, hi)
+			}
+		}
+	}
 	if max <= min {
 		return 0.5
 	}
@@ -186,17 +193,32 @@ func position(key, min, max string) float64 {
 	if i < len(key) {
 		k = float64(key[i])
 	}
-	if hi <= lo {
+	return interpolate(k, lo, hi)
+}
+
+// number is the value of a numeric histogram key; ok=false for any other.
+func number(key string) (float64, bool) {
+	b, err := hex.DecodeString(key)
+	if err != nil {
+		return 0, false
+	}
+	return types.NumberOfKey(b)
+}
+
+// interpolate is k's position in [lo, hi], clamped to [0, 1]; 0.5 for an
+// empty interval.
+func interpolate(k, lo, hi float64) float64 {
+	if !(hi > lo) {
 		return 0.5
 	}
-	p := (k - lo) / (hi - lo)
-	if p < 0 {
-		p = 0
+	switch p := (k - lo) / (hi - lo); {
+	case p >= 1:
+		return 1
+	case p > 0:
+		return p
+	default:
+		return 0 // below lo, or NaN
 	}
-	if p > 1 {
-		p = 1
-	}
-	return p
 }
 
 // ApproxSelectivity estimates the fraction of rows within edit distance

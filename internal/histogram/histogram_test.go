@@ -1,10 +1,14 @@
 package histogram
 
 import (
+	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/mural-db/mural/internal/types"
 )
 
 func skewedKeys(n int) []string {
@@ -180,6 +184,49 @@ func TestRangeSelectivity(t *testing.T) {
 	empty := h.RangeSelectivity("zzz", "zzzz", true, true)
 	if empty > 0.2 {
 		t.Errorf("out-of-domain range = %g", empty)
+	}
+}
+
+// numKey keys a number the way ANALYZE does (histKey in package mural).
+func numKey(x float64) string { return hex.EncodeToString(types.KeyOf(types.NewFloat(x))) }
+
+// A numeric range interpolates on the values, not on a byte of their key: the
+// key of every integer ≥ 2 shares its first hex digits, so a byte-wise
+// estimate put every such bound at one end of the domain.
+func TestRangeSelectivityNumeric(t *testing.T) {
+	build := func(lo, step float64, n int) *Histogram {
+		keys := make([]string, n)
+		for i := range keys {
+			keys[i] = numKey(lo + float64(i)*step)
+		}
+		return Build(keys, DefaultFrequentValues)
+	}
+	ints, negs, floats := build(0, 1, 256), build(-128, 1, 256), build(0, 0.1, 256)
+	for _, tc := range []struct {
+		name string
+		h    *Histogram
+		x    float64
+		less bool // col < x, else col >= x
+		want float64
+	}{
+		{"id < 102", ints, 102, true, 102.0 / 256},
+		{"id >= 100", ints, 100, false, 156.0 / 256},
+		{"id < 2", ints, 2, true, 2.0 / 256},
+		{"id >= 0", ints, 0, false, 1},
+		{"v < 0 over -128..127", negs, 0, true, 0.5},
+		{"v >= -64 over -128..127", negs, -64, false, 0.75},
+		{"f < 12.8 over 0..25.5", floats, 12.8, true, 0.5},
+		{"f >= 19.2 over 0..25.5", floats, 19.2, false, 0.25},
+	} {
+		var got float64
+		if tc.less {
+			got = tc.h.RangeSelectivity("", numKey(tc.x), false, true)
+		} else {
+			got = tc.h.RangeSelectivity(numKey(tc.x), "", true, false)
+		}
+		if math.Abs(got-tc.want) > 0.05 {
+			t.Errorf("%s: selectivity %.3f, want %.3f ± 0.05", tc.name, got, tc.want)
+		}
 	}
 }
 

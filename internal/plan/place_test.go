@@ -1,11 +1,15 @@
 package plan
 
 import (
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/mural-db/mural/internal/catalog"
+	"github.com/mural-db/mural/internal/histogram"
 	"github.com/mural-db/mural/internal/sql"
+	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
 )
 
@@ -452,5 +456,54 @@ func TestShardPlacesFragmentByItsOwnRows(t *testing.T) {
 	placed := Place(frag, 2, nil, HeapRows(shard, nil))
 	if countGathers(placed) != 1 || len(findOps(placed, OpSeqScan)) != 1 || !findOps(placed, OpSeqScan)[0].Parallel {
 		t.Errorf("fragment over 2,000 shard rows not gathered:\n%s", Format(placed))
+	}
+}
+
+// psi_join's statement shape: a two-row window of a 256-row probe table,
+// Ψ-joined with 25,000 names. The window estimates a handful of rows from the
+// id histogram, at either end of the ids and in the middle (its two bounds one
+// range, not two independent conjuncts), so placement partitions the inner
+// scan and every worker runs the small outer side whole — not the outer side
+// split two ways with every worker reading all 25,000 names.
+func TestPsiJoinWindowPartitionsInnerScan(t *testing.T) {
+	cat := catalog.New()
+	for i, name := range []string{"probe", "names"} {
+		if err := cat.AddTable(&catalog.Table{Name: name, File: storage.FileID(i + 1), Columns: []catalog.Column{
+			{Name: "id", Kind: types.KindInt}, {Name: "name", Kind: types.KindUniText},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := func(rows int) *catalog.TableStats {
+		ids, names := make([]string, rows), make([]string, rows)
+		for i := range ids {
+			ids[i] = hex.EncodeToString(types.KeyOf(types.NewInt(int64(i))))
+			names[i] = fmt.Sprintf("n%d", i%1000)
+		}
+		return &catalog.TableStats{Rows: int64(rows), Pages: int64(rows / 100), Columns: map[string]*catalog.ColumnStats{
+			"id":   {Hist: histogram.Build(ids, histogram.DefaultFrequentValues), AvgWidth: 4},
+			"name": {Hist: histogram.Build(names, histogram.DefaultFrequentValues), AvgWidth: 8},
+		}}
+	}
+	cat.SetStats("probe", stats(256))
+	cat.SetStats("names", stats(25000))
+	p := mkPlanner(cat)
+	p.Opts.Workers = 2
+	for _, lo := range []int{0, 120, 254} {
+		node := planQuery(t, p, fmt.Sprintf(`SELECT p.id, n.id FROM probe p, names n WHERE p.id >= %d AND p.id < %d AND p.name LEXEQUAL n.name THRESHOLD 2`, lo, lo+2))
+		joins := findOps(node, OpPsiJoin)
+		if len(joins) != 1 || node.Op != OpGather && (len(node.Children) == 0 || node.Children[0].Op != OpGather) {
+			t.Fatalf("want one Ψ join under a Gather:\n%s", Format(node))
+		}
+		join := joins[0]
+		if est := join.Children[0].EstimatedRows(); est > 8 {
+			t.Errorf("the two-row window [%d, %d) estimates %g rows, want at most 8:\n%s", lo, lo+2, est, Format(node))
+		}
+		scans := findOps(join, OpSeqScan)
+		for _, s := range scans {
+			if s.Parallel != (s.Table == "names") {
+				t.Errorf("window [%d, %d): scan of %s [parallel]=%v, want only the inner names scan partitioned:\n%s", lo, lo+2, s.Table, s.Parallel, Format(node))
+			}
+		}
 	}
 }

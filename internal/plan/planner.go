@@ -539,7 +539,7 @@ func (p *Planner) applyFilters(node *Node, conjuncts []*conjunct, se *selEstimat
 // for a wider schema; any other compile error is the query's.
 func conjoin(conjuncts []*conjunct, schema []ColInfo, se *selEstimator) (cond Expr, took []*conjunct, sel, cost float64, err error) {
 	comp := &Compiler{Schema: schema, DefaultThreshold: se.defK}
-	sel = 1
+	var exprs []sql.Expr
 	for _, c := range conjuncts {
 		if c.used {
 			continue
@@ -557,10 +557,10 @@ func conjoin(conjuncts []*conjunct, schema []ColInfo, se *selEstimator) (cond Ex
 			cond = &AndOr{L: cond, R: e}
 		}
 		took = append(took, c)
-		sel *= se.selectivity(c.expr, schema)
+		exprs = append(exprs, c.expr)
 		cost += condOpCost(e, schema, se)
 	}
-	return cond, took, sel, cost, nil
+	return cond, took, se.conjunctionSel(exprs, schema), cost, nil
 }
 
 // filter wraps node in a Filter evaluating cond, a conjunction of the given

@@ -55,3 +55,18 @@ func EncodeKey(dst []byte, v Value) []byte {
 
 // KeyOf is the single-value convenience form of EncodeKey.
 func KeyOf(v Value) []byte { return EncodeKey(nil, v) }
+
+// NumberOfKey is the value of key, a numeric key EncodeKey made; ok=false
+// for any other key.
+func NumberOfKey(key []byte) (f float64, ok bool) {
+	if len(key) != 9 || key[0] != keyTagNumeric {
+		return 0, false
+	}
+	bits := binary.BigEndian.Uint64(key[1:])
+	if bits&(1<<63) != 0 {
+		bits &^= 1 << 63 // non-negative: the sign bit was flipped
+	} else {
+		bits = ^bits // negative: every bit was flipped
+	}
+	return math.Float64frombits(bits), true
+}

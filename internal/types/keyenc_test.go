@@ -125,3 +125,25 @@ func TestEncodeKeyAppends(t *testing.T) {
 		t.Error("EncodeKey must append to dst")
 	}
 }
+
+// NumberOfKey inverts EncodeKey on numbers, whatever their sign, and refuses
+// every other key.
+func TestNumberOfKey(t *testing.T) {
+	f := func(x float64) bool {
+		got, ok := NumberOfKey(KeyOf(NewFloat(x)))
+		return ok && (got == x || math.IsNaN(x) && math.IsNaN(got))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	for _, x := range []float64{0, -1, 255, -128.5, math.Inf(-1), math.Inf(1), math.SmallestNonzeroFloat64} {
+		if got, ok := NumberOfKey(KeyOf(NewFloat(x))); !ok || got != x {
+			t.Errorf("NumberOfKey(KeyOf(%g)) = %g, %v", x, got, ok)
+		}
+	}
+	for _, v := range []Value{Null(), NewBool(true), NewText("12345678"), NewText("\x30\x00\x00\x00\x00\x00\x00\x00")} {
+		if _, ok := NumberOfKey(KeyOf(v)); ok {
+			t.Errorf("NumberOfKey(KeyOf(%v)) decoded a number", v)
+		}
+	}
+}

@@ -157,6 +157,19 @@ func UniTextViews(field []byte) (LangID, []byte, []byte, error) {
 	return lang, text, ph, nil
 }
 
+// TextView returns a zero-copy view of a KindText field's bytes (as returned
+// by SkipPlan.Seek); like UniTextViews, it aliases field.
+func TextView(field []byte) ([]byte, error) {
+	if len(field) < 2 || Kind(field[0]) != KindText {
+		return nil, fmt.Errorf("types: text view: not a TEXT field")
+	}
+	text, _, err := viewLenPrefixed(field[1:])
+	if err != nil {
+		return nil, fmt.Errorf("types: text view: %w", err)
+	}
+	return text, nil
+}
+
 func viewLenPrefixed(buf []byte) ([]byte, int, error) {
 	l, sz := binary.Uvarint(buf)
 	if sz <= 0 {

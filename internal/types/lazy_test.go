@@ -126,6 +126,20 @@ func TestUniTextViews(t *testing.T) {
 	}
 }
 
+func TestTextView(t *testing.T) {
+	rec := EncodeTuple(Tuple{NewInt(7), NewText("nehru"), NewText("")})
+	kinds := []Kind{KindInt, KindText, KindText}
+	for i, want := range []string{"nehru", ""} {
+		text, err := TextView(seek(t, kinds, rec, 1+i))
+		if err != nil || string(text) != want {
+			t.Errorf("text view of column %d = %q, %v, want %q", 1+i, text, err, want)
+		}
+	}
+	if _, err := TextView(seek(t, kinds, rec, 0)); err == nil {
+		t.Error("TextView on an INT field should fail")
+	}
+}
+
 // Seek and UniTextViews are the fused scan's per-row path; neither may
 // allocate.
 func TestSkipPlanZeroAllocations(t *testing.T) {

@@ -686,15 +686,16 @@ func (e *Engine) analyzeTable(t *catalog.Table) error {
 
 // histKey renders a value the way ANALYZE keys histograms: UNITEXT in
 // phoneme space (so Ψ selectivity matches real phoneme strings), numerics
-// through the order-preserving key encoding (so lexicographic range
-// interpolation is numerically correct), everything else as text.
+// through the order-preserving key encoding (so the keys sort as the
+// numbers do), everything else as text.
 func histKey(e *Engine, v types.Value) string {
 	switch v.Kind() {
 	case types.KindUniText:
 		return e.phon.ToPhoneme(v.UniText())
 	case types.KindInt, types.KindFloat:
-		// Hex keeps byte order (so range interpolation is numerically
-		// correct) while staying JSON-safe for catalog persistence.
+		// Hex keeps byte order while staying JSON-safe for catalog
+		// persistence. A range interpolates on the number the key decodes
+		// to (histogram.position), not on its bytes.
 		return hex.EncodeToString(types.KeyOf(v))
 	default:
 		return v.String()
