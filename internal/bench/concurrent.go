@@ -34,9 +34,6 @@ type ConcurrentConfig struct {
 	RowsPerConn int
 	// Connections lists the session counts to sweep (default 1, 4, 16).
 	Connections []int
-	// CommitDelay is the group-commit window handed to the engine
-	// (default 200µs).
-	CommitDelay time.Duration
 }
 
 // RunConcurrentSessions measures durable-insert throughput as wire-protocol
@@ -52,12 +49,9 @@ func RunConcurrentSessions(cfg ConcurrentConfig) ([]ConcurrentPoint, error) {
 	if len(cfg.Connections) == 0 {
 		cfg.Connections = []int{1, 4, 16}
 	}
-	if cfg.CommitDelay <= 0 {
-		cfg.CommitDelay = 200 * time.Microsecond
-	}
 	var points []ConcurrentPoint
 	for _, nconn := range cfg.Connections {
-		p, err := runConcurrentPoint(nconn, cfg.RowsPerConn, cfg.CommitDelay)
+		p, err := runConcurrentPoint(nconn, cfg.RowsPerConn)
 		if err != nil {
 			return nil, fmt.Errorf("%d connections: %w", nconn, err)
 		}
@@ -66,7 +60,7 @@ func RunConcurrentSessions(cfg ConcurrentConfig) ([]ConcurrentPoint, error) {
 	return points, nil
 }
 
-func runConcurrentPoint(nconn, rowsPer int, delay time.Duration) (ConcurrentPoint, error) {
+func runConcurrentPoint(nconn, rowsPer int) (ConcurrentPoint, error) {
 	var p ConcurrentPoint
 	dir, err := os.MkdirTemp("", "mural-concurrent-*")
 	if err != nil {
@@ -74,7 +68,7 @@ func runConcurrentPoint(nconn, rowsPer int, delay time.Duration) (ConcurrentPoin
 	}
 	defer func() { _ = os.RemoveAll(dir) }()
 
-	eng, err := mural.Open(mural.Config{Dir: dir, CommitDelay: delay})
+	eng, err := mural.Open(mural.Config{Dir: dir})
 	if err != nil {
 		return p, err
 	}

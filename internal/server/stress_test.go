@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/mural-db/mural/internal/client"
 	"github.com/mural-db/mural/internal/leakcheck"
@@ -14,15 +13,15 @@ import (
 // Concurrent sessions driving INSERT + SELECT + DDL over the wire against
 // one durable engine. Under -race this validates the locking of the whole
 // write path (group-commit WAL, sealed batches, shared caches); the final
-// assertions validate the two PR-level properties: group commit actually
-// grouped (Syncs < Commits), and DDL purged the shared caches.
+// assertions check that every commit landed and that DDL purged the shared
+// caches. Whether commits share a sync depends on how fast the device is
+// (on tmpfs each one finishes before the next is staged), so grouping
+// itself is pinned deterministically by
+// mural.TestEngineInsertsGroupBehindInflightSync.
 func TestConcurrentSessionsStress(t *testing.T) {
 	leakcheck.Check(t)
 	dir := t.TempDir()
-	eng, err := mural.Open(mural.Config{
-		Dir:         dir,
-		CommitDelay: 500 * time.Microsecond,
-	})
+	eng, err := mural.Open(mural.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +108,6 @@ func TestConcurrentSessionsStress(t *testing.T) {
 	ws := eng.WALStats()
 	if ws.Commits < sessions*insertsPer {
 		t.Fatalf("WAL commits = %d, want at least %d", ws.Commits, sessions*insertsPer)
-	}
-	if ws.Syncs >= ws.Commits {
-		t.Errorf("group commit never grouped: Syncs %d >= Commits %d", ws.Syncs, ws.Commits)
 	}
 	t.Logf("WAL: %d commits retired by %d syncs", ws.Commits, ws.Syncs)
 

@@ -262,10 +262,17 @@ func (h *Heap) ScanRange(lo, hi PageID) *Iter {
 // pin pages of the same pool itself. An fn error stops the page mid-way
 // (more stays true) and surfaces verbatim. NextPage and Next may be mixed:
 // both respect the scan's current page/slot position.
+//
+// The heap's read lock is held for the page, fn included, so an Insert
+// cannot write the page while fn reads it. fn must therefore take no lock
+// that an inserter holds while it waits for the heap (the engine's e.mu),
+// and must not call back into this heap.
 func (it *Iter) NextPage(fn func(rec []byte) error) (more bool, err error) {
 	if it.page >= it.npages {
 		return false, nil
 	}
+	it.h.mu.RLock()
+	defer it.h.mu.RUnlock()
 	hd, err := it.h.pool.Pin(PageKey{File: it.h.file, Page: it.page})
 	if err != nil {
 		return false, err
@@ -297,28 +304,39 @@ func (it *Iter) Next() (RID, []byte, bool, error) {
 		if it.page >= it.npages {
 			return RID{}, nil, false, nil
 		}
-		hd, err := it.h.pool.Pin(PageKey{File: it.h.file, Page: it.page})
-		if err != nil {
-			return RID{}, nil, false, err
+		rid, rec, ok, err := it.nextOnPage()
+		if err != nil || ok {
+			return rid, rec, ok, err
 		}
-		data := hd.Data()
-		nslots := binary.LittleEndian.Uint16(data[0:2])
-		for ; it.slot < nslots; it.slot++ {
-			slotOff := heapHeaderSize + int(it.slot)*slotSize
-			off := binary.LittleEndian.Uint16(data[slotOff:])
-			if off == deadSlot {
-				continue
-			}
-			length := binary.LittleEndian.Uint16(data[slotOff+2:])
-			rec := make([]byte, length)
-			copy(rec, data[off:off+length])
-			rid := RID{Page: it.page, Slot: it.slot}
-			it.slot++
-			hd.Unpin()
-			return rid, rec, true, nil
-		}
-		hd.Unpin()
 		it.page++
 		it.slot = 0
 	}
+}
+
+// nextOnPage copies the next live record of the scan's current page under
+// the heap's read lock; ok=false means the page has no more.
+func (it *Iter) nextOnPage() (rid RID, rec []byte, ok bool, err error) {
+	it.h.mu.RLock()
+	defer it.h.mu.RUnlock()
+	hd, err := it.h.pool.Pin(PageKey{File: it.h.file, Page: it.page})
+	if err != nil {
+		return RID{}, nil, false, err
+	}
+	defer hd.Unpin()
+	data := hd.Data()
+	nslots := binary.LittleEndian.Uint16(data[0:2])
+	for ; it.slot < nslots; it.slot++ {
+		slotOff := heapHeaderSize + int(it.slot)*slotSize
+		off := binary.LittleEndian.Uint16(data[slotOff:])
+		if off == deadSlot {
+			continue
+		}
+		length := binary.LittleEndian.Uint16(data[slotOff+2:])
+		rec = make([]byte, length)
+		copy(rec, data[off:off+length])
+		rid = RID{Page: it.page, Slot: it.slot}
+		it.slot++
+		return rid, rec, true, nil
+	}
+	return RID{}, nil, false, nil
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -111,5 +112,70 @@ func TestHeapNextPageExhausted(t *testing.T) {
 	})
 	if more || err != nil {
 		t.Fatalf("empty heap NextPage = (%v, %v), want (false, nil)", more, err)
+	}
+}
+
+// A scan reading the heap's last page while an INSERT writes into it must
+// see whole records only: NextPage (callback included) and Next read a page
+// under the heap's read lock, which Insert's write lock excludes. Under
+// -race an unlocked read of the page is a reported data race.
+func TestHeapScanLastPageWhileInserting(t *testing.T) {
+	pool, file := newTestPool(t, 8)
+	h, err := OpenHeap(pool, file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := func(i int) []byte { return []byte(fmt.Sprintf("rec-%05d", i)) }
+	if _, err := h.Insert(rec(0)); err != nil {
+		t.Fatal(err)
+	}
+	const inserts = 300 // about 4 KiB: the writes stay on page 0
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 1; i < inserts; i++ {
+			if _, err := h.Insert(rec(i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	check := func(r []byte) error {
+		var i int
+		if _, err := fmt.Sscanf(string(r), "rec-%05d", &i); err != nil || string(rec(i)) != string(r) {
+			return fmt.Errorf("torn record %q", r)
+		}
+		return nil
+	}
+	for scanning := true; scanning; {
+		select {
+		case <-done:
+			scanning = false // one more pass over the finished page
+		default:
+		}
+		last := h.NumPages() - 1
+		if _, err := h.ScanRange(last, last+1).NextPage(check); err != nil {
+			t.Fatal(err)
+		}
+		it := h.ScanRange(last, last+1)
+		for {
+			_, r, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if err := check(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wg.Wait()
+	if got := drainPages(t, h.Scan()); len(got) != inserts {
+		t.Errorf("scan after the inserts saw %d records, want %d", len(got), inserts)
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/mural-db/mural/internal/invariant"
 )
@@ -190,10 +189,9 @@ type WAL struct {
 	lastOff int64
 
 	// Group-commit state.
-	commitDelay time.Duration // leader's bounded wait for followers to pile on
-	syncedTo    int64         // log prefix known durable
-	syncing     bool          // a leader is inside f.Sync
-	epoch       uint64        // bumped by rewind; stale-epoch waiters failed
+	syncedTo int64  // log prefix known durable
+	syncing  bool   // a leader is inside f.Sync
+	epoch    uint64 // bumped by rewind; stale-epoch waiters failed
 	// pendingAborts blocks appends after a failed group sync until every
 	// failed committer has rolled its pages back (PendingCommit.Abandon);
 	// otherwise a new batch could capture rolled-back page content into a
@@ -218,16 +216,6 @@ func NewWAL(f LogFile) *WAL {
 	w := &WAL{f: f, latest: make(map[PageKey]int64), staged: make(map[PageKey][]int64), lastOff: -1}
 	w.cond = sync.NewCond(&w.mu)
 	return w
-}
-
-// SetCommitDelay sets the group-commit window: after becoming the sync
-// leader, a committer waits up to d for concurrent committers to append
-// their batches before issuing the shared fsync. Zero (the default) syncs
-// immediately; grouping then only happens behind an already-running fsync.
-func (w *WAL) SetCommitDelay(d time.Duration) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.commitDelay = d
 }
 
 // Size returns the current log length in bytes.
@@ -347,10 +335,13 @@ func (w *WAL) StageBatch(pages []WALPageRec, catalog []byte) (*PendingCommit, er
 }
 
 // Wait blocks until this commit is durable, joining the group-commit
-// protocol: if no fsync is in flight the caller becomes the leader (waiting
-// up to the commit delay for followers, then syncing the whole appended
-// prefix); otherwise it waits for a leader's sync to cover it. One fsync
-// therefore retires every batch staged before it started.
+// protocol: if no fsync is in flight the caller becomes the leader and syncs
+// the whole appended prefix at once; otherwise it waits for a leader's sync
+// to cover it. One fsync therefore retires every batch staged before it
+// started, and the batches staged while it runs retire together on the next.
+// There is deliberately no window in which a leader waits for followers: Go
+// cannot sleep for less than about a millisecond, which would cost a lone
+// commit more than its fsync on a fast device.
 //
 // On error the batch is NOT durable and never will be: the log was rewound
 // past it, and the caller must roll its pages back and then call Abandon.
@@ -388,12 +379,6 @@ func (p *PendingCommit) Wait() error {
 		}
 		// Become the leader for everything appended so far.
 		w.syncing = true
-		if d := w.commitDelay; d > 0 {
-			// Bounded wait for followers to stage their batches behind us.
-			w.mu.Unlock()
-			time.Sleep(d)
-			w.mu.Lock()
-		}
 		target := w.size
 		w.mu.Unlock()
 		err := w.f.Sync()

@@ -60,11 +60,14 @@ type Config struct {
 	// defaults to GOMAXPROCS; 1 disables parallel plans. `SET workers = N`
 	// changes it for one session.
 	Workers int
-	// CommitDelay is the WAL group-commit window: after becoming the sync
-	// leader, a committing session waits up to this long for concurrent
-	// sessions to stage their batches before issuing the shared fsync.
-	// Zero syncs immediately (commits still group behind an in-flight
-	// fsync); a fraction of a millisecond is plenty on most disks.
+	// CommitDelay is ignored: the WAL's group-commit leader syncs at once,
+	// and commits group behind the fsync already in flight.
+	//
+	// Deprecated: a leader that waited for followers slept at least a
+	// millisecond whatever the setting, because Go rounds any timed wait
+	// under 1 ms up to 1 ms, so the window cost every commit as much as the
+	// flush it was meant to share. The field stays only so that existing
+	// callers still compile.
 	CommitDelay time.Duration
 	// QueryTimeout is the default per-statement deadline; a statement
 	// exceeding it fails with ErrQueryTimeout. Zero means no deadline.
@@ -249,7 +252,6 @@ func Open(cfg Config) (*Engine, error) {
 		e.traces = obs.NewTraceWriter(cfg.TraceSink, format, cfg.TraceSampleRate)
 	}
 	if wal != nil {
-		wal.SetCommitDelay(cfg.CommitDelay)
 		e.pool.SetWAL(wal)
 		publishRecoveryStats(recStats)
 	}
