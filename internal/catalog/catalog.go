@@ -46,7 +46,7 @@ type Index struct {
 	Table  string         `json:"table"`
 	Column string         `json:"column"`
 	Kind   sql.IndexKind  `json:"kind"`
-	File   storage.FileID `json:"file"`
+	File   storage.FileID `json:"file"` // zero for a q-gram index, which lives in memory
 	// Pivot is the MDI pivot string (MDI only).
 	Pivot string `json:"pivot,omitempty"`
 }

@@ -34,17 +34,14 @@ type Env interface {
 	ScanRecords(table string, lo, hi int64) (RecordScan, error)
 	// FetchRIDs decodes the tuples at the given RIDs of a base table.
 	FetchRIDs(table string, rids []storage.RID) ([]types.Tuple, error)
-	// IndexSearch probes a B-tree index: nil lo/hi leave the bound open.
+	// IndexSearch probes a B-tree index, returning the RIDs of the keys in
+	// [lo, hi] and the number of index pages visited; nil lo/hi leave the
+	// bound open.
 	IndexSearch(index string, lo, hi []byte) ([]storage.RID, int, error)
-	// MTreeSearch probes an M-Tree metric index, returning matching RIDs
-	// and the number of index pages visited.
-	MTreeSearch(index string, phoneme string, threshold int) ([]storage.RID, int, error)
-	// MDISearch probes an MDI pivot-distance index, returning verified
-	// RIDs, pages visited and the raw candidate count.
-	MDISearch(index string, phoneme string, threshold int) ([]storage.RID, int, int, error)
-	// QGramSearch probes a q-gram inverted index, returning verified RIDs
-	// and the count-filter candidate count.
-	QGramSearch(index string, phoneme string, threshold int) ([]storage.RID, int, error)
+	// MetricSearch probes a metric index (M-Tree, MDI or q-gram), returning
+	// the RIDs of the rows within edit distance threshold of phoneme and
+	// the number of index pages visited.
+	MetricSearch(index string, phoneme string, threshold int) ([]storage.RID, int, error)
 	// CustomOperator resolves a predicate registered through the engine's
 	// operator-addition facility (nil when unknown).
 	CustomOperator(name string) func(a, b types.Value) (bool, error)
@@ -75,7 +72,6 @@ type RecordScan interface {
 type RunStats struct {
 	RowsOut        int64
 	IndexPages     int64
-	MDICandidates  int64
 	PsiEvaluations int64
 	OmegaProbes    int64
 }
@@ -86,7 +82,6 @@ type RunStats struct {
 func (s *RunStats) merge(o *RunStats) {
 	s.RowsOut += o.RowsOut
 	s.IndexPages += o.IndexPages
-	s.MDICandidates += o.MDICandidates
 	s.PsiEvaluations += o.PsiEvaluations
 	s.OmegaProbes += o.OmegaProbes
 }

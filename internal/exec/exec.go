@@ -204,7 +204,7 @@ func buildUnary(ev *evaluator, n *plan.Node, child BatchIter, cond plan.Expr, bu
 }
 
 // indexProbe runs the index lookup a scan node names and returns the
-// matching RIDs, recording pages visited and candidates on the run. A metric
+// matching RIDs, recording the pages visited on the run. A metric
 // index searches for the constant phoneme of psi, the scan's compiled Ψ; a
 // constant that never matches searches for nothing, and one that failed or
 // is not text fails the probe with the error a row would raise.
@@ -246,20 +246,8 @@ func indexProbe(env Env, ev *evaluator, n *plan.Node, psi *constPred) ([]storage
 		_, err := psi.admits(types.KindUniText, types.LangUnknown)
 		return nil, err
 	}
-	ph := psi.ph
-	var rids []storage.RID
-	var err error
-	var pages, cands int
-	switch n.Op {
-	case plan.OpMTreeScan:
-		rids, pages, err = env.MTreeSearch(n.Index.Index, ph, n.Index.Threshold)
-	case plan.OpQGramScan:
-		rids, cands, err = env.QGramSearch(n.Index.Index, ph, n.Index.Threshold)
-	default:
-		rids, pages, cands, err = env.MDISearch(n.Index.Index, ph, n.Index.Threshold)
-	}
+	rids, pages, err := env.MetricSearch(n.Index.Index, psi.ph, n.Index.Threshold)
 	ev.stats.IndexPages += int64(pages)
-	ev.stats.MDICandidates += int64(cands)
 	return rids, err
 }
 
@@ -533,7 +521,7 @@ func buildLookupJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64)
 			_, err := p.admits(types.KindUniText, types.LangUnknown)
 			return nil, err
 		}
-		rids, pages, err := env.MTreeSearch(n.Index.Index, p.ph, psi.Threshold)
+		rids, pages, err := env.MetricSearch(n.Index.Index, p.ph, psi.Threshold)
 		if err != nil {
 			return nil, err
 		}

@@ -127,7 +127,7 @@ func (m *mockEnv) IndexSearch(string, []byte, []byte) ([]storage.RID, int, error
 	return nil, 0, fmt.Errorf("mock: no btree indexes")
 }
 
-func (m *mockEnv) MTreeSearch(index string, phoneme string, threshold int) ([]storage.RID, int, error) {
+func (m *mockEnv) MetricSearch(index string, phoneme string, threshold int) ([]storage.RID, int, error) {
 	spec, ok := m.mtree[index]
 	if !ok {
 		return nil, 0, fmt.Errorf("mock: no mtree %q", index)
@@ -144,14 +144,6 @@ func (m *mockEnv) MTreeSearch(index string, phoneme string, threshold int) ([]st
 		}
 	}
 	return rids, 1, nil
-}
-
-func (m *mockEnv) MDISearch(string, string, int) ([]storage.RID, int, int, error) {
-	return nil, 0, 0, fmt.Errorf("mock: no mdi indexes")
-}
-
-func (m *mockEnv) QGramSearch(string, string, int) ([]storage.RID, int, error) {
-	return nil, 0, fmt.Errorf("mock: no qgram indexes")
 }
 
 func (m *mockEnv) CustomOperator(string) func(a, b types.Value) (bool, error) { return nil }

@@ -315,11 +315,11 @@ type failNthProbeEnv struct {
 	failOn int
 }
 
-func (e *failNthProbeEnv) MTreeSearch(index, phoneme string, threshold int) ([]storage.RID, int, error) {
+func (e *failNthProbeEnv) MetricSearch(index, phoneme string, threshold int) ([]storage.RID, int, error) {
 	if e.calls++; e.calls == e.failOn {
 		return nil, 0, fmt.Errorf("probe %d refused", e.calls)
 	}
-	return e.mockEnv.MTreeSearch(index, phoneme, threshold)
+	return e.mockEnv.MetricSearch(index, phoneme, threshold)
 }
 
 // When a later worker's pipeline fails to build, the Gather builder must

@@ -37,8 +37,6 @@ const DefaultQ = 2
 
 // Index is an in-memory positional q-gram index over phoneme strings.
 type Index struct {
-	q int
-
 	mu    sync.RWMutex
 	lists map[string][]int32 // gram -> posting list (entry ids, sorted)
 	// entries holds the indexed strings and their RIDs; posting lists
@@ -54,34 +52,29 @@ type entry struct {
 	live bool
 }
 
-// New creates an empty index with gram size q (0 = DefaultQ).
-func New(q int) *Index {
-	if q <= 0 {
-		q = DefaultQ
-	}
-	return &Index{q: q, lists: make(map[string][]int32)}
+// New creates an empty index.
+func New() *Index {
+	return &Index{lists: make(map[string][]int32)}
 }
-
-// Q returns the gram size.
-func (ix *Index) Q() int { return ix.q }
 
 // grams decomposes s with boundary padding ('#' prefix, '$' suffix), so
 // edits at the string ends also destroy q grams.
-func (ix *Index) grams(s string) []string {
-	runes := make([]rune, 0, len(s)+2*(ix.q-1))
-	for i := 0; i < ix.q-1; i++ {
+func grams(s string) []string {
+	const q = DefaultQ
+	runes := make([]rune, 0, len(s)+2*(q-1))
+	for i := 0; i < q-1; i++ {
 		runes = append(runes, '#')
 	}
 	runes = append(runes, []rune(s)...)
-	for i := 0; i < ix.q-1; i++ {
+	for i := 0; i < q-1; i++ {
 		runes = append(runes, '$')
 	}
-	if len(runes) < ix.q {
+	if len(runes) < q {
 		return nil
 	}
-	out := make([]string, 0, len(runes)-ix.q+1)
-	for i := 0; i+ix.q <= len(runes); i++ {
-		out = append(out, string(runes[i:i+ix.q]))
+	out := make([]string, 0, len(runes)-q+1)
+	for i := 0; i+q <= len(runes); i++ {
+		out = append(out, string(runes[i:i+q]))
 	}
 	return out
 }
@@ -99,7 +92,7 @@ func (ix *Index) Insert(phoneme string, rid storage.RID) error {
 		id = int32(len(ix.entries))
 		ix.entries = append(ix.entries, entry{s: phoneme, rid: rid, live: true})
 	}
-	for _, g := range ix.grams(phoneme) {
+	for _, g := range grams(phoneme) {
 		ix.lists[g] = append(ix.lists[g], id)
 	}
 	return nil
@@ -146,7 +139,7 @@ func (ix *Index) RangeSearch(phoneme string, threshold int) ([]storage.RID, Stat
 	var st Stats
 	var rids []storage.RID
 
-	qGrams := ix.grams(phoneme)
+	qGrams := grams(phoneme)
 	qLen := len([]rune(phoneme))
 
 	// Count filter bound for each candidate s:
@@ -166,7 +159,7 @@ func (ix *Index) RangeSearch(phoneme string, threshold int) ([]storage.RID, Stat
 		if qLen > m {
 			m = qLen
 		}
-		return m + ix.q - 1 - ix.q*threshold
+		return m + DefaultQ - 1 - DefaultQ*threshold
 	}
 	// Degenerate when even a maximally long candidate needs <= 0 shared
 	// grams: every indexed string is a candidate.

@@ -28,7 +28,7 @@ func corpus(n int, seed int64) []string {
 }
 
 func TestRangeSearchMatchesBruteForce(t *testing.T) {
-	ix := New(0)
+	ix := New()
 	data := corpus(1500, 3)
 	for i, s := range data {
 		if err := ix.Insert(s, rid(i)); err != nil {
@@ -71,7 +71,7 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 }
 
 func TestCountFilterPrunes(t *testing.T) {
-	ix := New(0)
+	ix := New()
 	data := corpus(3000, 7)
 	for i, s := range data {
 		if err := ix.Insert(s, rid(i)); err != nil {
@@ -99,7 +99,7 @@ func TestCountFilterPrunes(t *testing.T) {
 }
 
 func TestDeleteAndReuse(t *testing.T) {
-	ix := New(0)
+	ix := New()
 	if err := ix.Insert("nehru", rid(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestDeleteAndReuse(t *testing.T) {
 }
 
 func TestEmptyAndShortStrings(t *testing.T) {
-	ix := New(0)
+	ix := New()
 	for i, s := range []string{"", "a", "ab"} {
 		if err := ix.Insert(s, rid(i)); err != nil {
 			t.Fatal(err)
@@ -147,7 +147,7 @@ func TestEmptyAndShortStrings(t *testing.T) {
 }
 
 func BenchmarkQGramSearch(b *testing.B) {
-	ix := New(0)
+	ix := New()
 	data := corpus(10000, 5)
 	for i, s := range data {
 		if err := ix.Insert(s, rid(i)); err != nil {

@@ -3,15 +3,10 @@ package mural
 import (
 	"encoding/hex"
 	"fmt"
-	"os"
 
 	"github.com/mural-db/mural/internal/catalog"
 	"github.com/mural-db/mural/internal/exec"
 	"github.com/mural-db/mural/internal/histogram"
-	"github.com/mural-db/mural/internal/index/btree"
-	"github.com/mural-db/mural/internal/index/mdi"
-	"github.com/mural-db/mural/internal/index/mtree"
-	"github.com/mural-db/mural/internal/index/qgram"
 	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/sql"
 	"github.com/mural-db/mural/internal/storage"
@@ -99,34 +94,13 @@ func (e *Engine) execDropTable(s *sql.DropTable) (*Result, error) {
 	// A concurrent session's sealed batch may still hold pages of this
 	// table's files; let those group commits finish before detaching.
 	e.pool.WaitSealedDrained()
-	release := func(file storage.FileID) {
-		if d, ok := e.disks[file]; ok {
-			_ = e.pool.DetachDisk(file)
-			_ = d.Close()
-			delete(e.disks, file)
-		}
-		if e.cfg.Dir != "" {
-			_ = os.Remove(dataFilePath(e.cfg.Dir, file))
-		}
-	}
+	// The heap is unreachable now; wait out fetches that pinned it while it
+	// was still visible before detaching its storage (see pinSet).
 	delete(e.heaps, s.Name)
+	e.pins.wait(s.Name) //lint:lock-held-io pinned fetches never reacquire e.mu, so draining under the write lock cannot deadlock
+	e.releaseFile(t.File)
 	for _, ix := range droppedIdx {
-		delete(e.btrees, ix.Name)
-		delete(e.mtrees, ix.Name)
-		delete(e.mdis, ix.Name)
-		delete(e.qgrams, ix.Name)
-	}
-	// Handles are unreachable now; wait out searches that pinned them while
-	// they were still visible before detaching their storage (see pinSet).
-	e.pins.wait(s.Name) //lint:lock-held-io pinned searches never reacquire e.mu, so draining under the write lock cannot deadlock
-	for _, ix := range droppedIdx {
-		e.pins.wait(ix.Name) //lint:lock-held-io same audit as the table drain above
-	}
-	release(t.File)
-	for _, ix := range droppedIdx {
-		if ix.Kind != sql.IndexQGram {
-			release(ix.File)
-		}
+		e.dropIndex(ix.Name)
 	}
 	return &Result{}, e.saveCatalog()
 }
@@ -159,22 +133,7 @@ func (e *Engine) execDropIndex(s *sql.DropIndex) (*Result, error) {
 		}
 	}
 	e.pool.WaitSealedDrained()
-	delete(e.btrees, s.Name)
-	delete(e.mtrees, s.Name)
-	delete(e.mdis, s.Name)
-	delete(e.qgrams, s.Name)
-	e.pins.wait(s.Name) //lint:lock-held-io pinned searches never reacquire e.mu, so draining under the write lock cannot deadlock
-	// Q-gram indexes are memory-resident and have no file to release.
-	if ix.Kind != sql.IndexQGram {
-		if d, ok := e.disks[ix.File]; ok {
-			_ = e.pool.DetachDisk(ix.File)
-			_ = d.Close()
-			delete(e.disks, ix.File)
-		}
-		if e.cfg.Dir != "" {
-			_ = os.Remove(dataFilePath(e.cfg.Dir, ix.File))
-		}
-	}
+	e.dropIndex(s.Name)
 	return &Result{}, e.saveCatalog()
 }
 
@@ -189,111 +148,43 @@ func (e *Engine) execCreateIndex(s *sql.CreateIndex) (*Result, error) {
 	if colIdx < 0 {
 		return nil, fmt.Errorf("mural: no column %q in table %q", s.Column, s.Table)
 	}
-	colKind := t.Columns[colIdx].Kind
-	if (s.Kind == sql.IndexMTree || s.Kind == sql.IndexMDI || s.Kind == sql.IndexQGram) && colKind != types.KindUniText {
+	if s.Kind != sql.IndexBTree && t.Columns[colIdx].Kind != types.KindUniText {
 		return nil, fmt.Errorf("mural: %s indexes require a UNITEXT column", s.Kind)
 	}
 	if _, dup := e.cat.IndexByName(s.Name); dup {
 		return nil, fmt.Errorf("mural: index %q already exists", s.Name)
 	}
-	file := e.cat.AllocateFile()
-	if err := e.attachFile(file); err != nil {
-		return nil, err
-	}
-	meta := &catalog.Index{Name: s.Name, Table: s.Table, Column: s.Column, Kind: s.Kind, File: file}
-
-	// The catalog entry is added only after a complete backfill, so a crash
-	// or error mid-build leaves at worst an orphan file that recovery (or
-	// the cleanup below) removes — never a half-built index the planner
-	// could choose.
-	cleanup := func() {
-		delete(e.btrees, s.Name)
-		delete(e.mtrees, s.Name)
-		delete(e.mdis, s.Name)
-		delete(e.qgrams, s.Name)
-		if d, ok := e.disks[file]; ok {
-			_ = e.pool.DetachDisk(file)
-			_ = d.Close()
-			delete(e.disks, file)
-		}
-		if e.cfg.Dir != "" {
-			_ = os.Remove(dataFilePath(e.cfg.Dir, file))
-		}
-	}
 	if err := e.beginBatch(); err != nil {
 		return nil, err
 	}
+	// The catalog entry is added only after a complete backfill, so a crash
+	// or error mid-build leaves at worst an orphan file that recovery (or
+	// the abort below) removes — never a half-built index the planner could
+	// choose. The heap is not mutated, so any committed chunk of the build
+	// is consistent.
+	meta := &catalog.Index{Name: s.Name, Table: s.Table, Column: s.Column, Kind: s.Kind}
 	fail := func(err error) (*Result, error) {
 		_ = e.pool.AbortBatch()
-		cleanup()
+		if meta.File != 0 {
+			e.releaseFile(meta.File)
+		}
 		return nil, err
 	}
-
-	switch s.Kind {
-	case sql.IndexBTree:
-		bt, err := btree.Create(e.pool, file)
-		if err != nil {
-			return fail(err)
-		}
-		e.btrees[s.Name] = bt
-	case sql.IndexMTree:
-		mt, err := mtree.Create(e.pool, file, mtree.SplitRandom)
-		if err != nil {
-			return fail(err)
-		}
-		e.mtrees[s.Name] = mt
-	case sql.IndexMDI:
-		meta.Pivot = mdi.DefaultPivot
-		md, err := mdi.Create(e.pool, file, meta.Pivot)
-		if err != nil {
-			return fail(err)
-		}
-		e.mdis[s.Name] = md
-	case sql.IndexQGram:
-		e.qgrams[s.Name] = qgram.New(0)
+	ix, err := e.openIndex(meta, true)
+	if err != nil {
+		return fail(err)
 	}
-	// Backfill from existing rows, committing in chunks so the no-steal
-	// policy never pins more pages than the pool holds. The heap is not
-	// mutated, so any committed prefix of the build is consistent; the
-	// index only becomes visible when the final batch commits the catalog
-	// entry.
-	h := e.heaps[s.Table]
-	it := h.Scan()
-	for {
-		rid, rec, ok, err := it.Next()
-		if err != nil {
-			return fail(err)
-		}
-		if !ok {
-			break
-		}
-		tup, _, err := types.DecodeTuple(rec)
-		if err != nil {
-			return fail(err)
-		}
-		if err := e.indexOne(meta, colIdx, tup, rid); err != nil {
-			return fail(err)
-		}
-		if e.wal != nil && e.pool.BatchPages() >= createIndexChunkPages {
-			if err := e.commitBatch(nil); err != nil {
-				return fail(err)
-			}
-			//lint:wal-exempt reopened chunk batch is closed by commitDDL or fail at function level
-			if err := e.beginBatch(); err != nil {
-				cleanup()
-				return nil, err
-			}
-		}
+	if err := e.backfill(ix); err != nil {
+		return fail(err)
 	}
 	if err := e.cat.AddIndex(meta); err != nil {
 		return fail(err)
 	}
 	if err := e.commitDDL(); err != nil {
-		_ = e.pool.AbortBatch()
 		_ = e.cat.RemoveIndex(meta.Name)
-		cleanup()
-		return nil, err
+		return fail(err)
 	}
+	e.indexes[s.Name] = ix
 	return &Result{}, e.saveCatalog()
 }
 
@@ -301,47 +192,14 @@ func (e *Engine) execCreateIndex(s *sql.CreateIndex) (*Result, error) {
 // accumulates before committing an intermediate batch.
 const createIndexChunkPages = 256
 
-// indexOne inserts one tuple's key into an index. Called with e.mu held.
-func (e *Engine) indexOne(meta *catalog.Index, colIdx int, tup types.Tuple, rid storage.RID) error {
-	v := tup[colIdx]
-	if v.IsNull() {
-		return nil
-	}
-	switch meta.Kind {
-	case sql.IndexBTree:
-		return e.btrees[meta.Name].Insert(types.KeyOf(v), rid)
-	case sql.IndexMTree:
-		ph := e.phonemeOf(v)
-		return e.mtrees[meta.Name].Insert(ph, rid)
-	case sql.IndexMDI:
-		ph := e.phonemeOf(v)
-		return e.mdis[meta.Name].Insert(ph, rid)
-	case sql.IndexQGram:
-		return e.qgrams[meta.Name].Insert(e.phonemeOf(v), rid)
-	default:
-		return fmt.Errorf("mural: unknown index kind %v", meta.Kind)
-	}
-}
-
-// phonemeOf returns the phoneme string for a value (UNITEXT uses its
-// materialized phoneme; TEXT converts as English).
-func (e *Engine) phonemeOf(v types.Value) string {
-	switch v.Kind() {
-	case types.KindUniText:
-		return e.phon.ToPhoneme(v.UniText())
-	default:
-		return e.phon.ToPhoneme(types.Compose(v.Text(), types.LangEnglish))
-	}
-}
-
 func (e *Engine) execInsert(st *statement, s *sql.Insert) (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	tuples, t, err := e.evalInsertRows(st, s)
+	tuples, err := e.evalInsertRows(st, s)
 	if err != nil {
 		return nil, err
 	}
-	h, idxs := e.heaps[s.Table], e.cat.IndexesOn(s.Table, "")
+	h, idxs := e.heaps[s.Table], e.indexesOn(s.Table)
 	// The statement is one atomic batch: heap insert plus every index
 	// insert either all commit or all roll back.
 	if err := e.beginBatch(); err != nil {
@@ -361,7 +219,7 @@ func (e *Engine) execInsert(st *statement, s *sql.Insert) (*Result, error) {
 			return nil, err
 		}
 		for _, ix := range idxs {
-			if err := e.indexOne(ix, t.ColumnIndex(ix.Column), tup, rid); err != nil {
+			if err := ix.insert(tup, rid); err != nil {
 				_ = e.rollbackBatch(s.Table)
 				return nil, err
 			}
@@ -382,10 +240,10 @@ func (e *Engine) execInsert(st *statement, s *sql.Insert) (*Result, error) {
 // evalInsertRows evaluates an INSERT's rows against its table before any
 // storage is touched, so a value error (bad coercion, unknown function)
 // never needs a rollback. The caller holds e.mu.
-func (e *Engine) evalInsertRows(st *statement, s *sql.Insert) ([]types.Tuple, *catalog.Table, error) {
+func (e *Engine) evalInsertRows(st *statement, s *sql.Insert) ([]types.Tuple, error) {
 	t, ok := e.cat.TableByName(s.Table)
 	if !ok {
-		return nil, nil, fmt.Errorf("mural: no such table %q", s.Table)
+		return nil, fmt.Errorf("mural: no such table %q", s.Table)
 	}
 	comp := &plan.Compiler{DefaultThreshold: st.set.opts.Threshold}
 	ev := exec.NewEvaluator(e)
@@ -394,30 +252,30 @@ func (e *Engine) evalInsertRows(st *statement, s *sql.Insert) ([]types.Tuple, *c
 		// Cancellation checkpoint: nothing is mutated yet, so aborting here
 		// needs no rollback.
 		if err := st.res.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if len(row) != len(t.Columns) {
-			return nil, nil, fmt.Errorf("mural: INSERT has %d values, table %q has %d columns", len(row), s.Table, len(t.Columns))
+			return nil, fmt.Errorf("mural: INSERT has %d values, table %q has %d columns", len(row), s.Table, len(t.Columns))
 		}
 		tup := make(types.Tuple, len(row))
 		for i, expr := range row {
 			ce, err := comp.Compile(expr)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			v, err := ev.Eval(ce, nil)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			v, err = coerce(v, t.Columns[i].Kind, e)
 			if err != nil {
-				return nil, nil, fmt.Errorf("mural: column %q: %w", t.Columns[i].Name, err)
+				return nil, fmt.Errorf("mural: column %q: %w", t.Columns[i].Name, err)
 			}
 			tup[i] = v
 		}
 		tuples = append(tuples, tup)
 	}
-	return tuples, t, nil
+	return tuples, nil
 }
 
 // coerce adapts a literal value to the column type: integer widening,
@@ -468,7 +326,7 @@ func (e *Engine) execDelete(st *statement, s *sql.Delete) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("mural: no such table %q", s.Table)
 	}
-	h, idxs := e.heaps[s.Table], e.cat.IndexesOn(s.Table, "")
+	h, idxs := e.heaps[s.Table], e.indexesOn(s.Table)
 	var cond plan.Expr
 	if s.Where != nil {
 		schema := make([]plan.ColInfo, len(t.Columns))
@@ -488,33 +346,21 @@ func (e *Engine) execDelete(st *statement, s *sql.Delete) (*Result, error) {
 		tup types.Tuple
 	}
 	var victims []victim
-	it := h.Scan()
-	for {
+	err := eachRow(h, func(rid storage.RID, tup types.Tuple) error {
 		// The victim scan is read-only; aborting it leaves nothing to undo.
 		if err := st.res.Err(); err != nil {
-			return nil, err
-		}
-		rid, rec, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		tup, _, err := types.DecodeTuple(rec)
-		if err != nil {
-			return nil, err
+			return err
 		}
 		if cond != nil {
-			pass, err := ev.EvalBool(cond, tup)
-			if err != nil {
-				return nil, err
-			}
-			if !pass {
-				continue
+			if pass, err := ev.EvalBool(cond, tup); err != nil || !pass {
+				return err
 			}
 		}
 		victims = append(victims, victim{rid: rid, tup: tup})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// All victims were collected read-only above; the mutations form one
 	// atomic batch across heap and every index.
@@ -522,7 +368,7 @@ func (e *Engine) execDelete(st *statement, s *sql.Delete) (*Result, error) {
 		return nil, err
 	}
 	for _, v := range victims {
-		if err := e.deleteOne(t, h, idxs, v.tup, v.rid); err != nil {
+		if err := e.deleteOne(h, idxs, v.tup, v.rid); err != nil {
 			_ = e.rollbackBatch(s.Table)
 			return nil, err
 		}
@@ -542,21 +388,24 @@ func (e *Engine) execDelete(st *statement, s *sql.Delete) (*Result, error) {
 // deleted heap row) or a live heap row missing entries. The compensation is
 // what keeps the wal==nil configuration consistent, where rollbackBatch
 // cannot page-roll-back the batch; the WAL path additionally rolls back.
-func (e *Engine) deleteOne(t *catalog.Table, h *storage.Heap, idxs []*catalog.Index, tup types.Tuple, rid storage.RID) error {
-	removed := make([]*catalog.Index, 0, len(idxs))
+func (e *Engine) deleteOne(h *storage.Heap, idxs []*index, tup types.Tuple, rid storage.RID) error {
+	removed := make([]*index, 0, len(idxs))
 	undo := func() {
 		for _, ix := range removed {
-			_ = e.indexOne(ix, t.ColumnIndex(ix.Column), tup, rid)
+			_ = ix.insert(tup, rid)
 		}
 	}
 	for _, ix := range idxs {
-		val := tup[t.ColumnIndex(ix.Column)]
-		if val.IsNull() {
-			continue
+		var err error
+		if e.failIndexDelete != nil {
+			err = e.failIndexDelete(ix.meta.Name)
 		}
-		if err := e.indexDeleteOne(ix, val, rid); err != nil {
+		if err == nil {
+			err = ix.delete(tup, rid)
+		}
+		if err != nil {
 			undo()
-			return fmt.Errorf("mural: delete from index %q: %w", ix.Name, err)
+			return fmt.Errorf("mural: delete from index %q: %w", ix.meta.Name, err)
 		}
 		removed = append(removed, ix)
 	}
@@ -565,28 +414,6 @@ func (e *Engine) deleteOne(t *catalog.Table, h *storage.Heap, idxs []*catalog.In
 		return err
 	}
 	return nil
-}
-
-// indexDeleteOne removes one tuple's key from an index, honoring the test
-// fault-injection hook.
-func (e *Engine) indexDeleteOne(ix *catalog.Index, val types.Value, rid storage.RID) error {
-	if e.failIndexDelete != nil {
-		if err := e.failIndexDelete(ix.Name); err != nil {
-			return err
-		}
-	}
-	switch ix.Kind {
-	case sql.IndexBTree:
-		return e.btrees[ix.Name].Delete(types.KeyOf(val), rid)
-	case sql.IndexMTree:
-		return e.mtrees[ix.Name].Delete(e.phonemeOf(val), rid)
-	case sql.IndexMDI:
-		return e.mdis[ix.Name].Delete(e.phonemeOf(val), rid)
-	case sql.IndexQGram:
-		return e.qgrams[ix.Name].Delete(e.phonemeOf(val), rid)
-	default:
-		return fmt.Errorf("mural: unknown index kind %v", ix.Kind)
-	}
 }
 
 func (e *Engine) execAnalyze(s *sql.Analyze) (*Result, error) {
@@ -636,19 +463,7 @@ func (e *Engine) analyzeTable(t *catalog.Table) error {
 	widths := make([]int64, len(t.Columns))
 	nulls := make([]int64, len(t.Columns))
 	var rows int64
-	it := h.Scan()
-	for {
-		_, rec, ok, err := it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		tup, _, err := types.DecodeTuple(rec)
-		if err != nil {
-			return err
-		}
+	err := eachRow(h, func(_ storage.RID, tup types.Tuple) error {
 		rows++
 		for i, v := range tup {
 			if i >= len(t.Columns) {
@@ -662,6 +477,10 @@ func (e *Engine) analyzeTable(t *catalog.Table) error {
 			keys[i] = append(keys[i], key)
 			widths[i] += int64(len(key))
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	st := &catalog.TableStats{
 		Rows:    rows,

@@ -14,7 +14,13 @@ import (
 // kind, for the DROP-vs-search race tests.
 func newIndexedEngine(t *testing.T, dir string) *Engine {
 	t.Helper()
-	e, err := Open(Config{Dir: dir})
+	return openIndexedEngine(t, Config{Dir: dir})
+}
+
+// openIndexedEngine is newIndexedEngine under any configuration.
+func openIndexedEngine(t *testing.T, cfg Config) *Engine {
+	t.Helper()
+	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +113,8 @@ func TestDropIndexSearchRace(t *testing.T) {
 	stop := make(chan struct{})
 	probePh := syntheticName(3)
 	searches := []func() error{
-		func() error { _, _, err := e.MTreeSearch("ix_mt", probePh, 8); return err },
-		func() error { _, _, _, err := e.MDISearch("ix_md", probePh, 8); return err },
+		func() error { _, _, err := e.MetricSearch("ix_mt", probePh, 8); return err },
+		func() error { _, _, err := e.MetricSearch("ix_md", probePh, 8); return err },
 	}
 	for _, probe := range searches {
 		for g := 0; g < 3; g++ {
@@ -165,7 +171,7 @@ func TestDropTableSearchRace(t *testing.T) {
 					return
 				default:
 				}
-				_, _, err := e.MTreeSearch("ix_mt", "nm", 2)
+				_, _, err := e.MetricSearch("ix_mt", "nm", 2)
 				if !searchAllowedErr(err) {
 					t.Errorf("search racing DROP TABLE failed: %v", err)
 					return

@@ -14,10 +14,6 @@ import (
 	"github.com/mural-db/mural/internal/catalog"
 	"github.com/mural-db/mural/internal/client"
 	"github.com/mural-db/mural/internal/exec"
-	"github.com/mural-db/mural/internal/index/btree"
-	"github.com/mural-db/mural/internal/index/mdi"
-	"github.com/mural-db/mural/internal/index/mtree"
-	"github.com/mural-db/mural/internal/index/qgram"
 	"github.com/mural-db/mural/internal/obs"
 	"github.com/mural-db/mural/internal/phonetic"
 	"github.com/mural-db/mural/internal/plan"
@@ -159,15 +155,12 @@ type Engine struct {
 	// non-nil return aborts that delete (ddl.go).
 	failIndexDelete func(index string) error
 
-	mu     sync.RWMutex
-	heaps  map[string]*storage.Heap
-	btrees map[string]*btree.BTree
-	mtrees map[string]*mtree.Index
-	mdis   map[string]*mdi.Index
-	qgrams map[string]*qgram.Index
-	disks  map[storage.FileID]storage.Disk
-	net    *wordnet.Net
-	sem    plan.SemEstimator
+	mu      sync.RWMutex
+	heaps   map[string]*storage.Heap
+	indexes map[string]*index
+	disks   map[storage.FileID]storage.Disk
+	net     *wordnet.Net
+	sem     plan.SemEstimator
 	// operators holds user-registered binary predicates, callable from SQL
 	// as name(a, b) — the analog of PostgreSQL's operator addition
 	// facility the paper's prototype built on (§4.2).
@@ -201,14 +194,6 @@ func Open(cfg Config) (*Engine, error) {
 			_ = wal.Close()
 			return nil, err
 		}
-		// Uncommitted DDL may have left data files the recovered catalog
-		// never references; their ids will be reused.
-		removed, err := removeOrphanFiles(cfg.Dir, cat)
-		if err != nil {
-			_ = wal.Close()
-			return nil, err
-		}
-		recStats.OrphansRemoved = removed
 	} else {
 		cat = catalog.New()
 	}
@@ -220,10 +205,7 @@ func Open(cfg Config) (*Engine, error) {
 		wal:       wal,
 		recovery:  recStats,
 		heaps:     make(map[string]*storage.Heap),
-		btrees:    make(map[string]*btree.BTree),
-		mtrees:    make(map[string]*mtree.Index),
-		mdis:      make(map[string]*mdi.Index),
-		qgrams:    make(map[string]*qgram.Index),
+		indexes:   make(map[string]*index),
 		disks:     make(map[storage.FileID]storage.Disk),
 		operators: make(map[string]func(a, b Value) (bool, error)),
 		plans:     newPlanCache(),
@@ -253,7 +235,6 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	if wal != nil {
 		e.pool.SetWAL(wal)
-		publishRecoveryStats(recStats)
 	}
 	if cfg.WordNet != nil {
 		e.LoadWordNet(cfg.WordNet)
@@ -283,44 +264,27 @@ func Open(cfg Config) (*Engine, error) {
 		e.heaps[t.Name] = h
 	}
 	for _, ix := range cat.Indexes() {
-		if ix.Kind == sql.IndexQGram {
-			// Q-gram lists live in memory; rebuild from the base table
-			// (like the pinned WordNet hierarchies of §4.3).
-			if err := e.rebuildQGram(ix); err != nil {
-				return fail(err)
-			}
-			continue
-		}
-		if err := e.attachFile(ix.File); err != nil {
+		if err := e.loadIndex(ix); err != nil {
 			return fail(err)
 		}
-		switch ix.Kind {
-		case sql.IndexBTree:
-			bt, err := btree.Open(e.pool, ix.File)
-			if err != nil {
-				return fail(err)
-			}
-			e.btrees[ix.Name] = bt
-		case sql.IndexMTree:
-			mt, err := mtree.Open(e.pool, ix.File, mtree.SplitRandom)
-			if err != nil {
-				return fail(err)
-			}
-			e.mtrees[ix.Name] = mt
-		case sql.IndexMDI:
-			md, err := mdi.Open(e.pool, ix.File, ix.Pivot)
-			if err != nil {
-				return fail(err)
-			}
-			e.mdis[ix.Name] = md
+	}
+	if wal != nil {
+		// Uncommitted DDL may have left data files that nothing opened
+		// above references; their ids will be reused.
+		removed, err := e.removeOrphanFiles()
+		if err != nil {
+			return fail(err)
 		}
+		e.recovery.OrphansRemoved = removed
+		publishRecoveryStats(e.recovery)
 	}
 	return e, nil
 }
 
 // WALStats snapshots the write-ahead log counters (zero when no WAL).
-// Under concurrent commit load Syncs stays below Commits: that gap is the
-// group-commit win.
+// Syncs falls below Commits only when commits find an fsync already in
+// flight and group behind it; on a device whose fsync is nearly free they
+// rarely do, and the two stay close.
 func (e *Engine) WALStats() storage.WALStats {
 	e.mu.RLock()
 	wal := e.wal
@@ -674,40 +638,6 @@ func (e *Engine) CustomOperator(name string) func(a, b types.Value) (bool, error
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.operators[name]
-}
-
-// rebuildQGram reloads an in-memory q-gram index from its base table.
-func (e *Engine) rebuildQGram(meta *catalog.Index) error {
-	t, ok := e.cat.TableByName(meta.Table)
-	if !ok {
-		return fmt.Errorf("mural: qgram index %q references missing table %q", meta.Name, meta.Table)
-	}
-	colIdx := t.ColumnIndex(meta.Column)
-	ix := qgram.New(0)
-	h := e.heaps[meta.Table]
-	if h != nil {
-		it := h.Scan()
-		for {
-			rid, rec, ok, err := it.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			tup, _, err := types.DecodeTuple(rec)
-			if err != nil {
-				return err
-			}
-			if !tup[colIdx].IsNull() {
-				if err := ix.Insert(e.phonemeOf(tup[colIdx]), rid); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	e.qgrams[meta.Name] = ix
-	return nil
 }
 
 // Catalog exposes the metadata store (tables, indexes, stats);

@@ -49,19 +49,11 @@ func (e *Engine) ScanRecords(table string, lo, hi int64) (exec.RecordScan, error
 
 // FetchRIDs implements exec.Env.
 func (e *Engine) FetchRIDs(table string, rids []storage.RID) ([]types.Tuple, error) {
-	e.mu.RLock()
-	h := e.heaps[table]
-	if h != nil {
-		// Pin while still under the read lock: a DROP TABLE that has not yet
-		// removed the heap entry will wait for this fetch before it releases
-		// the heap's disk (see pinSet).
-		e.pins.pin(table)
-		defer e.pins.unpin(table)
-	}
-	e.mu.RUnlock()
-	if h == nil {
+	h, ok := pinned(e, e.heaps, table)
+	if !ok {
 		return nil, fmt.Errorf("mural: no such table %q", table)
 	}
+	defer e.pins.unpin(table)
 	out := make([]types.Tuple, 0, len(rids))
 	for _, rid := range rids {
 		rec, err := h.Get(rid)
@@ -78,71 +70,23 @@ func (e *Engine) FetchRIDs(table string, rids []storage.RID) ([]types.Tuple, err
 }
 
 // IndexSearch implements exec.Env (B-tree range probe).
-func (e *Engine) IndexSearch(index string, lo, hi []byte) ([]storage.RID, int, error) {
-	e.mu.RLock()
-	bt := e.btrees[index]
-	if bt != nil {
-		e.pins.pin(index)
-		defer e.pins.unpin(index)
+func (e *Engine) IndexSearch(name string, lo, hi []byte) ([]storage.RID, int, error) {
+	ix, ok := pinned(e, e.indexes, name)
+	if !ok {
+		return nil, 0, fmt.Errorf("mural: no such index %q", name)
 	}
-	e.mu.RUnlock()
-	if bt == nil {
-		return nil, 0, fmt.Errorf("mural: no such btree index %q", index)
-	}
-	var rids []storage.RID
-	pages, err := bt.RangeCount(lo, hi, func(_ []byte, rid storage.RID) bool {
-		rids = append(rids, rid)
-		return true
-	})
-	return rids, pages, err
+	defer e.pins.unpin(name)
+	return ix.keyRange(lo, hi)
 }
 
-// MTreeSearch implements exec.Env.
-func (e *Engine) MTreeSearch(index string, phoneme string, threshold int) ([]storage.RID, int, error) {
-	e.mu.RLock()
-	mt := e.mtrees[index]
-	if mt != nil {
-		// The handle escapes the read lock for the duration of the probe; the
-		// pin keeps a concurrent DROP INDEX from detaching its file under it.
-		e.pins.pin(index)
-		defer e.pins.unpin(index)
+// MetricSearch implements exec.Env (M-Tree, MDI or q-gram probe).
+func (e *Engine) MetricSearch(name, phoneme string, threshold int) ([]storage.RID, int, error) {
+	ix, ok := pinned(e, e.indexes, name)
+	if !ok {
+		return nil, 0, fmt.Errorf("mural: no such index %q", name)
 	}
-	e.mu.RUnlock()
-	if mt == nil {
-		return nil, 0, fmt.Errorf("mural: no such mtree index %q", index)
-	}
-	return mt.RangeSearch(phoneme, threshold)
-}
-
-// MDISearch implements exec.Env.
-func (e *Engine) MDISearch(index string, phoneme string, threshold int) ([]storage.RID, int, int, error) {
-	e.mu.RLock()
-	md := e.mdis[index]
-	if md != nil {
-		e.pins.pin(index)
-		defer e.pins.unpin(index)
-	}
-	e.mu.RUnlock()
-	if md == nil {
-		return nil, 0, 0, fmt.Errorf("mural: no such mdi index %q", index)
-	}
-	return md.RangeSearch(phoneme, threshold)
-}
-
-// QGramSearch implements exec.Env.
-func (e *Engine) QGramSearch(index string, phoneme string, threshold int) ([]storage.RID, int, error) {
-	e.mu.RLock()
-	qg := e.qgrams[index]
-	if qg != nil {
-		e.pins.pin(index)
-		defer e.pins.unpin(index)
-	}
-	e.mu.RUnlock()
-	if qg == nil {
-		return nil, 0, fmt.Errorf("mural: no such qgram index %q", index)
-	}
-	rids, st, err := qg.RangeSearch(phoneme, threshold)
-	return rids, st.Candidates, err
+	defer e.pins.unpin(name)
+	return ix.metricSearch(phoneme, threshold)
 }
 
 // G2P implements exec.Env.

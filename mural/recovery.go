@@ -6,10 +6,6 @@ import (
 	"path/filepath"
 
 	"github.com/mural-db/mural/internal/catalog"
-	"github.com/mural-db/mural/internal/index/btree"
-	"github.com/mural-db/mural/internal/index/mdi"
-	"github.com/mural-db/mural/internal/index/mtree"
-	"github.com/mural-db/mural/internal/sql"
 	"github.com/mural-db/mural/internal/storage"
 )
 
@@ -123,21 +119,17 @@ func dataFilePath(dir string, id storage.FileID) string {
 	return filepath.Join(dir, fmt.Sprintf("file_%d.db", id))
 }
 
-// removeOrphanFiles deletes data files that the (recovered) catalog does
-// not reference: the debris of DDL batches that never committed. Removing
-// them matters beyond tidiness — file ids of uncommitted DDL are reused
-// after recovery, and a stale non-empty file would corrupt the reused id.
-func removeOrphanFiles(dir string, cat *catalog.Catalog) (int, error) {
-	referenced := make(map[string]bool)
-	for _, t := range cat.Tables() {
-		referenced[filepath.Base(dataFilePath(dir, t.File))] = true
+// removeOrphanFiles deletes the data files that no table or index of the
+// (recovered) catalog attached when Open opened them: the debris of DDL
+// batches that never committed. Removing them matters beyond tidiness —
+// file ids of uncommitted DDL are reused after recovery, and a stale
+// non-empty file would corrupt the reused id.
+func (e *Engine) removeOrphanFiles() (int, error) {
+	referenced := make(map[string]bool, len(e.disks))
+	for id := range e.disks {
+		referenced[filepath.Base(dataFilePath(e.cfg.Dir, id))] = true
 	}
-	for _, ix := range cat.Indexes() {
-		if ix.Kind != sql.IndexQGram {
-			referenced[filepath.Base(dataFilePath(dir, ix.File))] = true
-		}
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "file_*.db"))
+	matches, err := filepath.Glob(filepath.Join(e.cfg.Dir, "file_*.db"))
 	if err != nil {
 		return 0, err
 	}
@@ -257,51 +249,15 @@ func (e *Engine) reopenTableLocked(table string) error {
 			e.heaps[table] = h
 		}
 	}
-	for _, ix := range e.cat.Indexes() {
-		if ix.Table != table {
+	for _, ix := range e.cat.IndexesOn(table, "") {
+		if _, open := e.indexes[ix.Name]; !open {
 			continue
 		}
-		if err := e.reopenIndex(ix); err != nil && firstErr == nil {
+		if err := e.loadIndex(ix); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
-}
-
-// reopenIndex reloads one index's in-memory handle from its (rolled-back)
-// pages. Called with e.mu held.
-func (e *Engine) reopenIndex(ix *catalog.Index) error {
-	switch ix.Kind {
-	case sql.IndexBTree:
-		if _, open := e.btrees[ix.Name]; open {
-			bt, err := btree.Open(e.pool, ix.File)
-			if err != nil {
-				return err
-			}
-			e.btrees[ix.Name] = bt
-		}
-	case sql.IndexMTree:
-		if _, open := e.mtrees[ix.Name]; open {
-			mt, err := mtree.Open(e.pool, ix.File, mtree.SplitRandom)
-			if err != nil {
-				return err
-			}
-			e.mtrees[ix.Name] = mt
-		}
-	case sql.IndexMDI:
-		if _, open := e.mdis[ix.Name]; open {
-			md, err := mdi.Open(e.pool, ix.File, ix.Pivot)
-			if err != nil {
-				return err
-			}
-			e.mdis[ix.Name] = md
-		}
-	case sql.IndexQGram:
-		if _, open := e.qgrams[ix.Name]; open {
-			return e.rebuildQGram(ix)
-		}
-	}
-	return nil
 }
 
 // checkpointLocked flushes every dirty page, syncs the data files, saves

@@ -255,7 +255,7 @@ func shardFor(tup types.Tuple, n int) int {
 // bit-identical to a direct insert there.
 func (e *Engine) shardInsert(st *statement, s *sql.Insert, shards []string) (*Result, error) {
 	e.mu.RLock()
-	tuples, _, err := e.evalInsertRows(st, s)
+	tuples, err := e.evalInsertRows(st, s)
 	e.mu.RUnlock()
 	if err != nil {
 		return nil, err
