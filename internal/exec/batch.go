@@ -307,6 +307,7 @@ type recordSource struct {
 	cur RecordScan
 	// Striping: keep record n when n%mod == idx; mod 0 keeps every record.
 	idx, mod, n int64
+	pass        int64 // the pass over the table being read (rewind)
 }
 
 // newRecordSource builds the record feed for a scan node: this worker's share
@@ -328,26 +329,18 @@ func newRecordSource(env Env, ev *evaluator, n *plan.Node) (*recordSource, error
 	if err != nil {
 		return nil, err
 	}
-	rs.src = &morselSource{table: n.Table, npages: np, chunk: np}
+	rs.src = &morselSource{table: n.Table, npages: np, chunk: max(np, 1)}
 	return rs, nil
 }
 
-// fixShare makes a source whose morsels a Gather's workers claim read a
-// fixed share of the table instead — worker i of w the i-th of w runs of
-// pages, in one claim — and returns how many pages the source reads (for a
-// private source, the table's). It is for a consumer that does work in
-// proportion to the rows it read after reading them all: claiming as it
-// reads, a worker that starts late gets few morsels, and the other then does
-// most of that work alone, by a share that varies with scheduling.
-func (s *recordSource) fixShare() int64 {
-	if s.ev.par == nil || s.src.chunk == s.src.npages {
-		return s.src.npages
-	}
-	n, w, i := s.src.npages, int64(s.ev.par.workers), int64(s.ev.par.id)
-	lo, hi := n*i/w, n*(i+1)/w
-	s.src = &morselSource{table: s.src.table, npages: hi, chunk: hi - lo}
-	s.src.next.Store(lo)
-	return hi - lo
+// rewind starts the source's next pass over the table, for a consumer that
+// reads it once per block of its own input: a private source reads the
+// whole table again, a shared one what its workers claim in that pass.
+func (s *recordSource) rewind() error {
+	err := s.Close()
+	s.pass++
+	s.n = 0
+	return err
 }
 
 func (s *recordSource) nextPage(fn func(rec []byte) error) (bool, error) {
@@ -366,7 +359,7 @@ func (s *recordSource) nextPage(fn func(rec []byte) error) (bool, error) {
 	}
 	for {
 		if s.cur == nil {
-			lo, hi, ok := s.src.claim()
+			lo, hi, ok := s.src.claim(s.pass)
 			if !ok {
 				return false, nil
 			}

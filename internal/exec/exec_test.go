@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/mural-db/mural/internal/phonetic"
@@ -29,6 +30,7 @@ type mockEnv struct {
 	}
 	mu    sync.Mutex
 	pages map[string]mockPages
+	reads map[string]*atomic.Int64 // pages read by record scans, per table
 }
 
 // mockPages is one table's encoded form and the rows it was encoded from.
@@ -82,15 +84,30 @@ func (m *mockEnv) pagesFor(table string) [][][]byte {
 	return pages
 }
 
+// pageReads is the count of table's pages its record scans have read.
+func (m *mockEnv) pageReads(table string) *atomic.Int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.reads == nil {
+		m.reads = map[string]*atomic.Int64{}
+	}
+	if m.reads[table] == nil {
+		m.reads[table] = new(atomic.Int64)
+	}
+	return m.reads[table]
+}
+
 type mockRecordScan struct {
 	pages [][][]byte
 	pos   int
+	reads *atomic.Int64
 }
 
 func (s *mockRecordScan) NextPage(fn func(rec []byte) error) (bool, error) {
 	if s.pos >= len(s.pages) {
 		return false, nil
 	}
+	s.reads.Add(1)
 	for _, rec := range s.pages[s.pos] {
 		if err := fn(rec); err != nil {
 			return true, err
@@ -108,7 +125,7 @@ func (m *mockEnv) ScanRecords(table string, lo, hi int64) (RecordScan, error) {
 	}
 	pages := m.pagesFor(table)
 	lo, hi = min(lo, int64(len(pages))), min(hi, int64(len(pages)))
-	return &mockRecordScan{pages: pages[lo:hi]}, nil
+	return &mockRecordScan{pages: pages[lo:hi], reads: m.pageReads(table)}, nil
 }
 
 func (m *mockEnv) FetchRIDs(table string, rids []storage.RID) ([]types.Tuple, error) {

@@ -2,8 +2,6 @@ package exec
 
 import (
 	"errors"
-	"math"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -16,24 +14,25 @@ import (
 // scan kernel (fuse.go): what a pass does not change is computed once, and a
 // pair costs the kernel's per-row path.
 //
-//   - The inner side is read once per statement into one arena of encoded
-//     records (innerRecords). A table scan's records are copied off the
-//     pinned page — under a Gather, this worker's fixed share of the pages
-//     (recordSource.fixShare), read once, so every pass sees the same rows
-//     and the workers' pair loops are equal whatever their start; any other
-//     input's tuples are encoded into the same arena. Beside each record the
-//     load notes where its operand lies (innerRow): kind, language, text and
-//     phoneme.
-//   - Each pass compiles its outer row's value into the constPred a scan's
-//     constant compiles to (compile), charged for that pass only.
-//   - A pair reads the inner operand as views on the arena (matchOperand, the
-//     kernel's matchView); only a match decodes its inner record and builds
-//     the joined row.
+//   - The join runs block-major. A block is one outer batch; each of its
+//     rows' values is compiled into the constPred a scan's constant compiles
+//     to (compile), charged for the block.
+//   - The inner side is streamed once per block. A table scan's records are
+//     read off the pinned page — under a Gather, from the morsels this worker
+//     claims in the block's pass, as a scan's workers claim them; any other
+//     input is encoded once into a record buffer (recordBuf) each block
+//     replays.
+//   - Each inner record's operand is read once, as views (the kernel's
+//     matchView through matchOperand), tested against every outer row of the
+//     block, converted at most once, and the record decoded on its first
+//     match.
 //
-// The join absorbs the inner Materialize and table scan and, under a
-// collector, attributes to them itself, as fusedScanIter does: the
-// Materialize's loops are the passes, its rows the inner rows the passes
-// read, the scan's rows the records loaded; both get the load's wall time.
+// A batch that fills inside a record stops before the next pair; the rest of
+// the page waits, copied, in the record buffer. The join absorbs the inner
+// Materialize and table scan and, under a collector, attributes to them
+// itself, as an outer-major join would: the Materialize's loops are the outer
+// rows, its rows the inner rows each paired with, the scan's rows the records
+// the first block read; both get the inner stream's wall time.
 
 // hoistedOperands reports whether join n's condition hoists — a lone Ψ, or a
 // lone Ω over a loaded taxonomy, between a column of each side — and the
@@ -77,7 +76,8 @@ func buildHoistedJoin(env Env, ev *evaluator, n *plan.Node, outerCol, innerCol i
 	if err != nil {
 		return nil, err
 	}
-	j := &hoistedJoinIter{ev: ev, x: n.Cond, outerCol: outerCol, outerLeft: outerLeft, budget: budget, outer: outer}
+	j := &hoistedJoinIter{ev: ev, x: n.Cond, outerCol: outerCol, outerLeft: outerLeft, budget: budget, outer: outer,
+		innerRows: n.Children[1].EstimatedRows(), textLang: textLang(n.Cond)}
 	inner := n.Children[1]
 	var mat *plan.Node
 	if inner.Op == plan.OpMaterialize {
@@ -85,6 +85,7 @@ func buildHoistedJoin(env Env, ev *evaluator, n *plan.Node, outerCol, innerCol i
 	}
 	if inner.Op == plan.OpSeqScan {
 		j.src, err = newRecordSource(env, ev, inner)
+		j.onRec = j.onRecord
 	} else {
 		j.child, err = build(env, ev, inner, nil)
 	}
@@ -92,8 +93,7 @@ func buildHoistedJoin(env Env, ev *evaluator, n *plan.Node, outerCol, innerCol i
 		return nil, errors.Join(err, outer.Close())
 	}
 	// In range: hoistedOperands checked innerCol against the inner schema.
-	j.in.skip, _ = types.NewSkipPlan(schemaKinds(inner.Schema()), innerCol)
-	j.in.textLang = textLang(n.Cond)
+	j.skip, _ = types.NewSkipPlan(schemaKinds(inner.Schema()), innerCol)
 	if ev.collector != nil {
 		j.timed = ev.collector.timed
 		if mat != nil {
@@ -115,116 +115,36 @@ func schemaKinds(cols []plan.ColInfo) []types.Kind {
 	return kinds
 }
 
-// innerRecords is a hoisted join's inner side: its rows' encoded records back
-// to back in one arena, and per row where its record and operand lie. conv
-// holds the phonemes converted for operands that have none stored; bytes is
-// what the three charged to the query, held to Close.
-type innerRecords struct {
-	skip     types.SkipPlan // the walk to the operand column
-	textLang types.LangID   // the language a bare TEXT operand is read in
-	arena    []byte
-	rows     []innerRow
-	conv     []byte
-	bytes    int64
+// recordBuf holds encoded records back to back; pos is the next one to pair.
+type recordBuf struct {
+	buf  []byte
+	ends []int
+	pos  int
 }
 
-// innerRow locates one inner row: its record's offset in the arena and its
-// operand — the kind and, for text, the language and the text and phoneme as
-// offsets into the arena, the phoneme into conv once converted.
-type innerRow struct {
-	rec           uint32
-	text, textLen uint32
-	ph, phLen     uint32
-	lang          types.LangID
-	kind          types.Kind
-	conv          bool
+func (b *recordBuf) add(rec []byte) {
+	b.buf = append(b.buf, rec...)
+	b.ends = append(b.ends, len(b.buf))
 }
 
-// innerRowBytes is the size of an innerRow, what a row's entry is charged.
-const innerRowBytes = 24
-
-var errInnerTooLarge = errors.New("exec: a join's inner side exceeds 4 GiB")
-
-// add copies rec, an inner row's encoded record, into the arena and indexes it.
-func (in *innerRecords) add(rec []byte) error {
-	base := len(in.arena)
-	in.arena = append(in.arena, rec...)
-	return in.index(base)
+func (b *recordBuf) addTuple(t types.Tuple) {
+	b.buf = types.AppendTuple(b.buf, t)
+	b.ends = append(b.ends, len(b.buf))
 }
 
-// index notes where the operand of the record at arena offset base lies.
-func (in *innerRecords) index(base int) error {
-	if uint64(len(in.arena)) > math.MaxUint32 {
-		return errInnerTooLarge
+// next is the record at pos, nil past the last.
+func (b *recordBuf) next() []byte {
+	if b.pos == len(b.ends) {
+		return nil
 	}
-	field, err := in.skip.Seek(in.arena[base:])
-	if err != nil {
-		return err
+	start := 0
+	if b.pos > 0 {
+		start = b.ends[b.pos-1]
 	}
-	r := innerRow{rec: uint32(base), kind: types.Kind(field[0])}
-	var text, ph []byte
-	switch r.kind {
-	case types.KindUniText:
-		r.lang, text, ph, err = types.UniTextViews(field)
-	case types.KindText:
-		r.lang = in.textLang
-		text, err = types.TextView(field)
-	}
-	if err != nil {
-		return err
-	}
-	if len(text) > 0 {
-		r.text, r.textLen = in.offset(text), uint32(len(text))
-	}
-	if len(ph) > 0 {
-		r.ph, r.phLen = in.offset(ph), uint32(len(ph))
-	}
-	in.rows = append(in.rows, r)
-	return nil
+	return b.buf[start:b.ends[b.pos]]
 }
 
-// offset is where v, a view on the arena, begins in it.
-func (in *innerRecords) offset(v []byte) uint32 { return uint32(cap(in.arena) - cap(v)) }
-
-// text and phoneme are views on r's operand.
-func (in *innerRecords) text(r *innerRow) []byte { return in.arena[r.text : r.text+r.textLen] }
-
-func (in *innerRecords) phoneme(r *innerRow) []byte {
-	if r.conv {
-		return in.conv[r.ph : r.ph+r.phLen]
-	}
-	return in.arena[r.ph : r.ph+r.phLen]
-}
-
-// convert converts r's operand, stored without a phoneme, into conv: once
-// per row and statement, on the first pair that needs it.
-func (in *innerRecords) convert(ev *evaluator, r *innerRow) error {
-	ph := ev.convert(types.Compose(string(in.text(r)), r.lang))
-	if uint64(len(in.conv)+len(ph)) > math.MaxUint32 {
-		return errInnerTooLarge
-	}
-	r.ph, r.phLen, r.conv = uint32(len(in.conv)), uint32(len(ph)), true
-	in.conv = append(in.conv, ph...)
-	return in.charge(ev)
-}
-
-// presize grows the arena and the row array, which hold one page, to hold
-// pages pages like it, plus an eighth: the load then copies the first page
-// once instead of copying what it has at every doubling.
-func (in *innerRecords) presize(pages int64) {
-	more := max(int(pages*9/8)-1, 0)
-	in.arena = slices.Grow(in.arena, len(in.arena)*more)
-	in.rows = slices.Grow(in.rows, len(in.rows)*more)
-}
-
-// charge brings the query's charge up to what the arena, conv and the row
-// array hold. It is recorded before it is checked: Grow counts even a
-// failing charge, and Close releases it.
-func (in *innerRecords) charge(ev *evaluator) error {
-	n := int64(cap(in.arena)+cap(in.conv)) + int64(cap(in.rows))*innerRowBytes - in.bytes
-	in.bytes += n
-	return ev.grow(n)
-}
+func (b *recordBuf) reset() { b.buf, b.ends, b.pos = b.buf[:0], b.ends[:0], 0 }
 
 // hoistedJoinIter is a Ψ or Ω nested-loops join run hoisted.
 type hoistedJoinIter struct {
@@ -234,24 +154,40 @@ type hoistedJoinIter struct {
 	outerLeft bool
 	budget    *atomic.Int64
 	outer     BatchIter
-	// The inner input: a table scan's records (src) or an operator (child).
-	src   *recordSource
-	child BatchIter
-	in    innerRecords
+	innerRows float64 // the inner side's estimated rows, the bound on an Ω word set
+	// The inner input: a table scan's records (src) or an operator (child),
+	// whose records recs holds for every block to replay. For a scan, recs
+	// holds the rest of a page a batch filled inside.
+	src      *recordSource
+	onRec    func(rec []byte) error // onRecord, bound once
+	child    BatchIter
+	recs     recordBuf
+	skip     types.SkipPlan // the walk to the inner operand
+	textLang types.LangID   // the language a bare TEXT operand is read in
 
 	// Under a collector: what the join attributes to the inner Materialize
 	// (nil when there is none) and table scan (nil when the inner is no scan).
 	matSt, scanSt *OpStats
 	timed         bool
 
-	ob     *Batch     // outer batch being joined
-	oi     int        // current outer row in ob
-	p      *constPred // the current outer row's operand, compiled for its pass
-	pbytes int64      // p's charge
-	ri     int        // next inner row of the pass
-	inPass bool       // the current outer row's pass has begun
-	loaded bool
-	done   bool
+	// The block: one outer batch, its rows' operands compiled on its first
+	// inner record, and how many inner records it has begun to pair.
+	ob       *Batch
+	preds    []*constPred
+	pbytes   int64 // preds' charge
+	blocks   int
+	streamed int64
+	// The inner record being paired: the outer row it pairs next, its
+	// phoneme once converted, and its decoded row once it matched.
+	oi        int
+	ph        string
+	converted bool
+	dec       types.Tuple
+	bytes     int64 // what recs charged to the query
+	// The batch being filled and the rows it may take.
+	out   *Batch
+	limit int
+	done  bool
 }
 
 func (j *hoistedJoinIter) NextBatch() (*Batch, error) {
@@ -259,178 +195,232 @@ func (j *hoistedJoinIter) NextBatch() (*Batch, error) {
 		return nil, nil
 	}
 	out := j.ev.getBatch()
-	return j.ev.finishBatch(out, j.fill(out, batchLimit(j.budget)))
+	j.out, j.limit = out, batchLimit(j.budget)
+	err := j.fill()
+	j.out = nil
+	return j.ev.finishBatch(out, err)
 }
 
-// fill joins outer rows against the inner side until out holds limit rows or
-// the outer side is exhausted.
-func (j *hoistedJoinIter) fill(out *Batch, limit int) error {
-	for len(out.Rows) < limit {
-		if err := j.ev.tick(); err != nil {
+// fill joins blocks of outer rows with the inner side until the batch holds
+// its limit or the outer side is exhausted.
+func (j *hoistedJoinIter) fill() error {
+	for !j.full() {
+		if j.ob == nil {
+			if err := j.nextBlock(); err != nil || j.done {
+				return err
+			}
+		}
+		var start time.Time
+		if j.timed {
+			start = time.Now()
+		}
+		more, err := j.stream()
+		if j.timed {
+			el := time.Since(start)
+			for _, st := range [...]*OpStats{j.scanSt, j.matSt} {
+				if st != nil {
+					st.Elapsed += el
+				}
+			}
+		}
+		if err != nil {
 			return err
 		}
-		if j.ob == nil || j.oi >= len(j.ob.Rows) {
-			j.ev.putBatch(j.ob)
-			var err error
-			if j.ob, err = j.outer.NextBatch(); err != nil {
-				return err
-			}
-			j.oi = 0
-			if j.ob == nil {
-				j.done = true
-				return nil
-			}
-		}
-		o := j.ob.Rows[j.oi]
-		if !j.inPass {
-			if err := j.beginPass(o); err != nil {
-				return err
-			}
-		}
-		rows := j.in.rows
-		for ; j.ri < len(rows) && len(out.Rows) < limit; j.ri++ {
-			if err := j.ev.tick(); err != nil {
-				return err
-			}
-			r := &rows[j.ri]
-			if ok, err := j.match(r); !ok {
-				if err != nil {
-					return err
-				}
-				continue
-			}
-			in, _, err := types.DecodeTuple(j.in.arena[r.rec:])
-			if err != nil {
-				return err
-			}
-			out.Rows = append(out.Rows, joinedTuple(o, in))
-		}
-		if j.ri == len(rows) {
-			j.endPass(true)
-			j.oi++
+		if !more {
+			j.endBlock(true)
 		}
 	}
 	return nil
 }
 
-// beginPass starts outer row o's pass over the inner side, reading that in on
-// the first pass, and compiles o's operand unless there is no inner row to
-// match it with.
-func (j *hoistedJoinIter) beginPass(o types.Tuple) error {
-	if !j.loaded {
-		j.loaded = true
-		if err := j.load(); err != nil {
-			return err
-		}
-	} else if j.matSt != nil {
-		j.matSt.Loops++
-	}
-	j.inPass, j.ri = true, 0
-	if len(j.in.rows) == 0 {
-		return nil
-	}
-	j.p = j.ev.compile(j.x, j.outerLeft, o[j.outerCol], nil, float64(len(j.in.rows)))
-	j.pbytes = j.p.memBytes()
-	return j.ev.grow(j.pbytes)
-}
+func (j *hoistedJoinIter) full() bool { return len(j.out.Rows) >= j.limit }
 
-// endPass drops the pass's compiled operand and releases its charge; the
-// Materialize is credited the rows the pass read, and its exhausted pull when
-// the pass ran to the end.
-func (j *hoistedJoinIter) endPass(exhausted bool) {
-	j.ev.release(j.pbytes)
-	j.p, j.pbytes, j.inPass = nil, 0, false
-	if j.matSt != nil {
-		j.matSt.Rows += int64(j.ri)
-		j.matSt.Nexts += int64(j.ri)
-		if exhausted {
-			j.matSt.Nexts++
-		}
-	}
-}
-
-// match applies the pass's compiled operand to inner row r.
-func (j *hoistedJoinIter) match(r *innerRow) (bool, error) {
-	match, done, err := j.p.matchOperand(j.ev, r.kind, r.lang, j.in.text(r), j.in.phoneme(r))
-	if done {
-		return match, err
-	}
-	if !r.conv {
-		if err := j.in.convert(j.ev, r); err != nil {
-			return false, err
-		}
-	}
-	return j.p.matchConverted(j.ev, j.in.phoneme(r)), nil
-}
-
-// load reads the inner side into the arena.
-func (j *hoistedJoinIter) load() error {
-	var start time.Time
-	if j.timed {
-		start = time.Now()
-	}
+// nextBlock takes the next outer batch as the block and starts the inner
+// side's pass for it: for a scan, the table's next pass; for any other
+// input, a replay of its records, read in on the first block.
+func (j *hoistedJoinIter) nextBlock() error {
 	var err error
-	if j.src != nil {
-		err = j.loadRecords()
-	} else {
-		err = j.ev.drainRows(j.child, func(t types.Tuple) error {
-			base := len(j.in.arena)
-			j.in.arena = types.AppendTuple(j.in.arena, t)
-			if err := j.in.index(base); err != nil {
-				return err
-			}
-			return j.in.charge(j.ev)
+	if j.ob, err = j.outer.NextBatch(); err != nil || j.ob == nil {
+		j.done = err == nil
+		return err
+	}
+	j.blocks++
+	switch {
+	case j.blocks > 1 && j.src != nil:
+		return j.src.rewind()
+	case j.blocks > 1:
+		j.recs.pos = 0
+	case j.child != nil:
+		return j.ev.drainRows(j.child, func(t types.Tuple) error {
+			j.recs.addTuple(t)
+			return j.charge()
 		})
 	}
-	if j.scanSt != nil && err == nil {
-		n := int64(len(j.in.rows))
-		j.scanSt.Rows += n
-		j.scanSt.Nexts += n + 1
+	return nil
+}
+
+// stream pairs the block with its next inner records: those recs holds from
+// its position on, then, for a scan, the next page. more=false when the
+// block's pass over the inner side is over.
+func (j *hoistedJoinIter) stream() (more bool, err error) {
+	for rec := j.recs.next(); rec != nil; rec = j.recs.next() {
+		if done, err := j.pair(rec); err != nil || !done {
+			return true, err
+		}
+		j.recs.pos++
 	}
-	if j.timed {
-		el := time.Since(start)
-		if j.scanSt != nil {
-			j.scanSt.Elapsed += el
-		}
-		if j.matSt != nil {
-			j.matSt.Elapsed += el
-		}
+	if j.src == nil {
+		return false, nil
+	}
+	j.recs.reset()
+	if more, err = j.src.nextPage(j.onRec); err == nil {
+		err = j.charge()
+	}
+	return more, err
+}
+
+// onRecord pairs a scan's record with the block; a record the batch has no
+// room for waits in recs, copied off the page.
+func (j *hoistedJoinIter) onRecord(rec []byte) error {
+	done, err := j.pair(rec)
+	if err == nil && !done {
+		j.recs.add(rec)
 	}
 	return err
 }
 
-// loadRecords copies the scan's records into the arena page by page, sizing
-// the arena after the first page for the pages the scan reads.
-func (j *hoistedJoinIter) loadRecords() error {
-	pages := j.src.fixShare()
-	perRec := func(rec []byte) error {
+// pair tests inner record rec against the block's outer rows from oi on:
+// its operand is read once, converted at most once, and the record decoded
+// on its first match. done=false when the batch filled first; oi is then
+// the outer row to resume at.
+func (j *hoistedJoinIter) pair(rec []byte) (done bool, err error) {
+	if j.full() {
+		return false, nil
+	}
+	if len(j.preds) == 0 {
+		if err := j.compileBlock(); err != nil {
+			return false, err
+		}
+	}
+	if j.oi == 0 {
+		j.streamed++
+	}
+	field, err := j.skip.Seek(rec)
+	if err != nil {
+		return false, err
+	}
+	kind := types.Kind(field[0])
+	var lang types.LangID
+	var text, ph []byte
+	switch kind {
+	case types.KindUniText:
+		lang, text, ph, err = types.UniTextViews(field)
+	case types.KindText:
+		lang = j.textLang
+		text, err = types.TextView(field)
+	}
+	if err != nil {
+		return false, err
+	}
+	for ; j.oi < len(j.preds); j.oi++ {
+		if j.full() {
+			return false, nil
+		}
+		if err := j.ev.tick(); err != nil {
+			return false, err
+		}
+		p := j.preds[j.oi]
+		match, ok, err := p.matchOperand(j.ev, kind, lang, text, ph)
+		if !ok {
+			if !j.converted {
+				j.ph, j.converted = j.ev.convert(types.Compose(string(text), lang)), true
+			}
+			match = p.matchConverted(j.ev, j.ph)
+		}
+		if err != nil {
+			return false, err
+		}
+		if !match {
+			continue
+		}
+		if j.dec == nil {
+			if j.dec, _, err = types.DecodeTuple(rec); err != nil {
+				return false, err
+			}
+		}
+		j.out.Rows = append(j.out.Rows, joinedTuple(j.ob.Rows[j.oi], j.dec))
+	}
+	j.oi, j.ph, j.converted, j.dec = 0, "", false, nil
+	return true, nil
+}
+
+// compileBlock compiles each outer row of the block into the constPred a
+// scan's constant compiles to, charged until the block ends.
+func (j *hoistedJoinIter) compileBlock() error {
+	for _, o := range j.ob.Rows {
 		if err := j.ev.tick(); err != nil {
 			return err
 		}
-		return j.in.add(rec)
-	}
-	for page := int64(1); ; page++ {
-		more, err := j.src.nextPage(perRec)
-		if err != nil || !more {
-			return err
-		}
-		if page == 1 {
-			j.in.presize(pages)
-		}
-		if err := j.in.charge(j.ev); err != nil {
-			return err
+		p := j.ev.compile(j.x, j.outerLeft, o[j.outerCol], nil, j.innerRows)
+		j.preds = append(j.preds, p)
+		if n := p.memBytes(); n > 0 {
+			j.pbytes += n
+			if err := j.ev.grow(n); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
+
+// charge brings the query's charge up to what recs holds. It is recorded
+// before it is checked: Grow counts even a failing charge, and Close
+// releases it.
+func (j *hoistedJoinIter) charge() error {
+	n := int64(cap(j.recs.buf)+cap(j.recs.ends)*8) - j.bytes
+	if n == 0 {
+		return nil
+	}
+	j.bytes += n
+	return j.ev.grow(n)
+}
+
+// endBlock drops the block's compiled operands and releases their charge.
+// The Materialize is credited what one pass per outer row would have read,
+// and the scan the records the first block read, as if read once.
+func (j *hoistedJoinIter) endBlock(exhausted bool) {
+	j.ev.release(j.pbytes)
+	j.preds, j.pbytes = j.preds[:0], 0
+	outer := int64(len(j.ob.Rows))
+	if j.matSt != nil {
+		j.matSt.Loops += outer
+		if j.blocks == 1 {
+			j.matSt.Loops--
+		}
+		j.matSt.Rows += outer * j.streamed
+		j.matSt.Nexts += outer * j.streamed
+		if exhausted {
+			j.matSt.Nexts += outer
+		}
+	}
+	if j.scanSt != nil && j.blocks == 1 {
+		j.scanSt.Rows += j.streamed
+		j.scanSt.Nexts += j.streamed
+		if exhausted {
+			j.scanSt.Nexts++
+		}
+	}
+	j.streamed = 0
+	j.ev.putBatch(j.ob)
+	j.ob = nil
 }
 
 func (j *hoistedJoinIter) Close() error {
-	j.ev.putBatch(j.ob)
-	j.ob = nil
-	if j.inPass {
-		j.endPass(false)
+	if j.ob != nil {
+		j.endBlock(false)
 	}
-	j.ev.release(j.in.bytes)
-	j.in.arena, j.in.rows, j.in.conv, j.in.bytes = nil, nil, nil, 0
+	j.ev.release(j.bytes)
+	j.recs, j.bytes = recordBuf{}, 0
 	err := j.outer.Close()
 	if j.src != nil {
 		return errors.Join(err, j.src.Close())

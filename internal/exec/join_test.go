@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -239,9 +238,6 @@ func TestJoinHoistedMatchesPerPair(t *testing.T) {
 	if matched == 0 || failed == 0 {
 		t.Fatalf("%d rows matched, %d cases failed: the cases miss the match or the error path", matched, failed)
 	}
-	if size := reflect.TypeFor[innerRow]().Size(); size != innerRowBytes {
-		t.Errorf("an innerRow is %d bytes, charged as %d", size, innerRowBytes)
-	}
 }
 
 // FuzzJoinAgree is TestJoinHoistedMatchesPerPair's check over fuzzed seeds
@@ -322,60 +318,158 @@ func TestHoistedJoinUnderCollector(t *testing.T) {
 	}
 }
 
-// Under a Gather each worker of a hoisted join reads a fixed share of the
-// inner scan's pages, whichever worker runs first: a worker run alone to its
-// end reads half the table, not every morsel, and the other the rest. Each
-// then pairs its outer rows with the same number of inner rows.
-func TestHoistedJoinWorkersReadFixedShares(t *testing.T) {
+// Under a Gather the workers of a hoisted join claim the inner scan's pages
+// as a scan's workers do: whichever worker runs first, each page is read by
+// one of them, and the records the two read sum to the table once.
+func TestHoistedJoinWorkersClaimEachPageOnce(t *testing.T) {
 	const inner = 40 // 20 mock pages
 	env := newMockEnv()
 	mkUniTable(env, "o", 1)
 	mkUniTable(env, "i", inner)
 	for _, materialized := range []bool{true, false} {
-		node := uniJoin(1, materialized)
-		scan := node.Children[1]
-		if materialized {
-			scan = scan.Children[0]
+		for _, order := range [][]int{{0, 1}, {1, 0}} {
+			node := uniJoin(1, materialized)
+			scan := node.Children[1]
+			if materialized {
+				scan = scan.Children[0]
+			}
+			scan.Parallel = true
+			gather := &plan.Node{Op: plan.OpGather, Children: []*plan.Node{node}, Cols: node.Cols, Workers: 2}
+			ev := &evaluator{env: env, stats: &RunStats{}, pool: NewBatchPool(), preds: &stmtPreds{}, collector: NewCountStats()}
+			it, err := buildGather(env, ev, gather, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := it.(*gatherIter)
+			read := 0
+			for _, w := range order {
+				for {
+					b, err := g.workers[w].root.NextBatch()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if b == nil {
+						break
+					}
+					g.workers[w].ev.putBatch(b)
+				}
+				a, _ := g.workers[w].ev.collector.Actual(scan)
+				read += int(a.Rows)
+			}
+			if err := g.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if read != inner {
+				t.Errorf("materialized=%v, worker %d first: the workers read %d inner records, want %d", materialized, order[0], read, inner)
+			}
 		}
-		scan.Parallel = true
-		gather := &plan.Node{Op: plan.OpGather, Children: []*plan.Node{node}, Cols: node.Cols, Workers: 2}
-		ev := &evaluator{env: env, stats: &RunStats{}, pool: NewBatchPool(), preds: &stmtPreds{}}
-		it, err := buildGather(env, ev, gather, nil)
+	}
+}
+
+// A hoisted join reads its inner side once per block of outer rows, one
+// outer batch, not once per outer row — under a Gather too, whose workers
+// claim each pass's pages from one cursor — and holds no copy of it: the
+// peak memory of a join that matches nothing stays below the inner records'
+// own bytes.
+func TestHoistedJoinStreamsInnerOncePerBlock(t *testing.T) {
+	const inner = 256 // 128 mock pages
+	env := newMockEnv()
+	for i := 0; i < inner; i++ {
+		env.tables["i"] = append(env.tables["i"], types.Tuple{u("krishnamurthy", types.LangEnglish)})
+	}
+	pages := env.pagesFor("i")
+	records := 0
+	for _, page := range pages {
+		for _, rec := range page {
+			records += len(rec)
+		}
+	}
+	for _, c := range []struct{ outer, passes int }{{1, 1}, {BatchRows, 1}, {BatchRows + 1, 2}} {
+		env.tables["o"] = nil
+		for i := 0; i < c.outer; i++ {
+			env.tables["o"] = append(env.tables["o"], types.Tuple{u("nehru", types.LangEnglish)})
+		}
+		for _, workers := range []int{0, 2} {
+			node := uniJoin(0, true)
+			if workers > 0 {
+				node.Children[1].Children[0].Parallel = true
+				node = &plan.Node{Op: plan.OpGather, Children: []*plan.Node{node}, Cols: node.Cols, Workers: workers}
+			}
+			reads := env.pageReads("i")
+			before := reads.Load()
+			res := NewResources(context.Background(), 0)
+			cur, err := Run(env, node, NewExecStats(), res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := cur.All()
+			if err != nil || len(rows) != 0 || cur.Stats.PsiEvaluations != int64(c.outer*inner) {
+				t.Fatalf("%d outer rows, %d workers: %d rows, %d Ψ evaluations, %v; want 0, %d and no error",
+					c.outer, workers, len(rows), cur.Stats.PsiEvaluations, err, c.outer*inner)
+			}
+			if got := reads.Load() - before; got != int64(c.passes*len(pages)) {
+				t.Errorf("%d outer rows, %d workers: %d inner page reads, want %d (%d passes over %d pages)",
+					c.outer, workers, got, c.passes*len(pages), c.passes, len(pages))
+			}
+			if peak := res.PeakBytes(); c.outer == 1 && workers == 0 && peak >= int64(records) {
+				t.Errorf("peak %d bytes accounted, not below the %d of the inner records", peak, records)
+			}
+		}
+	}
+}
+
+// Over an outer side of more than one block — serially, and under a Gather
+// whose workers claim each block's pass from one cursor — a hoisted join
+// agrees with the per-pair reference as it does over one.
+func TestHoistedJoinAgreesAcrossBlocks(t *testing.T) {
+	env := newMockEnv()
+	env.net = omegaNet()
+	rng := rand.New(rand.NewSource(11))
+	matched := 0
+	for i := 0; i < 8; i++ {
+		// 4 inner rows are striped under the Gather; 16 and more are claimed.
+		m, _ := joinAgree(t, env, randomJoinCase(rng, env, i%2 == 1, BatchRows+3, 4+12*(i%4)))
+		matched += m
+	}
+	if matched == 0 {
+		t.Fatal("no case matched a row")
+	}
+}
+
+// An Ω join bounds each outer row's word set by the inner side's estimated
+// rows: BenchmarkOmegaJoin's small closure compiles to the word set, its
+// large one to the interval labels.
+func TestOmegaJoinProbeFormFollowsInnerEstimate(t *testing.T) {
+	net := omegaNet()
+	for name, closure := range omegaJoinClosures {
+		env, node, concept := omegaJoinBench(net, closure)
+		cur, err := Run(env, node, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := it.(*gatherIter)
-		loaded := make([]int, len(g.workers))
-		for _, w := range []int{1, 0} {
-			j := g.workers[w].root.(*hoistedJoinIter)
-			for {
-				b, err := j.NextBatch()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if b == nil {
-					break
-				}
-				j.ev.putBatch(b)
-			}
-			loaded[w] = len(j.in.rows)
-		}
-		if err := g.Close(); err != nil {
+		j := cur.src.(*hoistedJoinIter)
+		if err := j.nextBlock(); err != nil {
 			t.Fatal(err)
 		}
-		if loaded[0] != inner/2 || loaded[1] != inner/2 {
-			t.Errorf("materialized=%v: the workers read %v inner rows, worker 1 first; want %d each", materialized, loaded, inner/2)
+		if err := j.compileBlock(); err != nil {
+			t.Fatal(err)
+		}
+		words := j.preds[0].probe.MemBytes() > net.CompileRight(concept, nil, 0).MemBytes()
+		if words != (name == "words") {
+			t.Errorf("%s: the join compiled the word set: %v", name, words)
+		}
+		if err := cur.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
 // A pair the hoisted join rejects allocates nothing, and reading the inner
-// side allocates the same at any size: its records go to one arena sized
-// after the first page, not one tuple per row. Every inner name is the same,
-// so the first page is like all the others. The batch pool may miss now and
-// then (the race detector drops pooled items on purpose), hence the slack of
-// two. Held as records, the inner side also costs the statement less memory
-// than the inner rows decoded would.
+// side allocates the same at any size: its records are read off the page,
+// not decoded into one tuple per row. The batch pool may miss now and then
+// (the race detector drops pooled items on purpose), hence the slack of two.
+// Streamed, the inner side also costs the statement less memory than the
+// inner rows decoded would.
 func TestHoistedJoinAllocationsIndependentOfInnerRows(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := map[int]float64{}

@@ -51,24 +51,37 @@ type gatherShared struct {
 }
 
 // morselSource hands out disjoint page ranges of one table to any worker
-// that asks. Claims are a single atomic add, the morsel-driven scheduling
-// discipline: fast workers naturally take more of the table.
+// that asks, the morsel-driven scheduling discipline: fast workers naturally
+// take more of the table. Workers that read the table once per block of
+// their input (a hoisted join's inner side) claim in numbered passes, and a
+// pass ends for all of them when its last range is claimed.
 type morselSource struct {
 	table  string
 	npages int64
 	// chunk is how many pages one claim covers: morselChunkPages when Gather
-	// workers share the source, the whole table for a private one.
+	// workers share the source, the whole table (at least one page) for a
+	// private one.
 	chunk   int64
 	striped bool
-	next    atomic.Int64
+	// next is the first unclaimed page, counting each pass as npages rounded
+	// up to a whole chunk.
+	next atomic.Int64
 }
 
-func (m *morselSource) claim() (lo, hi int64, ok bool) {
-	lo = m.next.Add(m.chunk) - m.chunk
-	if lo >= m.npages {
-		return 0, 0, false
+// claim hands out the next unclaimed range of pass pass.
+func (m *morselSource) claim(pass int64) (lo, hi int64, ok bool) {
+	span := (m.npages + m.chunk - 1) / m.chunk * m.chunk
+	for {
+		cur := m.next.Load()
+		lo = max(cur, pass*span)
+		if lo >= (pass+1)*span {
+			return 0, 0, false
+		}
+		if m.next.CompareAndSwap(cur, lo+m.chunk) {
+			lo -= pass * span
+			return lo, min(lo+m.chunk, m.npages), true
+		}
 	}
-	return lo, min(lo+m.chunk, m.npages), true
 }
 
 // morselsFor returns (creating on first use) the shared morsel source for a

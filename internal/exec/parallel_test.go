@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -368,29 +369,26 @@ func TestParallelScanOutsideGatherIsSerial(t *testing.T) {
 }
 
 // Two parallel scans of the same table node share one morsel source; a
-// morselSource must hand out each page range exactly once.
+// morselSource must hand out each page range exactly once per pass.
 func TestMorselSourceClaimsAreDisjoint(t *testing.T) {
 	src := &morselSource{table: "t", npages: 10, chunk: morselChunkPages}
 	type rng struct{ lo, hi int64 }
-	var got []rng
-	for {
-		lo, hi, ok := src.claim()
-		if !ok {
-			break
-		}
-		got = append(got, rng{lo, hi})
-	}
 	want := []rng{{0, 4}, {4, 8}, {8, 10}}
-	if len(got) != len(want) {
-		t.Fatalf("claims = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("claims = %v, want %v", got, want)
+	for pass := int64(0); pass < 2; pass++ {
+		var got []rng
+		for {
+			lo, hi, ok := src.claim(pass)
+			if !ok {
+				break
+			}
+			got = append(got, rng{lo, hi})
 		}
-	}
-	// Exhausted source stays exhausted.
-	if _, _, ok := src.claim(); ok {
-		t.Error("claim succeeded on an exhausted source")
+		if !slices.Equal(got, want) {
+			t.Fatalf("pass %d claims = %v, want %v", pass, got, want)
+		}
+		// An exhausted pass stays exhausted.
+		if _, _, ok := src.claim(pass); ok {
+			t.Errorf("claim succeeded on exhausted pass %d", pass)
+		}
 	}
 }

@@ -27,9 +27,10 @@ import (
 // per row would have raised it.
 //
 // A Ψ or Ω join over one column of each side compiles the same constPred
-// once per outer row, from that row's value (compile), and streams the inner
-// side past it: each inner row's operand is read as views on the join's
-// arena of inner records (join.go) and matched as the kernel matches a view
+// for each outer row of a block, from that row's value (compile), and
+// streams the inner side past the block once: each inner record's operand is
+// read as views off the page or the join's record buffer (join.go) and
+// matched against every compiled outer row as the kernel matches a view
 // (matchOperand). The Ψ index join compiles its outer row the same way, to
 // probe the M-Tree and recheck the candidates. Any other Ψ or Ω over two
 // computed operands goes through the same rules row by row (evalPsi,
@@ -422,7 +423,7 @@ func (p *constPred) matchOperand(ev *evaluator, k types.Kind, lang types.LangID,
 
 // matchConverted finishes a Ψ that matchView left to a conversion, on the
 // operand's converted phoneme.
-func (p *constPred) matchConverted(ev *evaluator, ph []byte) bool {
+func (p *constPred) matchConverted(ev *evaluator, ph string) bool {
 	ev.countPsi()
-	return p.m.MatchBytes(ph)
+	return p.m.Match(ph)
 }

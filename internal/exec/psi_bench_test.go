@@ -6,6 +6,7 @@ import (
 
 	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/types"
+	"github.com/mural-db/mural/internal/wordnet"
 )
 
 // The Ψ benchmarks: a fused scan and a join over stored phonemes (the per-row
@@ -58,9 +59,8 @@ func BenchmarkPsiScanStored(b *testing.B) { benchPsiScan(b, types.KindUniText) }
 
 func BenchmarkPsiScanText(b *testing.B) { benchPsiScan(b, types.KindText) }
 
-func benchPsiJoin(b *testing.B, kind types.Kind) {
+func benchPsiJoin(b *testing.B, kind types.Kind, outer, inner int) {
 	env := newMockEnv()
-	const outer, inner = 8, 1024
 	benchNames(env, "o", outer, kind)
 	benchNames(env, "i", inner, kind)
 	oc := []plan.ColInfo{{Rel: "o", Name: "n", Kind: kind}}
@@ -82,41 +82,50 @@ func benchPsiJoin(b *testing.B, kind types.Kind) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*outer*inner), "ns/pair")
 }
 
-func BenchmarkPsiJoinStored(b *testing.B) { benchPsiJoin(b, types.KindUniText) }
+// BenchmarkPsiJoinStored joins 8 outer rows with 1,024 inner ones, and 2
+// with 25,000: the psi_join workload's probe rows against its names table.
+func BenchmarkPsiJoinStored(b *testing.B) {
+	b.Run("outer=8", func(b *testing.B) { benchPsiJoin(b, types.KindUniText, 8, 1024) })
+	b.Run("outer=2", func(b *testing.B) { benchPsiJoin(b, types.KindUniText, 2, 25000) })
+}
 
-func BenchmarkPsiJoinText(b *testing.B) { benchPsiJoin(b, types.KindText) }
+func BenchmarkPsiJoinText(b *testing.B) { benchPsiJoin(b, types.KindText, 8, 1024) }
 
-// BenchmarkOmegaJoin joins 8 outer rows naming one concept with 1,024 inner
-// words, Ω(inner, outer). The concept's closure is small enough for the
-// word-set probe (words) or too large for it, so each outer row compiles to
-// the interval labels (intervals).
+// omegaJoinClosures is the closure size of BenchmarkOmegaJoin's concept per
+// case: small enough for the word-set probe (words) or too large for it, so
+// each outer row compiles to the interval labels (intervals).
+var omegaJoinClosures = map[string]int{"words": 20, "intervals": 1000}
+
+// omegaJoinBench is the join BenchmarkOmegaJoin runs: 8 outer rows naming
+// one concept with the given closure size against 1,024 inner words,
+// Ω(inner, outer), the inner scan estimated at its true size.
+func omegaJoinBench(net *wordnet.Net, closure int) (*mockEnv, *plan.Node, types.UniText) {
+	const outer, inner = 8, 1024
+	env := newMockEnv()
+	env.net = net
+	concept := types.Compose(net.Lemma(types.LangEnglish, net.FindClosureOfSize(closure)), types.LangEnglish)
+	for i := 0; i < outer; i++ {
+		env.tables["o"] = append(env.tables["o"], types.Tuple{types.NewUniText(concept)})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < inner; i++ {
+		text, lang := omegaWord(rng, net)
+		env.tables["i"] = append(env.tables["i"], types.Tuple{types.NewUniText(types.Compose(text, lang))})
+	}
+	oc := []plan.ColInfo{{Rel: "o", Name: "n", Kind: types.KindUniText}}
+	ic := []plan.ColInfo{{Rel: "i", Name: "n", Kind: types.KindUniText}}
+	scan := scanNode("i", ic)
+	scan.EstRows = inner
+	return env, &plan.Node{Op: plan.OpOmegaJoin, Children: []*plan.Node{scanNode("o", oc), scan},
+		Cols: append(append([]plan.ColInfo{}, oc...), ic...), Cond: &plan.Omega{L: &plan.ColIdx{Idx: 1}, R: &plan.ColIdx{Idx: 0}}}, concept
+}
+
+// BenchmarkOmegaJoin runs omegaJoinBench's join for each closure size.
 func BenchmarkOmegaJoin(b *testing.B) {
 	net := omegaNet()
-	const outer, inner = 8, 1024
-	for _, bc := range []struct {
-		name    string
-		closure int
-	}{{"words", 20}, {"intervals", 1000}} {
-		b.Run(bc.name, func(b *testing.B) {
-			env := newMockEnv()
-			env.net = net
-			concept := types.Compose(net.Lemma(types.LangEnglish, net.FindClosureOfSize(bc.closure)), types.LangEnglish)
-			words := net.CompileRight(concept, nil, inner).MemBytes() > net.CompileRight(concept, nil, 0).MemBytes()
-			if words != (bc.name == "words") {
-				b.Fatalf("%s: the probe compiled to the other form", bc.name)
-			}
-			for i := 0; i < outer; i++ {
-				env.tables["o"] = append(env.tables["o"], types.Tuple{types.NewUniText(concept)})
-			}
-			rng := rand.New(rand.NewSource(1))
-			for i := 0; i < inner; i++ {
-				text, lang := omegaWord(rng, net)
-				env.tables["i"] = append(env.tables["i"], types.Tuple{types.NewUniText(types.Compose(text, lang))})
-			}
-			oc := []plan.ColInfo{{Rel: "o", Name: "n", Kind: types.KindUniText}}
-			ic := []plan.ColInfo{{Rel: "i", Name: "n", Kind: types.KindUniText}}
-			node := &plan.Node{Op: plan.OpOmegaJoin, Children: []*plan.Node{scanNode("o", oc), scanNode("i", ic)},
-				Cols: append(append([]plan.ColInfo{}, oc...), ic...), Cond: &plan.Omega{L: &plan.ColIdx{Idx: 1}, R: &plan.ColIdx{Idx: 0}}}
+	for _, name := range []string{"words", "intervals"} {
+		b.Run(name, func(b *testing.B) {
+			env, node, _ := omegaJoinBench(net, omegaJoinClosures[name])
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -129,7 +138,7 @@ func BenchmarkOmegaJoin(b *testing.B) {
 					b.Fatalf("%d rows, %v", len(rows), err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*outer*inner), "ns/pair")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(env.tables["o"])*len(env.tables["i"])), "ns/pair")
 		})
 	}
 }
