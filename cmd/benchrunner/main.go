@@ -12,7 +12,6 @@
 //	benchrunner -exp concurrent          # concurrent-session insert throughput sweep
 //	benchrunner -exp govern              # cancellation-checkpoint overhead on the Ψ scan
 //	benchrunner -exp observe             # observability (stats+feedback+tracing) overhead
-//	benchrunner -exp shard               # sharded scale-out sweep, 1/2/4 local shards (BENCH_PR10.json)
 //	benchrunner -exp snapshot            # reduced-scale JSON perf snapshot (BENCH_PR9.json)
 //	benchrunner -snapshot out.json       # same, to an explicit path
 package main
@@ -30,14 +29,13 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table4|fig6|fig7|fig8|regress|ablation|parallel|concurrent|govern|observe|shard|all")
-		names    = flag.Int("names", 5000, "names table size for table4 (paper: ~25000)")
-		probes   = flag.Int("probes", 50, "probe table size for table4 joins")
-		synsets  = flag.Int("synsets", 20000, "taxonomy size for fig8 (paper: 111223)")
-		full     = flag.Bool("full", false, "paper-scale settings (slow)")
-		seed     = flag.Int64("seed", 2006, "dataset seed")
-		snap     = flag.String("snapshot", "BENCH_PR9.json", "perf snapshot output path (implies -exp snapshot when set explicitly)")
-		shardOut = flag.String("shardout", "BENCH_PR10.json", "shard experiment snapshot output path")
+		exp     = flag.String("exp", "all", "experiment: table4|fig6|fig7|fig8|regress|ablation|parallel|concurrent|govern|observe|all")
+		names   = flag.Int("names", 5000, "names table size for table4 (paper: ~25000)")
+		probes  = flag.Int("probes", 50, "probe table size for table4 joins")
+		synsets = flag.Int("synsets", 20000, "taxonomy size for fig8 (paper: 111223)")
+		full    = flag.Bool("full", false, "paper-scale settings (slow)")
+		seed    = flag.Int64("seed", 2006, "dataset seed")
+		snap    = flag.String("snapshot", "BENCH_PR9.json", "perf snapshot output path (implies -exp snapshot when set explicitly)")
 	)
 	flag.Parse()
 	snapSet := false
@@ -79,7 +77,6 @@ func main() {
 	run("concurrent", func() error { return runConcurrent() })
 	run("govern", func() error { return runGovern(*names, *seed) })
 	run("observe", func() error { return runObserve(*names, *seed) })
-	run("shard", func() error { return runShardExp(*names, *seed, *shardOut) })
 }
 
 func runTable4(names, probes int, seed int64) error {

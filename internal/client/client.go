@@ -271,38 +271,25 @@ type Cursor struct {
 
 // Query opens a cursor for a statement that returns rows.
 func (c *Conn) Query(q string) (*Cursor, error) {
-	return c.openCursor(wire.MsgQuery, []byte(q))
-}
-
-// QueryFragment opens a cursor for a serialized plan fragment (MsgFragment):
-// the coordinator half of sharded execution. The payload is built with
-// wire.EncodeFragmentPayload; the reply protocol is identical to Query, so
-// the returned cursor fetches, cancels and closes the same way.
-func (c *Conn) QueryFragment(payload []byte) (*Cursor, error) {
-	return c.openCursor(wire.MsgFragment, payload)
-}
-
-// openCursor sends one cursor-opening request and decodes its reply.
-func (c *Conn) openCursor(typ wire.MsgType, payload []byte) (*Cursor, error) {
 	c.armDeadline()
 	defer c.clearDeadline()
-	if err := c.writeFrame(typ, payload); err != nil {
+	if err := c.writeFrame(wire.MsgQuery, []byte(q)); err != nil {
 		return nil, err
 	}
 	reply, body, err := wire.Read(c.br)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case reply == wire.MsgRowDesc:
+	switch reply {
+	case wire.MsgRowDesc:
 		id, cols, err := wire.DecodeRowDesc(body)
 		if err != nil {
 			return nil, err
 		}
 		return &Cursor{Cols: cols, conn: c, id: id}, nil
-	case reply == wire.MsgErr:
+	case wire.MsgErr:
 		return nil, serverErr(body)
-	case reply == wire.MsgOK && typ == wire.MsgQuery:
+	case wire.MsgOK:
 		return nil, fmt.Errorf("client: Query on a statement without rows")
 	default:
 		return nil, fmt.Errorf("client: unexpected reply 0x%02x", reply)

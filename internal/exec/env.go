@@ -14,16 +14,6 @@ import (
 	"github.com/mural-db/mural/internal/wordnet"
 )
 
-// TupleIter streams tuples one at a time: the face of a shard's wire stream
-// (FragmentRunner.RunFragment), which the Remote operator turns into batches.
-// Operators themselves are BatchIters.
-type TupleIter interface {
-	// Next returns the next tuple; ok=false signals exhaustion.
-	Next() (types.Tuple, bool, error)
-	// Close releases resources. Close is idempotent.
-	Close() error
-}
-
 // Env is the runtime surface the executor needs from the engine.
 type Env interface {
 	// TablePages reports the table's heap size in pages, the unit a Gather

@@ -138,8 +138,6 @@ func build(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIte
 		}
 	case plan.OpGather:
 		it, err = buildGather(env, ev, n, budget)
-	case plan.OpRemote:
-		it, err = buildRemote(env, ev, n)
 	case plan.OpBTreeScan, plan.OpMTreeScan, plan.OpMDIScan, plan.OpQGramScan:
 		it, err = buildIndexScan(env, ev, n)
 	case plan.OpNLJoin, plan.OpPsiJoin, plan.OpOmegaJoin:
@@ -762,15 +760,6 @@ func (a *aggregateIter) accumulate(groups map[string]*aggGroup, order *[]string,
 			return err
 		}
 		if v.IsNull() {
-			continue
-		}
-		if spec.Merge && spec.Kind == sql.FuncCount {
-			// Coordinator half of a distributed COUNT: sum the shards'
-			// int64 partial counts instead of counting input rows. The
-			// sum stays in integer arithmetic, so the merged COUNT is
-			// bit-identical to the single-node answer.
-			st.count += v.Int()
-			st.any = true
 			continue
 		}
 		st.count++

@@ -134,14 +134,6 @@ func buildGather(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (Ba
 	if w < 1 {
 		w = 1
 	}
-	// A shard exchange carries one Remote child per shard; worker i drives
-	// child i's stream so a slow shard never holds up the others. A local
-	// Gather keeps the classic shape: every worker runs the same subtree
-	// over disjoint morsels.
-	fanout := len(n.Children) > 1
-	if fanout {
-		w = len(n.Children)
-	}
 	shared := &gatherShared{sources: make(map[*plan.Node]*morselSource)}
 	g := &gatherIter{parent: ev, stop: make(chan struct{})}
 	for i := 0; i < w; i++ {
@@ -166,11 +158,7 @@ func buildGather(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (Ba
 				wev.collector = NewCountStats()
 			}
 		}
-		child := n.Children[0]
-		if fanout {
-			child = n.Children[i]
-		}
-		root, err := build(env, wev, child, budget)
+		root, err := build(env, wev, n.Children[0], budget)
 		if err != nil {
 			errs := []error{err}
 			for _, built := range g.workers {

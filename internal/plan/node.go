@@ -32,7 +32,6 @@ const (
 	OpDistinct
 	OpMaterialize
 	OpGather // exchange: merge N workers running the child subtree in parallel
-	OpRemote // ship the child subtree to a shard and stream its rows back
 )
 
 // String names the operator as EXPLAIN prints it.
@@ -74,8 +73,6 @@ func (o OpType) String() string {
 		return "Materialize"
 	case OpGather:
 		return "Gather"
-	case OpRemote:
-		return "Remote"
 	default:
 		return fmt.Sprintf("Op(%d)", int(o))
 	}
@@ -85,11 +82,6 @@ func (o OpType) String() string {
 type AggSpec struct {
 	Kind sql.FuncKind
 	Arg  Expr // nil for COUNT(*)
-	// Merge marks the coordinator half of a distributed aggregate: Arg
-	// references a partial result column, and COUNT sums the int64 partial
-	// counts instead of counting rows (SUM/MIN/MAX merge under their own
-	// combine function unchanged).
-	Merge bool
 }
 
 // IndexCond carries the index probe parameters of an index scan.
@@ -148,10 +140,6 @@ type Node struct {
 
 	// Gather: number of worker goroutines running the child subtree.
 	Workers int
-	// Remote: which shard runs the child fragment, and where it listens.
-	// The child subtree is serialized and shipped, never executed locally.
-	ShardID   int
-	ShardAddr string
 	// Parallel marks a scan that each Gather worker runs over a disjoint
 	// morsel (page range) of the table instead of the whole heap.
 	Parallel bool
@@ -229,8 +217,6 @@ func format(b *strings.Builder, n *Node, depth int, actuals func(*Node) (Actual,
 		}
 	case OpGather:
 		fmt.Fprintf(b, " workers=%d", n.Workers)
-	case OpRemote:
-		fmt.Fprintf(b, " shard=%d addr=%s", n.ShardID, n.ShardAddr)
 	case OpBTreeScan, OpMTreeScan, OpMDIScan, OpQGramScan:
 		fmt.Fprintf(b, " %s using %s", n.Table, n.Index.Index)
 		if n.Index.Probe != nil {

@@ -4,36 +4,24 @@ import (
 	"math"
 
 	"github.com/mural-db/mural/internal/catalog"
-	"github.com/mural-db/mural/internal/sql"
-	"github.com/mural-db/mural/internal/types"
 )
 
 // Exchange placement: the one pass that decides where a chosen serial plan's
 // work runs. It walks the plan top-down once and at each node either
 //
-//   - ships it: with two or more shards, the largest subtree a shard can run
-//     as it is (pushable) becomes one Remote fragment per shard merged by a
-//     Gather, and an aggregate over such a subtree splits into per-shard
-//     partials and a coordinator merge. Shipping is not cost-gated: a sharded
-//     table's rows live only on the shards, the coordinator's heaps are empty
-//     routers;
-//   - gathers it: without shards, a scan, a filter chain over one, or a join
-//     whose outer input is one runs on up to Workers goroutines, each over
-//     disjoint morsels of the driving scan's table, when that table is large
-//     enough for the per-row work (Table 3: Ψ/Ω cost k·l̄ character operations
-//     a tuple) to pay for the exchange. A Ψ/Ω join whose outer input is too
+//   - gathers it: a scan, a filter chain over one, or a join whose outer
+//     input is one runs on up to Workers goroutines, each over disjoint
+//     morsels of the driving scan's table, when that table is large enough
+//     for the per-row work (Table 3: Ψ/Ω cost k·l̄ character operations a
+//     tuple) to pay for the exchange. A Ψ/Ω join whose outer input is too
 //     small to split is driven by the scan under its materialized inner
 //     input instead: every worker re-runs the outer input; or
 //   - recurses into its children.
 //
-// An exchange is final: the pass never recurses below a Gather or a Remote,
-// so a pipeline holds at most one. The coordinator runs the pass in
-// Planner.Plan and a shard runs it again, without shards, over the fragment it
-// decodes: the coordinator never ships a Gather, the shard decides its own,
-// sized by its own tables. Every consumer above a Gather is
-// order-insensitive (Aggregate, Sort and Distinct drain their input; a LIMIT
-// without ORDER BY returns arbitrary rows), so a Gather merges its streams
-// in arrival order.
+// A Gather is final: the pass never recurses below one, so a pipeline holds
+// at most one. Every consumer above a Gather is order-insensitive
+// (Aggregate, Sort and Distinct drain their input; a LIMIT without ORDER BY
+// returns arbitrary rows), so a Gather merges its streams in arrival order.
 
 // Row-count thresholds for local Gathers. Ψ/Ω predicates pay k·l̄ character
 // operations per tuple, so they parallelize at much smaller cardinalities
@@ -51,16 +39,15 @@ const (
 	parallelMinRowsPerWorker = 16
 )
 
-// Place is the exchange-placement pass over root. With two or more shards
-// every table access is shipped; otherwise workers > 1 allows local Gathers,
-// and rows sizes a driving scan's table as the engine running the plan holds
-// it (HeapRows). With neither, root is returned unchanged: the GOMAXPROCS=1
-// path.
-func Place(root *Node, workers int, shards []string, rows func(table string) float64) *Node {
-	if root == nil || (workers <= 1 && len(shards) < 2) {
+// Place is the exchange-placement pass over root: workers > 1 allows
+// Gathers, and rows sizes a driving scan's table as the engine running the
+// plan holds it (HeapRows). With one worker, root is returned unchanged: the
+// GOMAXPROCS=1 path.
+func Place(root *Node, workers int, rows func(table string) float64) *Node {
+	if root == nil || workers <= 1 {
 		return root
 	}
-	pl := &placement{workers: workers, shards: shards, rows: rows}
+	pl := &placement{workers: workers, rows: rows}
 	return pl.place(root)
 }
 
@@ -87,196 +74,20 @@ func HeapRows(cat *catalog.Catalog, pages func(table string) (int64, error)) fun
 
 type placement struct {
 	workers int
-	shards  []string
 	rows    func(table string) float64
 }
 
 func (pl *placement) place(n *Node) *Node {
-	if n.Op == OpGather || n.Op == OpRemote {
+	if n.Op == OpGather {
 		return n
 	}
-	if x := pl.exchange(n); x != nil {
-		return x
+	if g := pl.gatherLocal(n); g != nil {
+		return g
 	}
 	for i, c := range n.Children {
 		n.Children[i] = pl.place(c)
 	}
 	return n
-}
-
-// exchange returns n placed under its exchange, or nil when n gets none.
-func (pl *placement) exchange(n *Node) *Node {
-	if len(pl.shards) < 2 {
-		return pl.gatherLocal(n)
-	}
-	// COUNT/SUM/MIN/MAX over a pushable input become per-shard partials
-	// plus a coordinator merge. AVG (and any other non-decomposable
-	// aggregate) stays at the coordinator over its remoted input.
-	if n.Op == OpAggregate && splittableAggs(n.Aggs) && pushable(n, true) {
-		return pl.splitAggregate(n)
-	}
-	if pushable(n, false) {
-		return pl.remote(n)
-	}
-	return nil
-}
-
-// pushable reports whether the subtree rooted at n runs on a shard as it is:
-// a table scan (an index scan with its index parameters) under filters,
-// projections, materializations, limits and distincts — and, at the root of a
-// fragment (root), the partial half of a split aggregate. It is also the
-// fragment codec's whitelist. Joins stay at the coordinator: the two sides
-// hash-shard on their own first columns, so matching rows of different
-// tables need not be co-located. Sort stays too — the Gather merge is
-// arrival-order and would destroy a per-shard order anyway. Limit and
-// Distinct push down but keep a coordinator copy (remote).
-func pushable(n *Node, root bool) bool {
-	switch n.Op {
-	case OpSeqScan:
-		return len(n.Children) == 0
-	case OpBTreeScan, OpMTreeScan, OpMDIScan, OpQGramScan:
-		return len(n.Children) == 0 && n.Index != nil
-	case OpAggregate:
-		if !root {
-			return false
-		}
-	case OpFilter, OpProject, OpMaterialize, OpLimit, OpDistinct:
-	default:
-		return false
-	}
-	return len(n.Children) == 1 && pushable(n.Children[0], false)
-}
-
-func splittableAggs(aggs []AggSpec) bool {
-	for _, a := range aggs {
-		switch a.Kind {
-		case sql.FuncCount, sql.FuncSum, sql.FuncMin, sql.FuncMax:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// gather is the exchange merging children's streams on workers goroutines.
-func gather(children []*Node, workers int, rows, cost float64) *Node {
-	c := children[0]
-	return &Node{Op: OpGather, Children: children, Cols: c.Cols, ColNames: c.ColNames, Workers: workers, EstRows: rows, EstCost: cost}
-}
-
-// ship is the exchange that runs frag on every shard: one Remote child per
-// shard, merged by a Gather whose worker i drives shard i's stream, so a slow
-// shard never blocks the others.
-func (pl *placement) ship(frag *Node) *Node {
-	n := float64(len(pl.shards))
-	children := make([]*Node, len(pl.shards))
-	for i, addr := range pl.shards {
-		children[i] = &Node{
-			Op:        OpRemote,
-			Children:  []*Node{frag},
-			Cols:      frag.Cols,
-			ColNames:  frag.ColNames,
-			ShardID:   i,
-			ShardAddr: addr,
-			EstRows:   frag.EstRows / n,
-			EstCost:   frag.EstCost/n + frag.EstRows/n*ExchangeRowCost,
-		}
-	}
-	return gather(children, len(pl.shards), frag.EstRows, children[0].EstCost+frag.EstRows*ExchangeRowCost)
-}
-
-// remote ships the pushable subtree n. Limit and Distinct keep a coordinator
-// copy above the Gather: per-shard limits bound shipping, but n shards each
-// returning LIMIT k rows still need the final cut (and per-shard DISTINCT can
-// leave cross-shard duplicates only for rows that hash-routed apart, which
-// re-deduplicate here).
-func (pl *placement) remote(n *Node) *Node {
-	g := pl.ship(n)
-	switch n.Op {
-	case OpLimit:
-		return &Node{Op: OpLimit, Children: []*Node{g}, Cols: n.Cols, ColNames: n.ColNames, LimitN: n.LimitN, EstRows: n.EstRows, EstCost: g.EstCost}
-	case OpDistinct:
-		return &Node{Op: OpDistinct, Children: []*Node{g}, Cols: n.Cols, ColNames: n.ColNames, EstRows: n.EstRows, EstCost: g.EstCost + n.EstRows*CPUTupleCost}
-	default:
-		return g
-	}
-}
-
-// splitAggregate rewrites Aggregate(child) into
-//
-//	FinalAggregate(Gather(Remote(PartialAggregate(child)) x shards))
-//
-// The partial emits [group keys..., partial agg values...] per shard; the
-// final re-groups on the shipped keys and merges the partials (COUNT sums
-// the int64 partial counts — type-preserving, so a distributed COUNT is
-// bit-identical to the single-node answer).
-func (pl *placement) splitAggregate(n *Node) *Node {
-	g := len(n.GroupBy)
-
-	// Partial: same grouping and aggregates, output schema fixed to
-	// [keys..., aggs...] so the final half addresses partials by position.
-	partialProjs := make([]Expr, 0, g+len(n.Aggs))
-	partialCols := make([]ColInfo, 0, g+len(n.Aggs))
-	partialNames := make([]string, 0, g+len(n.Aggs))
-	for i, ge := range n.GroupBy {
-		partialProjs = append(partialProjs, &ColIdx{Idx: i, Kind: ExprKind(ge)})
-		partialCols = append(partialCols, ColInfo{Name: "key", Kind: ExprKind(ge)})
-		partialNames = append(partialNames, "key")
-	}
-	for _, a := range n.Aggs {
-		partialProjs = append(partialProjs, nil)
-		partialCols = append(partialCols, ColInfo{Name: "partial", Kind: aggOutKind(a)})
-		partialNames = append(partialNames, "partial")
-	}
-	partial := &Node{
-		Op:       OpAggregate,
-		Children: n.Children,
-		Cols:     partialCols,
-		ColNames: partialNames,
-		GroupBy:  n.GroupBy,
-		Aggs:     n.Aggs,
-		Projs:    partialProjs,
-		EstRows:  n.EstRows,
-		EstCost:  n.EstCost,
-	}
-	exchange := pl.ship(partial)
-
-	// Final: re-group on the shipped keys, merge the shipped partials.
-	finalGroup := make([]Expr, g)
-	for i := range finalGroup {
-		finalGroup[i] = &ColIdx{Idx: i, Kind: partialCols[i].Kind}
-	}
-	finalAggs := make([]AggSpec, len(n.Aggs))
-	for i, a := range n.Aggs {
-		finalAggs[i] = AggSpec{Kind: a.Kind, Arg: &ColIdx{Idx: g + i, Kind: partialCols[g+i].Kind}, Merge: true}
-	}
-	return &Node{
-		Op:       OpAggregate,
-		Children: []*Node{exchange},
-		Cols:     n.Cols,
-		ColNames: n.ColNames,
-		GroupBy:  finalGroup,
-		Aggs:     finalAggs,
-		Projs:    n.Projs,
-		EstRows:  n.EstRows,
-		EstCost:  exchange.EstCost + n.EstRows*CPUTupleCost,
-	}
-}
-
-// aggOutKind is the output type of one aggregate, matching the executor's
-// aggVal: COUNT is INT, SUM/AVG are FLOAT, MIN/MAX carry the input type.
-func aggOutKind(a AggSpec) types.Kind {
-	switch a.Kind {
-	case sql.FuncCount:
-		return types.KindInt
-	case sql.FuncSum, sql.FuncAvg:
-		return types.KindFloat
-	default:
-		if a.Arg != nil {
-			return ExprKind(a.Arg)
-		}
-		return types.KindInt
-	}
 }
 
 // gatherLocal wraps n in a Gather when it is a scan, a filter chain over one,
@@ -330,7 +141,7 @@ func (pl *placement) gatherLocal(n *Node) *Node {
 		return nil
 	}
 	scan.Parallel = true
-	return gather([]*Node{n}, w, rows, cost)
+	return &Node{Op: OpGather, Children: []*Node{n}, Cols: n.Cols, ColNames: n.ColNames, Workers: w, EstRows: rows, EstCost: cost}
 }
 
 // drivingScan returns the sequential scan that would be morsel-partitioned

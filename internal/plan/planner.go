@@ -29,10 +29,6 @@ type Options struct {
 	// Workers > 1 enables parallel plans: exchange placement (place.go)
 	// wraps eligible subtrees in a Gather over up to this many workers.
 	Workers int
-	// Shards, when it names two or more engine addresses, marks every user
-	// table as hash-sharded across them: exchange placement ships table
-	// accesses as Remote fragments merged by a Gather.
-	Shards []string
 	// Threshold replaces a LEXEQUAL threshold the query leaves unspecified.
 	Threshold int
 }
@@ -173,7 +169,7 @@ func (p *Planner) Plan(sel *sql.Select) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Place(node, p.Opts.Workers, p.Opts.Shards, HeapRows(p.Cat, p.Pages)), nil
+	return Place(node, p.Opts.Workers, HeapRows(p.Cat, p.Pages)), nil
 }
 
 // referencedRels finds which relations an expression touches, validating
@@ -744,14 +740,12 @@ func (p *Planner) buildJoin(left, right *Node, rel *relation, joined map[string]
 		}, c)
 
 		// Index Ψ join: probe an M-Tree on the inner column per outer row
-		// (Table 3 join-with-index: P_l + n_l·f(k)·P_AI). Disabled under
-		// sharding: joins run at the coordinator, whose local indexes are
-		// empty routers — the probes would silently match nothing.
+		// (Table 3 join-with-index: P_l + n_l·f(k)·P_AI).
 		innerCol := r
 		if innerCol < len(left.Cols) {
 			innerCol = l
 		}
-		if !p.Opts.EnableMTree || len(p.Opts.Shards) >= 2 || right.Op != OpSeqScan || innerCol < len(left.Cols) {
+		if !p.Opts.EnableMTree || right.Op != OpSeqScan || innerCol < len(left.Cols) {
 			continue
 		}
 		for _, ix := range p.Cat.IndexesOn(right.Table, jointSchema[innerCol].Name) {

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"github.com/mural-db/mural/internal/obs"
-	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/wire"
 	"github.com/mural-db/mural/mural"
 )
@@ -430,7 +429,7 @@ func (s *Server) dispatch(w io.Writer, sess *session, typ wire.MsgType, payload 
 		}
 		sess.traceID = id
 		return nil // no reply: the frame only re-tags the session
-	case wire.MsgExec, wire.MsgQuery, wire.MsgFragment:
+	case wire.MsgExec, wire.MsgQuery:
 		return s.statement(w, sess, typ, payload, sendErr)
 	case wire.MsgFetch:
 		id, maxRows, err := wire.DecodeFetch(payload)
@@ -487,41 +486,19 @@ func (s *Server) dispatch(w io.Writer, sess *session, typ wire.MsgType, payload 
 	}
 }
 
-// statement serves the three messages that start a statement: the text of
-// MsgExec and MsgQuery, the serialized plan of MsgFragment. Each goes to the
-// engine once, under a context MsgCancel can fire, and what comes back picks
-// the reply: rows to stream become a cursor (MsgRowDesc), anything else is
-// MsgOK with the rows affected. MsgExec asks for no rows, so the engine
+// statement serves the two messages that start a statement, MsgExec and
+// MsgQuery. The text goes to the engine once, under a context MsgCancel can
+// fire, and what comes back picks the reply: rows to stream become a cursor
+// (MsgRowDesc), anything else is MsgOK with the rows affected. MsgExec asks for no rows, so the engine
 // drains a SELECT sent that way and the reply is MsgOK(0).
 func (s *Server) statement(w io.Writer, sess *session, typ wire.MsgType, payload []byte, sendErr func(error) error) error {
 	if s.isDraining() {
 		mErrors.Inc()
 		return wire.Write(w, wire.MsgErr, wire.EncodeErr(wire.ErrCodeShutdown, "server: shutting down"))
 	}
-	var frag *plan.Node
-	var timeout time.Duration
-	if typ == wire.MsgFragment {
-		deadlineMillis, fragBytes, err := wire.DecodeFragmentPayload(payload)
-		if err != nil {
-			return sendErr(err)
-		}
-		if frag, err = plan.DecodeFragment(fragBytes); err != nil {
-			return sendErr(err)
-		}
-		timeout = time.Duration(deadlineMillis) * time.Millisecond
-	}
 	// A cursor's context outlives this dispatch: it governs every later
-	// fetch, so it is canceled at cursor close, not here. The coordinator's
-	// remaining deadline, when shipped, caps it so an orphaned fragment
-	// cannot outlive its statement.
-	base := sess.stmtCtx(s.baseCtx)
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(base, timeout)
-	} else {
-		ctx, cancel = context.WithCancel(base)
-	}
+	// fetch, so it is canceled at cursor close, not here.
+	ctx, cancel := context.WithCancel(sess.stmtCtx(s.baseCtx))
 	done := sess.begin(cancel)
 	var rows *mural.Rows
 	var affected int64
@@ -534,8 +511,6 @@ func (s *Server) statement(w io.Writer, sess *session, typ wire.MsgType, payload
 		}
 	case wire.MsgQuery:
 		rows, err = sess.db.QueryContext(ctx, string(payload))
-	case wire.MsgFragment:
-		rows, err = sess.db.QueryFragment(ctx, frag)
 	}
 	done()
 	if err != nil {

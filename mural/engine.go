@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"strings"
 	"sync"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"github.com/mural-db/mural/internal/catalog"
-	"github.com/mural-db/mural/internal/client"
 	"github.com/mural-db/mural/internal/exec"
 	"github.com/mural-db/mural/internal/obs"
 	"github.com/mural-db/mural/internal/phonetic"
@@ -97,18 +95,6 @@ type Config struct {
 	// (systematic 1-in-N sampling, deterministic). Statements carrying a
 	// client trace ID always trace; zero samples nothing else.
 	TraceSampleRate float64
-	// ShardRetry bounds reconnection attempts to shard peers when a session
-	// coordinates a sharded cluster (`SET shards = ...`); the zero value uses
-	// client.DefaultRetry.
-	ShardRetry client.RetryPolicy
-	// ShardOpTimeout bounds each wire round trip to a shard (dial, exec,
-	// fetch); zero means no per-operation deadline. It is the backstop that
-	// turns a stalled shard into a typed ErrShardUnavailable instead of a
-	// hang.
-	ShardOpTimeout time.Duration
-	// ShardWrap, when set, wraps every socket dialed to a shard — the
-	// coordinator half of the fault-injection seam (netfault.Wrap).
-	ShardWrap func(net.Conn) net.Conn
 }
 
 // Engine is one open database. It is safe for concurrent use; DDL and
@@ -142,9 +128,6 @@ type Engine struct {
 	traces   *obs.TraceWriter
 	traceSeq atomic.Uint64
 	fbTick   atomic.Uint64
-	// shards is the coordinator's DML connection cache (shard.go); empty
-	// until a session's `SET shards` makes it a coordinator.
-	shards shardConns
 	// sess is the engine's own session, the one Exec and Query run on.
 	sess *Session
 	// pins tracks index handles checked out by concurrent searches so DROP
@@ -338,7 +321,6 @@ func (e *Engine) WordNet() *wordnet.Net {
 // truncating the WAL) and closes every file. A database closed cleanly
 // reopens without any replay work.
 func (e *Engine) Close() error {
-	e.closeShardConns()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	firstErr := e.checkpointLocked()
@@ -487,19 +469,10 @@ func (e *Engine) QueryContext(ctx context.Context, q string) (*Rows, error) {
 
 // dispatch is the one switch from a parsed statement to the code that runs
 // it. A SELECT leaves its running cursor in st and returns no Result; every
-// other statement runs to completion here. Under a shard map of two or more
-// peers, writes and schema changes involve the shard peers first (INSERT
-// hash-routes, DDL and DELETE broadcast and come back here with shards nil
-// for their local half); SELECT needs no interception — the planner rewrites
-// it into remote fragments.
-func (e *Engine) dispatch(st *statement, stmt sql.Statement, shards []string) (*Result, error) {
+// other statement runs to completion here.
+func (e *Engine) dispatch(st *statement, stmt sql.Statement) (*Result, error) {
 	if err := st.res.Err(); err != nil {
 		return nil, err
-	}
-	if len(shards) > 1 {
-		if handled, result, err := e.shardExec(st, stmt, shards); handled {
-			return result, err
-		}
 	}
 	switch s := stmt.(type) {
 	// DDL-class statements invalidate the shared caches on success: the

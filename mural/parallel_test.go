@@ -1,16 +1,12 @@
 package mural
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
-
-	"github.com/mural-db/mural/internal/plan"
-	"github.com/mural-db/mural/internal/sql"
 )
 
 // loadNames creates a names table with n rows cycling through a fixed set of
@@ -250,51 +246,5 @@ func TestUnanalyzedTinyTableStaysSerial(t *testing.T) {
 	}
 	if ex := e.MustExec(`EXPLAIN ` + psiNamesQuery); strings.Contains(ex.Plan, "Gather") {
 		t.Errorf("six un-ANALYZEd rows under a Gather:\n%s", ex.Plan)
-	}
-}
-
-// A coordinator's own heaps are empty routers, so its ANALYZE records
-// rows=0 and the fragments it plans carry that estimate. The shard sizes a
-// fragment's scan from its own tables, so it still gathers a large one.
-func TestShardGathersFragmentOverItsOwnRows(t *testing.T) {
-	coord := memEngine(t)
-	coord.MustExec(`CREATE TABLE names (id INT, name UNITEXT)`)
-	coord.MustExec(`ANALYZE names`)
-	set := *coord.sess.set.Load()
-	set.opts.Shards = []string{"127.0.0.1:1", "127.0.0.1:2"}
-	stmt, err := sql.Parse(psiNamesQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := coord.planner(&set).Plan(stmt.(*sql.Select))
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := node
-	for remote.Op != plan.OpRemote {
-		remote = remote.Children[0]
-	}
-	data, err := plan.EncodeFragment(remote.Children[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	frag, err := plan.DecodeFragment(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	shard, err := Open(Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shard.Close()
-	loadNames(t, shard, 2000)
-	rows, err := shard.Session().QueryFragment(context.Background(), frag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rows.Close()
-	if got := plan.Format(rows.st.node); !strings.Contains(got, "Gather workers=2") {
-		t.Errorf("fragment over 2,000 shard rows not gathered:\n%s", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"runtime"
 	"strconv"
 	"strings"
@@ -52,11 +51,10 @@ type settings struct {
 
 // setting is one name SET and SHOW accept. field points at the value it
 // governs: a *bool switch (on/off), an *int of at least min, a
-// *time.Duration in milliseconds, or a *[]string whose entries pass entry.
+// *time.Duration in milliseconds, or a *[]string of relation names.
 type setting struct {
 	name  string
 	min   int64
-	entry func(string) bool
 	field func(*settings) any
 }
 
@@ -64,10 +62,7 @@ type setting struct {
 // written down.
 var settingTable = []setting{
 	{name: "workers", min: 1, field: func(s *settings) any { return &s.opts.Workers }},
-	// Two or more addresses make the session a shard coordinator (shard.go).
-	{name: "shards", field: func(s *settings) any { return &s.opts.Shards },
-		entry: func(e string) bool { _, _, err := net.SplitHostPort(e); return err == nil }},
-	{name: "force_join_order", entry: isIdent, field: func(s *settings) any { return &s.opts.ForceOrder }},
+	{name: "force_join_order", field: func(s *settings) any { return &s.opts.ForceOrder }},
 	// The paper's "user-settable threshold in a system table" (§4.2): the Ψ
 	// threshold of a query that does not spell THRESHOLD.
 	{name: "lexequal_threshold", field: func(s *settings) any { return &s.opts.Threshold }},
@@ -98,7 +93,7 @@ func (st *setting) parse(s *settings, v string) error {
 			if e = strings.TrimSpace(e); e == "" {
 				continue
 			}
-			if !st.entry(e) {
+			if !isIdent(e) {
 				return fmt.Errorf("bad entry %q", e)
 			}
 			*p = append(*p, e)
@@ -207,13 +202,13 @@ func (s *Session) ExecContext(ctx context.Context, q string) (*Result, error) {
 func (s *Session) QueryContext(ctx context.Context, q string) (*Rows, error) {
 	r := &Rows{}
 	st := &r.st
-	err := st.begin(ctx, s, s.set.Load(), q)
+	err := st.begin(ctx, s, q)
 	if err != nil {
 		return nil, err
 	}
 	var stmt sql.Statement
 	if stmt, err = sql.Parse(q); err == nil {
-		r.result, err = s.e.dispatch(st, stmt, st.set.opts.Shards)
+		r.result, err = s.e.dispatch(st, stmt)
 	}
 	if err != nil {
 		st.finish(0, false, err)
@@ -226,29 +221,6 @@ func (s *Session) QueryContext(ctx context.Context, q string) (*Rows, error) {
 			st.cursor = exec.NewSliceCursor(res.Cols, res.Rows)
 		}
 		return r, nil
-	}
-	r.Cols = st.cursor.Cols
-	return r, nil
-}
-
-// QueryFragment executes a decoded plan fragment shipped by a coordinator:
-// the statement lifecycle entered with a ready plan instead of SQL text, so
-// it is admitted, governed and observed on the shard that runs it, under a
-// label built from its root operator. The shard places the fragment's
-// exchanges itself, with the pass the coordinator ran: under this session's
-// worker budget, sized by this engine's own tables, never sharded again.
-func (s *Session) QueryFragment(ctx context.Context, frag *plan.Node) (*Rows, error) {
-	set := s.set.Load()
-	node := plan.Place(frag, set.opts.Workers, nil, plan.HeapRows(s.e.cat, s.e.TablePages))
-	root, _, _ := strings.Cut(plan.Format(node), "  (rows=")
-	r := &Rows{}
-	st := &r.st
-	if err := st.begin(ctx, s, set, "fragment "+root); err != nil {
-		return nil, err
-	}
-	if err := st.run(node, false); err != nil {
-		st.finish(0, false, err)
-		return nil, err
 	}
 	r.Cols = st.cursor.Cols
 	return r, nil

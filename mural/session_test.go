@@ -38,7 +38,6 @@ func TestSettingsTable(t *testing.T) {
 		bad                     []string
 	}{
 		{"workers", "3", "5", "5", []string{"abc", "0", "-2", "1.5"}},
-		{"shards", "", "'127.0.0.1:1, 127.0.0.1:2'", "127.0.0.1:1,127.0.0.1:2", []string{"'nohost'", "5"}},
 		{"statement_timeout", "7", "250", "250", []string{"-1", "soon"}},
 		{"max_query_mem", "1048576", "4096", "4096", []string{"-1", "lots"}},
 		{"enable_hashjoin", "on", "off", "off", []string{"maybe", "2"}},
@@ -80,13 +79,16 @@ func TestSettingsTable(t *testing.T) {
 	}
 }
 
-// An unknown name is an error naming it, for SET and SHOW alike, and with
+// An unknown name is an error naming it, for SET and SHOW alike (shards, the
+// setting of the removed sharded execution, is one), and with
 // Workers unset SHOW workers reports the GOMAXPROCS budget the planner uses.
 func TestSettingNamesAndDefaults(t *testing.T) {
 	e := memEngine(t)
-	for _, q := range []string{`SET foo = bar`, `SHOW foo`} {
-		if _, err := e.Exec(q); err == nil || !strings.Contains(err.Error(), `unrecognized configuration parameter "foo"`) {
-			t.Errorf("%s: err = %v, want unrecognized configuration parameter", q, err)
+	for _, name := range []string{"foo", "shards"} {
+		for _, q := range []string{`SET ` + name + ` = bar`, `SHOW ` + name} {
+			if _, err := e.Exec(q); err == nil || !strings.Contains(err.Error(), `unrecognized configuration parameter "`+name+`"`) {
+				t.Errorf("%s: err = %v, want unrecognized configuration parameter", q, err)
+			}
 		}
 	}
 	if got, want := showSetting(t, e.sess, "workers"), strconv.Itoa(runtime.GOMAXPROCS(0)); got != want {

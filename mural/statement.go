@@ -10,7 +10,7 @@ import (
 )
 
 // statement is the one lifecycle every statement crosses, whatever brought
-// it in (Exec, Query, a shard fragment, EXPLAIN ANALYZE): begin admits it and
+// it in (Exec, Query, EXPLAIN ANALYZE): begin admits it and
 // arms governance before anything else is paid for, run starts its plan, and
 // finish — exactly once, on every exit — accounts for it and gives back what
 // begin took. It lives by value inside its Rows, so a statement costs no
@@ -21,7 +21,7 @@ type statement struct {
 	sess *Session
 	set  *settings
 	ctx  context.Context
-	// text is the SQL text, or a label for a statement that has none.
+	// text is the statement's SQL text.
 	text  string
 	start time.Time
 	base  cacheTotals
@@ -43,9 +43,11 @@ type statement struct {
 
 // begin starts the clock, decides whether the statement is traced (a client
 // tag always is, the sampler picks among the rest) and claims an admission
-// slot and the governance state set asks for. A rejection finishes it here.
-func (st *statement) begin(ctx context.Context, s *Session, set *settings, text string) error {
+// slot and the governance state the session's settings ask for. A rejection
+// finishes it here.
+func (st *statement) begin(ctx context.Context, s *Session, text string) error {
 	e := s.e
+	set := s.set.Load()
 	*st = statement{sess: s, set: set, ctx: ctx, text: text, start: time.Now(), base: e.cacheBase()}
 	if e.traces != nil {
 		id, tagged := obs.TraceIDFrom(ctx)

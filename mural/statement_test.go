@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/mural-db/mural/internal/sql"
 )
 
 // drainRows pulls up to limit rows (all of them when limit < 0) and returns
@@ -63,21 +61,6 @@ func TestStatementObservedExactlyOnce(t *testing.T) {
 		{"EXPLAIN ANALYZE", func(ctx context.Context, _ context.CancelFunc, e *Engine) error {
 			_, err := e.ExecContext(ctx, `EXPLAIN ANALYZE `+sel)
 			return err
-		}, nil, true},
-		{"QueryFragment", func(ctx context.Context, _ context.CancelFunc, e *Engine) error {
-			stmt, err := sql.Parse(sel)
-			if err != nil {
-				return err
-			}
-			frag, err := e.planner(e.sess.set.Load()).Plan(stmt.(*sql.Select))
-			if err != nil {
-				return err
-			}
-			rows, err := e.Session().QueryFragment(ctx, frag)
-			if err != nil {
-				return err
-			}
-			return errors.Join(drainRows(rows, -1), rows.Close())
 		}, nil, true},
 		{"INSERT", func(ctx context.Context, _ context.CancelFunc, e *Engine) error {
 			_, err := e.ExecContext(ctx, `INSERT INTO tt VALUES (9999, unitext('x', english))`)
@@ -163,9 +146,6 @@ func TestStatementObservedExactlyOnce(t *testing.T) {
 			for _, s := range decodeSpans(t, sink.String()) {
 				if s["kind"] == "query" {
 					roots++
-					if tc.name == "QueryFragment" && !strings.HasPrefix(s["name"].(string), "fragment Project") {
-						t.Errorf("fragment recorded as %q, want a label from its root operator", s["name"])
-					}
 				}
 			}
 			if roots != 1 {
