@@ -12,8 +12,6 @@
 //	benchrunner -exp concurrent          # concurrent-session insert throughput sweep
 //	benchrunner -exp govern              # cancellation-checkpoint overhead on the Ψ scan
 //	benchrunner -exp observe             # observability (stats+feedback+tracing) overhead
-//	benchrunner -exp snapshot            # reduced-scale JSON perf snapshot (BENCH_PR9.json)
-//	benchrunner -snapshot out.json       # same, to an explicit path
 package main
 
 import (
@@ -35,22 +33,8 @@ func main() {
 		synsets = flag.Int("synsets", 20000, "taxonomy size for fig8 (paper: 111223)")
 		full    = flag.Bool("full", false, "paper-scale settings (slow)")
 		seed    = flag.Int64("seed", 2006, "dataset seed")
-		snap    = flag.String("snapshot", "BENCH_PR9.json", "perf snapshot output path (implies -exp snapshot when set explicitly)")
 	)
 	flag.Parse()
-	snapSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "snapshot" {
-			snapSet = true
-		}
-	})
-	if *exp == "snapshot" || snapSet {
-		if err := runSnapshot(*snap, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *full {
 		*names = 25000
 		*synsets = wordnet.WordNetSynsets

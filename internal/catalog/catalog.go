@@ -235,12 +235,19 @@ func (c *Catalog) Indexes() []*Index {
 	return out
 }
 
-// SetStats installs ANALYZE results for a table.
-func (c *Catalog) SetStats(table string, st *TableStats) {
+// SetStats installs ANALYZE results for a table (nil removes them) and
+// returns the ones it replaced, so a failed commit can put them back.
+func (c *Catalog) SetStats(table string, st *TableStats) *TableStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stats[table] = st
+	prev := c.stats[table]
+	if st == nil {
+		delete(c.stats, table)
+	} else {
+		c.stats[table] = st
+	}
 	c.version++
+	return prev
 }
 
 // Stats returns the ANALYZE results for a table (nil when never analyzed).

@@ -340,7 +340,7 @@ func (s *scanner) callEffects(call *ast.CallExpr) {
 	}
 	// WAL batch commit/abort verbs (mirrors the walorder release set).
 	switch name {
-	case "CommitBatch", "AbortBatch", "commitBatch", "commitDDL", "commitGrouped", "rollbackBatch":
+	case "AbortBatch", "commitBatch", "commitDDL", "commitGrouped", "rollbackBatch":
 		s.fi.CommitsBatch = true
 	}
 

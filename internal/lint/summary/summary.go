@@ -68,7 +68,7 @@ type Op struct {
 type BlockOp struct {
 	What string
 	// Via is the call chain from the summarized function to the op
-	// ("commitBatch → CommitBatch → Wait"), empty for a direct op.
+	// ("SealedBatch.Wait → PendingCommit.Wait"), empty for a direct op.
 	Via string
 	// Released holds lock keys that are handed off (released) on the path to
 	// this op, so a caller holding one of them is safe.
@@ -84,7 +84,7 @@ type OrderEdge struct {
 
 // FuncInfo is the summary of one function.
 type FuncInfo struct {
-	Name string // short display name ("Pool.CommitBatch")
+	Name string // short display name ("Pool.SealBatch")
 
 	// Ops are the function's blocking ops and static calls in source order.
 	Ops []Op

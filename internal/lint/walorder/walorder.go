@@ -11,11 +11,11 @@
 //     bypasses the log.
 //
 //  2. Batch balance — a successful BeginBatch/beginBatch must on every path
-//     be followed by CommitBatch/commitBatch/commitDDL/commitGrouped or
+//     be followed by commitBatch/commitDDL/commitGrouped or
 //     AbortBatch/rollbackBatch before the function exits; an open batch
-//     left behind stalls group commit and breaks recovery atomicity.
-//     commitGrouped counts as a release because it seals the batch and,
-//     on a failed group sync, aborts and rolls it back itself.
+//     left behind stalls group commit and breaks recovery atomicity. A
+//     commit counts as a release whether or not it succeeds: one that
+//     fails has rolled its batch back before it returns.
 package walorder
 
 import (
@@ -49,7 +49,7 @@ func run(pass *analysis.Pass) error {
 			return name == "BeginBatch" || name == "beginBatch"
 		},
 		ReleaseNames: []string{
-			"CommitBatch", "commitBatch", "commitDDL", "commitGrouped",
+			"commitBatch", "commitDDL", "commitGrouped",
 			"AbortBatch", "rollbackBatch",
 		},
 		// Summary-driven: a helper that transitively commits or aborts the

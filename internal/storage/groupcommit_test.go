@@ -47,7 +47,7 @@ func TestWALGroupCommitSharesSyncs(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		errs[0] = w.AppendBatch([]WALPageRec{walPage(1, 0, 1)}, nil)
+		errs[0] = appendBatch(w, []WALPageRec{walPage(1, 0, 1)}, nil)
 	}()
 	<-g.syncStarted
 	// The leader is inside Sync with exactly one batch staged.
@@ -56,7 +56,7 @@ func TestWALGroupCommitSharesSyncs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = w.AppendBatch([]WALPageRec{walPage(1, PageID(i), byte(i))}, nil)
+			errs[i] = appendBatch(w, []WALPageRec{walPage(1, PageID(i), byte(i))}, nil)
 		}(i)
 	}
 	// Wait until every follower has staged its batch in the log.
@@ -96,14 +96,27 @@ func TestWALGroupCommitSharesSyncs(t *testing.T) {
 
 type failableLog struct {
 	*MemLog
-	fail atomic.Bool
+	fail      atomic.Bool // Sync fails
+	failWrite atomic.Bool // WriteAt fails
 }
+
+var (
+	errInjectedSync  = errors.New("injected sync failure")
+	errInjectedWrite = errors.New("injected write failure")
+)
 
 func (f *failableLog) Sync() error {
 	if f.fail.Load() {
-		return errors.New("injected sync failure")
+		return errInjectedSync
 	}
 	return f.MemLog.Sync()
+}
+
+func (f *failableLog) WriteAt(p []byte, off int64) (int, error) {
+	if f.failWrite.Load() {
+		return 0, errInjectedWrite
+	}
+	return f.MemLog.WriteAt(p, off)
 }
 
 // A failed group sync must REWIND the log: the failed batch's frames
@@ -113,13 +126,13 @@ func TestWALSyncFailureRewindsLog(t *testing.T) {
 	fl := &failableLog{MemLog: NewMemLog()}
 	w := NewWAL(fl)
 
-	if err := w.AppendBatch([]WALPageRec{walPage(1, 0, 0xAA)}, nil); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(1, 0, 0xAA)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	durable := w.Size()
 
 	fl.fail.Store(true)
-	if err := w.AppendBatch([]WALPageRec{walPage(1, 1, 0xBB)}, nil); err == nil {
+	if err := appendBatch(w, []WALPageRec{walPage(1, 1, 0xBB)}, nil); err == nil {
 		t.Fatal("commit succeeded although sync failed")
 	}
 	fl.fail.Store(false)
@@ -127,8 +140,8 @@ func TestWALSyncFailureRewindsLog(t *testing.T) {
 	if got := w.Size(); got != durable {
 		t.Fatalf("log not rewound after sync failure: %d bytes, want %d", got, durable)
 	}
-	// Appends must resume (AppendBatch abandons its failed commit itself).
-	if err := w.AppendBatch([]WALPageRec{walPage(1, 2, 0xCC)}, nil); err != nil {
+	// Appends must resume (appendBatch abandons its failed commit itself).
+	if err := appendBatch(w, []WALPageRec{walPage(1, 2, 0xCC)}, nil); err != nil {
 		t.Fatalf("append after recovered sync failure: %v", err)
 	}
 	scan, err := ScanWAL(fl.MemLog)
@@ -182,6 +195,79 @@ func TestWALStageBlockedUntilAbandon(t *testing.T) {
 	}
 }
 
+// A batch that fails to stage (SealBatch) or to become durable (Wait) comes
+// back with the log's error and its page already at the committed image,
+// its hold released and the append gate open: the next Seal + Wait commits.
+func TestFailedSealOrWaitRollsBack(t *testing.T) {
+	fl := &failableLog{MemLog: NewMemLog()}
+	pool := NewPool(8)
+	pool.AttachDisk(1, NewMemDisk())
+	pool.SetWAL(NewWAL(fl))
+	h, err := pool.NewPage(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := h.Key()
+	h.Unpin()
+	// write dirties the page in a new batch.
+	write := func(content string) {
+		t.Helper()
+		if err := pool.BeginBatch(); err != nil {
+			t.Fatal(err)
+		}
+		h, err := pool.Pin(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(h.Data(), content)
+		h.MarkDirty()
+		h.Unpin()
+	}
+	read := func() string {
+		t.Helper()
+		h, err := pool.Pin(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Unpin()
+		return string(h.Data()[:9])
+	}
+
+	write("committed")
+	if err := commitBatch(pool); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		fail *atomic.Bool
+		err  error
+	}{{&fl.failWrite, errInjectedWrite}, {&fl.fail, errInjectedSync}} {
+		write("scribbled")
+		f.fail.Store(true)
+		err := commitBatch(pool)
+		f.fail.Store(false)
+		if !errors.Is(err, f.err) {
+			t.Fatalf("commit = %v, want %v", err, f.err)
+		}
+		if got := read(); got != "committed" {
+			t.Errorf("page after %v reads %q, want the committed image", f.err, got)
+		}
+		pool.mu.Lock()
+		sealed, held := pool.sealed, len(pool.holds)
+		pool.mu.Unlock()
+		if sealed != 0 || held != 0 {
+			t.Errorf("after %v: %d sealed batches, %d held pages, want none", f.err, sealed, held)
+		}
+	}
+
+	write("next one!")
+	if err := commitBatch(pool); err != nil {
+		t.Fatalf("commit after the failed ones: %v", err)
+	}
+	if got := read(); got != "next one!" {
+		t.Errorf("page after the next commit reads %q", got)
+	}
+}
+
 // While a sealed batch awaits its group sync, AbortBatch of a LATER batch
 // touching the same page must restore the sealed (staged) image, not the
 // older durable one — otherwise the abort would wipe out a commit that is
@@ -190,14 +276,14 @@ func TestWALReadLatestImageServesStaged(t *testing.T) {
 	g := &gatedLog{MemLog: NewMemLog()}
 	w := NewWAL(g)
 
-	if err := w.AppendBatch([]WALPageRec{walPage(1, 0, 0xAA)}, nil); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(1, 0, 0xAA)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	g.arm()
 
 	done := make(chan error, 1)
 	go func() {
-		done <- w.AppendBatch([]WALPageRec{walPage(1, 0, 0xBB)}, nil)
+		done <- appendBatch(w, []WALPageRec{walPage(1, 0, 0xBB)}, nil)
 	}()
 	<-g.syncStarted
 	// The 0xBB image is staged but not durable. The latest logged image for

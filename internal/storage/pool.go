@@ -96,15 +96,15 @@ func NewPool(nframes int) *Pool {
 }
 
 // SetWAL attaches a write-ahead log. Once set, mutations should be wrapped
-// in BeginBatch/CommitBatch so their page images are logged before any
-// writeback.
+// in a batch (BeginBatch, then SealBatch and Wait) so their page images are
+// logged before any writeback.
 func (p *Pool) SetWAL(w *WAL) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.wal = w
 }
 
-// BeginBatch starts recording dirtied pages for the next CommitBatch. While
+// BeginBatch starts recording dirtied pages for the next SealBatch. While
 // a batch is open its pages are pinned in memory (no-steal): they cannot be
 // evicted or flushed, so nothing unlogged ever reaches a data file.
 func (p *Pool) BeginBatch() error {
@@ -128,153 +128,104 @@ func (p *Pool) BatchPages() int {
 
 // SealedBatch is a batch whose page images are staged in the WAL but not yet
 // known durable. Its pages stay under the no-steal rule (hold counts) until
-// Wait succeeds or Abort rolls them back, so a lazy writeback can never push
-// content to a data file ahead of its log records.
+// Wait returns, so a lazy writeback can never push content to a data file
+// ahead of its log records.
 type SealedBatch struct {
 	p       *Pool
-	pending *PendingCommit
-	pages   []PageKey
-	done    bool
+	pending *PendingCommit // nil: nothing was logged, trivially durable
+	pages   map[PageKey]bool
 }
 
 // SealBatch closes the open batch and stages its after-images (plus an
 // optional catalog snapshot) in the WAL without waiting for the fsync. The
-// caller then calls Wait — typically after releasing whatever engine-level
-// lock serialized the mutation, so concurrent sessions' fsyncs group — and,
-// if Wait fails, Abort. On a staging error the batch is left open exactly as
-// CommitBatch would leave it, so the caller can AbortBatch.
+// caller then calls Wait once — typically after releasing whatever
+// engine-level lock serialized the mutation, so concurrent sessions' fsyncs
+// group. A batch that fails to stage is rolled back before SealBatch
+// returns, as Wait rolls back one that fails to become durable.
 func (p *Pool) SealBatch(catalog []byte) (*SealedBatch, error) {
 	p.mu.Lock()
-	if p.batch == nil {
+	pages, wal := p.batch, p.wal
+	if pages == nil {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("storage: commit without open batch")
 	}
-	var recs []WALPageRec
-	if p.wal != nil {
-		recs = make([]WALPageRec, 0, len(p.batch))
-		for key := range p.batch {
-			idx, ok := p.table[key]
-			if !ok {
-				// No-steal guarantees batch pages stay resident until commit.
-				p.mu.Unlock()
-				return nil, fmt.Errorf("storage: batch page %v not resident at commit", key)
-			}
-			f := &p.frames[idx]
-			stampChecksum(f.data)
-			img := make([]byte, PageSize)
-			copy(img, f.data)
-			recs = append(recs, WALPageRec{File: key.File, Page: key.Page, Image: img})
-		}
-		SortPageRecs(recs)
-	}
-	batchSet := p.batch
-	pages := make([]PageKey, 0, len(batchSet))
-	for key := range batchSet {
-		pages = append(pages, key)
-		p.holds[key]++
-	}
 	p.batch = nil
+	if wal == nil || (len(pages) == 0 && catalog == nil) {
+		p.mu.Unlock()
+		return &SealedBatch{}, nil
+	}
+	var err error
+	recs := make([]WALPageRec, 0, len(pages))
+	for key := range pages {
+		p.holds[key]++
+		idx, ok := p.table[key]
+		if !ok {
+			// No-steal guarantees batch pages stay resident until commit.
+			err = fmt.Errorf("storage: batch page %v not resident at commit", key)
+			continue
+		}
+		f := &p.frames[idx]
+		stampChecksum(f.data)
+		img := make([]byte, PageSize)
+		copy(img, f.data)
+		recs = append(recs, WALPageRec{File: key.File, Page: key.Page, Image: img})
+	}
 	p.sealed++
-	wal := p.wal
 	p.mu.Unlock()
 
-	if wal == nil || (len(recs) == 0 && catalog == nil) {
-		// Nothing to log: trivially durable.
-		p.unseal(pages, nil)
-		return &SealedBatch{p: p, done: true}, nil
+	s := &SealedBatch{p: p, pages: pages}
+	if err == nil {
+		SortPageRecs(recs)
+		// Stage outside p.mu: the log has its own lock, and serializing
+		// appends under the pool lock would stall every reader.
+		s.pending, err = wal.StageBatch(recs, catalog)
 	}
-	// Stage outside p.mu: the log has its own lock, and serializing appends
-	// under the pool lock would stall every reader.
-	pending, err := wal.StageBatch(recs, catalog)
 	if err != nil {
-		p.unseal(pages, batchSet)
-		return nil, err
+		return nil, p.unseal(pages, err)
 	}
-	return &SealedBatch{p: p, pending: pending, pages: pages}, nil
+	return s, nil
 }
 
-// unseal releases a sealed batch's page holds; when reopen is non-nil the
-// pages become the open batch again (failure paths, so AbortBatch works).
-func (p *Pool) unseal(pages []PageKey, reopen map[PageKey]bool) {
+// Wait blocks until the sealed batch is durable, joining the WAL's group
+// commit. On success the pages become ordinary dirty pages, free to be
+// written back lazily. On failure the batch is not durable and never will
+// be: before Wait returns, every page is back at its newest logged image
+// and only then is the WAL's append gate released.
+func (s *SealedBatch) Wait() error {
+	if s.pending == nil {
+		return nil
+	}
+	err := s.p.unseal(s.pages, s.pending.Wait())
+	if err != nil {
+		s.pending.Abandon()
+	}
+	return err
+}
+
+// unseal releases a sealed batch's page holds. A batch that failed to commit
+// (cause non-nil) is rolled back first; unseal then returns cause, with any
+// rollback error appended.
+func (p *Pool) unseal(pages map[PageKey]bool, cause error) error {
 	p.mu.Lock()
-	for _, key := range pages {
+	defer p.mu.Unlock()
+	if cause != nil {
+		if err := p.restoreLocked(pages); err != nil {
+			cause = fmt.Errorf("%w (and rolling back: %v)", cause, err)
+		}
+	}
+	for key := range pages {
 		if p.holds[key] > 1 {
 			p.holds[key]--
 		} else {
 			delete(p.holds, key)
 		}
 	}
-	if reopen != nil {
-		p.batch = reopen
-	}
 	p.sealed--
 	invariant.Assertf(p.sealed >= 0, "storage: sealed batch count went negative")
 	if p.sealed <= 0 {
 		p.drained.Broadcast()
 	}
-	p.mu.Unlock()
-}
-
-// Wait blocks until the sealed batch is durable, joining the WAL's group
-// commit. On success the pages become ordinary dirty pages, free to be
-// written back lazily. On failure the batch is NOT durable and never will
-// be; the caller must Abort to roll its pages back.
-func (s *SealedBatch) Wait() error {
-	if s.done {
-		return nil
-	}
-	if err := s.pending.Wait(); err != nil {
-		return err
-	}
-	s.done = true
-	s.p.unseal(s.pages, nil)
-	return nil
-}
-
-// Abort rolls a failed sealed batch back: every page is restored to its
-// newest surviving logged image (a still-sealed predecessor's, else the last
-// durable one) or dropped so the next access rereads the data file. It then
-// releases the WAL's append gate for this batch. Idempotent.
-func (s *SealedBatch) Abort() error {
-	if s.done {
-		return nil
-	}
-	s.done = true
-	p := s.p
-	p.mu.Lock()
-	var firstErr error
-	for _, key := range s.pages {
-		idx, ok := p.table[key]
-		if !ok {
-			continue
-		}
-		f := &p.frames[idx]
-		restored := false
-		if p.wal != nil {
-			ok, err := p.wal.ReadLatestImage(key, f.data)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			restored = err == nil && ok
-		}
-		if restored {
-			f.dirty = true
-			continue
-		}
-		if f.pins > 0 && firstErr == nil {
-			firstErr = fmt.Errorf("storage: abort: page %v still pinned", key)
-		}
-		delete(p.table, key)
-		f.valid = false
-		f.dirty = false
-	}
-	p.mu.Unlock()
-	p.unseal(s.pages, nil)
-	if s.pending != nil {
-		// Pages are rolled back; the WAL may accept appends again.
-		s.pending.Abandon()
-	}
-	return firstErr
+	return cause
 }
 
 // WaitSealedDrained blocks until no sealed batch is outstanding. Checkpoints
@@ -289,77 +240,41 @@ func (p *Pool) WaitSealedDrained() {
 	p.mu.Unlock()
 }
 
-// CommitBatch logs the open batch — the after-images of every page it
-// dirtied, plus an optional catalog snapshot — to the WAL and waits for
-// durability (joining any in-flight group commit). On success the batch is
-// closed and its pages become ordinary dirty pages, free to be written back
-// lazily. On failure the batch stays open so the caller can AbortBatch.
-// With no WAL attached it simply closes the batch.
-func (p *Pool) CommitBatch(catalog []byte) error {
-	s, err := p.SealBatch(catalog)
-	if err != nil {
-		return err
-	}
-	if err := s.Wait(); err != nil {
-		// Reopen the batch for AbortBatch, preserving the synchronous
-		// contract. The caller rolls back immediately (and the engine
-		// serializes writers), so releasing the WAL gate here is safe.
-		p.mu.Lock()
-		reopen := make(map[PageKey]bool, len(s.pages))
-		for _, key := range s.pages {
-			if p.holds[key] > 1 {
-				p.holds[key]--
-			} else {
-				delete(p.holds, key)
-			}
-			reopen[key] = true
-		}
-		p.batch = reopen
-		p.sealed--
-		if p.sealed <= 0 {
-			p.drained.Broadcast()
-		}
-		p.mu.Unlock()
-		s.done = true
-		s.pending.Abandon()
-		return err
-	}
-	return nil
-}
-
-// AbortBatch rolls the open batch back: every page it dirtied is restored
-// to its last committed image (from the WAL) or dropped from the pool so
-// the next access rereads the pre-batch content from disk. Callers must
+// AbortBatch rolls the open batch back (see restoreLocked). Callers must
 // then refresh any in-memory structures built over those pages.
 func (p *Pool) AbortBatch() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.batch == nil {
-		return nil
-	}
+	err := p.restoreLocked(p.batch)
+	p.batch = nil
+	return err
+}
+
+// restoreLocked rolls pages back to their newest logged image: a sealed
+// predecessor's, else the last durable one. A page with no logged image
+// since the last checkpoint is dropped, so the next access rereads the data
+// file. Called with p.mu held.
+func (p *Pool) restoreLocked(pages map[PageKey]bool) error {
 	var firstErr error
-	for key := range p.batch {
+	for key := range pages {
 		idx, ok := p.table[key]
 		if !ok {
 			continue
 		}
 		f := &p.frames[idx]
-		restored := false
+		var restored bool
 		if p.wal != nil {
-			ok, err := p.wal.ReadLatestImage(key, f.data)
-			if err != nil && firstErr == nil {
+			var err error
+			if restored, err = p.wal.ReadLatestImage(key, f.data); err != nil && firstErr == nil {
 				firstErr = err
 			}
-			restored = err == nil && ok
 		}
 		if restored {
-			// Content is the committed image; keep it dirty so it reaches
-			// the data file eventually.
+			// Content is the logged image; keep it dirty so it reaches the
+			// data file eventually.
 			f.dirty = true
 			continue
 		}
-		// Never committed since the last checkpoint: the data file holds
-		// the authoritative content, drop the frame.
 		if f.pins > 0 && firstErr == nil {
 			firstErr = fmt.Errorf("storage: abort: page %v still pinned", key)
 		}
@@ -367,7 +282,6 @@ func (p *Pool) AbortBatch() error {
 		f.valid = false
 		f.dirty = false
 	}
-	p.batch = nil
 	return firstErr
 }
 

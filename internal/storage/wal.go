@@ -176,7 +176,7 @@ type WAL struct {
 	stats  WALStats
 	latest map[PageKey]int64 // offset of the last durably committed image per page
 	// staged holds the image offsets of appended-but-not-yet-synced batches,
-	// newest last. AbortBatch must roll a page back to the newest *staged*
+	// newest last. A rollback must restore a page to the newest *staged*
 	// image, not the newest durable one: a page may carry the sealed (but
 	// still syncing) changes of an earlier batch that will commit.
 	staged map[PageKey][]int64
@@ -459,24 +459,6 @@ func (w *WAL) rewindLocked(cause error) {
 	}
 	w.size = w.syncedTo
 	w.lastOff = w.syncedTo - 1
-}
-
-// AppendBatch logs a batch and waits for durability: StageBatch plus a
-// group-commit Wait. When it returns nil the batch is durable: recovery
-// will redo it. When it returns an error the batch left no trace in the log
-// (partial appends and failed group syncs are both truncated away).
-func (w *WAL) AppendBatch(pages []WALPageRec, catalog []byte) error {
-	p, err := w.StageBatch(pages, catalog)
-	if err != nil {
-		return err
-	}
-	if err := p.Wait(); err != nil {
-		// Raw WAL callers hold no buffer-pool pages, so there is nothing to
-		// roll back before releasing the append gate.
-		p.Abandon()
-		return err
-	}
-	return nil
 }
 
 // dropStagedLocked removes one staged image offset. Called with w.mu held.

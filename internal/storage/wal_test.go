@@ -16,13 +16,37 @@ func walPage(file FileID, page PageID, fill byte) WALPageRec {
 	return WALPageRec{File: file, Page: page, Image: img}
 }
 
+// appendBatch logs a batch and waits for durability. A raw WAL holds no
+// buffer-pool pages, so a failed commit has nothing to roll back before it
+// releases the append gate.
+func appendBatch(w *WAL, pages []WALPageRec, catalog []byte) error {
+	p, err := w.StageBatch(pages, catalog)
+	if err != nil {
+		return err
+	}
+	if err := p.Wait(); err != nil {
+		p.Abandon()
+		return err
+	}
+	return nil
+}
+
+// commitBatch seals the pool's open batch and waits for it to be durable.
+func commitBatch(pool *Pool) error {
+	s, err := pool.SealBatch(nil)
+	if err != nil {
+		return err
+	}
+	return s.Wait()
+}
+
 func TestWALRoundTrip(t *testing.T) {
 	log := NewMemLog()
 	w := NewWAL(log)
-	if err := w.AppendBatch([]WALPageRec{walPage(1, 0, 0xAA), walPage(1, 1, 0xBB)}, nil); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(1, 0, 0xAA), walPage(1, 1, 0xBB)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendBatch([]WALPageRec{walPage(2, 5, 0xCC)}, []byte(`{"catalog":true}`)); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(2, 5, 0xCC)}, []byte(`{"catalog":true}`)); err != nil {
 		t.Fatal(err)
 	}
 	scan, err := ScanWAL(log)
@@ -60,7 +84,7 @@ func TestWALEmptyAndTruncated(t *testing.T) {
 		t.Fatalf("empty log: %v %+v", err, scan)
 	}
 	w := NewWAL(log)
-	if err := w.AppendBatch([]WALPageRec{walPage(1, 0, 1)}, nil); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(1, 0, 1)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Truncate(); err != nil {
@@ -87,7 +111,7 @@ func TestWALTornTail(t *testing.T) {
 		if i == 2 {
 			cat = []byte("catalog image")
 		}
-		if err := w.AppendBatch([]WALPageRec{walPage(1, PageID(i), byte(i+1))}, cat); err != nil {
+		if err := appendBatch(w, []WALPageRec{walPage(1, PageID(i), byte(i+1))}, cat); err != nil {
 			t.Fatal(err)
 		}
 		commitEnds = append(commitEnds, full.Len())
@@ -122,7 +146,7 @@ func TestWALBitFlip(t *testing.T) {
 	log := NewMemLog()
 	w := NewWAL(log)
 	for i := 0; i < 3; i++ {
-		if err := w.AppendBatch([]WALPageRec{walPage(1, PageID(i), byte(i+1))}, nil); err != nil {
+		if err := appendBatch(w, []WALPageRec{walPage(1, PageID(i), byte(i+1))}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +187,7 @@ func TestWALBitFlip(t *testing.T) {
 func TestWALGarbageLengthField(t *testing.T) {
 	log := NewMemLog()
 	w := NewWAL(log)
-	if err := w.AppendBatch([]WALPageRec{walPage(1, 0, 7)}, nil); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(1, 0, 7)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Append a frame header claiming an absurd payload size.
@@ -189,10 +213,10 @@ func TestWALReadLatestImage(t *testing.T) {
 	if ok, err := w.ReadLatestImage(key, buf); err != nil || ok {
 		t.Fatalf("image before any commit: ok=%v err=%v", ok, err)
 	}
-	if err := w.AppendBatch([]WALPageRec{walPage(3, 9, 0x11)}, nil); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(3, 9, 0x11)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendBatch([]WALPageRec{walPage(3, 9, 0x22)}, nil); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(3, 9, 0x22)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := w.ReadLatestImage(key, buf)
@@ -230,7 +254,7 @@ func TestWALConcurrentAppendAndCheckpoint(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < batchesPerWriter; i++ {
 				pages := []WALPageRec{walPage(FileID(g+1), PageID(i), byte(g+1))}
-				if err := w.AppendBatch(pages, nil); err != nil {
+				if err := appendBatch(w, pages, nil); err != nil {
 					t.Errorf("writer %d: %v", g, err)
 					return
 				}
@@ -303,7 +327,7 @@ func TestPoolBatchNoSteal(t *testing.T) {
 			}
 		}
 	}
-	if err := pool.CommitBatch(nil); err != nil {
+	if err := commitBatch(pool); err != nil {
 		t.Fatal(err)
 	}
 	if err := pool.FlushAll(); err != nil {
@@ -338,7 +362,7 @@ func TestPoolAbortBatchRestoresCommittedImages(t *testing.T) {
 	copy(h.Data(), "committed")
 	h.MarkDirty()
 	h.Unpin()
-	if err := pool.CommitBatch(nil); err != nil {
+	if err := commitBatch(pool); err != nil {
 		t.Fatal(err)
 	}
 

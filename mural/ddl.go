@@ -44,7 +44,6 @@ func (e *Engine) execCreateTable(s *sql.CreateTable) (*Result, error) {
 	}
 	e.heaps[s.Name] = h
 	if err := e.commitDDL(); err != nil {
-		_ = e.rollbackBatch("")
 		undo()
 		return nil, err
 	}
@@ -71,25 +70,23 @@ func (e *Engine) execDropTable(s *sql.DropTable) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("mural: no such table %q", s.Name)
 	}
+	stats := e.cat.Stats(s.Name) // DropTable forgets them
 	droppedIdx, err := e.cat.DropTable(s.Name)
 	if err != nil {
 		return nil, err
 	}
 	// Commit the catalog change before releasing anything: if the commit
 	// fails, the drop is undone in memory and nothing was touched.
-	if e.wal != nil {
-		err := e.beginBatch()
-		if err == nil {
-			err = e.commitDDL()
+	if err = e.beginBatch(); err == nil {
+		err = e.commitDDL()
+	}
+	if err != nil {
+		_ = e.cat.AddTable(t)
+		for _, ix := range droppedIdx {
+			_ = e.cat.AddIndex(ix)
 		}
-		if err != nil {
-			_ = e.rollbackBatch("")
-			_ = e.cat.AddTable(t)
-			for _, ix := range droppedIdx {
-				_ = e.cat.AddIndex(ix)
-			}
-			return nil, err
-		}
+		e.cat.SetStats(s.Name, stats)
+		return nil, err
 	}
 	// A concurrent session's sealed batch may still hold pages of this
 	// table's files; let those group commits finish before detaching.
@@ -121,16 +118,13 @@ func (e *Engine) execDropIndex(s *sql.DropIndex) (*Result, error) {
 	}
 	// Commit the catalog change before releasing anything, mirroring DROP
 	// TABLE: a failed commit undoes the drop in memory and touches nothing.
-	if e.wal != nil {
-		err := e.beginBatch()
-		if err == nil {
-			err = e.commitDDL()
-		}
-		if err != nil {
-			_ = e.rollbackBatch("")
-			_ = e.cat.AddIndex(ix)
-			return nil, err
-		}
+	err := e.beginBatch()
+	if err == nil {
+		err = e.commitDDL()
+	}
+	if err != nil {
+		_ = e.cat.AddIndex(ix)
+		return nil, err
 	}
 	e.pool.WaitSealedDrained()
 	e.dropIndex(s.Name)
@@ -427,23 +421,33 @@ func (e *Engine) execAnalyze(s *sql.Analyze) (*Result, error) {
 	} else {
 		tables = e.cat.Tables()
 	}
-	for _, t := range tables {
-		if err := e.analyzeTable(t); err != nil {
+	stats := make([]*catalog.TableStats, len(tables))
+	for i, t := range tables {
+		st, err := e.analyzeTable(t)
+		if err != nil {
 			return nil, err
 		}
+		stats[i] = st
 	}
 	// Log the refreshed stats as a committed catalog snapshot; otherwise a
 	// later crash replaying an older snapshot would silently revert them.
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.wal != nil {
-		if err := e.beginBatch(); err != nil {
-			return nil, err
+	if err := e.beginBatch(); err != nil {
+		return nil, err
+	}
+	// swap installs each table's new statistics and keeps the ones it
+	// replaced, so a failed commit swaps them back (none for a table that
+	// was never analyzed).
+	swap := func() {
+		for i, t := range tables {
+			stats[i] = e.cat.SetStats(t.Name, stats[i])
 		}
-		if err := e.commitDDL(); err != nil {
-			_ = e.rollbackBatch("")
-			return nil, err
-		}
+	}
+	swap()
+	if err := e.commitDDL(); err != nil {
+		swap()
+		return nil, err
 	}
 	return &Result{}, e.saveCatalog()
 }
@@ -452,12 +456,12 @@ func (e *Engine) execAnalyze(s *sql.Analyze) (*Result, error) {
 // end-biased histogram per column. UNITEXT columns are summarized in
 // phoneme space so Ψ selectivity estimation can match against real phoneme
 // strings.
-func (e *Engine) analyzeTable(t *catalog.Table) error {
+func (e *Engine) analyzeTable(t *catalog.Table) (*catalog.TableStats, error) {
 	e.mu.RLock()
 	h := e.heaps[t.Name]
 	e.mu.RUnlock()
 	if h == nil {
-		return fmt.Errorf("mural: heap for %q not open", t.Name)
+		return nil, fmt.Errorf("mural: heap for %q not open", t.Name)
 	}
 	keys := make([][]string, len(t.Columns))
 	widths := make([]int64, len(t.Columns))
@@ -480,7 +484,7 @@ func (e *Engine) analyzeTable(t *catalog.Table) error {
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	st := &catalog.TableStats{
 		Rows:    rows,
@@ -499,8 +503,7 @@ func (e *Engine) analyzeTable(t *catalog.Table) error {
 		}
 		st.Columns[col.Name] = cs
 	}
-	e.cat.SetStats(t.Name, st)
-	return nil
+	return st, nil
 }
 
 // histKey renders a value the way ANALYZE keys histograms: UNITEXT in

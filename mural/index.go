@@ -155,7 +155,7 @@ func (e *Engine) backfill(ix *index) error {
 		if err := ix.insert(tup, rid); err != nil {
 			return err
 		}
-		if e.wal == nil || e.pool.BatchPages() < createIndexChunkPages {
+		if e.pool.BatchPages() < createIndexChunkPages {
 			return nil
 		}
 		if err := e.commitBatch(nil); err != nil {

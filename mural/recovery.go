@@ -156,33 +156,41 @@ func (e *Engine) beginBatch() error {
 }
 
 // commitBatch makes the open batch durable, optionally bundling a catalog
-// snapshot so DDL commits atomically with its page mutations.
+// snapshot so DDL commits atomically with its page mutations. A commit that
+// fails has rolled the batch's pages back before it returns.
 //
-// Audited blocking-under-lock: the group-commit wait inside
-// Pool.CommitBatch runs with e.mu held. DML write paths avoid this via
-// commitGrouped (which releases e.mu around the wait); the callers that
-// remain here are DDL and recovery, where the schema mutation being
-// committed must stay serialized against every other session anyway.
+// Audited blocking-under-lock: the group-commit wait runs with e.mu held.
+// DML write paths avoid this via commitGrouped (which releases e.mu around
+// the wait); the callers that remain here are DDL and CREATE INDEX's
+// backfill chunks, where the schema mutation being committed must stay
+// serialized against every other session anyway.
 //
-//lint:lock-held-io DDL/recovery commits hold e.mu across the group-commit wait by design
+//lint:lock-held-io DDL commits hold e.mu across the group-commit wait by design
 func (e *Engine) commitBatch(catalogImage []byte) error {
 	if e.wal == nil {
 		return nil
 	}
-	return e.pool.CommitBatch(catalogImage)
+	s, err := e.pool.SealBatch(catalogImage)
+	if err != nil {
+		return err
+	}
+	return s.Wait()
 }
 
 // commitGrouped makes the open batch durable via the WAL's group commit:
 // the batch is sealed under e.mu, then the engine lock is RELEASED for the
-// fsync wait so concurrent sessions' commits share one Sync. On failure the
-// batch's pages are rolled back and the table's in-memory structures
-// reopened. Called with e.mu held; returns with e.mu held.
+// fsync wait so concurrent sessions' commits share one Sync. A commit that
+// fails has rolled the batch's pages back before it returns, and the
+// table's in-memory structures are reopened over them. Called with e.mu
+// held; returns with e.mu held.
 //
 // Audited lock hand-off: the Unlock below pairs with the caller's Lock, and
 // the matching re-Lock before return restores the caller's critical
-// section. The unlock window covers only s.Wait()/s.Abort(), which touch
-// pool+WAL state exclusively — nothing protected by e.mu moves while it is
-// released, and reopenTableLocked runs only after the lock is retaken.
+// section. The unlock window covers only s.Wait(), which touches pool+WAL
+// state exclusively and releases the seal before it returns (a checkpoint
+// or DROP TABLE may be draining sealed batches under e.mu) — nothing
+// protected by e.mu moves while it is released, and reopenTableLocked runs
+// only after the lock is retaken.
 //
 //lint:lock-handoff callers hold e.mu; the fsync wait runs with it released so commits group
 func (e *Engine) commitGrouped(table string) error {
@@ -190,34 +198,25 @@ func (e *Engine) commitGrouped(table string) error {
 		return nil
 	}
 	s, err := e.pool.SealBatch(nil)
-	if err != nil {
-		// Staging failed; the batch is still open — roll it back classically.
-		_ = e.rollbackBatch(table)
-		return err
+	if err == nil {
+		e.mu.Unlock()
+		err = s.Wait()
+		e.mu.Lock()
 	}
-	e.mu.Unlock()
-	err = s.Wait()
-	if err != nil {
-		// Roll the pages back BEFORE retaking e.mu: a checkpoint or DROP
-		// TABLE may be draining sealed batches under e.mu, and Abort is what
-		// releases this seal (pool + WAL state only, no engine lock needed).
-		_ = s.Abort()
-	}
-	e.mu.Lock()
 	if err != nil {
 		if rerr := e.reopenTableLocked(table); rerr != nil {
 			return fmt.Errorf("%w (and reopening %q after rollback: %v)", err, table, rerr)
 		}
-		return err
 	}
-	return nil
+	return err
 }
 
-// rollbackBatch aborts the open batch: the pool rolls every dirtied page
-// back to its last committed image, and the in-memory structures over the
-// named table (heap, persistent indexes, q-gram lists) are reopened from
-// the rolled-back pages so memory agrees with storage again. This is what
-// makes a failed statement leave no trace.
+// rollbackBatch aborts an open batch that a statement gives up before its
+// commit: the pool rolls every dirtied page back to its last committed
+// image, and the in-memory structures over the named table (heap,
+// persistent indexes, q-gram lists) are reopened from the rolled-back pages
+// so memory agrees with storage again. This is what makes a failed
+// statement leave no trace.
 func (e *Engine) rollbackBatch(table string) error {
 	if e.wal == nil {
 		return nil
