@@ -62,7 +62,7 @@ func (k *predKernel) matchRec(rec []byte) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if match, done, err := k.p.matchView(k.ev, types.KindUniText, lang, text, ph); done {
+		if match, done, err := k.p.matchView(k.ev, types.KindUniText, lang, text, &phonemeView{b: ph}); done {
 			return match, err
 		}
 	}

@@ -24,8 +24,9 @@ import (
 //     replays.
 //   - Each inner record's operand is read once, as views (the kernel's
 //     matchView through matchOperand), tested against every outer row of the
-//     block, converted at most once, and the record decoded on its first
-//     match.
+//     block, its phoneme summarised for the matcher's prefilter at most once
+//     (phonemeView) or converted at most once, and the record decoded on its
+//     first match.
 //
 // A batch that fills inside a record stops before the next pair; the rest of
 // the page waits, copied, in the record buffer. The join absorbs the inner
@@ -290,9 +291,9 @@ func (j *hoistedJoinIter) onRecord(rec []byte) error {
 }
 
 // pair tests inner record rec against the block's outer rows from oi on:
-// its operand is read once, converted at most once, and the record decoded
-// on its first match. done=false when the batch filled first; oi is then
-// the outer row to resume at.
+// its operand is read once, summarised or converted at most once, and the
+// record decoded on its first match. done=false when the batch filled
+// first; oi is then the outer row to resume at.
 func (j *hoistedJoinIter) pair(rec []byte) (done bool, err error) {
 	if j.full() {
 		return false, nil
@@ -311,10 +312,11 @@ func (j *hoistedJoinIter) pair(rec []byte) (done bool, err error) {
 	}
 	kind := types.Kind(field[0])
 	var lang types.LangID
-	var text, ph []byte
+	var text []byte
+	var ph phonemeView
 	switch kind {
 	case types.KindUniText:
-		lang, text, ph, err = types.UniTextViews(field)
+		lang, text, ph.b, err = types.UniTextViews(field)
 	case types.KindText:
 		lang = j.textLang
 		text, err = types.TextView(field)
@@ -330,7 +332,7 @@ func (j *hoistedJoinIter) pair(rec []byte) (done bool, err error) {
 			return false, err
 		}
 		p := j.preds[j.oi]
-		match, ok, err := p.matchOperand(j.ev, kind, lang, text, ph)
+		match, ok, err := p.matchOperand(j.ev, kind, lang, text, &ph)
 		if !ok {
 			if !j.converted {
 				j.ph, j.converted = j.ev.convert(types.Compose(string(text), lang)), true

@@ -436,6 +436,48 @@ func TestHoistedJoinAgreesAcrossBlocks(t *testing.T) {
 	}
 }
 
+// One block of a Ψ join meets every kind of inner operand in turn: UNITEXT
+// with its phoneme (summarised once and shared by the block's outer rows),
+// UNITEXT without it, bare TEXT and NULL, and under an IN list languages it
+// excludes, while its outer rows are themselves of every kind. Whichever
+// path each pair takes — the shared summary, a conversion, an admission
+// check — the join agrees with the per-pair filter, counts included.
+func TestPsiJoinSharedSummaryMixedInner(t *testing.T) {
+	env := newMockEnv()
+	env.tables["o"] = []types.Tuple{
+		{types.NewInt(0), u("nehru", types.LangEnglish)},
+		{types.NewInt(1), u("नेहरू", types.LangHindi)},
+		{types.NewInt(2), types.NewText("neru")},
+		{types.NewInt(3), types.Null()},
+		{types.NewInt(4), u("நேரு", types.LangTamil)},
+		{types.NewInt(5), u("gandhi", types.LangEnglish)},
+		{types.NewInt(6), types.NewUniText(types.Compose("Nehroo", types.LangEnglish))},
+	}
+	env.tables["i"] = []types.Tuple{}
+	for i, n := range psiNames {
+		for j, v := range []types.Value{u(n.text, n.lang), types.NewText(n.text), types.Null(), types.NewUniText(types.Compose(n.text, n.lang))} {
+			env.tables["i"] = append(env.tables["i"], types.Tuple{types.NewInt(int64(4*i + j)), v})
+		}
+	}
+	matched := 0
+	for _, langs := range [][]types.LangID{nil, {types.LangEnglish, types.LangHindi}} {
+		for k := 0; k <= 3; k++ {
+			for _, outerLeft := range []bool{true, false} {
+				for shape := innerShape(0); shape < innerShapes; shape++ {
+					m, failed := joinAgree(t, env, joinCase{outer: "o", inner: "i", cond: joinCond(false, outerLeft, 1, 1, k, langs), shape: shape})
+					if failed {
+						t.Fatalf("k=%d langs=%v: the join failed", k, langs)
+					}
+					matched += m
+				}
+			}
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no pair matched")
+	}
+}
+
 // An Ω join bounds each outer row's word set by the inner side's estimated
 // rows: BenchmarkOmegaJoin's small closure compiles to the word set, its
 // large one to the interval labels.

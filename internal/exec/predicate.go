@@ -31,7 +31,8 @@ import (
 // streams the inner side past the block once: each inner record's operand is
 // read as views off the page or the join's record buffer (join.go) and
 // matched against every compiled outer row as the kernel matches a view
-// (matchOperand). The Ψ index join compiles its outer row the same way, to
+// (matchOperand), its stored phoneme summarised once for all of them
+// (phonemeView). The Ψ index join compiles its outer row the same way, to
 // probe the M-Tree and recheck the candidates. Any other Ψ or Ω over two
 // computed operands goes through the same rules row by row (evalPsi,
 // evalOmega).
@@ -361,11 +362,28 @@ func (p *constPred) admits(k types.Kind, lang types.LangID) (bool, error) {
 	return p.admitted && psiAdmits(k, lang, p.langs), nil
 }
 
+// phonemeView is a Ψ operand's stored phoneme, read as a view, and its
+// summary (phonetic.Summarize) once a matcher has needed it: a join's inner
+// operand is summarised once for all the outer rows of a block.
+type phonemeView struct {
+	b      []byte
+	sum    phonetic.Summary
+	summed bool
+}
+
+// match reports whether m matches the phoneme.
+func (v *phonemeView) match(m *phonetic.BoundedMatcher) bool {
+	if !v.summed {
+		v.sum, v.summed = phonetic.Summarize(v.b), true
+	}
+	return m.MatchSummary(v.b, v.sum)
+}
+
 // matchView evaluates the predicate on a text column value of kind k read as
 // views — on a pinned page, or a join's inner operand: its language, text and
 // stored phoneme. done=false leaves the row to a conversion: Ψ over a value
 // stored without its phoneme.
-func (p *constPred) matchView(ev *evaluator, k types.Kind, lang types.LangID, text, ph []byte) (match, done bool, err error) {
+func (p *constPred) matchView(ev *evaluator, k types.Kind, lang types.LangID, text []byte, ph *phonemeView) (match, done bool, err error) {
 	if !p.uniRows {
 		if ok, err := p.admits(k, lang); !ok {
 			return false, true, err
@@ -375,9 +393,9 @@ func (p *constPred) matchView(ev *evaluator, k types.Kind, lang types.LangID, te
 	case p.probe != nil:
 		ev.countOmega()
 		return p.probe.Match(lang, text), true, nil
-	case len(ph) > 0:
+	case len(ph.b) > 0:
 		ev.countPsi()
-		return p.m.MatchBytes(ph), true, nil
+		return ph.match(p.m), true, nil
 	}
 	return false, false, nil
 }
@@ -413,7 +431,7 @@ func (p *constPred) eval(ev *evaluator, t types.Tuple) (bool, error) {
 // (TEXT in the language textLang names), any other kind — NULL, or the
 // operand-kind error — through admits. done=false leaves the row to a
 // conversion, as matchView does; matchConverted finishes it.
-func (p *constPred) matchOperand(ev *evaluator, k types.Kind, lang types.LangID, text, ph []byte) (match, done bool, err error) {
+func (p *constPred) matchOperand(ev *evaluator, k types.Kind, lang types.LangID, text []byte, ph *phonemeView) (match, done bool, err error) {
 	if !isText(k) {
 		_, err := p.admits(k, types.LangUnknown)
 		return false, true, err

@@ -236,8 +236,9 @@ func (h *Histogram) ApproxSelectivity(key string, threshold int) float64 {
 	}
 	var matchedRows int64
 	matchedDistinct := 0
+	m := phonetic.NewBoundedMatcher(key, threshold)
 	for _, b := range h.Frequent {
-		if phonetic.WithinDistance(key, b.Key, threshold) {
+		if m.Match(b.Key) {
 			matchedRows += b.Count
 			matchedDistinct++
 		}
@@ -295,11 +296,12 @@ func (h *Histogram) ApproxJoinSelectivity(other *Histogram, threshold int) float
 		}
 		total := 0
 		for i, a := range hist.Frequent {
+			m := phonetic.NewBoundedMatcher(a.Key, threshold)
 			for j, b := range hist.Frequent {
 				if i == j {
 					continue
 				}
-				if phonetic.WithinDistance(a.Key, b.Key, threshold) {
+				if m.Match(b.Key) {
 					total++
 				}
 			}

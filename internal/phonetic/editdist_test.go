@@ -149,6 +149,14 @@ func FuzzEditDistanceAgree(f *testing.F) {
 	f.Add("nasər", "nasər", 0)
 	f.Add("nasər", "nasir", 0)
 	f.Add("", "ab", 2)
+	// The prefilter's corners: two runes that share a signature bit ('a' and
+	// 'ɪ'), a permutation of the pattern (equal signatures, distance > k), an
+	// empty pattern against k+1 distinct runes, an invalid byte against the
+	// U+FFFD it reads as.
+	f.Add("nasər", "nɪsər", 0)
+	f.Add("abcdef", "fedcba", 2)
+	f.Add("", "abc", 2)
+	f.Add("\xff", "\uFFFD", 0)
 	f.Fuzz(func(t *testing.T, a, b string, k int) {
 		if k < 0 || k > 128 {
 			return
@@ -174,6 +182,9 @@ func FuzzEditDistanceAgree(f *testing.F) {
 		}
 		if got := m.Match(b); got != (want <= k) {
 			t.Fatalf("NewBoundedMatcher(%q,%d).Match(%q) = %v, reference distance %d", a, k, b, got, want)
+		}
+		if got := m.MatchSummary([]byte(b), Summarize([]byte(b))); got != (want <= k) {
+			t.Fatalf("NewBoundedMatcher(%q,%d).MatchSummary(%q) = %v, reference distance %d", a, k, b, got, want)
 		}
 		// And the banded DP must agree with Myers on inputs where both
 		// apply, regardless of which one the entry point picked.

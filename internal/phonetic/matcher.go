@@ -1,6 +1,9 @@
 package phonetic
 
-import "unicode/utf8"
+import (
+	"math/bits"
+	"unicode/utf8"
+)
 
 // BoundedMatcher answers "is the edit distance to this pattern ≤ k" over a
 // stream of candidates. Everything that depends only on the pattern is done
@@ -9,18 +12,20 @@ import "unicode/utf8"
 // which is the only per-character input the Myers (1999) bit-parallel step
 // needs. Matching then streams the candidate's UTF-8 straight through that
 // step with the pattern as the fixed (vertical) side — no rune buffer, no
-// operand swap, no limit on the candidate's length — after a rune-count
-// prefilter has rejected every candidate whose length alone puts it more
-// than k edits away. The executor's fused Ψ kernels compile one matcher per
-// scan; a candidate costs zero heap allocations whenever the pattern fits a
-// machine word (≤ 64 runes, i.e. essentially every phoneme string).
+// operand swap, no limit on the candidate's length — after a prefilter has
+// rejected every candidate whose length or rune set alone puts it more than
+// k edits away (MatchSummary); the pattern's rune-set signature is compiled
+// with its match table. The executor's fused Ψ kernels compile one matcher
+// per scan; a candidate costs zero heap allocations whenever the pattern fits
+// a machine word (≤ 64 runes, i.e. essentially every phoneme string).
 //
 // Invalid UTF-8 is read as utf8.DecodeRune reads it — each bad byte is one
 // U+FFFD — which is also how []rune(string) and therefore EditDistance and
 // BoundedEditDistance, the reference implementations, see it.
 type BoundedMatcher struct {
-	k int
-	m int // pattern length in runes
+	k   int
+	m   int    // pattern length in runes
+	sig uint64 // the pattern's rune-set signature (Summary)
 	// ascii is the match table for runes below utf8.RuneSelf, indexed
 	// directly; tab is the open-addressed table for the rest, a power of two
 	// at least twice the pattern's length. A slot with mask 0 is empty: a
@@ -42,16 +47,19 @@ type matchSlot struct {
 func NewBoundedMatcher(pattern string, k int) *BoundedMatcher {
 	runes := []rune(pattern)
 	m := &BoundedMatcher{k: k, m: len(runes)}
+	for _, r := range runes {
+		m.sig |= sigBit(r)
+	}
 	if len(runes) > 64 {
 		m.long = runes
 		return m
 	}
-	bits := uint(1)
-	for 1<<bits < 2*len(runes) {
-		bits++
+	lg := uint(1)
+	for 1<<lg < 2*len(runes) {
+		lg++
 	}
-	m.tab = make([]matchSlot, 1<<bits)
-	m.shift = 32 - bits
+	m.tab = make([]matchSlot, 1<<lg)
+	m.shift = 32 - lg
 	for j, r := range runes {
 		if r < utf8.RuneSelf {
 			m.ascii[r] |= 1 << uint(j)
@@ -72,22 +80,37 @@ func (m *BoundedMatcher) slot(r rune) int {
 	return int(uint32(r) * 0x9E3779B1 >> m.shift)
 }
 
-// runeCount counts the runes of b by taking exactly the steps the matching
-// loop takes — one byte below utf8.RuneSelf, otherwise whatever
-// utf8.DecodeRune consumes — so the prefilter's length and the number of
-// Myers steps cannot disagree, on invalid UTF-8 or anything else.
-func runeCount(b []byte) int {
-	n := 0
-	for i := 0; i < len(b); n++ {
-		if b[i] < utf8.RuneSelf {
+// Summary is what the prefilter reads of a candidate: its length in runes
+// and its rune-set signature, one bit per rune (sigBit). Summarize takes
+// exactly the steps the matching loop takes — one byte below utf8.RuneSelf,
+// otherwise whatever utf8.DecodeRune consumes, so an invalid byte is one
+// U+FFFD — so the prefilter's length and the number of Myers steps cannot
+// disagree, on invalid UTF-8 or anything else. A candidate's summary does
+// not depend on the pattern: a join summarises an inner phoneme once and
+// hands it to every pattern it meets.
+type Summary struct {
+	n   int
+	sig uint64
+}
+
+// Summarize reads b's summary.
+func Summarize(b []byte) Summary {
+	var s Summary
+	for i := 0; i < len(b); s.n++ {
+		if c := b[i]; c < utf8.RuneSelf {
+			s.sig |= sigBit(rune(c))
 			i++
 		} else {
-			_, w := utf8.DecodeRune(b[i:])
+			r, w := utf8.DecodeRune(b[i:])
+			s.sig |= sigBit(r)
 			i += w
 		}
 	}
-	return n
+	return s
 }
+
+// sigBit is r's bit in a rune-set signature (Fibonacci hashing to 6 bits).
+func sigBit(r rune) uint64 { return 1 << (uint32(r) * 0x9E3779B1 >> 26) }
 
 // Match reports whether the distance between the pattern and cand is ≤ k.
 // The conversion does not copy: MatchBytes neither keeps nor writes its
@@ -99,19 +122,35 @@ func (m *BoundedMatcher) Match(cand string) bool {
 // MatchBytes is Match over a raw UTF-8 byte view: the fused scan path hands
 // phoneme bytes straight off a pinned heap page.
 func (m *BoundedMatcher) MatchBytes(cand []byte) bool {
-	if m.k < 0 {
-		return false
-	}
-	// Length prefilter: the distance is at least the difference in length.
 	// A candidate has at most one rune per byte, so the byte length settles
-	// the short side without counting.
+	// the short side of the length filter without a summary.
 	if m.m-len(cand) > m.k {
 		return false
 	}
-	n := runeCount(cand)
-	if n-m.m > m.k || m.m-n > m.k {
+	return m.MatchSummary(cand, Summarize(cand))
+}
+
+// rejects is the prefilter: two lower bounds on the edit distance, each
+// compared with k before the edit distance itself runs. The length filter:
+// the distance is at least the difference in length. The signature filter:
+// every bit of the pattern's signature that the candidate's lacks marks at
+// least one distinct pattern rune the candidate does not contain, and each
+// such rune costs an edit of its own (its positions must be deleted or
+// substituted, one position per edit); a collision merges runes into one
+// bit, which only lowers the count. The same holds with the roles swapped.
+func (m *BoundedMatcher) rejects(s Summary) bool {
+	return m.k < 0 || s.n-m.m > m.k || m.m-s.n > m.k ||
+		bits.OnesCount64(m.sig&^s.sig) > m.k || bits.OnesCount64(s.sig&^m.sig) > m.k
+}
+
+// MatchSummary is MatchBytes over a candidate whose summary is s, which must
+// be Summarize(cand): only what survives the prefilter runs the edit
+// distance, Myers' step or, for a pattern past 64 runes, the banded DP.
+func (m *BoundedMatcher) MatchSummary(cand []byte, s Summary) bool {
+	if m.rejects(s) {
 		return false
 	}
+	n := s.n
 	if m.m == 0 {
 		return true // distance is n, and n ≤ k was just established
 	}

@@ -11,7 +11,12 @@ import (
 // word (the banded-DP fallback).
 func TestBoundedMatcherDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	alphabet := []rune("abcdəɪʃɳæ")
+	// 'a' and 'ɪ', 'ʃ' and 'z' share a signature bit: a candidate can lack a
+	// pattern rune without the signature showing it.
+	alphabet := []rune("abcdəɪʃɳæz")
+	if sigBit('a') != sigBit('ɪ') || sigBit('ʃ') != sigBit('z') {
+		t.Fatal("the alphabet no longer holds a colliding pair")
+	}
 	randStr := func(n int) string {
 		var sb strings.Builder
 		for i := 0; i < n; i++ {
@@ -30,6 +35,9 @@ func TestBoundedMatcherDifferential(t *testing.T) {
 		}
 		if got := m.MatchBytes([]byte(c)); got != want {
 			t.Fatalf("MatchBytes(%q,%q,k=%d) = %v, want %v", p, c, k, got, want)
+		}
+		if got := m.MatchSummary([]byte(c), Summarize([]byte(c))); got != want {
+			t.Fatalf("MatchSummary(%q,%q,k=%d) = %v, want %v", p, c, k, got, want)
 		}
 	}
 
@@ -82,7 +90,7 @@ func TestBoundedMatcherLongCandidate(t *testing.T) {
 }
 
 // Invalid UTF-8 reads as []rune(string) reads it: each bad byte is one
-// U+FFFD. The length prefilter counts the same way, so a candidate whose
+// U+FFFD. The summary counts and signs the same way, so a candidate whose
 // byte length and rune length diverge is neither over- nor under-rejected.
 func TestBoundedMatcherInvalidUTF8(t *testing.T) {
 	cands := []string{
@@ -91,8 +99,13 @@ func TestBoundedMatcherInvalidUTF8(t *testing.T) {
 	}
 	for _, p := range cands {
 		for _, c := range cands {
-			if got, want := runeCount([]byte(c)), len([]rune(c)); got != want {
-				t.Fatalf("runeCount(%q) = %d, []rune sees %d", c, got, want)
+			var want Summary
+			for _, r := range []rune(c) {
+				want.n++
+				want.sig |= sigBit(r)
+			}
+			if got := Summarize([]byte(c)); got != want {
+				t.Fatalf("Summarize(%q) = %+v, []rune sees %+v", c, got, want)
 			}
 			for k := 0; k <= 3; k++ {
 				want := EditDistance(p, c) <= k
@@ -111,6 +124,7 @@ func TestBoundedMatcherZeroAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(500, func() {
 		m.MatchBytes(cand)
 		m.Match("nasir")
+		m.MatchSummary(cand, Summarize(cand))
 	})
 	if allocs != 0 {
 		t.Errorf("BoundedMatcher fast path allocates %.1f/op, want 0", allocs)
