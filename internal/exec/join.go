@@ -155,7 +155,7 @@ type hoistedJoinIter struct {
 	outerLeft bool
 	budget    *atomic.Int64
 	outer     BatchIter
-	innerRows float64 // the inner side's estimated rows, the bound on an Ω word set
+	innerRows float64 // the inner side's estimated rows, the bound on an Ω probe's filters
 	// The inner input: a table scan's records (src) or an operator (child),
 	// whose records recs holds for every block to replay. For a scan, recs
 	// holds the rest of a page a batch filled inside.

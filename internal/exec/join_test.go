@@ -478,9 +478,9 @@ func TestPsiJoinSharedSummaryMixedInner(t *testing.T) {
 	}
 }
 
-// An Ω join bounds each outer row's word set by the inner side's estimated
-// rows: BenchmarkOmegaJoin's small closure compiles to the word set, its
-// large one to the interval labels.
+// An Ω join bounds each outer row's filters by the inner side's estimated
+// rows: BenchmarkOmegaJoin's small closure compiles to filters, its large one
+// to the interval labels alone.
 func TestOmegaJoinProbeFormFollowsInnerEstimate(t *testing.T) {
 	net := omegaNet()
 	for name, closure := range omegaJoinClosures {
@@ -496,9 +496,9 @@ func TestOmegaJoinProbeFormFollowsInnerEstimate(t *testing.T) {
 		if err := j.compileBlock(); err != nil {
 			t.Fatal(err)
 		}
-		words := j.preds[0].probe.MemBytes() > net.CompileRight(concept, nil, 0).MemBytes()
-		if words != (name == "words") {
-			t.Errorf("%s: the join compiled the word set: %v", name, words)
+		filtered := j.preds[0].probe.MemBytes() > net.CompileRight(concept, nil, 0).MemBytes()
+		if filtered != (name == "filtered") {
+			t.Errorf("%s: the join compiled filters: %v", name, filtered)
 		}
 		if err := cur.Close(); err != nil {
 			t.Fatal(err)

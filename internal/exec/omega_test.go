@@ -90,7 +90,7 @@ func (c omegaCase) String() string {
 
 // omegaPlan builds the filtered scan for c: fused, or the generic filter
 // when a conjunct (id >= 0) makes the shape unfusible, under a Gather when
-// workers > 0. est is the scan's row estimate, the bound on the word-set form.
+// workers > 0. est is the scan's row estimate, the bound on the probe's filters.
 func omegaPlan(c omegaCase, colKind types.Kind, est float64, workers int, generic bool) *plan.Node {
 	cols := []plan.ColInfo{{Rel: c.table, Name: "id", Kind: types.KindInt}, {Rel: c.table, Name: "cat", Kind: colKind}}
 	scan := &plan.Node{Op: plan.OpSeqScan, Table: c.table, Cols: cols, EstRows: est, Parallel: workers > 0}
@@ -111,8 +111,8 @@ func omegaPlan(c omegaCase, colKind types.Kind, est float64, workers int, generi
 
 // omegaShapes runs fn over every way the executor can run one Ω filter:
 // serial and under a two-worker Gather, fused and generic, with a scan
-// estimate that admits the word-set form and one so small that any closure
-// compiles to the interval form.
+// estimate that admits the probe's filters and one so small that any closure
+// compiles to the interval labels alone.
 func omegaShapes(t *testing.T, fn func(t *testing.T, est float64, workers int, generic bool)) {
 	for _, workers := range []int{0, 2} {
 		for _, generic := range []bool{false, true} {

@@ -212,8 +212,8 @@ func constant(e plan.Expr) bool {
 
 // stmtPreds holds a statement's compiled predicates by the plan node each
 // one compiles, so every operator and Gather worker that evaluates a node
-// shares one compiled form. What compiling charged to the query (Ω's word
-// sets) is held until the statement closes.
+// shares one compiled form. What compiling charged to the query (Ω's
+// filters) is held until the statement closes.
 type stmtPreds struct {
 	m     map[plan.Expr]*constPred
 	bytes int64
@@ -228,7 +228,7 @@ func (s *stmtPreds) release(res *Resources) {
 // bind returns cond with every Ψ and Ω of its AND/OR/NOT structure that has a
 // constant operand replaced by its compiled form; the rest of the tree is
 // shared, not copied. rows is how many rows cond is expected to see, the
-// bound on an Ω word set. The error is a governance failure: a compiled
+// bound on an Ω probe's filters. The error is a governance failure: a compiled
 // operand the query's memory budget cannot hold.
 func (ev *evaluator) bind(cond plan.Expr, rows float64) (plan.Expr, error) {
 	switch x := cond.(type) {
@@ -261,11 +261,12 @@ func (ev *evaluator) bind(cond plan.Expr, rows float64) (plan.Expr, error) {
 
 // constPred is a Ψ or Ω node with a constant operand, compiled: the
 // constant's kind and, for Ψ, its admission and its phoneme as a
-// BoundedMatcher, for Ω a wordnet.Probe — with the constant on the right,
-// its closure's word forms in the admitted languages when there are no more
-// of them than rows to probe, else its interval labels; with it on the left,
-// its ancestors' word forms. It is immutable, so a Gather's workers share it,
-// and it embeds its plan node, so a bound condition is still a plan.Expr.
+// BoundedMatcher, for Ω a wordnet.Probe — the constant's synsets, and filters
+// over the word forms it can match: with the constant on the right, its
+// closure's in the admitted languages when there are no more synsets ×
+// languages than rows to probe; with it on the left, its ancestors'. It is
+// immutable, so a Gather's workers share it, and it embeds its plan node, so a
+// bound condition is still a plan.Expr.
 type constPred struct {
 	plan.Expr
 	op        string // LEXEQUAL or SEMEQUAL, for the operand-kind error
@@ -313,7 +314,7 @@ func (ev *evaluator) bindConst(x, l, r plan.Expr, rows float64) (plan.Expr, erro
 // compile builds the constPred of x, a Ψ or Ω (over a loaded taxonomy), with
 // v as its constant operand — its left one when constLeft — and err as v's
 // evaluation error. rows is how many rows it is expected to see, the bound on
-// an Ω word set. What the probe holds (memBytes) is the caller's to charge.
+// an Ω probe's filters. What the probe holds (memBytes) is the caller's to charge.
 func (ev *evaluator) compile(x plan.Expr, constLeft bool, v types.Value, err error, rows float64) *constPred {
 	p := &constPred{Expr: x, constLeft: constLeft, admitted: true, kind: v.Kind(), err: err}
 	text := err == nil && isText(p.kind)
@@ -337,7 +338,7 @@ func (ev *evaluator) compile(x plan.Expr, constLeft bool, v types.Value, err err
 }
 
 // memBytes is what the compiled operand holds beyond the net it reads: an Ω
-// probe's word set or labels.
+// probe's synsets and filters.
 func (p *constPred) memBytes() int64 {
 	if p.probe == nil {
 		return 0

@@ -92,9 +92,9 @@ func BenchmarkPsiJoinStored(b *testing.B) {
 func BenchmarkPsiJoinText(b *testing.B) { benchPsiJoin(b, types.KindText, 8, 1024) }
 
 // omegaJoinClosures is the closure size of BenchmarkOmegaJoin's concept per
-// case: small enough for the word-set probe (words) or too large for it, so
-// each outer row compiles to the interval labels (intervals).
-var omegaJoinClosures = map[string]int{"words": 20, "intervals": 1000}
+// case: small enough for the probe's filters (filtered) or too large for them,
+// so each outer row compiles to the interval labels alone (labels).
+var omegaJoinClosures = map[string]int{"filtered": 20, "labels": 1000}
 
 // omegaJoinBench is the join BenchmarkOmegaJoin runs: 8 outer rows naming
 // one concept with the given closure size against 1,024 inner words,
@@ -123,7 +123,7 @@ func omegaJoinBench(net *wordnet.Net, closure int) (*mockEnv, *plan.Node, types.
 // BenchmarkOmegaJoin runs omegaJoinBench's join for each closure size.
 func BenchmarkOmegaJoin(b *testing.B) {
 	net := omegaNet()
-	for _, name := range []string{"words", "intervals"} {
+	for _, name := range []string{"filtered", "labels"} {
 		b.Run(name, func(b *testing.B) {
 			env, node, _ := omegaJoinBench(net, omegaJoinClosures[name])
 			b.ReportAllocs()

@@ -17,7 +17,7 @@ import (
 // target and what each is declared to hold — so the per-record walk steps
 // over a value of its declared kind with a couple of byte compares and
 // sizes generically only what the declaration does not predict (a NULL, a
-// string, a kind the schema did not promise).
+// UNITEXT, a string of 0x80 bytes or more, a kind the schema did not promise).
 type SkipPlan struct {
 	// before holds the declared kind of every column ahead of the target.
 	before []Kind
@@ -63,6 +63,14 @@ func (p SkipPlan) Seek(rec []byte) ([]byte, error) {
 			case KindFloat:
 				off += 9
 				continue
+			case KindText:
+				// A length below 0x80 is its own one-byte prefix.
+				if off+1 < len(rec) && rec[off+1] < 0x80 {
+					if end := off + 2 + int(rec[off+1]); end <= len(rec) {
+						off = end
+						continue
+					}
+				}
 			}
 		}
 		if off >= len(rec) {
@@ -170,7 +178,14 @@ func TextView(field []byte) ([]byte, error) {
 	return text, nil
 }
 
+// viewLenPrefixed returns the bytes of the length-prefixed string at the front
+// of buf and the width of the whole. A length below 0x80 is read inline.
 func viewLenPrefixed(buf []byte) ([]byte, int, error) {
+	if len(buf) > 0 && buf[0] < 0x80 {
+		if end := 1 + int(buf[0]); end <= len(buf) {
+			return buf[1:end], end, nil
+		}
+	}
 	l, sz := binary.Uvarint(buf)
 	if sz <= 0 {
 		return nil, 0, fmt.Errorf("bad length prefix")

@@ -2,6 +2,9 @@ package types
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -158,4 +161,190 @@ func TestSkipPlanZeroAllocations(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Seek+UniTextViews allocate %.1f/op, want 0", allocs)
 	}
+}
+
+// lazyValue builds a value from one fuzz byte: its kind, and for text a length
+// around the one-byte prefix's limit of 0x7F.
+func lazyValue(b byte) Value {
+	lens := []int{0, 1, 5, 0x7E, 0x7F, 0x80, 0x81}
+	str := func(n int) string { return strings.Repeat("ab", n)[:n] }
+	switch m := int(b / 6); b % 6 {
+	case 0:
+		return NewInt(int64(m-21) << (m % 9 * 7))
+	case 1:
+		return NewText(str(lens[m%7]))
+	case 2:
+		return NewUniText(UniText{Text: str(lens[m%7]), Lang: LangID(m), Phoneme: str(lens[(m/7+3)%7])})
+	case 3:
+		return Null()
+	case 4:
+		return NewBool(m%2 == 0)
+	default:
+		return NewFloat(float64(m) / 3)
+	}
+}
+
+// seekRef is SkipPlan.Seek without the inline TEXT step: the generic walk
+// whose errors the fast path must keep.
+func seekRef(before []Kind, rec []byte) ([]byte, error) {
+	n, off := binary.Uvarint(rec)
+	if off <= 0 {
+		return nil, fmt.Errorf("types: seek field: bad column count")
+	}
+	idx := len(before)
+	if uint64(idx) >= n {
+		return nil, fmt.Errorf("types: seek field %d out of range (tuple width %d)", idx, n)
+	}
+	for _, want := range before {
+		if off < len(rec) && Kind(rec[off]) == want {
+			switch want {
+			case KindInt:
+				off++
+				for off < len(rec) && rec[off] >= 0x80 {
+					off++
+				}
+				off++
+				continue
+			case KindBool:
+				off += 2
+				continue
+			case KindFloat:
+				off += 9
+				continue
+			}
+		}
+		if off >= len(rec) {
+			break
+		}
+		w, err := encodedValueSize(rec[off:])
+		if err != nil {
+			return nil, err
+		}
+		off += w
+	}
+	if off >= len(rec) {
+		return nil, fmt.Errorf("types: seek field %d: short record", idx)
+	}
+	return rec[off:], nil
+}
+
+// viewRef is viewLenPrefixed without the inline one-byte length.
+func viewRef(buf []byte) ([]byte, int, error) {
+	l, sz := binary.Uvarint(buf)
+	if sz <= 0 {
+		return nil, 0, fmt.Errorf("bad length prefix")
+	}
+	if uint64(len(buf)-sz) < l {
+		return nil, 0, fmt.Errorf("short buffer")
+	}
+	return buf[sz : sz+int(l)], sz + int(l), nil
+}
+
+// errText is an error's message, "" for none.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// Seek, UniTextViews and TextView read what DecodeTuple decodes, on records of
+// every kind with lengths on both sides of the one-byte prefix, declared or
+// not, cut at every byte: a column whose kind byte is in the record is found,
+// a value wholly in it reads as its decoded bytes, one cut short fails — with
+// the message of the walk without the inline steps.
+func FuzzSkipPlanViews(f *testing.F) {
+	f.Add([]byte{0, 1, 2}, uint64(0xFFFF))
+	f.Add([]byte{6*3 + 1, 6*4 + 1, 6*5 + 2, 6*6 + 1}, uint64(0xFFFF))
+	f.Add([]byte{3, 6*4 + 1, 6*26 + 2, 4, 5, 6 * 4}, uint64(0x1F1F))
+	f.Fuzz(func(t *testing.T, spec []byte, decl uint64) {
+		if len(spec) == 0 || len(spec) > 8 {
+			return
+		}
+		tup := make(Tuple, len(spec))
+		kinds := make([]Kind, len(spec))
+		for i, b := range spec {
+			tup[i] = lazyValue(b)
+			kinds[i] = tup[i].Kind()
+			// Some columns are declared as another kind (a NULL, a stale schema).
+			if m := decl >> (4 * i) & 15; m < 6 {
+				kinds[i] = []Kind{KindInt, KindText, KindUniText, KindNull, KindBool, KindFloat}[m]
+			}
+		}
+		rec := EncodeTuple(tup)
+		// start[i], end[i]: where column i lies in rec, as DecodeTuple reads it.
+		start, end := make([]int, len(tup)), make([]int, len(tup))
+		_, off := binary.Uvarint(rec)
+		for i := range tup {
+			_, w, err := DecodeValue(rec[off:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			start[i], end[i], off = off, off+w, off+w
+		}
+		if _, _, err := DecodeTuple(rec); err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut <= len(rec); cut++ {
+			r := rec[:cut:cut]
+			for i, want := range tup {
+				p, _ := NewSkipPlan(kinds, i)
+				field, err := p.Seek(r)
+				refField, refErr := seekRef(kinds[:i], r)
+				if errText(err) != errText(refErr) || len(field) != len(refField) {
+					t.Fatalf("cut %d col %d: Seek = %d bytes, %v; the generic walk %d bytes, %v", cut, i, len(field), err, len(refField), refErr)
+				}
+				if (err == nil) != (start[i] < cut) {
+					t.Fatalf("cut %d col %d at [%d, %d): Seek err = %v", cut, i, start[i], end[i], err)
+				}
+				if err != nil {
+					continue
+				}
+				if len(field) != cut-start[i] {
+					t.Fatalf("cut %d col %d: Seek landed %d bytes from the end, want %d", cut, i, len(field), cut-start[i])
+				}
+				whole := end[i] <= cut
+				lang, text, ph, err := UniTextViews(field)
+				var refLang LangID
+				var refText, refPh []byte
+				refErr = fmt.Errorf("types: unitext views: not a UNITEXT field")
+				if len(field) >= 3 && Kind(field[0]) == KindUniText {
+					refLang = LangID(binary.BigEndian.Uint16(field[1:]))
+					var sz int
+					if refText, sz, refErr = viewRef(field[3:]); refErr != nil {
+						refErr = fmt.Errorf("types: unitext views: text: %w", refErr)
+					} else if refPh, _, refErr = viewRef(field[3+sz:]); refErr != nil {
+						refErr = fmt.Errorf("types: unitext views: phoneme: %w", refErr)
+					}
+				}
+				if refErr != nil {
+					refLang, refText, refPh = LangUnknown, nil, nil
+				}
+				if errText(err) != errText(refErr) || lang != refLang || !bytes.Equal(text, refText) || !bytes.Equal(ph, refPh) {
+					t.Fatalf("cut %d col %d: UniTextViews = %v %q %q %v; the generic read %v %q %q %v", cut, i, lang, text, ph, err, refLang, refText, refPh, refErr)
+				}
+				if want.Kind() == KindUniText {
+					u := want.UniText()
+					if ok := err == nil && lang == u.Lang && string(text) == u.Text && string(ph) == u.Phoneme; ok != whole {
+						t.Fatalf("cut %d col %d at [%d, %d): UniTextViews = %v %q %q %v, decoded %v", cut, i, start[i], end[i], lang, text, ph, err, want)
+					}
+				}
+				text, err = TextView(field)
+				refText, refErr = nil, fmt.Errorf("types: text view: not a TEXT field")
+				if len(field) >= 2 && Kind(field[0]) == KindText {
+					if refText, _, refErr = viewRef(field[1:]); refErr != nil {
+						refText, refErr = nil, fmt.Errorf("types: text view: %w", refErr)
+					}
+				}
+				if errText(err) != errText(refErr) || !bytes.Equal(text, refText) {
+					t.Fatalf("cut %d col %d: TextView = %q %v; the generic read %q %v", cut, i, text, err, refText, refErr)
+				}
+				if want.Kind() == KindText {
+					if ok := err == nil && string(text) == want.Text(); ok != whole {
+						t.Fatalf("cut %d col %d at [%d, %d): TextView = %q %v, decoded %v", cut, i, start[i], end[i], text, err, want)
+					}
+				}
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package wordnet
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -14,109 +15,129 @@ import (
 // some synset of the RHS word (the paper's Figure 5 algorithm), the LHS
 // language optionally restricted to an output set (the "IN English, French,
 // Tamil" clause of Figure 4; empty admits every language). A probe is
-// immutable, so a parallel scan's workers share it. In its word-set form it
-// lists, per language, every word form it accepts: a row costs one hash
-// lookup of its text. In its interval form — what a closure too large to
-// enumerate compiles to, and what the generic evaluator compiles per pair —
-// it keeps the constant's synsets and resolves the row's word to its own: one
-// lookup in the net's word table plus an interval compare per synset pair.
+// immutable, so a parallel scan's workers share it.
+//
+// A probe keeps the constant's synsets and tests a row by filter, then
+// verify. The filter, when the probe has one, is a Bloom filter per language
+// over the caseHash of every word form the probe can accept, read off the
+// net's pre-order hashes: a row in a language without a filter, or ASCII text
+// whose bits are not set, is rejected. Anything else is verified exactly: one
+// lookup of the row's word in the net's word table and an interval compare
+// per synset pair. The filter has no false negatives on ASCII text, so the
+// probe is exact.
 type Probe struct {
-	words []map[string]struct{} // by language; the strings are the net's own
-	// The interval form (net != nil): the admitted languages and the roots.
 	net   *Net
-	langs []types.LangID
-	roots []SynsetID
+	langs []types.LangID // the IN list, which an unfiltered probe applies to the row
+	roots []SynsetID     // the constant's synsets
+	// left: the constant is Ω's left operand, so a row matches when one of
+	// its synsets is an ancestor-or-self of a root; else when one is inside
+	// a root's closure.
+	left bool
+	// filtered: the probe tests rows on filters, one per language it can
+	// match in (nil for any other).
+	filtered bool
+	filters  []bloom
 }
 
-// wordEntryBytes approximates one word-set entry: a string header plus its
-// share of the table's slots.
-const wordEntryBytes = 32
+// bitsPerSynset sizes a filter: bits per (synset, language) before rounding
+// up to a power of two.
+const bitsPerSynset = 16
 
-// CompileRight compiles Ω(·, rhs), a probe of the left operand. The word-set
-// form is TC(rhs)'s word forms in the admitted languages, read off the
-// contiguous pre-order slice. It is chosen when its size, known in O(1) as
-// closure size × admitted languages, is at most maxWords: a caller passes the
-// rows it will probe, so building the set never costs more lookups than it
-// saves. Past that the probe takes the interval form.
+// CompileRight compiles Ω(·, rhs), a probe of the left operand. It filters on
+// TC(rhs)'s word forms in the admitted languages when the filters' size,
+// known in O(1) as closure size × admitted languages, is at most maxWords: a
+// caller passes the rows it will probe, so building them never costs more
+// than the rows' lookups it saves. Past that the probe tests every row on the
+// labels.
 func (w *Net) CompileRight(rhs types.UniText, langs []types.LangID, maxWords int) *Probe {
-	roots := w.SynsetsOf(rhs.Lang, rhs.Text)
+	p := &Probe{net: w, langs: langs, roots: w.SynsetsOf(rhs.Lang, rhs.Text)}
 	in := langs
 	if len(in) == 0 {
 		in = w.langs
 	}
 	size := 0
-	for _, r := range roots {
+	for _, r := range p.roots {
 		size += w.ix.ClosureSize(r)
 	}
-	if size*len(in) > maxWords {
-		return &Probe{net: w, langs: langs, roots: roots}
-	}
-	p := &Probe{}
-	for _, lang := range in {
-		for _, r := range roots {
-			p.add(lang, w.lemmas[lang], w.ix.Closure(r), size)
+	if size*len(in) <= maxWords {
+		runs := make([][2]int32, len(p.roots))
+		for i, r := range p.roots {
+			runs[i] = [2]int32{w.ix.pre[r], w.ix.post[r]}
 		}
+		p.filter(in, runs, size)
 	}
 	return p
 }
 
 // CompileLeft compiles Ω(lhs, ·), a probe of the right operand, which
 // matches when one of its synsets, in any language (the IN clause restricts
-// lhs), is an ancestor-or-self of one of lhs's: the word forms of at most
-// the taxonomy's depth of synsets per synset of lhs.
+// lhs), is an ancestor-or-self of one of lhs's. It filters on the word forms
+// of those ancestors: at most the taxonomy's depth of synsets per synset of
+// lhs.
 func (w *Net) CompileLeft(lhs types.UniText, langs []types.LangID) *Probe {
-	p := &Probe{}
-	if !admitted(lhs.Lang, langs) {
-		return p
+	p := &Probe{net: w, left: true}
+	if admitted(lhs.Lang, langs) {
+		p.roots = w.SynsetsOf(lhs.Lang, lhs.Text)
 	}
-	for _, s := range w.SynsetsOf(lhs.Lang, lhs.Text) {
-		var up []SynsetID
+	var runs [][2]int32
+	for _, s := range p.roots {
 		for a := s; a != NoSynset; a = w.parent[a] {
-			up = append(up, a)
-		}
-		for _, lang := range w.langs {
-			p.add(lang, w.lemmas[lang], up, len(up))
+			runs = append(runs, [2]int32{w.ix.pre[a], w.ix.pre[a] + 1})
 		}
 	}
+	p.filter(w.langs, runs, len(runs))
 	return p
 }
 
-// add puts the word forms of ids in lang into the word set of lang.
-func (p *Probe) add(lang types.LangID, forms [][]string, ids []SynsetID, hint int) {
-	if forms == nil {
+// filter gives the probe a filter in each of langs the net has, over the word
+// forms of the pre-order runs [lo, hi), which hold synsets synsets in all; the
+// filter's size follows from that count. With no synsets no language gets one,
+// so the probe matches nothing.
+func (p *Probe) filter(langs []types.LangID, runs [][2]int32, synsets int) {
+	p.filtered = true
+	if synsets == 0 {
 		return
 	}
-	for int(lang) >= len(p.words) {
-		p.words = append(p.words, nil)
+	words := 1
+	for words*64 < bitsPerSynset*synsets {
+		words <<= 1
 	}
-	if p.words[lang] == nil {
-		p.words[lang] = make(map[string]struct{}, hint)
-	}
-	for _, id := range ids {
-		for _, f := range forms[id] {
-			p.words[lang][f] = struct{}{}
+	for _, lang := range langs {
+		forms, ok := p.net.forms[lang]
+		if !ok {
+			continue
 		}
+		for int(lang) >= len(p.filters) {
+			p.filters = append(p.filters, bloom{})
+		}
+		f := newBloom(words)
+		for _, r := range runs {
+			for _, h := range forms.hashes(r[0], r[1]) {
+				f.add(h)
+			}
+		}
+		p.filters[lang] = f
 	}
 }
 
 // Match evaluates the probe on the other operand's language and text, which
 // it does not retain, folding case as SynsetsOf does; it allocates only for
-// text that folding changes.
+// text that folding changes and the filter passes.
 func (p *Probe) Match(lang types.LangID, text []byte) bool {
-	if p.net == nil {
-		if int(lang) >= len(p.words) {
+	if p.filtered {
+		if int(lang) >= len(p.filters) || p.filters[lang].words == nil {
 			return false
 		}
-		_, ok := lookup(p.words[lang], text)
-		return ok
-	}
-	if !admitted(lang, p.langs) {
+		if h, ascii := caseHash(text); ascii && !p.filters[lang].has(h) {
+			return false
+		}
+	} else if !admitted(lang, p.langs) {
 		return false
 	}
 	syns, _ := lookup(p.net.byWord[lang], text)
 	for _, s := range syns {
 		for _, r := range p.roots {
-			if p.net.ix.Contains(s, r) {
+			if p.left && p.net.ix.Contains(r, s) || !p.left && p.net.ix.Contains(s, r) {
 				return true
 			}
 		}
@@ -124,13 +145,60 @@ func (p *Probe) Match(lang types.LangID, text []byte) bool {
 	return false
 }
 
-// MemBytes approximates what the probe holds beyond the net it reads.
+// MemBytes approximates what the probe holds beyond the net it reads: the
+// constant's synsets and the filters' bits.
 func (p *Probe) MemBytes() int64 {
-	n := int64(len(p.roots))*4 + int64(len(p.words))*8
-	for _, set := range p.words {
-		n += int64(len(set)) * wordEntryBytes
+	n := int64(len(p.roots))*4 + int64(len(p.filters))*32
+	for _, f := range p.filters {
+		n += int64(len(f.words)) * 8
 	}
 	return n
+}
+
+// bloom is a Bloom filter of caseHash values that sets two bits per value:
+// the top bits of the hash and of the hash times an odd constant pick them.
+type bloom struct {
+	words []uint64 // a power of two of them
+	shift uint32   // 32 − log2 of the filter's bits
+}
+
+// newBloom returns an empty filter of words 64-bit words, a power of two.
+func newBloom(words int) bloom {
+	return bloom{words: make([]uint64, words), shift: uint32(33 - bits.Len(uint(words*64)))}
+}
+
+// pos returns the two bits h sets.
+func (f bloom) pos(h uint32) (i, j uint32) {
+	return h >> f.shift, (h * 0x9E3779B1) >> f.shift
+}
+
+func (f bloom) add(h uint32) {
+	i, j := f.pos(h)
+	f.words[i>>6] |= 1 << (i & 63)
+	f.words[j>>6] |= 1 << (j & 63)
+}
+
+func (f bloom) has(h uint32) bool {
+	i, j := f.pos(h)
+	return f.words[i>>6]&(1<<(i&63)) != 0 && f.words[j>>6]&(1<<(j&63)) != 0
+}
+
+// caseHash hashes b with bit 0x20 set in every byte, so two ASCII texts equal
+// under strings.ToLower hash alike, and reports whether b is ASCII. It mixes
+// the length and every eight-byte word as folded reads them — the first and
+// the last included.
+func caseHash(b []byte) (h uint32, ascii bool) {
+	const ones = 0x0101010101010101
+	x, top := uint64(len(b)), uint64(0)
+	for i := 0; i < len(b); i += 8 {
+		w := word(b, i)
+		top |= w
+		x = (x ^ (w | 0x20*ones)) * 0x9E3779B97F4A7C15
+		x ^= x >> 32
+	}
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 31
+	return uint32(x >> 32), top&(0x80*ones) == 0
 }
 
 // lookup finds text in m, case-folded as SynsetsOf folds it.
@@ -150,17 +218,7 @@ func lookup[V any](m map[string]V, text []byte) (V, bool) {
 func folded(b []byte) bool {
 	const ones = 0x0101010101010101
 	for i := 0; i < len(b); i += 8 {
-		var x uint64
-		switch {
-		case i+8 <= len(b):
-			x = binary.LittleEndian.Uint64(b[i:])
-		case len(b) >= 8:
-			x = binary.LittleEndian.Uint64(b[len(b)-8:])
-		default:
-			var pad [8]byte
-			copy(pad[:], b)
-			x = binary.LittleEndian.Uint64(pad[:])
-		}
+		x := word(b, i)
 		if x&(0x80*ones) != 0 {
 			return foldedRunes(b)
 		}
@@ -169,6 +227,21 @@ func folded(b []byte) bool {
 		}
 	}
 	return true
+}
+
+// word reads the eight bytes of b at i, little-endian: past the last whole
+// word the last eight bytes, overlapping the word before, and a text shorter
+// than eight bytes zero-padded.
+func word(b []byte, i int) uint64 {
+	switch {
+	case i+8 <= len(b):
+		return binary.LittleEndian.Uint64(b[i:])
+	case len(b) >= 8:
+		return binary.LittleEndian.Uint64(b[len(b)-8:])
+	}
+	var pad [8]byte
+	copy(pad[:], b)
+	return binary.LittleEndian.Uint64(pad[:])
 }
 
 // foldedRunes is folded rune by rune: valid UTF-8 with no rune that

@@ -37,14 +37,31 @@ type Net struct {
 	parent   []SynsetID
 	children [][]SynsetID
 	depth    []int32
-	// lemmas[lang][id] lists the word forms of the synset in that language;
-	// index 0 is the primary lemma.
-	lemmas map[types.LangID][][]string
-	// byWord[lang][word] lists the synsets a word form belongs to.
+	// forms[lang] holds the word forms of every synset in that language.
+	forms map[types.LangID]*wordForms
+	// byWord[lang][word] lists the synsets a word form belongs to: the
+	// inverse of forms[lang].
 	byWord map[types.LangID]map[string][]SynsetID
 	langs  []types.LangID
 	ix     *IntervalIndex // the tree's DFS interval labels (interval.go)
 }
+
+// wordForms is one language's word forms, synsets laid out in pre-order: the
+// forms of the synset numbered p are s[at[p]:at[p+1]], its primary lemma
+// first, and h holds their caseHash values at the same positions. So TC(x)'s
+// forms, and their hashes, are one contiguous run from at[pre(x)] to
+// at[post(x)] (match.go).
+type wordForms struct {
+	at []int32
+	s  []string
+	h  []uint32
+}
+
+// of returns the forms of the synset numbered p in pre-order.
+func (f *wordForms) of(p int32) []string { return f.s[f.at[p]:f.at[p+1]:f.at[p+1]] }
+
+// hashes returns the hashes of the synsets numbered [lo, hi) in pre-order.
+func (f *wordForms) hashes(lo, hi int32) []uint32 { return f.h[f.at[lo]:f.at[hi]] }
 
 // Config parameterizes Generate.
 type Config struct {
@@ -113,7 +130,7 @@ func Generate(cfg Config) *Net {
 		parent:   make([]SynsetID, 0, n),
 		children: make([][]SynsetID, 0, n),
 		depth:    make([]int32, 0, n),
-		lemmas:   make(map[types.LangID][][]string, len(langs)),
+		forms:    make(map[types.LangID]*wordForms, len(langs)),
 		byWord:   make(map[types.LangID]map[string][]SynsetID, len(langs)),
 		langs:    append([]types.LangID(nil), langs...),
 	}
@@ -179,6 +196,7 @@ seed:
 	// synthetic synonyms; other languages carry rendered counterparts so
 	// the word-form strings differ across languages while the synset IDs
 	// stay aligned (the equivalence links).
+	net.ix = NewIntervalIndex(net)
 	for _, lang := range langs {
 		lem := make([][]string, n)
 		byW := make(map[string][]SynsetID, int(float64(n)*wf))
@@ -193,11 +211,28 @@ seed:
 				byW[f] = append(byW[f], SynsetID(id))
 			}
 		}
-		net.lemmas[lang] = lem
+		net.forms[lang] = layOut(lem, net.ix.byPre)
 		net.byWord[lang] = byW
 	}
-	net.ix = NewIntervalIndex(net)
 	return net
+}
+
+// layOut lays the word forms lem[id] of a language out in the pre-order byPre
+// gives, each beside its caseHash, in arrays sized up front.
+func layOut(lem [][]string, byPre []SynsetID) *wordForms {
+	total := 0
+	for _, forms := range lem {
+		total += len(forms)
+	}
+	f := &wordForms{at: make([]int32, len(byPre)+1), s: make([]string, 0, total), h: make([]uint32, 0, total)}
+	for p, id := range byPre {
+		for _, form := range lem[id] {
+			h, _ := caseHash([]byte(form))
+			f.s, f.h = append(f.s, form), append(f.h, h)
+		}
+		f.at[p+1] = int32(len(f.s))
+	}
+	return f
 }
 
 // renderLemma localizes a lemma string for a language. English keeps the
@@ -218,11 +253,10 @@ func (w *Net) NumSynsets() int { return len(w.parent) }
 
 // NumWordForms returns the word-form count for a language.
 func (w *Net) NumWordForms(lang types.LangID) int {
-	total := 0
-	for _, forms := range w.lemmas[lang] {
-		total += len(forms)
+	if f, ok := w.forms[lang]; ok {
+		return len(f.s)
 	}
-	return total
+	return 0
 }
 
 // NumRelations counts hypernym edges plus cross-language equivalence links,
@@ -283,20 +317,19 @@ func (w *Net) SynsetsOf(lang types.LangID, word string) []SynsetID {
 
 // Lemma returns the primary word form of a synset in a language.
 func (w *Net) Lemma(lang types.LangID, id SynsetID) string {
-	forms, ok := w.lemmas[lang]
-	if !ok || int(id) >= len(forms) || len(forms[id]) == 0 {
-		return ""
+	if forms := w.WordForms(lang, id); len(forms) > 0 {
+		return forms[0]
 	}
-	return forms[id][0]
+	return ""
 }
 
 // WordForms returns all word forms of a synset in a language.
 func (w *Net) WordForms(lang types.LangID, id SynsetID) []string {
-	forms, ok := w.lemmas[lang]
-	if !ok || int(id) >= len(forms) {
+	f, ok := w.forms[lang]
+	if !ok || int(id) >= len(w.parent) {
 		return nil
 	}
-	return forms[id]
+	return f.of(w.ix.pre[id])
 }
 
 // Closure computes the downward transitive closure of root (root plus all

@@ -1,6 +1,7 @@
 package wordnet
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -79,9 +80,9 @@ func omegaOperands(net *Net, syn, up uint32, far bool, langs, caps uint16, junk 
 	return lhs, rhs, in
 }
 
-// Every way Ω is evaluated — CompileRight in both forms, CompileLeft — must
-// agree with the parent-pointer walk, whatever the synsets, the languages, the
-// IN list and the letter case.
+// Every way Ω is evaluated — CompileRight filtered and on the labels alone,
+// CompileLeft — must agree with the parent-pointer walk, whatever the
+// synsets, the languages, the IN list and the letter case.
 func FuzzOmegaAgree(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 300; i++ {
@@ -92,9 +93,9 @@ func FuzzOmegaAgree(f *testing.F) {
 		lhs, rhs, in := omegaOperands(net, syn, up, far, langs, caps, junk)
 		want := walk(net, lhs, rhs, in)
 		got := map[string]bool{
-			"CompileRight/words":  net.CompileRight(rhs, in, 1<<30).Match(lhs.Lang, []byte(lhs.Text)),
-			"CompileRight/labels": net.CompileRight(rhs, in, 0).Match(lhs.Lang, []byte(lhs.Text)),
-			"CompileLeft":         net.CompileLeft(lhs, in).Match(rhs.Lang, []byte(rhs.Text)),
+			"CompileRight/filtered": net.CompileRight(rhs, in, 1<<30).Match(lhs.Lang, []byte(lhs.Text)),
+			"CompileRight/labels":   net.CompileRight(rhs, in, 0).Match(lhs.Lang, []byte(lhs.Text)),
+			"CompileLeft":           net.CompileLeft(lhs, in).Match(rhs.Lang, []byte(rhs.Text)),
 		}
 		for form, ok := range got {
 			if ok != want {
@@ -104,8 +105,10 @@ func FuzzOmegaAgree(f *testing.F) {
 	})
 }
 
-// The word-set form holds TC(rhs)'s word forms in the admitted languages and
-// nothing else; past maxWords the probe is the constant's labels alone.
+// The filters exist exactly when closure size × admitted languages is within
+// maxWords; each holds every word form of TC(rhs) in its language, sized at
+// 16 bits a synset rounded up to a power of two, and a language the IN list
+// does not admit has none.
 func TestCompileRightForms(t *testing.T) {
 	net := smallNet(t)
 	history := types.Compose("History", types.LangEnglish)
@@ -113,26 +116,159 @@ func TestCompileRightForms(t *testing.T) {
 	size := net.ClosureSize(root)
 	in := []types.LangID{types.LangEnglish, types.LangTamil}
 	p := net.CompileRight(history, in, size*len(in))
-	if p.net != nil {
-		t.Fatalf("a closure of %d × %d languages within %d words compiled to the interval form", size, len(in), size*len(in))
+	if !p.filtered {
+		t.Fatalf("a closure of %d × %d languages within %d words compiled without filters", size, len(in), size*len(in))
 	}
-	for _, lang := range []types.LangID{types.LangEnglish, types.LangTamil} {
-		want := 0
+	for _, lang := range in {
+		f := p.filters[lang]
+		if bits := len(f.words) * 64; bits < bitsPerSynset*size || bits >= 2*bitsPerSynset*size || bits&(bits-1) != 0 {
+			t.Errorf("%s filter has %d bits for %d synsets", lang, bits, size)
+		}
 		for _, id := range net.ix.Closure(root) {
-			want += len(net.WordForms(lang, id))
-		}
-		if got := len(p.words[lang]); got != want {
-			t.Errorf("%s word set holds %d forms, TC(history) has %d", lang, got, want)
+			for _, form := range net.WordForms(lang, id) {
+				if h, _ := caseHash([]byte(form)); !f.has(h) {
+					t.Errorf("%s filter lacks %q of TC(history)", lang, form)
+				}
+			}
 		}
 	}
-	if len(p.words) > int(types.LangFrench) && p.words[types.LangFrench] != nil {
-		t.Error("French is not admitted, yet has a word set")
+	if len(p.filters) > int(types.LangFrench) && p.filters[types.LangFrench].words != nil {
+		t.Error("French is not admitted, yet has a filter")
+	}
+	if p.Match(types.LangFrench, []byte("french:historiography")) {
+		t.Error("a French row matched a probe that does not admit French")
 	}
 	if !p.Match(types.LangTamil, []byte("TAMIL:Historiography")) {
-		t.Error("the word set must fold case as SynsetsOf does")
+		t.Error("the filtered probe must fold case as SynsetsOf does")
 	}
-	if q := net.CompileRight(history, in, size*len(in)-1); q.net == nil || len(q.roots) != 1 || q.MemBytes() >= p.MemBytes() {
-		t.Errorf("one word over the bound must compile to the constant's one synset, got %d roots", len(q.roots))
+	if q := net.CompileRight(history, in, size*len(in)-1); q.filtered || len(q.roots) != 1 || q.MemBytes() >= p.MemBytes() {
+		t.Errorf("one word over the bound must compile to the constant's one synset and no filter, got %d roots, filtered=%v", len(q.roots), q.filtered)
+	}
+}
+
+// Two ASCII texts equal under strings.ToLower hash alike, and caseHash reports
+// ASCII exactly when no byte is past 0x7F.
+func FuzzCaseHash(f *testing.F) {
+	for _, s := range []string{"", "a", "Z", "@`", "_\x7f", "history", "concept_000123", "tamil:Historiography", "HISTORY_SYN1", "abcdefgH", "abcdefghi", "é", "\xffabc"} {
+		f.Add(s, uint64(0x5555555555555555))
+	}
+	f.Fuzz(func(t *testing.T, s string, flip uint64) {
+		b := []byte(s)
+		for i := range b {
+			if flip>>(i%64)&1 != 0 && ('a' <= b[i] && b[i] <= 'z' || 'A' <= b[i] && b[i] <= 'Z') {
+				b[i] ^= 0x20
+			}
+		}
+		h, ascii := caseHash([]byte(s))
+		if want := !strings.ContainsFunc(s, func(r rune) bool { return r >= 0x80 }); ascii != want {
+			t.Fatalf("caseHash(%q) reports ascii=%v", s, ascii)
+		}
+		if !ascii {
+			return
+		}
+		for _, other := range []string{string(b), strings.ToLower(s), strings.ToUpper(s)} {
+			if g, _ := caseHash([]byte(other)); g != h {
+				t.Errorf("caseHash(%q) = %#x, caseHash(%q) = %#x", s, h, other, g)
+			}
+		}
+	})
+}
+
+// omegaScale is the paper-scale taxonomy in three languages and 50,000 rows of
+// primary lemmas of random synsets in random languages, as a SEMEQUAL scan
+// over a document table sees them.
+var omegaScale = sync.OnceValues(func() (*Net, []types.UniText) {
+	langs := []types.LangID{types.LangEnglish, types.LangFrench, types.LangTamil}
+	net := Generate(Config{Seed: 1, Langs: langs})
+	rng := rand.New(rand.NewSource(1))
+	rows := make([]types.UniText, 50000)
+	for i := range rows {
+		lang := langs[rng.Intn(len(langs))]
+		rows[i] = types.Compose(net.Lemma(lang, SynsetID(rng.Intn(net.NumSynsets()))), lang)
+	}
+	return net, rows
+})
+
+// passShare compiles Ω(·, c) for the concept c whose closure is nearest tc and
+// returns the share of rows its filters pass and the share that match.
+func passShare(t testing.TB, tc int) (pass, match float64) {
+	net, rows := omegaScale()
+	root := net.FindClosureOfSize(tc)
+	concept := types.Compose(net.Lemma(types.LangEnglish, root), types.LangEnglish)
+	p := net.CompileRight(concept, nil, 1<<30)
+	var passed, matched int
+	for _, r := range rows {
+		f := p.filters[r.Lang]
+		h, ascii := caseHash([]byte(r.Text))
+		ok := !ascii || f.has(h)
+		if p.Match(r.Lang, []byte(r.Text)) {
+			matched++
+			if !ok {
+				t.Fatalf("Ω(%q, %q) holds, yet the filter rejects the row", r.Text, concept.Text)
+			}
+		}
+		if ok {
+			passed++
+		}
+	}
+	return float64(passed) / float64(len(rows)), float64(matched) / float64(len(rows))
+}
+
+// The filters pass every true match and few other rows: at most 3 % of the
+// rows at |TC| = 10², 5 % at 10³.
+func TestProbeFilterPassShare(t *testing.T) {
+	for _, c := range []struct {
+		tc    int
+		bound float64
+	}{{100, 0.03}, {1000, 0.05}} {
+		pass, match := passShare(t, c.tc)
+		t.Logf("|TC| = %d: %.2f %% of the rows pass, %.2f %% match", c.tc, 100*pass, 100*match)
+		if pass > c.bound {
+			t.Errorf("|TC| = %d: %.2f %% of the rows pass the filter, over %.0f %%", c.tc, 100*pass, 100*c.bound)
+		}
+	}
+}
+
+var tcSizes = []int{100, 1000, 10000}
+
+// BenchmarkProbeCompile is CompileRight's cost per statement at each closure
+// size, the 50,000 rows as the bound.
+func BenchmarkProbeCompile(b *testing.B) {
+	net, rows := omegaScale()
+	for _, tc := range tcSizes {
+		concept := types.Compose(net.Lemma(types.LangEnglish, net.FindClosureOfSize(tc)), types.LangEnglish)
+		b.Run(fmt.Sprintf("tc=%d", tc), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				net.CompileRight(concept, nil, len(rows))
+			}
+		})
+	}
+}
+
+// BenchmarkProbeMatch probes the 50,000 rows once per op and reports the cost
+// per row and the share of rows the filters pass.
+func BenchmarkProbeMatch(b *testing.B) {
+	net, rows := omegaScale()
+	for _, tc := range tcSizes {
+		concept := types.Compose(net.Lemma(types.LangEnglish, net.FindClosureOfSize(tc)), types.LangEnglish)
+		p := net.CompileRight(concept, nil, len(rows))
+		texts := make([][]byte, len(rows))
+		for i, r := range rows {
+			texts[i] = []byte(r.Text)
+		}
+		b.Run(fmt.Sprintf("tc=%d", tc), func(b *testing.B) {
+			pass, match := passShare(b, tc)
+			b.ReportAllocs()
+			for b.Loop() {
+				for i, r := range rows {
+					p.Match(r.Lang, texts[i])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
+			b.ReportMetric(100*pass, "pass_%")
+			b.ReportMetric(100*match, "match_%")
+		})
 	}
 }
 

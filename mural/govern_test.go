@@ -139,7 +139,7 @@ func TestQueryMemLimitSetting(t *testing.T) {
 }
 
 // SET max_query_mem bounds an Ω scan's compiled operand like any other
-// materialization: a concept whose word set overruns 16 KiB fails with
+// materialization: a concept whose closure filter overruns 4 KiB fails with
 // ErrMemoryLimit while a leaf concept runs, and lifting the limit runs both.
 func TestQueryMemLimitCoversOmegaOperand(t *testing.T) {
 	net := wordnet.Generate(wordnet.Config{Synsets: 20000, Seed: 1})
@@ -158,17 +158,18 @@ func TestQueryMemLimitCoversOmegaOperand(t *testing.T) {
 		fmt.Fprintf(&sb, "(%d, unitext('%s', english))", i, net.Lemma(types.LangEnglish, wordnet.SynsetID(i*6)))
 	}
 	e.MustExec(sb.String())
-	// With the table's size known, a closure of ~1500 synsets compiles to its
-	// word set: some 2000 word forms, far over 16 KiB.
+	// With the table's size known, a closure of ~2500 synsets compiles to a
+	// filter of 16 bits a synset rounded up to a power of two: 8 KiB, over
+	// 4 KiB.
 	e.MustExec(`ANALYZE doc`)
-	big := fmt.Sprintf(`SELECT id FROM doc WHERE cat SEMEQUAL '%s'`, net.Lemma(types.LangEnglish, net.FindClosureOfSize(1500)))
+	big := fmt.Sprintf(`SELECT id FROM doc WHERE cat SEMEQUAL '%s'`, net.Lemma(types.LangEnglish, net.FindClosureOfSize(2500)))
 	leaf := fmt.Sprintf(`SELECT id FROM doc WHERE cat SEMEQUAL '%s'`, net.Lemma(types.LangEnglish, net.FindClosureOfSize(1)))
-	e.MustExec(`SET max_query_mem = 16384`)
+	e.MustExec(`SET max_query_mem = 4096`)
 	if _, err := e.Exec(big); !errors.Is(err, ErrMemoryLimit) {
-		t.Fatalf("Ω scan of a 1500-synset closure under a 16KiB budget = %v, want ErrMemoryLimit", err)
+		t.Fatalf("Ω scan of a 2500-synset closure under a 4KiB budget = %v, want ErrMemoryLimit", err)
 	}
 	if _, err := e.Exec(leaf); err != nil {
-		t.Fatalf("Ω scan of a leaf under a 16KiB budget: %v", err)
+		t.Fatalf("Ω scan of a leaf under a 4KiB budget: %v", err)
 	}
 	e.MustExec(`SET max_query_mem = 0`)
 	res, err := e.Exec(big)
@@ -176,7 +177,7 @@ func TestQueryMemLimitCoversOmegaOperand(t *testing.T) {
 		t.Fatalf("Ω scan with the budget lifted: %v", err)
 	}
 	if len(res.Rows) == 0 {
-		t.Error("the 1500-synset closure holds no document")
+		t.Error("the 2500-synset closure holds no document")
 	}
 }
 
