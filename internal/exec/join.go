@@ -22,11 +22,11 @@ import (
 //     claims in the block's pass, as a scan's workers claim them; any other
 //     input is encoded once into a record buffer (recordBuf) each block
 //     replays.
-//   - Each inner record's operand is read once, as views (the kernel's
-//     matchView through matchOperand), tested against every outer row of the
-//     block, its phoneme summarised for the matcher's prefilter at most once
-//     (phonemeView) or converted at most once, and the record decoded on its
-//     first match.
+//   - Each inner record's operand is read once with its filter keys
+//     (operand.read) and tested against every outer row of the block as the
+//     kernel tests a row (matchView through matchOperand): its views read at
+//     most once, for the first pair its keys let through, its phoneme
+//     converted at most once, and the record decoded on its first match.
 //
 // A batch that fills inside a record stops before the next pair; the rest of
 // the page waits, copied, in the record buffer. The join absorbs the inner
@@ -116,7 +116,9 @@ func schemaKinds(cols []plan.ColInfo) []types.Kind {
 	return kinds
 }
 
-// recordBuf holds encoded records back to back; pos is the next one to pair.
+// recordBuf holds records back to back, in the storage encoding
+// (types.AppendRecord) so that their UNITEXT values carry their filter keys;
+// pos is the next one to pair.
 type recordBuf struct {
 	buf  []byte
 	ends []int
@@ -129,7 +131,7 @@ func (b *recordBuf) add(rec []byte) {
 }
 
 func (b *recordBuf) addTuple(t types.Tuple) {
-	b.buf = types.AppendTuple(b.buf, t)
+	b.buf = types.AppendRecord(b.buf, t)
 	b.ends = append(b.ends, len(b.buf))
 }
 
@@ -165,6 +167,7 @@ type hoistedJoinIter struct {
 	recs     recordBuf
 	skip     types.SkipPlan // the walk to the inner operand
 	textLang types.LangID   // the language a bare TEXT operand is read in
+	op       operand        // the inner record's operand, refilled per record
 
 	// Under a collector: what the join attributes to the inner Materialize
 	// (nil when there is none) and table scan (nil when the inner is no scan).
@@ -291,8 +294,8 @@ func (j *hoistedJoinIter) onRecord(rec []byte) error {
 }
 
 // pair tests inner record rec against the block's outer rows from oi on:
-// its operand is read once, summarised or converted at most once, and the
-// record decoded on its first match. done=false when the batch filled
+// its operand is read once, viewed or converted at most once, and the record
+// decoded on its first match. done=false when the batch filled
 // first; oi is then the outer row to resume at.
 func (j *hoistedJoinIter) pair(rec []byte) (done bool, err error) {
 	if j.full() {
@@ -310,18 +313,8 @@ func (j *hoistedJoinIter) pair(rec []byte) (done bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	kind := types.Kind(field[0])
-	var lang types.LangID
-	var text []byte
-	var ph phonemeView
-	switch kind {
-	case types.KindUniText:
-		lang, text, ph.b, err = types.UniTextViews(field)
-	case types.KindText:
-		lang = j.textLang
-		text, err = types.TextView(field)
-	}
-	if err != nil {
+	op := &j.op
+	if err := op.read(field, j.textLang); err != nil {
 		return false, err
 	}
 	for ; j.oi < len(j.preds); j.oi++ {
@@ -332,10 +325,13 @@ func (j *hoistedJoinIter) pair(rec []byte) (done bool, err error) {
 			return false, err
 		}
 		p := j.preds[j.oi]
-		match, ok, err := p.matchOperand(j.ev, kind, lang, text, &ph)
+		match, ok, err := p.matchOperand(j.ev, op)
 		if !ok {
 			if !j.converted {
-				j.ph, j.converted = j.ev.convert(types.Compose(string(text), lang)), true
+				if err := op.view(); err != nil {
+					return false, err
+				}
+				j.ph, j.converted = j.ev.convert(types.Compose(string(op.text), op.Lang)), true
 			}
 			match = p.matchConverted(j.ev, j.ph)
 		}

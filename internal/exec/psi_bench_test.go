@@ -12,8 +12,8 @@ import (
 // The Ψ benchmarks: a fused scan and a join over stored phonemes (the per-row
 // and per-pair paths the workloads take), and the same over a bare TEXT
 // column — the one operand Ψ still converts at run time, through the G2P
-// cache: once per row in a scan, once per inner row in a join. The Ω join
-// benchmark covers both forms an outer row's probe compiles to.
+// cache: once per row in a scan, once per inner row in a join. The Ω scan
+// and join benchmarks cover both forms a probe compiles to.
 //
 //	go test ./internal/exec -run '^$' -bench 'BenchmarkPsi|BenchmarkOmega' -benchmem -count 10
 
@@ -139,6 +139,34 @@ func BenchmarkOmegaJoin(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(env.tables["o"])*len(env.tables["i"])), "ns/pair")
+		})
+	}
+}
+
+// BenchmarkOmegaScanStored is the fused Ω scan of omegaJoinBench's inner
+// words with its concept as the constant, for each closure size: the
+// omega_scan workload's per-row path.
+func BenchmarkOmegaScanStored(b *testing.B) {
+	net := omegaNet()
+	for _, name := range []string{"filtered", "labels"} {
+		b.Run(name, func(b *testing.B) {
+			env, join, concept := omegaJoinBench(net, omegaJoinClosures[name])
+			scan := join.Children[1]
+			node := &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{scan}, Cols: scan.Cols,
+				Cond: &plan.Omega{L: &plan.ColIdx{Idx: 0, Kind: types.KindUniText}, R: &plan.Const{Val: types.NewUniText(concept)}}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cur, err := Run(env, node, nil, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows, err := cur.All()
+				if err != nil || len(rows) == 0 {
+					b.Fatalf("%d rows, %v", len(rows), err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(env.tables["i"])), "ns/row")
 		})
 	}
 }

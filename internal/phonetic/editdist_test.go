@@ -183,8 +183,19 @@ func FuzzEditDistanceAgree(f *testing.F) {
 		if got := m.Match(b); got != (want <= k) {
 			t.Fatalf("NewBoundedMatcher(%q,%d).Match(%q) = %v, reference distance %d", a, k, b, got, want)
 		}
-		if got := m.MatchSummary([]byte(b), Summarize([]byte(b))); got != (want <= k) {
+		if got := m.MatchSummary([]byte(b), types.Summarize([]byte(b))); got != (want <= k) {
 			t.Fatalf("NewBoundedMatcher(%q,%d).MatchSummary(%q) = %v, reference distance %d", a, k, b, got, want)
+		}
+		// And over the summary a stored value keeps (types.EncodeRecord), read
+		// back as a scan reads it: its rune count is exact, or the reader
+		// summarises, since the length filter and Myers' early exit rely on it.
+		rec := types.EncodeRecord(types.Tuple{types.NewUniText(types.UniText{Text: "x", Phoneme: b})})
+		var st types.StoredUniText
+		if keyed, err := types.ReadStored(rec[1:], &st); !keyed || err != nil {
+			t.Fatalf("ReadStored(EncodeRecord(%q)) = %v, %v", b, keyed, err)
+		}
+		if _, ph, err := st.Views(); err != nil || m.MatchSummary(ph, st.Keys.Phoneme) != (want <= k) {
+			t.Fatalf("NewBoundedMatcher(%q,%d).MatchSummary over the stored summary of %q = %v, %v; reference distance %d", a, k, b, !(want <= k), err, want)
 		}
 		// And the banded DP must agree with Myers on inputs where both
 		// apply, regardless of which one the entry point picked.

@@ -3,6 +3,8 @@ package phonetic
 import (
 	"math/bits"
 	"unicode/utf8"
+
+	"github.com/mural-db/mural/internal/types"
 )
 
 // BoundedMatcher answers "is the edit distance to this pattern ≤ k" over a
@@ -14,10 +16,11 @@ import (
 // step with the pattern as the fixed (vertical) side — no rune buffer, no
 // operand swap, no limit on the candidate's length — after a prefilter has
 // rejected every candidate whose length or rune set alone puts it more than
-// k edits away (MatchSummary); the pattern's rune-set signature is compiled
-// with its match table. The executor's fused Ψ kernels compile one matcher
-// per scan; a candidate costs zero heap allocations whenever the pattern fits
-// a machine word (≤ 64 runes, i.e. essentially every phoneme string).
+// k edits away (Rejects, over the candidate's types.Summary); the pattern's
+// rune-set signature is compiled with its match table. The executor's fused
+// Ψ kernels compile one matcher per scan; a candidate costs zero heap
+// allocations whenever the pattern fits a machine word (≤ 64 runes, i.e.
+// essentially every phoneme string).
 //
 // Invalid UTF-8 is read as utf8.DecodeRune reads it — each bad byte is one
 // U+FFFD — which is also how []rune(string) and therefore EditDistance and
@@ -25,7 +28,7 @@ import (
 type BoundedMatcher struct {
 	k   int
 	m   int    // pattern length in runes
-	sig uint64 // the pattern's rune-set signature (Summary)
+	sig uint64 // the pattern's rune-set signature (types.Summary)
 	// ascii is the match table for runes below utf8.RuneSelf, indexed
 	// directly; tab is the open-addressed table for the rest, a power of two
 	// at least twice the pattern's length. A slot with mask 0 is empty: a
@@ -46,10 +49,7 @@ type matchSlot struct {
 // NewBoundedMatcher compiles pattern for threshold k.
 func NewBoundedMatcher(pattern string, k int) *BoundedMatcher {
 	runes := []rune(pattern)
-	m := &BoundedMatcher{k: k, m: len(runes)}
-	for _, r := range runes {
-		m.sig |= sigBit(r)
-	}
+	m := &BoundedMatcher{k: k, m: len(runes), sig: types.Summarize([]byte(pattern)).Sig}
 	if len(runes) > 64 {
 		m.long = runes
 		return m
@@ -80,38 +80,6 @@ func (m *BoundedMatcher) slot(r rune) int {
 	return int(uint32(r) * 0x9E3779B1 >> m.shift)
 }
 
-// Summary is what the prefilter reads of a candidate: its length in runes
-// and its rune-set signature, one bit per rune (sigBit). Summarize takes
-// exactly the steps the matching loop takes — one byte below utf8.RuneSelf,
-// otherwise whatever utf8.DecodeRune consumes, so an invalid byte is one
-// U+FFFD — so the prefilter's length and the number of Myers steps cannot
-// disagree, on invalid UTF-8 or anything else. A candidate's summary does
-// not depend on the pattern: a join summarises an inner phoneme once and
-// hands it to every pattern it meets.
-type Summary struct {
-	n   int
-	sig uint64
-}
-
-// Summarize reads b's summary.
-func Summarize(b []byte) Summary {
-	var s Summary
-	for i := 0; i < len(b); s.n++ {
-		if c := b[i]; c < utf8.RuneSelf {
-			s.sig |= sigBit(rune(c))
-			i++
-		} else {
-			r, w := utf8.DecodeRune(b[i:])
-			s.sig |= sigBit(r)
-			i += w
-		}
-	}
-	return s
-}
-
-// sigBit is r's bit in a rune-set signature (Fibonacci hashing to 6 bits).
-func sigBit(r rune) uint64 { return 1 << (uint32(r) * 0x9E3779B1 >> 26) }
-
 // Match reports whether the distance between the pattern and cand is ≤ k.
 // The conversion does not copy: MatchBytes neither keeps nor writes its
 // argument.
@@ -119,38 +87,40 @@ func (m *BoundedMatcher) Match(cand string) bool {
 	return m.MatchBytes([]byte(cand))
 }
 
-// MatchBytes is Match over a raw UTF-8 byte view: the fused scan path hands
-// phoneme bytes straight off a pinned heap page.
+// MatchBytes is Match over a raw UTF-8 byte view, for a candidate with no
+// stored summary: a converted phoneme.
 func (m *BoundedMatcher) MatchBytes(cand []byte) bool {
 	// A candidate has at most one rune per byte, so the byte length settles
 	// the short side of the length filter without a summary.
 	if m.m-len(cand) > m.k {
 		return false
 	}
-	return m.MatchSummary(cand, Summarize(cand))
+	return m.MatchSummary(cand, types.Summarize(cand))
 }
 
-// rejects is the prefilter: two lower bounds on the edit distance, each
-// compared with k before the edit distance itself runs. The length filter:
+// Rejects is the prefilter, over a candidate's types.Summary: two lower
+// bounds on the edit distance, each compared with k before the edit distance
+// itself runs. The length filter:
 // the distance is at least the difference in length. The signature filter:
 // every bit of the pattern's signature that the candidate's lacks marks at
 // least one distinct pattern rune the candidate does not contain, and each
 // such rune costs an edit of its own (its positions must be deleted or
 // substituted, one position per edit); a collision merges runes into one
 // bit, which only lowers the count. The same holds with the roles swapped.
-func (m *BoundedMatcher) rejects(s Summary) bool {
-	return m.k < 0 || s.n-m.m > m.k || m.m-s.n > m.k ||
-		bits.OnesCount64(m.sig&^s.sig) > m.k || bits.OnesCount64(s.sig&^m.sig) > m.k
+func (m *BoundedMatcher) Rejects(s types.Summary) bool {
+	return m.k < 0 || s.Runes-m.m > m.k || m.m-s.Runes > m.k ||
+		bits.OnesCount64(m.sig&^s.Sig) > m.k || bits.OnesCount64(s.Sig&^m.sig) > m.k
 }
 
 // MatchSummary is MatchBytes over a candidate whose summary is s, which must
-// be Summarize(cand): only what survives the prefilter runs the edit
-// distance, Myers' step or, for a pattern past 64 runes, the banded DP.
-func (m *BoundedMatcher) MatchSummary(cand []byte, s Summary) bool {
-	if m.rejects(s) {
+// be types.Summarize(cand) — a stored value's keys hold it: only what
+// survives the prefilter runs the edit distance, Myers' step or, for a
+// pattern past 64 runes, the banded DP.
+func (m *BoundedMatcher) MatchSummary(cand []byte, s types.Summary) bool {
+	if m.Rejects(s) {
 		return false
 	}
-	n := s.n
+	n := s.Runes
 	if m.m == 0 {
 		return true // distance is n, and n ≤ k was just established
 	}

@@ -4,7 +4,12 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"github.com/mural-db/mural/internal/types"
 )
+
+// sig is the rune-set signature of s.
+func sig(s string) uint64 { return types.Summarize([]byte(s)).Sig }
 
 // BoundedMatcher must agree with WithinDistance on random inputs, including
 // multi-byte runes, candidates of any length, and patterns too long for a
@@ -14,7 +19,7 @@ func TestBoundedMatcherDifferential(t *testing.T) {
 	// 'a' and 'ɪ', 'ʃ' and 'z' share a signature bit: a candidate can lack a
 	// pattern rune without the signature showing it.
 	alphabet := []rune("abcdəɪʃɳæz")
-	if sigBit('a') != sigBit('ɪ') || sigBit('ʃ') != sigBit('z') {
+	if sig("a") != sig("ɪ") || sig("ʃ") != sig("z") {
 		t.Fatal("the alphabet no longer holds a colliding pair")
 	}
 	randStr := func(n int) string {
@@ -36,7 +41,7 @@ func TestBoundedMatcherDifferential(t *testing.T) {
 		if got := m.MatchBytes([]byte(c)); got != want {
 			t.Fatalf("MatchBytes(%q,%q,k=%d) = %v, want %v", p, c, k, got, want)
 		}
-		if got := m.MatchSummary([]byte(c), Summarize([]byte(c))); got != want {
+		if got := m.MatchSummary([]byte(c), types.Summarize([]byte(c))); got != want {
 			t.Fatalf("MatchSummary(%q,%q,k=%d) = %v, want %v", p, c, k, got, want)
 		}
 	}
@@ -99,12 +104,12 @@ func TestBoundedMatcherInvalidUTF8(t *testing.T) {
 	}
 	for _, p := range cands {
 		for _, c := range cands {
-			var want Summary
+			var want types.Summary
 			for _, r := range []rune(c) {
-				want.n++
-				want.sig |= sigBit(r)
+				want.Runes++
+				want.Sig |= sig(string(r))
 			}
-			if got := Summarize([]byte(c)); got != want {
+			if got := types.Summarize([]byte(c)); got != want {
 				t.Fatalf("Summarize(%q) = %+v, []rune sees %+v", c, got, want)
 			}
 			for k := 0; k <= 3; k++ {
@@ -124,7 +129,7 @@ func TestBoundedMatcherZeroAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(500, func() {
 		m.MatchBytes(cand)
 		m.Match("nasir")
-		m.MatchSummary(cand, Summarize(cand))
+		m.MatchSummary(cand, types.Summarize(cand))
 	})
 	if allocs != 0 {
 		t.Errorf("BoundedMatcher fast path allocates %.1f/op, want 0", allocs)

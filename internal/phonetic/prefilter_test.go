@@ -8,6 +8,7 @@ import (
 
 	"github.com/mural-db/mural/internal/dataset"
 	"github.com/mural-db/mural/internal/phonetic"
+	"github.com/mural-db/mural/internal/types"
 )
 
 // nameProbes is the pruning protocol over realistic phonemes: the phonemes
@@ -16,7 +17,7 @@ import (
 // because the generator imports it.
 type nameProbes struct {
 	names  [][]byte
-	sums   []phonetic.Summary
+	sums   []types.Summary
 	probes []string
 }
 
@@ -31,7 +32,7 @@ func loadNameProbes() *nameProbes {
 		for _, r := range recs {
 			b := []byte(r.Name.Phoneme)
 			names.names = append(names.names, b)
-			names.sums = append(names.sums, phonetic.Summarize(b))
+			names.sums = append(names.sums, types.Summarize(b))
 		}
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 256; i++ {
@@ -58,7 +59,7 @@ func TestPrefilterPrunesNames(t *testing.T) {
 			// One call settles every k: d is exact whenever d ≤ 3.
 			d, ok := phonetic.BoundedEditDistance(p, string(c), len(maxPass)-1)
 			for k := 1; k < len(maxPass); k++ {
-				pass := ms[k].Prefilters(np.sums[i])
+				pass := !ms[k].Rejects(np.sums[i])
 				if pass {
 					passed[k]++
 				}
@@ -94,7 +95,7 @@ func BenchmarkBoundedMatcherNames(b *testing.B) {
 		passed := 0
 		for _, m := range ms {
 			for _, s := range np.sums {
-				if m.Prefilters(s) {
+				if !m.Rejects(s) {
 					passed++
 				}
 			}

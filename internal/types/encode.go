@@ -12,9 +12,34 @@ import (
 //	...   payload (kind-specific)
 //
 // Variable-length payloads (TEXT, UNITEXT) are length-prefixed with uvarint.
-// The same codec serves the storage layer (heap tuples, index keys) and the
-// wire protocol, so a tuple written by the server can be decoded verbatim by
-// the client driver.
+// There are two encoders and one decoder. EncodeTuple is the wire protocol's
+// (and the executor's hash keys'): a UNITEXT value is its language, text and
+// phoneme. EncodeRecord is the storage layer's — heap records, the hoisted
+// join's record buffer — and writes a UNITEXT value under a kind byte only
+// this package knows, with the value's filter keys (keys.go) between its
+// language and its text:
+//
+//	byte  kindUniTextKeyed
+//	u16   language, big-endian
+//	u8    the phoneme's rune count; 0xFF when it is 255 or more
+//	u64   the phoneme's rune-set signature, little-endian
+//	u32   the text's CaseHash, little-endian
+//	u8    1 when the text is ASCII
+//	...   text and phoneme, length-prefixed
+//
+// DecodeValue, DecodeTuple and the lazy readers (lazy.go) read both forms.
+// Index keys have their own order-preserving encoding (keyenc.go).
+
+// kindUniTextKeyed is the storage encoder's kind byte of a UNITEXT value;
+// keyedHeader is the width of such a value's kind byte, language and keys,
+// uniTextHeader of the wire form's kind byte and language.
+const (
+	kindUniTextKeyed = 0x80 | KindUniText
+	keyedHeader      = 17
+	uniTextHeader    = 3
+	// runesOverflow marks a rune count that does not fit its byte.
+	runesOverflow = 0xFF
+)
 
 // AppendValue appends the binary encoding of v to buf and returns the
 // extended slice.
@@ -78,12 +103,12 @@ func DecodeValue(buf []byte) (Value, int, error) {
 			return Value{}, 0, fmt.Errorf("types: decode text: %w", err)
 		}
 		return NewText(s), n + sz, nil
-	case KindUniText:
-		if len(buf) < n+2 {
+	case KindUniText, kindUniTextKeyed:
+		n = headerWidth(kind)
+		if len(buf) < n {
 			return Value{}, 0, fmt.Errorf("types: decode unitext: short buffer")
 		}
-		lang := LangID(binary.BigEndian.Uint16(buf[n:]))
-		n += 2
+		lang := LangID(binary.BigEndian.Uint16(buf[1:]))
 		text, sz, err := decodeString(buf[n:])
 		if err != nil {
 			return Value{}, 0, fmt.Errorf("types: decode unitext text: %w", err)
@@ -101,13 +126,7 @@ func DecodeValue(buf []byte) (Value, int, error) {
 }
 
 // EncodeTuple serializes a tuple with a leading uvarint column count.
-func EncodeTuple(t Tuple) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(t)))
-	for _, v := range t {
-		buf = AppendValue(buf, v)
-	}
-	return buf
-}
+func EncodeTuple(t Tuple) []byte { return AppendTuple(nil, t) }
 
 // AppendTuple appends the serialization of t to buf.
 func AppendTuple(buf []byte, t Tuple) []byte {
@@ -116,6 +135,44 @@ func AppendTuple(buf []byte, t Tuple) []byte {
 		buf = AppendValue(buf, v)
 	}
 	return buf
+}
+
+// EncodeRecord serializes a tuple as the storage layer keeps it: as
+// EncodeTuple does, except that each UNITEXT value carries its filter keys.
+func EncodeRecord(t Tuple) []byte { return AppendRecord(nil, t) }
+
+// AppendRecord appends the storage serialization of t to buf.
+func AppendRecord(buf []byte, t Tuple) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(t)))
+	for _, v := range t {
+		if v.kind != KindUniText {
+			buf = AppendValue(buf, v)
+			continue
+		}
+		k := KeysOf([]byte(v.s), []byte(v.ph))
+		buf = append(buf, byte(kindUniTextKeyed))
+		buf = binary.BigEndian.AppendUint16(buf, uint16(v.lang))
+		buf = append(buf, byte(min(k.Phoneme.Runes, runesOverflow)))
+		buf = binary.LittleEndian.AppendUint64(buf, k.Phoneme.Sig)
+		buf = binary.LittleEndian.AppendUint32(buf, k.Hash)
+		ascii := byte(0)
+		if k.ASCII {
+			ascii = 1
+		}
+		buf = append(buf, ascii)
+		buf = appendString(buf, v.s)
+		buf = appendString(buf, v.ph)
+	}
+	return buf
+}
+
+// headerWidth is the width of a UNITEXT value's fixed part in the form kind
+// names.
+func headerWidth(kind Kind) int {
+	if kind == kindUniTextKeyed {
+		return keyedHeader
+	}
+	return uniTextHeader
 }
 
 // DecodeTuple decodes a tuple, returning it and the number of bytes consumed.
@@ -140,31 +197,6 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 	return t, n, nil
 }
 
-// EncodedSize returns the number of bytes EncodeTuple would produce without
-// allocating; the storage layer uses it for free-space checks.
-func EncodedSize(t Tuple) int {
-	n := uvarintLen(uint64(len(t)))
-	for _, v := range t {
-		n++ // kind byte
-		switch v.kind {
-		case KindNull:
-		case KindBool:
-			n++
-		case KindInt:
-			n += varintLen(v.i)
-		case KindFloat:
-			n += 8
-		case KindText:
-			n += uvarintLen(uint64(len(v.s))) + len(v.s)
-		case KindUniText:
-			n += 2
-			n += uvarintLen(uint64(len(v.s))) + len(v.s)
-			n += uvarintLen(uint64(len(v.ph))) + len(v.ph)
-		}
-	}
-	return n
-}
-
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
@@ -179,21 +211,4 @@ func decodeString(buf []byte) (string, int, error) {
 		return "", 0, fmt.Errorf("short buffer: want %d bytes, have %d", l, len(buf)-sz)
 	}
 	return string(buf[sz : sz+int(l)]), sz + int(l), nil
-}
-
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
-func varintLen(x int64) int {
-	ux := uint64(x) << 1
-	if x < 0 {
-		ux = ^ux
-	}
-	return uvarintLen(ux)
 }

@@ -42,27 +42,29 @@ func seek(t *testing.T, kinds []Kind, rec []byte, idx int) []byte {
 }
 
 // Seek must land on exactly the byte DecodeValue starts that column at, for
-// every column and kind — whether the schema declares the kinds the record
-// holds (the fast steps) or something else entirely (NULLs in typed columns,
-// a stale declaration: the generic steps).
+// every column and kind, in records from either encoder — whether the schema
+// declares the kinds the record holds (the fast steps) or something else
+// entirely (NULLs in typed columns, a stale declaration: the generic steps).
 func TestSkipPlanMatchesDecode(t *testing.T) {
 	tup := lazyFixtureTuple()
-	rec := EncodeTuple(tup)
 	wrong := make([]Kind, len(tup))
 	for i := range wrong {
 		wrong[i] = KindInt
 	}
-	for name, kinds := range map[string][]Kind{"declared": kindsOf(tup), "mismatched": wrong} {
-		for i, want := range tup {
-			v, _, err := DecodeValue(seek(t, kinds, rec, i))
-			if err != nil {
-				t.Fatalf("%s: DecodeValue(field %d): %v", name, i, err)
-			}
-			if !Equal(v, want) && !(v.IsNull() && want.IsNull()) {
-				t.Errorf("%s: field %d: decoded %v, want %v", name, i, v, want)
+	for _, rec := range [][]byte{EncodeTuple(tup), EncodeRecord(tup)} {
+		for name, kinds := range map[string][]Kind{"declared": kindsOf(tup), "mismatched": wrong} {
+			for i, want := range tup {
+				v, _, err := DecodeValue(seek(t, kinds, rec, i))
+				if err != nil {
+					t.Fatalf("%s: DecodeValue(field %d): %v", name, i, err)
+				}
+				if !equalIncludingPhoneme(v, want) && !(v.IsNull() && want.IsNull()) {
+					t.Errorf("%s: field %d: decoded %v, want %v", name, i, v, want)
+				}
 			}
 		}
 	}
+	rec := EncodeTuple(tup)
 	// A multi-byte varint ahead of the target.
 	rec = EncodeTuple(Tuple{NewInt(1 << 40), NewInt(-1 << 40), NewText("x")})
 	v, _, err := DecodeValue(seek(t, []Kind{KindInt, KindInt, KindText}, rec, 2))
@@ -97,25 +99,28 @@ func TestSkipPlanOutOfRange(t *testing.T) {
 
 func TestUniTextViews(t *testing.T) {
 	u := UniText{Text: "Süßmayr", Lang: LangEnglish, Phoneme: "suːsmair"}
-	rec := EncodeTuple(Tuple{NewInt(7), NewUniText(u)})
 	kinds := []Kind{KindInt, KindUniText}
-	lang, text, ph, err := UniTextViews(seek(t, kinds, rec, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lang != LangEnglish {
-		t.Errorf("lang = %v, want %v", lang, LangEnglish)
-	}
-	if !bytes.Equal(text, []byte(u.Text)) {
-		t.Errorf("text view = %q, want %q", text, u.Text)
-	}
-	if !bytes.Equal(ph, []byte(u.Phoneme)) {
-		t.Errorf("phoneme view = %q, want %q", ph, u.Phoneme)
+	var rec []byte
+	for _, encode := range []func(Tuple) []byte{EncodeTuple, EncodeRecord} {
+		rec = encode(Tuple{NewInt(7), NewUniText(u)})
+		lang, text, ph, err := UniTextViews(seek(t, kinds, rec, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lang != LangEnglish {
+			t.Errorf("lang = %v, want %v", lang, LangEnglish)
+		}
+		if !bytes.Equal(text, []byte(u.Text)) {
+			t.Errorf("text view = %q, want %q", text, u.Text)
+		}
+		if !bytes.Equal(ph, []byte(u.Phoneme)) {
+			t.Errorf("phoneme view = %q, want %q", ph, u.Phoneme)
+		}
 	}
 
 	// Empty phoneme: the view is empty, signalling "unmaterialized".
 	rec2 := EncodeTuple(Tuple{NewUniText(UniText{Text: "x", Lang: LangTamil})})
-	_, _, ph, err = UniTextViews(seek(t, []Kind{KindUniText}, rec2, 0))
+	_, _, ph, err := UniTextViews(seek(t, []Kind{KindUniText}, rec2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,30 +148,35 @@ func TestTextView(t *testing.T) {
 	}
 }
 
-// Seek and UniTextViews are the fused scan's per-row path; neither may
+// Seek, ReadStored and the views are the fused scan's per-row path; none may
 // allocate.
 func TestSkipPlanZeroAllocations(t *testing.T) {
 	tup := lazyFixtureTuple()
-	rec := EncodeTuple(tup)
+	rec := EncodeRecord(tup)
 	p, _ := NewSkipPlan(kindsOf(tup), 5)
+	var s StoredUniText
 	allocs := testing.AllocsPerRun(200, func() {
 		field, err := p.Seek(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := UniTextViews(field); err != nil {
+		if ok, err := ReadStored(field, &s); !ok || err != nil {
+			t.Fatal(ok, err)
+		}
+		if _, _, err := s.Views(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Seek+UniTextViews allocate %.1f/op, want 0", allocs)
+		t.Errorf("Seek+ReadStored+Views allocate %.1f/op, want 0", allocs)
 	}
 }
 
 // lazyValue builds a value from one fuzz byte: its kind, and for text a length
-// around the one-byte prefix's limit of 0x7F.
+// around the one-byte prefix's limit of 0x7F or, for a phoneme, the stored
+// rune count's of 0xFE.
 func lazyValue(b byte) Value {
-	lens := []int{0, 1, 5, 0x7E, 0x7F, 0x80, 0x81}
+	lens := []int{0, 1, 5, 0x7E, 0x7F, 0x80, 0x81, 0xFE, 0xFF}
 	str := func(n int) string { return strings.Repeat("ab", n)[:n] }
 	switch m := int(b / 6); b % 6 {
 	case 0:
@@ -174,7 +184,7 @@ func lazyValue(b byte) Value {
 	case 1:
 		return NewText(str(lens[m%7]))
 	case 2:
-		return NewUniText(UniText{Text: str(lens[m%7]), Lang: LangID(m), Phoneme: str(lens[(m/7+3)%7])})
+		return NewUniText(UniText{Text: str(lens[m%7]), Lang: LangID(m), Phoneme: str(lens[(m/7+3)%9])})
 	case 3:
 		return Null()
 	case 4:
@@ -248,16 +258,45 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// Seek, UniTextViews and TextView read what DecodeTuple decodes, on records of
-// every kind with lengths on both sides of the one-byte prefix, declared or
-// not, cut at every byte: a column whose kind byte is in the record is found,
-// a value wholly in it reads as its decoded bytes, one cut short fails — with
-// the message of the walk without the inline steps.
+// uniTextViewsRef is UniTextViews read byte by byte: either encoder's fixed
+// part, then the text and the phoneme, each without the inline one-byte
+// length.
+func uniTextViewsRef(field []byte) (lang LangID, text, ph []byte, err error) {
+	if len(field) < 3 || Kind(field[0]) != KindUniText && Kind(field[0]) != kindUniTextKeyed {
+		return LangUnknown, nil, nil, fmt.Errorf("types: unitext views: not a UNITEXT field")
+	}
+	hdr := 3
+	if Kind(field[0]) == kindUniTextKeyed {
+		hdr = 17
+	}
+	if len(field) < hdr {
+		return LangUnknown, nil, nil, fmt.Errorf("types: unitext views: short keys")
+	}
+	var sz int
+	if text, sz, err = viewRef(field[hdr:]); err != nil {
+		return LangUnknown, nil, nil, fmt.Errorf("types: unitext views: text: %w", err)
+	}
+	if ph, _, err = viewRef(field[hdr+sz:]); err != nil {
+		return LangUnknown, nil, nil, fmt.Errorf("types: unitext views: phoneme: %w", err)
+	}
+	return LangID(binary.BigEndian.Uint16(field[1:])), text, ph, nil
+}
+
+// Seek, UniTextViews, ReadStored and TextView read what DecodeTuple decodes,
+// on records of every kind from either encoder (EncodeTuple, EncodeRecord),
+// with lengths on both sides of the one-byte prefix and of a stored rune
+// count's byte, declared or not, cut at every byte: a column whose kind byte
+// is in the record is found, a value wholly in it reads as its decoded bytes
+// — a stored value's keys as the keys of its decoded text and phoneme — one
+// cut short fails, with the message of the walk without the inline steps.
 func FuzzSkipPlanViews(f *testing.F) {
-	f.Add([]byte{0, 1, 2}, uint64(0xFFFF))
-	f.Add([]byte{6*3 + 1, 6*4 + 1, 6*5 + 2, 6*6 + 1}, uint64(0xFFFF))
-	f.Add([]byte{3, 6*4 + 1, 6*26 + 2, 4, 5, 6 * 4}, uint64(0x1F1F))
-	f.Fuzz(func(t *testing.T, spec []byte, decl uint64) {
+	for _, stored := range []bool{false, true} {
+		f.Add([]byte{0, 1, 2}, uint64(0xFFFF), stored)
+		f.Add([]byte{6*3 + 1, 6*4 + 1, 6*5 + 2, 6*6 + 1}, uint64(0xFFFF), stored)
+		f.Add([]byte{3, 6*4 + 1, 6*26 + 2, 4, 5, 6 * 4}, uint64(0x1F1F), stored)
+		f.Add([]byte{6*28 + 2, 6*35 + 2, 2}, uint64(0x2222), stored)
+	}
+	f.Fuzz(func(t *testing.T, spec []byte, decl uint64, stored bool) {
 		if len(spec) == 0 || len(spec) > 8 {
 			return
 		}
@@ -272,6 +311,9 @@ func FuzzSkipPlanViews(f *testing.F) {
 			}
 		}
 		rec := EncodeTuple(tup)
+		if stored {
+			rec = EncodeRecord(tup)
+		}
 		// start[i], end[i]: where column i lies in rec, as DecodeTuple reads it.
 		start, end := make([]int, len(tup)), make([]int, len(tup))
 		_, off := binary.Uvarint(rec)
@@ -282,8 +324,14 @@ func FuzzSkipPlanViews(f *testing.F) {
 			}
 			start[i], end[i], off = off, off+w, off+w
 		}
-		if _, _, err := DecodeTuple(rec); err != nil {
+		if got, _, err := DecodeTuple(rec); err != nil {
 			t.Fatal(err)
+		} else {
+			for i := range tup {
+				if !equalIncludingPhoneme(got[i], tup[i]) {
+					t.Fatalf("column %d decoded as %v, encoded %v", i, got[i], tup[i])
+				}
+			}
 		}
 		for cut := 0; cut <= len(rec); cut++ {
 			r := rec[:cut:cut]
@@ -305,21 +353,7 @@ func FuzzSkipPlanViews(f *testing.F) {
 				}
 				whole := end[i] <= cut
 				lang, text, ph, err := UniTextViews(field)
-				var refLang LangID
-				var refText, refPh []byte
-				refErr = fmt.Errorf("types: unitext views: not a UNITEXT field")
-				if len(field) >= 3 && Kind(field[0]) == KindUniText {
-					refLang = LangID(binary.BigEndian.Uint16(field[1:]))
-					var sz int
-					if refText, sz, refErr = viewRef(field[3:]); refErr != nil {
-						refErr = fmt.Errorf("types: unitext views: text: %w", refErr)
-					} else if refPh, _, refErr = viewRef(field[3+sz:]); refErr != nil {
-						refErr = fmt.Errorf("types: unitext views: phoneme: %w", refErr)
-					}
-				}
-				if refErr != nil {
-					refLang, refText, refPh = LangUnknown, nil, nil
-				}
+				refLang, refText, refPh, refErr := uniTextViewsRef(field)
 				if errText(err) != errText(refErr) || lang != refLang || !bytes.Equal(text, refText) || !bytes.Equal(ph, refPh) {
 					t.Fatalf("cut %d col %d: UniTextViews = %v %q %q %v; the generic read %v %q %q %v", cut, i, lang, text, ph, err, refLang, refText, refPh, refErr)
 				}
@@ -327,6 +361,23 @@ func FuzzSkipPlanViews(f *testing.F) {
 					u := want.UniText()
 					if ok := err == nil && lang == u.Lang && string(text) == u.Text && string(ph) == u.Phoneme; ok != whole {
 						t.Fatalf("cut %d col %d at [%d, %d): UniTextViews = %v %q %q %v, decoded %v", cut, i, start[i], end[i], lang, text, ph, err, want)
+					}
+				}
+				var st StoredUniText
+				keyed, err := ReadStored(field, &st)
+				if keyed != (stored && want.Kind() == KindUniText) {
+					t.Fatalf("cut %d col %d: ReadStored ok = %v for %v from the stored encoder = %v", cut, i, keyed, want, stored)
+				}
+				if keyed {
+					// The fixed part is whole from byte 17 on; a count of 0xFF
+					// reads the phoneme, which must be whole too.
+					u := want.UniText()
+					readsPhoneme := Summarize([]byte(u.Phoneme)).Runes >= 0xFF
+					if ok := err == nil; ok != (len(field) >= 17 && (!readsPhoneme || whole)) {
+						t.Fatalf("cut %d col %d at [%d, %d): ReadStored err = %v", cut, i, start[i], end[i], err)
+					}
+					if want := KeysOf([]byte(u.Text), []byte(u.Phoneme)); err == nil && (st.Lang != u.Lang || st.Keys != want) {
+						t.Fatalf("cut %d col %d: stored keys %v %+v, recomputed from %v: %+v", cut, i, st.Lang, st.Keys, want, u)
 					}
 				}
 				text, err = TextView(field)

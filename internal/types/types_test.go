@@ -239,6 +239,8 @@ func equalIncludingPhoneme(a, b Value) bool {
 	return Equal(a, b)
 }
 
+// DecodeTuple reads what either encoder writes: the wire's EncodeTuple and
+// the storage layer's EncodeRecord.
 func TestEncodeDecodeTupleRoundTrip(t *testing.T) {
 	tup := Tuple{
 		NewInt(42),
@@ -247,24 +249,23 @@ func TestEncodeDecodeTupleRoundTrip(t *testing.T) {
 		Null(),
 		NewFloat(3.14),
 		NewBool(true),
+		NewUniText(UniText{Text: "", Lang: LangUnknown}),
 	}
-	buf := EncodeTuple(tup)
-	if sz := EncodedSize(tup); sz != len(buf) {
-		t.Errorf("EncodedSize = %d, actual %d", sz, len(buf))
-	}
-	got, n, err := DecodeTuple(buf)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if n != len(buf) {
-		t.Errorf("consumed %d of %d", n, len(buf))
-	}
-	if len(got) != len(tup) {
-		t.Fatalf("got %d cols, want %d", len(got), len(tup))
-	}
-	for i := range tup {
-		if !equalIncludingPhoneme(got[i], tup[i]) {
-			t.Errorf("col %d: %v != %v", i, got[i], tup[i])
+	for _, buf := range [][]byte{EncodeTuple(tup), EncodeRecord(tup)} {
+		got, n, err := DecodeTuple(buf)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if n != len(buf) {
+			t.Errorf("consumed %d of %d", n, len(buf))
+		}
+		if len(got) != len(tup) {
+			t.Fatalf("got %d cols, want %d", len(got), len(tup))
+		}
+		for i := range tup {
+			if !equalIncludingPhoneme(got[i], tup[i]) {
+				t.Errorf("col %d: %v != %v", i, got[i], tup[i])
+			}
 		}
 	}
 }
@@ -290,20 +291,6 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	if _, _, err := DecodeTuple([]byte{2, byte(KindNull)}); err == nil {
 		t.Error("tuple with missing column must error")
-	}
-}
-
-func TestEncodedSizeMatchesEncoding(t *testing.T) {
-	f := func(i int64, s string, f64 float64, b bool, lang uint16) bool {
-		tup := Tuple{
-			NewInt(i), NewText(s), NewFloat(f64), NewBool(b),
-			NewUniText(UniText{Text: s, Lang: LangID(lang), Phoneme: s}),
-			Null(),
-		}
-		return EncodedSize(tup) == len(EncodeTuple(tup))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

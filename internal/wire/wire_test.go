@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"testing"
@@ -103,6 +104,21 @@ func TestRowRoundTrip(t *testing.T) {
 	}
 	if len(got) != 4 || got[0].Int() != -5 || got[2].UniText().Phoneme != "neharu" {
 		t.Errorf("row round trip: %v", got)
+	}
+}
+
+// A row's wire bytes do not depend on how the server stores it: a UNITEXT
+// value is its kind, language, text and phoneme, with none of the filter
+// keys the storage encoder (types.EncodeRecord) adds. The bytes are pinned, so
+// a client of an older build still decodes every row.
+func TestRowWireBytesPinned(t *testing.T) {
+	row := types.Tuple{types.NewInt(7), types.NewUniText(types.UniText{Text: "Nehru", Lang: types.LangHindi, Phoneme: "nehɾu"})}
+	const pinned = "02" + "020e" + "05" + "0002" + "054e65687275" + "066e6568c9be75"
+	if got := hex.EncodeToString(EncodeRow(row)); got != pinned {
+		t.Errorf("EncodeRow = %s, pinned %s", got, pinned)
+	}
+	if bytes.Equal(EncodeRow(row), types.EncodeRecord(row)) {
+		t.Error("the wire encodes a UNITEXT value as storage does")
 	}
 }
 

@@ -1,7 +1,6 @@
 package wordnet
 
 import (
-	"encoding/binary"
 	"math/bits"
 	"strings"
 	"unicode"
@@ -19,9 +18,10 @@ import (
 //
 // A probe keeps the constant's synsets and tests a row by filter, then
 // verify. The filter, when the probe has one, is a Bloom filter per language
-// over the caseHash of every word form the probe can accept, read off the
-// net's pre-order hashes: a row in a language without a filter, or ASCII text
-// whose bits are not set, is rejected. Anything else is verified exactly: one
+// over the types.CaseHash of every word form the probe can accept, read off
+// the net's pre-order hashes: a row in a language without a filter, or ASCII
+// text whose bits are not set, is rejected (Passes, on the row's hash, which
+// its caller supplies). Anything else is verified exactly (Verify): one
 // lookup of the row's word in the net's word table and an interval compare
 // per synset pair. The filter has no false negatives on ASCII text, so the
 // probe is exact.
@@ -120,20 +120,29 @@ func (p *Probe) filter(langs []types.LangID, runs [][2]int32, synsets int) {
 	}
 }
 
-// Match evaluates the probe on the other operand's language and text, which
-// it does not retain, folding case as SynsetsOf does; it allocates only for
-// text that folding changes and the filter passes.
-func (p *Probe) Match(lang types.LangID, text []byte) bool {
-	if p.filtered {
-		if int(lang) >= len(p.filters) || p.filters[lang].words == nil {
-			return false
-		}
-		if h, ascii := caseHash(text); ascii && !p.filters[lang].has(h) {
-			return false
-		}
-	} else if !admitted(lang, p.langs) {
+// Match evaluates the probe on the other operand's language and text, whose
+// types.CaseHash is h and ascii: Passes, then Verify.
+func (p *Probe) Match(lang types.LangID, text []byte, h uint32, ascii bool) bool {
+	return p.Passes(lang, h, ascii) && p.Verify(lang, text)
+}
+
+// Passes tests the other operand on its language and its text's
+// types.CaseHash alone — a stored value keeps the hash, so its text need not
+// be read: false rules the operand out, true leaves it to Verify.
+func (p *Probe) Passes(lang types.LangID, h uint32, ascii bool) bool {
+	if !p.filtered {
+		return admitted(lang, p.langs)
+	}
+	if int(lang) >= len(p.filters) || p.filters[lang].words == nil {
 		return false
 	}
+	return !ascii || p.filters[lang].has(h)
+}
+
+// Verify evaluates the probe on an operand that Passes let through, on its
+// text, which it does not retain, folding case as SynsetsOf does; it
+// allocates only for text that folding changes.
+func (p *Probe) Verify(lang types.LangID, text []byte) bool {
 	syns, _ := lookup(p.net.byWord[lang], text)
 	for _, s := range syns {
 		for _, r := range p.roots {
@@ -155,8 +164,9 @@ func (p *Probe) MemBytes() int64 {
 	return n
 }
 
-// bloom is a Bloom filter of caseHash values that sets two bits per value:
-// the top bits of the hash and of the hash times an odd constant pick them.
+// bloom is a Bloom filter of types.CaseHash values that sets two bits per
+// value: the top bits of the hash and of the hash times an odd constant pick
+// them.
 type bloom struct {
 	words []uint64 // a power of two of them
 	shift uint32   // 32 − log2 of the filter's bits
@@ -183,24 +193,6 @@ func (f bloom) has(h uint32) bool {
 	return f.words[i>>6]&(1<<(i&63)) != 0 && f.words[j>>6]&(1<<(j&63)) != 0
 }
 
-// caseHash hashes b with bit 0x20 set in every byte, so two ASCII texts equal
-// under strings.ToLower hash alike, and reports whether b is ASCII. It mixes
-// the length and every eight-byte word as folded reads them — the first and
-// the last included.
-func caseHash(b []byte) (h uint32, ascii bool) {
-	const ones = 0x0101010101010101
-	x, top := uint64(len(b)), uint64(0)
-	for i := 0; i < len(b); i += 8 {
-		w := word(b, i)
-		top |= w
-		x = (x ^ (w | 0x20*ones)) * 0x9E3779B97F4A7C15
-		x ^= x >> 32
-	}
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 31
-	return uint32(x >> 32), top&(0x80*ones) == 0
-}
-
 // lookup finds text in m, case-folded as SynsetsOf folds it.
 func lookup[V any](m map[string]V, text []byte) (V, bool) {
 	if !folded(text) {
@@ -218,7 +210,7 @@ func lookup[V any](m map[string]V, text []byte) (V, bool) {
 func folded(b []byte) bool {
 	const ones = 0x0101010101010101
 	for i := 0; i < len(b); i += 8 {
-		x := word(b, i)
+		x := types.LoadWord(b, i)
 		if x&(0x80*ones) != 0 {
 			return foldedRunes(b)
 		}
@@ -227,21 +219,6 @@ func folded(b []byte) bool {
 		}
 	}
 	return true
-}
-
-// word reads the eight bytes of b at i, little-endian: past the last whole
-// word the last eight bytes, overlapping the word before, and a text shorter
-// than eight bytes zero-padded.
-func word(b []byte, i int) uint64 {
-	switch {
-	case i+8 <= len(b):
-		return binary.LittleEndian.Uint64(b[i:])
-	case len(b) >= 8:
-		return binary.LittleEndian.Uint64(b[len(b)-8:])
-	}
-	var pad [8]byte
-	copy(pad[:], b)
-	return binary.LittleEndian.Uint64(pad[:])
 }
 
 // foldedRunes is folded rune by rune: valid UTF-8 with no rune that

@@ -48,8 +48,8 @@ type Net struct {
 
 // wordForms is one language's word forms, synsets laid out in pre-order: the
 // forms of the synset numbered p are s[at[p]:at[p+1]], its primary lemma
-// first, and h holds their caseHash values at the same positions. So TC(x)'s
-// forms, and their hashes, are one contiguous run from at[pre(x)] to
+// first, and h holds their types.CaseHash values at the same positions. So
+// TC(x)'s forms, and their hashes, are one contiguous run from at[pre(x)] to
 // at[post(x)] (match.go).
 type wordForms struct {
 	at []int32
@@ -218,7 +218,7 @@ seed:
 }
 
 // layOut lays the word forms lem[id] of a language out in the pre-order byPre
-// gives, each beside its caseHash, in arrays sized up front.
+// gives, each beside its types.CaseHash, in arrays sized up front.
 func layOut(lem [][]string, byPre []SynsetID) *wordForms {
 	total := 0
 	for _, forms := range lem {
@@ -227,7 +227,7 @@ func layOut(lem [][]string, byPre []SynsetID) *wordForms {
 	f := &wordForms{at: make([]int32, len(byPre)+1), s: make([]string, 0, total), h: make([]uint32, 0, total)}
 	for p, id := range byPre {
 		for _, form := range lem[id] {
-			h, _ := caseHash([]byte(form))
+			h, _ := types.CaseHash([]byte(form))
 			f.s, f.h = append(f.s, form), append(f.h, h)
 		}
 		f.at[p+1] = int32(len(f.s))

@@ -93,9 +93,9 @@ func FuzzOmegaAgree(f *testing.F) {
 		lhs, rhs, in := omegaOperands(net, syn, up, far, langs, caps, junk)
 		want := walk(net, lhs, rhs, in)
 		got := map[string]bool{
-			"CompileRight/filtered": net.CompileRight(rhs, in, 1<<30).Match(lhs.Lang, []byte(lhs.Text)),
-			"CompileRight/labels":   net.CompileRight(rhs, in, 0).Match(lhs.Lang, []byte(lhs.Text)),
-			"CompileLeft":           net.CompileLeft(lhs, in).Match(rhs.Lang, []byte(rhs.Text)),
+			"CompileRight/filtered": matchText(net.CompileRight(rhs, in, 1<<30), lhs.Lang, lhs.Text),
+			"CompileRight/labels":   matchText(net.CompileRight(rhs, in, 0), lhs.Lang, lhs.Text),
+			"CompileLeft":           matchText(net.CompileLeft(lhs, in), rhs.Lang, rhs.Text),
 		}
 		for form, ok := range got {
 			if ok != want {
@@ -126,7 +126,7 @@ func TestCompileRightForms(t *testing.T) {
 		}
 		for _, id := range net.ix.Closure(root) {
 			for _, form := range net.WordForms(lang, id) {
-				if h, _ := caseHash([]byte(form)); !f.has(h) {
+				if h, _ := types.CaseHash([]byte(form)); !f.has(h) {
 					t.Errorf("%s filter lacks %q of TC(history)", lang, form)
 				}
 			}
@@ -135,10 +135,10 @@ func TestCompileRightForms(t *testing.T) {
 	if len(p.filters) > int(types.LangFrench) && p.filters[types.LangFrench].words != nil {
 		t.Error("French is not admitted, yet has a filter")
 	}
-	if p.Match(types.LangFrench, []byte("french:historiography")) {
+	if matchText(p, types.LangFrench, "french:historiography") {
 		t.Error("a French row matched a probe that does not admit French")
 	}
-	if !p.Match(types.LangTamil, []byte("TAMIL:Historiography")) {
+	if !matchText(p, types.LangTamil, "TAMIL:Historiography") {
 		t.Error("the filtered probe must fold case as SynsetsOf does")
 	}
 	if q := net.CompileRight(history, in, size*len(in)-1); q.filtered || len(q.roots) != 1 || q.MemBytes() >= p.MemBytes() {
@@ -146,8 +146,16 @@ func TestCompileRightForms(t *testing.T) {
 	}
 }
 
-// Two ASCII texts equal under strings.ToLower hash alike, and caseHash reports
-// ASCII exactly when no byte is past 0x7F.
+// matchText is Probe.Match on a text whose hash it computes, as a caller
+// without stored keys does.
+func matchText(p *Probe, lang types.LangID, text string) bool {
+	h, ascii := types.CaseHash([]byte(text))
+	return p.Match(lang, []byte(text), h, ascii)
+}
+
+// Two ASCII texts equal under strings.ToLower hash alike, and types.CaseHash
+// reports ASCII exactly when no byte is past 0x7F. The hash is stored with
+// every UNITEXT value, so TestKeysGolden in internal/types pins its values.
 func FuzzCaseHash(f *testing.F) {
 	for _, s := range []string{"", "a", "Z", "@`", "_\x7f", "history", "concept_000123", "tamil:Historiography", "HISTORY_SYN1", "abcdefgH", "abcdefghi", "é", "\xffabc"} {
 		f.Add(s, uint64(0x5555555555555555))
@@ -159,16 +167,16 @@ func FuzzCaseHash(f *testing.F) {
 				b[i] ^= 0x20
 			}
 		}
-		h, ascii := caseHash([]byte(s))
+		h, ascii := types.CaseHash([]byte(s))
 		if want := !strings.ContainsFunc(s, func(r rune) bool { return r >= 0x80 }); ascii != want {
-			t.Fatalf("caseHash(%q) reports ascii=%v", s, ascii)
+			t.Fatalf("types.CaseHash(%q) reports ascii=%v", s, ascii)
 		}
 		if !ascii {
 			return
 		}
 		for _, other := range []string{string(b), strings.ToLower(s), strings.ToUpper(s)} {
-			if g, _ := caseHash([]byte(other)); g != h {
-				t.Errorf("caseHash(%q) = %#x, caseHash(%q) = %#x", s, h, other, g)
+			if g, _ := types.CaseHash([]byte(other)); g != h {
+				t.Errorf("types.CaseHash(%q) = %#x, types.CaseHash(%q) = %#x", s, h, other, g)
 			}
 		}
 	})
@@ -199,9 +207,9 @@ func passShare(t testing.TB, tc int) (pass, match float64) {
 	var passed, matched int
 	for _, r := range rows {
 		f := p.filters[r.Lang]
-		h, ascii := caseHash([]byte(r.Text))
+		h, ascii := types.CaseHash([]byte(r.Text))
 		ok := !ascii || f.has(h)
-		if p.Match(r.Lang, []byte(r.Text)) {
+		if p.Match(r.Lang, []byte(r.Text), h, ascii) {
 			matched++
 			if !ok {
 				t.Fatalf("Ω(%q, %q) holds, yet the filter rejects the row", r.Text, concept.Text)
@@ -253,16 +261,20 @@ func BenchmarkProbeMatch(b *testing.B) {
 	for _, tc := range tcSizes {
 		concept := types.Compose(net.Lemma(types.LangEnglish, net.FindClosureOfSize(tc)), types.LangEnglish)
 		p := net.CompileRight(concept, nil, len(rows))
+		// Each row's text and hash, as a stored value keeps them.
 		texts := make([][]byte, len(rows))
+		hashes := make([]uint32, len(rows))
+		ascii := make([]bool, len(rows))
 		for i, r := range rows {
 			texts[i] = []byte(r.Text)
+			hashes[i], ascii[i] = types.CaseHash(texts[i])
 		}
 		b.Run(fmt.Sprintf("tc=%d", tc), func(b *testing.B) {
 			pass, match := passShare(b, tc)
 			b.ReportAllocs()
 			for b.Loop() {
 				for i, r := range rows {
-					p.Match(r.Lang, texts[i])
+					p.Match(r.Lang, texts[i], hashes[i], ascii[i])
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")

@@ -153,7 +153,7 @@ func TestCrossLanguageEquivalence(t *testing.T) {
 type match struct{ *Net }
 
 func (m match) Match(lhs, rhs types.UniText, langs []types.LangID) bool {
-	return m.CompileRight(rhs, langs, 0).Match(lhs.Lang, []byte(lhs.Text))
+	return matchText(m.CompileRight(rhs, langs, 0), lhs.Lang, lhs.Text)
 }
 
 func TestMatch(t *testing.T) {

@@ -207,7 +207,7 @@ func (e *Engine) execInsert(st *statement, s *sql.Insert) (*Result, error) {
 			_ = e.rollbackBatch(s.Table)
 			return nil, err
 		}
-		rid, err := h.Insert(types.EncodeTuple(tup))
+		rid, err := h.Insert(types.EncodeRecord(tup))
 		if err != nil {
 			_ = e.rollbackBatch(s.Table)
 			return nil, err

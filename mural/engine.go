@@ -150,6 +150,12 @@ type Engine struct {
 	operators map[string]func(a, b Value) (bool, error)
 }
 
+// ErrFormat reports a data directory written in another on-disk format than
+// this build's (check with errors.Is). Open refuses such a directory before
+// it recovers, loads or attaches anything; a directory written before the
+// format was numbered is refused too.
+var ErrFormat = catalog.ErrFormat
+
 // Open opens (or creates) a database.
 func Open(cfg Config) (*Engine, error) {
 	if cfg.BufferPages <= 0 {

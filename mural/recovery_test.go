@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/mural-db/mural/internal/storage"
+	"github.com/mural-db/mural/internal/types"
 )
 
 // crashHarness wires a shared crash fuse into an engine's data files and
@@ -508,13 +509,14 @@ func TestRecoveryReplaysAbandonedWAL(t *testing.T) {
 	}
 }
 
-// Settings are not durable state. A catalog.json written before settings
-// left the catalog opens with its "settings" ignored; a database closed
-// after SETs reopens with Config's defaults, and its image has no settings.
+// Settings are not durable state. A catalog.json that still carries
+// "settings" (as images did before settings left the catalog) opens with them
+// ignored; a database closed after SETs reopens with Config's defaults, and
+// its image has no settings.
 func TestSettingsNotDurable(t *testing.T) {
 	dir := t.TempDir()
-	legacy := `{"tables": [{"name": "t", "columns": [{"name": "id", "kind": 2}], "file": 1}],
-		"stats": {}, "settings": {"statement_timeout": "5", "enable_mtree": "off"}, "next_file": 2}`
+	legacy := fmt.Sprintf(`{"format": %d, "tables": [{"name": "t", "columns": [{"name": "id", "kind": 2}], "file": 1}],
+		"stats": {}, "settings": {"statement_timeout": "5", "enable_mtree": "off"}, "next_file": 2}`, types.RecordFormat)
 	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
