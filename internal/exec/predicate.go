@@ -439,7 +439,7 @@ func (p *constPred) matchView(ev *evaluator, op *operand) (match, done bool, err
 			return false, true, nil
 		}
 		err := op.view()
-		return err == nil && p.probe.Verify(op.Lang, op.text), true, err
+		return err == nil && p.probe.Verify(op.Lang, op.text, op.Keys.Hash, op.Keys.ASCII), true, err
 	case op.Keys.Phoneme.Runes > 0:
 		ev.countPsi()
 		if p.m.Rejects(op.Keys.Phoneme) {

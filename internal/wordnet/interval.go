@@ -25,44 +25,30 @@ type IntervalIndex struct {
 	byPre []SynsetID
 }
 
-// NewIntervalIndex labels the taxonomy with one DFS pass.
+// NewIntervalIndex labels the taxonomy in two passes over its parent
+// pointers, which precede their children (Generate numbers them so): subtree
+// sizes, then a DFS's pre-order, children and roots in ID order.
 func NewIntervalIndex(net *Net) *IntervalIndex {
 	n := net.NumSynsets()
 	ix := &IntervalIndex{
 		pre:   make([]int32, n),
-		post:  make([]int32, n),
+		post:  make([]int32, n), // subtree sizes until the second pass
 		byPre: make([]SynsetID, n),
 	}
-	counter := int32(0)
-	// Iterative DFS from every root (the generator produces one root, but
-	// the labeling is general).
-	type frame struct {
-		id    SynsetID
-		child int
+	for id := n - 1; id >= 0; id-- {
+		ix.post[id]++
+		if p := net.parent[id]; p != NoSynset {
+			ix.post[p] += ix.post[id]
+		}
 	}
-	for start := 0; start < n; start++ {
-		if net.Parent(SynsetID(start)) != NoSynset {
-			continue
-		}
-		stack := []frame{{id: SynsetID(start)}}
-		ix.pre[start] = counter
-		ix.byPre[counter] = SynsetID(start)
-		counter++
-		for len(stack) > 0 {
-			top := &stack[len(stack)-1]
-			children := net.Children(top.id)
-			if top.child < len(children) {
-				c := children[top.child]
-				top.child++
-				ix.pre[c] = counter
-				ix.byPre[counter] = c
-				counter++
-				stack = append(stack, frame{id: c})
-				continue
-			}
-			ix.post[top.id] = counter
-			stack = stack[:len(stack)-1]
-		}
+	// next[p+1] is the pre-order number p's next child takes; next[0] the
+	// next root's.
+	next := make([]int32, n+1)
+	for id, p := range net.parent {
+		at := &next[p+1]
+		ix.pre[id], ix.post[id] = *at, *at+ix.post[id]
+		*at, next[id+1] = ix.post[id], ix.pre[id]+1
+		ix.byPre[ix.pre[id]] = SynsetID(id)
 	}
 	return ix
 }

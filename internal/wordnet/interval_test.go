@@ -2,6 +2,7 @@ package wordnet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/mural-db/mural/internal/types"
@@ -42,6 +43,17 @@ func TestIntervalIndexWholeTree(t *testing.T) {
 	ix := NewIntervalIndex(net)
 	if ix.ClosureSize(0) != net.NumSynsets() {
 		t.Errorf("root closure = %d", ix.ClosureSize(0))
+	}
+	// Children, read off the labels, are the synsets whose parent is id,
+	// in ID order.
+	kids := make([][]SynsetID, net.NumSynsets())
+	for id := 1; id < net.NumSynsets(); id++ {
+		kids[net.Parent(SynsetID(id))] = append(kids[net.Parent(SynsetID(id))], SynsetID(id))
+	}
+	for id, want := range kids {
+		if got := net.Children(SynsetID(id)); !slices.Equal(got, want) {
+			t.Fatalf("Children(%d) = %v, the parent pointers say %v", id, got, want)
+		}
 	}
 	// A leaf contains only itself.
 	for id := net.NumSynsets() - 1; id >= 0; id-- {

@@ -2,7 +2,6 @@ package wordnet
 
 import (
 	"math/bits"
-	"strings"
 	"unicode"
 	"unicode/utf8"
 
@@ -22,9 +21,9 @@ import (
 // the net's pre-order hashes: a row in a language without a filter, or ASCII
 // text whose bits are not set, is rejected (Passes, on the row's hash, which
 // its caller supplies). Anything else is verified exactly (Verify): one
-// lookup of the row's word in the net's word table and an interval compare
-// per synset pair. The filter has no false negatives on ASCII text, so the
-// probe is exact.
+// lookup of the row's word in the net's table of forms, keyed by that same
+// hash, and an interval compare per synset pair. The filter has no false
+// negatives on ASCII text, so the probe is exact.
 type Probe struct {
 	net   *Net
 	langs []types.LangID // the IN list, which an unfiltered probe applies to the row
@@ -123,7 +122,7 @@ func (p *Probe) filter(langs []types.LangID, runs [][2]int32, synsets int) {
 // Match evaluates the probe on the other operand's language and text, whose
 // types.CaseHash is h and ascii: Passes, then Verify.
 func (p *Probe) Match(lang types.LangID, text []byte, h uint32, ascii bool) bool {
-	return p.Passes(lang, h, ascii) && p.Verify(lang, text)
+	return p.Passes(lang, h, ascii) && p.Verify(lang, text, h, ascii)
 }
 
 // Passes tests the other operand on its language and its text's
@@ -140,11 +139,16 @@ func (p *Probe) Passes(lang types.LangID, h uint32, ascii bool) bool {
 }
 
 // Verify evaluates the probe on an operand that Passes let through, on its
-// text, which it does not retain, folding case as SynsetsOf does; it
-// allocates only for text that folding changes.
-func (p *Probe) Verify(lang types.LangID, text []byte) bool {
-	syns, _ := lookup(p.net.byWord[lang], text)
-	for _, s := range syns {
+// text, which it does not retain, and the text's types.CaseHash, h and ascii,
+// folding case as SynsetsOf does; it allocates only for text that folding
+// changes or a word of more than four synsets.
+func (p *Probe) Verify(lang types.LangID, text []byte, h uint32, ascii bool) bool {
+	f, ok := p.net.forms[lang]
+	if !ok {
+		return false
+	}
+	var buf [4]SynsetID
+	for _, s := range f.synsets(text, h, ascii, buf[:0]) {
 		for _, r := range p.roots {
 			if p.left && p.net.ix.Contains(r, s) || !p.left && p.net.ix.Contains(s, r) {
 				return true
@@ -191,16 +195,6 @@ func (f bloom) add(h uint32) {
 func (f bloom) has(h uint32) bool {
 	i, j := f.pos(h)
 	return f.words[i>>6]&(1<<(i&63)) != 0 && f.words[j>>6]&(1<<(j&63)) != 0
-}
-
-// lookup finds text in m, case-folded as SynsetsOf folds it.
-func lookup[V any](m map[string]V, text []byte) (V, bool) {
-	if !folded(text) {
-		v, ok := m[strings.ToLower(string(text))]
-		return v, ok
-	}
-	v, ok := m[string(text)]
-	return v, ok
 }
 
 // folded reports whether strings.ToLower leaves b unchanged. It runs on every

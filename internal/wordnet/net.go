@@ -16,7 +16,9 @@
 package wordnet
 
 import (
+	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 
@@ -34,34 +36,54 @@ const NoSynset = SynsetID(-1)
 // Net is an interlinked multilingual taxonomy: one shared hypernym tree
 // plus per-language word-form tables.
 type Net struct {
-	parent   []SynsetID
-	children [][]SynsetID
-	depth    []int32
+	parent []SynsetID
+	depth  []int32
 	// forms[lang] holds the word forms of every synset in that language.
 	forms map[types.LangID]*wordForms
-	// byWord[lang][word] lists the synsets a word form belongs to: the
-	// inverse of forms[lang].
-	byWord map[types.LangID]map[string][]SynsetID
-	langs  []types.LangID
-	ix     *IntervalIndex // the tree's DFS interval labels (interval.go)
+	langs []types.LangID
+	ix    *IntervalIndex // the tree's DFS interval labels (interval.go)
 }
 
 // wordForms is one language's word forms, synsets laid out in pre-order: the
-// forms of the synset numbered p are s[at[p]:at[p+1]], its primary lemma
-// first, and h holds their types.CaseHash values at the same positions. So
-// TC(x)'s forms, and their hashes, are one contiguous run from at[pre(x)] to
-// at[post(x)] (match.go).
+// forms of the synset numbered p are positions at[p] to at[p+1], its primary
+// lemma first. Form i is arena[off[i]:off[i+1]], h[i] its types.CaseHash and
+// syn[i] its synset. So TC(x)'s forms, and their hashes, are one contiguous
+// run from at[pre(x)] to at[post(x)] (match.go). slot is an open-addressed
+// table of 1 + a form's position, keyed by its hash (0 is empty): the
+// inverse of the forms, which synsets reads.
 type wordForms struct {
-	at []int32
-	s  []string
-	h  []uint32
+	at, off []int32
+	arena   string
+	h       []uint32
+	syn     []SynsetID
+	slot    []int32
 }
 
-// of returns the forms of the synset numbered p in pre-order.
-func (f *wordForms) of(p int32) []string { return f.s[f.at[p]:f.at[p+1]:f.at[p+1]] }
+// form returns form i.
+func (f *wordForms) form(i int32) string { return f.arena[f.off[i]:f.off[i+1]] }
 
 // hashes returns the hashes of the synsets numbered [lo, hi) in pre-order.
 func (f *wordForms) hashes(lo, hi int32) []uint32 { return f.h[f.at[lo]:f.at[hi]] }
+
+// synsets appends to out the synsets of the forms that equal text as
+// strings.ToLower folds it, given text's types.CaseHash, h and ascii: only
+// text that folding changes is copied, and only non-ASCII text, whose hash is
+// of its unfolded bytes, is hashed again. It probes the table from slot h on,
+// so it lists the synsets in the order layOut entered them.
+func (f *wordForms) synsets(text []byte, h uint32, ascii bool, out []SynsetID) []SynsetID {
+	if !folded(text) {
+		if text = bytes.ToLower(text); !ascii {
+			h, _ = types.CaseHash(text)
+		}
+	}
+	mask := uint32(len(f.slot) - 1)
+	for i := h & mask; f.slot[i] != 0; i = (i + 1) & mask {
+		if pos := f.slot[i] - 1; f.h[pos] == h && f.form(pos) == string(text) {
+			out = append(out, f.syn[pos])
+		}
+	}
+	return out
+}
 
 // Config parameterizes Generate.
 type Config struct {
@@ -127,12 +149,10 @@ func Generate(cfg Config) *Net {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	net := &Net{
-		parent:   make([]SynsetID, 0, n),
-		children: make([][]SynsetID, 0, n),
-		depth:    make([]int32, 0, n),
-		forms:    make(map[types.LangID]*wordForms, len(langs)),
-		byWord:   make(map[types.LangID]map[string][]SynsetID, len(langs)),
-		langs:    append([]types.LangID(nil), langs...),
+		parent: make([]SynsetID, 0, n),
+		depth:  make([]int32, 0, n),
+		forms:  make(map[types.LangID]*wordForms, len(langs)),
+		langs:  append([]types.LangID(nil), langs...),
 	}
 
 	names := make([]string, 0, n)
@@ -140,10 +160,8 @@ func Generate(cfg Config) *Net {
 	addNode := func(name string, parent SynsetID) SynsetID {
 		id := SynsetID(len(net.parent))
 		net.parent = append(net.parent, parent)
-		net.children = append(net.children, nil)
 		d := int32(0)
 		if parent != NoSynset {
-			net.children[parent] = append(net.children[parent], id)
 			d = net.depth[parent] + 1
 		}
 		net.depth = append(net.depth, d)
@@ -199,7 +217,6 @@ seed:
 	net.ix = NewIntervalIndex(net)
 	for _, lang := range langs {
 		lem := make([][]string, n)
-		byW := make(map[string][]SynsetID, int(float64(n)*wf))
 		for id := 0; id < n; id++ {
 			forms := []string{renderLemma(names[id], lang)}
 			// Extra word forms (synonyms) to hit the configured ratio.
@@ -207,30 +224,46 @@ seed:
 				forms = append(forms, renderLemma(fmt.Sprintf("%s_syn%d", names[id], len(forms)), lang))
 			}
 			lem[id] = forms
-			for _, f := range forms {
-				byW[f] = append(byW[f], SynsetID(id))
-			}
 		}
-		net.forms[lang] = layOut(lem, net.ix.byPre)
-		net.byWord[lang] = byW
+		net.forms[lang] = layOut(lem, net.ix)
 	}
 	return net
 }
 
-// layOut lays the word forms lem[id] of a language out in the pre-order byPre
-// gives, each beside its types.CaseHash, in arrays sized up front.
-func layOut(lem [][]string, byPre []SynsetID) *wordForms {
-	total := 0
+// layOut lays the word forms lem[id] of a language out in ix's pre-order,
+// each beside its types.CaseHash and synset, in arrays sized up front, and
+// enters them in a table of at least 1.5 slots a form, in synset order, so
+// that synsets lists a word's synsets in ascending order.
+func layOut(lem [][]string, ix *IntervalIndex) *wordForms {
+	total, size := 0, 0
 	for _, forms := range lem {
-		total += len(forms)
+		for _, form := range forms {
+			total, size = total+1, size+len(form)
+		}
 	}
-	f := &wordForms{at: make([]int32, len(byPre)+1), s: make([]string, 0, total), h: make([]uint32, 0, total)}
-	for p, id := range byPre {
+	f := &wordForms{at: make([]int32, len(lem)+1), off: make([]int32, 1, total+1),
+		h: make([]uint32, 0, total), syn: make([]SynsetID, 0, total)}
+	var arena strings.Builder
+	arena.Grow(size)
+	for p, id := range ix.byPre {
 		for _, form := range lem[id] {
 			h, _ := types.CaseHash([]byte(form))
-			f.s, f.h = append(f.s, form), append(f.h, h)
+			arena.WriteString(form)
+			f.off, f.h, f.syn = append(f.off, int32(arena.Len())), append(f.h, h), append(f.syn, id)
 		}
-		f.at[p+1] = int32(len(f.s))
+		f.at[p+1] = int32(len(f.h))
+	}
+	f.arena = arena.String()
+	f.slot = make([]int32, 1<<bits.Len(uint(total+total/2)))
+	mask := uint32(len(f.slot) - 1)
+	for _, p := range ix.pre {
+		for pos := f.at[p]; pos < f.at[p+1]; pos++ {
+			i := f.h[pos] & mask
+			for f.slot[i] != 0 {
+				i = (i + 1) & mask
+			}
+			f.slot[i] = pos + 1
+		}
 	}
 	return f
 }
@@ -254,7 +287,7 @@ func (w *Net) NumSynsets() int { return len(w.parent) }
 // NumWordForms returns the word-form count for a language.
 func (w *Net) NumWordForms(lang types.LangID) int {
 	if f, ok := w.forms[lang]; ok {
-		return len(f.s)
+		return len(f.h)
 	}
 	return 0
 }
@@ -276,8 +309,18 @@ func (w *Net) NumRelations() int {
 // Parent returns the hypernym of id (NoSynset for the root).
 func (w *Net) Parent(id SynsetID) SynsetID { return w.parent[id] }
 
-// Children returns the direct hyponyms of id.
-func (w *Net) Children(id SynsetID) []SynsetID { return w.children[id] }
+// Children returns the direct hyponyms of id in ID order.
+func (w *Net) Children(id SynsetID) []SynsetID { return w.appendChildren(nil, id) }
+
+// appendChildren appends id's children to out in ID order, read off the
+// labels: the first follows id in pre-order, each next one the subtree of the
+// one before.
+func (w *Net) appendChildren(out []SynsetID, id SynsetID) []SynsetID {
+	for p := w.ix.pre[id] + 1; p < w.ix.post[id]; p = w.ix.post[w.ix.byPre[p]] {
+		out = append(out, w.ix.byPre[p])
+	}
+	return out
+}
 
 // Depth returns the depth of id (root = 0).
 func (w *Net) Depth(id SynsetID) int { return int(w.depth[id]) }
@@ -306,19 +349,21 @@ func (w *Net) AvgDepth() float64 {
 	return sum / float64(len(w.depth))
 }
 
-// SynsetsOf resolves a word form in a language to its synsets.
+// SynsetsOf resolves a word form in a language to its synsets, folding case
+// as strings.ToLower does: a form with an upper-case letter is never found.
 func (w *Net) SynsetsOf(lang types.LangID, word string) []SynsetID {
-	m, ok := w.byWord[lang]
+	f, ok := w.forms[lang]
 	if !ok {
 		return nil
 	}
-	return m[strings.ToLower(word)]
+	h, ascii := types.CaseHash([]byte(word))
+	return f.synsets([]byte(word), h, ascii, nil)
 }
 
 // Lemma returns the primary word form of a synset in a language.
 func (w *Net) Lemma(lang types.LangID, id SynsetID) string {
-	if forms := w.WordForms(lang, id); len(forms) > 0 {
-		return forms[0]
+	if f, ok := w.forms[lang]; ok && int(id) < len(w.parent) && f.at[w.ix.pre[id]] < f.at[w.ix.pre[id]+1] {
+		return f.form(f.at[w.ix.pre[id]])
 	}
 	return ""
 }
@@ -329,7 +374,11 @@ func (w *Net) WordForms(lang types.LangID, id SynsetID) []string {
 	if !ok || int(id) >= len(w.parent) {
 		return nil
 	}
-	return f.of(w.ix.pre[id])
+	var out []string
+	for i := f.at[w.ix.pre[id]]; i < f.at[w.ix.pre[id]+1]; i++ {
+		out = append(out, f.form(i))
+	}
+	return out
 }
 
 // Closure computes the downward transitive closure of root (root plus all
@@ -340,11 +389,8 @@ func (w *Net) Closure(root SynsetID) map[SynsetID]struct{} {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if _, seen := out[id]; seen {
-			continue
-		}
 		out[id] = struct{}{}
-		stack = append(stack, w.children[id]...)
+		stack = w.appendChildren(stack, id)
 	}
 	return out
 }

@@ -3,9 +3,12 @@ package wordnet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unicode"
+	"unicode/utf8"
 
 	"github.com/mural-db/mural/internal/types"
 )
@@ -17,9 +20,34 @@ var fuzzNet = sync.OnceValue(func() *Net {
 		Langs: []types.LangID{types.LangEnglish, types.LangTamil, types.LangFrench}})
 })
 
-// walk is Ω by parent pointers from every LHS synset: the reference each
-// compiled form must equal.
-func walk(net *Net, lhs, rhs types.UniText, langs []types.LangID) bool {
+// fuzzWords is fuzzNet's word map, built once.
+var fuzzWords = sync.OnceValue(func() words { return wordsOf(fuzzNet()) })
+
+// words maps a language and a word form to the synsets it belongs to.
+type words map[types.LangID]map[string][]SynsetID
+
+// wordsOf builds the net's word map from WordForms alone, in ascending synset
+// order: the inverse of the forms that the reference reads words through, so
+// it does not use the table that SynsetsOf and Probe.Verify share.
+func wordsOf(net *Net) words {
+	m := words{}
+	for _, lang := range net.Langs() {
+		m[lang] = map[string][]SynsetID{}
+		for id := 0; id < net.NumSynsets(); id++ {
+			for _, form := range net.WordForms(lang, SynsetID(id)) {
+				m[lang][form] = append(m[lang][form], SynsetID(id))
+			}
+		}
+	}
+	return m
+}
+
+// synsets resolves a word as Ω's definition does: its lower-cased form.
+func (m words) synsets(u types.UniText) []SynsetID { return m[u.Lang][strings.ToLower(u.Text)] }
+
+// walk is Ω by parent pointers from every LHS synset, words resolved through
+// m: the reference each compiled form must equal.
+func walk(net *Net, m words, lhs, rhs types.UniText, langs []types.LangID) bool {
 	if len(langs) > 0 {
 		ok := false
 		for _, l := range langs {
@@ -29,8 +57,8 @@ func walk(net *Net, lhs, rhs types.UniText, langs []types.LangID) bool {
 			return false
 		}
 	}
-	for _, s := range net.SynsetsOf(lhs.Lang, lhs.Text) {
-		for _, r := range net.SynsetsOf(rhs.Lang, rhs.Text) {
+	for _, s := range m.synsets(lhs) {
+		for _, r := range m.synsets(rhs) {
 			if net.IsDescendant(s, r) {
 				return true
 			}
@@ -81,8 +109,9 @@ func omegaOperands(net *Net, syn, up uint32, far bool, langs, caps uint16, junk 
 }
 
 // Every way Ω is evaluated — CompileRight filtered and on the labels alone,
-// CompileLeft — must agree with the parent-pointer walk, whatever the
-// synsets, the languages, the IN list and the letter case.
+// CompileLeft — must agree with the parent-pointer walk over the word map
+// built from WordForms, whatever the synsets, the languages, the IN list and
+// the letter case.
 func FuzzOmegaAgree(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 300; i++ {
@@ -91,7 +120,7 @@ func FuzzOmegaAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, syn, up uint32, far bool, langs, caps uint16, junk uint8) {
 		net := fuzzNet()
 		lhs, rhs, in := omegaOperands(net, syn, up, far, langs, caps, junk)
-		want := walk(net, lhs, rhs, in)
+		want := walk(net, fuzzWords(), lhs, rhs, in)
 		got := map[string]bool{
 			"CompileRight/filtered": matchText(net.CompileRight(rhs, in, 1<<30), lhs.Lang, lhs.Text),
 			"CompileRight/labels":   matchText(net.CompileRight(rhs, in, 0), lhs.Lang, lhs.Text),
@@ -103,6 +132,96 @@ func FuzzOmegaAgree(f *testing.F) {
 			}
 		}
 	})
+}
+
+// SynsetsOf answers what the word map answers for the lower-cased word, for
+// every form of every synset in every language, upper-cased and with an
+// unknown suffix, and in the languages it is not a form of.
+func TestSynsetsOfMatchesWordForms(t *testing.T) {
+	net, m := fuzzNet(), fuzzWords()
+	for _, lang := range net.Langs() {
+		for id := 0; id < net.NumSynsets(); id++ {
+			for _, form := range net.WordForms(lang, SynsetID(id)) {
+				for _, word := range []string{form, strings.ToUpper(form), form + "zz"} {
+					for _, in := range net.Langs() {
+						u := types.Compose(word, in)
+						if got, want := net.SynsetsOf(in, word), m.synsets(u); !slices.Equal(got, want) {
+							t.Fatalf("SynsetsOf(%s, %q) = %v, the word map says %v", in, word, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// accentNet is a small net whose forms hold é, ü, Tamil script and Greek,
+// whose case folding is no 0x20 flip of a byte, each stem in many synsets,
+// and upper-case letters that no lookup finds: layOut over forms Generate
+// does not emit.
+func accentNet() *Net {
+	net := Generate(Config{Synsets: 120, Seed: 9,
+		Langs: []types.LangID{types.LangEnglish, types.LangTamil, types.LangFrench}})
+	stems := []string{"école", "über", "வரலாறு", "naïve", "Étude", "straße", "σοφία", "plain"}
+	for k, lang := range net.Langs() {
+		lem := make([][]string, net.NumSynsets())
+		for id := range lem {
+			stem := stems[(id+k)%len(stems)]
+			lem[id] = []string{fmt.Sprintf("%s_%d", stem, id), stem}
+		}
+		net.forms[lang] = layOut(lem, net.ix)
+	}
+	return net
+}
+
+// On non-ASCII forms, Match and Verify given the stored hash — types.CaseHash
+// of the row's unfolded text — agree with the walk over the word map, for
+// rows of every form in lower, upper and title case against constants at
+// the root, inside and at a leaf.
+func TestOmegaNonASCIIStoredHash(t *testing.T) {
+	net := accentNet()
+	m := wordsOf(net)
+	var rows []types.UniText
+	for _, lang := range net.Langs() {
+		for id := 0; id < net.NumSynsets(); id++ {
+			for _, form := range net.WordForms(lang, SynsetID(id)) {
+				r, n := utf8.DecodeRuneInString(form)
+				for _, text := range []string{form, strings.ToUpper(form), string(unicode.ToUpper(r)) + form[n:]} {
+					rows = append(rows, types.Compose(text, lang))
+				}
+			}
+		}
+	}
+	found := 0
+	for _, root := range []SynsetID{0, 40, SynsetID(net.NumSynsets() - 1)} {
+		for _, lang := range net.Langs() {
+			for _, word := range []string{net.Lemma(lang, root), strings.ToUpper(net.Lemma(lang, root)), "école"} {
+				rhs := types.Compose(word, lang)
+				probes := map[string]*Probe{"filtered": net.CompileRight(rhs, nil, 1<<30), "labels": net.CompileRight(rhs, nil, 0)}
+				for _, lhs := range rows {
+					want := walk(net, m, lhs, rhs, nil)
+					if want {
+						found++
+					}
+					h, ascii := types.CaseHash([]byte(lhs.Text))
+					for name, p := range probes {
+						if got := p.Match(lhs.Lang, []byte(lhs.Text), h, ascii); got != want {
+							t.Fatalf("%s Match(Ω(%q/%s, %q/%s)) = %v, the walk says %v", name, lhs.Text, lhs.Lang, rhs.Text, rhs.Lang, got, want)
+						}
+						if got := p.Verify(lhs.Lang, []byte(lhs.Text), h, ascii); got != want {
+							t.Fatalf("%s Verify(Ω(%q/%s, %q/%s)) = %v, the walk says %v", name, lhs.Text, lhs.Lang, rhs.Text, rhs.Lang, got, want)
+						}
+					}
+					if got, want := net.SynsetsOf(lhs.Lang, lhs.Text), m.synsets(lhs); !slices.Equal(got, want) {
+						t.Fatalf("SynsetsOf(%s, %q) = %v, the word map says %v", lhs.Lang, lhs.Text, got, want)
+					}
+				}
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no row matched: the test probes nothing the table finds")
+	}
 }
 
 // The filters exist exactly when closure size × admitted languages is within

@@ -1,6 +1,7 @@
 package wordnet
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/mural-db/mural/internal/types"
@@ -149,6 +150,24 @@ func TestCrossLanguageEquivalence(t *testing.T) {
 	}
 }
 
+// Lemma reads its form off the arena, and Verify looks a folded row up
+// under the hash its caller gives: neither allocates.
+func TestLemmaAndVerifyDoNotAllocate(t *testing.T) {
+	net := smallNet(t)
+	p := net.CompileRight(types.Compose("history", types.LangEnglish), nil, 0)
+	row := []byte("tamil:historiography")
+	h, ascii := types.CaseHash(row)
+	if !p.Verify(types.LangTamil, row, h, ascii) {
+		t.Fatal("Ω(tamil:historiography, history) must hold")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		net.Lemma(types.LangTamil, 7)
+		p.Verify(types.LangTamil, row, h, ascii)
+	}); n != 0 {
+		t.Errorf("Lemma and Verify allocate %v times a call", n)
+	}
+}
+
 // match is Ω(lhs, rhs) as the generic evaluator runs it.
 type match struct{ *Net }
 
@@ -206,6 +225,29 @@ func TestFullScaleGenerationStats(t *testing.T) {
 	}
 	if d := net.MaxDepth(); d > 16 {
 		t.Errorf("MaxDepth = %d exceeds WordNet's", d)
+	}
+}
+
+// The paper-scale Net in English, French and Tamil holds at most 32 MiB of
+// heap: HeapAlloc after two collections, before and after Generate.
+func TestFullScaleNetFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale WordNet generation in -short mode")
+	}
+	heap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	net := Generate(Config{Seed: 1, Langs: []types.LangID{types.LangEnglish, types.LangFrench, types.LangTamil}})
+	mib := float64(heap()-before) / (1 << 20)
+	runtime.KeepAlive(net)
+	t.Logf("the paper-scale three-language Net holds %.1f MiB", mib)
+	if mib > 32 {
+		t.Errorf("the paper-scale three-language Net holds %.1f MiB of heap, over 32 MiB", mib)
 	}
 }
 

@@ -358,7 +358,7 @@ func (e *Engine) ResetBufferStats() { e.pool.ResetStats() }
 type semEstimator struct{ net *wordnet.Net }
 
 func (s *semEstimator) ClosureFrac(word string, lang types.LangID) float64 {
-	syns := s.net.SynsetsOf(lang, strings.ToLower(word))
+	syns := s.net.SynsetsOf(lang, word)
 	if len(syns) == 0 {
 		return -1
 	}
