@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/mural-db/mural/internal/dataset"
+	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/types"
 	"github.com/mural-db/mural/internal/wordnet"
 )
@@ -26,6 +27,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the plan corpus's golden 
 func TestPlanCorpus(t *testing.T) {
 	stmts := readCorpus(t, "psi_omega.sql")
 	e := openCorpusEngine(t)
+	seen := map[string]bool{}
 	for _, workers := range []int{1, 2} {
 		e.MustExec(fmt.Sprintf("SET workers = %d", workers))
 		var b strings.Builder
@@ -44,9 +46,20 @@ func TestPlanCorpus(t *testing.T) {
 					continue
 				}
 				b.WriteString(m.apply(res.Plan, strings.Contains(q, " LIMIT ")))
+				for _, line := range strings.Split(res.Plan, "\n") {
+					if f := strings.Fields(line); len(f) > 0 {
+						seen[f[0]] = true
+					}
+				}
 			}
 		}
 		checkGolden(t, fmt.Sprintf("psi_omega.w%d.golden", workers), b.String())
+	}
+	// Every operator the executor builds runs somewhere in the corpus.
+	for op := plan.OpSeqScan; op <= plan.OpGather; op++ {
+		if !seen[op.String()] {
+			t.Errorf("no corpus plan has a %s node", op)
+		}
 	}
 }
 
@@ -225,5 +238,68 @@ func openCorpusEngine(t *testing.T) *Engine {
 		"(2, unitext('french:science', french))", "(3, unitext('entity', english))",
 		"(4, unitext('tamil:art', tamil))", "(5, NULL)",
 	})
+
+	// The tables below serve the statements at the end of the corpus only,
+	// so the plans and counts above do not depend on them.
+	// The index tables hold the English and Tamil names of the first 1,000
+	// generated: the two rarely share a phoneme, so a probe at k = 0 is
+	// estimated at about one row and each metric index is priced below the
+	// sequential scan.
+	var indexed []string
+	for i := 0; len(indexed) < 1000; i++ {
+		if l := recs[i].Name.Lang; l == types.LangEnglish || l == types.LangTamil {
+			indexed = append(indexed, names[i])
+		}
+	}
+	for _, ix := range []string{"mtree", "mdi", "qgram"} {
+		load("CREATE TABLE names_"+ix+" (id INT, name UNITEXT)", indexed)
+		e.MustExec(fmt.Sprintf("CREATE INDEX names_%s_name ON names_%s (name) USING %s", ix, ix, strings.ToUpper(ix)))
+	}
+	load("CREATE TABLE names_btree (id INT, name UNITEXT)", indexed)
+	e.MustExec("CREATE INDEX names_btree_id ON names_btree (id) USING BTREE")
+	var pairs []string
+	for i := 0; i < 300; i++ {
+		alias := lit(recs[(i*7+i%3)%len(recs)].Name)
+		if i%4 == 0 {
+			alias = lit(recs[i+1].Name)
+		}
+		if i%50 == 0 {
+			alias = "NULL"
+		}
+		pairs = append(pairs, fmt.Sprintf("(%d, %s, %s)", i, lit(recs[i].Name), alias))
+	}
+	load("CREATE TABLE pairs (id INT, name UNITEXT, alias UNITEXT)", pairs)
+	var terms []string
+	for id := 0; id < 300; id++ {
+		syn := wordnet.SynsetID(rng.Intn(net.NumSynsets()))
+		lang := langs[rng.Intn(len(langs))]
+		word := net.Lemma(lang, syn)
+		if id%7 == 0 {
+			word = strings.ToUpper(word)
+		}
+		// The concept is an ancestor of the word's synset for two rows in
+		// three, an unrelated synset for the rest.
+		concept := wordnet.SynsetID(rng.Intn(net.NumSynsets()))
+		if id%3 != 0 {
+			concept = syn
+			for d := rng.Intn(3); d > 0 && net.Parent(concept) != wordnet.NoSynset; d-- {
+				concept = net.Parent(concept)
+			}
+		}
+		cu := lit(types.Compose(net.Lemma(types.LangEnglish, concept), types.LangEnglish))
+		if id%50 == 0 {
+			cu = "NULL"
+		}
+		title := net.Lemma(types.LangEnglish, syn)
+		if p := net.Parent(syn); p != wordnet.NoSynset {
+			title = net.Lemma(types.LangEnglish, p)
+		}
+		terms = append(terms, fmt.Sprintf("(%d, %s, %s, '%s')", id, lit(types.Compose(word, lang)), cu, title))
+	}
+	// Two words whose text is not ASCII but folds to a word form: "K" is
+	// the Kelvin sign, which strings.ToLower folds to "k".
+	terms = append(terms, "(300, unitext('\u212Anowledge_domain', english), NULL, '\u212Anowledge_domain')",
+		"(301, unitext('\u212ANOWLEDGE_DOMAIN', english), NULL, 'x')")
+	load("CREATE TABLE terms (id INT, word UNITEXT, concept UNITEXT, title TEXT)", terms)
 	return e
 }

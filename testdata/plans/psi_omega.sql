@@ -9,7 +9,15 @@
 -- TEXT, every fifth upper-cased, two NULL; probe (id INT, name UNITEXT),
 -- eight rows, one NULL; doc (id INT, title TEXT, category UNITEXT), 2,000
 -- word forms of the net, some upper-cased, some non-ASCII, some NULL;
--- concept (id INT, word UNITEXT), six Ω operands, one NULL.
+-- concept (id INT, word UNITEXT), six Ω operands, one NULL. The statements
+-- at the end read tables of their own: names_mtree, names_mdi, names_qgram
+-- and names_btree, 1,000 English and Tamil names each under the index its
+-- name says (names_btree's on id); pairs (id INT, name UNITEXT, alias
+-- UNITEXT), 300 names and another name each, six aliases NULL; terms (id
+-- INT, word UNITEXT, concept UNITEXT, title TEXT), 300 word forms of the net,
+-- each with an English concept, for two rows in three a hypernym of the word
+-- (six NULL), and its parent's English lemma as title, then two words spelt
+-- with the Kelvin sign.
 
 -- Ψ scans over stored phonemes at k = 1..3.
 SELECT id FROM names WHERE name LEXEQUAL 'vaameedir' THRESHOLD 1
@@ -65,3 +73,31 @@ SELECT c.id, d.id FROM concept c, doc d WHERE d.category SEMEQUAL c.word
 SELECT c.id, d.id FROM concept c, doc d WHERE c.word SEMEQUAL d.category IN english
 SELECT c.id, d.id FROM concept c, doc d WHERE d.category SEMEQUAL c.word IN french, tamil LIMIT 5
 SELECT c.id, d.id FROM concept c, doc d WHERE d.title SEMEQUAL c.word
+-- Index scans of 1,000-name tables, each rechecking its Ψ: the candidates
+-- of a metric index at k = 0 share the probe's phoneme.
+SELECT id FROM names_mtree WHERE name LEXEQUAL 'vaameedir' THRESHOLD 0
+SELECT id FROM names_mtree WHERE name LEXEQUAL 'shaagam' THRESHOLD 0
+SELECT id FROM names_mdi WHERE name LEXEQUAL 'SHAAGAM' THRESHOLD 0
+SELECT id FROM names_qgram WHERE name LEXEQUAL 'drobham' THRESHOLD 0
+SELECT id FROM names_btree WHERE id = 10 AND name LEXEQUAL 'shaagam' THRESHOLD 3
+-- Ψ index joins: the M-Tree probed per outer row, the candidates rechecked,
+-- under an IN list that drops some.
+SELECT p.id, n.id FROM pairs p, names_mtree n WHERE p.id = 4 AND p.name LEXEQUAL n.name THRESHOLD 0
+SELECT p.id, n.id FROM pairs p, names_mtree n WHERE p.id = 6 AND n.name LEXEQUAL p.name THRESHOLD 0 IN tamil
+-- Hash joins with a residual Ψ and a residual Ω over two columns.
+SELECT a.id, b.id FROM pairs a, pairs b WHERE a.id = b.id AND a.name LEXEQUAL b.alias THRESHOLD 3
+SELECT a.id, b.id FROM terms a, terms b WHERE a.id = b.id AND a.word SEMEQUAL b.concept
+-- Column ⊗ column Ψ and Ω within one table, TEXT among them.
+SELECT id FROM pairs WHERE name LEXEQUAL alias THRESHOLD 3
+SELECT id FROM pairs WHERE alias LEXEQUAL name THRESHOLD 2 IN english, tamil
+SELECT id FROM terms WHERE word SEMEQUAL concept
+SELECT id FROM terms WHERE word SEMEQUAL concept IN french, tamil
+SELECT id FROM terms WHERE title SEMEQUAL concept
+-- Ω over text that is not ASCII but folds to a word form: a filtered probe
+-- (the constant on the left) must not reject it on its hash.
+SELECT id FROM terms WHERE 'history' SEMEQUAL word
+SELECT id FROM terms WHERE 'history' SEMEQUAL title IN english
+-- ORDER BY, DISTINCT and a generic nested-loops join.
+SELECT id, name FROM names_mdi WHERE name LEXEQUAL 'shaagam' THRESHOLD 2 ORDER BY id DESC
+SELECT DISTINCT concept FROM terms WHERE word SEMEQUAL 'entity'
+SELECT a.id, b.id FROM pairs a, terms b WHERE a.id < 3 AND b.id < a.id
