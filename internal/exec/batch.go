@@ -3,6 +3,7 @@ package exec
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/types"
@@ -393,24 +394,62 @@ func (s *recordSource) Close() error {
 	return err
 }
 
-// batchScanIter fills batches straight from heap pages: decode every live
-// record of a page into the output batch, one buffer-pool pin per page. A
-// batch may overshoot BatchRows by up to one page's rows so a page is never
-// split across a pin boundary.
-type batchScanIter struct {
+// scanIter is the table scan: it fills batches straight from heap pages, one
+// buffer-pool pin per page, and decodes every record its kernel keeps — all
+// of them when it has none, those a fused Ψ/Ω predicate matches when it has
+// one (fuse.go). A batch may overshoot BatchRows by up to one page's rows so
+// a page is never split across a pin boundary. Under a collector it
+// attributes to its plan nodes itself: the records it read to the scan, and
+// for a fused scan the records it kept to the filter it is too, each with
+// the scan's full wall time (the parent-includes-child convention).
+type scanIter struct {
 	ev   *evaluator
 	src  *recordSource
-	done bool
+	kern *predKernel // nil keeps every record
+
+	scanSt, filtSt *OpStats
+	timed          bool
+	done           bool
 }
 
-func (s *batchScanIter) NextBatch() (*Batch, error) {
+// buildScan instantiates the scan of node scan; with a kernel, it is also
+// filter, the Filter node the kernel was compiled from.
+func buildScan(env Env, ev *evaluator, scan, filter *plan.Node, kern *predKernel) (BatchIter, error) {
+	src, err := newRecordSource(env, ev, scan)
+	if err != nil {
+		return nil, err
+	}
+	s := &scanIter{ev: ev, src: src, kern: kern}
+	if ev.collector != nil {
+		s.scanSt, s.timed = ev.collector.Stats(scan), ev.collector.timed
+		if filter != nil {
+			s.filtSt = ev.collector.Stats(filter)
+		}
+	}
+	return s, nil
+}
+
+func (s *scanIter) NextBatch() (*Batch, error) {
 	if s.done {
 		return nil, nil
 	}
+	var start time.Time
+	if s.timed {
+		start = time.Now()
+	}
 	b := s.ev.getBatch()
+	var scanned int64
+	var err error
+	// One closure per batch, not per page: the reject path must not allocate.
 	perRec := func(rec []byte) error {
 		if err := s.ev.tick(); err != nil {
 			return err
+		}
+		scanned++
+		if s.kern != nil {
+			if ok, err := s.kern.matchRec(rec); err != nil || !ok {
+				return err
+			}
 		}
 		t, _, err := types.DecodeTuple(rec)
 		if err != nil {
@@ -420,17 +459,28 @@ func (s *batchScanIter) NextBatch() (*Batch, error) {
 		return nil
 	}
 	for len(b.Rows) < BatchRows {
-		more, err := s.src.nextPage(perRec)
-		if err != nil {
-			s.ev.putBatch(b)
-			return nil, err
-		}
-		if !more {
-			s.done = true
+		var more bool
+		if more, err = s.src.nextPage(perRec); err != nil || !more {
+			s.done = err == nil
 			break
 		}
 	}
-	return s.ev.finishBatch(b, nil)
+	// One shared-memory write per batch, however many rows it scanned.
+	s.ev.publishCounts()
+	if s.scanSt != nil {
+		s.scanSt.Rows += scanned
+		if s.filtSt != nil {
+			s.filtSt.Rows += int64(len(b.Rows))
+		}
+		if s.timed {
+			el := time.Since(start)
+			s.scanSt.Elapsed += el
+			if s.filtSt != nil {
+				s.filtSt.Elapsed += el
+			}
+		}
+	}
+	return s.ev.finishBatch(b, err)
 }
 
-func (s *batchScanIter) Close() error { return s.src.Close() }
+func (s *scanIter) Close() error { return s.src.Close() }

@@ -22,8 +22,11 @@ type evaluator struct {
 	// of Parallel plan nodes claim morsels instead of the whole table.
 	par *parallelCtx
 	// preds is the statement's compiled Ψ/Ω predicates (predicate.go),
-	// shared with its Gather workers.
+	// shared with its Gather workers; op is the row operand every reader
+	// refills and matches against them, one row or record at a time. It is
+	// written on every row, so a worker's sits in its padded workerCell.
 	preds *stmtPreds
+	op    operand
 	// res, when non-nil, is the query's shared governance state (cancel
 	// context + memory accountant); ticks is this evaluator's private
 	// amortization counter for the cancellation checkpoint.

@@ -118,8 +118,9 @@ func Run(env Env, node *plan.Node, es *ExecStats, res *Resources) (*Cursor, erro
 // build instantiates one operator over its already-built children and, when
 // a collector is active, wraps it so rows and wall time are attributed to its
 // plan node. Every condition is bound first (predicate.go); a Ψ/Ω filter
-// directly over a table scan then runs as the fused kernel (fuse.go), which
-// is both plan nodes at once and attributes to both itself.
+// directly over a table scan then runs as the scan with a fused kernel
+// (fuse.go), both plan nodes at once. A table scan attributes to its nodes
+// itself.
 //
 // budget, when non-nil, is the number of rows a Limit above still wants. It
 // reaches the operators that produce the Limit's rows through Filter, Project
@@ -132,10 +133,7 @@ func build(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIte
 	var err error
 	switch n.Op {
 	case plan.OpSeqScan:
-		var src *recordSource
-		if src, err = newRecordSource(env, ev, n); err == nil {
-			it = &batchScanIter{ev: ev, src: src}
-		}
+		return buildScan(env, ev, n, nil, nil)
 	case plan.OpGather:
 		it, err = buildGather(env, ev, n, budget)
 	case plan.OpBTreeScan, plan.OpMTreeScan, plan.OpMDIScan, plan.OpQGramScan:
@@ -154,7 +152,7 @@ func build(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIte
 			}
 			if child.Op == plan.OpSeqScan {
 				if kern := ev.fusedKernel(cond, child.Schema()); kern != nil {
-					return buildFusedScan(env, ev, n, kern)
+					return buildScan(env, ev, child, n, kern)
 				}
 			}
 		}
@@ -202,10 +200,9 @@ func buildUnary(ev *evaluator, n *plan.Node, child BatchIter, cond plan.Expr, bu
 }
 
 // indexProbe runs the index lookup a scan node names and returns the
-// matching RIDs, recording the pages visited on the run. A metric
-// index searches for the constant phoneme of psi, the scan's compiled Ψ; a
-// constant that never matches searches for nothing, and one that failed or
-// is not text fails the probe with the error a row would raise.
+// matching RIDs, recording the pages visited on the run. A metric index
+// searches for the constant phoneme of psi, the scan's compiled Ψ
+// (metricSearch).
 func indexProbe(env Env, ev *evaluator, n *plan.Node, psi *constPred) ([]storage.RID, error) {
 	bound := func(e plan.Expr) ([]byte, error) {
 		if e == nil {
@@ -240,13 +237,7 @@ func indexProbe(env Env, ev *evaluator, n *plan.Node, psi *constPred) ([]storage
 		ev.stats.IndexPages += int64(pages)
 		return rids, err
 	}
-	if psi.m == nil {
-		_, err := psi.admits(types.KindUniText, types.LangUnknown)
-		return nil, err
-	}
-	rids, pages, err := env.MetricSearch(n.Index.Index, psi.ph, n.Index.Threshold)
-	ev.stats.IndexPages += int64(pages)
-	return rids, err
+	return ev.metricSearch(n.Index.Index, psi)
 }
 
 // buildIndexScan probes the index named by the plan node, fetches the heap
@@ -485,8 +476,8 @@ func (j *nlJoinIter) Close() error {
 // by lookup: the hash join in a table built from its right input, whose pairs
 // then pass its condition, and the Ψ index join in an M-Tree on the inner
 // relation (which it never scans). The index join compiles each outer row's
-// operand once (compile), probes with its phoneme and rechecks every
-// candidate with it.
+// operand once (compile), probes with its phoneme (metricSearch) and
+// rechecks every candidate with it (constPred.eval over the inner row).
 func buildLookupJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIter, error) {
 	cond, err := ev.bind(n.Cond, n.EstimatedRows())
 	if err != nil {
@@ -512,21 +503,18 @@ func buildLookupJoin(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64)
 		outerCol, innerCol, outerLeft = innerCol, outerCol, false
 	}
 	table := n.Children[1].Table
+	col := &plan.ColIdx{Idx: innerCol - leftWidth}
 	var p *constPred
 	lookup := func(t types.Tuple) ([]types.Tuple, error) {
-		// The inner side is the M-Tree's column, which is UNITEXT.
-		if p = ev.compile(psi, outerLeft, t[outerCol], nil, 0); p.m == nil {
-			_, err := p.admits(types.KindUniText, types.LangUnknown)
-			return nil, err
-		}
-		rids, pages, err := env.MetricSearch(n.Index.Index, p.ph, psi.Threshold)
+		p = ev.compile(psi, outerLeft, t[outerCol], nil, 0)
+		p.col = col
+		rids, err := ev.metricSearch(n.Index.Index, p)
 		if err != nil {
 			return nil, err
 		}
-		ev.stats.IndexPages += int64(pages)
 		return env.FetchRIDs(table, rids)
 	}
-	recheck := func(in types.Tuple) (bool, error) { return p.matchValue(ev, in[innerCol-leftWidth]) }
+	recheck := func(in types.Tuple) (bool, error) { return p.eval(ev, in) }
 	return &lookupJoinIter{ev: ev, outer: left, lookup: lookup, recheck: recheck, budget: budget}, nil
 }
 

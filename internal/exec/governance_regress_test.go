@@ -50,7 +50,7 @@ func TestGatherGrowFailureReleasesBatchCharge(t *testing.T) {
 // canceledScan builds a table scan over 4*cancelInterval rows under an
 // already-canceled query, with the evaluator shape a Gather worker gets:
 // shared governance state, private tick counter.
-func canceledScan(t *testing.T, stripe func(*recordSource)) *batchScanIter {
+func canceledScan(t *testing.T, stripe func(*recordSource)) *scanIter {
 	t.Helper()
 	env := newMockEnv()
 	// Enough rows that the amortized checkpoint (every cancelInterval rows)
@@ -67,7 +67,7 @@ func canceledScan(t *testing.T, stripe func(*recordSource)) *batchScanIter {
 	if stripe != nil {
 		stripe(src)
 	}
-	return &batchScanIter{ev: ev, src: src}
+	return &scanIter{ev: ev, src: src}
 }
 
 // A morsel scan over a canceled query must surface ErrCanceled within one

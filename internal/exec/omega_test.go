@@ -207,7 +207,7 @@ func TestOmegaCompiledMatchesWalk(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, fused := cur.src.(*fusedScanIter); workers == 0 && fused == generic {
+				if workers == 0 && fusedScan(cur.src) == generic {
 					t.Fatalf("root operator is %T, generic=%v", cur.src, generic)
 				}
 				got, err := cur.All()

@@ -102,8 +102,8 @@ func (pc *parallelCtx) morselsFor(env Env, n *plan.Node) (*morselSource, error) 
 	return src, nil
 }
 
-// workerCell holds what a worker writes on every row — its evaluator's tick
-// and unpublished tallies, its RunStats — with a cache line of padding on
+// workerCell holds what a worker writes on every row — its evaluator's tick,
+// unpublished tallies and row operand, its RunStats — with a cache line of padding on
 // either side. The cells of one Gather are allocated back to back by the
 // building goroutine; unpadded, two workers' counters land on one line and
 // every row's increment steals it from the other core.

@@ -61,9 +61,6 @@ func (ev *evaluator) publishCounts() {
 type OpStats struct {
 	// Rows is the number of tuples the operator emitted.
 	Rows int64
-	// Nexts is the number of Next() calls answered (Rows plus exhausted
-	// pulls).
-	Nexts int64
 	// Loops is the number of passes over the operator: 1, plus one per
 	// further rescan by a nested-loops join parent.
 	Loops int64
@@ -89,7 +86,7 @@ func NewExecStats() *ExecStats {
 	return &ExecStats{byNode: make(map[*plan.Node]*OpStats), timed: true}
 }
 
-// NewCountStats returns a counts-only collector: Rows/Nexts/Loops are
+// NewCountStats returns a counts-only collector: Rows and Loops are
 // measured, Elapsed stays zero.
 func NewCountStats() *ExecStats {
 	return &ExecStats{byNode: make(map[*plan.Node]*OpStats)}
@@ -120,7 +117,6 @@ func (es *ExecStats) Actual(n *plan.Node) (plan.Actual, bool) {
 	}
 	return plan.Actual{
 		Rows:    st.Rows,
-		Nexts:   st.Nexts,
 		Loops:   st.Loops,
 		Elapsed: st.Elapsed,
 	}, true
@@ -144,21 +140,18 @@ func (es *ExecStats) Merge(o *ExecStats) {
 			continue
 		}
 		dst.Rows += st.Rows
-		dst.Nexts += st.Nexts
 		dst.Loops += st.Loops
 		dst.Elapsed += st.Elapsed
 	}
 }
 
-// batchStatsIter counts (and under a timed collector, times) NextBatch
-// calls for one operator, at one wrapper call per ~BatchRows rows. Rows is
-// the tuples emitted; Nexts counts one pull per tuple plus the one exhausted
-// pull of a full drain, so a drained operator reports Nexts = Rows+1.
+// batchStatsIter counts the rows one operator emits (and under a timed
+// collector, times its NextBatch calls), at one wrapper call per ~BatchRows
+// rows.
 type batchStatsIter struct {
 	child BatchIter
 	st    *OpStats
 	timed bool
-	done  bool
 }
 
 func (s *batchStatsIter) NextBatch() (*Batch, error) {
@@ -172,10 +165,6 @@ func (s *batchStatsIter) NextBatch() (*Batch, error) {
 	}
 	if b != nil {
 		s.st.Rows += int64(len(b.Rows))
-		s.st.Nexts += int64(len(b.Rows))
-	} else if err == nil && !s.done {
-		s.done = true
-		s.st.Nexts++
 	}
 	return b, err
 }
@@ -183,9 +172,8 @@ func (s *batchStatsIter) NextBatch() (*Batch, error) {
 func (s *batchStatsIter) Close() error { return s.child.Close() }
 
 // rescan counts one more pass (loop) over the wrapped Materialize and starts
-// it; the pass earns its own exhausted pull, so Nexts = Rows + passes.
+// it.
 func (s *batchStatsIter) rescan() {
 	s.st.Loops++
-	s.done = false
 	s.child.(rescannable).rescan()
 }

@@ -43,8 +43,8 @@ func TestNilCollectorNoWrappers(t *testing.T) {
 	if !ok {
 		t.Fatalf("root operator is %T, want *vectorFilterIter", cur.src)
 	}
-	if _, ok := f.child.(*batchScanIter); !ok {
-		t.Fatalf("filter child is %T, want *batchScanIter", f.child)
+	if _, ok := f.child.(*scanIter); !ok {
+		t.Fatalf("filter child is %T, want *scanIter", f.child)
 	}
 }
 
@@ -72,9 +72,8 @@ func TestStatsCollected(t *testing.T) {
 	if !ok {
 		t.Fatal("no stats for scan node")
 	}
-	// The scan answers one Next per row plus the exhausted pull.
-	if sa.Rows != 5 || sa.Nexts != 6 {
-		t.Errorf("scan actual = %+v, want rows=5 nexts=6", sa)
+	if sa.Rows != 5 || sa.Loops != 1 {
+		t.Errorf("scan actual = %+v, want rows=5 loops=1", sa)
 	}
 	out := plan.FormatAnalyze(node, es.Actual)
 	if !strings.Contains(out, "(actual rows=2 loops=1 time=") {

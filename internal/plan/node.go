@@ -180,7 +180,6 @@ func (n *Node) EstimatedRows() float64 {
 // fills it during EXPLAIN ANALYZE. Counters are totals across all loops.
 type Actual struct {
 	Rows    int64
-	Nexts   int64
 	Loops   int64
 	Elapsed time.Duration
 }
