@@ -170,3 +170,42 @@ func BenchmarkOmegaScanStored(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFilterGeneric is the per-row path of the generic filter, which the
+// index rechecks and the Ψ index join's recheck share (constPred.eval): a Ψ
+// over benchNames' rows and the Ω of BenchmarkOmegaScanStored (filtered),
+// each kept from fusing by a conjunction.
+func BenchmarkFilterGeneric(b *testing.B) {
+	generic := func(x plan.Expr) plan.Expr { return &plan.AndOr{L: x, R: &plan.Const{Val: types.NewBool(true)}} }
+	psi := newMockEnv()
+	benchNames(psi, "t", 4096, types.KindUniText)
+	cols := []plan.ColInfo{{Rel: "t", Name: "n", Kind: types.KindUniText}}
+	psiNode := &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{scanNode("t", cols)}, Cols: cols,
+		Cond: generic(&plan.Psi{L: &plan.ColIdx{Idx: 0, Kind: types.KindUniText}, R: &plan.Const{Val: types.NewText("nehru")}})}
+	omega, join, concept := omegaJoinBench(omegaNet(), omegaJoinClosures["filtered"])
+	scan := join.Children[1]
+	omegaNode := &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{scan}, Cols: scan.Cols,
+		Cond: generic(&plan.Omega{L: &plan.ColIdx{Idx: 0, Kind: types.KindUniText}, R: &plan.Const{Val: types.NewUniText(concept)}})}
+	for _, c := range []struct {
+		name  string
+		env   *mockEnv
+		node  *plan.Node
+		table string
+	}{{"psi", psi, psiNode, "t"}, {"omega", omega, omegaNode, "i"}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cur, err := Run(c.env, c.node, nil, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows, err := cur.All()
+				if err != nil || len(rows) == 0 {
+					b.Fatalf("%d rows, %v", len(rows), err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.env.tables[c.table])), "ns/row")
+		})
+	}
+}
