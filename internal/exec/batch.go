@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/mural-db/mural/internal/plan"
+	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
 )
 
@@ -344,20 +345,10 @@ func (s *recordSource) rewind() error {
 	return err
 }
 
-func (s *recordSource) nextPage(fn func(rec []byte) error) (bool, error) {
-	if s.mod > 0 {
-		keep := fn
-		fn = func(rec []byte) error {
-			mine := s.n%s.mod == s.idx
-			s.n++
-			if !mine {
-				// A worker skips mod-1 of every mod records without
-				// surfacing one: the skip is its own checkpoint.
-				return s.ev.tick()
-			}
-			return keep(rec)
-		}
-	}
+// nextPage hands fn the source's next page, claiming the next page range
+// when the current one is done. more=false when the source is exhausted.
+// fn's loop over the page asks skip of each live record.
+func (s *recordSource) nextPage(fn func(pg storage.Page) error) (bool, error) {
 	for {
 		if s.cur == nil {
 			lo, hi, ok := s.src.claim(s.pass)
@@ -383,6 +374,19 @@ func (s *recordSource) nextPage(fn func(rec []byte) error) (bool, error) {
 			return false, err
 		}
 	}
+}
+
+// skip reports whether this worker leaves the next live record of a striped
+// source to another: it keeps one record in mod, by ordinal. Every page loop
+// over the source calls it once per live record, and checks for
+// cancellation at a record it skips too.
+func (s *recordSource) skip() bool {
+	if s.mod == 0 {
+		return false
+	}
+	mine := s.n%s.mod == s.idx
+	s.n++
+	return !mine
 }
 
 func (s *recordSource) Close() error {
@@ -441,26 +445,39 @@ func (s *scanIter) NextBatch() (*Batch, error) {
 	var scanned int64
 	var err error
 	// One closure per batch, not per page: the reject path must not allocate.
-	perRec := func(rec []byte) error {
-		if err := s.ev.tick(); err != nil {
-			return err
-		}
-		scanned++
-		if s.kern != nil {
-			if ok, err := s.kern.matchRec(rec); err != nil || !ok {
+	scanPage := func(pg storage.Page) error {
+		for i := range pg.Len() {
+			rec, live := pg.Record(i)
+			if !live {
+				continue
+			}
+			if err := s.ev.tick(); err != nil {
 				return err
 			}
+			if s.src.skip() {
+				continue
+			}
+			scanned++
+			if s.kern != nil {
+				ok, err := s.kern.matchRec(rec)
+				if err != nil {
+					return err
+				}
+				if !ok {
+					continue
+				}
+			}
+			t, _, err := types.DecodeTuple(rec)
+			if err != nil {
+				return err
+			}
+			b.Rows = append(b.Rows, t)
 		}
-		t, _, err := types.DecodeTuple(rec)
-		if err != nil {
-			return err
-		}
-		b.Rows = append(b.Rows, t)
 		return nil
 	}
 	for len(b.Rows) < BatchRows {
 		var more bool
-		if more, err = s.src.nextPage(perRec); err != nil || !more {
+		if more, err = s.src.nextPage(scanPage); err != nil || !more {
 			s.done = err == nil
 			break
 		}

@@ -11,6 +11,7 @@ import (
 	"github.com/mural-db/mural/internal/leakcheck"
 	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/sql"
+	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
 	"github.com/mural-db/mural/internal/wordnet"
 )
@@ -79,12 +80,12 @@ func (e *flakyEnv) ScanRecords(table string, lo, hi int64) (RecordScan, error) {
 	return &flakyScan{RecordScan: rs, env: e}, nil
 }
 
-func (s *flakyScan) NextPage(fn func(rec []byte) error) (bool, error) {
-	return s.RecordScan.NextPage(func(rec []byte) error {
+func (s *flakyScan) NextPage(fn func(pg storage.Page) error) (bool, error) {
+	return perRecord(s.RecordScan, fn, func(serve func() error) error {
 		if s.env.served.Add(1) > s.env.failAfter {
 			return errInjected
 		}
-		return fn(rec)
+		return serve()
 	})
 }
 
@@ -561,6 +562,36 @@ func TestFusedPsiScanSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, run)
 	if allocs > 100 {
 		t.Errorf("fused Ψ scan allocated %.0f times for %d rows; want a small constant (allocs/row ~0)", allocs, n)
+	}
+
+	// Striped: a table of fewer pages than four workers claim morsels of
+	// is read whole by each worker, which keeps one record in four. Its
+	// allocations are the Gather's, whatever the page count: a page costs
+	// none. The batch pool may miss now and then, hence the slack of two.
+	striped := map[int]float64{}
+	for _, pages := range []int{4, 15} {
+		env := newMockEnv()
+		env.pageRows = 256
+		mkUniTable(env, "t", pages*env.pageRows)
+		env.pagesFor("t")
+		gather := &plan.Node{Op: plan.OpGather, Children: []*plan.Node{{Op: plan.OpFilter, Children: []*plan.Node{scanNode("t", cols)},
+			Cols: cols, Cond: node.Cond}}, Cols: cols, Workers: 4}
+		gather.Children[0].Children[0].Parallel = true
+		run := func() {
+			cur, err := Run(env, gather, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows, err := cur.All(); err != nil || len(rows) != 0 || cur.Stats.PsiEvaluations != int64(pages*env.pageRows) {
+				t.Fatalf("%d rows, %d Ψ evaluations, %v; want 0, %d and no error", len(rows), cur.Stats.PsiEvaluations, err, pages*env.pageRows)
+			}
+		}
+		run()
+		striped[pages] = testing.AllocsPerRun(20, run)
+	}
+	t.Logf("striped scan allocations per statement by page count: %v", striped)
+	if striped[15] > striped[4]+2 {
+		t.Errorf("a striped Ψ scan made %.0f allocations over 4 pages and %.0f over 15; want the same", striped[4], striped[15])
 	}
 }
 

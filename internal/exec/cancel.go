@@ -145,13 +145,13 @@ func (r *Resources) PeakBytes() int64 {
 // tick is the amortized cancellation checkpoint: every iterator row-loop
 // calls it, and one call in cancelInterval consults the context. Nil-safe on
 // both the evaluator and its Resources so ungoverned runs pay only the
-// counter increment (and the test-only nil-evaluator paths pay nothing).
+// counter increment (and the test-only nil-evaluator paths pay nothing). It
+// inlines into the row loops that call it.
 func (ev *evaluator) tick() error {
-	if ev == nil || ev.res == nil {
+	if ev == nil {
 		return nil
 	}
-	ev.ticks++
-	if ev.ticks&(cancelInterval-1) != 0 {
+	if ev.ticks++; ev.ticks%cancelInterval != 0 {
 		return nil
 	}
 	return ev.res.Err()

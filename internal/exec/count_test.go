@@ -11,11 +11,12 @@ import (
 	"github.com/mural-db/mural/internal/leakcheck"
 	"github.com/mural-db/mural/internal/metrics"
 	"github.com/mural-db/mural/internal/plan"
+	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
 )
 
 // reachedEnv counts, from outside the executor, the records a scan's
-// callback accepted. Every row of the tables below is a non-NULL UNITEXT in
+// page loop accepted. Every row of the tables below is a non-NULL UNITEXT in
 // an admitted language, and the fused loop fails a record before the matcher
 // only through the cancellation checkpoint or the operand-kind error, so a
 // callback that returned nil is a row that reached the Ψ kernel.
@@ -37,9 +38,9 @@ func (e *reachedEnv) ScanRecords(table string, lo, hi int64) (RecordScan, error)
 	return &reachedScan{RecordScan: rs, env: e}, nil
 }
 
-func (s *reachedScan) NextPage(fn func(rec []byte) error) (bool, error) {
-	return s.RecordScan.NextPage(func(rec []byte) error {
-		err := fn(rec)
+func (s *reachedScan) NextPage(fn func(pg storage.Page) error) (bool, error) {
+	return perRecord(s.RecordScan, fn, func(serve func() error) error {
+		err := serve()
 		if err == nil {
 			s.env.reached.Add(1)
 		}

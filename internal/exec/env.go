@@ -48,11 +48,12 @@ type Env interface {
 // RecordScan streams the raw encoded records of a heap page range,
 // page-at-a-time: one buffer-pool pin per page instead of one per row.
 type RecordScan interface {
-	// NextPage invokes fn once per live record on the scan's next heap page
-	// and advances. more=false reports exhaustion (fn was not called). The
-	// rec bytes alias storage owned by the scan — valid only during fn; fn
-	// copies what it keeps (types.DecodeTuple already copies).
-	NextPage(fn func(rec []byte) error) (more bool, err error)
+	// NextPage hands fn the scan's next heap page, a view of its slots
+	// (storage.Page), and advances. more=false reports exhaustion (fn was
+	// not called). The page and the records read off it alias storage owned
+	// by the scan — valid only during fn; fn loops over the page's records
+	// itself and copies what it keeps (types.DecodeTuple already copies).
+	NextPage(fn func(pg storage.Page) error) (more bool, err error)
 	// Close releases the scan.
 	Close() error
 }

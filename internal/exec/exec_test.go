@@ -31,12 +31,17 @@ type mockEnv struct {
 	mu    sync.Mutex
 	pages map[string]mockPages
 	reads map[string]*atomic.Int64 // pages read by record scans, per table
+	// pageRows is the records a page holds; 0 means mockPageRows.
+	pageRows int
 }
 
-// mockPages is one table's encoded form and the rows it was encoded from.
+// mockPages is one table's encoded form and the rows it was encoded from:
+// each page's records, and the same laid out as the page views a heap scan
+// hands over.
 type mockPages struct {
 	rows  []types.Tuple
 	pages [][][]byte
+	views []storage.Page
 }
 
 func newMockEnv() *mockEnv {
@@ -60,28 +65,40 @@ func (m *mockEnv) TablePages(table string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("mock: no table %q", table)
 	}
-	return int64((len(rows) + mockPageRows - 1) / mockPageRows), nil
+	return int64((len(rows) + m.perPage() - 1) / m.perPage()), nil
+}
+
+// perPage is the records one of m's pages holds.
+func (m *mockEnv) perPage() int {
+	if m.pageRows > 0 {
+		return m.pageRows
+	}
+	return mockPageRows
 }
 
 // pagesFor encodes a table's rows into pages as the storage layer does
 // (types.EncodeRecord), re-encoding when a test has replaced the table since.
-func (m *mockEnv) pagesFor(table string) [][][]byte {
+func (m *mockEnv) pagesFor(table string) [][][]byte { return m.encoded(table).pages }
+
+// encoded is pagesFor's table encoded, with its page views.
+func (m *mockEnv) encoded(table string) mockPages {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rows := m.tables[table]
 	if p, ok := m.pages[table]; ok && len(p.rows) == len(rows) && (len(rows) == 0 || &p.rows[0] == &rows[0]) {
-		return p.pages
+		return p
 	}
-	var pages [][][]byte
-	for start := 0; start < len(rows); start += mockPageRows {
+	p := mockPages{rows: rows}
+	for start := 0; start < len(rows); start += m.perPage() {
 		var page [][]byte
-		for _, t := range rows[start:min(start+mockPageRows, len(rows))] {
+		for _, t := range rows[start:min(start+m.perPage(), len(rows))] {
 			page = append(page, types.EncodeRecord(t))
 		}
-		pages = append(pages, page)
+		p.pages = append(p.pages, page)
+		p.views = append(p.views, storage.NewPage(page))
 	}
-	m.pages[table] = mockPages{rows: rows, pages: pages}
-	return pages
+	m.pages[table] = p
+	return p
 }
 
 // pageReads is the count of table's pages its record scans have read.
@@ -98,23 +115,40 @@ func (m *mockEnv) pageReads(table string) *atomic.Int64 {
 }
 
 type mockRecordScan struct {
-	pages [][][]byte
+	pages []storage.Page
 	pos   int
 	reads *atomic.Int64
 }
 
-func (s *mockRecordScan) NextPage(fn func(rec []byte) error) (bool, error) {
+func (s *mockRecordScan) NextPage(fn func(pg storage.Page) error) (bool, error) {
 	if s.pos >= len(s.pages) {
 		return false, nil
 	}
 	s.reads.Add(1)
-	for _, rec := range s.pages[s.pos] {
-		if err := fn(rec); err != nil {
-			return true, err
-		}
+	if err := fn(s.pages[s.pos]); err != nil {
+		return true, err
 	}
 	s.pos++
 	return true, nil
+}
+
+// perRecord serves inner's next page to fn one live record at a time, each
+// as a page of its own, for a test scan that acts around each record: each
+// runs once per record, with serve handing the record to fn, and its error
+// stops the page.
+func perRecord(inner RecordScan, fn func(pg storage.Page) error, each func(serve func() error) error) (bool, error) {
+	return inner.NextPage(func(pg storage.Page) error {
+		for i := range pg.Len() {
+			rec, live := pg.Record(i)
+			if !live {
+				continue
+			}
+			if err := each(func() error { return fn(storage.NewPage([][]byte{rec})) }); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 func (s *mockRecordScan) Close() error { return nil }
@@ -123,7 +157,7 @@ func (m *mockEnv) ScanRecords(table string, lo, hi int64) (RecordScan, error) {
 	if _, ok := m.tables[table]; !ok {
 		return nil, fmt.Errorf("mock: no table %q", table)
 	}
-	pages := m.pagesFor(table)
+	pages := m.encoded(table).views
 	lo, hi = min(lo, int64(len(pages))), min(hi, int64(len(pages)))
 	return &mockRecordScan{pages: pages[lo:hi], reads: m.pageReads(table)}, nil
 }

@@ -263,13 +263,13 @@ func (e *errScanEnv) ScanRecords(table string, lo, hi int64) (RecordScan, error)
 	return &errAfterScan{RecordScan: rs, n: 2, failErr: e.failErr}, err
 }
 
-func (s *errAfterScan) NextPage(fn func(rec []byte) error) (bool, error) {
-	return s.RecordScan.NextPage(func(rec []byte) error {
+func (s *errAfterScan) NextPage(fn func(pg storage.Page) error) (bool, error) {
+	return perRecord(s.RecordScan, fn, func(serve func() error) error {
 		if s.n <= 0 {
 			return s.failErr
 		}
 		s.n--
-		return fn(rec)
+		return serve()
 	})
 }
 

@@ -10,9 +10,12 @@
 // function, each row loop must reach a checkpoint: a direct `tick()` /
 // `Resources.Err()` call, or a call to a function whose summary transitively
 // checkpoints. A row loop is a for/range loop that ranges over a Batch's
-// Rows or whose body pulls rows (calls a 3-result Next); a per-record
-// function literal handed to nextPage/NextPage — the body of a page scan's
-// loop — is held to the same rule. Loops that iterate bounded,
+// Rows or whose body pulls rows (calls a 3-result Next). A page loop — a
+// for/range loop over the records of a Page, the view a page scan hands its
+// callback (its header or body calls the Page's Len or Record) — is a row
+// loop too, and is checked in every function of the package, reached or not:
+// the callback that holds it is handed to nextPage/NextPage as a value, which
+// the call graph does not follow. Loops that iterate bounded,
 // row-independent structures (projection column lists, schema slices) are
 // not flagged. Intentional exceptions carry //lint:gov-exempt on the loop or
 // the function declaration.
@@ -30,7 +33,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "govcheck",
-	Doc:  "every row loop and per-record callback reachable from an operator NextBatch/Next contains an amortized cancellation checkpoint (tick / Resources.Err, directly or via a summarized callee)",
+	Doc:  "every row loop reachable from an operator NextBatch/Next, and every loop over a scan's Page, contains an amortized cancellation checkpoint (tick / Resources.Err, directly or via a summarized callee)",
 	Run:  run,
 }
 
@@ -75,8 +78,8 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	for fn := range reachable {
-		checkFunc(pass, ann, table, decls[fn])
+	for fn, fd := range decls {
+		checkFunc(pass, ann, table, fd, reachable[fn])
 	}
 	return nil
 }
@@ -118,44 +121,28 @@ func isBatchSig(fn *types.Func) bool {
 	return res.Len() == 2 && lintutil.IsErrorType(res.At(1).Type())
 }
 
-func checkFunc(pass *analysis.Pass, ann *lintutil.Annotations, table *summary.Table, fd *ast.FuncDecl) {
+// checkFunc checks the row loops of fd: its page loops, and when an operator
+// entry point reaches fd (reached) its other row loops too.
+func checkFunc(pass *analysis.Pass, ann *lintutil.Annotations, table *summary.Table, fd *ast.FuncDecl, reached bool) {
 	if fd == nil || ann.Has(fd.Pos(), "gov-exempt") {
 		return
 	}
-	// Local function literals by the variable they are bound to, so a
-	// callback handed to nextPage by name resolves to its body.
-	lits := map[types.Object]*ast.FuncLit{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
-			for i, rhs := range as.Rhs {
-				id, isIdent := as.Lhs[i].(*ast.Ident)
-				if lit, isLit := rhs.(*ast.FuncLit); isIdent && isLit {
-					if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
-						lits[obj] = lit
-					}
-				}
-			}
-		}
-		return true
-	})
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		var body *ast.BlockStmt
 		rowLoop := false
 		switch x := n.(type) {
 		case *ast.ForStmt:
 			body = x.Body
+			rowLoop = walksPage(pass, x.Cond) || walksPage(pass, body)
+			rowLoop = rowLoop || reached && pullsRows(pass, body)
 		case *ast.RangeStmt:
 			body = x.Body
-			rowLoop = isBatchRows(pass, x.X)
-		case *ast.CallExpr:
-			if name := lintutil.CalleeName(x); name == "nextPage" || name == "NextPage" {
-				checkPageCallbacks(pass, ann, table, lits, x)
-			}
-			return true
+			rowLoop = walksPage(pass, x.X) || walksPage(pass, body)
+			rowLoop = rowLoop || reached && (isBatchRows(pass, x.X) || pullsRows(pass, body))
 		default:
 			return true
 		}
-		if !(rowLoop || pullsRows(pass, body)) || hasCheckpoint(pass, table, body) {
+		if !rowLoop || hasCheckpoint(pass, table, body) {
 			return true
 		}
 		if ann.Has(n.Pos(), "gov-exempt") {
@@ -166,6 +153,26 @@ func checkFunc(pass *analysis.Pass, ann *lintutil.Annotations, table *summary.Ta
 		// Don't descend: one report covers the nested loops too.
 		return false
 	})
+}
+
+// walksPage reports whether n calls Len or Record on a Page, outside the
+// function literals it holds: the mark of a loop over a scanned page's
+// records.
+func walksPage(pass *analysis.Pass, n ast.Node) bool {
+	found := false
+	if n != nil {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if _, lit := n.(*ast.FuncLit); lit {
+				return false
+			}
+			if call, ok := n.(*ast.CallExpr); ok && !found {
+				name := lintutil.CalleeName(call)
+				found = (name == "Len" || name == "Record") && lintutil.ReceiverTypeName(pass.TypesInfo, call) == "Page"
+			}
+			return !found
+		})
+	}
+	return found
 }
 
 // isBatchRows reports an expression of the form b.Rows with b a Batch (or a
@@ -181,23 +188,6 @@ func isBatchRows(pass *analysis.Pass, x ast.Expr) bool {
 	}
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Name() == "Batch"
-}
-
-// checkPageCallbacks holds the function literals a page-scan call receives —
-// inline or through a local variable — to the row-loop rule: the scan runs
-// them once per record.
-func checkPageCallbacks(pass *analysis.Pass, ann *lintutil.Annotations, table *summary.Table, lits map[types.Object]*ast.FuncLit, call *ast.CallExpr) {
-	for _, arg := range call.Args {
-		lit, _ := arg.(*ast.FuncLit)
-		if id, ok := arg.(*ast.Ident); ok {
-			lit = lits[pass.TypesInfo.ObjectOf(id)]
-		}
-		if lit == nil || hasCheckpoint(pass, table, lit.Body) || ann.Has(lit.Pos(), "gov-exempt") {
-			continue
-		}
-		pass.Reportf(lit.Pos(),
-			"per-record callback runs without a cancellation checkpoint: a canceled query keeps scanning pages through it; call tick()/Resources.Err() per record (or a helper that does) or annotate with //lint:gov-exempt")
-	}
 }
 
 // pullsRows reports whether the loop body calls a 3-result Next — the mark

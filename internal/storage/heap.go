@@ -254,20 +254,58 @@ func (h *Heap) ScanRange(lo, hi PageID) *Iter {
 	return &Iter{h: h, page: lo, slot: 0, nslots: 0, npages: hi}
 }
 
+// Page is a view of the live part of one pinned heap page, as NextPage
+// hands it to its callback: slots 0 to Len()-1 from the scan's position on.
+// The records it returns alias the page buffer, so a Page and everything read
+// off it are valid only during the callback.
+type Page struct {
+	data  []byte // the page payload
+	slots []byte // the slot array, from the scan's position to its end
+}
+
+// Len is the number of slots on the page, dead ones included.
+func (p *Page) Len() int { return len(p.slots) / slotSize }
+
+// Record is the record in slot i; live=false for a deleted slot.
+func (p *Page) Record(i int) (rec []byte, live bool) {
+	s := binary.LittleEndian.Uint32(p.slots[i*slotSize:])
+	if off := int(s & 0xFFFF); off != int(deadSlot) {
+		return p.data[off : off+int(s>>16)], true
+	}
+	return nil, false
+}
+
+// NewPage lays recs out as the live records of one page, for a record source
+// that holds its records in memory rather than in a heap. Together they must
+// fit a page.
+func NewPage(recs [][]byte) Page {
+	p := Page{slots: make([]byte, 0, len(recs)*slotSize)}
+	for _, rec := range recs {
+		if len(p.data)+len(rec) > PagePayload {
+			panic(fmt.Sprintf("storage: %d records overflow a page", len(recs)))
+		}
+		p.slots = binary.LittleEndian.AppendUint16(p.slots, uint16(len(p.data)))
+		p.slots = binary.LittleEndian.AppendUint16(p.slots, uint16(len(rec)))
+		p.data = append(p.data, rec...)
+	}
+	return p
+}
+
 // NextPage processes one heap page of the scan: it pins the scan's current
-// page, invokes fn once per live record on it, unpins and advances to the
-// next page. more=false reports that the scan was already exhausted (fn was
-// not called). The rec slice passed to fn aliases the pinned page buffer —
-// it is only valid during fn and must be copied to be retained; fn must not
-// pin pages of the same pool itself. An fn error stops the page mid-way
-// (more stays true) and surfaces verbatim. NextPage and Next may be mixed:
-// both respect the scan's current page/slot position.
+// page, hands fn a view of its slots from the scan's position on, unpins and
+// advances to the next page. more=false reports that the scan was already
+// exhausted (fn was not called). The page and the records read off it alias
+// the pinned page buffer — they are only valid during fn and must be copied
+// to be retained; fn must not pin pages of the same pool itself. An fn error
+// leaves the scan on the page (more stays true) and surfaces verbatim.
+// NextPage and Next may be mixed: both respect the scan's current page/slot
+// position.
 //
 // The heap's read lock is held for the page, fn included, so an Insert
 // cannot write the page while fn reads it. fn must therefore take no lock
 // that an inserter holds while it waits for the heap (the engine's e.mu),
 // and must not call back into this heap.
-func (it *Iter) NextPage(fn func(rec []byte) error) (more bool, err error) {
+func (it *Iter) NextPage(fn func(pg Page) error) (more bool, err error) {
 	if it.page >= it.npages {
 		return false, nil
 	}
@@ -278,18 +316,11 @@ func (it *Iter) NextPage(fn func(rec []byte) error) (more bool, err error) {
 		return false, err
 	}
 	data := hd.Data()
-	nslots := binary.LittleEndian.Uint16(data[0:2])
-	for s := it.slot; s < nslots; s++ {
-		slotOff := heapHeaderSize + int(s)*slotSize
-		off := binary.LittleEndian.Uint16(data[slotOff:])
-		if off == deadSlot {
-			continue
-		}
-		length := binary.LittleEndian.Uint16(data[slotOff+2:])
-		if err := fn(data[off : off+length]); err != nil {
-			hd.Unpin()
-			return true, err
-		}
+	nslots := int(binary.LittleEndian.Uint16(data[0:2]))
+	from := min(int(it.slot), nslots)
+	if err := fn(Page{data: data, slots: data[heapHeaderSize+from*slotSize : heapHeaderSize+nslots*slotSize]}); err != nil {
+		hd.Unpin()
+		return true, err
 	}
 	hd.Unpin()
 	it.page++

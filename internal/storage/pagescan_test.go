@@ -8,13 +8,13 @@ import (
 )
 
 // drainPages collects every record seen through NextPage, copying since the
-// callback views alias the pinned page.
+// records a page view returns alias the pinned page.
 func drainPages(t *testing.T, it *Iter) []string {
 	t.Helper()
 	var out []string
 	for {
-		more, err := it.NextPage(func(rec []byte) error {
-			out = append(out, string(rec))
+		more, err := it.NextPage(func(pg Page) error {
+			out = appendLive(out, pg)
 			return nil
 		})
 		if err != nil {
@@ -24,6 +24,16 @@ func drainPages(t *testing.T, it *Iter) []string {
 			return out
 		}
 	}
+}
+
+// appendLive appends a copy of every live record of pg to out.
+func appendLive(out []string, pg Page) []string {
+	for i := range pg.Len() {
+		if rec, live := pg.Record(i); live {
+			out = append(out, string(rec))
+		}
+	}
+	return out
 }
 
 // NextPage must see exactly the records Next sees, in the same order —
@@ -70,6 +80,24 @@ func TestHeapNextPageMatchesNext(t *testing.T) {
 	if fmt.Sprint(gotM) != fmt.Sprint(wantM) {
 		t.Errorf("morsel mismatch: NextPage %d records, Next %d", len(gotM), len(wantM))
 	}
+
+	// Mixed: the page NextPage hands over after two Nexts starts where they
+	// stopped.
+	it := h.Scan()
+	for range 2 {
+		if _, _, ok, err := it.Next(); err != nil || !ok {
+			t.Fatalf("Next = %v, %v", ok, err)
+		}
+	}
+	if rest := drainPages(t, it); fmt.Sprint(rest) != fmt.Sprint(want[2:]) {
+		t.Errorf("NextPage after two Nexts saw %d records, want the %d after them", len(rest), len(want)-2)
+	}
+
+	// A page laid out in memory reads back what it holds.
+	pg := NewPage([][]byte{[]byte("a"), {}, []byte("ccc")})
+	if got := appendLive(nil, pg); pg.Len() != 3 || fmt.Sprint(got) != fmt.Sprint([]string{"a", "", "ccc"}) {
+		t.Errorf("NewPage read back %q", got)
+	}
 }
 
 // An fn error surfaces verbatim and leaves no pin behind (the scan can be
@@ -87,7 +115,7 @@ func TestHeapNextPageCallbackError(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	it := h.Scan()
-	more, err := it.NextPage(func(rec []byte) error { return boom })
+	more, err := it.NextPage(func(Page) error { return boom })
 	if !errors.Is(err, boom) || !more {
 		t.Fatalf("NextPage = (%v, %v), want (true, boom)", more, err)
 	}
@@ -106,7 +134,7 @@ func TestHeapNextPageExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	it := h.Scan()
-	more, err := it.NextPage(func([]byte) error {
+	more, err := it.NextPage(func(Page) error {
 		t.Error("fn called on an empty heap")
 		return nil
 	})
@@ -116,7 +144,7 @@ func TestHeapNextPageExhausted(t *testing.T) {
 }
 
 // A scan reading the heap's last page while an INSERT writes into it must
-// see whole records only: NextPage (callback included) and Next read a page
+// see whole records only: NextPage (its page view included) and Next read a page
 // under the heap's read lock, which Insert's write lock excludes. Under
 // -race an unlocked read of the page is a reported data race.
 func TestHeapScanLastPageWhileInserting(t *testing.T) {
@@ -157,7 +185,17 @@ func TestHeapScanLastPageWhileInserting(t *testing.T) {
 		default:
 		}
 		last := h.NumPages() - 1
-		if _, err := h.ScanRange(last, last+1).NextPage(check); err != nil {
+		checkPage := func(pg Page) error {
+			for i := range pg.Len() {
+				if r, live := pg.Record(i); live {
+					if err := check(r); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}
+		if _, err := h.ScanRange(last, last+1).NextPage(checkPage); err != nil {
 			t.Fatal(err)
 		}
 		it := h.ScanRange(last, last+1)

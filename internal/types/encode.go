@@ -37,9 +37,11 @@ const (
 	kindUniTextKeyed = 0x80 | KindUniText
 	keyedHeader      = 17
 	uniTextHeader    = 3
-	// runesOverflow marks a rune count that does not fit its byte.
-	runesOverflow = 0xFF
 )
+
+// RunesOverflow is the stored rune count of a phoneme whose count does not
+// fit its byte: 255 runes or more.
+const RunesOverflow = 0xFF
 
 // AppendValue appends the binary encoding of v to buf and returns the
 // extended slice.
@@ -152,7 +154,7 @@ func AppendRecord(buf []byte, t Tuple) []byte {
 		k := KeysOf([]byte(v.s), []byte(v.ph))
 		buf = append(buf, byte(kindUniTextKeyed))
 		buf = binary.BigEndian.AppendUint16(buf, uint16(v.lang))
-		buf = append(buf, byte(min(k.Phoneme.Runes, runesOverflow)))
+		buf = append(buf, byte(min(k.Phoneme.Runes, RunesOverflow)))
 		buf = binary.LittleEndian.AppendUint64(buf, k.Phoneme.Sig)
 		buf = binary.LittleEndian.AppendUint32(buf, k.Hash)
 		ascii := byte(0)

@@ -8,10 +8,11 @@ import (
 // Lazy field access over encoded tuples. The executor's fused scan kernels
 // evaluate predicates against raw heap records without materializing a
 // Tuple: a SkipPlan, compiled once per scan from the table's declared column
-// kinds, walks a record to the predicate's column; ReadStored reads a stored
-// UNITEXT value's language and filter keys at fixed offsets, and UniTextViews
-// exposes its payload as byte views that alias the record buffer. Nothing
-// here allocates.
+// kinds, walks a record to the predicate's column (Offset, or Seek where
+// Offset declines); StoredKeys reads a stored UNITEXT value's language and
+// filter keys at fixed offsets, ReadStored the same into the struct the
+// executor's operand keeps, and UniTextViews exposes its payload as byte
+// views that alias the record buffer. Nothing here allocates.
 
 // SkipPlan reaches one column of an encoded tuple. What depends only on the
 // schema is decided when the plan is built — which columns precede the
@@ -22,6 +23,10 @@ import (
 type SkipPlan struct {
 	// before holds the declared kind of every column ahead of the target.
 	before []Kind
+	// ints is how many INT columns Offset steps over: all of before when
+	// every one of them is declared INT, else 0x7F, which no one-byte
+	// column count exceeds, so Offset declines every record.
+	ints int
 }
 
 // NewSkipPlan compiles the walk to column idx of a table whose columns are
@@ -30,7 +35,37 @@ func NewSkipPlan(kinds []Kind, idx int) (SkipPlan, bool) {
 	if idx < 0 || idx >= len(kinds) {
 		return SkipPlan{}, false
 	}
-	return SkipPlan{before: append([]Kind(nil), kinds[:idx]...)}, true
+	p := SkipPlan{before: append([]Kind(nil), kinds[:idx]...), ints: idx}
+	for _, k := range p.before {
+		if k != KindInt {
+			p.ints = 0x7F
+		}
+	}
+	return p, true
+}
+
+// Offset is Seek's fast walk, small enough to inline into the loop that
+// calls it: the offset in rec of the target column's kind byte when rec's
+// column count fits its one byte and covers the target, every column ahead
+// of the target is declared INT and holds an INT, and the target's kind byte
+// is in rec. ok=false for any other record, and for every record of a plan
+// with another kind ahead of the target; Seek walks those, and reports their
+// errors. Where Offset answers, Seek returns rec[off:].
+func (p SkipPlan) Offset(rec []byte) (off int, ok bool) {
+	if len(rec) == 0 || int(int8(rec[0])) <= p.ints {
+		return 0, false
+	}
+	off = 1
+	for range p.ints {
+		if off >= len(rec) || Kind(rec[off]) != KindInt {
+			return 0, false
+		}
+		// A varint ends at its first byte without the continuation bit.
+		for off++; off < len(rec) && rec[off] >= 0x80; off++ {
+		}
+		off++
+	}
+	return off, off < len(rec)
 }
 
 // Seek returns rec from the target column's kind byte on. The slice is not
@@ -171,6 +206,22 @@ func UniTextViews(field []byte) (LangID, []byte, []byte, error) {
 	return lang, text, ph, nil
 }
 
+// StoredKeys reads the fixed part of field (as SkipPlan.Seek returns it) when
+// it is a UNITEXT value the storage encoder wrote: its language and its
+// filter keys as written, so the rune count of a phoneme of 255 runes or more
+// is RunesOverflow. ok=false for any other field, and for one cut short of
+// its keys.
+func StoredKeys(field []byte) (lang LangID, k Keys, ok bool) {
+	if len(field) < keyedHeader || Kind(field[0]) != kindUniTextKeyed {
+		return LangUnknown, Keys{}, false
+	}
+	return LangID(binary.BigEndian.Uint16(field[1:])), Keys{
+		Phoneme: Summary{Runes: int(field[3]), Sig: binary.LittleEndian.Uint64(field[4:])},
+		Hash:    binary.LittleEndian.Uint32(field[12:]),
+		ASCII:   field[16] != 0,
+	}, true
+}
+
 // StoredUniText is a UNITEXT field the storage encoder wrote, read in place
 // by ReadStored: its language and filter keys, read at fixed offsets. Views
 // reads the rest.
@@ -182,24 +233,20 @@ type StoredUniText struct {
 
 // ReadStored reads into s the fixed part of field (as SkipPlan.Seek returns
 // it) when it is a UNITEXT value the storage encoder wrote; ok=false, and s
-// untouched, for any other field. It reads no further than the keys, except
-// when the phoneme's rune count did not fit its byte: then it summarises the
-// phoneme. err is set when the field is cut short of what it reads.
+// untouched, for any other field. It reads no further than the keys
+// (StoredKeys), except when the phoneme's rune count did not fit its byte:
+// then it summarises the phoneme. err is set when the field is cut short of
+// what it reads.
 func ReadStored(field []byte, s *StoredUniText) (ok bool, err error) {
 	if len(field) == 0 || Kind(field[0]) != kindUniTextKeyed {
 		return false, nil
 	}
-	if len(field) < keyedHeader {
+	lang, keys, ok := StoredKeys(field)
+	if !ok {
 		return true, fmt.Errorf("types: unitext keys: short field")
 	}
-	s.Lang = LangID(binary.BigEndian.Uint16(field[1:]))
-	s.Keys = Keys{
-		Phoneme: Summary{Runes: int(field[3]), Sig: binary.LittleEndian.Uint64(field[4:])},
-		Hash:    binary.LittleEndian.Uint32(field[12:]),
-		ASCII:   field[16] != 0,
-	}
-	s.field = field
-	if s.Keys.Phoneme.Runes == runesOverflow {
+	s.Lang, s.Keys, s.field = lang, keys, field
+	if s.Keys.Phoneme.Runes == RunesOverflow {
 		_, ph, err := s.Views()
 		s.Keys.Phoneme = Summarize(ph)
 		return true, err

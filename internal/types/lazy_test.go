@@ -289,9 +289,15 @@ func uniTextViewsRef(field []byte) (lang LangID, text, ph []byte, err error) {
 // is in the record is found, a value wholly in it reads as its decoded bytes
 // — a stored value's keys as the keys of its decoded text and phoneme — one
 // cut short fails, with the message of the walk without the inline steps.
+// The fast walk (Offset) lands where Seek does wherever it answers, and
+// answers wherever INT columns declared INT lead to a column in the record;
+// StoredKeys reads the fixed part ReadStored reads, and declines where
+// ReadStored finds none or fails.
 func FuzzSkipPlanViews(f *testing.F) {
 	for _, stored := range []bool{false, true} {
 		f.Add([]byte{0, 1, 2}, uint64(0xFFFF), stored)
+		f.Add([]byte{6 * 3, 6 * 20, 6*4 + 2, 6*5 + 2}, uint64(0xFFFF), stored)
+		f.Add([]byte{6 * 3, 6*4 + 2, 6 * 20}, uint64(0xFF0F), stored)
 		f.Add([]byte{6*3 + 1, 6*4 + 1, 6*5 + 2, 6*6 + 1}, uint64(0xFFFF), stored)
 		f.Add([]byte{3, 6*4 + 1, 6*26 + 2, 4, 5, 6 * 4}, uint64(0x1F1F), stored)
 		f.Add([]byte{6*28 + 2, 6*35 + 2, 2}, uint64(0x2222), stored)
@@ -345,6 +351,17 @@ func FuzzSkipPlanViews(f *testing.F) {
 				if (err == nil) != (start[i] < cut) {
 					t.Fatalf("cut %d col %d at [%d, %d): Seek err = %v", cut, i, start[i], end[i], err)
 				}
+				off, fast := p.Offset(r)
+				if fast && (err != nil || off != cut-len(field)) {
+					t.Fatalf("cut %d col %d: Offset = %d; Seek = %d bytes from the end, %v", cut, i, off, len(field), err)
+				}
+				ints := true
+				for j := range i {
+					ints = ints && kinds[j] == KindInt && tup[j].Kind() == KindInt
+				}
+				if ints && start[i] < cut && !fast {
+					t.Fatalf("cut %d col %d at [%d, %d): Offset declined INT columns declared INT", cut, i, start[i], end[i])
+				}
 				if err != nil {
 					continue
 				}
@@ -368,9 +385,22 @@ func FuzzSkipPlanViews(f *testing.F) {
 				if keyed != (stored && want.Kind() == KindUniText) {
 					t.Fatalf("cut %d col %d: ReadStored ok = %v for %v from the stored encoder = %v", cut, i, keyed, want, stored)
 				}
+				// StoredKeys reads the keys as stored; ReadStored summarises
+				// the phoneme of an overflowing count.
+				lang, keys, fixed := StoredKeys(field)
+				overflow := keys.Phoneme.Runes == RunesOverflow
+				switch {
+				case fixed != (keyed && len(field) >= 17):
+					t.Fatalf("cut %d col %d: StoredKeys ok = %v; ReadStored ok = %v over %d bytes", cut, i, fixed, keyed, len(field))
+				case fixed && !overflow && (err != nil || st.Lang != lang || st.Keys != keys):
+					t.Fatalf("cut %d col %d: StoredKeys %v %+v; ReadStored %v %+v %v", cut, i, lang, keys, st.Lang, st.Keys, err)
+				case fixed && overflow && err == nil && (st.Lang != lang || st.Keys.Hash != keys.Hash || st.Keys.ASCII != keys.ASCII ||
+					st.Keys.Phoneme.Sig != keys.Phoneme.Sig || st.Keys.Phoneme.Runes < RunesOverflow):
+					t.Fatalf("cut %d col %d: StoredKeys %v %+v; ReadStored of the overflowing count %v %+v", cut, i, lang, keys, st.Lang, st.Keys)
+				}
 				if keyed {
-					// The fixed part is whole from byte 17 on; a count of 0xFF
-					// reads the phoneme, which must be whole too.
+					// The fixed part is fixed from byte 17 on; a count of 0xFF
+					// reads the phoneme, which must be fixed too.
 					u := want.UniText()
 					readsPhoneme := Summarize([]byte(u.Phoneme)).Runes >= 0xFF
 					if ok := err == nil; ok != (len(field) >= 17 && (!readsPhoneme || whole)) {

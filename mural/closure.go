@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
 )
 
@@ -51,19 +52,25 @@ func (e *Engine) ComputeClosureScan(table, idCol, parentCol string, root int64) 
 			return nil, err
 		}
 		res.HeapScans++
-		visit := func(rec []byte) error {
-			tup, _, err := types.DecodeTuple(rec)
-			if err != nil {
-				return err
-			}
-			p := tup[parIdx]
-			if p.IsNull() || !frontier[p.Int()] {
-				return nil
-			}
-			id := tup[idIdx].Int()
-			if !closure[id] {
-				closure[id] = true
-				next[id] = true
+		visit := func(pg storage.Page) error {
+			for i := range pg.Len() { //lint:gov-exempt a closure BFS runs outside any statement, with no query resources to check
+				rec, live := pg.Record(i)
+				if !live {
+					continue
+				}
+				tup, _, err := types.DecodeTuple(rec)
+				if err != nil {
+					return err
+				}
+				p := tup[parIdx]
+				if p.IsNull() || !frontier[p.Int()] {
+					continue
+				}
+				id := tup[idIdx].Int()
+				if !closure[id] {
+					closure[id] = true
+					next[id] = true
+				}
 			}
 			return nil
 		}

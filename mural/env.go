@@ -28,8 +28,8 @@ type recordScan struct {
 	it *storage.Iter
 }
 
-// NextPage implements exec.RecordScan.
-func (r *recordScan) NextPage(fn func(rec []byte) error) (bool, error) {
+// NextPage implements exec.RecordScan: the heap page, passed through.
+func (r *recordScan) NextPage(fn func(pg storage.Page) error) (bool, error) {
 	return r.it.NextPage(fn)
 }
 
