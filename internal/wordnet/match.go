@@ -18,12 +18,14 @@ import (
 // A probe keeps the constant's synsets and tests a row by filter, then
 // verify. The filter, when the probe has one, is a Bloom filter per language
 // over the types.CaseHash of every word form the probe can accept, read off
-// the net's pre-order hashes: a row in a language without a filter, or ASCII
-// text whose bits are not set, is rejected (Passes, on the row's hash, which
-// its caller supplies). Anything else is verified exactly (Verify): one
-// lookup of the row's word in the net's table of forms, keyed by that same
-// hash, and an interval compare per synset pair. The filter has no false
-// negatives on ASCII text, so the probe is exact.
+// the net's pre-order hashes, at 32 bits a synset and three bits a hash in
+// one 64-bit word (bloom), so that few rows pass it without matching: a row
+// in a language without a filter, or ASCII text whose bits are not set, is
+// rejected (Passes, on the row's hash, which its caller supplies). Anything
+// else is verified exactly (Verify): one lookup of the row's word in the
+// net's table of forms, keyed by that same hash, and an interval compare per
+// synset pair. The filter has no false negatives on ASCII text, so the probe
+// is exact.
 type Probe struct {
 	net   *Net
 	langs []types.LangID // the IN list, which an unfiltered probe applies to the row
@@ -40,7 +42,7 @@ type Probe struct {
 
 // bitsPerSynset sizes a filter: bits per (synset, language) before rounding
 // up to a power of two.
-const bitsPerSynset = 16
+const bitsPerSynset = 32
 
 // CompileRight compiles Ω(·, rhs), a probe of the left operand. It filters on
 // TC(rhs)'s word forms in the admitted languages when the filters' size,
@@ -168,33 +170,34 @@ func (p *Probe) MemBytes() int64 {
 	return n
 }
 
-// bloom is a Bloom filter of types.CaseHash values that sets two bits per
-// value: the top bits of the hash and of the hash times an odd constant pick
-// them.
+// bloom is a Bloom filter of types.CaseHash values that sets three bits per
+// value in one 64-bit word: the hash's top bits pick the word, and three
+// 6-bit fields of the hash times an odd constant pick the bits in it. A test
+// is then one load and one mask compare.
 type bloom struct {
 	words []uint64 // a power of two of them
-	shift uint32   // 32 − log2 of the filter's bits
+	shift uint32   // 32 − log2 of the number of words
 }
 
 // newBloom returns an empty filter of words 64-bit words, a power of two.
 func newBloom(words int) bloom {
-	return bloom{words: make([]uint64, words), shift: uint32(33 - bits.Len(uint(words*64)))}
+	return bloom{words: make([]uint64, words), shift: uint32(33 - bits.Len(uint(words)))}
 }
 
-// pos returns the two bits h sets.
-func (f bloom) pos(h uint32) (i, j uint32) {
-	return h >> f.shift, (h * 0x9E3779B1) >> f.shift
+// pos returns the word h sets bits in and the mask of those bits.
+func (f bloom) pos(h uint32) (w uint32, m uint64) {
+	g := h * 0x9E3779B1
+	return h >> f.shift, 1<<(g>>26) | 1<<(g>>20&63) | 1<<(g>>14&63)
 }
 
 func (f bloom) add(h uint32) {
-	i, j := f.pos(h)
-	f.words[i>>6] |= 1 << (i & 63)
-	f.words[j>>6] |= 1 << (j & 63)
+	w, m := f.pos(h)
+	f.words[w] |= m
 }
 
 func (f bloom) has(h uint32) bool {
-	i, j := f.pos(h)
-	return f.words[i>>6]&(1<<(i&63)) != 0 && f.words[j>>6]&(1<<(j&63)) != 0
+	w, m := f.pos(h)
+	return f.words[w]&m == m
 }
 
 // folded reports whether strings.ToLower leaves b unchanged. It runs on every

@@ -1,6 +1,7 @@
 package wordnet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -226,8 +227,8 @@ func TestOmegaNonASCIIStoredHash(t *testing.T) {
 
 // The filters exist exactly when closure size × admitted languages is within
 // maxWords; each holds every word form of TC(rhs) in its language, sized at
-// 16 bits a synset rounded up to a power of two, and a language the IN list
-// does not admit has none.
+// 32 bits a synset rounded up to a power of two of 64-bit words, and a
+// language the IN list does not admit has none.
 func TestCompileRightForms(t *testing.T) {
 	net := smallNet(t)
 	history := types.Compose("History", types.LangEnglish)
@@ -240,7 +241,7 @@ func TestCompileRightForms(t *testing.T) {
 	}
 	for _, lang := range in {
 		f := p.filters[lang]
-		if bits := len(f.words) * 64; bits < bitsPerSynset*size || bits >= 2*bitsPerSynset*size || bits&(bits-1) != 0 {
+		if bits := len(f.words) * 64; bits < 32*size || bits > 64 && bits >= 64*size || bits&(bits-1) != 0 {
 			t.Errorf("%s filter has %d bits for %d synsets", lang, bits, size)
 		}
 		for _, id := range net.ix.Closure(root) {
@@ -341,19 +342,47 @@ func passShare(t testing.TB, tc int) (pass, match float64) {
 	return float64(passed) / float64(len(rows)), float64(matched) / float64(len(rows))
 }
 
-// The filters pass every true match and few other rows: at most 3 % of the
-// rows at |TC| = 10², 5 % at 10³.
+// The filters pass every true match and few other rows: at most 0.5 % of the
+// rows pass without matching at |TC| = 10², 10³ and 10⁴, so Verify runs
+// almost only on true matches.
 func TestProbeFilterPassShare(t *testing.T) {
-	for _, c := range []struct {
-		tc    int
-		bound float64
-	}{{100, 0.03}, {1000, 0.05}} {
-		pass, match := passShare(t, c.tc)
-		t.Logf("|TC| = %d: %.2f %% of the rows pass, %.2f %% match", c.tc, 100*pass, 100*match)
-		if pass > c.bound {
-			t.Errorf("|TC| = %d: %.2f %% of the rows pass the filter, over %.0f %%", c.tc, 100*pass, 100*c.bound)
+	const bound = 0.005
+	for _, tc := range tcSizes {
+		pass, match := passShare(t, tc)
+		t.Logf("|TC| = %d: %.2f %% of the rows pass, %.2f %% match", tc, 100*pass, 100*match)
+		if pass-match > bound {
+			t.Errorf("|TC| = %d: %.2f %% of the rows pass the filter without matching, over %.1f %%", tc, 100*(pass-match), 100*bound)
 		}
 	}
+}
+
+// Every hash added to a filter passes it, at every size from one word to 2¹²
+// words: the filter has no false negatives.
+func FuzzBloom(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	seed := func(logWords, n int) {
+		b := make([]byte, 4*n)
+		rng.Read(b)
+		f.Add(uint8(logWords), b)
+	}
+	seed(0, 3) // one word, whose three hashes leave most of its bits clear
+	for k := 0; k <= 12; k++ {
+		seed(k, 1<<k)
+		seed(k, 3<<k)
+	}
+	f.Fuzz(func(t *testing.T, logWords uint8, raw []byte) {
+		b := newBloom(1 << (logWords % 13))
+		hashes := make([]uint32, len(raw)/4)
+		for i := range hashes {
+			hashes[i] = binary.LittleEndian.Uint32(raw[4*i:])
+			b.add(hashes[i])
+		}
+		for _, h := range hashes {
+			if !b.has(h) {
+				t.Fatalf("%#x was added to a filter of %d words, yet does not pass it", h, len(b.words))
+			}
+		}
+	})
 }
 
 var tcSizes = []int{100, 1000, 10000}
