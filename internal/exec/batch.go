@@ -447,7 +447,7 @@ func (s *scanIter) NextBatch() (*Batch, error) {
 	// One closure per batch, not per page: the reject path must not allocate.
 	scanPage := func(pg storage.Page) error {
 		for i := range pg.Len() {
-			rec, live := pg.Record(i)
+			keys, live := pg.Keys(i)
 			if !live {
 				continue
 			}
@@ -459,7 +459,7 @@ func (s *scanIter) NextBatch() (*Batch, error) {
 			}
 			scanned++
 			if s.kern != nil {
-				ok, err := s.kern.matchRec(rec)
+				ok, err := s.kern.matchSlot(&pg, i, keys)
 				if err != nil {
 					return err
 				}
@@ -467,6 +467,7 @@ func (s *scanIter) NextBatch() (*Batch, error) {
 					continue
 				}
 			}
+			rec, _ := pg.Record(i)
 			t, _, err := types.DecodeTuple(rec)
 			if err != nil {
 				return err

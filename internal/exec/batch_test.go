@@ -571,7 +571,7 @@ func TestFusedPsiScanSteadyStateAllocs(t *testing.T) {
 	striped := map[int]float64{}
 	for _, pages := range []int{4, 15} {
 		env := newMockEnv()
-		env.pageRows = 256
+		env.pageRows = 192
 		mkUniTable(env, "t", pages*env.pageRows)
 		env.pagesFor("t")
 		gather := &plan.Node{Op: plan.OpGather, Children: []*plan.Node{{Op: plan.OpFilter, Children: []*plan.Node{scanNode("t", cols)},

@@ -84,6 +84,7 @@ func TestCancelDuringParallelPsiScan(t *testing.T) {
 func TestTimeoutSurfacesTypedError(t *testing.T) {
 	env := newMockEnv()
 	mkUniTable(env, "t", 8192)
+	env.pagesFor("t") // lay the mock heap out before the deadline starts, as a real heap is
 	node := psiFilterScan("t", false)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)

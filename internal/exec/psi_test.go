@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -314,8 +313,8 @@ func omegaRef(net *wordnet.Net, l, r types.Value, langs []types.LangID) (match, 
 }
 
 // FuzzPsiOmegaAgree checks the compiled Ψ and Ω predicates on both of their
-// readers — the fused kernel's, over a record (types.EncodeRecord) whose keys
-// and views it reads in place, and the generic filter's, over the decoded
+// readers — the fused kernel's, over a row laid out as a heap keeps it, whose
+// slot keys and record views it reads in place, and the generic filter's, over the decoded
 // Value (constPred.eval) — against the references, for one column value and
 // one constant of any kind, language, IN list and order, Ψ at any threshold,
 // Ω compiled with and without its filters.
@@ -418,35 +417,29 @@ func FuzzPsiOmegaAgree(f *testing.F) {
 			}
 			ev.stats.PsiEvaluations, ev.stats.OmegaProbes = 0, 0
 		}
-		kern := ev.fusedKernel(p, []plan.ColInfo{{Kind: col.Kind()}})
-		got, err := kern.matchRec(types.EncodeRecord(types.Tuple{col}))
+		cols := []plan.ColInfo{{Kind: col.Kind()}}
+		got, err := matchRow(ev.fusedKernel(p, cols), cols, types.Tuple{col})
 		check("record", got, err)
 		got, err = p.eval(ev, types.Tuple{col})
 		check("value", got, err)
 	})
 }
 
-// The fused kernel and the hoisted join read a UNITEXT value's filter keys
-// off its record; a value without them — the wire encoding's — is an error,
-// not an operand with an empty text.
-func TestRecordReadersRefuseUnkeyedUniText(t *testing.T) {
-	v := u("nehru", types.LangEnglish)
-	rec := types.EncodeTuple(types.Tuple{v})
-	ev := &evaluator{env: newMockEnv(), stats: &RunStats{}, preds: &stmtPreds{}}
-	x := &plan.Psi{L: &plan.ColIdx{Idx: 0}, R: &plan.Const{Val: v}, Threshold: 1}
-	c, _ := ev.bindConst(x, x.L, x.R, 0)
-	if _, err := ev.fusedKernel(c.(*constPred), []plan.ColInfo{{Kind: types.KindUniText}}).matchRec(rec); !errors.Is(err, errUnkeyed) {
-		t.Errorf("kernel: %v, want errUnkeyed", err)
+// matchRow runs kernel k on row as the one row of a page laid out as a heap
+// of a table with columns cols lays it out: its record, and its slot keys.
+func matchRow(k *predKernel, cols []plan.ColInfo, row types.Tuple) (bool, error) {
+	var b recordBuf
+	b.keyed, b.keyBytes = types.KeyedColumn(schemaKinds(cols))
+	if err := b.addTuple(row); err != nil {
+		return false, err
 	}
-	var op operand
-	if err := op.read(rec[1:]); !errors.Is(err, errUnkeyed) {
-		t.Errorf("operand.read: %v, want errUnkeyed", err)
-	}
+	keys, _ := b.pages[0].Keys(0)
+	return k.matchSlot(&b.pages[0], 0, keys)
 }
 
 // A stored phoneme's rune count is exact — the length filter and Myers'
-// early exit both rely on it — including past the 254 runes its byte holds,
-// where the reader summarises the phoneme: 300-rune phonemes against a
+// early exit both rely on it — and past the 254 runes its byte holds the
+// readers match the phoneme whole: 300-rune phonemes against a
 // 300-rune pattern at k = 1, through the fused kernel and the hoisted join,
 // agree with phonetic.EditDistance.
 func TestPsiStoredLongPhoneme(t *testing.T) {
@@ -487,7 +480,7 @@ func TestPsiStoredLongPhoneme(t *testing.T) {
 	c, _ := ev.bindConst(x, x.L, x.R, 0)
 	kern := ev.fusedKernel(c.(*constPred), col)
 	for i, row := range rows {
-		got, err := kern.matchRec(types.EncodeRecord(row))
+		got, err := matchRow(kern, col, row)
 		if wantMatch := phonetic.EditDistance(pattern, cands[i]) <= 1; err != nil || got != wantMatch {
 			t.Errorf("kernel: candidate %d (%d runes): match %v, %v; EditDistance says %v", i, len([]rune(cands[i])), got, err, wantMatch)
 		}

@@ -186,16 +186,16 @@ func FuzzEditDistanceAgree(f *testing.F) {
 		if got := m.MatchSummary([]byte(b), types.Summarize([]byte(b))); got != (want <= k) {
 			t.Fatalf("NewBoundedMatcher(%q,%d).MatchSummary(%q) = %v, reference distance %d", a, k, b, got, want)
 		}
-		// And over the summary a stored value keeps (types.EncodeRecord), read
-		// back as a scan reads it: its rune count is exact, or the reader
-		// summarises, since the length filter and Myers' early exit rely on it.
-		rec := types.EncodeRecord(types.Tuple{types.NewUniText(types.UniText{Text: "x", Phoneme: b})})
-		var st types.StoredUniText
-		if keyed, err := types.ReadStored(rec[1:], &st); !keyed || err != nil {
-			t.Fatalf("ReadStored(EncodeRecord(%q)) = %v, %v", b, keyed, err)
+		// And over the summary a heap slot keeps (types.AppendSlotKeys), read
+		// back as a scan reads it: its rune count is exact, since the length
+		// filter and Myers' early exit rely on it, or it overflowed its byte
+		// and the scan matches the phoneme whole (MatchBytes, above).
+		_, st, keyed := types.SlotKeys(types.AppendSlotKeys(nil, types.Tuple{types.NewUniText(types.UniText{Text: "x", Phoneme: b})}, 0))
+		if !keyed {
+			t.Fatalf("no slot keys for %q", b)
 		}
-		if _, ph, err := st.Views(); err != nil || m.MatchSummary(ph, st.Keys.Phoneme) != (want <= k) {
-			t.Fatalf("NewBoundedMatcher(%q,%d).MatchSummary over the stored summary of %q = %v, %v; reference distance %d", a, k, b, !(want <= k), err, want)
+		if st.Phoneme.Runes != types.RunesOverflow && m.MatchSummary([]byte(b), st.Phoneme) != (want <= k) {
+			t.Fatalf("NewBoundedMatcher(%q,%d).MatchSummary over the stored summary of %q = %v; reference distance %d", a, k, b, !(want <= k), want)
 		}
 		// And the banded DP must agree with Myers on inputs where both
 		// apply, regardless of which one the entry point picked.

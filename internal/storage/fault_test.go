@@ -107,11 +107,11 @@ func TestHeapSurfacesFaults(t *testing.T) {
 	fd := &faultDisk{inner: NewMemDisk()}
 	pool := NewPool(2)
 	pool.AttachDisk(1, fd)
-	h, err := OpenHeap(pool, 1)
+	h, err := OpenHeap(pool, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := h.Insert([]byte("row"))
+	rid, err := h.Insert([]byte("row"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestHeapInsertWriteFaultKeepsCountersConsistent(t *testing.T) {
 	fd := &faultDisk{inner: NewMemDisk()}
 	pool := NewPool(2)
 	pool.AttachDisk(1, fd)
-	h, err := OpenHeap(pool, 1)
+	h, err := OpenHeap(pool, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestHeapInsertWriteFaultKeepsCountersConsistent(t *testing.T) {
 	var rids []RID
 	for i := 0; i < 8; i++ {
 		rec[0] = byte(i)
-		rid, err := h.Insert(rec)
+		rid, err := h.Insert(rec, nil)
 		if err != nil {
 			t.Fatalf("warm-up insert %d: %v", i, err)
 		}
@@ -165,7 +165,7 @@ func TestHeapInsertWriteFaultKeepsCountersConsistent(t *testing.T) {
 	var failures int
 	for i := 0; i < 8; i++ {
 		rec[0] = byte(100 + i)
-		if _, err := h.Insert(rec); err != nil {
+		if _, err := h.Insert(rec, nil); err != nil {
 			if !errors.Is(err, errInjected) {
 				t.Fatalf("insert error does not surface injected fault: %v", err)
 			}
@@ -190,7 +190,7 @@ func TestHeapInsertWriteFaultKeepsCountersConsistent(t *testing.T) {
 			t.Fatalf("acknowledged row %d corrupted", i)
 		}
 	}
-	if _, err := h.Insert(rec); err != nil {
+	if _, err := h.Insert(rec, nil); err != nil {
 		t.Errorf("heap not usable after fault cleared: %v", err)
 	}
 }
@@ -201,11 +201,11 @@ func TestHeapDeleteReadFault(t *testing.T) {
 	fd := &faultDisk{inner: NewMemDisk()}
 	pool := NewPool(2)
 	pool.AttachDisk(1, fd)
-	h, err := OpenHeap(pool, 1)
+	h, err := OpenHeap(pool, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := h.Insert([]byte("keep me"))
+	rid, err := h.Insert([]byte("keep me"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,14 +40,14 @@ func appendLive(out []string, pg Page) []string {
 // including skipping deleted slots and respecting ScanRange bounds.
 func TestHeapNextPageMatchesNext(t *testing.T) {
 	pool, file := newTestPool(t, 16)
-	h, err := OpenHeap(pool, file)
+	h, err := OpenHeap(pool, file, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 300
 	var rids []RID
 	for i := 0; i < n; i++ {
-		rid, err := h.Insert([]byte(fmt.Sprintf("rec-%04d-%s", i, string(make([]byte, 120)))))
+		rid, err := h.Insert([]byte(fmt.Sprintf("rec-%04d-%s", i, string(make([]byte, 120)))), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,9 +94,21 @@ func TestHeapNextPageMatchesNext(t *testing.T) {
 	}
 
 	// A page laid out in memory reads back what it holds.
-	pg := NewPage([][]byte{[]byte("a"), {}, []byte("ccc")})
+	pg := NewPage(0)
+	for _, rec := range []string{"a", "", "ccc"} {
+		if !pg.Add([]byte(rec), nil) {
+			t.Fatalf("Add(%q) to a page of %d records refused", rec, pg.Len())
+		}
+	}
 	if got := appendLive(nil, pg); pg.Len() != 3 || fmt.Sprint(got) != fmt.Sprint([]string{"a", "", "ccc"}) {
 		t.Errorf("NewPage read back %q", got)
+	}
+	// A record that would overflow a heap page beside them is refused; an
+	// empty page takes it.
+	if big := make([]byte, MaxRecordSize(0)); pg.Add(big, nil) || pg.Len() != 3 {
+		t.Errorf("a full-page record added beside %d others", pg.Len())
+	} else if one := NewPage(0); !one.Add(big, nil) {
+		t.Error("an empty page refused a record of the heap's limit")
 	}
 }
 
@@ -104,12 +116,12 @@ func TestHeapNextPageMatchesNext(t *testing.T) {
 // abandoned safely).
 func TestHeapNextPageCallbackError(t *testing.T) {
 	pool, file := newTestPool(t, 8)
-	h, err := OpenHeap(pool, file)
+	h, err := OpenHeap(pool, file, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := h.Insert([]byte(fmt.Sprintf("r%d", i))); err != nil {
+		if _, err := h.Insert([]byte(fmt.Sprintf("r%d", i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,7 +141,7 @@ func TestHeapNextPageCallbackError(t *testing.T) {
 // fn.
 func TestHeapNextPageExhausted(t *testing.T) {
 	pool, file := newTestPool(t, 8)
-	h, err := OpenHeap(pool, file)
+	h, err := OpenHeap(pool, file, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,12 +161,12 @@ func TestHeapNextPageExhausted(t *testing.T) {
 // -race an unlocked read of the page is a reported data race.
 func TestHeapScanLastPageWhileInserting(t *testing.T) {
 	pool, file := newTestPool(t, 8)
-	h, err := OpenHeap(pool, file)
+	h, err := OpenHeap(pool, file, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := func(i int) []byte { return []byte(fmt.Sprintf("rec-%05d", i)) }
-	if _, err := h.Insert(rec(0)); err != nil {
+	if _, err := h.Insert(rec(0), nil); err != nil {
 		t.Fatal(err)
 	}
 	const inserts = 300 // about 4 KiB: the writes stay on page 0
@@ -165,7 +177,7 @@ func TestHeapScanLastPageWhileInserting(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for i := 1; i < inserts; i++ {
-			if _, err := h.Insert(rec(i)); err != nil {
+			if _, err := h.Insert(rec(i), nil); err != nil {
 				t.Error(err)
 				return
 			}

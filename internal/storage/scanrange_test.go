@@ -25,14 +25,14 @@ func drainRange(t *testing.T, it *Iter) []string {
 // exactly-once guarantee a morsel-parallel table scan rests on.
 func TestHeapScanRangePartitionsCoverFullScan(t *testing.T) {
 	pool, file := newTestPool(t, 16)
-	h, err := OpenHeap(pool, file)
+	h, err := OpenHeap(pool, file, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 500
 	for i := 0; i < n; i++ {
 		rec := fmt.Sprintf("rec-%04d-%s", i, string(make([]byte, 48)))
-		if _, err := h.Insert([]byte(rec)); err != nil {
+		if _, err := h.Insert([]byte(rec), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,12 +62,12 @@ func TestHeapScanRangePartitionsCoverFullScan(t *testing.T) {
 // stale page count stays safe.
 func TestHeapScanRangeClampsBounds(t *testing.T) {
 	pool, file := newTestPool(t, 8)
-	h, err := OpenHeap(pool, file)
+	h, err := OpenHeap(pool, file, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := h.Insert([]byte(fmt.Sprintf("r%d", i))); err != nil {
+		if _, err := h.Insert([]byte(fmt.Sprintf("r%d", i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,13 +86,13 @@ func TestHeapScanRangeClampsBounds(t *testing.T) {
 // ScanRange skips records deleted before the scan started.
 func TestHeapScanRangeSkipsDeleted(t *testing.T) {
 	pool, file := newTestPool(t, 8)
-	h, err := OpenHeap(pool, file)
+	h, err := OpenHeap(pool, file, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rids []RID
 	for i := 0; i < 6; i++ {
-		rid, err := h.Insert([]byte(fmt.Sprintf("r%d", i)))
+		rid, err := h.Insert([]byte(fmt.Sprintf("r%d", i)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -202,11 +202,11 @@ func TestPoolUnattachedFile(t *testing.T) {
 
 func TestHeapInsertGet(t *testing.T) {
 	pool, file := newTestPool(t, 8)
-	h, err := OpenHeap(pool, file)
+	h, err := OpenHeap(pool, file, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := h.Insert([]byte("record one"))
+	rid, err := h.Insert([]byte("record one"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,25 +224,25 @@ func TestHeapInsertGet(t *testing.T) {
 
 func TestHeapRejectOversizeRecord(t *testing.T) {
 	pool, file := newTestPool(t, 8)
-	h, err := OpenHeap(pool, file)
+	h, err := OpenHeap(pool, file, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Insert(make([]byte, MaxRecordSize+1)); err == nil {
+	if _, err := h.Insert(make([]byte, MaxRecordSize(0)+1), nil); err == nil {
 		t.Error("oversize record must be rejected")
 	}
-	if _, err := h.Insert(make([]byte, MaxRecordSize)); err != nil {
+	if _, err := h.Insert(make([]byte, MaxRecordSize(0)), nil); err != nil {
 		t.Errorf("max-size record must fit: %v", err)
 	}
 }
 
 func TestHeapDelete(t *testing.T) {
 	pool, file := newTestPool(t, 8)
-	h, err := OpenHeap(pool, file)
+	h, err := OpenHeap(pool, file, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := h.Insert([]byte("doomed"))
+	rid, err := h.Insert([]byte("doomed"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestHeapDelete(t *testing.T) {
 
 func TestHeapMultiPageScan(t *testing.T) {
 	pool, file := newTestPool(t, 16)
-	h, err := OpenHeap(pool, file)
+	h, err := OpenHeap(pool, file, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestHeapMultiPageScan(t *testing.T) {
 	want := make(map[string]bool, n)
 	for i := 0; i < n; i++ {
 		rec := fmt.Sprintf("record-%05d-%s", i, string(make([]byte, 64)))
-		if _, err := h.Insert([]byte(rec)); err != nil {
+		if _, err := h.Insert([]byte(rec), nil); err != nil {
 			t.Fatal(err)
 		}
 		want[rec] = true
@@ -312,13 +312,13 @@ func TestHeapReopen(t *testing.T) {
 	}
 	pool := NewPool(8)
 	pool.AttachDisk(3, disk)
-	h, err := OpenHeap(pool, 3)
+	h, err := OpenHeap(pool, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rids []RID
 	for i := 0; i < 100; i++ {
-		rid, err := h.Insert([]byte(fmt.Sprintf("persist-%d", i)))
+		rid, err := h.Insert([]byte(fmt.Sprintf("persist-%d", i)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func TestHeapReopen(t *testing.T) {
 	defer disk2.Close()
 	pool2 := NewPool(8)
 	pool2.AttachDisk(3, disk2)
-	h2, err := OpenHeap(pool2, 3)
+	h2, err := OpenHeap(pool2, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,11 +359,11 @@ func TestHeapReopen(t *testing.T) {
 
 func TestHeapGetErrors(t *testing.T) {
 	pool, file := newTestPool(t, 4)
-	h, err := OpenHeap(pool, file)
+	h, err := OpenHeap(pool, file, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, _ := h.Insert([]byte("x"))
+	rid, _ := h.Insert([]byte("x"), nil)
 	if _, err := h.Get(RID{Page: rid.Page, Slot: 99}); err == nil {
 		t.Error("bad slot must fail")
 	}
@@ -379,7 +379,7 @@ func TestHeapGetErrors(t *testing.T) {
 // map and checks the heap agrees with the model after every batch.
 func TestHeapPropertyRandomOps(t *testing.T) {
 	pool, file := newTestPool(t, 32)
-	h, err := OpenHeap(pool, file)
+	h, err := OpenHeap(pool, file, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestHeapPropertyRandomOps(t *testing.T) {
 	for step := 0; step < 3000; step++ {
 		if len(live) == 0 || rng.Intn(3) != 0 {
 			rec := fmt.Sprintf("v%d-%d", step, rng.Int63())
-			rid, err := h.Insert([]byte(rec))
+			rid, err := h.Insert([]byte(rec), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -452,7 +452,7 @@ func TestChecksumHelpersProperty(t *testing.T) {
 func BenchmarkHeapInsert(b *testing.B) {
 	pool := NewPool(64)
 	pool.AttachDisk(1, NewMemDisk())
-	h, err := OpenHeap(pool, 1)
+	h, err := OpenHeap(pool, 1, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func BenchmarkHeapInsert(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.Insert(rec); err != nil {
+		if _, err := h.Insert(rec, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -469,13 +469,13 @@ func BenchmarkHeapInsert(b *testing.B) {
 func BenchmarkHeapScan(b *testing.B) {
 	pool := NewPool(256)
 	pool.AttachDisk(1, NewMemDisk())
-	h, err := OpenHeap(pool, 1)
+	h, err := OpenHeap(pool, 1, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rec := make([]byte, 100)
 	for i := 0; i < 10000; i++ {
-		if _, err := h.Insert(rec); err != nil {
+		if _, err := h.Insert(rec, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,37 +11,16 @@ import (
 //	byte  kind
 //	...   payload (kind-specific)
 //
-// Variable-length payloads (TEXT, UNITEXT) are length-prefixed with uvarint.
-// There are two encoders and one decoder. EncodeTuple is the wire protocol's
-// (and the executor's hash keys'): a UNITEXT value is its language, text and
-// phoneme. EncodeRecord is the storage layer's — heap records, the hoisted
-// join's record buffer — and writes a UNITEXT value under a kind byte only
-// this package knows, with the value's filter keys (keys.go) between its
-// language and its text:
-//
-//	byte  kindUniTextKeyed
-//	u16   language, big-endian
-//	u8    the phoneme's rune count; 0xFF when it is 255 or more
-//	u64   the phoneme's rune-set signature, little-endian
-//	u32   the text's CaseHash, little-endian
-//	u8    1 when the text is ASCII
-//	...   text and phoneme, length-prefixed
-//
-// DecodeValue, DecodeTuple and the lazy readers (lazy.go) read both forms.
-// Index keys have their own order-preserving encoding (keyenc.go).
+// Variable-length payloads (TEXT, UNITEXT) are length-prefixed with uvarint;
+// a UNITEXT value is its language (u16, big-endian), text and phoneme. One
+// encoder serves the wire protocol, the executor's hash keys and the heap's
+// records: a record holds no filter keys, which the heap keeps in the row's
+// slot (slot keys, keys.go). DecodeValue, DecodeTuple and the lazy readers
+// (lazy.go) read it. Index keys have their own order-preserving encoding
+// (keyenc.go).
 
-// kindUniTextKeyed is the storage encoder's kind byte of a UNITEXT value;
-// keyedHeader is the width of such a value's kind byte, language and keys,
-// uniTextHeader of the wire form's kind byte and language.
-const (
-	kindUniTextKeyed = 0x80 | KindUniText
-	keyedHeader      = 17
-	uniTextHeader    = 3
-)
-
-// RunesOverflow is the stored rune count of a phoneme whose count does not
-// fit its byte: 255 runes or more.
-const RunesOverflow = 0xFF
+// uniTextHeader is the width of a UNITEXT value's kind byte and language.
+const uniTextHeader = 3
 
 // AppendValue appends the binary encoding of v to buf and returns the
 // extended slice.
@@ -105,8 +84,8 @@ func DecodeValue(buf []byte) (Value, int, error) {
 			return Value{}, 0, fmt.Errorf("types: decode text: %w", err)
 		}
 		return NewText(s), n + sz, nil
-	case KindUniText, kindUniTextKeyed:
-		n = headerWidth(kind)
+	case KindUniText:
+		n = uniTextHeader
 		if len(buf) < n {
 			return Value{}, 0, fmt.Errorf("types: decode unitext: short buffer")
 		}
@@ -137,44 +116,6 @@ func AppendTuple(buf []byte, t Tuple) []byte {
 		buf = AppendValue(buf, v)
 	}
 	return buf
-}
-
-// EncodeRecord serializes a tuple as the storage layer keeps it: as
-// EncodeTuple does, except that each UNITEXT value carries its filter keys.
-func EncodeRecord(t Tuple) []byte { return AppendRecord(nil, t) }
-
-// AppendRecord appends the storage serialization of t to buf.
-func AppendRecord(buf []byte, t Tuple) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(t)))
-	for _, v := range t {
-		if v.kind != KindUniText {
-			buf = AppendValue(buf, v)
-			continue
-		}
-		k := KeysOf([]byte(v.s), []byte(v.ph))
-		buf = append(buf, byte(kindUniTextKeyed))
-		buf = binary.BigEndian.AppendUint16(buf, uint16(v.lang))
-		buf = append(buf, byte(min(k.Phoneme.Runes, RunesOverflow)))
-		buf = binary.LittleEndian.AppendUint64(buf, k.Phoneme.Sig)
-		buf = binary.LittleEndian.AppendUint32(buf, k.Hash)
-		ascii := byte(0)
-		if k.ASCII {
-			ascii = 1
-		}
-		buf = append(buf, ascii)
-		buf = appendString(buf, v.s)
-		buf = appendString(buf, v.ph)
-	}
-	return buf
-}
-
-// headerWidth is the width of a UNITEXT value's fixed part in the form kind
-// names.
-func headerWidth(kind Kind) int {
-	if kind == kindUniTextKeyed {
-		return keyedHeader
-	}
-	return uniTextHeader
 }
 
 // DecodeTuple decodes a tuple, returning it and the number of bytes consumed.

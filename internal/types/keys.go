@@ -6,16 +6,17 @@ import (
 )
 
 // Filter keys. Ψ and Ω each reject most pairs on a key far cheaper than the
-// operator itself: Ψ on its phoneme's Summary, Ω on its text's CaseHash. The
-// storage encoder (EncodeRecord) keeps both beside every UNITEXT value it
-// writes, computed once at insert as the phoneme is, so they are on-disk
-// format: this file is their one definition, and a change to what any of them
-// returns for any input must bump RecordFormat.
+// operator itself: Ψ on its phoneme's Summary, Ω on its text's CaseHash. A
+// heap slot keeps both for the value of its table's keyed column
+// (KeyedColumn), computed once at insert as the phoneme is (AppendSlotKeys),
+// so they are on-disk format: this file is their one definition, and a change
+// to what any of them returns for any input, or to the slot keys' layout,
+// must bump RecordFormat.
 
-// RecordFormat numbers the on-disk format: the record encoding and the
-// filter keys it stores. The catalog image records it, and a data directory
-// written under any other number is refused.
-const RecordFormat = 1
+// RecordFormat numbers the on-disk format: the record encoding, the filter
+// keys and their layout in a heap slot. The catalog image records it, and a
+// data directory written under any other number is refused.
+const RecordFormat = 2
 
 // Summary is what Ψ's prefilter reads of a phoneme: its length in runes and
 // its rune-set signature, one bit per rune (Fibonacci hashing to 6 bits).
@@ -92,4 +93,78 @@ type Keys struct {
 func KeysOf(text, ph []byte) Keys {
 	h, ascii := CaseHash(text)
 	return Keys{Phoneme: Summarize(ph), Hash: h, ASCII: ascii}
+}
+
+// Slot keys. A table whose columns include a UNITEXT one keeps the filter
+// keys of its first UNITEXT column's value in each row's heap slot, beside
+// the record's offset and length, so that a scan tests them without reading
+// the record. They are SlotKeyBytes wide:
+//
+//	[0:8)   the phoneme's rune-set signature, little-endian
+//	[8:12)  the text's CaseHash, little-endian
+//	[12]    the phoneme's rune count; RunesOverflow when it is 255 or more
+//	[13]    the language in the low seven bits, 0x80 when the text is ASCII;
+//	        noSlotKeys when the value has no keys here: it is not UNITEXT
+//	        (NULL), or its language does not fit seven bits
+//
+// The record holds the value in EncodeTuple's form whatever its slot holds.
+const (
+	SlotKeyBytes = 14
+	noSlotKeys   = 0x7F
+)
+
+// RunesOverflow is the stored rune count of a phoneme whose count does not
+// fit its byte: 255 runes or more.
+const RunesOverflow = 0xFF
+
+// KeyedColumn returns the column of a table with columns of the given kinds
+// whose filter keys its heap slots carry — the first UNITEXT column — and
+// the width of a slot's keys: SlotKeyBytes, or -1 and 0 for a table with no
+// UNITEXT column.
+func KeyedColumn(kinds []Kind) (col, keyBytes int) {
+	for i, k := range kinds {
+		if k == KindUniText {
+			return i, SlotKeyBytes
+		}
+	}
+	return -1, 0
+}
+
+// AppendSlotKeys appends the slot keys of column keyed of t to buf; nothing
+// when keyed is -1 (KeyedColumn of a table with no UNITEXT column).
+func AppendSlotKeys(buf []byte, t Tuple, keyed int) []byte {
+	if keyed < 0 {
+		return buf
+	}
+	v := t[keyed]
+	if v.kind != KindUniText || v.lang >= noSlotKeys {
+		var none [SlotKeyBytes]byte
+		none[13] = noSlotKeys
+		return append(buf, none[:]...)
+	}
+	k := KeysOf([]byte(v.s), []byte(v.ph))
+	buf = binary.LittleEndian.AppendUint64(buf, k.Phoneme.Sig)
+	buf = binary.LittleEndian.AppendUint32(buf, k.Hash)
+	buf = append(buf, byte(min(k.Phoneme.Runes, RunesOverflow)))
+	lang := byte(v.lang)
+	if k.ASCII {
+		lang |= 0x80
+	}
+	return append(buf, lang)
+}
+
+// SlotKeys reads the slot keys b (as AppendSlotKeys wrote them): the value's
+// language and filter keys, the rune count of a phoneme of 255 runes or more
+// being RunesOverflow. ok=false when b holds none: the slot's value has no
+// keys there, or b is not SlotKeyBytes long (a slot of a table without a
+// UNITEXT column has no key bytes). It inlines.
+func SlotKeys(b []byte) (lang LangID, k Keys, ok bool) {
+	if len(b) != SlotKeyBytes || b[13] == noSlotKeys {
+		return LangUnknown, Keys{}, false
+	}
+	return LangID(b[13] & 0x7F), Keys{
+		Phoneme: Summary{Runes: int(b[12]), Sig: binary.LittleEndian.Uint64(b)},
+		Hash:    binary.LittleEndian.Uint32(b[8:]),
+		ASCII:   b[13]&0x80 != 0,
+	}, true
 }

@@ -10,7 +10,8 @@ import (
 const bumpFormat = "the filter keys and the record layout are on-disk format: a change here must bump RecordFormat, so that data directories of the old format are refused"
 
 // The key functions' outputs on fixed inputs. Every value here is stored in
-// data files (EncodeRecord); none may change without a new RecordFormat.
+// data files (heap slots, AppendSlotKeys); none may change without a new
+// RecordFormat.
 func TestKeysGolden(t *testing.T) {
 	for _, c := range []struct {
 		in    string
@@ -36,64 +37,64 @@ func TestKeysGolden(t *testing.T) {
 	}
 }
 
-// The storage encoder's bytes for one row: the column count, an INT, and a
-// UNITEXT value with its keys between its language and its text.
+// A heap's bytes for one row of a table (INT, UNITEXT): the record, the
+// column count and each value as EncodeTuple writes it, and the slot keys of
+// the UNITEXT value — signature, hash, rune count, then language with the
+// ASCII bit. A value without keys in the slot (NULL, or a language past
+// seven bits) is the marker alone.
 func TestRecordLayoutGolden(t *testing.T) {
 	tup := Tuple{NewInt(7), NewUniText(UniText{Text: "Nehru", Lang: LangHindi, Phoneme: "nehɾu"})}
-	const pinned = "02" + "020e" + "85" + "0002" + "05" + "00000a0400000040" + "bce0f991" + "01" + "054e65687275" + "066e6568c9be75"
-	if got := hex.EncodeToString(EncodeRecord(tup)); got != pinned {
-		t.Errorf("EncodeRecord = %s, pinned %s; %s", got, pinned, bumpFormat)
+	const rec = "02" + "020e" + "05" + "0002" + "054e65687275" + "066e6568c9be75"
+	if got := hex.EncodeToString(EncodeTuple(tup)); got != rec {
+		t.Errorf("record = %s, pinned %s; %s", got, rec, bumpFormat)
+	}
+	col, width := KeyedColumn([]Kind{KindInt, KindUniText, KindUniText})
+	if col != 1 || width != SlotKeyBytes || SlotKeyBytes != 14 {
+		t.Errorf("KeyedColumn = %d, %d of %d bytes, pinned 1, 14; %s", col, width, SlotKeyBytes, bumpFormat)
+	}
+	const none = "0000000000000000" + "00000000" + "00" + "7f"
+	for _, c := range []struct {
+		v    Value
+		keys string
+	}{
+		{tup[1], "00000a0400000040" + "bce0f991" + "05" + "82"},
+		{NewUniText(UniText{Text: "नेहरू", Lang: LangHindi, Phoneme: strings.Repeat("kɾiʃ", 75)}), "0001080200000002" + "d3c6c4ca" + "ff" + "02"},
+		{Null(), none},
+		{NewUniText(UniText{Text: "x", Lang: 0x7F, Phoneme: "x"}), none},
+	} {
+		if got := hex.EncodeToString(AppendSlotKeys(nil, Tuple{NewInt(7), c.v}, 1)); got != c.keys {
+			t.Errorf("slot keys of %v = %s, pinned %s; %s", c.v, got, c.keys, bumpFormat)
+		}
+	}
+	if got := AppendSlotKeys(nil, tup, -1); len(got) != 0 {
+		t.Errorf("slot keys of a table without a UNITEXT column = %x, want none", got)
+	}
+	if col, width := KeyedColumn([]Kind{KindInt, KindText}); col != -1 || width != 0 {
+		t.Errorf("KeyedColumn without UNITEXT = %d, %d, want -1, 0", col, width)
 	}
 }
 
-// A UNITEXT value's keys read back from EncodeRecord — at fixed offsets,
-// behind any column — equal the keys recomputed from the value DecodeTuple
-// returns, and the record decodes to what was encoded: a rune count of 255 or
-// more, which its byte cannot hold, reads back exact too.
-func FuzzStoredKeys(f *testing.F) {
-	f.Add("Nehru", "nehɾu", uint16(LangHindi), int64(7), false)
-	f.Add("", "", uint16(0), int64(-1), true)
-	f.Add("சரித்திரம்", "t͡ʃaɾittiɾam", uint16(LangTamil), int64(1)<<40, false)
-	f.Add("HISTORY", "a\xffb\xe2\x82", uint16(LangEnglish), int64(0), true)
-	f.Add(strings.Repeat("x", 200), strings.Repeat("ə", 254), uint16(LangFrench), int64(3), false)
-	f.Add("x", strings.Repeat("ə", 255), uint16(LangFrench), int64(3), false)
-	f.Add("x", strings.Repeat("kɾiʃ", 75), uint16(LangFrench), int64(3), true)
-	f.Fuzz(func(t *testing.T, text, ph string, lang uint16, n int64, textFirst bool) {
-		u := NewUniText(UniText{Text: text, Lang: LangID(lang), Phoneme: ph})
-		tup, kinds, col := Tuple{NewInt(n), u}, []Kind{KindInt, KindUniText}, 1
-		if textFirst {
-			tup, kinds, col = Tuple{NewText(text), u, NewInt(n)}, []Kind{KindText, KindUniText, KindInt}, 1
+// SlotKeys reads back what AppendSlotKeys wrote: the keys of the value as
+// KeysOf computes them, a rune count of 255 or more as RunesOverflow, and
+// nothing for a value without keys or a slot without key bytes.
+func TestSlotKeysRoundTrip(t *testing.T) {
+	for _, u := range []UniText{
+		{Text: "Nehru", Lang: LangHindi, Phoneme: "nehɾu"},
+		{Text: "", Lang: LangUnknown},
+		{Text: "சரித்திரம்", Lang: LangTamil, Phoneme: "t͡ʃaɾittiɾam"},
+		{Text: "HISTORY", Lang: 0x7E, Phoneme: strings.Repeat("ə", 254)},
+		{Text: "x", Lang: LangFrench, Phoneme: strings.Repeat("ə", 255)},
+	} {
+		lang, keys, ok := SlotKeys(AppendSlotKeys(nil, Tuple{NewUniText(u)}, 0))
+		want := KeysOf([]byte(u.Text), []byte(u.Phoneme))
+		want.Phoneme.Runes = min(want.Phoneme.Runes, RunesOverflow)
+		if !ok || lang != u.Lang || keys != want {
+			t.Errorf("SlotKeys of %+v = %v %+v %v, want %v %+v", u, lang, keys, ok, u.Lang, want)
 		}
-		rec := EncodeRecord(tup)
-		got, w, err := DecodeTuple(rec)
-		if err != nil || w != len(rec) || len(got) != len(tup) {
-			t.Fatalf("DecodeTuple(EncodeRecord(%v)) = %v, %d of %d bytes, %v", tup, got, w, len(rec), err)
+	}
+	for _, b := range [][]byte{nil, AppendSlotKeys(nil, Tuple{Null()}, 0), AppendSlotKeys(nil, Tuple{NewUniText(UniText{Text: "x", Lang: 300})}, 0)} {
+		if _, _, ok := SlotKeys(b); ok {
+			t.Errorf("SlotKeys(%x) ok", b)
 		}
-		for i := range tup {
-			if !equalIncludingPhoneme(got[i], tup[i]) {
-				t.Fatalf("column %d decoded as %v, encoded %v", i, got[i], tup[i])
-			}
-		}
-		p, _ := NewSkipPlan(kinds, col)
-		field, err := p.Seek(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var s StoredUniText
-		if ok, err := ReadStored(field, &s); !ok || err != nil {
-			t.Fatalf("ReadStored = %v, %v", ok, err)
-		}
-		d := got[col].UniText()
-		if want := KeysOf([]byte(d.Text), []byte(d.Phoneme)); s.Lang != d.Lang || s.Keys != want {
-			t.Fatalf("stored keys %v %+v, recomputed from %v: %v %+v", s.Lang, s.Keys, d, d.Lang, want)
-		}
-		vt, vp, err := s.Views()
-		if err != nil || string(vt) != text || string(vp) != ph {
-			t.Fatalf("Views = %q %q %v, want %q %q", vt, vp, err, text, ph)
-		}
-		// The wire form carries no keys, and decodes alike.
-		if ok, _ := ReadStored(AppendValue(nil, u), &s); ok {
-			t.Fatal("ReadStored read keys off the wire encoding")
-		}
-	})
+	}
 }

@@ -9,10 +9,10 @@ import (
 // evaluate predicates against raw heap records without materializing a
 // Tuple: a SkipPlan, compiled once per scan from the table's declared column
 // kinds, walks a record to the predicate's column (Offset, or Seek where
-// Offset declines); StoredKeys reads a stored UNITEXT value's language and
-// filter keys at fixed offsets, ReadStored the same into the struct the
-// executor's operand keeps, and UniTextViews exposes its payload as byte
-// views that alias the record buffer. Nothing here allocates.
+// Offset declines), and UniTextViews and TextView expose a value's payload
+// as byte views that alias the record buffer. A UNITEXT value's filter keys
+// are not in the record: the heap slot holds them (SlotKeys). Nothing here
+// allocates.
 
 // SkipPlan reaches one column of an encoded tuple. What depends only on the
 // schema is decided when the plan is built — which columns precede the
@@ -149,8 +149,8 @@ func encodedValueSize(buf []byte) (int, error) {
 			return 0, err
 		}
 		n += sz
-	case KindUniText, kindUniTextKeyed:
-		n = headerWidth(Kind(buf[0]))
+	case KindUniText:
+		n = uniTextHeader
 		if n > len(buf) {
 			return 0, fmt.Errorf("types: field size: short unitext buffer")
 		}
@@ -181,19 +181,15 @@ func skipLenPrefixed(buf []byte) (int, error) {
 	return sz + int(l), nil
 }
 
-// UniTextViews decodes a UNITEXT field (as returned by SkipPlan.Seek), in
-// either encoder's form, into its language plus zero-copy views of the text
-// and phoneme bytes. The returned slices alias field — and through it the
+// UniTextViews decodes a UNITEXT field (as returned by SkipPlan.Seek) into
+// its language plus zero-copy views of the text and phoneme bytes. The returned slices alias field — and through it the
 // pinned page the record sits on — so they must not be retained past the page
 // pin.
 func UniTextViews(field []byte) (LangID, []byte, []byte, error) {
-	if len(field) < uniTextHeader || Kind(field[0]) != KindUniText && Kind(field[0]) != kindUniTextKeyed {
+	if len(field) < uniTextHeader || Kind(field[0]) != KindUniText {
 		return LangUnknown, nil, nil, fmt.Errorf("types: unitext views: not a UNITEXT field")
 	}
-	hdr := headerWidth(Kind(field[0]))
-	if len(field) < hdr {
-		return LangUnknown, nil, nil, fmt.Errorf("types: unitext views: short keys")
-	}
+	const hdr = uniTextHeader
 	lang := LangID(binary.BigEndian.Uint16(field[1:]))
 	text, sz, err := viewLenPrefixed(field[hdr:])
 	if err != nil {
@@ -204,61 +200,6 @@ func UniTextViews(field []byte) (LangID, []byte, []byte, error) {
 		return LangUnknown, nil, nil, fmt.Errorf("types: unitext views: phoneme: %w", err)
 	}
 	return lang, text, ph, nil
-}
-
-// StoredKeys reads the fixed part of field (as SkipPlan.Seek returns it) when
-// it is a UNITEXT value the storage encoder wrote: its language and its
-// filter keys as written, so the rune count of a phoneme of 255 runes or more
-// is RunesOverflow. ok=false for any other field, and for one cut short of
-// its keys.
-func StoredKeys(field []byte) (lang LangID, k Keys, ok bool) {
-	if len(field) < keyedHeader || Kind(field[0]) != kindUniTextKeyed {
-		return LangUnknown, Keys{}, false
-	}
-	return LangID(binary.BigEndian.Uint16(field[1:])), Keys{
-		Phoneme: Summary{Runes: int(field[3]), Sig: binary.LittleEndian.Uint64(field[4:])},
-		Hash:    binary.LittleEndian.Uint32(field[12:]),
-		ASCII:   field[16] != 0,
-	}, true
-}
-
-// StoredUniText is a UNITEXT field the storage encoder wrote, read in place
-// by ReadStored: its language and filter keys, read at fixed offsets. Views
-// reads the rest.
-type StoredUniText struct {
-	Lang  LangID
-	Keys  Keys
-	field []byte
-}
-
-// ReadStored reads into s the fixed part of field (as SkipPlan.Seek returns
-// it) when it is a UNITEXT value the storage encoder wrote; ok=false, and s
-// untouched, for any other field. It reads no further than the keys
-// (StoredKeys), except when the phoneme's rune count did not fit its byte:
-// then it summarises the phoneme. err is set when the field is cut short of
-// what it reads.
-func ReadStored(field []byte, s *StoredUniText) (ok bool, err error) {
-	if len(field) == 0 || Kind(field[0]) != kindUniTextKeyed {
-		return false, nil
-	}
-	lang, keys, ok := StoredKeys(field)
-	if !ok {
-		return true, fmt.Errorf("types: unitext keys: short field")
-	}
-	s.Lang, s.Keys, s.field = lang, keys, field
-	if s.Keys.Phoneme.Runes == RunesOverflow {
-		_, ph, err := s.Views()
-		s.Keys.Phoneme = Summarize(ph)
-		return true, err
-	}
-	return true, nil
-}
-
-// Views returns zero-copy views of the value's text and phoneme, as
-// UniTextViews does.
-func (s *StoredUniText) Views() (text, ph []byte, err error) {
-	_, text, ph, err = UniTextViews(s.field)
-	return text, ph, err
 }
 
 // TextView returns a zero-copy view of a KindText field's bytes (as returned

@@ -42,7 +42,7 @@ func seek(t *testing.T, kinds []Kind, rec []byte, idx int) []byte {
 }
 
 // Seek must land on exactly the byte DecodeValue starts that column at, for
-// every column and kind, in records from either encoder — whether the schema
+// every column and kind — whether the schema
 // declares the kinds the record holds (the fast steps) or something else
 // entirely (NULLs in typed columns, a stale declaration: the generic steps).
 func TestSkipPlanMatchesDecode(t *testing.T) {
@@ -51,7 +51,7 @@ func TestSkipPlanMatchesDecode(t *testing.T) {
 	for i := range wrong {
 		wrong[i] = KindInt
 	}
-	for _, rec := range [][]byte{EncodeTuple(tup), EncodeRecord(tup)} {
+	for _, rec := range [][]byte{EncodeTuple(tup)} {
 		for name, kinds := range map[string][]Kind{"declared": kindsOf(tup), "mismatched": wrong} {
 			for i, want := range tup {
 				v, _, err := DecodeValue(seek(t, kinds, rec, i))
@@ -101,7 +101,7 @@ func TestUniTextViews(t *testing.T) {
 	u := UniText{Text: "Süßmayr", Lang: LangEnglish, Phoneme: "suːsmair"}
 	kinds := []Kind{KindInt, KindUniText}
 	var rec []byte
-	for _, encode := range []func(Tuple) []byte{EncodeTuple, EncodeRecord} {
+	for _, encode := range []func(Tuple) []byte{EncodeTuple} {
 		rec = encode(Tuple{NewInt(7), NewUniText(u)})
 		lang, text, ph, err := UniTextViews(seek(t, kinds, rec, 1))
 		if err != nil {
@@ -148,33 +148,33 @@ func TestTextView(t *testing.T) {
 	}
 }
 
-// Seek, ReadStored and the views are the fused scan's per-row path; none may
+// Seek, SlotKeys and the views are the fused scan's per-row path; none may
 // allocate.
 func TestSkipPlanZeroAllocations(t *testing.T) {
 	tup := lazyFixtureTuple()
-	rec := EncodeRecord(tup)
+	rec := EncodeTuple(tup)
+	keys := AppendSlotKeys(nil, tup, 5)
 	p, _ := NewSkipPlan(kindsOf(tup), 5)
-	var s StoredUniText
 	allocs := testing.AllocsPerRun(200, func() {
+		if _, _, ok := SlotKeys(keys); !ok {
+			t.Fatal("no slot keys")
+		}
 		field, err := p.Seek(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok, err := ReadStored(field, &s); !ok || err != nil {
-			t.Fatal(ok, err)
-		}
-		if _, _, err := s.Views(); err != nil {
+		if _, _, _, err := UniTextViews(field); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Seek+ReadStored+Views allocate %.1f/op, want 0", allocs)
+		t.Errorf("SlotKeys+Seek+UniTextViews allocate %.1f/op, want 0", allocs)
 	}
 }
 
 // lazyValue builds a value from one fuzz byte: its kind, and for text a length
-// around the one-byte prefix's limit of 0x7F or, for a phoneme, the stored
-// rune count's of 0xFE.
+// around the one-byte prefix's limit of 0x7F, or for a phoneme also around
+// 0xFE.
 func lazyValue(b byte) Value {
 	lens := []int{0, 1, 5, 0x7E, 0x7F, 0x80, 0x81, 0xFE, 0xFF}
 	str := func(n int) string { return strings.Repeat("ab", n)[:n] }
@@ -258,20 +258,14 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// uniTextViewsRef is UniTextViews read byte by byte: either encoder's fixed
-// part, then the text and the phoneme, each without the inline one-byte
+// uniTextViewsRef is UniTextViews read byte by byte: the kind byte and
+// language, then the text and the phoneme, each without the inline one-byte
 // length.
 func uniTextViewsRef(field []byte) (lang LangID, text, ph []byte, err error) {
-	if len(field) < 3 || Kind(field[0]) != KindUniText && Kind(field[0]) != kindUniTextKeyed {
+	if len(field) < 3 || Kind(field[0]) != KindUniText {
 		return LangUnknown, nil, nil, fmt.Errorf("types: unitext views: not a UNITEXT field")
 	}
-	hdr := 3
-	if Kind(field[0]) == kindUniTextKeyed {
-		hdr = 17
-	}
-	if len(field) < hdr {
-		return LangUnknown, nil, nil, fmt.Errorf("types: unitext views: short keys")
-	}
+	const hdr = 3
 	var sz int
 	if text, sz, err = viewRef(field[hdr:]); err != nil {
 		return LangUnknown, nil, nil, fmt.Errorf("types: unitext views: text: %w", err)
@@ -282,27 +276,21 @@ func uniTextViewsRef(field []byte) (lang LangID, text, ph []byte, err error) {
 	return LangID(binary.BigEndian.Uint16(field[1:])), text, ph, nil
 }
 
-// Seek, UniTextViews, ReadStored and TextView read what DecodeTuple decodes,
-// on records of every kind from either encoder (EncodeTuple, EncodeRecord),
-// with lengths on both sides of the one-byte prefix and of a stored rune
-// count's byte, declared or not, cut at every byte: a column whose kind byte
-// is in the record is found, a value wholly in it reads as its decoded bytes
-// — a stored value's keys as the keys of its decoded text and phoneme — one
-// cut short fails, with the message of the walk without the inline steps.
-// The fast walk (Offset) lands where Seek does wherever it answers, and
-// answers wherever INT columns declared INT lead to a column in the record;
-// StoredKeys reads the fixed part ReadStored reads, and declines where
-// ReadStored finds none or fails.
+// Seek, UniTextViews and TextView read what DecodeTuple decodes, on records
+// of every kind with lengths on both sides of the one-byte prefix, declared
+// or not, cut at every byte: a column whose kind byte is in the record is
+// found, a value wholly in it reads as its decoded bytes, one cut short
+// fails, with the message of the walk without the inline steps. The fast
+// walk (Offset) lands where Seek does wherever it answers, and answers
+// wherever INT columns declared INT lead to a column in the record.
 func FuzzSkipPlanViews(f *testing.F) {
-	for _, stored := range []bool{false, true} {
-		f.Add([]byte{0, 1, 2}, uint64(0xFFFF), stored)
-		f.Add([]byte{6 * 3, 6 * 20, 6*4 + 2, 6*5 + 2}, uint64(0xFFFF), stored)
-		f.Add([]byte{6 * 3, 6*4 + 2, 6 * 20}, uint64(0xFF0F), stored)
-		f.Add([]byte{6*3 + 1, 6*4 + 1, 6*5 + 2, 6*6 + 1}, uint64(0xFFFF), stored)
-		f.Add([]byte{3, 6*4 + 1, 6*26 + 2, 4, 5, 6 * 4}, uint64(0x1F1F), stored)
-		f.Add([]byte{6*28 + 2, 6*35 + 2, 2}, uint64(0x2222), stored)
-	}
-	f.Fuzz(func(t *testing.T, spec []byte, decl uint64, stored bool) {
+	f.Add([]byte{0, 1, 2}, uint64(0xFFFF))
+	f.Add([]byte{6 * 3, 6 * 20, 6*4 + 2, 6*5 + 2}, uint64(0xFFFF))
+	f.Add([]byte{6 * 3, 6*4 + 2, 6 * 20}, uint64(0xFF0F))
+	f.Add([]byte{6*3 + 1, 6*4 + 1, 6*5 + 2, 6*6 + 1}, uint64(0xFFFF))
+	f.Add([]byte{3, 6*4 + 1, 6*26 + 2, 4, 5, 6 * 4}, uint64(0x1F1F))
+	f.Add([]byte{6*28 + 2, 6*35 + 2, 2}, uint64(0x2222))
+	f.Fuzz(func(t *testing.T, spec []byte, decl uint64) {
 		if len(spec) == 0 || len(spec) > 8 {
 			return
 		}
@@ -317,9 +305,6 @@ func FuzzSkipPlanViews(f *testing.F) {
 			}
 		}
 		rec := EncodeTuple(tup)
-		if stored {
-			rec = EncodeRecord(tup)
-		}
 		// start[i], end[i]: where column i lies in rec, as DecodeTuple reads it.
 		start, end := make([]int, len(tup)), make([]int, len(tup))
 		_, off := binary.Uvarint(rec)
@@ -378,36 +363,6 @@ func FuzzSkipPlanViews(f *testing.F) {
 					u := want.UniText()
 					if ok := err == nil && lang == u.Lang && string(text) == u.Text && string(ph) == u.Phoneme; ok != whole {
 						t.Fatalf("cut %d col %d at [%d, %d): UniTextViews = %v %q %q %v, decoded %v", cut, i, start[i], end[i], lang, text, ph, err, want)
-					}
-				}
-				var st StoredUniText
-				keyed, err := ReadStored(field, &st)
-				if keyed != (stored && want.Kind() == KindUniText) {
-					t.Fatalf("cut %d col %d: ReadStored ok = %v for %v from the stored encoder = %v", cut, i, keyed, want, stored)
-				}
-				// StoredKeys reads the keys as stored; ReadStored summarises
-				// the phoneme of an overflowing count.
-				lang, keys, fixed := StoredKeys(field)
-				overflow := keys.Phoneme.Runes == RunesOverflow
-				switch {
-				case fixed != (keyed && len(field) >= 17):
-					t.Fatalf("cut %d col %d: StoredKeys ok = %v; ReadStored ok = %v over %d bytes", cut, i, fixed, keyed, len(field))
-				case fixed && !overflow && (err != nil || st.Lang != lang || st.Keys != keys):
-					t.Fatalf("cut %d col %d: StoredKeys %v %+v; ReadStored %v %+v %v", cut, i, lang, keys, st.Lang, st.Keys, err)
-				case fixed && overflow && err == nil && (st.Lang != lang || st.Keys.Hash != keys.Hash || st.Keys.ASCII != keys.ASCII ||
-					st.Keys.Phoneme.Sig != keys.Phoneme.Sig || st.Keys.Phoneme.Runes < RunesOverflow):
-					t.Fatalf("cut %d col %d: StoredKeys %v %+v; ReadStored of the overflowing count %v %+v", cut, i, lang, keys, st.Lang, st.Keys)
-				}
-				if keyed {
-					// The fixed part is fixed from byte 17 on; a count of 0xFF
-					// reads the phoneme, which must be fixed too.
-					u := want.UniText()
-					readsPhoneme := Summarize([]byte(u.Phoneme)).Runes >= 0xFF
-					if ok := err == nil; ok != (len(field) >= 17 && (!readsPhoneme || whole)) {
-						t.Fatalf("cut %d col %d at [%d, %d): ReadStored err = %v", cut, i, start[i], end[i], err)
-					}
-					if want := KeysOf([]byte(u.Text), []byte(u.Phoneme)); err == nil && (st.Lang != u.Lang || st.Keys != want) {
-						t.Fatalf("cut %d col %d: stored keys %v %+v, recomputed from %v: %+v", cut, i, st.Lang, st.Keys, want, u)
 					}
 				}
 				text, err = TextView(field)

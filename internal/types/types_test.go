@@ -239,8 +239,7 @@ func equalIncludingPhoneme(a, b Value) bool {
 	return Equal(a, b)
 }
 
-// DecodeTuple reads what either encoder writes: the wire's EncodeTuple and
-// the storage layer's EncodeRecord.
+// DecodeTuple reads what EncodeTuple writes.
 func TestEncodeDecodeTupleRoundTrip(t *testing.T) {
 	tup := Tuple{
 		NewInt(42),
@@ -251,7 +250,7 @@ func TestEncodeDecodeTupleRoundTrip(t *testing.T) {
 		NewBool(true),
 		NewUniText(UniText{Text: "", Lang: LangUnknown}),
 	}
-	for _, buf := range [][]byte{EncodeTuple(tup), EncodeRecord(tup)} {
+	for _, buf := range [][]byte{EncodeTuple(tup)} {
 		got, n, err := DecodeTuple(buf)
 		if err != nil {
 			t.Fatalf("decode: %v", err)

@@ -195,9 +195,12 @@ func (f bloom) add(h uint32) {
 	f.words[w] |= m
 }
 
+// has reports whether h may have been added. w is below len(f.words) by
+// construction (shift); the comparison says so to the compiler, which then
+// drops its bounds check and the panic path behind it.
 func (f bloom) has(h uint32) bool {
 	w, m := f.pos(h)
-	return f.words[w]&m == m
+	return int(w) < len(f.words) && f.words[w]&m == m
 }
 
 // folded reports whether strings.ToLower leaves b unchanged. It runs on every

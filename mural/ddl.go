@@ -36,7 +36,8 @@ func (e *Engine) execCreateTable(s *sql.CreateTable) (*Result, error) {
 		undo()
 		return nil, err
 	}
-	h, err := storage.OpenHeap(e.pool, file)
+	_, keyBytes := keyedColumn(t)
+	h, err := storage.OpenHeap(e.pool, file, keyBytes)
 	if err != nil {
 		_ = e.rollbackBatch("")
 		undo()
@@ -48,6 +49,17 @@ func (e *Engine) execCreateTable(s *sql.CreateTable) (*Result, error) {
 		return nil, err
 	}
 	return &Result{}, e.saveCatalog()
+}
+
+// keyedColumn is the column of t whose filter keys its heap's slots carry,
+// and their width (types.KeyedColumn): which one is decided by the schema
+// alone.
+func keyedColumn(t *catalog.Table) (col, keyBytes int) {
+	kinds := make([]types.Kind, len(t.Columns))
+	for i, c := range t.Columns {
+		kinds[i] = c.Kind
+	}
+	return types.KeyedColumn(kinds)
 }
 
 // commitDDL commits the open batch together with a snapshot of the catalog,
@@ -194,12 +206,15 @@ func (e *Engine) execInsert(st *statement, s *sql.Insert) (*Result, error) {
 		return nil, err
 	}
 	h, idxs := e.heaps[s.Table], e.indexesOn(s.Table)
+	t, _ := e.cat.TableByName(s.Table) // evalInsertRows found it
+	keyed, _ := keyedColumn(t)
 	// The statement is one atomic batch: heap insert plus every index
 	// insert either all commit or all roll back.
 	if err := e.beginBatch(); err != nil {
 		return nil, err
 	}
 	var inserted int64
+	var keys []byte
 	for _, tup := range tuples {
 		// Mid-batch abort is safe: the whole statement is one WAL batch, so
 		// rollback discards every row inserted so far atomically.
@@ -207,7 +222,8 @@ func (e *Engine) execInsert(st *statement, s *sql.Insert) (*Result, error) {
 			_ = e.rollbackBatch(s.Table)
 			return nil, err
 		}
-		rid, err := h.Insert(types.EncodeRecord(tup))
+		keys = types.AppendSlotKeys(keys[:0], tup, keyed)
+		rid, err := h.Insert(types.EncodeTuple(tup), keys)
 		if err != nil {
 			_ = e.rollbackBatch(s.Table)
 			return nil, err

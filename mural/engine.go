@@ -246,7 +246,8 @@ func Open(cfg Config) (*Engine, error) {
 		if err := e.attachFile(t.File); err != nil {
 			return fail(err)
 		}
-		h, err := storage.OpenHeap(e.pool, t.File)
+		_, keyBytes := keyedColumn(t)
+		h, err := storage.OpenHeap(e.pool, t.File, keyBytes)
 		if err != nil {
 			return fail(err)
 		}

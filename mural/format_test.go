@@ -84,7 +84,7 @@ func TestOpenRefusesOtherFormat(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		format any
-	}{{"no format number", nil}, {"another format", types.RecordFormat + 1}} {
+	}{{"no format number", nil}, {"format 1, keys in the record", 1}, {"another format", types.RecordFormat + 1}} {
 		t.Run("catalog.json/"+c.name, func(t *testing.T) {
 			dir, img := formatDir(t)
 			if err := os.WriteFile(filepath.Join(dir, "catalog.json"), marshal(t, img, c.format), 0o644); err != nil {
@@ -138,11 +138,12 @@ func TestOpenRefusesOtherFormat(t *testing.T) {
 	})
 }
 
-// A UNITEXT value is stored with its filter keys, 14 bytes more than its wire
-// form, so a row holds 14 bytes less of it per UNITEXT column within the
-// heap's limit, storage.MaxRecordSize. A row of exactly the limit is stored;
-// one byte more is refused with the heap's error, and the statement leaves
-// the table as it was.
+// A table with a UNITEXT column keeps its first one's filter keys in each
+// row's heap slot, 14 bytes beside the record, so its record — the row's wire
+// form — holds up to the keyed heap's limit,
+// storage.MaxRecordSize(types.SlotKeyBytes), 14 bytes less than an unkeyed
+// heap's. A row of exactly the limit is stored; one byte more is refused
+// with the heap's error, and the statement leaves the table as it was.
 func TestInsertRecordSizeBoundary(t *testing.T) {
 	e, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
@@ -158,24 +159,24 @@ func TestInsertRecordSizeBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	name := e.MustExec(`SELECT name FROM t`).Rows[0][0]
-	// size is the length of the record an insert of an n-byte pad stores,
-	// and of that row's wire form.
-	size := func(n int) (record, wire int) {
-		row := types.Tuple{name, types.NewText(strings.Repeat("a", n))}
-		return len(types.EncodeRecord(row)), len(types.EncodeTuple(row))
+	// size is the length of the record an insert of an n-byte pad stores:
+	// that row's wire form.
+	size := func(n int) int {
+		return len(types.EncodeTuple(types.Tuple{name, types.NewText(strings.Repeat("a", n))}))
 	}
-	n := storage.MaxRecordSize
-	for rec, _ := size(n); rec > storage.MaxRecordSize; rec, _ = size(n) {
+	limit := storage.MaxRecordSize(types.SlotKeyBytes)
+	if limit != storage.MaxRecordSize(0)-14 {
+		t.Fatalf("a keyed heap's limit is %d bytes, an unkeyed one's %d: want 14 less", limit, storage.MaxRecordSize(0))
+	}
+	n := limit
+	for size(n) > limit {
 		n--
 	}
-	if rec, _ := size(n); rec != storage.MaxRecordSize {
-		t.Fatalf("no pad makes a record of exactly %d bytes (%d bytes at %d)", storage.MaxRecordSize, rec, n)
-	}
-	if rec, wire := size(n + 1); rec-wire != 14 {
-		t.Fatalf("the stored row is %d bytes longer than its wire form, want 14", rec-wire)
+	if rec := size(n); rec != limit {
+		t.Fatalf("no pad makes a record of exactly %d bytes (%d bytes at %d)", limit, rec, n)
 	}
 	if err := insert(n); err != nil {
-		t.Fatalf("a row of exactly %d bytes: %v", storage.MaxRecordSize, err)
+		t.Fatalf("a row of exactly %d bytes: %v", limit, err)
 	}
 	if err := insert(n + 1); err == nil || !strings.Contains(err.Error(), "exceeds max") {
 		t.Fatalf("a row one byte over the limit: %v, want the heap's refusal", err)

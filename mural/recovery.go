@@ -251,7 +251,8 @@ func (e *Engine) reopenTableLocked(table string) error {
 	}
 	var firstErr error
 	if _, open := e.heaps[table]; open {
-		h, err := storage.OpenHeap(e.pool, t.File)
+		_, keyBytes := keyedColumn(t)
+		h, err := storage.OpenHeap(e.pool, t.File, keyBytes)
 		if err != nil {
 			firstErr = err
 		} else {
