@@ -7,9 +7,11 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/sql"
+	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
 )
 
@@ -554,5 +556,56 @@ func TestHoistedJoinAllocationsIndependentOfInnerRows(t *testing.T) {
 	t.Logf("allocations per statement: %v", allocs)
 	if allocs[4096] > allocs[1024]+2 {
 		t.Errorf("a join rejecting every pair made %.0f allocations over 1,024 inner rows and %.0f over 4,096; want the same", allocs[1024], allocs[4096])
+	}
+}
+
+// A join's record buffer is charged what its pages retain — their buffers,
+// the room they have yet to fill included, and the page slice — and a reset
+// keeps the pages, so refilling it to no more than before costs no charge
+// and makes no page.
+func TestRecordBufChargesWhatItRetains(t *testing.T) {
+	var b recordBuf
+	b.keyed, b.keyBytes = types.KeyedColumn([]types.Kind{types.KindInt, types.KindUniText})
+	fill := func(n int) {
+		t.Helper()
+		for i := range n {
+			if err := b.addTuple(types.Tuple{types.NewInt(int64(i)), u("krishnamurthy", types.LangEnglish)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	retained := func() int64 {
+		n := int64(cap(b.pages)) * int64(unsafe.Sizeof(storage.Page{}))
+		for i := range b.pages {
+			n += int64(b.pages[i].Cap())
+		}
+		return n
+	}
+	fill(1000)
+	if b.used < 3 {
+		t.Fatalf("1000 rows fill %d pages, want several", b.used)
+	}
+	if got, want := b.bytes, retained(); got != want {
+		t.Fatalf("charged %d bytes, the pages retain %d", got, want)
+	}
+	bytes, pages := b.bytes, len(b.pages)
+	for _, n := range []int{1000, 10, 700} {
+		b.reset()
+		fill(n)
+		if b.bytes != bytes || len(b.pages) != pages {
+			t.Errorf("refilled with %d rows: %d bytes in %d pages, want the %d bytes and %d pages kept", n, b.bytes, len(b.pages), bytes, pages)
+		}
+		held := 0
+		for i := range b.used {
+			held += b.pages[i].Len()
+		}
+		if held != n {
+			t.Errorf("refilled with %d rows: the used pages hold %d", n, held)
+		}
+	}
+	b.reset()
+	fill(2000)
+	if got, want := b.bytes, retained(); got != want || got <= bytes {
+		t.Errorf("grown to 2000 rows: charged %d bytes, the pages retain %d (was %d)", got, want, bytes)
 	}
 }
