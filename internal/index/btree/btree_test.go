@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -25,6 +26,25 @@ func rid(i int) storage.RID {
 	return storage.RID{Page: storage.PageID(i / 100), Slot: uint16(i % 100)}
 }
 
+// kv is one entry as a scan hands it out, its key copied.
+type kv struct {
+	key string
+	r   storage.RID
+}
+
+// scanAll returns the tree's entries in scan order.
+func scanAll(t testing.TB, tr *BTree) []kv {
+	t.Helper()
+	var out []kv
+	if err := tr.Range(nil, nil, func(k []byte, r storage.RID) bool {
+		out = append(out, kv{string(k), r})
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestInsertSearch(t *testing.T) {
 	tr := newTree(t)
 	if err := tr.Insert([]byte("hello"), rid(1)); err != nil {
@@ -40,8 +60,8 @@ func TestInsertSearch(t *testing.T) {
 	if got, _ := tr.Search([]byte("absent")); len(got) != 0 {
 		t.Errorf("Search(absent) = %v", got)
 	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d", tr.Len())
+	if all := scanAll(t, tr); len(all) != 1 || all[0] != (kv{"hello", rid(1)}) {
+		t.Errorf("tree holds %v", all)
 	}
 }
 
@@ -164,8 +184,14 @@ func TestDelete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.Len() != 250 {
-		t.Errorf("Len = %d after deletes", tr.Len())
+	all := scanAll(t, tr)
+	if len(all) != 250 {
+		t.Fatalf("%d entries after deletes, want 250", len(all))
+	}
+	for j, e := range all {
+		if i := 2*j + 1; e != (kv{fmt.Sprintf("k%04d", i), rid(i)}) {
+			t.Fatalf("entry %d is %v after deletes", j, e)
+		}
 	}
 	for i := 0; i < 500; i++ {
 		got, _ := tr.Search([]byte(fmt.Sprintf("k%04d", i)))
@@ -204,8 +230,14 @@ func TestPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr2.Len() != 1000 {
-		t.Errorf("reopened Len = %d", tr2.Len())
+	all := scanAll(t, tr2)
+	if len(all) != 1000 {
+		t.Errorf("reopened tree holds %d entries, want 1000", len(all))
+	}
+	for i, e := range all {
+		if e != (kv{fmt.Sprintf("p%05d", i), rid(i)}) {
+			t.Fatalf("reopened entry %d is %v", i, e)
+		}
 	}
 	got, err := tr2.Search([]byte("p00777"))
 	if err != nil {
@@ -277,9 +309,6 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			pairs = pairs[:len(pairs)-1]
 		}
 	}
-	if int(tr.Len()) != len(model) {
-		t.Fatalf("Len = %d, model %d", tr.Len(), len(model))
-	}
 	// Compare a full scan with the model.
 	got := make(map[pair]bool)
 	err := tr.Range(nil, nil, func(k []byte, r storage.RID) bool {
@@ -301,6 +330,157 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			t.Errorf("missing %v", p)
 		}
 	}
+}
+
+// runModel reads ops as a sequence of tree operations, runs them on a tree
+// over a 16-frame pool and checks every answer against a sorted slice:
+//   - an insert of a key of 0 to maxKeyLen bytes (few distinct keys, so many
+//     equal under distinct RIDs), which must fail exactly when the pair is
+//     already held;
+//   - a delete of a held pair or of a random one, which must fail exactly
+//     when it is not held;
+//   - a range with an open or closed lower and upper bound and an optional
+//     early stop;
+//   - a reopen of the tree from its file through a fresh pool.
+//
+// A full scan is checked at the end. runModel returns the greatest height
+// the tree reached.
+func runModel(t *testing.T, ops []byte) int {
+	next := func() byte {
+		if len(ops) == 0 {
+			return 0
+		}
+		b := ops[0]
+		ops = ops[1:]
+		return b
+	}
+	keyOf := func() []byte {
+		lens := [...]int{0, 1, 2, 3, 16, 200, 700, maxKeyLen}
+		b := next()
+		k := bytes.Repeat([]byte{'a' + b>>3&3}, lens[b&7])
+		if len(k) > 0 {
+			k[len(k)-1] = 'a' + b>>5
+		}
+		return k
+	}
+	ridOf := func() storage.RID {
+		return storage.RID{Page: storage.PageID(next()), Slot: uint16(next() & 3)}
+	}
+	cmp := func(a, b kv) int { return cmpEntry([]byte(a.key), a.r, []byte(b.key), b.r) }
+
+	disk := storage.NewMemDisk()
+	pool := storage.NewPool(16)
+	pool.AttachDisk(1, disk)
+	tr, err := Create(pool, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var model []kv
+	height := 1
+	for step := 0; len(ops) > 0; step++ {
+		switch op := next(); op % 8 {
+		case 0, 1, 2, 3:
+			e := kv{string(keyOf()), ridOf()}
+			i, held := slices.BinarySearchFunc(model, e, cmp)
+			err := tr.Insert([]byte(e.key), e.r)
+			if held != (err != nil) {
+				t.Fatalf("step %d: insert of %d-byte key at %v (held %v): %v", step, len(e.key), e.r, held, err)
+			}
+			if !held {
+				model = slices.Insert(model, i, e)
+			}
+		case 4, 5:
+			var e kv
+			if op&0x80 == 0 && len(model) > 0 {
+				e = model[int(next())%len(model)]
+			} else {
+				e = kv{string(keyOf()), ridOf()}
+			}
+			i, held := slices.BinarySearchFunc(model, e, cmp)
+			err := tr.Delete([]byte(e.key), e.r)
+			if held != (err == nil) {
+				t.Fatalf("step %d: delete of %d-byte key at %v (held %v): %v", step, len(e.key), e.r, held, err)
+			}
+			if held {
+				model = slices.Delete(model, i, i+1)
+			}
+		case 6:
+			flags := next()
+			var lo, hi []byte
+			if flags&1 != 0 {
+				lo = keyOf()
+			}
+			if flags&2 != 0 {
+				hi = keyOf()
+			}
+			limit := int(flags >> 2) // 0: no early stop
+			var want, got []kv
+			for _, e := range model {
+				if (lo == nil || e.key >= string(lo)) && (hi == nil || e.key <= string(hi)) && (limit == 0 || len(want) < limit) {
+					want = append(want, e)
+				}
+			}
+			err := tr.Range(lo, hi, func(k []byte, r storage.RID) bool {
+				got = append(got, kv{string(k), r})
+				return limit == 0 || len(got) < limit
+			})
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("step %d: range [%.8q, %.8q] limit %d: %d entries (%v), want %d", step, lo, hi, limit, len(got), err, len(want))
+			}
+		case 7:
+			if err := pool.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			pool = storage.NewPool(16)
+			pool.AttachDisk(1, disk)
+			if tr, err = Open(pool, 1); err != nil {
+				t.Fatalf("step %d: reopen: %v", step, err)
+			}
+		}
+		height = max(height, tr.Height())
+	}
+	if got := scanAll(t, tr); !slices.Equal(got, model) {
+		t.Fatalf("full scan: %d entries, want %d", len(got), len(model))
+	}
+	return height
+}
+
+// deepModelOps inserts 200 maximal keys, 32 distinct ones under distinct
+// RIDs, so that splits reach a third level; then it deletes, ranges,
+// reopens and inserts keys of every length.
+func deepModelOps() []byte {
+	var ops []byte
+	for i := 0; i < 200; i++ {
+		ops = append(ops, 0, byte(7|i%32<<3), byte(i), byte(i/64))
+	}
+	for i := 0; i < 40; i++ {
+		ops = append(ops, 4, byte(i*7))
+	}
+	ops = append(ops, 6, 0, 6, 3, 0x0f, 0xe7, 6, 9<<2|1, 0x2f, 7)
+	for i := 0; i < 100; i++ {
+		ops = append(ops, 1, byte(i*37), byte(i), 1, 6, byte(i)|3, byte(i*5), byte(i*11))
+	}
+	return append(ops, 7, 6, 0)
+}
+
+func TestBTreeModelReachesThreeLevels(t *testing.T) {
+	if h := runModel(t, deepModelOps()); h < 3 {
+		t.Errorf("the deep model run reached height %d, want at least 3", h)
+	}
+}
+
+// FuzzBTreeModel grows TestRandomizedAgainstModel into a fuzz test over
+// runModel's operations.
+func FuzzBTreeModel(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 4, 0, 6, 3, 0, 0, 7, 6, 0, 5, 0, 0, 0, 0})
+	f.Add(deepModelOps())
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 2048 {
+			return
+		}
+		runModel(t, ops)
+	})
 }
 
 func TestRangeCountReportsPages(t *testing.T) {

@@ -109,9 +109,6 @@ func (ix *Index) RangeSearch(phoneme string, threshold int) (rids []storage.RID,
 	return rids, pages, candidates, nil
 }
 
-// Len returns the number of indexed entries.
-func (ix *Index) Len() int64 { return ix.bt.Len() }
-
 // Pivot returns the pivot string.
 func (ix *Index) Pivot() string { return ix.pivot }
 

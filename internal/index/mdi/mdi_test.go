@@ -142,8 +142,16 @@ func TestPivotPersistsViaCaller(t *testing.T) {
 	if len(rids) != 1 {
 		t.Errorf("reopened search found %d", len(rids))
 	}
-	if ix2.Len() != 1 {
-		t.Errorf("Len = %d", ix2.Len())
+	var entries int
+	err = ix2.bt.Range(nil, nil, func(key []byte, r storage.RID) bool {
+		entries++
+		if string(key) != string(ix2.key("nehru")) || r != rid(0) {
+			t.Errorf("reopened entry (%q, %v), want (%q, %v)", key, r, ix2.key("nehru"), rid(0))
+		}
+		return true
+	})
+	if err != nil || entries != 1 {
+		t.Errorf("reopened index holds %d entries (%v), want 1", entries, err)
 	}
 }
 

@@ -362,8 +362,20 @@ func (h *Handle) Unpin() {
 }
 
 // Pin fetches the page into the pool (reading from disk on a miss) and
-// returns a pinned handle.
-func (p *Pool) Pin(key PageKey) (*Handle, error) {
+// returns a pinned handle. Pin is small enough to inline, so a caller that
+// keeps the handle to itself keeps it on its stack.
+func (p *Pool) Pin(key PageKey) (h *Handle, err error) {
+	h = &Handle{pool: p, key: key}
+	if err = p.pin(h); err != nil {
+		h = nil
+	}
+	return h, err
+}
+
+// pin pins the frame of h's page, reading the page on a miss, and sets
+// h.idx to it.
+func (p *Pool) pin(h *Handle) error {
+	key := h.key
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if idx, ok := p.table[key]; ok {
@@ -372,28 +384,29 @@ func (p *Pool) Pin(key PageKey) (*Handle, error) {
 		f.ref = true
 		p.stats.Hits++
 		mPoolHits.Inc()
-		return &Handle{pool: p, idx: idx, key: key}, nil
+		h.idx = idx
+		return nil
 	}
 	p.stats.Misses++
 	mPoolMisses.Inc()
 	disk, ok := p.disks[key.File]
 	if !ok {
-		return nil, fmt.Errorf("storage: pin: file %d not attached", key.File)
+		return fmt.Errorf("storage: pin: file %d not attached", key.File)
 	}
 	idx, err := p.victim()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	f := &p.frames[idx]
 	if err := disk.ReadPage(key.Page, f.data); err != nil {
 		f.valid = false
-		return nil, err
+		return err
 	}
 	p.stats.DiskReads++
 	mPoolReads.Inc()
 	if err := verifyChecksum(f.data); err != nil {
 		f.valid = false
-		return nil, fmt.Errorf("storage: page %v: %w", key, err)
+		return fmt.Errorf("storage: page %v: %w", key, err)
 	}
 	f.key = key
 	f.pins = 1
@@ -401,7 +414,8 @@ func (p *Pool) Pin(key PageKey) (*Handle, error) {
 	f.ref = true
 	f.valid = true
 	p.table[key] = idx
-	return &Handle{pool: p, idx: idx, key: key}, nil
+	h.idx = idx
+	return nil
 }
 
 // NewPage allocates a fresh page in the file and returns it pinned and
