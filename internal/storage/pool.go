@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -106,7 +107,7 @@ func (p *Pool) SetWAL(w *WAL) {
 
 // BeginBatch starts recording dirtied pages for the next SealBatch. While
 // a batch is open its pages are pinned in memory (no-steal): they cannot be
-// evicted or flushed, so nothing unlogged ever reaches a data file.
+// evicted or flushed, so nothing uncommitted ever reaches a data file.
 func (p *Pool) BeginBatch() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -142,6 +143,10 @@ type SealedBatch struct {
 // engine-level lock serialized the mutation, so concurrent sessions' fsyncs
 // group. A batch that fails to stage is rolled back before SealBatch
 // returns, as Wait rolls back one that fails to become durable.
+//
+// With no WAL attached nothing is logged: the batch's pages are written
+// through to their disks here, so a later abort's reread finds this image;
+// a failed write rolls the batch back.
 func (p *Pool) SealBatch(catalog []byte) (*SealedBatch, error) {
 	p.mu.Lock()
 	pages, wal := p.batch, p.wal
@@ -150,7 +155,19 @@ func (p *Pool) SealBatch(catalog []byte) (*SealedBatch, error) {
 		return nil, fmt.Errorf("storage: commit without open batch")
 	}
 	p.batch = nil
-	if wal == nil || (len(pages) == 0 && catalog == nil) {
+	if wal == nil {
+		defer p.mu.Unlock()
+		for key := range pages {
+			if idx, ok := p.table[key]; ok {
+				if err := p.writeback(&p.frames[idx]); err != nil {
+					// The pages written so far keep the batch's image.
+					return nil, errors.Join(err, p.restoreLocked(pages))
+				}
+			}
+		}
+		return &SealedBatch{}, nil
+	}
+	if len(pages) == 0 && catalog == nil {
 		p.mu.Unlock()
 		return &SealedBatch{}, nil
 	}
@@ -252,8 +269,8 @@ func (p *Pool) AbortBatch() error {
 
 // restoreLocked rolls pages back to their newest logged image: a sealed
 // predecessor's, else the last durable one. A page with no logged image
-// since the last checkpoint is dropped, so the next access rereads the data
-// file. Called with p.mu held.
+// since the last checkpoint, and every page when no WAL is attached, is
+// dropped, so the next access rereads the data file. Called with p.mu held.
 func (p *Pool) restoreLocked(pages map[PageKey]bool) error {
 	var firstErr error
 	for key := range pages {

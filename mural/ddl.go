@@ -32,7 +32,7 @@ func (e *Engine) execCreateTable(s *sql.CreateTable) (*Result, error) {
 		undo()
 		return nil, err
 	}
-	if err := e.beginBatch(); err != nil {
+	if err := e.pool.BeginBatch(); err != nil {
 		undo()
 		return nil, err
 	}
@@ -65,9 +65,6 @@ func keyedColumn(t *catalog.Table) (col, keyBytes int) {
 // commitDDL commits the open batch together with a snapshot of the catalog,
 // so the schema change and its page mutations become durable atomically.
 func (e *Engine) commitDDL() error {
-	if e.wal == nil {
-		return nil
-	}
 	img, err := e.cat.Marshal()
 	if err != nil {
 		return err
@@ -89,7 +86,7 @@ func (e *Engine) execDropTable(s *sql.DropTable) (*Result, error) {
 	}
 	// Commit the catalog change before releasing anything: if the commit
 	// fails, the drop is undone in memory and nothing was touched.
-	if err = e.beginBatch(); err == nil {
+	if err = e.pool.BeginBatch(); err == nil {
 		err = e.commitDDL()
 	}
 	if err != nil {
@@ -130,7 +127,7 @@ func (e *Engine) execDropIndex(s *sql.DropIndex) (*Result, error) {
 	}
 	// Commit the catalog change before releasing anything, mirroring DROP
 	// TABLE: a failed commit undoes the drop in memory and touches nothing.
-	err := e.beginBatch()
+	err := e.pool.BeginBatch()
 	if err == nil {
 		err = e.commitDDL()
 	}
@@ -160,7 +157,7 @@ func (e *Engine) execCreateIndex(s *sql.CreateIndex) (*Result, error) {
 	if _, dup := e.cat.IndexByName(s.Name); dup {
 		return nil, fmt.Errorf("mural: index %q already exists", s.Name)
 	}
-	if err := e.beginBatch(); err != nil {
+	if err := e.pool.BeginBatch(); err != nil {
 		return nil, err
 	}
 	// The catalog entry is added only after a complete backfill, so a crash
@@ -195,7 +192,8 @@ func (e *Engine) execCreateIndex(s *sql.CreateIndex) (*Result, error) {
 }
 
 // createIndexChunkPages bounds how many dirty pages a CREATE INDEX backfill
-// accumulates before committing an intermediate batch.
+// accumulates before committing an intermediate batch; a pool of fewer than
+// four times as many frames lowers the bound to a quarter of its frames.
 const createIndexChunkPages = 256
 
 func (e *Engine) execInsert(st *statement, s *sql.Insert) (*Result, error) {
@@ -210,7 +208,7 @@ func (e *Engine) execInsert(st *statement, s *sql.Insert) (*Result, error) {
 	keyed, _ := keyedColumn(t)
 	// The statement is one atomic batch: heap insert plus every index
 	// insert either all commit or all roll back.
-	if err := e.beginBatch(); err != nil {
+	if err := e.pool.BeginBatch(); err != nil {
 		return nil, err
 	}
 	var inserted int64
@@ -374,7 +372,7 @@ func (e *Engine) execDelete(st *statement, s *sql.Delete) (*Result, error) {
 	}
 	// All victims were collected read-only above; the mutations form one
 	// atomic batch across heap and every index.
-	if err := e.beginBatch(); err != nil {
+	if err := e.pool.BeginBatch(); err != nil {
 		return nil, err
 	}
 	for _, v := range victims {
@@ -392,19 +390,10 @@ func (e *Engine) execDelete(st *statement, s *sql.Delete) (*Result, error) {
 	return &Result{RowsAffected: int64(len(victims))}, nil
 }
 
-// deleteOne removes one row: index entries first, the heap record last. If a
-// step fails, the entries already removed for this row are re-inserted, so a
-// failed statement never leaves an index entry dangling (pointing at a
-// deleted heap row) or a live heap row missing entries. The compensation is
-// what keeps the wal==nil configuration consistent, where rollbackBatch
-// cannot page-roll-back the batch; the WAL path additionally rolls back.
+// deleteOne removes one row: index entries first, the heap record last. A
+// step that fails leaves the rest undone; the caller's rollbackBatch then
+// puts back every page the statement changed.
 func (e *Engine) deleteOne(h *storage.Heap, idxs []*index, tup types.Tuple, rid storage.RID) error {
-	removed := make([]*index, 0, len(idxs))
-	undo := func() {
-		for _, ix := range removed {
-			_ = ix.insert(tup, rid)
-		}
-	}
 	for _, ix := range idxs {
 		var err error
 		if e.failIndexDelete != nil {
@@ -414,16 +403,10 @@ func (e *Engine) deleteOne(h *storage.Heap, idxs []*index, tup types.Tuple, rid 
 			err = ix.delete(tup, rid)
 		}
 		if err != nil {
-			undo()
 			return fmt.Errorf("mural: delete from index %q: %w", ix.meta.Name, err)
 		}
-		removed = append(removed, ix)
 	}
-	if err := h.Delete(rid); err != nil {
-		undo()
-		return err
-	}
-	return nil
+	return h.Delete(rid)
 }
 
 func (e *Engine) execAnalyze(s *sql.Analyze) (*Result, error) {
@@ -449,7 +432,7 @@ func (e *Engine) execAnalyze(s *sql.Analyze) (*Result, error) {
 	// later crash replaying an older snapshot would silently revert them.
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.beginBatch(); err != nil {
+	if err := e.pool.BeginBatch(); err != nil {
 		return nil, err
 	}
 	// swap installs each table's new statistics and keeps the ones it

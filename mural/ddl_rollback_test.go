@@ -112,6 +112,13 @@ func engineState(t *testing.T, e *Engine) string {
 		plan := e.MustExec(`EXPLAIN SELECT * FROM ` + tb.Name).Plan
 		fmt.Fprintf(&b, "table %s %v: %d rows\n%s", tb.Name, tb.Columns, n, plan)
 	}
+	return b.String() + indexState(t, e)
+}
+
+// indexState renders each index's entries, as RIDs in page order.
+func indexState(t *testing.T, e *Engine) string {
+	t.Helper()
+	var b strings.Builder
 	for _, ix := range e.Catalog().Indexes() {
 		var rids []storage.RID
 		var err error

@@ -9,18 +9,33 @@ import (
 	"github.com/mural-db/mural/internal/types"
 )
 
-// TestDeleteIndexFailureLeavesConsistentState pins the DELETE maintenance
-// ordering: index entries are removed before the heap row, and a failed
-// index delete re-inserts the entries already removed for that row. The old
-// order (heap first, indexes after) relied on WAL rollback to undo the heap
-// delete — a no-op when the engine runs without a WAL — leaving index
-// entries dangling on a tombstoned RID.
-func TestDeleteIndexFailureLeavesConsistentState(t *testing.T) {
-	e, err := Open(Config{}) // no Dir: wal == nil, rollbackBatch cannot undo
-	if err != nil {
-		t.Fatal(err)
+// inEachMode runs a test against an in-memory and an on-disk engine.
+func inEachMode(t *testing.T, test func(t *testing.T, e *Engine)) {
+	for _, mode := range []string{"memory", "disk"} {
+		t.Run(mode, func(t *testing.T) {
+			var cfg Config
+			if mode == "disk" {
+				cfg.Dir = t.TempDir()
+			}
+			e, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = e.Close() }()
+			test(t, e)
+		})
 	}
-	defer func() { _ = e.Close() }()
+}
+
+// TestDeleteIndexFailureLeavesConsistentState pins what a DELETE whose index
+// maintenance fails leaves behind: the statement's batch rolls back, so the
+// heap row and the entries already removed from earlier indexes are back,
+// and the same DELETE succeeds once the fault is cleared.
+func TestDeleteIndexFailureLeavesConsistentState(t *testing.T) {
+	inEachMode(t, testDeleteIndexFailureLeavesConsistentState)
+}
+
+func testDeleteIndexFailureLeavesConsistentState(t *testing.T, e *Engine) {
 	mustExec := func(q string) {
 		t.Helper()
 		if _, err := e.Exec(q); err != nil {
@@ -37,7 +52,7 @@ func TestDeleteIndexFailureLeavesConsistentState(t *testing.T) {
 	mustExec(`CREATE INDEX ix_mt ON t (name) USING MTREE`)
 
 	// Fail the M-Tree delete: the B-tree (earlier in index order) will have
-	// removed its entry by then, so the compensation path must restore it.
+	// removed its entry by then, so the rollback must restore it.
 	injected := errors.New("injected index-delete failure")
 	e.failIndexDelete = func(index string) error {
 		if index == "ix_mt" {
@@ -58,18 +73,18 @@ func TestDeleteIndexFailureLeavesConsistentState(t *testing.T) {
 	if n := res.Rows[0][0].Int(); n != 20 {
 		t.Fatalf("rows after failed DELETE = %d, want 20 (heap mutated before indexes)", n)
 	}
-	// B-tree entry must have been re-inserted by the compensation.
+	// The B-tree entry must be back after the rollback.
 	key := types.KeyOf(types.NewInt(5))
 	rids, _, err := e.IndexSearch("ix_bt", key, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rids) != 1 {
-		t.Fatalf("btree entries for id=5 after failed DELETE = %d, want 1 (compensation missing)", len(rids))
+		t.Fatalf("btree entries for id=5 after failed DELETE = %d, want 1 (not rolled back)", len(rids))
 	}
 	// The restored entry must point at a live heap row.
 	if _, err := e.FetchRIDs("t", rids); err != nil {
-		t.Fatalf("btree entry dangles after compensation: %v", err)
+		t.Fatalf("btree entry dangles after rollback: %v", err)
 	}
 
 	// With the fault cleared the same DELETE succeeds and removes the row
@@ -94,14 +109,13 @@ func TestDeleteIndexFailureLeavesConsistentState(t *testing.T) {
 }
 
 // TestDeleteIndexFailureFirstIndex covers the boundary: the very first
-// index delete fails, so nothing was removed yet and the compensation loop
-// must be a clean no-op.
+// index delete fails, so the rollback undoes a batch that removed nothing
+// from any index.
 func TestDeleteIndexFailureFirstIndex(t *testing.T) {
-	e, err := Open(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = e.Close() }()
+	inEachMode(t, testDeleteIndexFailureFirstIndex)
+}
+
+func testDeleteIndexFailureFirstIndex(t *testing.T, e *Engine) {
 	if _, err := e.Exec(`CREATE TABLE t (id INT)`); err != nil {
 		t.Fatal(err)
 	}

@@ -145,24 +145,25 @@ func (ix *index) metricSearch(phoneme string, threshold int) ([]storage.RID, int
 	return nil, 0, fmt.Errorf("mural: index %q is not a metric index", ix.meta.Name)
 }
 
-// backfill inserts every row of the index's table into it. Under a WAL it
-// commits in chunks so the no-steal policy never pins more pages than the
-// pool holds; a chunk of a q-gram index dirties no page. Called with e.mu
-// held: by CREATE INDEX inside its open batch, and by loadIndex to rebuild
-// a q-gram index.
+// backfill inserts every row of the index's table into it. It commits in
+// chunks of at most a quarter of the pool's frames, so the no-steal policy
+// never pins more pages than the pool holds; a chunk of a q-gram index
+// dirties no page. Called with e.mu held: by CREATE INDEX inside its open
+// batch, and by loadIndex to rebuild a q-gram index.
 func (e *Engine) backfill(ix *index) error {
+	chunk := max(1, min(createIndexChunkPages, e.cfg.BufferPages/4))
 	return eachRow(e.heaps[ix.meta.Table], func(rid storage.RID, tup types.Tuple) error {
 		if err := ix.insert(tup, rid); err != nil {
 			return err
 		}
-		if e.pool.BatchPages() < createIndexChunkPages {
+		if e.pool.BatchPages() < chunk {
 			return nil
 		}
 		if err := e.commitBatch(nil); err != nil {
 			return err
 		}
 		// The caller commits or aborts the batch reopened here.
-		return e.beginBatch()
+		return e.pool.BeginBatch()
 	})
 }
 

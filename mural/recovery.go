@@ -156,18 +156,11 @@ func (e *Engine) removeOrphanFiles() (int, error) {
 	return removed, nil
 }
 
-// beginBatch opens a logged mutation batch. In-memory databases (no WAL)
-// keep their original non-transactional semantics and skip batching.
-func (e *Engine) beginBatch() error {
-	if e.wal == nil {
-		return nil
-	}
-	return e.pool.BeginBatch()
-}
-
-// commitBatch makes the open batch durable, optionally bundling a catalog
+// commitBatch commits the open batch, optionally bundling a catalog
 // snapshot so DDL commits atomically with its page mutations. A commit that
-// fails has rolled the batch's pages back before it returns.
+// fails has rolled the batch's pages back before it returns. An in-memory
+// database commits the same batches; its commit logs nothing and writes the
+// batch's pages through (storage.Pool.SealBatch).
 //
 // Audited blocking-under-lock: the group-commit wait runs with e.mu held.
 // DML write paths avoid this via commitGrouped (which releases e.mu around
@@ -177,9 +170,6 @@ func (e *Engine) beginBatch() error {
 //
 //lint:lock-held-io DDL commits hold e.mu across the group-commit wait by design
 func (e *Engine) commitBatch(catalogImage []byte) error {
-	if e.wal == nil {
-		return nil
-	}
 	s, err := e.pool.SealBatch(catalogImage)
 	if err != nil {
 		return err
@@ -187,7 +177,7 @@ func (e *Engine) commitBatch(catalogImage []byte) error {
 	return s.Wait()
 }
 
-// commitGrouped makes the open batch durable via the WAL's group commit:
+// commitGrouped commits the open batch, under a WAL by its group commit:
 // the batch is sealed under e.mu, then the engine lock is RELEASED for the
 // fsync wait so concurrent sessions' commits share one Sync. A commit that
 // fails has rolled the batch's pages back before it returns, and the
@@ -204,9 +194,6 @@ func (e *Engine) commitBatch(catalogImage []byte) error {
 //
 //lint:lock-handoff callers hold e.mu; the fsync wait runs with it released so commits group
 func (e *Engine) commitGrouped(table string) error {
-	if e.wal == nil {
-		return nil
-	}
 	s, err := e.pool.SealBatch(nil)
 	if err == nil {
 		e.mu.Unlock()
@@ -228,9 +215,6 @@ func (e *Engine) commitGrouped(table string) error {
 // so memory agrees with storage again. This is what makes a failed
 // statement leave no trace.
 func (e *Engine) rollbackBatch(table string) error {
-	if e.wal == nil {
-		return nil
-	}
 	firstErr := e.pool.AbortBatch()
 	if err := e.reopenTableLocked(table); err != nil && firstErr == nil {
 		firstErr = err
