@@ -4,11 +4,10 @@
 package catalog
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -258,31 +257,30 @@ func (c *Catalog) Stats(table string) *TableStats {
 	return c.stats[table]
 }
 
-// ErrFormat reports a catalog image of another on-disk format than
-// types.RecordFormat, the one this build reads; an image with no format
-// number predates the numbering.
-var ErrFormat = errors.New("catalog: data directory of another on-disk format")
+// File is the reserved data file whose pages hold the catalog image; table
+// and index files are numbered from 1. Page 0 begins with the on-disk format
+// (types.RecordFormat) and the image's length as little-endian uint32s; the
+// image runs on through the payload of pages 1, 2, ... DDL writes it through
+// the buffer pool in its own batch, so a schema change commits, replays and
+// checkpoints as data does.
+const File storage.FileID = 0
 
-// persisted is the JSON disk image. Format is the on-disk format its data
-// files are in (types.RecordFormat).
+const headerBytes = 8
+
+// persisted is the JSON image.
 type persisted struct {
-	Format   int                    `json:"format"`
 	Tables   []*Table               `json:"tables"`
 	Indexes  []*Index               `json:"indexes"`
 	Stats    map[string]*TableStats `json:"stats"`
 	NextFile storage.FileID         `json:"next_file"`
 }
 
-// Marshal renders the catalog as its canonical JSON disk image. The engine
-// logs this image in WAL commit batches so DDL moves atomically with the
-// page mutations it accompanies.
-func (c *Catalog) Marshal() ([]byte, error) {
+// Store writes the catalog's header and JSON image into File's pages
+// through p, inside the caller's open batch. A page whose bytes stay the
+// same is not dirtied, so it adds nothing to the batch.
+func (c *Catalog) Store(p *storage.Pool) error {
 	c.mu.RLock()
-	img := persisted{
-		Format:   types.RecordFormat,
-		Stats:    c.stats,
-		NextFile: c.nextFile,
-	}
+	img := persisted{Stats: c.stats, NextFile: c.nextFile}
 	for _, t := range c.tables {
 		img.Tables = append(img.Tables, t)
 	}
@@ -292,91 +290,83 @@ func (c *Catalog) Marshal() ([]byte, error) {
 	c.mu.RUnlock()
 	sort.Slice(img.Tables, func(i, j int) bool { return img.Tables[i].Name < img.Tables[j].Name })
 	sort.Slice(img.Indexes, func(i, j int) bool { return img.Indexes[i].Name < img.Indexes[j].Name })
-
-	data, err := json.MarshalIndent(&img, "", "  ")
+	data, err := json.Marshal(&img)
 	if err != nil {
-		return nil, fmt.Errorf("catalog: marshal: %w", err)
+		return fmt.Errorf("catalog: marshal: %w", err)
 	}
-	return data, nil
-}
-
-// Save writes the catalog to dir/catalog.json atomically.
-func (c *Catalog) Save(dir string) error {
-	data, err := c.Marshal()
+	buf := binary.LittleEndian.AppendUint32(nil, types.RecordFormat)
+	buf = append(binary.LittleEndian.AppendUint32(buf, uint32(len(data))), data...)
+	have, err := p.DiskPages(File)
 	if err != nil {
 		return err
 	}
-	return SaveImage(dir, data)
-}
-
-// SaveImage atomically installs a marshaled catalog image as
-// dir/catalog.json. Crash recovery uses it to restore the catalog snapshot
-// carried by the last committed WAL batch.
-func SaveImage(dir string, data []byte) error {
-	tmp := filepath.Join(dir, "catalog.json.tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("catalog: write: %w", err)
-	}
-	return os.Rename(tmp, filepath.Join(dir, "catalog.json"))
-}
-
-// readImage reads dir/catalog.json; nil when there is none.
-func readImage(dir string) ([]byte, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("catalog: read: %w", err)
-	}
-	return data, nil
-}
-
-// parse decodes a marshaled image, refusing one of another format with
-// ErrFormat.
-func parse(data []byte) (*persisted, error) {
-	var img persisted
-	if err := json.Unmarshal(data, &img); err != nil {
-		return nil, fmt.Errorf("catalog: parse: %w", err)
-	}
-	switch img.Format {
-	case types.RecordFormat:
-	case 0:
-		return nil, fmt.Errorf("%w: no format number (written before formats were numbered), this build reads format %d", ErrFormat, types.RecordFormat)
-	default:
-		return nil, fmt.Errorf("%w: format %d, this build reads format %d", ErrFormat, img.Format, types.RecordFormat)
-	}
-	return &img, nil
-}
-
-// CheckFormat refuses, with ErrFormat, a directory of another on-disk
-// format: its catalog is img, a marshaled image, or dir/catalog.json when img
-// is nil. A directory with neither is fresh.
-func CheckFormat(dir string, img []byte) error {
-	if img == nil {
-		var err error
-		if img, err = readImage(dir); err != nil || img == nil {
+	for pg := storage.PageID(0); len(buf) > 0; pg++ {
+		var h *storage.Handle
+		if pg < have {
+			h, err = p.Pin(storage.PageKey{File: File, Page: pg})
+		} else {
+			h, err = p.NewPage(File)
+		}
+		if err != nil {
 			return err
 		}
+		page := h.Data()
+		n := min(len(buf), len(page))
+		if !bytes.Equal(page[:n], buf[:n]) {
+			copy(page, buf[:n])
+			h.MarkDirty()
+		}
+		h.Unpin()
+		buf = buf[n:]
 	}
-	_, err := parse(img)
-	return err
+	return nil
 }
 
-// Load reads dir/catalog.json; a missing file yields a fresh catalog, and an
-// image of another format is refused with ErrFormat.
-func Load(dir string) (*Catalog, error) {
+// CheckFormat decodes the header of File's page 0 — its payload, past the
+// page checksum — into the image's length, refusing with storage.ErrFormat
+// a header of another format. A page 0 still all zero holds no image yet.
+func CheckFormat(payload []byte) (int, error) {
+	format, n := binary.LittleEndian.Uint32(payload[0:4]), binary.LittleEndian.Uint32(payload[4:8])
+	if format != types.RecordFormat && (format != 0 || n != 0) {
+		return 0, fmt.Errorf("%w: catalog of format %d, this build reads format %d", storage.ErrFormat, format, types.RecordFormat)
+	}
+	return int(n), nil
+}
+
+// Load reads the catalog from File's pages through p. A file with no image
+// yet yields a fresh catalog; an image of another format is refused with
+// storage.ErrFormat.
+func Load(p *storage.Pool) (*Catalog, error) {
 	c := New()
-	data, err := readImage(dir)
+	pages, err := p.DiskPages(File)
 	if err != nil {
 		return nil, err
 	}
-	if data == nil {
+	var buf []byte
+	for pg := storage.PageID(0); pg < pages; pg++ {
+		h, err := p.Pin(storage.PageKey{File: File, Page: pg})
+		if err != nil {
+			return nil, err
+		}
+		buf = append(buf, h.Data()...)
+		h.Unpin()
+	}
+	if len(buf) == 0 {
 		return c, nil
 	}
-	img, err := parse(data)
+	n, err := CheckFormat(buf)
 	if err != nil {
 		return nil, err
+	}
+	if n == 0 {
+		return c, nil
+	}
+	if headerBytes+n > len(buf) {
+		return nil, fmt.Errorf("catalog: image of %d bytes, file %d holds %d", n, File, len(buf)-headerBytes)
+	}
+	var img persisted
+	if err := json.Unmarshal(buf[headerBytes:headerBytes+n], &img); err != nil {
+		return nil, fmt.Errorf("catalog: parse: %w", err)
 	}
 	for _, t := range img.Tables {
 		c.tables[t.Name] = t

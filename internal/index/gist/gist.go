@@ -6,9 +6,9 @@
 // entries over the storage buffer pool; all index semantics — predicate
 // consistency, union, penalty and split — are supplied by an Ops extension.
 //
-// Like the PostgreSQL 7.4 GiST the paper built on, this implementation does
-// not write-ahead-log index pages; the engine rebuilds indexes from base
-// tables on recovery (the paper makes the same durability caveat in §4.2.1).
+// Unlike the PostgreSQL 7.4 GiST the paper built on (§4.2.1), a tree's pages
+// are write-ahead-logged: they are dirtied through the buffer pool inside the
+// engine's batches, and recovery redoes their images as it does a heap's.
 package gist
 
 import (

@@ -47,7 +47,7 @@ func TestWALGroupCommitSharesSyncs(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		errs[0] = appendBatch(w, []WALPageRec{walPage(1, 0, 1)}, nil)
+		errs[0] = appendBatch(w, []WALPageRec{walPage(1, 0, 1)})
 	}()
 	<-g.syncStarted
 	// The leader is inside Sync with exactly one batch staged.
@@ -56,7 +56,7 @@ func TestWALGroupCommitSharesSyncs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = appendBatch(w, []WALPageRec{walPage(1, PageID(i), byte(i))}, nil)
+			errs[i] = appendBatch(w, []WALPageRec{walPage(1, PageID(i), byte(i))})
 		}(i)
 	}
 	// Wait until every follower has staged its batch in the log.
@@ -126,13 +126,13 @@ func TestWALSyncFailureRewindsLog(t *testing.T) {
 	fl := &failableLog{MemLog: NewMemLog()}
 	w := NewWAL(fl)
 
-	if err := appendBatch(w, []WALPageRec{walPage(1, 0, 0xAA)}, nil); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(1, 0, 0xAA)}); err != nil {
 		t.Fatal(err)
 	}
 	durable := w.Size()
 
 	fl.fail.Store(true)
-	if err := appendBatch(w, []WALPageRec{walPage(1, 1, 0xBB)}, nil); err == nil {
+	if err := appendBatch(w, []WALPageRec{walPage(1, 1, 0xBB)}); err == nil {
 		t.Fatal("commit succeeded although sync failed")
 	}
 	fl.fail.Store(false)
@@ -141,7 +141,7 @@ func TestWALSyncFailureRewindsLog(t *testing.T) {
 		t.Fatalf("log not rewound after sync failure: %d bytes, want %d", got, durable)
 	}
 	// Appends must resume (appendBatch abandons its failed commit itself).
-	if err := appendBatch(w, []WALPageRec{walPage(1, 2, 0xCC)}, nil); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(1, 2, 0xCC)}); err != nil {
 		t.Fatalf("append after recovered sync failure: %v", err)
 	}
 	scan, err := ScanWAL(fl.MemLog)
@@ -172,7 +172,7 @@ func TestWALStageBlockedUntilAbandon(t *testing.T) {
 	fl := &failableLog{MemLog: NewMemLog()}
 	w := NewWAL(fl)
 
-	p, err := w.StageBatch([]WALPageRec{walPage(1, 0, 1)}, nil)
+	p, err := w.StageBatch([]WALPageRec{walPage(1, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +182,11 @@ func TestWALStageBlockedUntilAbandon(t *testing.T) {
 	}
 	fl.fail.Store(false)
 
-	if _, err := w.StageBatch([]WALPageRec{walPage(1, 1, 2)}, nil); err == nil {
+	if _, err := w.StageBatch([]WALPageRec{walPage(1, 1, 2)}); err == nil {
 		t.Fatal("StageBatch accepted an append while a failed commit was still un-abandoned")
 	}
 	p.Abandon()
-	p2, err := w.StageBatch([]WALPageRec{walPage(1, 1, 2)}, nil)
+	p2, err := w.StageBatch([]WALPageRec{walPage(1, 1, 2)})
 	if err != nil {
 		t.Fatalf("StageBatch after Abandon: %v", err)
 	}
@@ -276,14 +276,14 @@ func TestWALReadLatestImageServesStaged(t *testing.T) {
 	g := &gatedLog{MemLog: NewMemLog()}
 	w := NewWAL(g)
 
-	if err := appendBatch(w, []WALPageRec{walPage(1, 0, 0xAA)}, nil); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(1, 0, 0xAA)}); err != nil {
 		t.Fatal(err)
 	}
 	g.arm()
 
 	done := make(chan error, 1)
 	go func() {
-		done <- appendBatch(w, []WALPageRec{walPage(1, 0, 0xBB)}, nil)
+		done <- appendBatch(w, []WALPageRec{walPage(1, 0, 0xBB)})
 	}()
 	<-g.syncStarted
 	// The 0xBB image is staged but not durable. The latest logged image for

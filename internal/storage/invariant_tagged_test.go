@@ -72,14 +72,14 @@ func TestInvariantWALFrameMonotonic(t *testing.T) {
 	img := make([]byte, PageSize)
 	for i := 0; i < 3; i++ {
 		rec := []WALPageRec{{File: 1, Page: PageID(i), Image: img}}
-		if err := appendBatch(w, rec, nil); err != nil {
+		if err := appendBatch(w, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := w.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := appendBatch(w, []WALPageRec{{File: 1, Page: 0, Image: img}}, nil); err != nil {
+	if err := appendBatch(w, []WALPageRec{{File: 1, Page: 0, Image: img}}); err != nil {
 		t.Fatalf("append after truncate must restart cleanly: %v", err)
 	}
 }

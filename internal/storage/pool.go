@@ -137,17 +137,17 @@ type SealedBatch struct {
 	pages   map[PageKey]bool
 }
 
-// SealBatch closes the open batch and stages its after-images (plus an
-// optional catalog snapshot) in the WAL without waiting for the fsync. The
-// caller then calls Wait once — typically after releasing whatever
-// engine-level lock serialized the mutation, so concurrent sessions' fsyncs
-// group. A batch that fails to stage is rolled back before SealBatch
-// returns, as Wait rolls back one that fails to become durable.
+// SealBatch closes the open batch and stages its after-images in the WAL
+// without waiting for the fsync. The caller then calls Wait once —
+// typically after releasing whatever engine-level lock serialized the
+// mutation, so concurrent sessions' fsyncs group. A batch that fails to
+// stage is rolled back before SealBatch returns, as Wait rolls back one that
+// fails to become durable.
 //
 // With no WAL attached nothing is logged: the batch's pages are written
 // through to their disks here, so a later abort's reread finds this image;
 // a failed write rolls the batch back.
-func (p *Pool) SealBatch(catalog []byte) (*SealedBatch, error) {
+func (p *Pool) SealBatch() (*SealedBatch, error) {
 	p.mu.Lock()
 	pages, wal := p.batch, p.wal
 	if pages == nil {
@@ -167,7 +167,7 @@ func (p *Pool) SealBatch(catalog []byte) (*SealedBatch, error) {
 		}
 		return &SealedBatch{}, nil
 	}
-	if len(pages) == 0 && catalog == nil {
+	if len(pages) == 0 {
 		p.mu.Unlock()
 		return &SealedBatch{}, nil
 	}
@@ -195,7 +195,7 @@ func (p *Pool) SealBatch(catalog []byte) (*SealedBatch, error) {
 		SortPageRecs(recs)
 		// Stage outside p.mu: the log has its own lock, and serializing
 		// appends under the pool lock would stall every reader.
-		s.pending, err = wal.StageBatch(recs, catalog)
+		s.pending, err = wal.StageBatch(recs)
 	}
 	if err != nil {
 		return nil, p.unseal(pages, err)

@@ -1,7 +1,6 @@
 // Write-ahead log. The WAL makes multi-page mutations atomic and durable:
-// a batch of full page after-images (plus an optional catalog snapshot) is
-// appended to the log and fsynced before any of those pages may reach their
-// data files. Recovery scans the log, validates every frame with a CRC,
+// a batch of full page after-images is appended to the log and fsynced
+// before any of those pages may reach their data files. Recovery scans the log, validates every frame with a CRC,
 // stops at the first torn or corrupt frame, and redoes exactly the batches
 // whose commit record survived — partially logged batches leave no trace.
 //
@@ -14,9 +13,11 @@
 // The payload's first byte is the record type; an LSN is simply the byte
 // offset of a frame in the file. Record types:
 //
-//	walRecPage    [1 type][4 file][4 page][PageSize image]
-//	walRecCatalog [1 type][catalog JSON]
-//	walRecCommit  [1 type][8 commit sequence number]
+//	walRecPage   [1 type][4 file][4 page][PageSize image]
+//	walRecCommit [1 type][8 commit sequence number]
+//
+// The catalog is pages of data file 0, so DDL logs page images too. Type 2,
+// format 2's catalog snapshot, is refused with ErrFormat.
 //
 // Compared to PostgreSQL's xlog this is a deliberately small design: full
 // page images only (no logical records, so no per-access-method redo code),
@@ -27,6 +28,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -49,9 +51,13 @@ type LogFile interface {
 // WAL record types.
 const (
 	walRecPage    = byte(1)
-	walRecCatalog = byte(2)
+	walRecRetired = byte(2)
 	walRecCommit  = byte(3)
 )
+
+// ErrFormat reports a data directory of another on-disk format than
+// types.RecordFormat, the one this build reads.
+var ErrFormat = errors.New("storage: data directory of another on-disk format")
 
 const walFrameHeader = 8 // length + CRC
 
@@ -68,9 +74,8 @@ type WALPageRec struct {
 
 // WALBatch is one committed batch reconstructed by ScanWAL.
 type WALBatch struct {
-	Seq     uint64
-	Pages   []WALPageRec
-	Catalog []byte // nil when the batch carried no catalog snapshot
+	Seq   uint64
+	Pages []WALPageRec
 }
 
 // WALScan is the result of scanning a log.
@@ -86,8 +91,8 @@ type WALScan struct {
 
 // ScanWAL reads the log from offset zero, returning every fully committed
 // batch. It never fails on a torn tail — a short, truncated, or CRC-invalid
-// frame simply ends the scan. Only I/O errors from the device itself are
-// returned.
+// frame simply ends the scan. It returns I/O errors from the device itself,
+// and ErrFormat for an intact record of a retired type.
 func ScanWAL(f LogFile) (*WALScan, error) {
 	res := &WALScan{}
 	var off int64
@@ -132,10 +137,8 @@ func ScanWAL(f LogFile) (*WALScan, error) {
 				Page:  PageID(binary.LittleEndian.Uint32(payload[5:9])),
 				Image: img,
 			})
-		case walRecCatalog:
-			cat := make([]byte, len(payload)-1)
-			copy(cat, payload[1:])
-			pending.Catalog = cat
+		case walRecRetired:
+			return nil, fmt.Errorf("%w: the log holds a catalog snapshot record (format 2)", ErrFormat)
 		case walRecCommit:
 			if len(payload) != 1+8 {
 				res.Torn = true
@@ -267,15 +270,15 @@ type PendingCommit struct {
 	abandoned bool
 }
 
-// StageBatch appends a batch — page images, an optional catalog snapshot,
-// and the commit record — WITHOUT waiting for durability. The returned
-// PendingCommit's Wait joins the group-commit protocol. The images are
-// copied into the log before return; callers may reuse the buffers.
+// StageBatch appends a batch — page images and the commit record — WITHOUT
+// waiting for durability. The returned PendingCommit's Wait joins the
+// group-commit protocol. The images are copied into the log before return;
+// callers may reuse the buffers.
 //
 // On an append error the partially written frames are truncated away, so the
 // log never carries a headless prefix that a later commit record could
 // mistakenly adopt.
-func (w *WAL) StageBatch(pages []WALPageRec, catalog []byte) (*PendingCommit, error) {
+func (w *WAL) StageBatch(pages []WALPageRec) (*PendingCommit, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken != nil {
@@ -312,11 +315,6 @@ func (w *WAL) StageBatch(pages []WALPageRec, catalog []byte) (*PendingCommit, er
 		imageOff[PageKey{File: pr.File, Page: pr.Page}] = off + walFrameHeader + 9
 		w.stats.PageImages++
 		mWALPageImages.Inc()
-	}
-	if catalog != nil {
-		if _, err := w.frame(append([]byte{walRecCatalog}, catalog...)); err != nil {
-			return undo(err)
-		}
 	}
 	w.seq++
 	invariant.Assertf(w.seq > 0, "storage: wal commit sequence number wrapped to zero")

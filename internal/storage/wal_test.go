@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -19,8 +20,8 @@ func walPage(file FileID, page PageID, fill byte) WALPageRec {
 // appendBatch logs a batch and waits for durability. A raw WAL holds no
 // buffer-pool pages, so a failed commit has nothing to roll back before it
 // releases the append gate.
-func appendBatch(w *WAL, pages []WALPageRec, catalog []byte) error {
-	p, err := w.StageBatch(pages, catalog)
+func appendBatch(w *WAL, pages []WALPageRec) error {
+	p, err := w.StageBatch(pages)
 	if err != nil {
 		return err
 	}
@@ -33,7 +34,7 @@ func appendBatch(w *WAL, pages []WALPageRec, catalog []byte) error {
 
 // commitBatch seals the pool's open batch and waits for it to be durable.
 func commitBatch(pool *Pool) error {
-	s, err := pool.SealBatch(nil)
+	s, err := pool.SealBatch()
 	if err != nil {
 		return err
 	}
@@ -43,10 +44,10 @@ func commitBatch(pool *Pool) error {
 func TestWALRoundTrip(t *testing.T) {
 	log := NewMemLog()
 	w := NewWAL(log)
-	if err := appendBatch(w, []WALPageRec{walPage(1, 0, 0xAA), walPage(1, 1, 0xBB)}, nil); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(1, 0, 0xAA), walPage(1, 1, 0xBB)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := appendBatch(w, []WALPageRec{walPage(2, 5, 0xCC)}, []byte(`{"catalog":true}`)); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(2, 5, 0xCC)}); err != nil {
 		t.Fatal(err)
 	}
 	scan, err := ScanWAL(log)
@@ -60,11 +61,11 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatalf("got %d batches, want 2", len(scan.Batches))
 	}
 	b0, b1 := scan.Batches[0], scan.Batches[1]
-	if len(b0.Pages) != 2 || b0.Catalog != nil || b0.Seq != 1 {
-		t.Errorf("batch 0 malformed: %d pages, cat=%v, seq=%d", len(b0.Pages), b0.Catalog, b0.Seq)
+	if len(b0.Pages) != 2 || b0.Seq != 1 {
+		t.Errorf("batch 0 malformed: %d pages, seq=%d", len(b0.Pages), b0.Seq)
 	}
-	if len(b1.Pages) != 1 || string(b1.Catalog) != `{"catalog":true}` || b1.Seq != 2 {
-		t.Errorf("batch 1 malformed: %d pages, cat=%q, seq=%d", len(b1.Pages), b1.Catalog, b1.Seq)
+	if len(b1.Pages) != 1 || b1.Seq != 2 {
+		t.Errorf("batch 1 malformed: %d pages, seq=%d", len(b1.Pages), b1.Seq)
 	}
 	if b0.Pages[0].Image[17] != 0xAA || b1.Pages[0].Image[17] != 0xCC {
 		t.Error("page images corrupted in round trip")
@@ -77,6 +78,26 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
+// A log of format 2 may carry a catalog snapshot record, type 2: the scan
+// refuses it with ErrFormat instead of taking it for a torn tail, which
+// would truncate the batches behind it away.
+func TestScanRefusesCatalogRecord(t *testing.T) {
+	log := NewMemLog()
+	w := NewWAL(log)
+	if err := appendBatch(w, []WALPageRec{walPage(1, 0, 0xAA)}); err != nil {
+		t.Fatal(err)
+	}
+	w.mu.Lock()
+	_, err := w.frame([]byte{2, '{', '}'})
+	w.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ScanWAL(log); !errors.Is(err, ErrFormat) {
+		t.Fatalf("ScanWAL = %v, want ErrFormat", err)
+	}
+}
+
 func TestWALEmptyAndTruncated(t *testing.T) {
 	log := NewMemLog()
 	scan, err := ScanWAL(log)
@@ -84,7 +105,7 @@ func TestWALEmptyAndTruncated(t *testing.T) {
 		t.Fatalf("empty log: %v %+v", err, scan)
 	}
 	w := NewWAL(log)
-	if err := appendBatch(w, []WALPageRec{walPage(1, 0, 1)}, nil); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(1, 0, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Truncate(); err != nil {
@@ -107,11 +128,7 @@ func TestWALTornTail(t *testing.T) {
 	w := NewWAL(full)
 	commitEnds := []int64{}
 	for i := 0; i < 4; i++ {
-		var cat []byte
-		if i == 2 {
-			cat = []byte("catalog image")
-		}
-		if err := appendBatch(w, []WALPageRec{walPage(1, PageID(i), byte(i+1))}, cat); err != nil {
+		if err := appendBatch(w, []WALPageRec{walPage(1, PageID(i), byte(i+1))}); err != nil {
 			t.Fatal(err)
 		}
 		commitEnds = append(commitEnds, full.Len())
@@ -146,7 +163,7 @@ func TestWALBitFlip(t *testing.T) {
 	log := NewMemLog()
 	w := NewWAL(log)
 	for i := 0; i < 3; i++ {
-		if err := appendBatch(w, []WALPageRec{walPage(1, PageID(i), byte(i+1))}, nil); err != nil {
+		if err := appendBatch(w, []WALPageRec{walPage(1, PageID(i), byte(i+1))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,7 +204,7 @@ func TestWALBitFlip(t *testing.T) {
 func TestWALGarbageLengthField(t *testing.T) {
 	log := NewMemLog()
 	w := NewWAL(log)
-	if err := appendBatch(w, []WALPageRec{walPage(1, 0, 7)}, nil); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(1, 0, 7)}); err != nil {
 		t.Fatal(err)
 	}
 	// Append a frame header claiming an absurd payload size.
@@ -213,10 +230,10 @@ func TestWALReadLatestImage(t *testing.T) {
 	if ok, err := w.ReadLatestImage(key, buf); err != nil || ok {
 		t.Fatalf("image before any commit: ok=%v err=%v", ok, err)
 	}
-	if err := appendBatch(w, []WALPageRec{walPage(3, 9, 0x11)}, nil); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(3, 9, 0x11)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := appendBatch(w, []WALPageRec{walPage(3, 9, 0x22)}, nil); err != nil {
+	if err := appendBatch(w, []WALPageRec{walPage(3, 9, 0x22)}); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := w.ReadLatestImage(key, buf)
@@ -254,7 +271,7 @@ func TestWALConcurrentAppendAndCheckpoint(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < batchesPerWriter; i++ {
 				pages := []WALPageRec{walPage(FileID(g+1), PageID(i), byte(g+1))}
-				if err := appendBatch(w, pages, nil); err != nil {
+				if err := appendBatch(w, pages); err != nil {
 					t.Errorf("writer %d: %v", g, err)
 					return
 				}

@@ -14,9 +14,10 @@ import (
 // must bump RecordFormat.
 
 // RecordFormat numbers the on-disk format: the record encoding, the filter
-// keys and their layout in a heap slot. The catalog image records it, and a
-// data directory written under any other number is refused.
-const RecordFormat = 2
+// keys and their layout in a heap slot, and where the catalog lives (3: in
+// the pages of data file 0). The catalog's page 0 records it, and a data
+// directory written under any other number is refused.
+const RecordFormat = 3
 
 // Summary is what Ψ's prefilter reads of a phoneme: its length in runes and
 // its rune-set signature, one bit per rune (Fibonacci hashing to 6 bits).

@@ -2,6 +2,7 @@ package mural
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
 
 	"github.com/mural-db/mural/internal/catalog"
@@ -48,7 +49,7 @@ func (e *Engine) execCreateTable(s *sql.CreateTable) (*Result, error) {
 		undo()
 		return nil, err
 	}
-	return &Result{}, e.saveCatalog()
+	return &Result{}, nil
 }
 
 // keyedColumn is the column of t whose filter keys its heap's slots carry,
@@ -62,14 +63,14 @@ func keyedColumn(t *catalog.Table) (col, keyBytes int) {
 	return types.KeyedColumn(kinds)
 }
 
-// commitDDL commits the open batch together with a snapshot of the catalog,
-// so the schema change and its page mutations become durable atomically.
+// commitDDL writes the catalog into its pages in the open batch and commits
+// the batch, so the schema change and its page mutations become durable
+// atomically. A commit that fails has rolled the batch back.
 func (e *Engine) commitDDL() error {
-	img, err := e.cat.Marshal()
-	if err != nil {
-		return err
+	if err := e.cat.Store(e.pool); err != nil {
+		return errors.Join(err, e.pool.AbortBatch())
 	}
-	return e.commitBatch(img)
+	return e.commitBatch()
 }
 
 func (e *Engine) execDropTable(s *sql.DropTable) (*Result, error) {
@@ -108,7 +109,7 @@ func (e *Engine) execDropTable(s *sql.DropTable) (*Result, error) {
 	for _, ix := range droppedIdx {
 		e.dropIndex(ix.Name)
 	}
-	return &Result{}, e.saveCatalog()
+	return &Result{}, nil
 }
 
 // execDropIndex removes a secondary index. The catalog entry and handle-map
@@ -137,7 +138,7 @@ func (e *Engine) execDropIndex(s *sql.DropIndex) (*Result, error) {
 	}
 	e.pool.WaitSealedDrained()
 	e.dropIndex(s.Name)
-	return &Result{}, e.saveCatalog()
+	return &Result{}, nil
 }
 
 func (e *Engine) execCreateIndex(s *sql.CreateIndex) (*Result, error) {
@@ -188,7 +189,7 @@ func (e *Engine) execCreateIndex(s *sql.CreateIndex) (*Result, error) {
 		return fail(err)
 	}
 	e.indexes[s.Name] = ix
-	return &Result{}, e.saveCatalog()
+	return &Result{}, nil
 }
 
 // createIndexChunkPages bounds how many dirty pages a CREATE INDEX backfill
@@ -428,8 +429,6 @@ func (e *Engine) execAnalyze(s *sql.Analyze) (*Result, error) {
 		}
 		stats[i] = st
 	}
-	// Log the refreshed stats as a committed catalog snapshot; otherwise a
-	// later crash replaying an older snapshot would silently revert them.
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.pool.BeginBatch(); err != nil {
@@ -448,7 +447,7 @@ func (e *Engine) execAnalyze(s *sql.Analyze) (*Result, error) {
 		swap()
 		return nil, err
 	}
-	return &Result{}, e.saveCatalog()
+	return &Result{}, nil
 }
 
 // analyzeTable gathers the §3.4.1 statistics: row/page counts plus one
@@ -521,11 +520,4 @@ func histKey(e *Engine, v types.Value) string {
 	default:
 		return v.String()
 	}
-}
-
-func (e *Engine) saveCatalog() error {
-	if e.cfg.Dir == "" {
-		return nil
-	}
-	return e.cat.Save(e.cfg.Dir)
 }

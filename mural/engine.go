@@ -154,7 +154,7 @@ type Engine struct {
 // this build's (check with errors.Is). Open refuses such a directory before
 // it recovers, loads or attaches anything; a directory written before the
 // format was numbered is refused too.
-var ErrFormat = catalog.ErrFormat
+var ErrFormat = storage.ErrFormat
 
 // Open opens (or creates) a database.
 func Open(cfg Config) (*Engine, error) {
@@ -164,32 +164,22 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.Phonetics == nil {
 		cfg.Phonetics = phonetic.DefaultRegistry()
 	}
-	var cat *catalog.Catalog
-	var err error
 	var wal *storage.WAL
 	var recStats RecoveryStats
+	var err error
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("mural: create dir: %w", err)
 		}
-		// Crash recovery: replay committed WAL batches into the data files
-		// and restore the logged catalog snapshot before loading anything.
-		wal, recStats, err = openWALWithRecovery(&cfg)
-		if err != nil {
+		// Crash recovery: replay committed WAL batches into the data files,
+		// the catalog's among them, before loading anything.
+		if wal, recStats, err = openWALWithRecovery(&cfg); err != nil {
 			return nil, err
 		}
-		cat, err = catalog.Load(cfg.Dir)
-		if err != nil {
-			_ = wal.Close()
-			return nil, err
-		}
-	} else {
-		cat = catalog.New()
 	}
 	e := &Engine{
 		cfg:       cfg,
 		pool:      storage.NewPool(cfg.BufferPages),
-		cat:       cat,
 		phon:      cfg.Phonetics,
 		wal:       wal,
 		recovery:  recStats,
@@ -241,8 +231,14 @@ func Open(cfg Config) (*Engine, error) {
 		}
 		return nil, err
 	}
-	// Reopen persisted tables and indexes.
-	for _, t := range cat.Tables() {
+	// Read the catalog through the pool, then reopen its tables and indexes.
+	if err := e.attachFile(catalog.File); err != nil {
+		return fail(err)
+	}
+	if e.cat, err = catalog.Load(e.pool); err != nil {
+		return fail(err)
+	}
+	for _, t := range e.cat.Tables() {
 		if err := e.attachFile(t.File); err != nil {
 			return fail(err)
 		}
@@ -253,7 +249,7 @@ func Open(cfg Config) (*Engine, error) {
 		}
 		e.heaps[t.Name] = h
 	}
-	for _, ix := range cat.Indexes() {
+	for _, ix := range e.cat.Indexes() {
 		if err := e.loadIndex(ix); err != nil {
 			return fail(err)
 		}
@@ -324,8 +320,8 @@ func (e *Engine) WordNet() *wordnet.Net {
 	return e.net
 }
 
-// Close checkpoints (flushing every dirty page, saving the catalog, and
-// truncating the WAL) and closes every file. A database closed cleanly
+// Close checkpoints (flushing every dirty page, the catalog's among them,
+// and truncating the WAL) and closes every file. A database closed cleanly
 // reopens without any replay work.
 func (e *Engine) Close() error {
 	e.mu.Lock()

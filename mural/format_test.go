@@ -1,28 +1,33 @@
 package mural
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/mural-db/mural/internal/catalog"
 	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
 )
 
-// A data directory of another on-disk format — one whose catalog image has
-// no format number, as every image did before the numbering, or another
-// number — is refused with ErrFormat before Open recovers, loads or attaches
-// anything: no data file is opened, and a log that carries the image is left
-// as it was. A directory of this build's format opens, recovers and reads as
-// before.
+// A data directory of another on-disk format is refused with ErrFormat
+// before Open recovers, loads or attaches anything: no data file is opened,
+// and the log is left as it was. Another format is a catalog page 0 whose
+// header has no format number, or another number — on disk, or as the log's
+// newest image of the page, which recovery would install — and a directory
+// of format 2 or older: its catalog is a catalog.json, and its log may carry
+// catalog snapshot records (type 2). A directory of this build's format
+// opens, recovers and reads as before.
 func TestOpenRefusesOtherFormat(t *testing.T) {
 	// formatDir writes a closed database of this build's format, with a
-	// UNITEXT row, and returns its directory and catalog image.
-	formatDir := func(t *testing.T) (string, map[string]any) {
+	// UNITEXT row, and returns its directory and its catalog's page 0.
+	formatDir := func(t *testing.T) (string, []byte) {
 		dir := t.TempDir()
 		e, err := Open(Config{Dir: dir})
 		if err != nil {
@@ -33,36 +38,45 @@ func TestOpenRefusesOtherFormat(t *testing.T) {
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
+		page, err := os.ReadFile(dataFilePath(dir, catalog.File))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var img map[string]any
-		if err := json.Unmarshal(data, &img); err != nil {
-			t.Fatal(err)
+		page = page[:storage.PageSize]
+		if got := binary.LittleEndian.Uint32(page[4:]); got != types.RecordFormat {
+			t.Fatalf("catalog page 0 format = %d, want %d", got, types.RecordFormat)
 		}
-		if img["format"] != float64(types.RecordFormat) {
-			t.Fatalf("catalog image format = %v, want %d", img["format"], types.RecordFormat)
-		}
-		return dir, img
+		return dir, page
 	}
-	marshal := func(t *testing.T, img map[string]any, format any) []byte {
-		img["format"] = format
-		if format == nil {
-			delete(img, "format")
-		}
-		data, err := json.Marshal(img)
+	// withFormat returns page with its header's format set, and its checksum
+	// stamped as the pool stamps it.
+	withFormat := func(page []byte, format uint32) []byte {
+		page = append([]byte(nil), page...)
+		binary.LittleEndian.PutUint32(page[4:], format)
+		binary.LittleEndian.PutUint32(page, crc32.ChecksumIEEE(page[4:]))
+		return page
+	}
+	// logPage commits a batch holding one page image of the catalog's page 0
+	// to dir's log.
+	logPage := func(t *testing.T, dir string, page []byte) {
+		f, err := os.OpenFile(filepath.Join(dir, walFileName), os.O_RDWR, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return data
+		p, err := storage.NewWAL(f).StageBatch([]storage.WALPageRec{{File: catalog.File, Page: 0, Image: page}})
+		if err == nil {
+			err = p.Wait()
+		}
+		if err := errors.Join(err, f.Close()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// refused opens dir, which must fail with ErrFormat having attached no
 	// data file and left the log as it was.
 	refused := func(t *testing.T, dir string) {
 		t.Helper()
 		walPath := filepath.Join(dir, walFileName)
-		before, err := os.Stat(walPath)
+		before, err := os.ReadFile(walPath)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,59 +91,66 @@ func TestOpenRefusesOtherFormat(t *testing.T) {
 		if attached != 0 {
 			t.Errorf("Open attached %d data files before refusing", attached)
 		}
-		if after, err := os.Stat(walPath); err != nil || after.Size() != before.Size() {
-			t.Errorf("Open changed the log before refusing: %d bytes, was %d (%v)", after.Size(), before.Size(), err)
+		if after, err := os.ReadFile(walPath); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("Open changed the log before refusing: %d bytes, was %d (%v)", len(after), len(before), err)
 		}
 	}
 	for _, c := range []struct {
 		name   string
-		format any
-	}{{"no format number", nil}, {"format 1, keys in the record", 1}, {"another format", types.RecordFormat + 1}} {
-		t.Run("catalog.json/"+c.name, func(t *testing.T) {
-			dir, img := formatDir(t)
-			if err := os.WriteFile(filepath.Join(dir, "catalog.json"), marshal(t, img, c.format), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			refused(t, dir)
-		})
-		// A directory that crashed after DDL: the log's last batch carries
-		// the catalog image that recovery would install.
-		t.Run("log/"+c.name, func(t *testing.T) {
-			dir, img := formatDir(t)
-			f, err := os.OpenFile(filepath.Join(dir, walFileName), os.O_RDWR, 0o644)
+		format uint32
+	}{{"no format number", 0}, {"format 1, keys in the record", 1}, {"another format", types.RecordFormat + 1}} {
+		t.Run("file_0/"+c.name, func(t *testing.T) {
+			dir, page := formatDir(t)
+			f, err := os.OpenFile(dataFilePath(dir, catalog.File), os.O_RDWR, 0o644)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := storage.NewWAL(f).StageBatch(nil, marshal(t, img, c.format))
-			if err == nil {
-				err = p.Wait()
-			}
+			_, err = f.WriteAt(withFormat(page, c.format), 0)
 			if err := errors.Join(err, f.Close()); err != nil {
 				t.Fatal(err)
 			}
 			refused(t, dir)
 		})
+		// A directory that crashed after DDL: the log's newest image of page
+		// 0 is the one recovery would install.
+		t.Run("log/"+c.name, func(t *testing.T) {
+			dir, page := formatDir(t)
+			logPage(t, dir, withFormat(page, c.format))
+			refused(t, dir)
+		})
 	}
+	t.Run("catalog.json", func(t *testing.T) {
+		dir, _ := formatDir(t)
+		if err := os.Remove(dataFilePath(dir, catalog.File)); err != nil {
+			t.Fatal(err)
+		}
+		legacy := `{"format": 2, "tables": [{"name": "t", "columns": [{"name": "id", "kind": 2}], "file": 1}], "stats": {}, "next_file": 2}`
+		if err := os.WriteFile(filepath.Join(dir, "catalog.json"), []byte(legacy), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, dir)
+	})
+	t.Run("log/catalog record", func(t *testing.T) {
+		dir, _ := formatDir(t)
+		payload := []byte(`{"format": 2}`)
+		payload = append([]byte{2}, payload...)
+		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+		if err := os.WriteFile(filepath.Join(dir, walFileName), append(frame, payload...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, dir)
+	})
 	t.Run("this format", func(t *testing.T) {
-		dir, img := formatDir(t)
-		f, err := os.OpenFile(filepath.Join(dir, walFileName), os.O_RDWR, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := storage.NewWAL(f).StageBatch(nil, marshal(t, img, types.RecordFormat))
-		if err == nil {
-			err = p.Wait()
-		}
-		if err := errors.Join(err, f.Close()); err != nil {
-			t.Fatal(err)
-		}
+		dir, page := formatDir(t)
+		logPage(t, dir, page)
 		e, err := Open(Config{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		if rec := e.LastRecovery(); rec.BatchesReplayed != 1 || !rec.CatalogRestored {
-			t.Errorf("recovery = %+v, want the logged batch replayed and its catalog restored", rec)
+		if rec := e.LastRecovery(); rec.BatchesReplayed != 1 || rec.PagesApplied != 1 {
+			t.Errorf("recovery = %+v, want the logged batch replayed", rec)
 		}
 		res := e.MustExec(`SELECT id FROM t WHERE name LEXEQUAL 'nehru' THRESHOLD 0`)
 		if len(res.Rows) != 1 {

@@ -159,7 +159,7 @@ func (e *Engine) backfill(ix *index) error {
 		if e.pool.BatchPages() < chunk {
 			return nil
 		}
-		if err := e.commitBatch(nil); err != nil {
+		if err := e.commitBatch(); err != nil {
 			return err
 		}
 		// The caller commits or aborts the batch reopened here.

@@ -39,11 +39,6 @@ func publishRecoveryStats(rs RecoveryStats) {
 		torn = 1
 	}
 	reg.Gauge("mural_recovery_torn_tail").Set(torn)
-	restored := int64(0)
-	if rs.CatalogRestored {
-		restored = 1
-	}
-	reg.Gauge("mural_recovery_catalog_restored").Set(restored)
 }
 
 // slowQueryRecord is one line of the structured slow-query log.

@@ -1,12 +1,14 @@
 package mural
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"github.com/mural-db/mural/internal/catalog"
 	"github.com/mural-db/mural/internal/storage"
+	"github.com/mural-db/mural/internal/types"
 )
 
 // walFileName is the single write-ahead log of an on-disk database.
@@ -25,18 +27,15 @@ type RecoveryStats struct {
 	// TornTail reports that the log ended in a truncated or corrupt frame
 	// (discarded, as an in-flight batch at crash time).
 	TornTail bool
-	// CatalogRestored reports that the catalog was rolled forward from a
-	// logged snapshot.
-	CatalogRestored bool
 	// OrphansRemoved counts data files deleted because no recovered catalog
 	// references them (debris of uncommitted DDL).
 	OrphansRemoved int
 }
 
 // openWALWithRecovery opens dir's write-ahead log, replays every committed
-// batch into the data files, restores the last committed catalog snapshot,
-// and truncates the log. It returns the log positioned for appending. The
-// caller loads the catalog afterwards, so it observes the recovered state.
+// batch into the data files — the catalog's file among them — and truncates
+// the log. It returns the log positioned for appending. The caller loads the
+// catalog afterwards, so it observes the recovered state.
 func openWALWithRecovery(cfg *Config) (*storage.WAL, RecoveryStats, error) {
 	var stats RecoveryStats
 	f, err := os.OpenFile(filepath.Join(cfg.Dir, walFileName), os.O_RDWR|os.O_CREATE, 0o644)
@@ -53,17 +52,7 @@ func openWALWithRecovery(cfg *Config) (*storage.WAL, RecoveryStats, error) {
 		return nil, stats, fmt.Errorf("mural: scan wal: %w", err)
 	}
 	stats.TornTail = scan.Torn
-	// The catalog recovery restores is the last image the log carries. It,
-	// or catalog.json when the log has none, names the on-disk format of the
-	// data files: a directory of another format is refused before recovery
-	// writes to any of them.
-	var lastCatalog []byte
-	for _, b := range scan.Batches {
-		if b.Catalog != nil {
-			lastCatalog = b.Catalog
-		}
-	}
-	if err := catalog.CheckFormat(cfg.Dir, lastCatalog); err != nil {
+	if err := checkFormat(cfg.Dir, scan); err != nil {
 		_ = lf.Close()
 		return nil, stats, err
 	}
@@ -93,8 +82,9 @@ func openWALWithRecovery(cfg *Config) (*storage.WAL, RecoveryStats, error) {
 		}
 		stats.BatchesReplayed++
 	}
-	// Durability order: data files first, then the catalog, and only then
-	// may the log be truncated — a crash anywhere in between replays again.
+	// Durability order: data files, then the directory (the log's entry and
+	// those of files redo created), and only then may the log be truncated
+	// — a crash anywhere in between replays again.
 	for _, df := range files {
 		if err := df.Sync(); err != nil {
 			closeAll(files)
@@ -103,12 +93,9 @@ func openWALWithRecovery(cfg *Config) (*storage.WAL, RecoveryStats, error) {
 		}
 	}
 	closeAll(files)
-	if lastCatalog != nil {
-		if err := catalog.SaveImage(cfg.Dir, lastCatalog); err != nil {
-			_ = lf.Close()
-			return nil, stats, fmt.Errorf("mural: recover: %w", err)
-		}
-		stats.CatalogRestored = true
+	if err := syncDir(cfg.Dir); err != nil {
+		_ = lf.Close()
+		return nil, stats, err
 	}
 	wal := storage.NewWAL(lf)
 	if err := wal.Truncate(); err != nil {
@@ -116,6 +103,46 @@ func openWALWithRecovery(cfg *Config) (*storage.WAL, RecoveryStats, error) {
 		return nil, stats, err
 	}
 	return wal, stats, nil
+}
+
+// checkFormat refuses, with ErrFormat, a directory of another on-disk format
+// before recovery writes anything: one that holds a catalog.json (format 2
+// and older), or whose catalog page 0 — the log's newest image of it, else
+// file_0.db's — names another format.
+func checkFormat(dir string, scan *storage.WALScan) error {
+	if _, err := os.Stat(filepath.Join(dir, "catalog.json")); err == nil {
+		return fmt.Errorf("%w: the catalog is in catalog.json (format 2 or older), this build reads format %d", ErrFormat, types.RecordFormat)
+	}
+	var page []byte
+	for _, b := range scan.Batches {
+		for _, pr := range b.Pages {
+			if pr.File == catalog.File && pr.Page == 0 {
+				page = pr.Image
+			}
+		}
+	}
+	if page == nil {
+		data, err := os.ReadFile(dataFilePath(dir, catalog.File))
+		if err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("mural: read catalog: %w", err)
+		}
+		if len(data) < storage.PageSize {
+			return nil // no page yet
+		}
+		page = data
+	}
+	_, err := catalog.CheckFormat(page[storage.PageSize-storage.PagePayload:])
+	return err
+}
+
+// syncDir makes the entries of dir durable: a file created since its
+// directory's last sync may vanish in a power cut, though its bytes synced.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("mural: sync dir: %w", err)
+	}
+	return errors.Join(d.Sync(), d.Close())
 }
 
 func closeAll(files map[storage.FileID]*os.File) {
@@ -156,11 +183,10 @@ func (e *Engine) removeOrphanFiles() (int, error) {
 	return removed, nil
 }
 
-// commitBatch commits the open batch, optionally bundling a catalog
-// snapshot so DDL commits atomically with its page mutations. A commit that
-// fails has rolled the batch's pages back before it returns. An in-memory
-// database commits the same batches; its commit logs nothing and writes the
-// batch's pages through (storage.Pool.SealBatch).
+// commitBatch commits the open batch. A commit that fails has rolled the
+// batch's pages back before it returns. An in-memory database commits the
+// same batches; its commit logs nothing and writes the batch's pages through
+// (storage.Pool.SealBatch).
 //
 // Audited blocking-under-lock: the group-commit wait runs with e.mu held.
 // DML write paths avoid this via commitGrouped (which releases e.mu around
@@ -169,8 +195,8 @@ func (e *Engine) removeOrphanFiles() (int, error) {
 // serialized against every other session anyway.
 //
 //lint:lock-held-io DDL commits hold e.mu across the group-commit wait by design
-func (e *Engine) commitBatch(catalogImage []byte) error {
-	s, err := e.pool.SealBatch(catalogImage)
+func (e *Engine) commitBatch() error {
+	s, err := e.pool.SealBatch()
 	if err != nil {
 		return err
 	}
@@ -194,7 +220,7 @@ func (e *Engine) commitBatch(catalogImage []byte) error {
 //
 //lint:lock-handoff callers hold e.mu; the fsync wait runs with it released so commits group
 func (e *Engine) commitGrouped(table string) error {
-	s, err := e.pool.SealBatch(nil)
+	s, err := e.pool.SealBatch()
 	if err == nil {
 		e.mu.Unlock()
 		err = s.Wait()
@@ -254,10 +280,10 @@ func (e *Engine) reopenTableLocked(table string) error {
 	return firstErr
 }
 
-// checkpointLocked flushes every dirty page, syncs the data files, saves
-// the catalog, and truncates the WAL. After it returns, the data files
-// alone carry the full database state. Called with e.mu held and no batch
-// open.
+// checkpointLocked flushes every dirty page, syncs the data files — the
+// catalog's among them — and the directory that names them, and truncates
+// the WAL. After it returns, the data files alone carry the full database
+// state. Called with e.mu held and no batch open.
 //
 // Audited blocking-under-lock: the data-file syncs and the WAL truncate
 // MUST run under e.mu — a checkpoint is a stop-the-world point, and any
@@ -281,15 +307,13 @@ func (e *Engine) checkpointLocked() error {
 			return err
 		}
 	}
-	if e.cfg.Dir != "" {
-		if err := e.cat.Save(e.cfg.Dir); err != nil {
-			return err
-		}
+	if e.wal == nil {
+		return nil
 	}
-	if e.wal != nil {
-		return e.wal.Truncate()
+	if err := syncDir(e.cfg.Dir); err != nil {
+		return err
 	}
-	return nil
+	return e.wal.Truncate()
 }
 
 // maybeCheckpointLocked checkpoints when the WAL has outgrown the

@@ -1,16 +1,18 @@
 package mural
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/mural-db/mural/internal/catalog"
 	"github.com/mural-db/mural/internal/storage"
-	"github.com/mural-db/mural/internal/types"
 )
 
 // crashHarness wires a shared crash fuse into an engine's data files and
@@ -21,6 +23,7 @@ type crashHarness struct {
 	state   *storage.CrashState
 	mu      sync.Mutex
 	closers []func() error
+	names   []string // the data files wrapped, as DiskWrap names them
 }
 
 func newCrashHarness(limit int) *crashHarness {
@@ -37,6 +40,7 @@ func (h *crashHarness) config(dir string) Config {
 		DiskWrap: func(name string, d storage.Disk) storage.Disk {
 			h.mu.Lock()
 			h.closers = append(h.closers, d.Close)
+			h.names = append(h.names, name)
 			h.mu.Unlock()
 			return storage.NewCrashDisk(d, h.state)
 		},
@@ -248,7 +252,8 @@ func checkIndexAgreement(t *testing.T, e *Engine, label string) {
 // operations W the full workload performs, then for every prefix N in
 // [0, W] runs the workload against a fresh database whose devices die
 // after N writes (every third crash site tears the triggering write),
-// reopens the database cleanly, and checks the recovered state.
+// reopens the database cleanly, and checks the recovered state. The
+// catalog's page writes (file_0) are crash sites like any data file's.
 //
 // The acceptable states are exact: every statement acknowledged before the
 // crash must be fully present, nothing later may leave a trace. The one
@@ -256,6 +261,10 @@ func checkIndexAgreement(t *testing.T, e *Engine, label string) {
 // in flight at the crash — its commit record may or may not have become
 // durable before the failing operation — so the first *failed* statement
 // is accepted either fully applied or fully absent. Never partially.
+//
+// The sites run concurrently, at most crashSitesAtOnce at a time: each one
+// waits mostly on fsync. Each starts its subtest from a goroutine of its
+// own, so neither -parallel nor -cpu 1 serialises them.
 func TestCrashMatrix(t *testing.T) {
 	workload := crashWorkload()
 	if len(workload) < 50 {
@@ -286,6 +295,9 @@ func TestCrashMatrix(t *testing.T) {
 	if totalWrites < len(workload) {
 		t.Fatalf("suspicious write count %d for %d statements", totalWrites, len(workload))
 	}
+	if !slices.Contains(counter.names, "file_0") {
+		t.Fatalf("the catalog's file is not behind the fuse: wrapped %v", counter.names)
+	}
 	t.Logf("workload: %d statements, %d write operations", len(workload), totalWrites)
 
 	stride := 1
@@ -294,41 +306,56 @@ func TestCrashMatrix(t *testing.T) {
 	}
 
 	// Pass 2: crash after every write prefix.
+	sem := make(chan struct{}, crashSitesAtOnce)
+	var wg sync.WaitGroup
 	for n := 0; n <= totalWrites; n += stride {
-		h := newCrashHarness(n)
-		if n%3 == 2 {
-			h.state.SetTear(true)
-		}
-		dir := t.TempDir()
-		label := fmt.Sprintf("crash@%d", n)
-
-		model := dbState{rows: map[int64]string{}}
-		acceptable := []dbState{}
-		e, err := Open(h.config(dir))
-		if err == nil {
-			failed := -1
-			for i, s := range workload {
-				if _, err := e.Exec(s.sql); err != nil {
-					failed = i
-					break
-				}
-				s.apply(&model)
-			}
-			acceptable = append(acceptable, model)
-			if failed >= 0 {
-				// Boundary ambiguity: the failing statement may have become
-				// durable before the crash hit a post-commit step.
-				b := model.clone()
-				workload[failed].apply(&b)
-				acceptable = append(acceptable, b)
-			}
-		} else {
-			// Crashed inside Open itself: nothing may survive.
-			acceptable = append(acceptable, model)
-		}
-		h.abandon()
-		verifySite(t, label, dir, acceptable)
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			t.Run(fmt.Sprintf("crash@%d", n), func(t *testing.T) { crashSite(t, workload, n) })
+		}()
 	}
+	wg.Wait()
+}
+
+// crashSitesAtOnce bounds the crash matrix's concurrent sites.
+const crashSitesAtOnce = 8
+
+// crashSite runs the workload against a fresh database whose devices die
+// after n writes, then checks what a clean reopen recovers.
+func crashSite(t *testing.T, workload []wlStmt, n int) {
+	h := newCrashHarness(n)
+	if n%3 == 2 {
+		h.state.SetTear(true)
+	}
+	dir := t.TempDir()
+	model := dbState{rows: map[int64]string{}}
+	acceptable := []dbState{}
+	e, err := Open(h.config(dir))
+	if err == nil {
+		failed := -1
+		for i, s := range workload {
+			if _, err := e.Exec(s.sql); err != nil {
+				failed = i
+				break
+			}
+			s.apply(&model)
+		}
+		acceptable = append(acceptable, model)
+		if failed >= 0 {
+			// Boundary ambiguity: the failing statement may have become
+			// durable before the crash hit a post-commit step.
+			b := model.clone()
+			workload[failed].apply(&b)
+			acceptable = append(acceptable, b)
+		}
+	} else {
+		// Crashed inside Open itself: nothing may survive.
+		acceptable = append(acceptable, model)
+	}
+	h.abandon()
+	verifySite(t, fmt.Sprintf("crash@%d", n), dir, acceptable)
 }
 
 // verifySite reopens dir without fault injection and checks the recovered
@@ -509,17 +536,10 @@ func TestRecoveryReplaysAbandonedWAL(t *testing.T) {
 	}
 }
 
-// Settings are not durable state. A catalog.json that still carries
-// "settings" (as images did before settings left the catalog) opens with them
-// ignored; a database closed after SETs reopens with Config's defaults, and
-// its image has no settings.
+// Settings are not durable state: a database closed after SETs reopens with
+// Config's defaults, and its catalog's pages carry no setting.
 func TestSettingsNotDurable(t *testing.T) {
 	dir := t.TempDir()
-	legacy := fmt.Sprintf(`{"format": %d, "tables": [{"name": "t", "columns": [{"name": "id", "kind": 2}], "file": 1}],
-		"stats": {}, "settings": {"statement_timeout": "5", "enable_mtree": "off"}, "next_file": 2}`, types.RecordFormat)
-	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	for round := 0; round < 2; round++ {
 		e, err := Open(Config{Dir: dir})
 		if err != nil {
@@ -530,6 +550,9 @@ func TestSettingsNotDurable(t *testing.T) {
 				t.Errorf("open %d: SHOW %s = %q, want the default %q", round, name, got, want)
 			}
 		}
+		if round == 0 {
+			e.MustExec(`CREATE TABLE t (id INT)`)
+		}
 		e.MustExec(`INSERT INTO t VALUES (1)`)
 		e.MustExec(`SET statement_timeout = 5`)
 		e.MustExec(`SET enable_mtree = off`)
@@ -537,7 +560,7 @@ func TestSettingsNotDurable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if img, err := os.ReadFile(filepath.Join(dir, "catalog.json")); err != nil || strings.Contains(string(img), "settings") {
-		t.Errorf("catalog image carries settings (err %v):\n%s", err, img)
+	if img, err := os.ReadFile(dataFilePath(dir, catalog.File)); err != nil || bytes.Contains(img, []byte("timeout")) || bytes.Contains(img, []byte("mtree")) {
+		t.Errorf("catalog pages carry settings (err %v):\n%s", err, img)
 	}
 }
