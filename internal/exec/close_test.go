@@ -102,3 +102,42 @@ func TestCursorAllPropagatesCloseError(t *testing.T) {
 		t.Fatalf("Cursor.All dropped the close error: got %v", err)
 	}
 }
+
+// failIter fails its NextBatch with err, then closes failed.
+type failIter struct {
+	trackIter
+	err    error
+	failed chan struct{}
+}
+
+func (f *failIter) NextBatch() (*Batch, error) {
+	defer close(f.failed)
+	return nil, f.err
+}
+
+// waitIter ends its stream once failed is closed.
+type waitIter struct {
+	trackIter
+	failed chan struct{}
+}
+
+func (w *waitIter) NextBatch() (*Batch, error) {
+	<-w.failed
+	return nil, nil
+}
+
+// A Gather reports one worker's NextBatch error but hides no worker's Close
+// error (an unpin or a charge that fails), as a serial cursor reports both.
+func TestGatherJoinsWorkerCloseErrors(t *testing.T) {
+	nextErr, closeErr, failed := errors.New("scan failed"), errors.New("unpin failed"), make(chan struct{})
+	g := &gatherIter{parent: &evaluator{stats: &RunStats{}}, stop: make(chan struct{})}
+	for _, root := range []BatchIter{&failIter{err: nextErr, failed: failed}, &waitIter{trackIter{closeErr: closeErr}, failed}} {
+		g.workers = append(g.workers, &gatherWorker{root: root, ev: &evaluator{stats: &RunStats{}}})
+	}
+	if _, err := g.NextBatch(); err == nil || err.Error() != "scan failed\nunpin failed" {
+		t.Fatalf("NextBatch error = %q, want the scan's and the close's", err)
+	}
+	if err := g.Close(); err != nil {
+		t.Errorf("Close after surfaced error = %v, want nil", err)
+	}
+}

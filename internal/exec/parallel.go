@@ -118,9 +118,11 @@ type workerCell struct {
 type gatherWorker struct {
 	root BatchIter
 	ev   *evaluator
-	// err is this worker's terminal error (NextBatch or Close); written by
-	// the worker goroutine, read only after wg.Wait.
-	err error
+	// err is this worker's NextBatch error and failed its place among the
+	// Gather's failures, numbered as NextBatch returns it; closeErr is its
+	// Close error. Written by the worker goroutine, read only after wg.Wait.
+	err, closeErr error
+	failed        int64
 }
 
 // buildGather instantiates the worker pipelines for a Gather node. Workers
@@ -186,6 +188,11 @@ type gatherIter struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
+	// fails numbers the workers' NextBatch failures as they happen: the
+	// Gather reports the first, as a serial run reports the first error it
+	// meets, whichever other workers fail before they see the stop.
+	fails atomic.Int64
+
 	started  bool
 	closed   bool
 	merged   bool
@@ -216,27 +223,30 @@ func (g *gatherIter) interrupt() {
 // longer be delivered is recycled here (settling its charge).
 func (g *gatherIter) runWorker(w *gatherWorker) {
 	defer g.wg.Done()
-	err := func() error {
+	func() {
 		for {
 			select {
 			case <-g.stop:
-				return nil
+				return
 			default:
 			}
 			b, err := w.root.NextBatch()
-			if err != nil || b == nil {
-				return err
+			if err != nil {
+				w.err, w.failed = err, g.fails.Add(1)
+				return
+			}
+			if b == nil {
+				return
 			}
 			select {
 			case g.out <- b:
 			case <-g.stop:
 				w.ev.putBatch(b)
-				return nil
+				return
 			}
 		}
 	}()
-	if err = errors.Join(err, w.root.Close()); err != nil {
-		w.err = err
+	if w.closeErr = w.root.Close(); w.err != nil || w.closeErr != nil {
 		// The stream is dead: stop the other workers promptly too.
 		g.interrupt()
 	}
@@ -266,7 +276,8 @@ func (g *gatherIter) NextBatch() (*Batch, error) {
 }
 
 // finish folds every worker's counters into the parent evaluator, publishes
-// what a worker counted since its last batch, and joins worker errors.
+// what a worker counted since its last batch, and returns the first
+// worker's NextBatch error joined with every worker's Close error.
 // Idempotent: the fold happens exactly once no matter how the Gather winds
 // down.
 func (g *gatherIter) finish() error {
@@ -274,16 +285,21 @@ func (g *gatherIter) finish() error {
 		return nil
 	}
 	g.merged = true
-	var errs []error
+	var first *gatherWorker
+	errs := []error{nil}
 	for _, w := range g.workers {
 		w.ev.publishCounts()
 		g.parent.stats.merge(w.ev.stats)
 		if g.parent.collector != nil {
 			g.parent.collector.Merge(w.ev.collector)
 		}
-		if w.err != nil {
-			errs = append(errs, w.err)
+		if w.err != nil && (first == nil || w.failed < first.failed) {
+			first = w
 		}
+		errs = append(errs, w.closeErr)
+	}
+	if first != nil {
+		errs[0] = first.err
 	}
 	return errors.Join(errs...)
 }
@@ -314,6 +330,9 @@ func (g *gatherIter) Close() error {
 		for _, w := range g.workers {
 			if errors.Is(w.err, stop) {
 				w.err = nil
+			}
+			if errors.Is(w.closeErr, stop) {
+				w.closeErr = nil
 			}
 		}
 	}

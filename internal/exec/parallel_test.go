@@ -295,8 +295,10 @@ func TestGatherWorkerErrorPropagates(t *testing.T) {
 				break
 			}
 		}
-		if !errors.Is(sawErr, scanErr) {
-			t.Fatalf("Next error = %v, want %v", sawErr, scanErr)
+		// Once: every worker that failed before it saw the stop met the
+		// same error, and the Gather reports only the first of them.
+		if !errors.Is(sawErr, scanErr) || sawErr.Error() != scanErr.Error() {
+			t.Fatalf("Next error = %q, want %q", sawErr, scanErr)
 		}
 		// The error is sticky on further Nexts…
 		if _, _, err := cur.Next(); !errors.Is(err, scanErr) {

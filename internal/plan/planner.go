@@ -133,6 +133,7 @@ func (p *Planner) Plan(sel *sql.Select) (*Node, error) {
 	}
 
 	se := &selEstimator{
+		cat:   p.Cat,
 		stats: map[string]Stats{},
 		phon:  p.Phon,
 		sem:   p.Sem,

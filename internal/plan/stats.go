@@ -33,6 +33,7 @@ type SelFeedback interface {
 // closure-fraction estimates for Ω. When fb is set, established observed
 // selectivities take precedence over the histogram estimates.
 type selEstimator struct {
+	cat    *catalog.Catalog
 	stats  map[string]Stats  // by relation alias
 	tables map[string]string // relation alias → catalog table name
 	phon   *phonetic.Registry
@@ -267,6 +268,9 @@ func (se *selEstimator) compareSel(x *sql.Compare, schema []ColInfo) float64 {
 		if !ok || cs.Hist == nil || !keyOK {
 			switch op {
 			case sql.OpEq:
+				if se.unmeasuredKey(ref, schema) {
+					return 1.0 / defaultRows
+				}
 				return defaultEqSel
 			case sql.OpNe:
 				return 1 - defaultEqSel
@@ -287,6 +291,17 @@ func (se *selEstimator) compareSel(x *sql.Compare, schema []ColInfo) float64 {
 	default:
 		return defaultSel
 	}
+}
+
+// unmeasuredKey reports whether ref names a column with a B-tree index in a
+// table ANALYZE has not measured. An equality on it is taken to select one
+// row of the assumed table, as on a key: defaultEqSel would price a point
+// read through the index above a scan of the whole table.
+func (se *selEstimator) unmeasuredKey(ref *sql.ColumnRef, schema []ColInfo) bool {
+	tbl := se.tableOf(ref, schema)
+	return tbl != "" && se.cat.Stats(tbl) == nil && slices.ContainsFunc(se.cat.IndexesOn(tbl, ref.Column), func(ix *catalog.Index) bool {
+		return ix.Kind == sql.IndexBTree
+	})
 }
 
 func (se *selEstimator) psiSel(x *sql.LexEqual, schema []ColInfo) float64 {

@@ -107,30 +107,6 @@ func TestPsiThresholdMonotone(t *testing.T) {
 	}
 }
 
-// TestPsiJoinOrderIndependence: the optimizer may pick any join order or
-// algorithm; results must not change. This is the planner-level face of
-// associativity/commutativity.
-func TestPsiJoinOrderIndependence(t *testing.T) {
-	e := algebraEngine(t)
-	q := `SELECT count(*) FROM l, r WHERE l.v LEXEQUAL r.v THRESHOLD 2`
-	base := count(t, e, q)
-	for _, force := range []string{"l, r", "r, l"} {
-		e.MustExec(`SET force_join_order = ` + force)
-		if got := count(t, e, q); got != base {
-			t.Errorf("order %q changed result: %d vs %d", force, got, base)
-		}
-	}
-	e.MustExec(`SET force_join_order = ''`)
-	// Disable hash join and metric indexes: still the same answer.
-	for _, setting := range []string{"enable_hashjoin", "enable_mtree", "enable_mdi"} {
-		e.MustExec(`SET ` + setting + ` = off`)
-		if got := count(t, e, q); got != base {
-			t.Errorf("%s=off changed result: %d vs %d", setting, got, base)
-		}
-		e.MustExec(`SET ` + setting + ` = on`)
-	}
-}
-
 // TestUniTextTextOperations: §3.2.1 — ordinary text comparisons apply to
 // the Text component of UniText, while ≐ compares both components.
 func TestUniTextTextOperations(t *testing.T) {

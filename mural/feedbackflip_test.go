@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/mural-db/mural/internal/bench"
+	"github.com/mural-db/mural/internal/dataset"
+	"github.com/mural-db/mural/internal/types"
+	"github.com/mural-db/mural/mural"
 )
 
 // TestFeedbackFlipsMTreeMisplan reproduces the table4 misplan and checks
@@ -16,17 +18,31 @@ import (
 // and the re-planned statement must switch to the plain scan — with the
 // same answer. ANALYZE then purges the feedback and the misplan returns.
 func TestFeedbackFlipsMTreeMisplan(t *testing.T) {
-	db, err := bench.NewNamesDB(bench.NamesConfig{Names: 1500, ProbeNames: 20, Seed: 2006})
+	eng, err := mural.Open(mural.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	eng := db.Eng
+	defer eng.Close()
+	eng.MustExec(`CREATE TABLE names (id INT, name UNITEXT)`)
+	recs := dataset.GenerateNames(dataset.NamesConfig{Records: 1500, Seed: 2006})
+	var rows []string
+	var probes []types.UniText // the first 20 English names
+	for _, r := range recs {
+		rows = append(rows, fmt.Sprintf("(%d, unitext('%s', %s))", r.ID, strings.ReplaceAll(r.Name.Text, "'", "''"), r.Name.Lang))
+		if r.Name.Lang == types.LangEnglish && len(probes) < 20 {
+			probes = append(probes, r.Name)
+		}
+	}
+	for i := 0; i < len(rows); i += 500 {
+		eng.MustExec(`INSERT INTO names VALUES ` + strings.Join(rows[i:min(i+500, len(rows))], ","))
+	}
+	eng.MustExec(`CREATE INDEX idx_names_mtree ON names (name) USING MTREE`)
+	eng.MustExec(`ANALYZE`)
 	// Governed session: feedback folds only on governed executions.
 	eng.MustExec(`SET statement_timeout = 600000`)
 
 	flipped := false
-	for _, u := range db.Queries {
+	for _, u := range probes {
 		// Table 4's query shape: a bare TEXT literal (read as English).
 		q := fmt.Sprintf(
 			"SELECT * FROM names WHERE name LEXEQUAL '%s' THRESHOLD 0", u.Text)

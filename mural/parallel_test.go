@@ -2,8 +2,6 @@ package mural
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -28,47 +26,6 @@ func loadNames(t testing.TB, e *Engine, n int) {
 }
 
 const psiNamesQuery = `SELECT id FROM names WHERE name LEXEQUAL 'akash' THRESHOLD 1 IN english`
-
-// A parallel engine must plan a Gather over an eligible Ψ selection and
-// return exactly the serial result set.
-func TestParallelPsiSelectionMatchesSerial(t *testing.T) {
-	e, err := Open(Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	loadNames(t, e, 200)
-
-	ex := e.MustExec(`EXPLAIN ` + psiNamesQuery)
-	if !strings.Contains(ex.Plan, "Gather workers=") {
-		t.Fatalf("no Gather in parallel plan:\n%s", ex.Plan)
-	}
-	if !strings.Contains(ex.Plan, "[parallel]") {
-		t.Fatalf("driving scan not marked parallel:\n%s", ex.Plan)
-	}
-
-	par := e.MustExec(psiNamesQuery)
-
-	e.MustExec(`SET workers = 1`)
-	ex = e.MustExec(`EXPLAIN ` + psiNamesQuery)
-	if strings.Contains(ex.Plan, "Gather") {
-		t.Fatalf("SET workers = 1 did not disable parallelism:\n%s", ex.Plan)
-	}
-	ser := e.MustExec(psiNamesQuery)
-
-	if len(par.Rows) == 0 || len(par.Rows) != len(ser.Rows) {
-		t.Fatalf("parallel rows = %d, serial rows = %d", len(par.Rows), len(ser.Rows))
-	}
-	seen := map[int64]bool{}
-	for _, r := range ser.Rows {
-		seen[r[0].Int()] = true
-	}
-	for _, r := range par.Rows {
-		if !seen[r[0].Int()] {
-			t.Fatalf("parallel result has id %d the serial result lacks", r[0].Int())
-		}
-	}
-}
 
 // SET workers overrides the engine-level worker count in both directions.
 func TestSetWorkersOverridesConfig(t *testing.T) {
@@ -153,49 +110,6 @@ func TestPsiSelectionMemoizesProbeConversions(t *testing.T) {
 		}
 		if res.Stats.PsiEvaluations != n {
 			t.Errorf("%s: evaluated %d rows, want %d", q, res.Stats.PsiEvaluations, n)
-		}
-	}
-}
-
-// The psi_join statement shape — a two-row window of a probe table joined by
-// Ψ to a large names table — is gathered above the join with only the inner
-// scan partitioned, and returns the serial multiset at any worker count.
-func TestPsiJoinPartitionsInnerMatchesSerial(t *testing.T) {
-	e := memEngine(t)
-	loadNames(t, e, 2000)
-	e.MustExec(`CREATE TABLE probe (id INT, name UNITEXT)`)
-	var rows []string
-	for i, name := range []string{"akash", "vikram", "nehru", "tagore", "priya", "gandhi", "akaash", "vikrm"} {
-		rows = append(rows, fmt.Sprintf("(%d, unitext('%s', english))", i, name))
-	}
-	e.MustExec(`INSERT INTO probe VALUES ` + strings.Join(rows, ", "))
-	e.MustExec(`ANALYZE probe`)
-	const q = `SELECT p.id, n.id FROM probe p, names n WHERE p.id >= 2 AND p.id < 4 AND p.name LEXEQUAL n.name THRESHOLD 1`
-	multiset := func(rows []Tuple) []string {
-		var out []string
-		for _, r := range rows {
-			out = append(out, fmt.Sprint(r))
-		}
-		sort.Strings(out)
-		return out
-	}
-	e.MustExec(`SET workers = 1`)
-	if ex := e.MustExec(`EXPLAIN ` + q); strings.Contains(ex.Plan, "Gather") {
-		t.Fatalf("workers=1 plan has a Gather:\n%s", ex.Plan)
-	}
-	serial := multiset(e.MustExec(q).Rows)
-	if len(serial) == 0 {
-		t.Fatal("the join matched nothing")
-	}
-	for _, w := range []int{2, 8} {
-		e.MustExec(fmt.Sprintf(`SET workers = %d`, w))
-		ex := e.MustExec(`EXPLAIN ` + q).Plan
-		gather, join := strings.Index(ex, "Gather workers="), strings.Index(ex, "PsiJoin(NL)")
-		if gather < 0 || join < gather || strings.Count(ex, "[parallel]") != 1 || !strings.Contains(ex, "SeqScan names AS n [parallel]") {
-			t.Fatalf("workers=%d: want a Gather above the join over a partitioned inner scan:\n%s", w, ex)
-		}
-		if got := multiset(e.MustExec(q).Rows); !slices.Equal(got, serial) {
-			t.Errorf("workers=%d: %d rows, want the serial %d:\n%v\n%v", w, len(got), len(serial), got, serial)
 		}
 	}
 }
