@@ -446,8 +446,13 @@ func (s *scanIter) NextBatch() (*Batch, error) {
 	var err error
 	// One closure per batch, not per page: the reject path must not allocate.
 	scanPage := func(pg storage.Page) error {
+		if s.kern != nil {
+			n, err := s.kern.scanPage(&pg, s.src, b)
+			scanned += n
+			return err
+		}
 		for i := range pg.Len() {
-			keys, live := pg.Keys(i)
+			rec, live := pg.Record(i)
 			if !live {
 				continue
 			}
@@ -458,16 +463,6 @@ func (s *scanIter) NextBatch() (*Batch, error) {
 				continue
 			}
 			scanned++
-			if s.kern != nil {
-				ok, err := s.kern.matchSlot(&pg, i, keys)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			rec, _ := pg.Record(i)
 			t, _, err := types.DecodeTuple(rec)
 			if err != nil {
 				return err

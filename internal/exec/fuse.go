@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"github.com/mural-db/mural/internal/phonetic"
 	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
@@ -10,25 +11,14 @@ import (
 // LexEQUAL selection in the paper's Table 4 — would pay, per row, a tuple
 // decode, an expression-tree walk, and an edit distance that re-splits both
 // strings into runes. The fused form is the table scan (scanIter, batch.go)
-// with a record kernel: it applies the statement's compiled Ψ/Ω predicate
-// (predicate.go) to the row in place while the heap page is pinned. The
-// scan's page loop walks the pinned page's slots itself and hands each live
-// slot to matchSlot. On the table's keyed column a slot's keys whose test can
-// take them as read (constPred.storedKeys) are key-tested first
-// (constPred.filter, which for Ψ inlines): a row they reject costs no read of
-// its record. Only a row the keys let through has its operand read
-// (operand.readRecord) and finished (constPred.finish: the record walked to
-// the column, types.SkipPlan.Offset or Seek where it declines, and its
-// phoneme or text viewed in place and run through the precompiled matcher or
-// probe). Any other operand goes through operand.readRecord and
-// constPred.match, the one routine
-// every reader of a compiled predicate calls, of which the key test and
-// finish are the two halves. Whatever depends only on the constant or the
-// schema — the matcher's match table, the walk to the column, whether it is
-// the keyed one — is computed once, when the kernel is compiled. Only
-// survivors are decoded into tuples, so a rejected row costs no decode, no
-// lock, no allocation and no call past matchSlot — Ψ selectivities in the
-// workloads are a few percent.
+// with a record kernel, which runs the statement's compiled Ψ/Ω predicate
+// (predicate.go) over each pinned heap page in two loops, as a vectorised
+// engine selects (MonetDB/X100): selectPage key-tests the slots whose keys
+// it can take as read (constPred.storedKeys), so a row it rejects costs no
+// read of its record and no call, and the second loop reads, finishes and
+// decodes only the rows it selected. Whatever depends only on the constant
+// or the schema is computed once, when the kernel is compiled. The counts,
+// the checkpoint's cadence and the first error are a row-at-a-time loop's.
 //
 // Fusion is chosen by build from the bound predicate's shape alone. Any shape
 // the kernel cannot handle runs as vectorFilterIter over the kernel-less scan.
@@ -51,38 +41,93 @@ func (ev *evaluator) fusedKernel(cond plan.Expr, cols []plan.ColInfo) *predKerne
 	return &predKernel{ev: ev, skip: skip, p: p, keyed: keyed == p.col.Idx}
 }
 
-// predKernel is a fused Ψ or Ω predicate: key-test the slot, walk to the
-// column, read its operand into the evaluator's and finish the match only
-// when the test lets it through.
+// predKernel is a fused Ψ or Ω predicate: key-test a page's slots, then
+// walk to the column, read its operand into the evaluator's and finish the
+// match only for the rows the test selected.
 type predKernel struct {
 	ev    *evaluator
 	skip  types.SkipPlan
 	p     *constPred
-	keyed bool // the column is its table's keyed one: the slot's keys are its own
+	keyed bool     // the column is its table's keyed one: the slot's keys are its own
+	sel   []selRow // the page's selection, reused page after page
 }
 
-// matchSlot matches the row in slot i of pg, whose slot keys are slot. On
-// the keyed column it key-tests keys it can take as read
-// (constPred.storedKeys) before it reads the record, which only a row the
-// test lets through costs; any other operand goes through operand.readRecord
-// and match.
-func (k *predKernel) matchSlot(pg *storage.Page, i int, slot []byte) (bool, error) {
-	if !k.keyed {
-		slot = nil
-	}
+// selRow is a row of a page's selection: its slot, and the key tests made up
+// to it, itself included — the count when its finish fails.
+type selRow struct{ slot, tested int32 }
+
+// scanPage runs the kernel over pg, a page of src: selectPage fills the
+// selection, then the rows selected are read, finished and, when they
+// match, decoded onto b. It returns the live rows of src's share it scanned.
+func (k *predKernel) scanPage(pg *storage.Page, src *recordSource, b *Batch) (int64, error) {
+	scanned, tested, err := k.selectPage(pg, src)
 	p, op := k.p, &k.ev.op
-	lang, keys, tested := p.storedKeys(slot)
-	// filter, with Ψ's psiFilter inlined: a row it rejects costs no call. A
-	// constPred method for this test would not inline (cost 150 against 80).
-	if tested && (p.m != nil && !p.psiFilter(k.ev, keys.Phoneme) || p.m == nil && !p.filter(k.ev, lang, keys)) {
-		return false, nil
+	for _, r := range k.sel { //lint:gov-exempt selectPage ran the checkpoint for each of these rows
+		slot, _ := pg.Keys(int(r.slot))
+		if !k.keyed {
+			slot = nil
+		}
+		rec, _ := pg.Record(int(r.slot))
+		keep, ferr := false, op.readRecord(&k.skip, rec, slot, p.probe != nil)
+		if _, _, passed := p.storedKeys(slot); ferr == nil && passed {
+			keep, ferr = p.finish(k.ev, op)
+		} else if ferr == nil {
+			keep, ferr = p.match(k.ev, op)
+		}
+		if keep && ferr == nil {
+			var t types.Tuple
+			if t, _, ferr = types.DecodeTuple(rec); ferr == nil {
+				b.Rows = append(b.Rows, t)
+			}
+		}
+		if ferr != nil {
+			k.ev.count(p.probe != nil, int64(r.tested))
+			return scanned, ferr
+		}
 	}
-	rec, _ := pg.Record(i)
-	if err := op.readRecord(&k.skip, rec, slot, p.probe != nil); err != nil {
-		return false, err
+	k.ev.count(p.probe != nil, int64(tested))
+	return scanned, err
+}
+
+// selectPage selects the live slots of pg in src's share that the key test
+// passes or cannot take the keys of, with the tick count, the ordinal and
+// the test's constants in locals. It returns the rows it scanned, the key
+// tests it made and the checkpoint's error, which stops it at its slot.
+func (k *predKernel) selectPage(pg *storage.Page, src *recordSource) (scanned int64, tested int32, err error) {
+	slots, width := pg.Slots()
+	k.sel = k.sel[:0]
+	p, ev, keyed, probe := k.p, k.ev, k.keyed, k.p.probe
+	var pf phonetic.Prefilter
+	if p.m != nil {
+		pf = p.m.Prefilter
 	}
-	if tested {
-		return p.finish(k.ev, op)
+	ticks, n := ev.ticks, src.n
+	for i := range int32(pg.Len()) {
+		keys, live := storage.SlotKeys(slots[int(i)*width : int(i+1)*width])
+		if !live {
+			continue
+		}
+		if ticks++; ticks%cancelInterval == 0 {
+			if err = ev.res.Err(); err != nil {
+				break
+			}
+		}
+		if src.mod != 0 {
+			mine := n%src.mod == src.idx
+			if n++; !mine {
+				continue
+			}
+		}
+		scanned++
+		lang, kk, ok := p.storedKeys(keys)
+		if !ok || !keyed {
+			k.sel = append(k.sel, selRow{i, tested})
+			continue
+		}
+		if tested++; probe != nil && probe.Passes(lang, kk.Hash, kk.ASCII) || probe == nil && !pf.Rejects(kk.Phoneme) {
+			k.sel = append(k.sel, selRow{i, tested})
+		}
 	}
-	return p.match(k.ev, op)
+	ev.ticks, src.n = ticks, n
+	return scanned, tested, err
 }

@@ -19,7 +19,21 @@ import (
 // off. The Ω rows are words of omegaNet's footnote-2 branch.
 func keyTestPage(t *testing.T, env *mockEnv) {
 	t.Helper()
-	vals := []types.Value{
+	env.pageRows = 64
+	env.tables["i"] = nil
+	for i, v := range keyTestValues() {
+		env.tables["i"] = append(env.tables["i"], types.Tuple{types.NewInt(int64(i)), v})
+	}
+	env.tables["i"] = append(env.tables["i"], types.Tuple{types.Null(), u("nehru", types.LangEnglish)})
+	if pages := len(env.pagesFor("i")); pages != 1 {
+		t.Fatalf("the table takes %d pages, want 1", pages)
+	}
+}
+
+// keyTestValues are the operands of keyTestPage's rows, one for each exit
+// of the key test, in page order.
+func keyTestValues() []types.Value {
+	return []types.Value{
 		u("nehru", types.LangEnglish), u("neru", types.LangEnglish), u("gandhi", types.LangEnglish),
 		types.NewUniText(types.Compose("nehru", types.LangEnglish)),
 		types.NewUniText(types.UniText{Text: "nehru nehru", Lang: types.LangEnglish, Phoneme: keyTestLongPhoneme}),
@@ -27,15 +41,6 @@ func keyTestPage(t *testing.T, env *mockEnv) {
 		types.Null(), types.NewText("nehru"), types.NewText("History"),
 		u("history", types.LangEnglish), u("Historiography", types.LangEnglish), u("tamil:history", types.LangTamil),
 		types.NewUniText(types.Compose("FRENCH:HISTORY", types.LangFrench)),
-	}
-	env.pageRows = 64
-	env.tables["i"] = nil
-	for i, v := range vals {
-		env.tables["i"] = append(env.tables["i"], types.Tuple{types.NewInt(int64(i)), v})
-	}
-	env.tables["i"] = append(env.tables["i"], types.Tuple{types.Null(), u("nehru", types.LangEnglish)})
-	if pages := len(env.pagesFor("i")); pages != 1 {
-		t.Fatalf("the table takes %d pages, want 1", pages)
 	}
 }
 

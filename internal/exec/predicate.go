@@ -15,7 +15,7 @@ import (
 // how an operand is read (TEXT is the query's first listed language to Ψ,
 // English to Ω), that a NULL operand never matches, which languages the IN
 // clause admits, the one operand-kind error, and where an evaluation is
-// counted (countPsi/countOmega, stats.go).
+// counted (evaluator.count, stats.go).
 //
 // A predicate with a constant operand — column ⊗ constant, in either order —
 // is compiled once per statement (bind): the constant is evaluated, read and
@@ -127,7 +127,7 @@ func (ev *evaluator) evalPsi(x *plan.Psi, t types.Tuple) (bool, error) {
 	if !psiAdmits(l.Kind(), lu.Lang, x.Langs) || !psiAdmits(r.Kind(), ru.Lang, x.Langs) {
 		return false, nil
 	}
-	ev.countPsi()
+	ev.count(false, 1)
 	return phonetic.WithinDistance(ev.phoneme(lu), ev.phoneme(ru), x.Threshold), nil
 }
 
@@ -156,7 +156,7 @@ func (ev *evaluator) evalOmega(x *plan.Omega, t types.Tuple) (bool, error) {
 	if ok, err := operandKinds("SEMEQUAL", l.Kind(), r.Kind()); !ok {
 		return false, err
 	}
-	ev.countOmega()
+	ev.count(true, 1)
 	lu := uniText(l, types.LangEnglish)
 	h, ascii := types.CaseHash([]byte(lu.Text))
 	return net.CompileRight(uniText(r, types.LangEnglish), x.Langs, 0).Match(lu.Lang, []byte(lu.Text), h, ascii), nil
@@ -501,21 +501,13 @@ func (p *constPred) keyTest(ev *evaluator, kind types.Kind, lang types.LangID, k
 }
 
 // filter is the key test of an admitted operand: the count, then Ω's filter
-// or Ψ's prefilter (psiFilter).
+// or Ψ's prefilter, which a phoneme without a stored summary (Runes 0) passes.
 func (p *constPred) filter(ev *evaluator, lang types.LangID, keys types.Keys) bool {
+	ev.count(p.probe != nil, 1)
 	if p.probe != nil {
-		ev.countOmega()
 		return p.probe.Passes(lang, keys.Hash, keys.ASCII)
 	}
-	return p.psiFilter(ev, keys.Phoneme)
-}
-
-// psiFilter is Ψ's filter: the count, then the prefilter on the operand's
-// phoneme summary s, which a phoneme without a stored summary (Runes 0)
-// passes. It inlines, so the readers' reject path makes no call.
-func (p *constPred) psiFilter(ev *evaluator, s types.Summary) bool {
-	ev.countPsi()
-	return s.Runes == 0 || !p.m.Rejects(s)
+	return keys.Phoneme.Runes == 0 || !p.m.Rejects(keys.Phoneme)
 }
 
 // finish is the part of match that views the operand, for a pair the key

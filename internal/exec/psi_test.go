@@ -11,6 +11,7 @@ import (
 	"github.com/mural-db/mural/internal/phonetic"
 	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/sql"
+	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
 	"github.com/mural-db/mural/internal/wordnet"
 )
@@ -425,16 +426,27 @@ func FuzzPsiOmegaAgree(f *testing.F) {
 	})
 }
 
-// matchRow runs kernel k on row as the one row of a page laid out as a heap
-// of a table with columns cols lays it out: its record, and its slot keys.
+// matchRow runs kernel k's page loop (scanPage: selectPage, then finish) on
+// row as the one live row but NULLs, which the loop selects as key-less, of
+// a heap page of a table with columns cols, between dead copies of it.
 func matchRow(k *predKernel, cols []plan.ColInfo, row types.Tuple) (bool, error) {
-	var b recordBuf
-	b.keyed, b.keyBytes = types.KeyedColumn(schemaKinds(cols))
-	if err := b.addTuple(row); err != nil {
+	null := make(types.Tuple, len(row))
+	for i := range null {
+		null[i] = types.Null()
+	}
+	h, err := heapOf(schemaKinds(cols), []types.Tuple{row, null, row, null, row}, func(i int) bool { return i%4 == 0 })
+	if err != nil {
 		return false, err
 	}
-	keys, _ := b.pages[0].Keys(0)
-	return k.matchSlot(&b.pages[0], 0, keys)
+	var b Batch
+	_, err = h.Scan().NextPage(func(pg storage.Page) error {
+		_, err := k.scanPage(&pg, &recordSource{}, &b)
+		return err
+	})
+	if len(b.Rows) > 1 {
+		return false, fmt.Errorf("%d rows matched: a dead slot or a NULL did", len(b.Rows))
+	}
+	return len(b.Rows) == 1, err
 }
 
 // A stored phoneme's rune count is exact — the length filter and Myers'

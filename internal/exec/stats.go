@@ -26,16 +26,16 @@ var (
 // (drain, early Close, error, cancellation) and at most a batch behind while
 // the statement runs.
 
-// countPsi records one Ψ evaluation that reached the edit-distance stage.
-func (ev *evaluator) countPsi() {
-	ev.stats.PsiEvaluations++
-	ev.unpubPsi++
-}
-
-// countOmega records one Ω closure probe.
-func (ev *evaluator) countOmega() {
-	ev.stats.OmegaProbes++
-	ev.unpubOmega++
+// count records n Ω closure probes when omega, else n Ψ evaluations that
+// reached the edit-distance stage.
+func (ev *evaluator) count(omega bool, n int64) {
+	if omega {
+		ev.stats.OmegaProbes += n
+		ev.unpubOmega += n
+	} else {
+		ev.stats.PsiEvaluations += n
+		ev.unpubPsi += n
+	}
 }
 
 // publishCounts adds the evaluator's unpublished Ψ/Ω and G2P tallies to the

@@ -26,9 +26,7 @@ import (
 // U+FFFD — which is also how []rune(string) and therefore EditDistance and
 // BoundedEditDistance, the reference implementations, see it.
 type BoundedMatcher struct {
-	k   int
-	m   int    // pattern length in runes
-	sig uint64 // the pattern's rune-set signature (types.Summary)
+	Prefilter
 	// ascii is the match table for runes below utf8.RuneSelf, indexed
 	// directly; tab is the open-addressed table for the rest, a power of two
 	// at least twice the pattern's length. A slot with mask 0 is empty: a
@@ -41,6 +39,15 @@ type BoundedMatcher struct {
 	long []rune
 }
 
+// Prefilter is what the prefilter (Rejects) reads of a matcher: a value a
+// caller can copy out of the matcher and keep in registers across a loop of
+// candidates.
+type Prefilter struct {
+	k   int
+	m   int    // pattern length in runes
+	sig uint64 // the pattern's rune-set signature (types.Summary)
+}
+
 type matchSlot struct {
 	r    rune
 	mask uint64
@@ -49,7 +56,7 @@ type matchSlot struct {
 // NewBoundedMatcher compiles pattern for threshold k.
 func NewBoundedMatcher(pattern string, k int) *BoundedMatcher {
 	runes := []rune(pattern)
-	m := &BoundedMatcher{k: k, m: len(runes), sig: types.Summarize([]byte(pattern)).Sig}
+	m := &BoundedMatcher{Prefilter: Prefilter{k: k, m: len(runes), sig: types.Summarize([]byte(pattern)).Sig}}
 	if len(runes) > 64 {
 		m.long = runes
 		return m
@@ -107,7 +114,7 @@ func (m *BoundedMatcher) MatchBytes(cand []byte) bool {
 // such rune costs an edit of its own (its positions must be deleted or
 // substituted, one position per edit); a collision merges runes into one
 // bit, which only lowers the count. The same holds with the roles swapped.
-func (m *BoundedMatcher) Rejects(s types.Summary) bool {
+func (m Prefilter) Rejects(s types.Summary) bool {
 	return m.k < 0 || s.Runes-m.m > m.k || m.m-s.Runes > m.k ||
 		bits.OnesCount64(m.sig&^s.Sig) > m.k || bits.OnesCount64(s.Sig&^m.sig) > m.k
 }

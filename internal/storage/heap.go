@@ -297,8 +297,16 @@ func (p *Page) Record(i int) (rec []byte, live bool) {
 // Keys is the keys in slot i, empty for a heap whose slots carry none;
 // live=false for a deleted slot. It reads the slot array only.
 func (p *Page) Keys(i int) (keys []byte, live bool) {
-	s := p.slots[i*p.width : (i+1)*p.width]
-	return s[slotSize:], binary.LittleEndian.Uint16(s) != deadSlot
+	return SlotKeys(p.slots[i*p.width : (i+1)*p.width])
+}
+
+// Slots is the slot array and a slot's width: slot i is
+// slots[i*width:(i+1)*width], which SlotKeys reads.
+func (p *Page) Slots() (slots []byte, width int) { return p.slots, p.width }
+
+// SlotKeys is Keys of one slot of a Slots array.
+func SlotKeys(slot []byte) (keys []byte, live bool) {
+	return slot[slotSize:], binary.LittleEndian.Uint16(slot) != deadSlot
 }
 
 // NewPage returns an empty page whose slots carry keyBytes of keys each, for

@@ -16,11 +16,13 @@ import (
 // immutable, so a parallel scan's workers share it.
 //
 // A probe keeps the constant's synsets and tests a row by filter, then
-// verify. The filter, when the probe has one, is a Bloom filter per language
-// over the types.CaseHash of every word form the probe can accept, read off
-// the net's pre-order hashes, at 32 bits a synset and three bits a hash in
-// one 64-bit word (bloom), so that few rows pass it without matching: a row
-// in a language without a filter, or ASCII text whose bits are not set, is
+// verify. The filter is a Bloom filter per language over the
+// types.CaseHash of every word form the probe can accept, read off the
+// net's pre-order hashes, at 32 bits a synset and three bits a hash in one
+// 64-bit word (bloom), so that few rows pass it without matching; a probe
+// whose filters would cost more than the rows they save has in each
+// admitted language one that every hash passes (passEvery). A row in a
+// language without a filter, or ASCII text whose bits are not set, is
 // rejected (Passes, on the row's hash, which its caller supplies). Anything
 // else is verified exactly (Verify): one lookup of the row's word in the
 // net's table of forms, keyed by that same hash, and an interval compare per
@@ -28,16 +30,14 @@ import (
 // is exact.
 type Probe struct {
 	net   *Net
-	langs []types.LangID // the IN list, which an unfiltered probe applies to the row
-	roots []SynsetID     // the constant's synsets
+	roots []SynsetID // the constant's synsets
 	// left: the constant is Ω's left operand, so a row matches when one of
 	// its synsets is an ancestor-or-self of a root; else when one is inside
 	// a root's closure.
 	left bool
-	// filtered: the probe tests rows on filters, one per language it can
-	// match in (nil for any other).
-	filtered bool
-	filters  []bloom
+	// filters holds a filter for each language the probe can match in, by
+	// LangID (none for any other).
+	filters []bloom
 }
 
 // bitsPerSynset sizes a filter: bits per (synset, language) before rounding
@@ -48,10 +48,10 @@ const bitsPerSynset = 32
 // TC(rhs)'s word forms in the admitted languages when the filters' size,
 // known in O(1) as closure size × admitted languages, is at most maxWords: a
 // caller passes the rows it will probe, so building them never costs more
-// than the rows' lookups it saves. Past that the probe tests every row on the
-// labels.
+// than the rows' lookups it saves. Past that the probe tests every row of an
+// admitted language on the labels.
 func (w *Net) CompileRight(rhs types.UniText, langs []types.LangID, maxWords int) *Probe {
-	p := &Probe{net: w, langs: langs, roots: w.SynsetsOf(rhs.Lang, rhs.Text)}
+	p := &Probe{net: w, roots: w.SynsetsOf(rhs.Lang, rhs.Text)}
 	in := langs
 	if len(in) == 0 {
 		in = w.langs
@@ -66,6 +66,10 @@ func (w *Net) CompileRight(rhs types.UniText, langs []types.LangID, maxWords int
 			runs[i] = [2]int32{w.ix.pre[r], w.ix.post[r]}
 		}
 		p.filter(in, runs, size)
+	} else {
+		for _, lang := range in {
+			p.setFilter(lang, passEvery)
+		}
 	}
 	return p
 }
@@ -95,7 +99,6 @@ func (w *Net) CompileLeft(lhs types.UniText, langs []types.LangID) *Probe {
 // filter's size follows from that count. With no synsets no language gets one,
 // so the probe matches nothing.
 func (p *Probe) filter(langs []types.LangID, runs [][2]int32, synsets int) {
-	p.filtered = true
 	if synsets == 0 {
 		return
 	}
@@ -104,12 +107,9 @@ func (p *Probe) filter(langs []types.LangID, runs [][2]int32, synsets int) {
 		words <<= 1
 	}
 	for _, lang := range langs {
-		forms, ok := p.net.forms[lang]
-		if !ok {
+		forms := p.net.formsOf(lang)
+		if forms == nil {
 			continue
-		}
-		for int(lang) >= len(p.filters) {
-			p.filters = append(p.filters, bloom{})
 		}
 		f := newBloom(words)
 		for _, r := range runs {
@@ -117,8 +117,19 @@ func (p *Probe) filter(langs []types.LangID, runs [][2]int32, synsets int) {
 				f.add(h)
 			}
 		}
-		p.filters[lang] = f
+		p.setFilter(lang, f)
 	}
+}
+
+// setFilter gives the probe filter f in lang, when the net has lang.
+func (p *Probe) setFilter(lang types.LangID, f bloom) {
+	if p.net.formsOf(lang) == nil {
+		return
+	}
+	for int(lang) >= len(p.filters) {
+		p.filters = append(p.filters, bloom{})
+	}
+	p.filters[lang] = f
 }
 
 // Match evaluates the probe on the other operand's language and text, whose
@@ -129,15 +140,10 @@ func (p *Probe) Match(lang types.LangID, text []byte, h uint32, ascii bool) bool
 
 // Passes tests the other operand on its language and its text's
 // types.CaseHash alone — a stored value keeps the hash, so its text need not
-// be read: false rules the operand out, true leaves it to Verify.
+// be read: false rules the operand out, true leaves it to Verify. It
+// inlines, so a scan's page loop tests a row without a call.
 func (p *Probe) Passes(lang types.LangID, h uint32, ascii bool) bool {
-	if !p.filtered {
-		return admitted(lang, p.langs)
-	}
-	if int(lang) >= len(p.filters) || p.filters[lang].words == nil {
-		return false
-	}
-	return !ascii || p.filters[lang].has(h)
+	return int(lang) < len(p.filters) && p.filters[lang].passes(h, ascii)
 }
 
 // Verify evaluates the probe on an operand that Passes let through, on its
@@ -145,8 +151,8 @@ func (p *Probe) Passes(lang types.LangID, h uint32, ascii bool) bool {
 // folding case as SynsetsOf does; it allocates only for text that folding
 // changes or a word of more than four synsets.
 func (p *Probe) Verify(lang types.LangID, text []byte, h uint32, ascii bool) bool {
-	f, ok := p.net.forms[lang]
-	if !ok {
+	f := p.net.formsOf(lang)
+	if f == nil {
 		return false
 	}
 	var buf [4]SynsetID
@@ -179,6 +185,10 @@ type bloom struct {
 	shift uint32   // 32 − log2 of the number of words
 }
 
+// passEvery is the filter every hash passes, which a probe that tests each
+// row on the labels keeps in each language it admits. It is never added to.
+var passEvery = bloom{words: []uint64{^uint64(0)}, shift: 32}
+
 // newBloom returns an empty filter of words 64-bit words, a power of two.
 func newBloom(words int) bloom {
 	return bloom{words: make([]uint64, words), shift: uint32(33 - bits.Len(uint(words)))}
@@ -195,12 +205,15 @@ func (f bloom) add(h uint32) {
 	f.words[w] |= m
 }
 
-// has reports whether h may have been added. w is below len(f.words) by
+// passes reports whether a text whose types.CaseHash is h and ascii may
+// have been added: for ASCII text, whether h may have been; non-ASCII
+// text's hash folds no case, so it passes any filter. It is false in the
+// filter of a language without one (no words). w is below len(f.words) by
 // construction (shift); the comparison says so to the compiler, which then
 // drops its bounds check and the panic path behind it.
-func (f bloom) has(h uint32) bool {
+func (f *bloom) passes(h uint32, ascii bool) bool {
 	w, m := f.pos(h)
-	return int(w) < len(f.words) && f.words[w]&m == m
+	return int(w) < len(f.words) && (!ascii || f.words[w]&m == m)
 }
 
 // folded reports whether strings.ToLower leaves b unchanged. It runs on every

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"github.com/mural-db/mural/internal/types"
@@ -38,8 +39,9 @@ const NoSynset = SynsetID(-1)
 type Net struct {
 	parent []SynsetID
 	depth  []int32
-	// forms[lang] holds the word forms of every synset in that language.
-	forms map[types.LangID]*wordForms
+	// forms[lang] holds the word forms of every synset in that language, nil
+	// for a language the net does not have (formsOf).
+	forms []*wordForms
 	langs []types.LangID
 	ix    *IntervalIndex // the tree's DFS interval labels (interval.go)
 }
@@ -57,6 +59,14 @@ type wordForms struct {
 	h       []uint32
 	syn     []SynsetID
 	slot    []int32
+}
+
+// formsOf returns the word forms of lang, nil when the net does not have it.
+func (w *Net) formsOf(lang types.LangID) *wordForms {
+	if int(lang) < len(w.forms) {
+		return w.forms[lang]
+	}
+	return nil
 }
 
 // form returns form i.
@@ -151,7 +161,7 @@ func Generate(cfg Config) *Net {
 	net := &Net{
 		parent: make([]SynsetID, 0, n),
 		depth:  make([]int32, 0, n),
-		forms:  make(map[types.LangID]*wordForms, len(langs)),
+		forms:  make([]*wordForms, slices.Max(langs)+1),
 		langs:  append([]types.LangID(nil), langs...),
 	}
 
@@ -286,7 +296,7 @@ func (w *Net) NumSynsets() int { return len(w.parent) }
 
 // NumWordForms returns the word-form count for a language.
 func (w *Net) NumWordForms(lang types.LangID) int {
-	if f, ok := w.forms[lang]; ok {
+	if f := w.formsOf(lang); f != nil {
 		return len(f.h)
 	}
 	return 0
@@ -352,8 +362,8 @@ func (w *Net) AvgDepth() float64 {
 // SynsetsOf resolves a word form in a language to its synsets, folding case
 // as strings.ToLower does: a form with an upper-case letter is never found.
 func (w *Net) SynsetsOf(lang types.LangID, word string) []SynsetID {
-	f, ok := w.forms[lang]
-	if !ok {
+	f := w.formsOf(lang)
+	if f == nil {
 		return nil
 	}
 	h, ascii := types.CaseHash([]byte(word))
@@ -362,7 +372,7 @@ func (w *Net) SynsetsOf(lang types.LangID, word string) []SynsetID {
 
 // Lemma returns the primary word form of a synset in a language.
 func (w *Net) Lemma(lang types.LangID, id SynsetID) string {
-	if f, ok := w.forms[lang]; ok && int(id) < len(w.parent) && f.at[w.ix.pre[id]] < f.at[w.ix.pre[id]+1] {
+	if f := w.formsOf(lang); f != nil && int(id) < len(w.parent) && f.at[w.ix.pre[id]] < f.at[w.ix.pre[id]+1] {
 		return f.form(f.at[w.ix.pre[id]])
 	}
 	return ""
@@ -370,8 +380,8 @@ func (w *Net) Lemma(lang types.LangID, id SynsetID) string {
 
 // WordForms returns all word forms of a synset in a language.
 func (w *Net) WordForms(lang types.LangID, id SynsetID) []string {
-	f, ok := w.forms[lang]
-	if !ok || int(id) >= len(w.parent) {
+	f := w.formsOf(lang)
+	if f == nil || int(id) >= len(w.parent) {
 		return nil
 	}
 	var out []string

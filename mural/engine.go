@@ -29,7 +29,7 @@ type Config struct {
 	// 32 MiB).
 	BufferPages int
 	// WordNet supplies the taxonomy pinned in memory for the Ω operator
-	// (§4.3). Nil disables SEMEQUAL until LoadWordNet is called.
+	// (§4.3), fixed for the engine's life. Nil disables SEMEQUAL.
 	WordNet *wordnet.Net
 	// Phonetics overrides the converter registry (default: English, Hindi,
 	// Tamil, Kannada, French).
@@ -138,12 +138,15 @@ type Engine struct {
 	// non-nil return aborts that delete (ddl.go).
 	failIndexDelete func(index string) error
 
+	// net is the taxonomy and sem the planner's estimator over it, set at
+	// Open and never changed, so they are read without mu.
+	net *wordnet.Net
+	sem plan.SemEstimator
+
 	mu      sync.RWMutex
 	heaps   map[string]*storage.Heap
 	indexes map[string]*index
 	disks   map[storage.FileID]storage.Disk
-	net     *wordnet.Net
-	sem     plan.SemEstimator
 	// operators holds user-registered binary predicates, callable from SQL
 	// as name(a, b) — the analog of PostgreSQL's operator addition
 	// facility the paper's prototype built on (§4.2).
@@ -216,7 +219,7 @@ func Open(cfg Config) (*Engine, error) {
 		e.pool.SetWAL(wal)
 	}
 	if cfg.WordNet != nil {
-		e.LoadWordNet(cfg.WordNet)
+		e.net, e.sem = cfg.WordNet, &semEstimator{net: cfg.WordNet}
 	}
 	// fail releases everything Open has acquired so far — the WAL (already
 	// recovered and truncated, so closing loses nothing) and every attached
@@ -304,21 +307,9 @@ func (e *Engine) attachFile(id storage.FileID) error {
 	return nil
 }
 
-// LoadWordNet pins a taxonomy in memory for the Ω operator.
-func (e *Engine) LoadWordNet(net *wordnet.Net) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.net = net
-	e.sem = &semEstimator{net: net}
-}
-
 // WordNet returns the pinned taxonomy (nil when none is loaded); it
 // implements exec.Env.
-func (e *Engine) WordNet() *wordnet.Net {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.net
-}
+func (e *Engine) WordNet() *wordnet.Net { return e.net }
 
 // Close checkpoints (flushing every dirty page, the catalog's among them,
 // and truncating the WAL) and closes every file. A database closed cleanly
@@ -525,10 +516,7 @@ func (e *Engine) dispatch(st *statement, stmt sql.Statement) (*Result, error) {
 
 // planner assembles a Planner under one session's settings.
 func (e *Engine) planner(set *settings) *plan.Planner {
-	e.mu.RLock()
-	sem := e.sem
-	e.mu.RUnlock()
-	pl := &plan.Planner{Cat: e.cat, Phon: e.phon, Sem: sem, Pages: e.TablePages, Opts: set.opts}
+	pl := &plan.Planner{Cat: e.cat, Phon: e.phon, Sem: e.sem, Pages: e.TablePages, Opts: set.opts}
 	// Explicit nil check: assigning a nil *obs.Feedback directly would make
 	// the interface non-nil and panic inside the estimator.
 	if e.fb != nil {
