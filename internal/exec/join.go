@@ -7,9 +7,11 @@ import (
 	"time"
 	"unsafe"
 
+	"github.com/mural-db/mural/internal/phonetic"
 	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
+	"github.com/mural-db/mural/internal/wordnet"
 )
 
 // Hoisted Ψ/Ω joins. A Ψ or Ω nested-loops join whose condition is the
@@ -26,18 +28,29 @@ import (
 //     input is encoded once into a record buffer (recordBuf) of in-memory
 //     pages with the slot keys a heap would give its rows, which each block
 //     replays. Both go through one page loop (pairPage).
-//   - Each inner record's operand is read once (operand.readRecord) and
-//     matched against every outer row of the block by the routine the scan
-//     kernel matches a row with (constPred.match). On the inner table's
-//     keyed column it is read off the slot — language and filter keys — and
-//     the record is walked to (the fast walk, else Seek) and viewed only for
-//     the first pair those keys let through; any other operand is walked to
-//     and read at once. Its phoneme is converted at most once, and the
-//     record decoded on its first match.
+//   - A page meets the block in two loops, as a page meets the fused scan
+//     kernel. selectBlock walks the slot array with the block's key tests —
+//     each outer row's Ψ prefilter or Ω probe, gathered by compileBlock — in
+//     locals: a record whose slot keys constPred.storedKeys takes as read is
+//     key-tested against every outer row, and each pair that passes is
+//     selected; any other record (TEXT, a phoneme to convert or to match
+//     whole, a column other than the keyed one, a block under an IN list or
+//     with an outer row that compiles no key test) is selected once for all
+//     its outer rows. finishSel then reads each selected record's operand
+//     once (operand.readRecord) — only here is a record walked to, by the
+//     fast walk or else Seek — and finishes each pair its keys passed
+//     (constPred.finish) or matches each pair of a key-less record
+//     (constPred.match), the routines a scan runs. A record every outer
+//     row's key test rejects is never read. Its phoneme is converted at most
+//     once, and the record decoded on its first match.
 //
-// A batch that fills inside a record stops before the next pair; the rest of
-// the page waits, copied with its keys, in the record buffer, and the next
-// batch reads the record's operand again, keeping its conversion. The join
+// A round of selection holds no more pairs than the batch has room for, so
+// a batch fills only where a round stops, before a pair: inside a record or
+// between two. The rest of the page waits, copied with its keys, in the
+// record buffer, and the next batch resumes at the outer row it stopped
+// before, keeping the record's decoded row and conversion. The counts, the
+// checkpoint's cadence (a tick per pair and per record left to another
+// worker) and the first error are a row-at-a-time loop's. The join
 // absorbs the inner Materialize and table scan and, under a collector,
 // attributes to them itself, as an outer-major join would: the Materialize's
 // loops are the outer rows, its rows the inner rows each paired with, the
@@ -209,12 +222,16 @@ type hoistedJoinIter struct {
 	timed         bool
 
 	// The block: one outer batch, its rows' operands compiled on its first
-	// inner record, and how many inner records it has begun to pair.
+	// inner record — with their key tests when every row has one
+	// (compileBlock) — and how many inner records it has begun to pair.
 	ob       *Batch
 	preds    []*constPred
-	pbytes   int64 // preds' charge
+	pfs      []phonetic.Prefilter // Ψ: each row's prefilter
+	probes   []*wordnet.Probe     // Ω: each row's probe
+	pbytes   int64                // preds' charge
 	blocks   int
 	streamed int64
+	sel      []pairSel // a page's selection, reused page after page
 	// The inner record being paired: the outer row it pairs next, its
 	// decoded row once it matched, and its operand's conversion, which a
 	// batch that fills inside the record keeps for the next.
@@ -326,37 +343,56 @@ func (j *hoistedJoinIter) onPage(pg storage.Page) error {
 	return err
 }
 
-// pairPage pairs the live records of pg from slot from on with the block and
-// returns the slot of the record the batch filled inside, pg.Len() when it
-// paired them all. src is the scan the page came from, which may leave a
-// record to another worker (recordSource.skip); nil for a page of recs, whose
-// records passed it when they were copied. A scan's records from the one the
-// batch filled inside on wait in recs, copied with their keys.
+// pairSel is an entry of a block's selection over an inner page: the
+// record in slot with the outer rows from oi up to end — one pair the key
+// test passed (keyed), or the pairs of a key-less slot, each matched in
+// full — and the key tests made up to it: the count when its finish fails.
+type pairSel struct {
+	selRow
+	oi, end int32
+	keyed   bool
+}
+
+// pairPage pairs the live records of pg from slot from on — the record
+// there from outer row j.oi on — with the block, and returns the slot of the
+// record the batch filled inside, pg.Len() when it paired them all. Each
+// round selects (selectBlock) no more pairs than the batch has room for
+// matches, then finishes them (finishSel). src is the scan the page came
+// from, which may leave a record to another worker (recordSource.skip); nil
+// for a page of recs, whose records passed it when they were copied. A
+// scan's records from the one the batch filled inside on wait in recs,
+// copied with their keys.
 func (j *hoistedJoinIter) pairPage(pg *storage.Page, from int, src *recordSource) (stop int, err error) {
 	n := pg.Len()
-	stop = n
-	for i := from; i < n; i++ {
+	for stop = from; stop < n && !j.full(); {
+		next, oi, tested, serr := j.selectBlock(pg, stop, src, j.limit-len(j.out.Rows))
+		if err = j.finishSel(pg, stop, next, oi); err == nil {
+			j.ev.count(j.hash, int64(tested))
+			err = serr
+		}
+		if err == nil && len(j.preds) == 0 && next < n {
+			err = j.compileBlock() // the block's first record is next
+		}
+		if err != nil {
+			return next, err
+		}
+		stop = next
+	}
+	if stop == n || src == nil {
+		return stop, nil
+	}
+	for i := stop; i < n; i++ {
 		keys, live := pg.Keys(i)
 		if !live {
 			continue
 		}
-		if src != nil && src.skip() {
+		// The record the batch filled inside is this worker's: its
+		// ordinal was taken when it was selected.
+		if (i > stop || j.oi == 0) && src.skip() {
 			if err := j.ev.tick(); err != nil {
 				return i, err
 			}
 			continue
-		}
-		if stop == n {
-			done, err := j.pair(pg, i, keys)
-			if err != nil {
-				return i, err
-			}
-			if done {
-				continue
-			}
-			if stop = i; src == nil {
-				return stop, nil
-			}
 		}
 		rec, _ := pg.Record(i)
 		if err := j.recs.add(rec, keys); err != nil {
@@ -366,79 +402,186 @@ func (j *hoistedJoinIter) pairPage(pg *storage.Page, from int, src *recordSource
 	return stop, nil
 }
 
-// pair tests the inner record in slot i of pg, whose slot keys are slot,
-// against the block's outer rows from oi on: its operand is read once — on
-// the keyed column the slot's language and filter keys, the record walked to
-// only for a pair they let through — and matched against each
-// (constPred.match), and the record decoded on its first match.
-// done=false when the batch filled first; oi, the decoded row and the
-// operand's conversion are then kept for the outer row to resume at.
-func (j *hoistedJoinIter) pair(pg *storage.Page, i int, slot []byte) (done bool, err error) {
-	out, limit := j.out, j.limit
-	if len(out.Rows) >= limit {
-		return false, nil
+// selectBlock selects pairs of the live records of pg in src's share, from
+// the one in slot from and outer row j.oi on, with the block: each pair of a
+// record whose keys constPred.storedKeys takes as read that its outer row's
+// key test passes, and each pair of any other record, which it cannot test.
+// It keeps the tick count, the ordinal and the block's key tests in locals.
+// It stops before a pair when the selection holds room pairs to match, so
+// that finishing them cannot overfill the batch, and before the block's
+// first record when the block is not compiled yet. It returns the slot and
+// outer row it stopped before — outer row 0 of a record it has not begun —
+// the key tests it made and the checkpoint's error, which stops it at its
+// pair.
+func (j *hoistedJoinIter) selectBlock(pg *storage.Page, from int, src *recordSource, room int) (stop, stopOi int, tested int32, err error) {
+	slots, width := pg.Slots()
+	j.sel = j.sel[:0]
+	ev, omega := j.ev, j.hash
+	pfs, probes, np := j.pfs, j.probes, len(j.preds)
+	keyable := len(pfs) > 0 || len(probes) > 0
+	var p0 *constPred // when keyable, every row's predicate takes the keys p0 takes
+	if np > 0 {
+		p0 = j.preds[0]
 	}
-	if len(j.preds) == 0 {
-		if err := j.compileBlock(); err != nil {
-			return false, err
+	ticks, streamed, cand := ev.ticks, j.streamed, 0
+	var n, mod, idx int64
+	if src != nil {
+		n, mod, idx = src.n, src.mod, src.idx
+	}
+	i, oi := from, j.oi
+slots:
+	for end := pg.Len(); i < end; i, oi = i+1, 0 {
+		if cand >= room {
+			break
 		}
-	}
-	oi, dec := j.oi, j.dec
-	if oi == 0 {
-		j.streamed++
-	}
-	if !j.keyed {
-		slot = nil
-	}
-	rec, _ := pg.Record(i)
-	ev, op := j.ev, &j.ev.op
-	if err := op.readRecord(&j.skip, rec, slot, j.hash); err != nil {
-		return false, err
-	}
-	if oi > 0 {
-		op.conv, op.converted = j.conv, j.converted
-	}
-	for ; oi < len(j.preds); oi++ {
-		if len(out.Rows) >= limit {
-			j.oi, j.dec = oi, dec
-			j.conv, j.converted = op.conv, op.converted
-			return false, nil
+		keys, live := storage.SlotKeys(slots[i*width : (i+1)*width])
+		if oi == 0 {
+			if !live {
+				continue
+			}
+			if mod != 0 && n%mod != idx {
+				n++
+				if ticks++; ticks%cancelInterval == 0 {
+					if err = ev.res.Err(); err != nil {
+						break
+					}
+				}
+				continue
+			}
+			if np == 0 {
+				break // the block's first record: pairPage compiles the block
+			}
+			if mod != 0 {
+				n++
+			}
+			streamed++
 		}
-		if err := ev.tick(); err != nil {
-			return false, err
-		}
-		match, err := j.preds[oi].match(ev, op)
-		if err != nil {
-			return false, err
-		}
-		if !match {
+		if lang, kk, ok := p0.storedKeys(keys); ok && keyable {
+			for ; oi < np; oi++ {
+				if ticks++; ticks%cancelInterval == 0 {
+					if err = ev.res.Err(); err != nil {
+						break slots
+					}
+				}
+				if tested++; omega && probes[oi].Passes(lang, kk.Hash, kk.ASCII) || !omega && !pfs[oi].Rejects(kk.Phoneme) {
+					j.sel = append(j.sel, pairSel{selRow{int32(i), tested}, int32(oi), int32(oi + 1), true})
+					if cand++; cand >= room && oi+1 < np {
+						oi++
+						break slots
+					}
+				}
+			}
 			continue
 		}
-		if dec == nil {
-			if dec, _, err = types.DecodeTuple(rec); err != nil {
-				return false, err
+		// A key-less record: its pairs up to the room are each matched.
+		e := pairSel{selRow{int32(i), tested}, int32(oi), int32(min(np, oi+room-cand)), false}
+		for ; oi < int(e.end); oi++ {
+			if ticks++; ticks%cancelInterval == 0 {
+				if err = ev.res.Err(); err != nil {
+					e.end = int32(oi)
+					break
+				}
 			}
 		}
-		out.Rows = append(out.Rows, joinedTuple(j.ob.Rows[oi], dec))
+		j.sel = append(j.sel, e)
+		if cand += int(e.end - e.oi); err != nil || oi < np {
+			break
+		}
 	}
-	j.oi, j.dec = 0, nil
-	return true, nil
+	ev.ticks, j.streamed = ticks, streamed
+	if src != nil {
+		src.n = n
+	}
+	return i, oi, tested, err
+}
+
+// finishSel finishes the block's selection over pg, which began at slot from
+// and outer row j.oi and stopped before outer row oi of slot stop: it reads
+// each selected record's operand once (operand.readRecord), finishes each
+// pair its keys passed and matches each pair of a key-less record, and joins
+// every match to its outer row, the record decoded on its first. The record
+// it stopped inside keeps its decoded row and its operand's conversion for
+// the pairs left. On an error it counts the key tests made up to the pair
+// that failed.
+func (j *hoistedJoinIter) finishSel(pg *storage.Page, from, stop, oi int) error {
+	ev, op, out := j.ev, &j.ev.op, j.out
+	cur, dec := int32(-1), types.Tuple(nil)
+	var rec []byte
+	for _, r := range j.sel { //lint:gov-exempt selectBlock ran the checkpoint for each of these pairs
+		if r.slot != cur {
+			cur = r.slot
+			var slot []byte
+			if j.keyed {
+				slot, _ = pg.Keys(int(cur))
+			}
+			rec, _ = pg.Record(int(cur))
+			if err := op.readRecord(&j.skip, rec, slot, j.hash); err != nil {
+				ev.count(j.hash, int64(r.tested))
+				return err
+			}
+			dec = nil
+			if int(cur) == from && j.oi > 0 {
+				dec, op.conv, op.converted = j.dec, j.conv, j.converted
+			}
+		}
+		for o := r.oi; o < r.end; o++ {
+			var match bool
+			var err error
+			if r.keyed {
+				match, err = j.preds[o].finish(ev, op)
+			} else {
+				match, err = j.preds[o].match(ev, op)
+			}
+			if match && err == nil && dec == nil {
+				dec, _, err = types.DecodeTuple(rec)
+			}
+			if err != nil {
+				ev.count(j.hash, int64(r.tested))
+				return err
+			}
+			if match {
+				out.Rows = append(out.Rows, joinedTuple(j.ob.Rows[o], dec))
+			}
+		}
+	}
+	switch {
+	case oi == 0:
+		j.dec, j.converted = nil, false
+	case int(cur) == stop:
+		j.dec, j.conv, j.converted = dec, op.conv, op.converted
+	}
+	j.oi = oi
+	return nil
 }
 
 // compileBlock compiles each outer row of the block into the constPred a
-// scan's constant compiles to, charged until the block ends.
+// scan's constant compiles to, charged until the block ends, and, when every
+// row's predicate takes a keyed operand's slot keys as read (uniRows), their
+// key tests for selectBlock: Ψ's prefilters or Ω's probes.
 func (j *hoistedJoinIter) compileBlock() error {
+	keyable := j.keyed
 	for _, o := range j.ob.Rows {
 		if err := j.ev.tick(); err != nil {
 			return err
 		}
 		p := j.ev.compile(j.x, j.outerLeft, o[j.outerCol], nil, j.innerRows)
 		j.preds = append(j.preds, p)
+		keyable = keyable && p.uniRows
 		if n := p.memBytes(); n > 0 {
 			j.pbytes += n
 			if err := j.ev.grow(n); err != nil {
 				return err
 			}
+		}
+	}
+	for _, p := range j.preds {
+		if !keyable {
+			break
+		}
+		if j.hash {
+			j.probes = append(j.probes, p.probe)
+		} else {
+			j.pfs = append(j.pfs, p.m.Prefilter)
 		}
 	}
 	return nil
@@ -461,7 +604,9 @@ func (j *hoistedJoinIter) charge() error {
 // and the scan the records the first block read, as if read once.
 func (j *hoistedJoinIter) endBlock() {
 	j.ev.release(j.pbytes)
-	j.preds, j.pbytes = j.preds[:0], 0
+	clear(j.preds)
+	clear(j.probes)
+	j.preds, j.pfs, j.probes, j.pbytes = j.preds[:0], j.pfs[:0], j.probes[:0], 0
 	outer := int64(len(j.ob.Rows))
 	if j.matSt != nil {
 		j.matSt.Loops += outer

@@ -121,7 +121,7 @@ type joinRun struct {
 	hoisted    bool
 }
 
-func runJoin(t *testing.T, env *mockEnv, node *plan.Node) joinRun {
+func runJoin(t *testing.T, env Env, node *plan.Node) joinRun {
 	t.Helper()
 	res := NewResources(context.Background(), 0)
 	cur, err := Run(env, node, nil, res)
@@ -141,7 +141,7 @@ func runJoin(t *testing.T, env *mockEnv, node *plan.Node) joinRun {
 // Filter(cond) over a condition-less NL join. The serial run must return the
 // reference's multiset, raise its first error and count its Ψ evaluations
 // and Ω probes; the Gather run the same, but for an error only its kind.
-func joinAgree(t *testing.T, env *mockEnv, c joinCase) (matched int, failed bool) {
+func joinAgree(t *testing.T, env Env, c joinCase) (matched int, failed bool) {
 	t.Helper()
 	op := plan.OpPsiJoin
 	if _, ok := c.cond.(*plan.Omega); ok {
@@ -243,7 +243,9 @@ func TestJoinHoistedMatchesPerPair(t *testing.T) {
 }
 
 // FuzzJoinAgree is TestJoinHoistedMatchesPerPair's check over fuzzed seeds
-// and table sizes.
+// and table sizes, with the inner table served from the mock's pages and
+// again from a heap's, whose slot array holds dead slots too: both go
+// through the join's page selection (selectBlock) over a real slot array.
 func FuzzJoinAgree(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(20), false)
 	f.Add(int64(2), uint8(5), uint8(9), true)
@@ -253,7 +255,17 @@ func FuzzJoinAgree(f *testing.F) {
 	env.net = omegaNet()
 	f.Fuzz(func(t *testing.T, seed int64, outerRows, innerRows uint8, omega bool) {
 		rng := rand.New(rand.NewSource(seed))
-		joinAgree(t, env, randomJoinCase(rng, env, omega, int(outerRows%16), int(innerRows%64)))
+		c := randomJoinCase(rng, env, omega, int(outerRows%16), int(innerRows%64))
+		joinAgree(t, env, c)
+		dead := make([]bool, len(env.tables["i"]))
+		for i := range dead {
+			dead[i] = rng.Intn(4) == 0
+		}
+		h, err := heapOf(schemaKinds(joinCols[2:]), env.tables["i"], func(i int) bool { return dead[i] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		joinAgree(t, &heapEnv{mockEnv: env, heaps: map[string]*storage.Heap{"i": h}}, c)
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/mural-db/mural/internal/plan"
+	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
 	"github.com/mural-db/mural/internal/wordnet"
 )
@@ -59,14 +60,24 @@ func BenchmarkPsiScanStored(b *testing.B) { benchPsiScan(b, types.KindUniText) }
 
 func BenchmarkPsiScanText(b *testing.B) { benchPsiScan(b, types.KindText) }
 
-func benchPsiJoin(b *testing.B, kind types.Kind, outer, inner int) {
-	env := newMockEnv()
-	benchNames(env, "o", outer, kind)
-	benchNames(env, "i", inner, kind)
+// benchPsiJoin joins outer rows with inner ones of benchNames at threshold
+// k; onHeap serves the inner table from heapOf's real heap pages rather than
+// the mock's two-record ones.
+func benchPsiJoin(b *testing.B, kind types.Kind, outer, inner, k int, onHeap bool) {
+	env := &heapEnv{mockEnv: newMockEnv(), heaps: map[string]*storage.Heap{}}
+	benchNames(env.mockEnv, "o", outer, kind)
+	benchNames(env.mockEnv, "i", inner, kind)
+	if onHeap {
+		h, err := heapOf([]types.Kind{kind}, env.tables["i"], func(int) bool { return false })
+		if err != nil {
+			b.Fatal(err)
+		}
+		env.heaps["i"] = h
+	}
 	oc := []plan.ColInfo{{Rel: "o", Name: "n", Kind: kind}}
 	ic := []plan.ColInfo{{Rel: "i", Name: "n", Kind: kind}}
 	node := &plan.Node{Op: plan.OpPsiJoin, Children: []*plan.Node{scanNode("o", oc), scanNode("i", ic)},
-		Cols: append(append([]plan.ColInfo{}, oc...), ic...), Cond: &plan.Psi{L: &plan.ColIdx{Idx: 0}, R: &plan.ColIdx{Idx: 1}, Threshold: 1}}
+		Cols: append(append([]plan.ColInfo{}, oc...), ic...), Cond: &plan.Psi{L: &plan.ColIdx{Idx: 0}, R: &plan.ColIdx{Idx: 1}, Threshold: k}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -83,13 +94,16 @@ func benchPsiJoin(b *testing.B, kind types.Kind, outer, inner int) {
 }
 
 // BenchmarkPsiJoinStored joins 8 outer rows with 1,024 inner ones, and 2
-// with 25,000: the psi_join workload's probe rows against its names table.
+// with 25,000 — the psi_join workload's probe rows against its names table —
+// at threshold 1 on the mock's pages, and 2 with 25,000 at the workload's
+// threshold 2 on heap pages.
 func BenchmarkPsiJoinStored(b *testing.B) {
-	b.Run("outer=8", func(b *testing.B) { benchPsiJoin(b, types.KindUniText, 8, 1024) })
-	b.Run("outer=2", func(b *testing.B) { benchPsiJoin(b, types.KindUniText, 2, 25000) })
+	b.Run("outer=8", func(b *testing.B) { benchPsiJoin(b, types.KindUniText, 8, 1024, 1, false) })
+	b.Run("outer=2", func(b *testing.B) { benchPsiJoin(b, types.KindUniText, 2, 25000, 1, false) })
+	b.Run("outer=2/heap,k=2", func(b *testing.B) { benchPsiJoin(b, types.KindUniText, 2, 25000, 2, true) })
 }
 
-func BenchmarkPsiJoinText(b *testing.B) { benchPsiJoin(b, types.KindText, 8, 1024) }
+func BenchmarkPsiJoinText(b *testing.B) { benchPsiJoin(b, types.KindText, 8, 1024, 1, false) }
 
 // omegaJoinClosures is the closure size of BenchmarkOmegaJoin's concept per
 // case: small enough for the probe's filters (filtered) or too large for them,

@@ -12,8 +12,9 @@
 // checkpoints. A row loop is a for/range loop that ranges over a Batch's
 // Rows or whose body pulls rows (calls a 3-result Next). A page loop — a
 // for/range loop over the records of a Page, the view a page scan hands its
-// callback (its header or body calls the Page's Len or Record) — is a row
-// loop too, and is checked in every function of the package, reached or not:
+// callback (its header, init statement included, or body calls the Page's
+// Len or Record) — is a row loop too, and is checked in every function of
+// the package, reached or not:
 // the callback that holds it is handed to nextPage/NextPage as a value, which
 // the call graph does not follow. Loops that iterate bounded,
 // row-independent structures (projection column lists, schema slices) are
@@ -133,7 +134,7 @@ func checkFunc(pass *analysis.Pass, ann *lintutil.Annotations, table *summary.Ta
 		switch x := n.(type) {
 		case *ast.ForStmt:
 			body = x.Body
-			rowLoop = walksPage(pass, x.Cond) || walksPage(pass, body)
+			rowLoop = walksPage(pass, x.Init) || walksPage(pass, x.Cond) || walksPage(pass, body)
 			rowLoop = rowLoop || reached && pullsRows(pass, body)
 		case *ast.RangeStmt:
 			body = x.Body

@@ -346,6 +346,16 @@ func countLive(pg Page) int {
 	return n
 }
 
+// positive: a page loop whose header reads the page's length once, in its
+// init statement, and whose body reads no record.
+func sumSlots(pg Page, from int) int {
+	n := 0
+	for i, end := from, pg.Len(); i < end; i++ { // want `row loop pulls tuples without a cancellation checkpoint`
+		n += i
+	}
+	return n
+}
+
 // negatives: the same three shapes, polling; and a bounded column loop
 // inside the row loop.
 type batchProject struct {
