@@ -5,6 +5,7 @@ import (
 	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
+	"github.com/mural-db/mural/internal/wordnet"
 )
 
 // Fused Ψ/Ω scans. A Filter(Ψ)-over-SeqScan pair — the shape of every
@@ -13,12 +14,17 @@ import (
 // strings into runes. The fused form is the table scan (scanIter, batch.go)
 // with a record kernel, which runs the statement's compiled Ψ/Ω predicate
 // (predicate.go) over each pinned heap page in two loops, as a vectorised
-// engine selects (MonetDB/X100): selectPage key-tests the slots whose keys
-// it can take as read (constPred.storedKeys), so a row it rejects costs no
-// read of its record and no call, and the second loop reads, finishes and
-// decodes only the rows it selected. Whatever depends only on the constant
-// or the schema is computed once, when the kernel is compiled. The counts,
-// the checkpoint's cadence and the first error are a row-at-a-time loop's.
+// engine selects (MonetDB/X100). selectPage key-tests the slots whose keys it
+// can take as read, so a row it rejects costs no read of its record and no
+// call, and the second loop reads, finishes and decodes only the rows it
+// selected. Whatever depends only on the constant or the schema is computed
+// once, when the kernel is compiled, and whatever depends only on the kernel
+// or the page — the key kind, whether the source is striped — before a loop
+// starts: each key kind has one loop over the raw slot array (selectPsi,
+// selectOmega), which reads the bytes its test needs in place through the
+// slot-key accessors (types.SlotSummary, types.SlotTextKeys) and appends to
+// the selection without a branch on the outcome. The counts, the
+// checkpoint's cadence and the first error are a row-at-a-time loop's.
 //
 // Fusion is chosen by build from the bound predicate's shape alone. Any shape
 // the kernel cannot handle runs as vectorFilterIter over the kernel-less scan.
@@ -38,7 +44,15 @@ func (ev *evaluator) fusedKernel(cond plan.Expr, cols []plan.ColInfo) *predKerne
 		return nil
 	}
 	keyed, _ := types.KeyedColumn(kinds)
-	return &predKernel{ev: ev, skip: skip, p: p, keyed: keyed == p.col.Idx}
+	k := &predKernel{ev: ev, skip: skip, p: p, keyed: keyed == p.col.Idx}
+	switch {
+	case !k.keyed || !p.uniRows:
+	case p.probe != nil:
+		k.kind = keyOmega
+	default:
+		k.kind = keyPsi
+	}
+	return k
 }
 
 // predKernel is a fused Ψ or Ω predicate: key-test a page's slots, then
@@ -48,8 +62,12 @@ type predKernel struct {
 	ev    *evaluator
 	skip  types.SkipPlan
 	p     *constPred
-	keyed bool     // the column is its table's keyed one: the slot's keys are its own
-	sel   []selRow // the page's selection, reused page after page
+	keyed bool // the column is its table's keyed one: the slot's keys are its own
+	// kind is the key test of selectPage: Ψ's or Ω's when the column is
+	// keyed and the predicate takes the slot's keys as read when they are
+	// whole (uniRows), none otherwise.
+	kind keyKind
+	sel  []selRow // the page's selection, reused page after page
 }
 
 // selRow is a row of a page's selection: its slot, and the key tests made up
@@ -69,7 +87,7 @@ func (k *predKernel) scanPage(pg *storage.Page, src *recordSource, b *Batch) (in
 		}
 		rec, _ := pg.Record(int(r.slot))
 		keep, ferr := false, op.readRecord(&k.skip, rec, slot, p.probe != nil)
-		if _, _, passed := p.storedKeys(slot); ferr == nil && passed {
+		if ferr == nil && k.kind != keyless && types.SlotSummarized(slot) {
 			keep, ferr = p.finish(k.ev, op)
 		} else if ferr == nil {
 			keep, ferr = p.match(k.ev, op)
@@ -90,44 +108,182 @@ func (k *predKernel) scanPage(pg *storage.Page, src *recordSource, b *Batch) (in
 }
 
 // selectPage selects the live slots of pg in src's share that the key test
-// passes or cannot take the keys of, with the tick count, the ordinal and
-// the test's constants in locals. It returns the rows it scanned, the key
-// tests it made and the checkpoint's error, which stops it at its slot.
+// passes or cannot take the keys of. Every decision that depends only on the
+// kernel or the page — the key kind, and whether the source is striped — is
+// made before a loop starts, and the slots are key-tested in runs, each by
+// one call of the kind's loop (selectRun) over the raw slot array. A page of
+// a claimed source is split only at its checkpoints: each run stops short of
+// the live slot whose tick checks for cancellation (Resources.Err at each
+// cancelInterval-th live slot, as tick does), which selectPage checks before
+// that slot's run. A striped source's page is walked here, a live slot at a
+// time, ticking each and running the kind's loop over each of this worker's
+// own. The checkpoint's error stops the selection at its slot. It returns
+// the rows it scanned, the key tests it made and that error.
 func (k *predKernel) selectPage(pg *storage.Page, src *recordSource) (scanned int64, tested int32, err error) {
 	slots, width := pg.Slots()
-	k.sel = k.sel[:0]
-	p, ev, keyed, probe := k.p, k.ev, k.keyed, k.p.probe
-	var pf phonetic.Prefilter
-	if p.m != nil {
-		pf = p.m.Prefilter
+	end := int32(pg.Len())
+	if cap(k.sel) < int(end) {
+		k.sel = make([]selRow, end)
 	}
-	ticks, n := ev.ticks, src.n
-	for i := range int32(pg.Len()) {
-		keys, live := storage.SlotKeys(slots[int(i)*width : int(i+1)*width])
-		if !live {
-			continue
-		}
-		if ticks++; ticks%cancelInterval == 0 {
-			if err = ev.res.Err(); err != nil {
-				break
+	k.sel = k.sel[:end]
+	kind, ev, n := k.kind, k.ev, 0
+	if width != keyedWidth {
+		kind = keyless
+	}
+	if src.mod == 0 {
+		for lo := int32(0); lo < end; {
+			hi := lo + min(end-lo, int32(cancelInterval-1-ev.ticks%cancelInterval))
+			if hi == lo {
+				for hi < end && !liveSlot(slots, width, hi) {
+					hi++
+				}
+				if hi == end {
+					break
+				}
+				if err = ev.res.Err(); err != nil {
+					ev.ticks++
+					break
+				}
+				hi++ // the run's one live slot takes the checkpoint's tick
 			}
+			var live int32
+			n, tested, live = k.selectRun(kind, slots, width, lo, hi, n, tested)
+			ev.ticks += uint32(live)
+			scanned += int64(live)
+			lo = hi
 		}
-		if src.mod != 0 {
-			mine := n%src.mod == src.idx
-			if n++; !mine {
+	} else {
+		ord, mod, idx := src.n, src.mod, src.idx
+		for i := range end {
+			if !liveSlot(slots, width, i) {
 				continue
 			}
+			if ev.ticks++; ev.ticks%cancelInterval == 0 {
+				if err = ev.res.Err(); err != nil {
+					break
+				}
+			}
+			mine := ord%mod == idx
+			if ord++; mine {
+				n, tested, _ = k.selectRun(kind, slots, width, i, i+1, n, tested)
+				scanned++
+			}
 		}
-		scanned++
-		lang, kk, ok := p.storedKeys(keys)
-		if !ok || !keyed {
-			k.sel = append(k.sel, selRow{i, tested})
+		src.n = ord
+	}
+	k.sel = k.sel[:n]
+	return scanned, tested, err
+}
+
+// keyKind is the key test of a kernel's select loop.
+type keyKind uint8
+
+const (
+	keyless  keyKind = iota // none: every live row is selected (selectKeyless)
+	keyPsi                  // Ψ's prefilter (selectPsi)
+	keyOmega                // Ω's probe filter (selectOmega)
+)
+
+// selectRun runs the loop of key kind kind over the slots lo to hi of a
+// page's slot array, slots, whose slots are width wide, appending to the
+// selection from its nth row on, with tested key tests made before it. It
+// returns the selection's new length, the key tests made and the live slots
+// it met.
+func (k *predKernel) selectRun(kind keyKind, slots []byte, width int, lo, hi int32, n int, tested int32) (int, int32, int32) {
+	switch kind {
+	case keyPsi:
+		return selectPsi(k.sel, n, tested, slots, lo, hi, k.p.m.Prefilter)
+	case keyOmega:
+		return selectOmega(k.sel, n, tested, slots, lo, hi, k.p.probe)
+	}
+	return selectKeyless(k.sel, n, tested, slots, width, lo, hi)
+}
+
+// The key-kind loops. Each walks the slots lo to hi of a page's slot array,
+// skips the dead ones and appends to sel, from its nth row on, each live
+// slot its key test passes, and each whose keys it cannot take as read
+// (types.SlotSummarized), with the key tests made up to it. A row's place in
+// the selection is written whatever the outcome, which only moves the length
+// on: the loop takes no branch on it. Each returns the selection's length,
+// the key tests made and the live slots it met; selectPage checked for
+// cancellation ahead of the run, which holds at most one checkpoint's slot.
+
+// selectPsi is the loop of Ψ, over slots keyedWidth wide.
+func selectPsi(sel []selRow, n int, tested int32, slots []byte, lo, hi int32, pf phonetic.Prefilter) (int, int32, int32) {
+	live := int32(0)
+	for i := lo; i < hi; i++ { //lint:gov-exempt selectPage checked for cancellation ahead of the run
+		keys, ok := keyedSlot(slots, i)
+		if !ok {
 			continue
 		}
-		if tested++; probe != nil && probe.Passes(lang, kk.Hash, kk.ASCII) || probe == nil && !pf.Rejects(kk.Phoneme) {
-			k.sel = append(k.sel, selRow{i, tested})
+		live++
+		if !types.SlotSummarized(keys) {
+			sel[n] = selRow{i, tested}
+			n++
+			continue
+		}
+		tested++
+		sel[n] = selRow{i, tested}
+		n += b2i(!pf.Rejects(types.SlotSummary(keys)))
+	}
+	return n, tested, live
+}
+
+// selectOmega is the loop of Ω, over slots keyedWidth wide.
+func selectOmega(sel []selRow, n int, tested int32, slots []byte, lo, hi int32, probe *wordnet.Probe) (int, int32, int32) {
+	live := int32(0)
+	for i := lo; i < hi; i++ { //lint:gov-exempt selectPage checked for cancellation ahead of the run
+		keys, ok := keyedSlot(slots, i)
+		if !ok {
+			continue
+		}
+		live++
+		if !types.SlotSummarized(keys) {
+			sel[n] = selRow{i, tested}
+			n++
+			continue
+		}
+		tested++
+		sel[n] = selRow{i, tested}
+		n += b2i(probe.Passes(types.SlotTextKeys(keys)))
+	}
+	return n, tested, live
+}
+
+// selectKeyless is the loop of a kernel without a key test, or of a page
+// whose slots carry no keys: it selects every live slot.
+func selectKeyless(sel []selRow, n int, tested int32, slots []byte, width int, lo, hi int32) (int, int32, int32) {
+	live := int32(0)
+	for i := lo; i < hi; i++ { //lint:gov-exempt selectPage checked for cancellation ahead of the run
+		if liveSlot(slots, width, i) {
+			sel[n] = selRow{i, tested}
+			n++
+			live++
 		}
 	}
-	ev.ticks, src.n = ticks, n
-	return scanned, tested, err
+	return n, tested, live
+}
+
+// keyedWidth is the width of a slot that carries slot keys.
+const keyedWidth = storage.SlotHeaderBytes + types.SlotKeyBytes
+
+// keyedSlot is the keys of slot i of a slot array of slots keyedWidth wide,
+// and whether the slot is live.
+func keyedSlot(slots []byte, i int32) ([]byte, bool) {
+	return storage.SlotKeys(slots[int(i)*keyedWidth:][:keyedWidth])
+}
+
+// liveSlot reports whether slot i of a slot array of slots width wide is
+// live.
+func liveSlot(slots []byte, width int, i int32) bool {
+	_, live := storage.SlotKeys(slots[int(i)*width:][:width])
+	return live
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -31,12 +31,15 @@ import (
 //   - A page meets the block in two loops, as a page meets the fused scan
 //     kernel. selectBlock walks the slot array with the block's key tests —
 //     each outer row's Ψ prefilter or Ω probe, gathered by compileBlock — in
-//     locals: a record whose slot keys constPred.storedKeys takes as read is
-//     key-tested against every outer row, and each pair that passes is
-//     selected; any other record (TEXT, a phoneme to convert or to match
-//     whole, a column other than the keyed one, a block under an IN list or
-//     with an outer row that compiles no key test) is selected once for all
-//     its outer rows. finishSel then reads each selected record's operand
+//     locals: a record whose slot keys a key test takes as read
+//     (types.SlotSummarized, under a block whose every row is uniRows) is
+//     key-tested in place against every outer row, through the scan's tests
+//     (Prefilter.Rejects over types.SlotSummary, Probe.Passes over
+//     types.SlotTextKeys), and each pair that passes is selected; any
+//     other record (TEXT, a phoneme to convert or to match whole, a column
+//     other than the keyed one, a block under an IN list or with an outer
+//     row that compiles no key test) is selected once for all its outer
+//     rows. finishSel then reads each selected record's operand
 //     once (operand.readRecord) — only here is a record walked to, by the
 //     fast walk or else Seek — and finishes each pair its keys passed
 //     (constPred.finish) or matches each pair of a key-less record
@@ -404,8 +407,8 @@ func (j *hoistedJoinIter) pairPage(pg *storage.Page, from int, src *recordSource
 
 // selectBlock selects pairs of the live records of pg in src's share, from
 // the one in slot from and outer row j.oi on, with the block: each pair of a
-// record whose keys constPred.storedKeys takes as read that its outer row's
-// key test passes, and each pair of any other record, which it cannot test.
+// record whose keys a key test takes as read that its outer row's key test
+// passes, and each pair of any other record, which it cannot test.
 // It keeps the tick count, the ordinal and the block's key tests in locals.
 // It stops before a pair when the selection holds room pairs to match, so
 // that finishing them cannot overfill the batch, and before the block's
@@ -418,11 +421,7 @@ func (j *hoistedJoinIter) selectBlock(pg *storage.Page, from int, src *recordSou
 	j.sel = j.sel[:0]
 	ev, omega := j.ev, j.hash
 	pfs, probes, np := j.pfs, j.probes, len(j.preds)
-	keyable := len(pfs) > 0 || len(probes) > 0
-	var p0 *constPred // when keyable, every row's predicate takes the keys p0 takes
-	if np > 0 {
-		p0 = j.preds[0]
-	}
+	keyable := len(pfs) > 0 || len(probes) > 0 // every row's predicate takes whole slot keys as read
 	ticks, streamed, cand := ev.ticks, j.streamed, 0
 	var n, mod, idx int64
 	if src != nil {
@@ -456,14 +455,14 @@ slots:
 			}
 			streamed++
 		}
-		if lang, kk, ok := p0.storedKeys(keys); ok && keyable {
+		if keyable && types.SlotSummarized(keys) {
 			for ; oi < np; oi++ {
 				if ticks++; ticks%cancelInterval == 0 {
 					if err = ev.res.Err(); err != nil {
 						break slots
 					}
 				}
-				if tested++; omega && probes[oi].Passes(lang, kk.Hash, kk.ASCII) || !omega && !pfs[oi].Rejects(kk.Phoneme) {
+				if tested++; omega && probes[oi].Passes(types.SlotTextKeys(keys)) || !omega && !pfs[oi].Rejects(types.SlotSummary(keys)) {
 					j.sel = append(j.sel, pairSel{selRow{int32(i), tested}, int32(oi), int32(oi + 1), true})
 					if cand++; cand >= room && oi+1 < np {
 						oi++

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
+	"github.com/mural-db/mural/internal/phonetic"
 	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
@@ -364,5 +367,320 @@ func TestHoistedJoinChecksCancellationPerPair(t *testing.T) {
 	}
 	if n := cur.Stats.PsiEvaluations; n != cancelInterval-6 {
 		t.Errorf("%d Ψ evaluations before the checkpoint, want %d", n, cancelInterval-6)
+	}
+}
+
+// keyWindowRunes returns n runes whose rune-set signature bits are distinct,
+// so that a phoneme built of them has one signature bit per distinct rune.
+func keyWindowRunes(n int) []rune {
+	var rs []rune
+	var used uint64
+	for r := 'a'; len(rs) < n; r++ {
+		if bit := types.Summarize([]byte(string(r))).Sig; used&bit == 0 {
+			used |= bit
+			rs = append(rs, r)
+		}
+	}
+	return rs
+}
+
+// keyWindowRows returns phonemes at the edges of Ψ's key window around pat
+// at threshold k, pat being three runes each once (s) followed by four
+// copies of a fourth (d), and fresh the runes whose signature bits pat
+// lacks: rune counts m−k−1, m−k, m+k and m+k+1, made by deleting or
+// inserting copies of d, which leaves the signature as it is; and, at m
+// runes, signatures that gain k and k+1 bits (copies of d replaced by fresh
+// runes) and that lose k and k+1 (runes of s replaced by d). Each row at
+// the window's edge is k edits from pat, each past it k+1.
+func keyWindowRows(s []rune, d rune, fresh []rune, k int) []string {
+	pat := string(s) + strings.Repeat(string(d), 4)
+	var rows []string
+	for _, n := range []int{k + 1, k} {
+		rows = append(rows, string(s)+strings.Repeat(string(d), 4-n), string(s)+strings.Repeat(string(d), 4+n))
+		rows = append(rows, string(s)+string(fresh[:n])+strings.Repeat(string(d), 4-n))
+		rows = append(rows, strings.Repeat(string(d), n)+string(s[n:])+strings.Repeat(string(d), 4))
+	}
+	return append(rows, pat)
+}
+
+// The select loop's key test at the edges of Ψ's window, on heap pages: for
+// thresholds 0, 1 and 2 and a constant of m = 7 runes, rows whose rune
+// count is m−k−1, m−k, m+k and m+k+1 and rows whose signature differs from
+// the constant's in exactly k and k+1 bits, in each direction
+// (keyWindowRows); and a constant with an empty phoneme against rows of 0 to
+// 3 runes. Serially, claimed by 2 workers and striped by 8, the fused scan
+// returns the generic filter's rows and Ψ and Ω counts, and those rows are
+// the ones within k edits by the reference edit distance. Serially, the
+// rows selectPage selects on each page are the key-less ones and those the
+// window passes by its definition: a length within k of m and at most k
+// signature bits missing from either side.
+func TestFusedKeyWindowEdges(t *testing.T) {
+	rs := keyWindowRunes(8)
+	s, d, fresh := rs[:3], rs[3], rs[4:]
+	cols := []plan.ColInfo{{Rel: "t", Name: "id", Kind: types.KindInt}, {Rel: "t", Name: "name", Kind: types.KindUniText}}
+	type window struct {
+		ph string
+		k  int
+	}
+	var windows []window
+	var phs []string
+	for k := range 3 {
+		windows = append(windows, window{string(s) + strings.Repeat(string(d), 4), k})
+		phs = append(phs, keyWindowRows(s, d, fresh, k)...)
+	}
+	for n := range 4 {
+		phs = append(phs, string(fresh[:n]))
+	}
+	windows = append(windows, window{"", 1}, window{"", 2})
+	env := &heapEnv{mockEnv: newMockEnv(), heaps: map[string]*storage.Heap{}}
+	var rows []types.Tuple
+	for i := range 2600 {
+		ph := phs[i%len(phs)]
+		rows = append(rows, types.Tuple{types.NewInt(int64(i)), types.NewUniText(types.UniText{Text: "x" + ph, Lang: types.LangEnglish, Phoneme: ph})})
+	}
+	addHeap(t, env, "t", cols, rows)
+	if np := env.heaps["t"].NumPages(); np < 2*morselChunkPages || np >= 8*morselChunkPages {
+		t.Fatalf("the table takes %d pages: 2 workers must claim pages and 8 stripe rows", np)
+	}
+	run := func(t *testing.T, cond plan.Expr, workers int, fuses bool) (got []types.Tuple, stats RunStats) {
+		t.Helper()
+		scan := scanNode("t", cols)
+		scan.Parallel = workers > 0
+		node := &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{scan}, Cols: cols, Cond: cond}
+		if workers > 0 {
+			node = &plan.Node{Op: plan.OpGather, Children: []*plan.Node{node}, Cols: cols, Workers: workers}
+		}
+		res := NewResources(context.Background(), 0)
+		cur, err := Run(env, node, nil, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers == 0 && fusedScan(cur.src) != fuses {
+			t.Fatalf("the filter fused: %v, want %v", !fuses, fuses)
+		}
+		got, err = cur.All()
+		settled(t, cur, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, *cur.Stats
+	}
+	col := &plan.ColIdx{Idx: 1, Kind: types.KindUniText}
+	for _, w := range windows {
+		konst := types.NewUniText(types.UniText{Text: "c", Lang: types.LangEnglish, Phoneme: w.ph})
+		cond := &plan.Psi{L: col, R: &plan.Const{Val: konst}, Threshold: w.k}
+		var ref []types.Tuple
+		for i, r := range rows {
+			if i%7 != 3 && phonetic.EditDistance(w.ph, r[1].UniText().Phoneme) <= w.k {
+				ref = append(ref, r)
+			}
+		}
+		generic := &plan.AndOr{L: cond, R: &plan.Const{Val: types.NewBool(true)}}
+		for _, workers := range []int{0, 2, 8} {
+			t.Run(fmt.Sprintf("m=%d/k=%d/workers=%d", utf8.RuneCountInString(w.ph), w.k, workers), func(t *testing.T) {
+				want, wantStats := run(t, generic, workers, false)
+				got, stats := run(t, cond, workers, true)
+				eqRowSets(t, got, want)
+				eqRowSets(t, got, ref)
+				if stats.PsiEvaluations != wantStats.PsiEvaluations || stats.OmegaProbes != wantStats.OmegaProbes {
+					t.Errorf("%d Ψ evaluations and %d Ω probes, want %d and %d",
+						stats.PsiEvaluations, stats.OmegaProbes, wantStats.PsiEvaluations, wantStats.OmegaProbes)
+				}
+			})
+		}
+		t.Run(fmt.Sprintf("m=%d/k=%d/selection", utf8.RuneCountInString(w.ph), w.k), func(t *testing.T) {
+			checkKeyWindowSelection(t, env, cols, cond, w.ph, w.k)
+		})
+	}
+}
+
+// checkKeyWindowSelection runs the fused kernel of cond serially over the
+// pages of env's table t and checks each page's selection against Ψ's key
+// window around ph at threshold k, computed here from its definition.
+func checkKeyWindowSelection(t *testing.T, env *heapEnv, cols []plan.ColInfo, cond plan.Expr, ph string, k int) {
+	t.Helper()
+	node := &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{scanNode("t", cols)}, Cols: cols, Cond: cond}
+	cur, err := Run(env, node, nil, NewResources(context.Background(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	s, ok := cur.src.(*scanIter)
+	if !ok || s.kern == nil {
+		t.Fatal("the filter did not fuse")
+	}
+	c := types.Summarize([]byte(ph))
+	passes := func(keys []byte) bool {
+		if !types.SlotSummarized(keys) {
+			return true
+		}
+		r := types.SlotSummary(keys)
+		return r.Runes-c.Runes <= k && c.Runes-r.Runes <= k &&
+			bits.OnesCount64(c.Sig&^r.Sig) <= k && bits.OnesCount64(r.Sig&^c.Sig) <= k
+	}
+	h := env.heaps["t"]
+	it := h.ScanRange(0, storage.PageID(h.NumPages()))
+	for page := 0; ; page++ {
+		more, err := it.NextPage(func(pg storage.Page) error {
+			if _, _, err := s.kern.selectPage(&pg, s.src); err != nil {
+				return err
+			}
+			selected := map[int32]bool{}
+			for _, r := range s.kern.sel {
+				selected[r.slot] = true
+			}
+			for i := range pg.Len() {
+				keys, live := pg.Keys(i)
+				if want := live && passes(keys); selected[int32(i)] != want {
+					rec, _ := pg.Record(i)
+					row, _, _ := types.DecodeTuple(rec)
+					t.Errorf("page %d slot %d (%v): selected %v, want %v", page, i, row, selected[int32(i)], want)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more {
+			return
+		}
+	}
+}
+
+// rowLoopSelect is selectPage's reference, a row-at-a-time loop over pg:
+// from tick count ticks and, for a striped share (mod > 0), ordinal ord, it
+// ticks each live slot, stops at the tick that checks for cancellation when
+// canceled, keeps the share's slots, and selects each whose keys test
+// cannot take (keyed false) or passes, with the key tests made up to it.
+func rowLoopSelect(pg *storage.Page, ticks uint32, ord, mod, idx int64, canceled bool, test func(keys []byte) (keyed, pass bool)) (sel []selRow, tested int32, scanned int64, ticksOut uint32, ordOut int64, stopped bool) {
+	for i := range pg.Len() {
+		keys, live := pg.Keys(i)
+		if !live {
+			continue
+		}
+		if ticks++; ticks%cancelInterval == 0 && canceled {
+			stopped = true
+			break
+		}
+		if mod != 0 {
+			mine := ord%mod == idx
+			if ord++; !mine {
+				continue
+			}
+		}
+		scanned++
+		keyed, pass := test(keys)
+		if keyed {
+			tested++
+		}
+		if !keyed || pass {
+			sel = append(sel, selRow{int32(i), tested})
+		}
+	}
+	return sel, tested, scanned, ticks, ord, stopped
+}
+
+// selectPage splits a page into runs at its checkpoints and walks a striped
+// share itself; against rowLoopSelect, on heap pages with dead slots (the
+// last page ending in a run of them), rows
+// whose keys the test takes and key-less ones (a phoneme to convert, one of
+// 280 runes, NULL), for a Ψ kernel and a key-less one (under an IN list),
+// claimed and striped (two shares of three), from tick counts that put the
+// checkpoint on every live slot of the page and past its last, with the
+// query canceled and not: the selection, the key tests, the rows scanned,
+// the tick count, the ordinal and the checkpoint's error are the row loop's.
+func TestSelectPageAsRowLoop(t *testing.T) {
+	rs := keyWindowRunes(8)
+	s, d, fresh := rs[:3], rs[3], rs[4:]
+	pat := string(s) + strings.Repeat(string(d), 4)
+	cols := []plan.ColInfo{{Rel: "t", Name: "id", Kind: types.KindInt}, {Rel: "t", Name: "name", Kind: types.KindUniText}}
+	vals := []types.Value{
+		types.NewUniText(types.UniText{Text: "x", Lang: types.LangEnglish}),
+		types.NewUniText(types.UniText{Text: "nehru nehru", Lang: types.LangEnglish, Phoneme: keyTestLongPhoneme}),
+		types.Null(),
+	}
+	for _, ph := range keyWindowRows(s, d, fresh, 1) {
+		vals = append(vals, types.NewUniText(types.UniText{Text: "x" + ph, Lang: types.LangEnglish, Phoneme: ph}))
+	}
+	env := &heapEnv{mockEnv: newMockEnv(), heaps: map[string]*storage.Heap{}}
+	var rows []types.Tuple
+	for i := range 600 {
+		rows = append(rows, types.Tuple{types.NewInt(int64(i)), vals[i*7%len(vals)]})
+	}
+	// Every seventh row is deleted, and the last ten, so that the last page
+	// ends in dead slots, past which no checkpoint may fire.
+	h, err := heapOf(schemaKinds(cols), rows, func(i int) bool { return i%7 == 3 || i >= len(rows)-10 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.heaps["t"], env.tables["t"] = h, rows
+	c := types.Summarize([]byte(pat))
+	window := func(keys []byte) (bool, bool) {
+		if !types.SlotSummarized(keys) {
+			return false, false
+		}
+		r := types.SlotSummary(keys)
+		return true, r.Runes-c.Runes <= 1 && c.Runes-r.Runes <= 1 &&
+			bits.OnesCount64(c.Sig&^r.Sig) <= 1 && bits.OnesCount64(r.Sig&^c.Sig) <= 1
+	}
+	keyless := func([]byte) (bool, bool) { return false, false }
+	konst := &plan.Const{Val: types.NewUniText(types.UniText{Text: "c", Lang: types.LangEnglish, Phoneme: pat})}
+	col := &plan.ColIdx{Idx: 1, Kind: types.KindUniText}
+	for _, kc := range []struct {
+		cond plan.Expr
+		test func([]byte) (bool, bool)
+	}{
+		{&plan.Psi{L: col, R: konst, Threshold: 1}, window},
+		{&plan.Psi{L: col, R: konst, Threshold: 1, Langs: []types.LangID{types.LangEnglish}}, keyless},
+	} {
+		for _, canceled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/canceled=%v", plan.ExprString(kc.cond), canceled), func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				node := &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{scanNode("t", cols)}, Cols: cols, Cond: kc.cond}
+				cur, err := Run(env, node, nil, NewResources(ctx, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cur.Close()
+				sc, ok := cur.src.(*scanIter)
+				if !ok || sc.kern == nil {
+					t.Fatal("the filter did not fuse")
+				}
+				if canceled {
+					cancel()
+				}
+				k, src := sc.kern, sc.src
+				it := h.ScanRange(0, storage.PageID(h.NumPages()))
+				for {
+					more, err := it.NextPage(func(pg storage.Page) error {
+						for t0 := cancelInterval - pg.Len() - 2; t0 <= cancelInterval+1; t0++ {
+							for _, share := range [][2]int64{{0, 0}, {3, 0}, {3, 2}} {
+								start := uint32(5*cancelInterval + t0)
+								src.mod, src.idx, src.n, k.ev.ticks = share[0], share[1], 4, start
+								want, wantTested, wantScanned, wantTicks, wantOrd, stopped := rowLoopSelect(&pg, start, 4, share[0], share[1], canceled, kc.test)
+								scanned, tested, err := k.selectPage(&pg, src)
+								if stopped != errors.Is(err, ErrCanceled) || !stopped && err != nil {
+									return fmt.Errorf("from tick %d, share %v: error %v, want stopped %v", start, share, err, stopped)
+								}
+								if fmt.Sprint(k.sel) != fmt.Sprint(want) || tested != wantTested || scanned != wantScanned || k.ev.ticks != wantTicks || (share[0] != 0 && src.n != wantOrd) {
+									return fmt.Errorf("from tick %d, share %v: selected %v, %d tests, %d scanned, ticks %d, ordinal %d; want %v, %d, %d, %d, %d",
+										start, share, k.sel, tested, scanned, k.ev.ticks, src.n, want, wantTested, wantScanned, wantTicks, wantOrd)
+								}
+							}
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !more {
+						break
+					}
+				}
+				src.mod, src.idx, src.n = 0, 0, 0
+			})
+		}
 	}
 }

@@ -35,12 +35,20 @@ import (
 // match the same operand. The fused scan kernel (fuse.go) and the hoisted
 // join read it in place off a record (operand.readRecord), the keyed column's
 // language and filter keys off its heap slot, and walk the record to the value
-// only for a pair those keys let through. Ahead of that the kernel key-tests
-// the slot's keys where it can take them as read (storedKeys). The generic
-// filter, the index rechecks and the Ψ index join set it from the decoded
-// value (operand.set). indexProbe and the index join search a metric index for
-// the constant's phoneme (metricSearch). Any other Ψ or Ω, over two computed
-// operands, goes through the same rules row by row (evalPsi, evalOmega).
+// only for a pair those keys let through. Ahead of that both key-test the
+// slot's keys in place, where they can take them as read: for a predicate
+// that admits every text row (uniRows), so that no admission is due, on the
+// keyed column's slot keys when they hold an exact, non-zero rune count
+// (types.SlotSummarized). The key test is then the filter alone (Ψ's
+// Prefilter.Rejects over types.SlotSummary, Ω's Probe.Passes over
+// types.SlotTextKeys), and only a row it passes is read and finished; any
+// other operand — TEXT, a phoneme to convert or to match whole, a column
+// other than the keyed one, or any operand of a predicate under an IN list —
+// is read and matched (match). The generic filter, the index rechecks and
+// the Ψ index join set the operand from the decoded value (operand.set).
+// indexProbe and the index join search a metric index for the constant's
+// phoneme (metricSearch). Any other Ψ or Ω, over two computed operands, goes
+// through the same rules row by row (evalPsi, evalOmega).
 
 // isText reports whether a value of kind k can be a Ψ or Ω operand.
 func isText(k types.Kind) bool { return k == types.KindText || k == types.KindUniText }
@@ -527,20 +535,6 @@ func (p *constPred) finish(ev *evaluator, op *operand) (bool, error) {
 		return p.m.MatchBytes(op.ph), nil // set from a decoded value: no summary
 	}
 	return p.m.Match(op.convert(ev)), nil
-}
-
-// storedKeys reads a row's slot keys (nil when the operand's column is not
-// its table's keyed one) for a key test that takes them as read, ahead of
-// any read of the record: ok=true when the predicate admits every text row
-// (uniRows), so that no admission is due, and the slot holds the keys of a
-// UNITEXT value whose phoneme's stored rune count is exact and not 0. The key
-// test is then filter alone, and only a row it passes is read
-// (operand.readRecord) and finished. Any other operand — TEXT, a phoneme to convert or to match
-// whole, a column other than the keyed one, or any operand of a predicate
-// under an IN list — is read and matched (match).
-func (p *constPred) storedKeys(slot []byte) (types.LangID, types.Keys, bool) {
-	lang, keys, ok := types.SlotKeys(slot)
-	return lang, keys, ok && p.uniRows && uint(keys.Phoneme.Runes-1) < types.RunesOverflow-1
 }
 
 // eval evaluates the predicate on a decoded row.

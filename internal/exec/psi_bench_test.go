@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/mural-db/mural/internal/dataset"
 	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
@@ -34,13 +35,9 @@ func benchNames(env *mockEnv, name string, n int, kind types.Kind) {
 	env.pagesFor(name)
 }
 
-func benchPsiScan(b *testing.B, kind types.Kind) {
-	env := newMockEnv()
-	const n = 4096
-	benchNames(env, "t", n, kind)
-	cols := []plan.ColInfo{{Rel: "t", Name: "n", Kind: kind}}
-	node := &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{scanNode("t", cols)}, Cols: cols,
-		Cond: &plan.Psi{L: &plan.ColIdx{Idx: 0, Kind: kind}, R: &plan.Const{Val: types.NewText("nehru")}}}
+// benchScan runs the scan node over env's table until b is done, requiring
+// rows of it, and reports ns per table row.
+func benchScan(b *testing.B, env Env, node *plan.Node, rows int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -48,17 +45,58 @@ func benchPsiScan(b *testing.B, kind types.Kind) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows, err := cur.All()
-		if err != nil || len(rows) == 0 {
-			b.Fatalf("%d rows, %v", len(rows), err)
+		got, err := cur.All()
+		if err != nil || len(got) == 0 {
+			b.Fatalf("%d rows, %v", len(got), err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }
 
-func BenchmarkPsiScanStored(b *testing.B) { benchPsiScan(b, types.KindUniText) }
+// scanNames is the row count of the stored-operand scan benchmarks' tables.
+const scanNames = 16384
 
-func BenchmarkPsiScanText(b *testing.B) { benchPsiScan(b, types.KindText) }
+// namesOnHeap serves table name, of one UNITEXT column, from heap pages
+// holding the values of rows, and returns its columns.
+func namesOnHeap(b *testing.B, env *heapEnv, name string, rows []types.UniText) []plan.ColInfo {
+	for _, v := range rows {
+		env.tables[name] = append(env.tables[name], types.Tuple{types.NewUniText(v)})
+	}
+	h, err := heapOf([]types.Kind{types.KindUniText}, env.tables[name], func(int) bool { return false })
+	if err != nil {
+		b.Fatal(err)
+	}
+	env.heaps[name] = h
+	return []plan.ColInfo{{Rel: name, Name: "n", Kind: types.KindUniText}}
+}
+
+// BenchmarkPsiScanStored is the fused Ψ scan at threshold 2 of one of
+// scanNames seeded dataset.GenerateNames names against all of them, on heap
+// pages: the psi_scan workload's per-row path, whose key test passes about
+// one row in twenty in no pattern a branch predictor can learn.
+func BenchmarkPsiScanStored(b *testing.B) {
+	env := &heapEnv{mockEnv: newMockEnv(), heaps: map[string]*storage.Heap{}}
+	var rows []types.UniText
+	for _, r := range dataset.GenerateNames(dataset.NamesConfig{Records: scanNames, Seed: 1, NoiseRate: -1}) {
+		rows = append(rows, r.Name)
+	}
+	cols := namesOnHeap(b, env, "t", rows)
+	node := &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{scanNode("t", cols)}, Cols: cols,
+		Cond: &plan.Psi{L: &plan.ColIdx{Idx: 0, Kind: types.KindUniText}, R: &plan.Const{Val: types.NewUniText(rows[scanNames/2])}, Threshold: 2}}
+	benchScan(b, env, node, scanNames)
+}
+
+// BenchmarkPsiScanText is the fused Ψ scan of benchNames' rows as bare
+// TEXT, each converted through the G2P cache.
+func BenchmarkPsiScanText(b *testing.B) {
+	env := newMockEnv()
+	const n = 4096
+	benchNames(env, "t", n, types.KindText)
+	cols := []plan.ColInfo{{Rel: "t", Name: "n", Kind: types.KindText}}
+	node := &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{scanNode("t", cols)}, Cols: cols,
+		Cond: &plan.Psi{L: &plan.ColIdx{Idx: 0, Kind: types.KindText}, R: &plan.Const{Val: types.NewText("nehru")}}}
+	benchScan(b, env, node, n)
+}
 
 // benchPsiJoin joins outer rows with inner ones of benchNames at threshold
 // k; onHeap serves the inner table from heapOf's real heap pages rather than
@@ -157,30 +195,34 @@ func BenchmarkOmegaJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkOmegaScanStored is the fused Ω scan of omegaJoinBench's inner
-// words with its concept as the constant, for each closure size: the
-// omega_scan workload's per-row path.
+// BenchmarkOmegaScanStored is the fused Ω scan, with omegaJoinBench's
+// concept of each closure size as the constant, of scanNames rows on heap
+// pages: seeded dataset.GenerateNames names in two of the net's languages,
+// which the probe's filter rejects but for its false positives, with one
+// row in sixteen one of omegaWord's words, some of which match.
 func BenchmarkOmegaScanStored(b *testing.B) {
 	net := omegaNet()
+	names := dataset.GenerateNames(dataset.NamesConfig{Records: scanNames, Seed: 1, NoiseRate: -1,
+		Langs: []types.LangID{types.LangEnglish, types.LangFrench}})
+	rng := rand.New(rand.NewSource(1))
+	var rows []types.UniText
+	for i, r := range names {
+		if i%16 == 0 {
+			r.Name = types.Compose(omegaWord(rng, net))
+		}
+		rows = append(rows, r.Name)
+	}
 	for _, name := range []string{"filtered", "labels"} {
 		b.Run(name, func(b *testing.B) {
-			env, join, concept := omegaJoinBench(net, omegaJoinClosures[name])
-			scan := join.Children[1]
-			node := &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{scan}, Cols: scan.Cols,
+			env := &heapEnv{mockEnv: newMockEnv(), heaps: map[string]*storage.Heap{}}
+			env.net = net
+			cols := namesOnHeap(b, env, "t", rows)
+			_, _, concept := omegaJoinBench(net, omegaJoinClosures[name])
+			scan := scanNode("t", cols)
+			scan.EstRows = scanNames
+			node := &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{scan}, Cols: cols,
 				Cond: &plan.Omega{L: &plan.ColIdx{Idx: 0, Kind: types.KindUniText}, R: &plan.Const{Val: types.NewUniText(concept)}}}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cur, err := Run(env, node, nil, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows, err := cur.All()
-				if err != nil || len(rows) == 0 {
-					b.Fatalf("%d rows, %v", len(rows), err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(env.tables["i"])), "ns/row")
+			benchScan(b, env, node, scanNames)
 		})
 	}
 }

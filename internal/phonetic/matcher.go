@@ -114,9 +114,11 @@ func (m *BoundedMatcher) MatchBytes(cand []byte) bool {
 // such rune costs an edit of its own (its positions must be deleted or
 // substituted, one position per edit); a collision merges runes into one
 // bit, which only lowers the count. The same holds with the roles swapped.
+// The four bounds are compared as one, their maximum, without a branch, so a
+// select loop's outcome costs no misprediction; the maximum is never
+// negative, so a negative k rejects every candidate.
 func (m Prefilter) Rejects(s types.Summary) bool {
-	return m.k < 0 || s.Runes-m.m > m.k || m.m-s.Runes > m.k ||
-		bits.OnesCount64(m.sig&^s.Sig) > m.k || bits.OnesCount64(s.Sig&^m.sig) > m.k
+	return max(s.Runes-m.m, m.m-s.Runes, bits.OnesCount64(m.sig&^s.Sig), bits.OnesCount64(s.Sig&^m.sig)) > m.k
 }
 
 // MatchSummary is MatchBytes over a candidate whose summary is s, which must

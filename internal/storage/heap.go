@@ -304,6 +304,11 @@ func (p *Page) Keys(i int) (keys []byte, live bool) {
 // slots[i*width:(i+1)*width], which SlotKeys reads.
 func (p *Page) Slots() (slots []byte, width int) { return p.slots, p.width }
 
+// SlotHeaderBytes is what a slot holds ahead of its keys: its record's
+// offset and length. A page whose slots carry k bytes of keys has slots
+// SlotHeaderBytes+k wide (Slots).
+const SlotHeaderBytes = slotSize
+
 // SlotKeys is Keys of one slot of a Slots array.
 func SlotKeys(slot []byte) (keys []byte, live bool) {
 	return slot[slotSize:], binary.LittleEndian.Uint16(slot) != deadSlot

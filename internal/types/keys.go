@@ -114,6 +114,15 @@ const (
 	noSlotKeys   = 0x7F
 )
 
+// The offsets of the slot keys' fields, which the accessors below are the
+// only readers of.
+const (
+	slotSig   = 0
+	slotHash  = 8
+	slotRunes = 12
+	slotLang  = 13
+)
+
 // RunesOverflow is the stored rune count of a phoneme whose count does not
 // fit its byte: 255 runes or more.
 const RunesOverflow = 0xFF
@@ -137,35 +146,70 @@ func AppendSlotKeys(buf []byte, t Tuple, keyed int) []byte {
 	if keyed < 0 {
 		return buf
 	}
-	v := t[keyed]
-	if v.kind != KindUniText || v.lang >= noSlotKeys {
-		var none [SlotKeyBytes]byte
-		none[13] = noSlotKeys
-		return append(buf, none[:]...)
+	var b [SlotKeyBytes]byte
+	b[slotLang] = noSlotKeys
+	if v := t[keyed]; v.kind == KindUniText && v.lang < noSlotKeys {
+		k := KeysOf([]byte(v.s), []byte(v.ph))
+		binary.LittleEndian.PutUint64(b[slotSig:], k.Phoneme.Sig)
+		binary.LittleEndian.PutUint32(b[slotHash:], k.Hash)
+		b[slotRunes] = byte(min(k.Phoneme.Runes, RunesOverflow))
+		b[slotLang] = byte(v.lang)
+		if k.ASCII {
+			b[slotLang] |= 0x80
+		}
 	}
-	k := KeysOf([]byte(v.s), []byte(v.ph))
-	buf = binary.LittleEndian.AppendUint64(buf, k.Phoneme.Sig)
-	buf = binary.LittleEndian.AppendUint32(buf, k.Hash)
-	buf = append(buf, byte(min(k.Phoneme.Runes, RunesOverflow)))
-	lang := byte(v.lang)
-	if k.ASCII {
-		lang |= 0x80
-	}
-	return append(buf, lang)
+	return append(buf, b[:]...)
+}
+
+// Slot-key accessors. A select loop reads the fields its key test needs of
+// a slot's keys in place, through these; each inlines. The field readers
+// (SlotSig, SlotHash, SlotRunes, SlotLang, SlotSummary, SlotTextKeys) take
+// slot keys that hold a value's keys, as those SlotSummarized passes do.
+
+// slotHasKeys reports whether b holds the keys of a value: it is SlotKeyBytes
+// long (a slot of a table without a UNITEXT column has no key bytes) and not
+// the marker of a value without keys.
+func slotHasKeys(b []byte) bool { return len(b) == SlotKeyBytes && b[slotLang] != noSlotKeys }
+
+// SlotSummarized reports whether b holds the keys of a value whose phoneme's
+// stored rune count is exact and not 0 (slotHasKeys, and a count in 1..254):
+// keys a key test takes as read.
+func SlotSummarized(b []byte) bool {
+	return slotHasKeys(b) && b[slotRunes]-1 < RunesOverflow-1
+}
+
+// SlotSig is the phoneme's rune-set signature.
+func SlotSig(b []byte) uint64 { return binary.LittleEndian.Uint64(b[slotSig:]) }
+
+// SlotHash is the text's CaseHash.
+func SlotHash(b []byte) uint32 { return binary.LittleEndian.Uint32(b[slotHash:]) }
+
+// SlotRunes is the phoneme's rune count, RunesOverflow for 255 or more.
+func SlotRunes(b []byte) int { return int(b[slotRunes]) }
+
+// SlotLang is the value's language and whether its text is ASCII, read off
+// the one byte that holds both.
+func SlotLang(b []byte) (lang LangID, ascii bool) {
+	return LangID(b[slotLang] & 0x7F), b[slotLang]&0x80 != 0
+}
+
+// SlotSummary is the phoneme's Summary: the keys Ψ's prefilter reads.
+func SlotSummary(b []byte) Summary { return Summary{Runes: SlotRunes(b), Sig: SlotSig(b)} }
+
+// SlotTextKeys is the value's language, its text's CaseHash and whether the
+// text is ASCII: the keys Ω's filter reads, in the order it takes them.
+func SlotTextKeys(b []byte) (lang LangID, h uint32, ascii bool) {
+	lang, ascii = SlotLang(b)
+	return lang, SlotHash(b), ascii
 }
 
 // SlotKeys reads the slot keys b (as AppendSlotKeys wrote them): the value's
 // language and filter keys, the rune count of a phoneme of 255 runes or more
-// being RunesOverflow. ok=false when b holds none: the slot's value has no
-// keys there, or b is not SlotKeyBytes long (a slot of a table without a
-// UNITEXT column has no key bytes). It inlines.
+// being RunesOverflow. ok=false when b holds none (slotHasKeys). It inlines.
 func SlotKeys(b []byte) (lang LangID, k Keys, ok bool) {
-	if len(b) != SlotKeyBytes || b[13] == noSlotKeys {
+	if !slotHasKeys(b) {
 		return LangUnknown, Keys{}, false
 	}
-	return LangID(b[13] & 0x7F), Keys{
-		Phoneme: Summary{Runes: int(b[12]), Sig: binary.LittleEndian.Uint64(b)},
-		Hash:    binary.LittleEndian.Uint32(b[8:]),
-		ASCII:   b[13]&0x80 != 0,
-	}, true
+	lang, ascii := SlotLang(b)
+	return lang, Keys{Phoneme: Summary{Runes: SlotRunes(b), Sig: SlotSig(b)}, Hash: SlotHash(b), ASCII: ascii}, true
 }

@@ -2,6 +2,7 @@ package types
 
 import (
 	"encoding/hex"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -95,6 +96,56 @@ func TestSlotKeysRoundTrip(t *testing.T) {
 	for _, b := range [][]byte{nil, AppendSlotKeys(nil, Tuple{Null()}, 0), AppendSlotKeys(nil, Tuple{NewUniText(UniText{Text: "x", Lang: 300})}, 0)} {
 		if _, _, ok := SlotKeys(b); ok {
 			t.Errorf("SlotKeys(%x) ok", b)
+		}
+	}
+}
+
+// The slot-key accessors read back what AppendSlotKeys wrote, field by
+// field, as SlotKeys does: for random texts and phonemes in every language
+// that fits seven bits, ASCII and not, at rune counts 0, 1, 254, 255 and
+// past it, and for values without keys (NULL, a language past seven bits).
+func TestSlotKeyAccessorsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	word := func(n int, ascii bool) string {
+		var b strings.Builder
+		for range n {
+			if ascii {
+				b.WriteByte(byte('a' + rng.Intn(26)))
+			} else {
+				b.WriteRune(rune(0x0B85 + rng.Intn(40)))
+			}
+		}
+		return b.String()
+	}
+	for lang := LangID(0); lang < noSlotKeys; lang++ {
+		for _, runes := range []int{0, 1, 2 + rng.Intn(250), 254, 255, 256 + rng.Intn(100)} {
+			for _, ascii := range []bool{true, false} {
+				u := UniText{Text: word(1+rng.Intn(20), ascii), Lang: lang, Phoneme: word(runes, rng.Intn(2) == 0)}
+				b := AppendSlotKeys(nil, Tuple{NewInt(1), NewUniText(u)}, 1)
+				want := KeysOf([]byte(u.Text), []byte(u.Phoneme))
+				want.Phoneme.Runes = min(want.Phoneme.Runes, RunesOverflow)
+				gotLang, gotASCII := SlotLang(b)
+				tlang, th, tascii := SlotTextKeys(b)
+				if !slotHasKeys(b) || SlotSummarized(b) != (runes >= 1 && runes <= 254) ||
+					SlotRunes(b) != want.Phoneme.Runes || SlotSig(b) != want.Phoneme.Sig || SlotSummary(b) != want.Phoneme ||
+					SlotHash(b) != want.Hash || gotLang != lang || gotASCII != want.ASCII || want.ASCII != ascii ||
+					tlang != lang || th != want.Hash || tascii != want.ASCII {
+					t.Fatalf("accessors of %+v (%x) read %v %v %v %d %#x %#x %v %v, want keys %+v in %v",
+						u, b, slotHasKeys(b), SlotSummarized(b), SlotSummary(b), SlotRunes(b), SlotSig(b), SlotHash(b), gotLang, gotASCII, want, lang)
+				}
+				if l, k, ok := SlotKeys(b); !ok || l != lang || k != want {
+					t.Fatalf("SlotKeys of %+v = %v %+v %v, want %v %+v", u, l, k, ok, lang, want)
+				}
+			}
+		}
+	}
+	for _, v := range []Value{Null(), NewUniText(UniText{Text: "x", Lang: noSlotKeys, Phoneme: "x"}), NewUniText(UniText{Text: "x", Lang: 300, Phoneme: "x"})} {
+		b := AppendSlotKeys(nil, Tuple{v}, 0)
+		if slotHasKeys(b) || SlotSummarized(b) {
+			t.Errorf("slot keys of %v (%x) have keys", v, b)
+		}
+		if _, _, ok := SlotKeys(b); ok {
+			t.Errorf("SlotKeys of %v (%x) ok", v, b)
 		}
 	}
 }
