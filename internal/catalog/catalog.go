@@ -77,6 +77,9 @@ type Catalog struct {
 	indexes  map[string]*Index
 	stats    map[string]*TableStats
 	nextFile storage.FileID
+	// taxonomy is the fingerprint of the taxonomy the stored rows' Ω labels
+	// were computed under (wordnet.Net.Fingerprint), 0 while none was.
+	taxonomy uint64
 	// version counts metadata mutations (DDL and stats). Plan caches
 	// key on it: any change that could alter planning bumps it, so stale
 	// plans simply stop matching.
@@ -98,6 +101,22 @@ func New() *Catalog {
 		stats:    make(map[string]*TableStats),
 		nextFile: 1,
 	}
+}
+
+// Taxonomy returns the fingerprint of the taxonomy the database pins, 0 when
+// it pins none yet.
+func (c *Catalog) Taxonomy() uint64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.taxonomy
+}
+
+// SetTaxonomy pins the taxonomy of fingerprint fp (0 unpins). It does not
+// move Version: no plan depends on it.
+func (c *Catalog) SetTaxonomy(fp uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.taxonomy = fp
 }
 
 // AllocateFile hands out the next storage file id.
@@ -273,6 +292,7 @@ type persisted struct {
 	Indexes  []*Index               `json:"indexes"`
 	Stats    map[string]*TableStats `json:"stats"`
 	NextFile storage.FileID         `json:"next_file"`
+	Taxonomy uint64                 `json:"taxonomy,omitempty"`
 }
 
 // Store writes the catalog's header and JSON image into File's pages
@@ -280,7 +300,7 @@ type persisted struct {
 // same is not dirtied, so it adds nothing to the batch.
 func (c *Catalog) Store(p *storage.Pool) error {
 	c.mu.RLock()
-	img := persisted{Stats: c.stats, NextFile: c.nextFile}
+	img := persisted{Stats: c.stats, NextFile: c.nextFile, Taxonomy: c.taxonomy}
 	for _, t := range c.tables {
 		img.Tables = append(img.Tables, t)
 	}
@@ -380,5 +400,6 @@ func Load(p *storage.Pool) (*Catalog, error) {
 	if img.NextFile > c.nextFile {
 		c.nextFile = img.NextFile
 	}
+	c.taxonomy = img.Taxonomy
 	return c, nil
 }

@@ -147,7 +147,11 @@ func build(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIte
 		var cond plan.Expr
 		if n.Op == plan.OpFilter {
 			child := n.Children[0]
-			if cond, err = ev.bind(n.Cond, child.EstimatedRows()); err != nil {
+			rows := child.EstimatedRows()
+			if shape, ok := fusedShape(n.Cond, child.Schema()); ok && child.Op == plan.OpSeqScan && shape.labelled {
+				rows = 0 // the fused kernel tests every row on its slot's label
+			}
+			if cond, err = ev.bind(n.Cond, rows); err != nil {
 				return nil, err
 			}
 			if child.Op == plan.OpSeqScan {

@@ -33,13 +33,39 @@ type mockEnv struct {
 	reads map[string]*atomic.Int64 // pages read by record scans, per table
 	// pageRows is the records a page holds; 0 means mockPageRows.
 	pageRows int
+	// verified, when set, gives row i's slot a label Ω verifies from the
+	// text whatever the text names — types.Unlabelled (written with no
+	// taxonomy loaded) or types.ManySynsets (a homonym's) — or returns 0 for
+	// a row labelled under net, as a heap labels it.
+	verified func(i int) uint32
 }
+
+// labeller labels the keyed column of row i of a table as a heap slot
+// stores it: under net (types.Unlabelled when nil), except the rows verified
+// gives a sentinel.
+type labeller struct {
+	net      *wordnet.Net
+	verified func(i int) uint32
+}
+
+func (l labeller) label(i int, t types.Tuple, keyed int) uint32 {
+	if l.verified != nil {
+		if label := l.verified(i); label != 0 {
+			return label
+		}
+	}
+	return l.net.LabelOf(t, keyed)
+}
+
+// labels is the labeller of m's tables.
+func (m *mockEnv) labels() labeller { return labeller{m.net, m.verified} }
 
 // mockPages is one table's encoded form and the rows it was encoded from:
 // each page's records, and the same laid out as the page views a heap scan
 // hands over.
 type mockPages struct {
 	rows  []types.Tuple
+	net   *wordnet.Net // the taxonomy the slots were labelled under
 	pages [][][]byte
 	views []storage.Page
 }
@@ -77,8 +103,9 @@ func (m *mockEnv) perPage() int {
 }
 
 // pagesFor encodes a table's rows into pages as the storage layer does — each
-// row's record, and its slot keys (types.AppendSlotKeys) — re-encoding when a
-// test has replaced the table since.
+// row's record, and its slot keys (types.AppendSlotKeys, labelled by
+// m.labels) — re-encoding when a test has replaced the table or the taxonomy
+// since.
 func (m *mockEnv) pagesFor(table string) [][][]byte { return m.encoded(table).pages }
 
 // encoded is pagesFor's table encoded, with its page views.
@@ -86,19 +113,20 @@ func (m *mockEnv) encoded(table string) mockPages {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rows := m.tables[table]
-	if p, ok := m.pages[table]; ok && len(p.rows) == len(rows) && (len(rows) == 0 || &p.rows[0] == &rows[0]) {
+	if p, ok := m.pages[table]; ok && p.net == m.net && len(p.rows) == len(rows) && (len(rows) == 0 || &p.rows[0] == &rows[0]) {
 		return p
 	}
-	p := mockPages{rows: rows}
+	p := mockPages{rows: rows, net: m.net}
+	labels := m.labels()
 	keyed, keyBytes := types.KeyedColumn(mockKinds(rows))
 	var keys []byte
 	for start := 0; start < len(rows); start += m.perPage() {
 		var page [][]byte
 		view := storage.NewPage(keyBytes)
-		for _, t := range rows[start:min(start+m.perPage(), len(rows))] {
+		for i, t := range rows[start:min(start+m.perPage(), len(rows))] {
 			rec := types.EncodeTuple(t)
 			page = append(page, rec)
-			if keys = types.AppendSlotKeys(keys[:0], t, keyed); !view.Add(rec, keys) {
+			if keys = types.AppendSlotKeys(keys[:0], t, keyed, labels.label(start+i, t, keyed)); !view.Add(rec, keys) {
 				panic(fmt.Sprintf("mock: %d records overflow a page", m.perPage()))
 			}
 		}

@@ -22,29 +22,77 @@ import (
 // or the page — the key kind, whether the source is striped — before a loop
 // starts: each key kind has one loop over the raw slot array (selectPsi,
 // selectOmega), which reads the bytes its test needs in place through the
-// slot-key accessors (types.SlotSummary, types.SlotTextKeys) and appends to
-// the selection without a branch on the outcome. The counts, the
-// checkpoint's cadence and the first error are a row-at-a-time loop's.
+// slot-key accessors (types.SlotSummary, types.SlotOmegaKeys) and appends to
+// the selection without a branch on the outcome. Ω's test is on the slot's
+// label, the pre-order number of the row's one synset (types.Keys): a row
+// whose label it passes is a match, which the second loop decodes without
+// reading its text, and only a row labelled ManySynsets or Unlabelled is
+// verified from its text. An Ω scan on labels builds no filter over the
+// taxonomy's word forms (scanShape.labelled). The counts, the checkpoint's
+// cadence and the first error are a row-at-a-time loop's.
 //
-// Fusion is chosen by build from the bound predicate's shape alone. Any shape
-// the kernel cannot handle runs as vectorFilterIter over the kernel-less scan.
+// Fusion is chosen by build from the predicate's shape alone (fusedShape).
+// Any shape the kernel cannot handle runs as vectorFilterIter over the
+// kernel-less scan.
+
+// scanShape is what fusion needs of a filter's condition over a scan: the
+// walk to the column its lone Ψ or Ω with a constant operand reads, and
+// whether that column is the table's keyed one.
+type scanShape struct {
+	skip  types.SkipPlan
+	keyed bool // the slot's keys are the column's own
+	// labelled: an Ω on the keyed column, which the kernel tests on the
+	// slots' labels, so that its probe needs no filter.
+	labelled bool
+}
+
+// fusedShape returns the scanShape of filter condition cond, bound or not,
+// over a scan producing cols; ok is false when the shape does not fuse: only
+// a lone Ψ or Ω with a constant operand does, on a column the scan produces
+// (for any other the generic path raises the out-of-range error). build
+// decides with it, before binding, whether Ω's probe needs filters, and
+// fusedKernel, after, whether the bound predicate fuses.
+func fusedShape(cond plan.Expr, cols []plan.ColInfo) (s scanShape, ok bool) {
+	if p, bound := cond.(*constPred); bound {
+		cond = p.Expr
+	}
+	var l, r plan.Expr
+	omega := false
+	switch x := cond.(type) {
+	case *plan.Psi:
+		l, r = x.L, x.R
+	case *plan.Omega:
+		l, r, omega = x.L, x.R, true
+	default:
+		return s, false
+	}
+	col, _, _, ok := colAndConst(l, r)
+	if !ok {
+		return s, false
+	}
+	kinds := schemaKinds(cols)
+	if s.skip, ok = types.NewSkipPlan(kinds, col.Idx); !ok {
+		return s, false
+	}
+	keyed, _ := types.KeyedColumn(kinds)
+	s.keyed = keyed == col.Idx
+	s.labelled = omega && s.keyed
+	return s, true
+}
 
 // fusedKernel returns the record kernel of a bound filter condition over a
-// scan producing cols, nil when the shape does not fuse: only a lone Ψ or Ω
-// with a constant operand does, on a column the scan produces (for any other
-// the generic path raises the out-of-range error).
+// scan producing cols, nil when it does not fuse: its shape does not
+// (fusedShape), or it is not compiled (Ω without a taxonomy).
 func (ev *evaluator) fusedKernel(cond plan.Expr, cols []plan.ColInfo) *predKernel {
 	p, ok := cond.(*constPred)
 	if !ok {
 		return nil
 	}
-	kinds := schemaKinds(cols)
-	skip, ok := types.NewSkipPlan(kinds, p.col.Idx)
+	shape, ok := fusedShape(p, cols)
 	if !ok {
 		return nil
 	}
-	keyed, _ := types.KeyedColumn(kinds)
-	k := &predKernel{ev: ev, skip: skip, p: p, keyed: keyed == p.col.Idx}
+	k := &predKernel{ev: ev, skip: shape.skip, p: p, keyed: shape.keyed}
 	switch {
 	case !k.keyed || !p.uniRows:
 	case p.probe != nil:
@@ -87,7 +135,7 @@ func (k *predKernel) scanPage(pg *storage.Page, src *recordSource, b *Batch) (in
 		}
 		rec, _ := pg.Record(int(r.slot))
 		keep, ferr := false, op.readRecord(&k.skip, rec, slot, p.probe != nil)
-		if ferr == nil && k.kind != keyless && types.SlotSummarized(slot) {
+		if ferr == nil && k.keyTested(slot) {
 			keep, ferr = p.finish(k.ev, op)
 		} else if ferr == nil {
 			keep, ferr = p.match(k.ev, op)
@@ -105,6 +153,12 @@ func (k *predKernel) scanPage(pg *storage.Page, src *recordSource, b *Batch) (in
 	}
 	k.ev.count(p.probe != nil, int64(tested))
 	return scanned, err
+}
+
+// keyTested reports whether selectPage key-tested a selected row with slot
+// keys slot, so that only finish is left to it.
+func (k *predKernel) keyTested(slot []byte) bool {
+	return k.kind == keyPsi && types.SlotSummarized(slot) || k.kind == keyOmega && types.SlotHasKeys(slot)
 }
 
 // selectPage selects the live slots of pg in src's share that the key test
@@ -181,7 +235,7 @@ type keyKind uint8
 const (
 	keyless  keyKind = iota // none: every live row is selected (selectKeyless)
 	keyPsi                  // Ψ's prefilter (selectPsi)
-	keyOmega                // Ω's probe filter (selectOmega)
+	keyOmega                // Ω's label test (selectOmega)
 )
 
 // selectRun runs the loop of key kind kind over the slots lo to hi of a
@@ -202,11 +256,12 @@ func (k *predKernel) selectRun(kind keyKind, slots []byte, width int, lo, hi int
 // The key-kind loops. Each walks the slots lo to hi of a page's slot array,
 // skips the dead ones and appends to sel, from its nth row on, each live
 // slot its key test passes, and each whose keys it cannot take as read
-// (types.SlotSummarized), with the key tests made up to it. A row's place in
-// the selection is written whatever the outcome, which only moves the length
-// on: the loop takes no branch on it. Each returns the selection's length,
-// the key tests made and the live slots it met; selectPage checked for
-// cancellation ahead of the run, which holds at most one checkpoint's slot.
+// (types.SlotSummarized for Ψ, types.SlotHasKeys for Ω), with the key tests
+// made up to it. A row's place in the selection is written whatever the
+// outcome, which only moves the length on: the loop takes no branch on it.
+// Each returns the selection's length, the key tests made and the live slots
+// it met; selectPage checked for cancellation ahead of the run, which holds
+// at most one checkpoint's slot.
 
 // selectPsi is the loop of Ψ, over slots keyedWidth wide.
 func selectPsi(sel []selRow, n int, tested int32, slots []byte, lo, hi int32, pf phonetic.Prefilter) (int, int32, int32) {
@@ -238,14 +293,14 @@ func selectOmega(sel []selRow, n int, tested int32, slots []byte, lo, hi int32, 
 			continue
 		}
 		live++
-		if !types.SlotSummarized(keys) {
+		if !types.SlotHasKeys(keys) {
 			sel[n] = selRow{i, tested}
 			n++
 			continue
 		}
 		tested++
 		sel[n] = selRow{i, tested}
-		n += b2i(probe.Passes(types.SlotTextKeys(keys)))
+		n += b2i(probe.PassesLabel(types.SlotOmegaKeys(keys)))
 	}
 	return n, tested, live
 }

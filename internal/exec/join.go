@@ -32,20 +32,23 @@ import (
 //     kernel. selectBlock walks the slot array with the block's key tests —
 //     each outer row's Ψ prefilter or Ω probe, gathered by compileBlock — in
 //     locals: a record whose slot keys a key test takes as read
-//     (types.SlotSummarized, under a block whose every row is uniRows) is
-//     key-tested in place against every outer row, through the scan's tests
-//     (Prefilter.Rejects over types.SlotSummary, Probe.Passes over
-//     types.SlotTextKeys), and each pair that passes is selected; any
-//     other record (TEXT, a phoneme to convert or to match whole, a column
-//     other than the keyed one, a block under an IN list or with an outer
-//     row that compiles no key test) is selected once for all its outer
-//     rows. finishSel then reads each selected record's operand
-//     once (operand.readRecord) — only here is a record walked to, by the
-//     fast walk or else Seek — and finishes each pair its keys passed
-//     (constPred.finish) or matches each pair of a key-less record
+//     (types.SlotSummarized for Ψ, types.SlotHasKeys for Ω, under a block
+//     whose every row is uniRows) is key-tested in place against every outer
+//     row, through the scan's tests (Prefilter.Rejects over
+//     types.SlotSummary, Probe.PassesLabel over types.SlotOmegaKeys), and
+//     each pair that passes is selected; any other record (TEXT, a phoneme
+//     to convert or to match whole, a column other than the keyed one, a
+//     block under an IN list or with an outer row that compiles no key test)
+//     is selected once for all its outer rows. finishSel then reads each
+//     selected record's operand once (operand.readRecord) and finishes each
+//     pair its keys passed (constPred.finish: nothing more for an Ω label
+//     that passed, which is exact; else only here is a record walked to, by
+//     the fast walk or else Seek) or matches each pair of a key-less record
 //     (constPred.match), the routines a scan runs. A record every outer
 //     row's key test rejects is never read. Its phoneme is converted at most
-//     once, and the record decoded on its first match.
+//     once, and the record decoded on its first match. An Ω join whose inner
+//     operand is its table's keyed column, every one of whose records has a
+//     label, compiles its outer rows' probes without filters.
 //
 // A round of selection holds no more pairs than the batch has room for, so
 // a batch fills only where a round stops, before a pair: inside a record or
@@ -123,7 +126,9 @@ func buildHoistedJoin(env Env, ev *evaluator, n *plan.Node, outerCol, innerCol i
 	j.skip, _ = types.NewSkipPlan(kinds, innerCol)
 	j.recs.keyed, j.recs.keyBytes = types.KeyedColumn(kinds)
 	j.keyed = j.recs.keyed == innerCol
-	_, j.hash = n.Cond.(*plan.Omega)
+	if _, j.hash = n.Cond.(*plan.Omega); j.hash && j.keyed {
+		j.recs.net = ev.taxonomy() // the only labels the join reads
+	}
 	if ev.collector != nil {
 		j.timed = ev.collector.timed
 		if mat != nil {
@@ -147,12 +152,14 @@ func schemaKinds(cols []plan.ColInfo) []types.Kind {
 
 // recordBuf holds records in in-memory pages (storage.NewPage), each slot
 // with the keys a heap slot of the inner table carries (the keyed column's,
-// types.KeyedColumn), so that a replay runs the scan's page loop. The first
-// used pages hold its records; page and slot are the next record to pair.
-// reset empties it and keeps every page's buffers for the records it takes
-// next, so that what it retains, and is charged for, only grows.
+// types.KeyedColumn, labelled under net: Unlabelled when nil, as for a join
+// that reads no label), so that a replay runs the scan's page loop. The
+// first used pages hold its records; page and slot are the next record to
+// pair. reset empties it and keeps every page's buffers for the records it
+// takes next, so that what it retains, and is charged for, only grows.
 type recordBuf struct {
 	keyed, keyBytes int
+	net             *wordnet.Net
 	pages           []storage.Page
 	used            int
 	page, slot      int
@@ -193,7 +200,7 @@ func (b *recordBuf) addTo(i int, rec, keys []byte) bool {
 // addTuple appends row t as a heap keeps it: its record and slot keys.
 func (b *recordBuf) addTuple(t types.Tuple) error {
 	b.rec = types.AppendTuple(b.rec[:0], t)
-	b.keys = types.AppendSlotKeys(b.keys[:0], t, b.keyed)
+	b.keys = types.AppendSlotKeys(b.keys[:0], t, b.keyed, b.net.LabelOf(t, b.keyed))
 	return b.add(b.rec, b.keys)
 }
 
@@ -421,7 +428,7 @@ func (j *hoistedJoinIter) selectBlock(pg *storage.Page, from int, src *recordSou
 	j.sel = j.sel[:0]
 	ev, omega := j.ev, j.hash
 	pfs, probes, np := j.pfs, j.probes, len(j.preds)
-	keyable := len(pfs) > 0 || len(probes) > 0 // every row's predicate takes whole slot keys as read
+	keyable := len(pfs) > 0 || len(probes) > 0 // every row's predicate takes a slot's keys as read
 	ticks, streamed, cand := ev.ticks, j.streamed, 0
 	var n, mod, idx int64
 	if src != nil {
@@ -455,14 +462,14 @@ slots:
 			}
 			streamed++
 		}
-		if keyable && types.SlotSummarized(keys) {
+		if keyable && (omega && types.SlotHasKeys(keys) || !omega && types.SlotSummarized(keys)) {
 			for ; oi < np; oi++ {
 				if ticks++; ticks%cancelInterval == 0 {
 					if err = ev.res.Err(); err != nil {
 						break slots
 					}
 				}
-				if tested++; omega && probes[oi].Passes(types.SlotTextKeys(keys)) || !omega && !pfs[oi].Rejects(types.SlotSummary(keys)) {
+				if tested++; omega && probes[oi].PassesLabel(types.SlotOmegaKeys(keys)) || !omega && !pfs[oi].Rejects(types.SlotSummary(keys)) {
 					j.sel = append(j.sel, pairSel{selRow{int32(i), tested}, int32(oi), int32(oi + 1), true})
 					if cand++; cand >= room && oi+1 < np {
 						oi++
@@ -497,7 +504,8 @@ slots:
 // finishSel finishes the block's selection over pg, which began at slot from
 // and outer row j.oi and stopped before outer row oi of slot stop: it reads
 // each selected record's operand once (operand.readRecord), finishes each
-// pair its keys passed and matches each pair of a key-less record, and joins
+// pair its keys passed — for an Ω label that passed, which is exact, without
+// reading the record — and matches each pair of a key-less record, and joins
 // every match to its outer row, the record decoded on its first. The record
 // it stopped inside keeps its decoded row and its operand's conversion for
 // the pairs left. On an error it counts the key tests made up to the pair
@@ -558,12 +566,15 @@ func (j *hoistedJoinIter) finishSel(pg *storage.Page, from, stop, oi int) error 
 // row's predicate takes a keyed operand's slot keys as read (uniRows), their
 // key tests for selectBlock: Ψ's prefilters or Ω's probes.
 func (j *hoistedJoinIter) compileBlock() error {
-	keyable := j.keyed
+	keyable, rows := j.keyed, j.innerRows
+	if j.keyed {
+		rows = 0 // every inner operand has a label: Ω's probes need no filter
+	}
 	for _, o := range j.ob.Rows {
 		if err := j.ev.tick(); err != nil {
 			return err
 		}
-		p := j.ev.compile(j.x, j.outerLeft, o[j.outerCol], nil, j.innerRows)
+		p := j.ev.compile(j.x, j.outerLeft, o[j.outerCol], nil, rows)
 		j.preds = append(j.preds, p)
 		keyable = keyable && p.uniRows
 		if n := p.memBytes(); n > 0 {

@@ -246,13 +246,18 @@ func TestJoinHoistedMatchesPerPair(t *testing.T) {
 // and table sizes, with the inner table served from the mock's pages and
 // again from a heap's, whose slot array holds dead slots too: both go
 // through the join's page selection (selectBlock) over a real slot array.
+// Ω's inner slots hold synsets' labels and NoSynsets, and every second
+// inner row a sentinel: Unlabelled (written with no taxonomy) or ManySynsets
+// (a homonym's).
 func FuzzJoinAgree(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(20), false)
 	f.Add(int64(2), uint8(5), uint8(9), true)
 	f.Add(int64(3), uint8(0), uint8(4), false)
 	f.Add(int64(4), uint8(7), uint8(0), true)
+	f.Add(int64(42), uint8(12), uint8(60), true) // ManySynsets inner rows, one matched, one not
 	env := newMockEnv()
 	env.net = omegaNet()
+	env.verified = sentinels
 	f.Fuzz(func(t *testing.T, seed int64, outerRows, innerRows uint8, omega bool) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomJoinCase(rng, env, omega, int(outerRows%16), int(innerRows%64))
@@ -261,7 +266,7 @@ func FuzzJoinAgree(f *testing.F) {
 		for i := range dead {
 			dead[i] = rng.Intn(4) == 0
 		}
-		h, err := heapOf(schemaKinds(joinCols[2:]), env.tables["i"], func(i int) bool { return dead[i] })
+		h, err := heapOf(env.labels(), schemaKinds(joinCols[2:]), env.tables["i"], func(i int) bool { return dead[i] })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,30 +498,41 @@ func TestPsiJoinSharedSummaryMixedInner(t *testing.T) {
 	}
 }
 
-// An Ω join bounds each outer row's filters by the inner side's estimated
-// rows: BenchmarkOmegaJoin's small closure compiles to filters, its large one
-// to the interval labels alone.
+// An Ω join whose inner operand is its table's keyed column tests every
+// inner record on its label, so its outer rows' probes build no filters
+// whatever the closure; over a TEXT inner column, read without labels, it
+// bounds each probe's filters by the inner side's estimated rows:
+// BenchmarkOmegaJoin's small closure compiles to filters, its large one to
+// none.
 func TestOmegaJoinProbeFormFollowsInnerEstimate(t *testing.T) {
 	net := omegaNet()
 	for name, closure := range omegaJoinClosures {
-		env, node, concept := omegaJoinBench(net, closure)
-		cur, err := Run(env, node, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j := cur.src.(*hoistedJoinIter)
-		if err := j.nextBlock(); err != nil {
-			t.Fatal(err)
-		}
-		if err := j.compileBlock(); err != nil {
-			t.Fatal(err)
-		}
-		filtered := j.preds[0].probe.MemBytes() > net.CompileRight(concept, nil, 0).MemBytes()
-		if filtered != (name == "filtered") {
-			t.Errorf("%s: the join compiled filters: %v", name, filtered)
-		}
-		if err := cur.Close(); err != nil {
-			t.Fatal(err)
+		for _, text := range []bool{false, true} {
+			env, node, concept := omegaJoinBench(net, closure)
+			if text {
+				for i, row := range env.tables["i"] {
+					env.tables["i"][i] = types.Tuple{types.NewText(row[0].UniText().Text)}
+				}
+				node.Children[1].Cols[0].Kind = types.KindText
+			}
+			cur, err := Run(env, node, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := cur.src.(*hoistedJoinIter)
+			if err := j.nextBlock(); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.compileBlock(); err != nil {
+				t.Fatal(err)
+			}
+			filtered := j.preds[0].probe.MemBytes() > net.CompileRight(concept, nil, 0).MemBytes()
+			if filtered != (text && name == "filtered") {
+				t.Errorf("%s, inner TEXT %v: the join compiled filters: %v", name, text, filtered)
+			}
+			if err := cur.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

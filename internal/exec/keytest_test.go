@@ -244,7 +244,7 @@ func TestRejectedRowIsNeverRead(t *testing.T) {
 	env.tables["i"] = []types.Tuple{row}
 	bad := types.EncodeTuple(types.Tuple{types.NewInt(1)})
 	pg := storage.NewPage(types.SlotKeyBytes)
-	pg.Add(bad, types.AppendSlotKeys(nil, row, 1))
+	pg.Add(bad, types.AppendSlotKeys(nil, row, 1, types.Unlabelled))
 	env.pages["i"] = mockPages{rows: env.tables["i"], pages: [][][]byte{{bad}}, views: []storage.Page{pg}}
 	cols := func(rel string) []plan.ColInfo {
 		return []plan.ColInfo{{Rel: rel, Name: "id", Kind: types.KindInt}, {Rel: rel, Name: "n", Kind: types.KindUniText}}

@@ -265,7 +265,9 @@ func TestOmegaOperandKindErrors(t *testing.T) {
 
 // The compiled operand is charged to the query once — by the first Gather
 // worker to compile it, shared by the rest — and released when the scan
-// closes, on every way a statement ends.
+// closes, on every way a statement ends. The fused scan tests the keyed
+// column's labels, so its probe has no filters at any estimate; the generic
+// filter's has them when the estimate admits them.
 func TestOmegaCompiledOperandCharged(t *testing.T) {
 	net := omegaNet()
 	env := newMockEnv()
@@ -277,10 +279,17 @@ func TestOmegaCompiledOperandCharged(t *testing.T) {
 	history := types.Compose("history", types.LangEnglish)
 	c := omegaCase{table: "doc", konst: types.NewUniText(history), colIsLeft: true}
 	for _, est := range []float64{1e9, 1} {
-		want := net.CompileRight(history, nil, int(est)).MemBytes()
-		for _, workers := range []int{0, 2} {
-			node := omegaPlan(c, types.KindUniText, est, workers, false)
-			t.Run(fmt.Sprintf("est=%g/workers=%d", est, workers), func(t *testing.T) {
+		for _, shape := range []struct {
+			workers int
+			generic bool
+		}{{0, false}, {2, false}, {0, true}, {2, true}} {
+			workers, generic := shape.workers, shape.generic
+			want := net.CompileRight(history, nil, 0).MemBytes()
+			if generic {
+				want = net.CompileRight(history, nil, int(est)).MemBytes()
+			}
+			node := omegaPlan(c, types.KindUniText, est, workers, generic)
+			t.Run(fmt.Sprintf("est=%g/workers=%d/generic=%v", est, workers, generic), func(t *testing.T) {
 				res := NewResources(context.Background(), 0)
 				cur, err := Run(env, node, nil, res)
 				if err != nil {
@@ -304,7 +313,8 @@ func TestOmegaCompiledOperandCharged(t *testing.T) {
 }
 
 // A memory budget the compiled operand does not fit fails the statement with
-// ErrMemoryLimit before a row is read, and leaves nothing charged.
+// ErrMemoryLimit before a row is read, and leaves nothing charged: the fused
+// scan's probe on labels, and the generic filter's with its filters.
 func TestOmegaCompiledOperandOverBudget(t *testing.T) {
 	net := omegaNet()
 	env := newMockEnv()
@@ -312,17 +322,22 @@ func TestOmegaCompiledOperandOverBudget(t *testing.T) {
 	env.tables["doc"] = []types.Tuple{{types.NewInt(1), types.NewUniText(types.Compose("history", types.LangEnglish))}}
 	root := types.Compose(net.Lemma(types.LangEnglish, 0), types.LangEnglish)
 	c := omegaCase{table: "doc", konst: types.NewUniText(root), colIsLeft: true}
-	need := net.CompileRight(root, nil, 1e9).MemBytes()
 	for _, workers := range []int{0, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			res := NewResources(context.Background(), need-1)
-			_, err := Run(env, omegaPlan(c, types.KindUniText, 1e9, workers, false), nil, res)
-			if !errors.Is(err, ErrMemoryLimit) {
-				t.Fatalf("Run under a %d-byte budget = %v, want ErrMemoryLimit", need-1, err)
+		for _, generic := range []bool{false, true} {
+			need := net.CompileRight(root, nil, 0).MemBytes()
+			if generic {
+				need = net.CompileRight(root, nil, 1e9).MemBytes()
 			}
-			if b := res.MemBytes(); b != 0 {
-				t.Errorf("MemBytes after the failed build = %d, want 0", b)
-			}
-		})
+			t.Run(fmt.Sprintf("workers=%d/generic=%v", workers, generic), func(t *testing.T) {
+				res := NewResources(context.Background(), need-1)
+				_, err := Run(env, omegaPlan(c, types.KindUniText, 1e9, workers, generic), nil, res)
+				if !errors.Is(err, ErrMemoryLimit) {
+					t.Fatalf("Run under a %d-byte budget = %v, want ErrMemoryLimit", need-1, err)
+				}
+				if b := res.MemBytes(); b != 0 {
+					t.Errorf("MemBytes after the failed build = %d, want 0", b)
+				}
+			})
+		}
 	}
 }

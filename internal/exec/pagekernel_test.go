@@ -18,8 +18,9 @@ import (
 
 // heapOf lays rows out in a fresh in-memory heap as the engine lays out a
 // table whose columns have the given kinds — each record with the slot keys
-// of the table's keyed column — and then deletes the rows dead picks.
-func heapOf(kinds []types.Kind, rows []types.Tuple, dead func(i int) bool) (*storage.Heap, error) {
+// of the table's keyed column, labelled by labels — and then deletes the rows
+// dead picks.
+func heapOf(labels labeller, kinds []types.Kind, rows []types.Tuple, dead func(i int) bool) (*storage.Heap, error) {
 	keyed, keyBytes := types.KeyedColumn(kinds)
 	pool := storage.NewPool(4 + len(rows)/16)
 	pool.AttachDisk(1, storage.NewMemDisk())
@@ -29,7 +30,7 @@ func heapOf(kinds []types.Kind, rows []types.Tuple, dead func(i int) bool) (*sto
 	}
 	var keys []byte
 	for i, t := range rows {
-		keys = types.AppendSlotKeys(keys[:0], t, keyed)
+		keys = types.AppendSlotKeys(keys[:0], t, keyed, labels.label(i, t, keyed))
 		rid, err := h.Insert(types.EncodeTuple(t), keys)
 		if err == nil && dead(i) {
 			err = h.Delete(rid)
@@ -107,7 +108,7 @@ func kernelTables(t *testing.T, rows int, cols []plan.ColInfo) (env *heapEnv, go
 // seventh row deleted.
 func addHeap(t *testing.T, env *heapEnv, table string, cols []plan.ColInfo, rs []types.Tuple) {
 	t.Helper()
-	h, err := heapOf(schemaKinds(cols), rs, func(i int) bool { return i%7 == 3 })
+	h, err := heapOf(env.labels(), schemaKinds(cols), rs, func(i int) bool { return i%7 == 3 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +342,7 @@ func TestHoistedJoinChecksCancellationPerPair(t *testing.T) {
 	for range 2 * cancelInterval {
 		env.tables["i"] = append(env.tables["i"], types.Tuple{u("nehru", types.LangEnglish)})
 	}
-	h, err := heapOf(schemaKinds(cols), env.tables["i"], func(i int) bool { return false })
+	h, err := heapOf(env.labels(), schemaKinds(cols), env.tables["i"], func(i int) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +611,7 @@ func TestSelectPageAsRowLoop(t *testing.T) {
 	}
 	// Every seventh row is deleted, and the last ten, so that the last page
 	// ends in dead slots, past which no checkpoint may fire.
-	h, err := heapOf(schemaKinds(cols), rows, func(i int) bool { return i%7 == 3 || i >= len(rows)-10 })
+	h, err := heapOf(env.labels(), schemaKinds(cols), rows, func(i int) bool { return i%7 == 3 || i >= len(rows)-10 })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,26 +29,30 @@ import (
 //
 // The row's side of a compiled predicate is an operand, and one routine,
 // constPred.match, evaluates every pair in two halves: the key test
-// (keyTest: admission, the count, then Ω's filter or Ψ's prefilter), which
-// reads the operand's kind, language and filter keys only, and finish (Ω's
-// verification or Ψ's edit distance), which views it. Every reader hands
-// match the same operand. The fused scan kernel (fuse.go) and the hoisted
-// join read it in place off a record (operand.readRecord), the keyed column's
-// language and filter keys off its heap slot, and walk the record to the value
-// only for a pair those keys let through. Ahead of that both key-test the
-// slot's keys in place, where they can take them as read: for a predicate
-// that admits every text row (uniRows), so that no admission is due, on the
-// keyed column's slot keys when they hold an exact, non-zero rune count
-// (types.SlotSummarized). The key test is then the filter alone (Ψ's
-// Prefilter.Rejects over types.SlotSummary, Ω's Probe.Passes over
-// types.SlotTextKeys), and only a row it passes is read and finished; any
-// other operand — TEXT, a phoneme to convert or to match whole, a column
-// other than the keyed one, or any operand of a predicate under an IN list —
-// is read and matched (match). The generic filter, the index rechecks and
-// the Ψ index join set the operand from the decoded value (operand.set).
-// indexProbe and the index join search a metric index for the constant's
-// phoneme (metricSearch). Any other Ψ or Ω, over two computed operands, goes
-// through the same rules row by row (evalPsi, evalOmega).
+// (keyTest: admission, the count, then Ω's label test or filter, or Ψ's
+// prefilter), which reads the operand's kind, language and filter keys only,
+// and finish (Ω's verification or Ψ's edit distance), which views it. Every
+// reader hands match the same operand. The fused scan kernel (fuse.go) and
+// the hoisted join read it in place off a record (operand.readRecord), the
+// keyed column's language and filter keys — its phoneme's summary and its
+// text's Ω label — off its heap slot, and walk the record to the value only
+// for a pair those keys let through. Ahead of that both key-test the slot's
+// keys in place, where they can take them as read: for a predicate that
+// admits every text row (uniRows), so that no admission is due, on the keyed
+// column's slot keys when they hold a value's keys (types.SlotHasKeys), and
+// for Ψ an exact, non-zero rune count (types.SlotSummarized). The key test is
+// then the filter alone (Ψ's Prefilter.Rejects over types.SlotSummary, Ω's
+// Probe.PassesLabel over types.SlotOmegaKeys), and only a row it passes is
+// read and finished — for Ω only a row whose label types.Verifies, since a
+// label the test passes is a match; any other operand — TEXT, a phoneme to
+// convert or to match whole, a column other than the keyed one, or any
+// operand of a predicate under an IN list — is read and matched (match). The
+// generic filter, the index rechecks and the Ψ index join set the operand
+// from the decoded value (operand.set), which has no label: Ω tests it on its
+// text's hash (Probe.Passes) and verifies it. indexProbe and the index join
+// search a metric index for the constant's phoneme (metricSearch). Any other
+// Ψ or Ω, over two computed operands, goes through the same rules row by row
+// (evalPsi, evalOmega).
 
 // isText reports whether a value of kind k can be a Ψ or Ω operand.
 func isText(k types.Kind) bool { return k == types.KindText || k == types.KindUniText }
@@ -211,8 +215,8 @@ func (s *stmtPreds) release(res *Resources) {
 
 // bind returns cond with every Ψ and Ω of its AND/OR/NOT structure that has a
 // constant operand replaced by its compiled form; the rest of the tree is
-// shared, not copied. rows is how many rows cond is expected to see, the
-// bound on an Ω probe's filters. The error is a governance failure: a compiled
+// shared, not copied. rows is how many rows cond is expected to see without
+// a label, the bound on an Ω probe's filters. The error is a governance failure: a compiled
 // operand the query's memory budget cannot hold.
 func (ev *evaluator) bind(cond plan.Expr, rows float64) (plan.Expr, error) {
 	switch x := cond.(type) {
@@ -245,10 +249,12 @@ func (ev *evaluator) bind(cond plan.Expr, rows float64) (plan.Expr, error) {
 
 // constPred is a Ψ or Ω node with a constant operand, compiled: the
 // constant's kind and, for Ψ, its admission and its phoneme as a
-// BoundedMatcher, for Ω a wordnet.Probe — the constant's synsets, and filters
-// over the word forms it can match: with the constant on the right, its
-// closure's in the admitted languages when there are no more synsets ×
-// languages than rows to probe; with it on the left, its ancestors'. It is
+// BoundedMatcher, for Ω a wordnet.Probe — the constant's synsets and their
+// pre-order intervals, which a stored label is tested against, and filters
+// over the word forms it can match for rows read without a label: with the
+// constant on the right, its closure's in the admitted languages, with it on
+// the left, its ancestors', when there are no more synsets × languages than
+// such rows to probe (none when every row has a label). It is
 // immutable, so a Gather's workers share it, and it embeds its plan node, so a
 // bound condition is still a plan.Expr.
 type constPred struct {
@@ -298,8 +304,8 @@ func (ev *evaluator) bindConst(x, l, r plan.Expr, rows float64) (plan.Expr, erro
 
 // compile builds the constPred of x, a Ψ or Ω (over a loaded taxonomy), with
 // v as its constant operand — its left one when constLeft — and err as v's
-// evaluation error. rows is how many rows it is expected to see, the bound on
-// an Ω probe's filters. What the probe holds (memBytes) is the caller's to charge.
+// evaluation error. rows is how many rows it is expected to see without a
+// label, the bound on an Ω probe's filters. What the probe holds (memBytes) is the caller's to charge.
 func (ev *evaluator) compile(x plan.Expr, constLeft bool, v types.Value, err error, rows float64) *constPred {
 	p := &constPred{Expr: x, constLeft: constLeft, admitted: true, kind: v.Kind(), err: err, textLang: textLang(x)}
 	text := err == nil && isText(p.kind)
@@ -317,7 +323,7 @@ func (ev *evaluator) compile(x plan.Expr, constLeft bool, v types.Value, err err
 	case *plan.Omega:
 		p.op = "SEMEQUAL"
 		if net := ev.taxonomy(); text && constLeft {
-			p.probe = net.CompileLeft(u, x.Langs)
+			p.probe = net.CompileLeft(u, x.Langs, int(rows))
 		} else if text {
 			p.probe = net.CompileRight(u, x.Langs, int(rows))
 		}
@@ -371,18 +377,26 @@ func (ev *evaluator) metricSearch(ix string, p *constPred) ([]storage.RID, error
 // every reader: its kind, its language and filter keys, which match tests
 // first, and views of its text and phoneme, read only for a pair the keys let
 // through (view). Read off a record (readRecord), the value of its table's
-// keyed column takes its language and keys from its heap slot
-// (types.SlotKeys) and is walked to only when viewed; any other value, like
-// one set from its decoded form (set), carries only the key its predicate
-// reads. A TEXT operand is read in the language of the predicate
-// that matches it (constPred.textLang). A phoneme the value lacks is
-// converted from its text once (convert), however many predicates the
-// operand meets. Each evaluator keeps one (evaluator.op), which every reader
-// refills for each row, so the per-row path neither allocates nor clears it.
+// keyed column takes its language and keys — its phoneme's summary and its
+// text's Ω label — from its heap slot (types.SlotKeys) and is walked to only
+// when viewed; any other value, like one set from its decoded form (set),
+// carries no label, and for Ω its text's hash instead. A TEXT operand is read
+// in the language of the predicate that matches it (constPred.textLang). A
+// phoneme the value lacks is converted from its text once (convert), however
+// many predicates the operand meets, and a labelled text that Ω verifies is
+// hashed once (textHash). Each evaluator keeps one (evaluator.op), which
+// every reader refills for each row, so the per-row path neither allocates
+// nor clears it.
 type operand struct {
 	kind types.Kind
 	Lang types.LangID
 	Keys types.Keys
+	// labelled: Keys came from a heap slot, so Keys.Label is the text's;
+	// else the operand has no label and, for Ω, hash is its text's.
+	labelled bool
+	// The text's types.CaseHash, once hashed.
+	hash          uint32
+	ascii, hashed bool
 	// rec is the record of a keyed UNITEXT value, which skip walks to when
 	// it is viewed.
 	rec       []byte
@@ -403,19 +417,19 @@ type operand struct {
 // now and read as set reads a decoded one: views, and the text's hash when
 // hash (Ω).
 func (o *operand) readRecord(skip *types.SkipPlan, rec, slot []byte, hash bool) error {
-	o.converted = false
+	o.converted, o.hashed = false, false
 	if lang, keys, ok := types.SlotKeys(slot); ok {
 		if keys.Phoneme.Runes == types.RunesOverflow {
 			keys.Phoneme = types.Summary{}
 		}
-		o.kind, o.Lang, o.Keys, o.rec, o.skip, o.viewed = types.KindUniText, lang, keys, rec, skip, false
+		o.kind, o.Lang, o.Keys, o.labelled, o.rec, o.skip, o.viewed = types.KindUniText, lang, keys, true, rec, skip, false
 		return nil
 	}
 	field, err := walk(skip, rec)
 	if err != nil {
 		return err
 	}
-	o.kind, o.viewed, o.Keys = types.Kind(field[0]), true, types.Keys{}
+	o.kind, o.viewed, o.Keys, o.labelled = types.Kind(field[0]), true, types.Keys{}, false
 	switch o.kind {
 	case types.KindUniText:
 		o.Lang, o.text, o.ph, err = types.UniTextViews(field)
@@ -426,7 +440,7 @@ func (o *operand) readRecord(skip *types.SkipPlan, rec, slot []byte, hash bool) 
 		return nil
 	}
 	if hash && err == nil {
-		o.Keys.Hash, o.Keys.ASCII = types.CaseHash(o.text)
+		o.textHash()
 	}
 	return err
 }
@@ -444,7 +458,7 @@ func walk(skip *types.SkipPlan, rec []byte) ([]byte, error) {
 // reads: the text's hash when hash (Ω); none for Ψ, which matches a phoneme
 // without a stored summary whole (BoundedMatcher.MatchBytes).
 func (o *operand) set(v types.Value, hash bool) {
-	o.kind, o.viewed, o.converted, o.Keys = v.Kind(), true, false, types.Keys{}
+	o.kind, o.viewed, o.converted, o.hashed, o.Keys, o.labelled = v.Kind(), true, false, false, types.Keys{}, false
 	switch o.kind {
 	case types.KindUniText:
 		u := v.UniText()
@@ -455,8 +469,17 @@ func (o *operand) set(v types.Value, hash bool) {
 		o.text, o.ph = o.buf, nil
 	}
 	if hash {
-		o.Keys.Hash, o.Keys.ASCII = types.CaseHash(o.text)
+		o.textHash()
 	}
+}
+
+// textHash is the viewed operand's text's types.CaseHash, hashed once.
+func (o *operand) textHash() (uint32, bool) {
+	if !o.hashed {
+		o.hash, o.ascii = types.CaseHash(o.text)
+		o.hashed = true
+	}
+	return o.hash, o.ascii
 }
 
 // view reads the operand's text and phoneme views, once.
@@ -483,14 +506,15 @@ func (o *operand) convert(ev *evaluator) string {
 }
 
 // match evaluates the predicate on the row's operand op: the key test, then,
-// for a pair it lets through, finish. A pair its keys reject — Ω's filter on
-// the text's hash, Ψ's prefilter on a stored phoneme's summary — costs no
-// view of the operand; an operand without a phoneme is converted.
+// for a pair it lets through, finish. A pair its keys reject — Ω's label
+// test, or its filter on the text's hash, Ψ's prefilter on a stored
+// phoneme's summary — costs no view of the operand; an operand without a
+// phoneme is converted.
 func (p *constPred) match(ev *evaluator, op *operand) (bool, error) {
 	if op.kind == types.KindText {
 		op.Lang = p.textLang
 	}
-	if pass, err := p.keyTest(ev, op.kind, op.Lang, op.Keys); !pass {
+	if pass, err := p.keyTest(ev, op); !pass {
 		return false, err
 	}
 	return p.finish(ev, op)
@@ -499,36 +523,44 @@ func (p *constPred) match(ev *evaluator, op *operand) (bool, error) {
 // keyTest is the part of match that reads the row's operand only through
 // its kind, language and filter keys: admission, which uniRows lets a text
 // operand skip, then filter. pass=false ends the pair.
-func (p *constPred) keyTest(ev *evaluator, kind types.Kind, lang types.LangID, keys types.Keys) (pass bool, err error) {
-	if !p.uniRows || !isText(kind) {
-		if ok, err := p.admits(kind, lang); !ok {
+func (p *constPred) keyTest(ev *evaluator, op *operand) (pass bool, err error) {
+	if !p.uniRows || !isText(op.kind) {
+		if ok, err := p.admits(op.kind, op.Lang); !ok {
 			return false, err
 		}
 	}
-	return p.filter(ev, lang, keys), nil
+	return p.filter(ev, op), nil
 }
 
-// filter is the key test of an admitted operand: the count, then Ω's filter
-// or Ψ's prefilter, which a phoneme without a stored summary (Runes 0) passes.
-func (p *constPred) filter(ev *evaluator, lang types.LangID, keys types.Keys) bool {
+// filter is the key test of an admitted operand: the count, then Ω's label
+// test (a labelled operand) or filter (any other), or Ψ's prefilter, which a
+// phoneme without a stored summary (Runes 0) passes.
+func (p *constPred) filter(ev *evaluator, op *operand) bool {
 	ev.count(p.probe != nil, 1)
-	if p.probe != nil {
-		return p.probe.Passes(lang, keys.Hash, keys.ASCII)
+	switch {
+	case p.probe == nil:
+		return op.Keys.Phoneme.Runes == 0 || !p.m.Rejects(op.Keys.Phoneme)
+	case op.labelled:
+		return p.probe.PassesLabel(op.Lang, op.Keys.Label)
 	}
-	return keys.Phoneme.Runes == 0 || !p.m.Rejects(keys.Phoneme)
+	return p.probe.Passes(op.Lang, op.hash, op.ascii)
 }
 
 // finish is the part of match that views the operand, for a pair the key
-// test let through: Ω's verification, or Ψ's edit distance — against the
-// stored summary, the decoded phoneme, or the phoneme converted from the
-// text.
+// test let through: for Ω nothing when its label passed, which is exact, else
+// the verification on its text; for Ψ the edit distance — against the stored
+// summary, the decoded phoneme, or the phoneme converted from the text.
 func (p *constPred) finish(ev *evaluator, op *operand) (bool, error) {
+	if p.probe != nil && op.labelled && !types.Verifies(op.Keys.Label) {
+		return true, nil
+	}
 	if err := op.view(); err != nil {
 		return false, err
 	}
 	switch {
 	case p.probe != nil:
-		return p.probe.Verify(op.Lang, op.text, op.Keys.Hash, op.Keys.ASCII), nil
+		h, ascii := op.textHash()
+		return p.probe.Verify(op.Lang, op.text, h, ascii), nil
 	case op.Keys.Phoneme.Runes > 0:
 		return p.m.MatchSummary(op.ph, op.Keys.Phoneme), nil
 	case len(op.ph) > 0:

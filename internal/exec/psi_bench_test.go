@@ -62,7 +62,7 @@ func namesOnHeap(b *testing.B, env *heapEnv, name string, rows []types.UniText) 
 	for _, v := range rows {
 		env.tables[name] = append(env.tables[name], types.Tuple{types.NewUniText(v)})
 	}
-	h, err := heapOf([]types.Kind{types.KindUniText}, env.tables[name], func(int) bool { return false })
+	h, err := heapOf(env.labels(), []types.Kind{types.KindUniText}, env.tables[name], func(int) bool { return false })
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func benchPsiJoin(b *testing.B, kind types.Kind, outer, inner, k int, onHeap boo
 	benchNames(env.mockEnv, "o", outer, kind)
 	benchNames(env.mockEnv, "i", inner, kind)
 	if onHeap {
-		h, err := heapOf([]types.Kind{kind}, env.tables["i"], func(int) bool { return false })
+		h, err := heapOf(env.labels(), []types.Kind{kind}, env.tables["i"], func(int) bool { return false })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,8 +144,9 @@ func BenchmarkPsiJoinStored(b *testing.B) {
 func BenchmarkPsiJoinText(b *testing.B) { benchPsiJoin(b, types.KindText, 8, 1024, 1, false) }
 
 // omegaJoinClosures is the closure size of BenchmarkOmegaJoin's concept per
-// case: small enough for the probe's filters (filtered) or too large for them,
-// so each outer row compiles to the interval labels alone (labels).
+// case: small enough for a probe over rows without labels to build filters
+// (filtered) or too large for them (labels). Over stored labels, as in both
+// benchmarks, neither builds any.
 var omegaJoinClosures = map[string]int{"filtered": 20, "labels": 1000}
 
 // omegaJoinBench is the join BenchmarkOmegaJoin runs: 8 outer rows naming
@@ -198,8 +199,8 @@ func BenchmarkOmegaJoin(b *testing.B) {
 // BenchmarkOmegaScanStored is the fused Ω scan, with omegaJoinBench's
 // concept of each closure size as the constant, of scanNames rows on heap
 // pages: seeded dataset.GenerateNames names in two of the net's languages,
-// which the probe's filter rejects but for its false positives, with one
-// row in sixteen one of omegaWord's words, some of which match.
+// which name no synset (NoSynsets), with one row in sixteen one of
+// omegaWord's words, some of which match.
 func BenchmarkOmegaScanStored(b *testing.B) {
 	net := omegaNet()
 	names := dataset.GenerateNames(dataset.NamesConfig{Records: scanNames, Seed: 1, NoiseRate: -1,

@@ -318,7 +318,10 @@ func omegaRef(net *wordnet.Net, l, r types.Value, langs []types.LangID) (match, 
 // slot keys and record views it reads in place, and the generic filter's, over the decoded
 // Value (constPred.eval) — against the references, for one column value and
 // one constant of any kind, language, IN list and order, Ψ at any threshold,
-// Ω compiled with and without its filters.
+// Ω compiled with and without its filters. A row whose column synset has
+// its top bit set is written with no taxonomy (Unlabelled), and one with the
+// next bit set is labelled as a homonym is (ManySynsets), so the fused
+// reader meets every kind of label.
 func FuzzPsiOmegaAgree(f *testing.F) {
 	f.Add(false, "nehru", uint8(1), uint8(1), "neru", uint8(1), uint8(3), uint8(2), uint8(0), true, uint16(0), uint16(0))
 	f.Add(false, "नेहरू", uint8(2), uint8(2), "Nehru", uint8(1), uint8(0), uint8(2), uint8(6), false, uint16(0), uint16(0))
@@ -332,6 +335,10 @@ func FuzzPsiOmegaAgree(f *testing.F) {
 	f.Add(true, "ḥistöry", uint8(1), uint8(1), "", uint8(1), uint8(4), uint8(0), uint8(0), true, uint16(5), uint16(5))
 	f.Add(true, "", uint8(1), uint8(0), "", uint8(2), uint8(1), uint8(1), uint8(1), false, uint16(40), uint16(2))
 	f.Add(true, "nowhere", uint8(1), uint8(1), "", uint8(1), uint8(3), uint8(1), uint8(0), true, uint16(0), uint16(40))
+	f.Add(true, "", uint8(1), uint8(1), "", uint8(1), uint8(3), uint8(1), uint8(0), true, uint16(0x8000+5), uint16(5)) // unlabelled
+	f.Add(true, "U", uint8(1), uint8(2), "", uint8(1), uint8(3), uint8(0), uint8(0), true, uint16(0x8000), uint16(0))
+	f.Add(true, "", uint8(1), uint8(1), "", uint8(1), uint8(3), uint8(1), uint8(0), true, uint16(0x4000+1621), uint16(5)) // a homonym's label, synset 5 itself
+	f.Add(true, "U", uint8(1), uint8(2), "", uint8(1), uint8(3), uint8(0), uint8(0), false, uint16(0x4000+7), uint16(0))
 	reg := phonetic.DefaultRegistry()
 	env := newMockEnv()
 	env.net = omegaNet()
@@ -419,7 +426,14 @@ func FuzzPsiOmegaAgree(f *testing.F) {
 			ev.stats.PsiEvaluations, ev.stats.OmegaProbes = 0, 0
 		}
 		cols := []plan.ColInfo{{Kind: col.Kind()}}
-		got, err := matchRow(ev.fusedKernel(p, cols), cols, types.Tuple{col})
+		labels := labeller{net: env.net}
+		switch {
+		case colSyn&0x8000 != 0:
+			labels.verified = func(int) uint32 { return types.Unlabelled }
+		case colSyn&0x4000 != 0:
+			labels.verified = func(int) uint32 { return types.ManySynsets }
+		}
+		got, err := matchRow(ev.fusedKernel(p, cols), labels, cols, types.Tuple{col})
 		check("record", got, err)
 		got, err = p.eval(ev, types.Tuple{col})
 		check("value", got, err)
@@ -428,13 +442,14 @@ func FuzzPsiOmegaAgree(f *testing.F) {
 
 // matchRow runs kernel k's page loop (scanPage: selectPage, then finish) on
 // row as the one live row but NULLs, which the loop selects as key-less, of
-// a heap page of a table with columns cols, between dead copies of it.
-func matchRow(k *predKernel, cols []plan.ColInfo, row types.Tuple) (bool, error) {
+// a heap page of a table with columns cols, between dead copies of it, its
+// slot labelled by labels.
+func matchRow(k *predKernel, labels labeller, cols []plan.ColInfo, row types.Tuple) (bool, error) {
 	null := make(types.Tuple, len(row))
 	for i := range null {
 		null[i] = types.Null()
 	}
-	h, err := heapOf(schemaKinds(cols), []types.Tuple{row, null, row, null, row}, func(i int) bool { return i%4 == 0 })
+	h, err := heapOf(labels, schemaKinds(cols), []types.Tuple{row, null, row, null, row}, func(i int) bool { return i%4 == 0 })
 	if err != nil {
 		return false, err
 	}
@@ -492,7 +507,7 @@ func TestPsiStoredLongPhoneme(t *testing.T) {
 	c, _ := ev.bindConst(x, x.L, x.R, 0)
 	kern := ev.fusedKernel(c.(*constPred), col)
 	for i, row := range rows {
-		got, err := matchRow(kern, col, row)
+		got, err := matchRow(kern, env.labels(), col, row)
 		if wantMatch := phonetic.EditDistance(pattern, cands[i]) <= 1; err != nil || got != wantMatch {
 			t.Errorf("kernel: candidate %d (%d runes): match %v, %v; EditDistance says %v", i, len([]rune(cands[i])), got, err, wantMatch)
 		}

@@ -190,7 +190,7 @@ func FuzzEditDistanceAgree(f *testing.F) {
 		// back as a scan reads it: its rune count is exact, since the length
 		// filter and Myers' early exit rely on it, or it overflowed its byte
 		// and the scan matches the phoneme whole (MatchBytes, above).
-		_, st, keyed := types.SlotKeys(types.AppendSlotKeys(nil, types.Tuple{types.NewUniText(types.UniText{Text: "x", Phoneme: b})}, 0))
+		_, st, keyed := types.SlotKeys(types.AppendSlotKeys(nil, types.Tuple{types.NewUniText(types.UniText{Text: "x", Phoneme: b})}, 0, types.Unlabelled))
 		if !keyed {
 			t.Fatalf("no slot keys for %q", b)
 		}

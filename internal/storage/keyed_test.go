@@ -4,10 +4,18 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/mural-db/mural/internal/types"
+	"github.com/mural-db/mural/internal/wordnet"
 )
+
+// keyedNet is the taxonomy FuzzStoredKeys labels its rows under.
+var keyedNet = sync.OnceValue(func() *wordnet.Net {
+	return wordnet.Generate(wordnet.Config{Synsets: 200, Seed: 3,
+		Langs: []types.LangID{types.LangEnglish, types.LangTamil, types.LangFrench}})
+})
 
 // keyedRow is row i of the keyed-heap tests, a table (id INT, name UNITEXT):
 // names in several languages, with and without a phoneme, one whose phoneme
@@ -26,11 +34,11 @@ func keyedRow(i int, text string) types.Tuple {
 }
 
 // insertKeyed inserts row into h as a table's heap keeps it: the record, and
-// the keyed column's slot keys.
-func insertKeyed(t testing.TB, h *Heap, row types.Tuple) RID {
+// the keyed column's slot keys, labelled under net (nil: Unlabelled).
+func insertKeyed(t testing.TB, h *Heap, net *wordnet.Net, row types.Tuple) RID {
 	t.Helper()
 	keyed, _ := types.KeyedColumn([]types.Kind{types.KindInt, types.KindUniText})
-	rid, err := h.Insert(types.EncodeTuple(row), types.AppendSlotKeys(nil, row, keyed))
+	rid, err := h.Insert(types.EncodeTuple(row), types.AppendSlotKeys(nil, row, keyed, net.LabelOf(row, keyed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +46,11 @@ func insertKeyed(t testing.TB, h *Heap, row types.Tuple) RID {
 }
 
 // checkSlotKeys reads every page of h and requires each live slot's keys to
-// be those of its decoded record: its UNITEXT value's language and KeysOf,
-// with a rune count of 255 or more as RunesOverflow, and none for a NULL. It
-// returns the live records, decoded.
-func checkSlotKeys(t testing.TB, h *Heap) []types.Tuple {
+// be those of its decoded record: its UNITEXT value's language, its
+// phoneme's summary, with a rune count of 255 or more as RunesOverflow, and
+// its text's label recomputed under net, and none for a NULL. It returns the
+// live records, decoded.
+func checkSlotKeys(t testing.TB, h *Heap, net *wordnet.Net) []types.Tuple {
 	t.Helper()
 	var rows []types.Tuple
 	it := h.Scan()
@@ -69,7 +78,7 @@ func checkSlotKeys(t testing.TB, h *Heap) []types.Tuple {
 					}
 				} else {
 					u := v.UniText()
-					want := types.KeysOf([]byte(u.Text), []byte(u.Phoneme))
+					want := types.Keys{Phoneme: types.Summarize([]byte(u.Phoneme)), Label: net.Label(u.Lang, u.Text)}
 					want.Phoneme.Runes = min(want.Phoneme.Runes, types.RunesOverflow)
 					if !ok || lang != u.Lang || got != want {
 						return fmt.Errorf("slot %d: keys %v %+v %v, recomputed from %v: %v %+v", i, lang, got, ok, u, u.Lang, want)
@@ -97,7 +106,7 @@ func TestKeyedPageDeletedSlots(t *testing.T) {
 	}
 	var rids []RID
 	for i := range 400 {
-		rids = append(rids, insertKeyed(t, h, keyedRow(i, fmt.Sprintf("Nehru%d", i))))
+		rids = append(rids, insertKeyed(t, h, nil, keyedRow(i, fmt.Sprintf("Nehru%d", i))))
 	}
 	if h.NumPages() < 2 {
 		t.Fatalf("%d pages, want several", h.NumPages())
@@ -107,7 +116,7 @@ func TestKeyedPageDeletedSlots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows := checkSlotKeys(t, h)
+	rows := checkSlotKeys(t, h, nil)
 	if int64(len(rows)) != h.NumRecords() || len(rows) != 400-134 {
 		t.Fatalf("%d live slots, NumRecords %d, want %d", len(rows), h.NumRecords(), 400-134)
 	}
@@ -171,17 +180,26 @@ func TestKeyedHeapMaxRecordSize(t *testing.T) {
 }
 
 // Random inserts and deletes through a keyed heap on an in-memory pool: every
-// live slot's keys equal those recomputed from its decoded record, the live
-// records are exactly those inserted and not deleted, and a reopen of the
-// heap reads the same.
+// live slot's keys equal those recomputed from its decoded record, its label
+// under the taxonomy it was written with, the live records are exactly those
+// inserted and not deleted, and a reopen of the heap reads the same. Rows
+// are the fuzzed text or, for a quarter of them, a word form of the taxonomy
+// in the row's language, in lower or upper case, so labels, NoSynsets and
+// Unlabelled (a heap written with no taxonomy) all occur.
 func FuzzStoredKeys(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0x80, 4, 0x81, 5}, "Nehru")
 	f.Add([]byte{7, 7, 7, 0x82, 0x80, 0x81, 9}, "சரித்திரம்")
 	f.Add([]byte{3, 14, 25, 0x80, 36, 0x83}, "")
 	f.Add(bytes.Repeat([]byte{1, 2, 0x80}, 60), "HISTORY of the world")
+	f.Add([]byte{8, 12, 24, 36, 0x80, 40, 52}, "history")        // word forms, labelled
+	f.Add([]byte{8, 12, 24, 36, 0x81, 40, 52, 64, 0}, "history") // the same, with no taxonomy
 	f.Fuzz(func(t *testing.T, ops []byte, text string) {
 		if len(ops) > 400 || len(text) > 200 {
 			return
+		}
+		net := keyedNet()
+		if len(ops)%5 == 4 {
+			net = nil
 		}
 		pool, file := newTestPool(t, 8)
 		h, err := OpenHeap(pool, file, types.SlotKeyBytes)
@@ -206,13 +224,20 @@ func FuzzStoredKeys(f *testing.F) {
 				order = append(order[:k], order[k+1:]...)
 				continue
 			}
-			row := keyedRow(int(op), text+strings.Repeat("é", n%5))
+			word := text + strings.Repeat("é", n%5)
+			if op%4 == 0 {
+				word = keyedNet().Lemma(types.LangID(int(op)%7), wordnet.SynsetID((int(op)*37+n)%200))
+				if n%3 == 0 {
+					word = strings.ToUpper(word)
+				}
+			}
+			row := keyedRow(int(op), word)
 			row[0] = types.NewInt(int64(n))
-			want[int64(n)] = insertKeyed(t, h, row)
+			want[int64(n)] = insertKeyed(t, h, net, row)
 			order = append(order, int64(n))
 		}
 		check := func(h *Heap) {
-			rows := checkSlotKeys(t, h)
+			rows := checkSlotKeys(t, h, net)
 			if len(rows) != len(want) || h.NumRecords() != int64(len(want)) {
 				t.Fatalf("%d live records, NumRecords %d, want %d", len(rows), h.NumRecords(), len(want))
 			}

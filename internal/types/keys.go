@@ -6,18 +6,23 @@ import (
 )
 
 // Filter keys. Ψ and Ω each reject most pairs on a key far cheaper than the
-// operator itself: Ψ on its phoneme's Summary, Ω on its text's CaseHash. A
-// heap slot keeps both for the value of its table's keyed column
-// (KeyedColumn), computed once at insert as the phoneme is (AppendSlotKeys),
-// so they are on-disk format: this file is their one definition, and a change
-// to what any of them returns for any input, or to the slot keys' layout,
-// must bump RecordFormat.
+// operator itself: Ψ on its phoneme's Summary, Ω on its text's label (the
+// pre-order number of its one synset) or, for a value read without one, on
+// its text's CaseHash. A heap slot keeps the Summary and the label of the
+// value of its table's keyed column (KeyedColumn), computed once at insert as
+// the phoneme is (AppendSlotKeys), so they are on-disk format: this file is
+// their one definition, and a change to what any of them returns for any
+// input, or to the slot keys' layout, must bump RecordFormat. The label comes
+// from the taxonomy, which this package does not know: its caller computes it
+// (wordnet.Net.Label) and the database pins the taxonomy it was computed
+// under.
 
 // RecordFormat numbers the on-disk format: the record encoding, the filter
 // keys and their layout in a heap slot, and where the catalog lives (3: in
-// the pages of data file 0). The catalog's page 0 records it, and a data
-// directory written under any other number is refused.
-const RecordFormat = 3
+// the pages of data file 0; 4: a slot keeps Ω's label, not the text's hash).
+// The catalog's page 0 records it, and a data directory written under any
+// other number is refused.
+const RecordFormat = 4
 
 // Summary is what Ψ's prefilter reads of a phoneme: its length in runes and
 // its rune-set signature, one bit per rune (Fibonacci hashing to 6 bits).
@@ -49,8 +54,9 @@ func Summarize(b []byte) Summary {
 // sigBit is r's bit in a rune-set signature.
 func sigBit(r rune) uint64 { return 1 << (uint32(r) * 0x9E3779B1 >> 26) }
 
-// CaseHash is Ω's filter key of a text: a hash of b with bit 0x20 set in
-// every byte, so two ASCII texts equal under strings.ToLower hash alike, and
+// CaseHash is Ω's filter key of a text read without a label, and the key of
+// a taxonomy's table of word forms: a hash of b with bit 0x20 set in every
+// byte, so two ASCII texts equal under strings.ToLower hash alike, and
 // whether b is ASCII. It mixes the length and every eight-byte word as
 // LoadWord reads them — the first and the last included.
 func CaseHash(b []byte) (h uint32, ascii bool) {
@@ -82,19 +88,31 @@ func LoadWord(b []byte, i int) uint64 {
 	return binary.LittleEndian.Uint64(pad[:])
 }
 
-// Keys are the filter keys of a UNITEXT value: its phoneme's Summary and its
-// text's CaseHash.
+// Keys are the filter keys a heap slot keeps of a UNITEXT value: its
+// phoneme's Summary and its text's Ω label.
 type Keys struct {
 	Phoneme Summary
-	Hash    uint32
-	ASCII   bool
+	Label   uint32
 }
 
-// KeysOf computes the keys of a value with the given text and phoneme.
-func KeysOf(text, ph []byte) Keys {
-	h, ascii := CaseHash(text)
-	return Keys{Phoneme: Summarize(ph), Hash: h, ASCII: ascii}
-}
+// Ω labels. A keyed UNITEXT value's label is the pre-order number of its
+// folded text's one synset in its language, under the taxonomy the database
+// pins, so that Ω's test of a row is an interval compare; a text with no such
+// one synset stores one of three sentinels above every pre-order number.
+// Verifies tells the two that need the text apart from the rest.
+const (
+	// NoSynsets: the text names no synset in its language, so Ω never holds.
+	NoSynsets uint32 = 0xFFFFFFFD
+	// ManySynsets: it names more than one, so Ω is verified from the text.
+	ManySynsets uint32 = 0xFFFFFFFE
+	// Unlabelled: the value was written with no taxonomy loaded, so Ω is
+	// verified from the text.
+	Unlabelled uint32 = 0xFFFFFFFF
+)
+
+// Verifies reports whether a row with the given label is verified from its
+// text: ManySynsets or Unlabelled.
+func Verifies(label uint32) bool { return label >= ManySynsets }
 
 // Slot keys. A table whose columns include a UNITEXT one keeps the filter
 // keys of its first UNITEXT column's value in each row's heap slot, beside
@@ -102,11 +120,11 @@ func KeysOf(text, ph []byte) Keys {
 // the record. They are SlotKeyBytes wide:
 //
 //	[0:8)   the phoneme's rune-set signature, little-endian
-//	[8:12)  the text's CaseHash, little-endian
+//	[8:12)  the text's Ω label, little-endian: a pre-order number or one of
+//	        NoSynsets, ManySynsets, Unlabelled
 //	[12]    the phoneme's rune count; RunesOverflow when it is 255 or more
-//	[13]    the language in the low seven bits, 0x80 when the text is ASCII;
-//	        noSlotKeys when the value has no keys here: it is not UNITEXT
-//	        (NULL), or its language does not fit seven bits
+//	[13]    the language; noSlotKeys when the value has no keys here: it is
+//	        not UNITEXT (NULL), or its language does not fit seven bits
 //
 // The record holds the value in EncodeTuple's form whatever its slot holds.
 const (
@@ -118,7 +136,7 @@ const (
 // only readers of.
 const (
 	slotSig   = 0
-	slotHash  = 8
+	slotLabel = 8
 	slotRunes = 12
 	slotLang  = 13
 )
@@ -140,76 +158,68 @@ func KeyedColumn(kinds []Kind) (col, keyBytes int) {
 	return -1, 0
 }
 
-// AppendSlotKeys appends the slot keys of column keyed of t to buf; nothing
-// when keyed is -1 (KeyedColumn of a table with no UNITEXT column).
-func AppendSlotKeys(buf []byte, t Tuple, keyed int) []byte {
+// AppendSlotKeys appends the slot keys of column keyed of t to buf, label
+// being the Ω label of its text (wordnet.Net.Label, Unlabelled without a
+// taxonomy); nothing when keyed is -1 (KeyedColumn of a table with no
+// UNITEXT column).
+func AppendSlotKeys(buf []byte, t Tuple, keyed int, label uint32) []byte {
 	if keyed < 0 {
 		return buf
 	}
 	var b [SlotKeyBytes]byte
 	b[slotLang] = noSlotKeys
 	if v := t[keyed]; v.kind == KindUniText && v.lang < noSlotKeys {
-		k := KeysOf([]byte(v.s), []byte(v.ph))
-		binary.LittleEndian.PutUint64(b[slotSig:], k.Phoneme.Sig)
-		binary.LittleEndian.PutUint32(b[slotHash:], k.Hash)
-		b[slotRunes] = byte(min(k.Phoneme.Runes, RunesOverflow))
+		ph := Summarize([]byte(v.ph))
+		binary.LittleEndian.PutUint64(b[slotSig:], ph.Sig)
+		binary.LittleEndian.PutUint32(b[slotLabel:], label)
+		b[slotRunes] = byte(min(ph.Runes, RunesOverflow))
 		b[slotLang] = byte(v.lang)
-		if k.ASCII {
-			b[slotLang] |= 0x80
-		}
 	}
 	return append(buf, b[:]...)
 }
 
 // Slot-key accessors. A select loop reads the fields its key test needs of
 // a slot's keys in place, through these; each inlines. The field readers
-// (SlotSig, SlotHash, SlotRunes, SlotLang, SlotSummary, SlotTextKeys) take
-// slot keys that hold a value's keys, as those SlotSummarized passes do.
+// (SlotSig, SlotLabel, SlotRunes, SlotLang, SlotSummary, SlotOmegaKeys) take
+// slot keys that hold a value's keys, as those SlotHasKeys passes do.
 
-// slotHasKeys reports whether b holds the keys of a value: it is SlotKeyBytes
+// SlotHasKeys reports whether b holds the keys of a value: it is SlotKeyBytes
 // long (a slot of a table without a UNITEXT column has no key bytes) and not
-// the marker of a value without keys.
-func slotHasKeys(b []byte) bool { return len(b) == SlotKeyBytes && b[slotLang] != noSlotKeys }
+// the marker of a value without keys. Ω's key test takes such keys as read.
+func SlotHasKeys(b []byte) bool { return len(b) == SlotKeyBytes && b[slotLang] != noSlotKeys }
 
 // SlotSummarized reports whether b holds the keys of a value whose phoneme's
-// stored rune count is exact and not 0 (slotHasKeys, and a count in 1..254):
-// keys a key test takes as read.
+// stored rune count is exact and not 0 (SlotHasKeys, and a count in 1..254):
+// keys Ψ's key test takes as read.
 func SlotSummarized(b []byte) bool {
-	return slotHasKeys(b) && b[slotRunes]-1 < RunesOverflow-1
+	return SlotHasKeys(b) && b[slotRunes]-1 < RunesOverflow-1
 }
 
 // SlotSig is the phoneme's rune-set signature.
 func SlotSig(b []byte) uint64 { return binary.LittleEndian.Uint64(b[slotSig:]) }
 
-// SlotHash is the text's CaseHash.
-func SlotHash(b []byte) uint32 { return binary.LittleEndian.Uint32(b[slotHash:]) }
+// SlotLabel is the text's Ω label.
+func SlotLabel(b []byte) uint32 { return binary.LittleEndian.Uint32(b[slotLabel:]) }
 
 // SlotRunes is the phoneme's rune count, RunesOverflow for 255 or more.
 func SlotRunes(b []byte) int { return int(b[slotRunes]) }
 
-// SlotLang is the value's language and whether its text is ASCII, read off
-// the one byte that holds both.
-func SlotLang(b []byte) (lang LangID, ascii bool) {
-	return LangID(b[slotLang] & 0x7F), b[slotLang]&0x80 != 0
-}
+// SlotLang is the value's language.
+func SlotLang(b []byte) LangID { return LangID(b[slotLang]) }
 
 // SlotSummary is the phoneme's Summary: the keys Ψ's prefilter reads.
 func SlotSummary(b []byte) Summary { return Summary{Runes: SlotRunes(b), Sig: SlotSig(b)} }
 
-// SlotTextKeys is the value's language, its text's CaseHash and whether the
-// text is ASCII: the keys Ω's filter reads, in the order it takes them.
-func SlotTextKeys(b []byte) (lang LangID, h uint32, ascii bool) {
-	lang, ascii = SlotLang(b)
-	return lang, SlotHash(b), ascii
-}
+// SlotOmegaKeys is the value's language and its text's Ω label: the keys Ω's
+// label test reads, in the order it takes them.
+func SlotOmegaKeys(b []byte) (lang LangID, label uint32) { return SlotLang(b), SlotLabel(b) }
 
 // SlotKeys reads the slot keys b (as AppendSlotKeys wrote them): the value's
 // language and filter keys, the rune count of a phoneme of 255 runes or more
-// being RunesOverflow. ok=false when b holds none (slotHasKeys). It inlines.
+// being RunesOverflow. ok=false when b holds none (SlotHasKeys). It inlines.
 func SlotKeys(b []byte) (lang LangID, k Keys, ok bool) {
-	if !slotHasKeys(b) {
+	if !SlotHasKeys(b) {
 		return LangUnknown, Keys{}, false
 	}
-	lang, ascii := SlotLang(b)
-	return lang, Keys{Phoneme: Summary{Runes: SlotRunes(b), Sig: SlotSig(b)}, Hash: SlotHash(b), ASCII: ascii}, true
+	return SlotLang(b), Keys{Phoneme: SlotSummary(b), Label: SlotLabel(b)}, true
 }

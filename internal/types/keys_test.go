@@ -10,9 +10,11 @@ import (
 // bumpFormat is the failure message of a test that pins on-disk format.
 const bumpFormat = "the filter keys and the record layout are on-disk format: a change here must bump RecordFormat, so that data directories of the old format are refused"
 
-// The key functions' outputs on fixed inputs. Every value here is stored in
-// data files (heap slots, AppendSlotKeys); none may change without a new
-// RecordFormat.
+// The key functions' outputs on fixed inputs. Summarize's are stored in data
+// files (heap slots, AppendSlotKeys) and may not change without a new
+// RecordFormat; CaseHash's are not stored since slots keep Ω's label, but
+// every taxonomy's table of forms and Ω's filters are keyed by them, so they
+// are pinned too.
 func TestKeysGolden(t *testing.T) {
 	for _, c := range []struct {
 		in    string
@@ -40,9 +42,9 @@ func TestKeysGolden(t *testing.T) {
 
 // A heap's bytes for one row of a table (INT, UNITEXT): the record, the
 // column count and each value as EncodeTuple writes it, and the slot keys of
-// the UNITEXT value — signature, hash, rune count, then language with the
-// ASCII bit. A value without keys in the slot (NULL, or a language past
-// seven bits) is the marker alone.
+// the UNITEXT value — signature, Ω label, rune count, then language. A value
+// without keys in the slot (NULL, or a language past seven bits) is the
+// marker alone. The three label sentinels are pinned with them.
 func TestRecordLayoutGolden(t *testing.T) {
 	tup := Tuple{NewInt(7), NewUniText(UniText{Text: "Nehru", Lang: LangHindi, Phoneme: "nehɾu"})}
 	const rec = "02" + "020e" + "05" + "0002" + "054e65687275" + "066e6568c9be75"
@@ -53,21 +55,26 @@ func TestRecordLayoutGolden(t *testing.T) {
 	if col != 1 || width != SlotKeyBytes || SlotKeyBytes != 14 {
 		t.Errorf("KeyedColumn = %d, %d of %d bytes, pinned 1, 14; %s", col, width, SlotKeyBytes, bumpFormat)
 	}
+	if NoSynsets != 0xFFFFFFFD || ManySynsets != 0xFFFFFFFE || Unlabelled != 0xFFFFFFFF {
+		t.Errorf("label sentinels %#x %#x %#x, pinned 0xfffffffd, 0xfffffffe, 0xffffffff; %s", NoSynsets, ManySynsets, Unlabelled, bumpFormat)
+	}
 	const none = "0000000000000000" + "00000000" + "00" + "7f"
 	for _, c := range []struct {
-		v    Value
-		keys string
+		v     Value
+		label uint32
+		keys  string
 	}{
-		{tup[1], "00000a0400000040" + "bce0f991" + "05" + "82"},
-		{NewUniText(UniText{Text: "नेहरू", Lang: LangHindi, Phoneme: strings.Repeat("kɾiʃ", 75)}), "0001080200000002" + "d3c6c4ca" + "ff" + "02"},
-		{Null(), none},
-		{NewUniText(UniText{Text: "x", Lang: 0x7F, Phoneme: "x"}), none},
+		{tup[1], 123456, "00000a0400000040" + "40e20100" + "05" + "02"},
+		{tup[1], Unlabelled, "00000a0400000040" + "ffffffff" + "05" + "02"},
+		{NewUniText(UniText{Text: "नेहरू", Lang: LangHindi, Phoneme: strings.Repeat("kɾiʃ", 75)}), ManySynsets, "0001080200000002" + "feffffff" + "ff" + "02"},
+		{Null(), 7, none},
+		{NewUniText(UniText{Text: "x", Lang: 0x7F, Phoneme: "x"}), 7, none},
 	} {
-		if got := hex.EncodeToString(AppendSlotKeys(nil, Tuple{NewInt(7), c.v}, 1)); got != c.keys {
-			t.Errorf("slot keys of %v = %s, pinned %s; %s", c.v, got, c.keys, bumpFormat)
+		if got := hex.EncodeToString(AppendSlotKeys(nil, Tuple{NewInt(7), c.v}, 1, c.label)); got != c.keys {
+			t.Errorf("slot keys of %v labelled %#x = %s, pinned %s; %s", c.v, c.label, got, c.keys, bumpFormat)
 		}
 	}
-	if got := AppendSlotKeys(nil, tup, -1); len(got) != 0 {
+	if got := AppendSlotKeys(nil, tup, -1, 7); len(got) != 0 {
 		t.Errorf("slot keys of a table without a UNITEXT column = %x, want none", got)
 	}
 	if col, width := KeyedColumn([]Kind{KindInt, KindText}); col != -1 || width != 0 {
@@ -75,9 +82,9 @@ func TestRecordLayoutGolden(t *testing.T) {
 	}
 }
 
-// SlotKeys reads back what AppendSlotKeys wrote: the keys of the value as
-// KeysOf computes them, a rune count of 255 or more as RunesOverflow, and
-// nothing for a value without keys or a slot without key bytes.
+// SlotKeys reads back what AppendSlotKeys wrote: the phoneme's summary, a
+// rune count of 255 or more as RunesOverflow, and the label, and nothing for
+// a value without keys or a slot without key bytes.
 func TestSlotKeysRoundTrip(t *testing.T) {
 	for _, u := range []UniText{
 		{Text: "Nehru", Lang: LangHindi, Phoneme: "nehɾu"},
@@ -86,14 +93,15 @@ func TestSlotKeysRoundTrip(t *testing.T) {
 		{Text: "HISTORY", Lang: 0x7E, Phoneme: strings.Repeat("ə", 254)},
 		{Text: "x", Lang: LangFrench, Phoneme: strings.Repeat("ə", 255)},
 	} {
-		lang, keys, ok := SlotKeys(AppendSlotKeys(nil, Tuple{NewUniText(u)}, 0))
-		want := KeysOf([]byte(u.Text), []byte(u.Phoneme))
+		label := uint32(len(u.Phoneme)) * 977
+		lang, keys, ok := SlotKeys(AppendSlotKeys(nil, Tuple{NewUniText(u)}, 0, label))
+		want := Keys{Phoneme: Summarize([]byte(u.Phoneme)), Label: label}
 		want.Phoneme.Runes = min(want.Phoneme.Runes, RunesOverflow)
 		if !ok || lang != u.Lang || keys != want {
 			t.Errorf("SlotKeys of %+v = %v %+v %v, want %v %+v", u, lang, keys, ok, u.Lang, want)
 		}
 	}
-	for _, b := range [][]byte{nil, AppendSlotKeys(nil, Tuple{Null()}, 0), AppendSlotKeys(nil, Tuple{NewUniText(UniText{Text: "x", Lang: 300})}, 0)} {
+	for _, b := range [][]byte{nil, AppendSlotKeys(nil, Tuple{Null()}, 0, 1), AppendSlotKeys(nil, Tuple{NewUniText(UniText{Text: "x", Lang: 300})}, 0, 1)} {
 		if _, _, ok := SlotKeys(b); ok {
 			t.Errorf("SlotKeys(%x) ok", b)
 		}
@@ -101,9 +109,10 @@ func TestSlotKeysRoundTrip(t *testing.T) {
 }
 
 // The slot-key accessors read back what AppendSlotKeys wrote, field by
-// field, as SlotKeys does: for random texts and phonemes in every language
-// that fits seven bits, ASCII and not, at rune counts 0, 1, 254, 255 and
-// past it, and for values without keys (NULL, a language past seven bits).
+// field, as SlotKeys does: for random texts, phonemes and labels (the three
+// sentinels among them) in every language that fits seven bits, at rune
+// counts 0, 1, 254, 255 and past it, and for values without keys (NULL, a
+// language past seven bits).
 func TestSlotKeyAccessorsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	word := func(n int, ascii bool) string {
@@ -121,17 +130,17 @@ func TestSlotKeyAccessorsRoundTrip(t *testing.T) {
 		for _, runes := range []int{0, 1, 2 + rng.Intn(250), 254, 255, 256 + rng.Intn(100)} {
 			for _, ascii := range []bool{true, false} {
 				u := UniText{Text: word(1+rng.Intn(20), ascii), Lang: lang, Phoneme: word(runes, rng.Intn(2) == 0)}
-				b := AppendSlotKeys(nil, Tuple{NewInt(1), NewUniText(u)}, 1)
-				want := KeysOf([]byte(u.Text), []byte(u.Phoneme))
+				label := []uint32{rng.Uint32(), 0, NoSynsets, ManySynsets, Unlabelled}[rng.Intn(5)]
+				b := AppendSlotKeys(nil, Tuple{NewInt(1), NewUniText(u)}, 1, label)
+				want := Keys{Phoneme: Summarize([]byte(u.Phoneme)), Label: label}
 				want.Phoneme.Runes = min(want.Phoneme.Runes, RunesOverflow)
-				gotLang, gotASCII := SlotLang(b)
-				tlang, th, tascii := SlotTextKeys(b)
-				if !slotHasKeys(b) || SlotSummarized(b) != (runes >= 1 && runes <= 254) ||
+				olang, olabel := SlotOmegaKeys(b)
+				if !SlotHasKeys(b) || SlotSummarized(b) != (runes >= 1 && runes <= 254) ||
 					SlotRunes(b) != want.Phoneme.Runes || SlotSig(b) != want.Phoneme.Sig || SlotSummary(b) != want.Phoneme ||
-					SlotHash(b) != want.Hash || gotLang != lang || gotASCII != want.ASCII || want.ASCII != ascii ||
-					tlang != lang || th != want.Hash || tascii != want.ASCII {
-					t.Fatalf("accessors of %+v (%x) read %v %v %v %d %#x %#x %v %v, want keys %+v in %v",
-						u, b, slotHasKeys(b), SlotSummarized(b), SlotSummary(b), SlotRunes(b), SlotSig(b), SlotHash(b), gotLang, gotASCII, want, lang)
+					SlotLabel(b) != label || SlotLang(b) != lang || olang != lang || olabel != label ||
+					Verifies(label) != (label == ManySynsets || label == Unlabelled) {
+					t.Fatalf("accessors of %+v labelled %#x (%x) read %v %v %v %d %#x %#x %v, want keys %+v in %v",
+						u, label, b, SlotHasKeys(b), SlotSummarized(b), SlotSummary(b), SlotRunes(b), SlotSig(b), SlotLabel(b), SlotLang(b), want, lang)
 				}
 				if l, k, ok := SlotKeys(b); !ok || l != lang || k != want {
 					t.Fatalf("SlotKeys of %+v = %v %+v %v, want %v %+v", u, l, k, ok, lang, want)
@@ -140,8 +149,8 @@ func TestSlotKeyAccessorsRoundTrip(t *testing.T) {
 		}
 	}
 	for _, v := range []Value{Null(), NewUniText(UniText{Text: "x", Lang: noSlotKeys, Phoneme: "x"}), NewUniText(UniText{Text: "x", Lang: 300, Phoneme: "x"})} {
-		b := AppendSlotKeys(nil, Tuple{v}, 0)
-		if slotHasKeys(b) || SlotSummarized(b) {
+		b := AppendSlotKeys(nil, Tuple{v}, 0, 1)
+		if SlotHasKeys(b) || SlotSummarized(b) {
 			t.Errorf("slot keys of %v (%x) have keys", v, b)
 		}
 		if _, _, ok := SlotKeys(b); ok {

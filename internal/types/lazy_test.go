@@ -153,7 +153,7 @@ func TestTextView(t *testing.T) {
 func TestSkipPlanZeroAllocations(t *testing.T) {
 	tup := lazyFixtureTuple()
 	rec := EncodeTuple(tup)
-	keys := AppendSlotKeys(nil, tup, 5)
+	keys := AppendSlotKeys(nil, tup, 5, Unlabelled)
 	p, _ := NewSkipPlan(kindsOf(tup), 5)
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, _, ok := SlotKeys(keys); !ok {

@@ -117,7 +117,7 @@ func TestRowWireBytesPinned(t *testing.T) {
 	if got := hex.EncodeToString(EncodeRow(row)); got != pinned {
 		t.Errorf("EncodeRow = %s, pinned %s", got, pinned)
 	}
-	if keys := types.AppendSlotKeys(nil, row, 1); bytes.Contains(EncodeRow(row), keys[:12]) {
+	if keys := types.AppendSlotKeys(nil, row, 1, 0x2a); bytes.Contains(EncodeRow(row), keys[:12]) {
 		t.Error("the wire carries the UNITEXT value's filter keys")
 	}
 }

@@ -22,6 +22,10 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
+	"unicode"
+	"unicode/utf8"
+	"unsafe"
 
 	"github.com/mural-db/mural/internal/types"
 )
@@ -44,6 +48,9 @@ type Net struct {
 	forms []*wordForms
 	langs []types.LangID
 	ix    *IntervalIndex // the tree's DFS interval labels (interval.go)
+	// fp is the net's Fingerprint, computed on its first call.
+	fpOnce sync.Once
+	fp     uint64
 }
 
 // wordForms is one language's word forms, synsets laid out in pre-order: the
@@ -51,14 +58,31 @@ type Net struct {
 // lemma first. Form i is arena[off[i]:off[i+1]], h[i] its types.CaseHash and
 // syn[i] its synset. So TC(x)'s forms, and their hashes, are one contiguous
 // run from at[pre(x)] to at[post(x)] (match.go). slot is an open-addressed
-// table of 1 + a form's position, keyed by its hash (0 is empty): the
-// inverse of the forms, which synsets reads.
+// table of the forms keyed by their hash, the inverse of the forms, which
+// synsets and Label read. An entry is 0 when empty, else 1 + the form's
+// position in the bits of posMask, the bit above them (shared) set when the
+// form names more than one synset, and in the bits of tagMask, the rest,
+// those of the form's hash: a probe compares them before it reads the form,
+// so a lookup reads only the table until it meets its form.
 type wordForms struct {
-	at, off []int32
-	arena   string
-	h       []uint32
-	syn     []SynsetID
-	slot    []int32
+	at, off          []int32
+	arena            string
+	h                []uint32
+	syn              []SynsetID
+	slot             []uint32
+	posMask, tagMask uint32
+}
+
+// shared is the entry bit of a form that names more than one synset.
+func (f *wordForms) shared() uint32 { return f.posMask + 1 }
+
+// find returns the position of the form that entry e holds when it is text,
+// whose hash is h, and -1 when it is not.
+func (f *wordForms) find(e, h uint32, text []byte) int32 {
+	if pos := int32(e&f.posMask) - 1; (e^h)&f.tagMask == 0 && f.form(pos) == string(text) {
+		return pos
+	}
+	return -1
 }
 
 // formsOf returns the word forms of lang, nil when the net does not have it.
@@ -88,11 +112,138 @@ func (f *wordForms) synsets(text []byte, h uint32, ascii bool, out []SynsetID) [
 	}
 	mask := uint32(len(f.slot) - 1)
 	for i := h & mask; f.slot[i] != 0; i = (i + 1) & mask {
-		if pos := f.slot[i] - 1; f.h[pos] == h && f.form(pos) == string(text) {
+		if pos := f.find(f.slot[i], h, text); pos >= 0 {
 			out = append(out, f.syn[pos])
 		}
 	}
 	return out
+}
+
+// Label is the Ω label a heap slot stores for a UNITEXT value in lang with
+// text text (types.Keys): the pre-order number of the one synset the text,
+// folded as SynsetsOf folds it, names in lang; types.NoSynsets when it names
+// none (or the net lacks lang), types.ManySynsets when it names more than
+// one, and types.Unlabelled on a nil net. A stored row's Ω test is then an
+// interval compare (Probe.PassesLabel). It does not allocate for text of up
+// to 64 bytes.
+func (w *Net) Label(lang types.LangID, text string) uint32 {
+	if w == nil {
+		return types.Unlabelled
+	}
+	f := w.formsOf(lang)
+	if f == nil {
+		return types.NoSynsets
+	}
+	// The bytes are only read, so they may alias the string.
+	b := unsafe.Slice(unsafe.StringData(text), len(text))
+	h, _ := types.CaseHash(b)
+	if !folded(b) {
+		var buf [64]byte
+		b = appendLower(buf[:0], b)
+		h, _ = types.CaseHash(b)
+	}
+	mask := uint32(len(f.slot) - 1)
+	for i := h & mask; f.slot[i] != 0; i = (i + 1) & mask {
+		e := f.slot[i]
+		if pos := f.find(e, h, b); pos >= 0 {
+			if e&f.shared() != 0 {
+				return types.ManySynsets
+			}
+			return uint32(w.ix.pre[f.syn[pos]])
+		}
+	}
+	return types.NoSynsets
+}
+
+// LabelOf is the Label of column col of t, as a heap slot stores it
+// (types.AppendSlotKeys): types.Unlabelled when col is -1, the value is not
+// UNITEXT or w is nil.
+func (w *Net) LabelOf(t types.Tuple, col int) uint32 {
+	if w == nil || col < 0 || t[col].Kind() != types.KindUniText {
+		return types.Unlabelled
+	}
+	u := t[col].UniText()
+	return w.Label(u.Lang, u.Text)
+}
+
+// appendLower appends b as bytes.ToLower returns it: ASCII letters lowered
+// byte by byte, any other rune by unicode.ToLower, a byte that is not UTF-8
+// as U+FFFD.
+func appendLower(out, b []byte) []byte {
+	for i := 0; i < len(b); {
+		if c := b[i]; c < utf8.RuneSelf {
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			out = append(out, c)
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRune(b[i:])
+		out = utf8.AppendRune(out, unicode.ToLower(r))
+		i += n
+	}
+	return out
+}
+
+// Fingerprint is a 64-bit digest of the taxonomy Ω's stored labels depend
+// on: its parent array and each language's word forms in pre-order. It is
+// the same in every process for the same net, so a database records the
+// fingerprint of the taxonomy its labels were computed under and refuses
+// another. It is computed once per Net.
+func (w *Net) Fingerprint() uint64 {
+	w.fpOnce.Do(func() {
+		var d digest
+		d.word(uint64(len(w.parent)))
+		for _, p := range w.parent {
+			d.word(uint64(uint32(p)))
+		}
+		for _, lang := range w.langs {
+			f := w.forms[lang]
+			d.word(uint64(lang))
+			d.word(uint64(len(f.at)))
+			for _, a := range f.at {
+				d.word(uint64(uint32(a)))
+			}
+			d.word(uint64(len(f.off)))
+			for _, o := range f.off {
+				d.word(uint64(uint32(o)))
+			}
+			d.bytes(f.arena)
+		}
+		w.fp = d.sum()
+	})
+	return w.fp
+}
+
+// digest mixes 64-bit words into a running hash, multiply-xorshift as
+// types.CaseHash mixes a text's words, with no per-process seed.
+type digest struct{ x uint64 }
+
+func (d *digest) word(v uint64) {
+	d.x = (d.x ^ v) * 0x9E3779B97F4A7C15
+	d.x ^= d.x >> 32
+}
+
+// bytes mixes s's length and its bytes eight at a time, the last word
+// zero-padded.
+func (d *digest) bytes(s string) {
+	d.word(uint64(len(s)))
+	for ; len(s) >= 8; s = s[8:] {
+		d.word(uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56)
+	}
+	var last uint64
+	for i := len(s) - 1; i >= 0; i-- {
+		last = last<<8 | uint64(s[i])
+	}
+	d.word(last)
+}
+
+// sum is the digest, never 0, which a catalog reads as no taxonomy.
+func (d *digest) sum() uint64 {
+	x := d.x * 0xBF58476D1CE4E5B9
+	return (x ^ x>>31) | 1
 }
 
 // Config parameterizes Generate.
@@ -264,7 +415,9 @@ func layOut(lem [][]string, ix *IntervalIndex) *wordForms {
 		f.at[p+1] = int32(len(f.h))
 	}
 	f.arena = arena.String()
-	f.slot = make([]int32, 1<<bits.Len(uint(total+total/2)))
+	f.slot = make([]uint32, 1<<bits.Len(uint(total+total/2)))
+	f.posMask = 1<<bits.Len(uint(total)) - 1
+	f.tagMask = ^(f.posMask<<1 | 1)
 	mask := uint32(len(f.slot) - 1)
 	for _, p := range ix.pre {
 		for pos := f.at[p]; pos < f.at[p+1]; pos++ {
@@ -272,7 +425,23 @@ func layOut(lem [][]string, ix *IntervalIndex) *wordForms {
 			for f.slot[i] != 0 {
 				i = (i + 1) & mask
 			}
-			f.slot[i] = pos + 1
+			f.slot[i] = f.h[pos]&f.tagMask | uint32(pos+1)
+		}
+	}
+	// Mark the forms that name more than one synset: another entry of the
+	// form, in its hash's run, holds another synset.
+	for i, e := range f.slot {
+		if e == 0 {
+			continue
+		}
+		pos := int32(e&f.posMask) - 1
+		s := f.form(pos)
+		form := unsafe.Slice(unsafe.StringData(s), len(s)) // only read
+		for j := f.h[pos] & mask; f.slot[j] != 0; j = (j + 1) & mask {
+			if q := f.find(f.slot[j], f.h[pos], form); q >= 0 && f.syn[q] != f.syn[pos] {
+				f.slot[i] |= f.shared()
+				break
+			}
 		}
 	}
 	return f

@@ -109,23 +109,39 @@ func omegaOperands(net *Net, syn, up uint32, far bool, langs, caps uint16, junk 
 	return lhs, rhs, in
 }
 
-// Every way Ω is evaluated — CompileRight filtered and on the labels alone,
-// CompileLeft — must agree with the parent-pointer walk over the word map
-// built from WordForms, whatever the synsets, the languages, the IN list and
-// the letter case.
+// Every way Ω is evaluated — CompileRight and CompileLeft, each with filters
+// and without, on a row's text and on its stored label (a synset's, or the
+// ManySynsets, NoSynsets and Unlabelled sentinels) — must agree with the
+// parent-pointer walk over the word map built from WordForms, whatever the
+// synsets, the languages, the IN list and the letter case. The fuzz net has
+// no polysemous form, so the accent net, whose stems each name many
+// synsets, takes one input in four.
 func FuzzOmegaAgree(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 300; i++ {
 		f.Add(rng.Uint32(), rng.Uint32(), rng.Intn(4) == 0, uint16(rng.Uint32()), uint16(rng.Uint32()), uint8(rng.Uint32()))
 	}
 	f.Fuzz(func(t *testing.T, syn, up uint32, far bool, langs, caps uint16, junk uint8) {
-		net := fuzzNet()
+		net, m := fuzzNet(), fuzzWords()
+		if syn%4 == 3 {
+			net, m = accentNets()
+		}
 		lhs, rhs, in := omegaOperands(net, syn, up, far, langs, caps, junk)
-		want := walk(net, fuzzWords(), lhs, rhs, in)
+		want := walk(net, m, lhs, rhs, in)
+		right, rightFiltered := net.CompileRight(rhs, in, 0), net.CompileRight(rhs, in, 1<<30)
+		left, leftFiltered := net.CompileLeft(lhs, in, 0), net.CompileLeft(lhs, in, 1<<30)
 		got := map[string]bool{
-			"CompileRight/filtered": matchText(net.CompileRight(rhs, in, 1<<30), lhs.Lang, lhs.Text),
-			"CompileRight/labels":   matchText(net.CompileRight(rhs, in, 0), lhs.Lang, lhs.Text),
-			"CompileLeft":           matchText(net.CompileLeft(lhs, in), rhs.Lang, rhs.Text),
+			"CompileRight/filtered":        matchText(rightFiltered, lhs.Lang, lhs.Text),
+			"CompileRight":                 matchText(right, lhs.Lang, lhs.Text),
+			"CompileRight/label":           matchLabel(right, lhs.Lang, lhs.Text, net.Label(lhs.Lang, lhs.Text)),
+			"CompileRight/filtered/label":  matchLabel(rightFiltered, lhs.Lang, lhs.Text, net.Label(lhs.Lang, lhs.Text)),
+			"CompileRight/unlabelled":      matchLabel(right, lhs.Lang, lhs.Text, types.Unlabelled),
+			"CompileLeft/filtered":         matchText(leftFiltered, rhs.Lang, rhs.Text),
+			"CompileLeft":                  matchText(left, rhs.Lang, rhs.Text),
+			"CompileLeft/label":            matchLabel(left, rhs.Lang, rhs.Text, net.Label(rhs.Lang, rhs.Text)),
+			"CompileLeft/unlabelled":       matchLabel(left, rhs.Lang, rhs.Text, types.Unlabelled),
+			"CompileLeft/filtered/label":   matchLabel(leftFiltered, rhs.Lang, rhs.Text, net.Label(rhs.Lang, rhs.Text)),
+			"CompileRight/label/manyforms": matchLabel(right, lhs.Lang, lhs.Text, many(net, lhs)),
 		}
 		for form, ok := range got {
 			if ok != want {
@@ -154,6 +170,36 @@ func TestSynsetsOfMatchesWordForms(t *testing.T) {
 			}
 		}
 	}
+}
+
+// accentNets is accentNet and its word map, built once.
+var accentNets = sync.OnceValues(func() (*Net, words) {
+	net := accentNet()
+	return net, wordsOf(net)
+})
+
+// many is the label u would store if its text named more than one synset:
+// ManySynsets for a text that names one, which Verify must then decide as
+// the label would have; u's own label otherwise.
+func many(net *Net, u types.UniText) uint32 {
+	if l := net.Label(u.Lang, u.Text); l < types.NoSynsets {
+		return types.ManySynsets
+	}
+	return net.Label(u.Lang, u.Text)
+}
+
+// matchLabel is Ω on a row that stores label for its text, as a scan tests
+// it: PassesLabel on the label, then, for a label that types.Verifies, Verify
+// on the text.
+func matchLabel(p *Probe, lang types.LangID, text string, label uint32) bool {
+	if !p.PassesLabel(lang, label) {
+		return false
+	}
+	if !types.Verifies(label) {
+		return true
+	}
+	h, ascii := types.CaseHash([]byte(text))
+	return p.Verify(lang, []byte(text), h, ascii)
 }
 
 // accentNet is a small net whose forms hold é, ü, Tamil script and Greek,
@@ -236,7 +282,7 @@ func TestCompileRightForms(t *testing.T) {
 	size := net.ClosureSize(root)
 	in := []types.LangID{types.LangEnglish, types.LangTamil}
 	p := net.CompileRight(history, in, size*len(in))
-	if labelsOnly(p) {
+	if p.filters == nil {
 		t.Fatalf("a closure of %d × %d languages within %d words compiled without filters", size, len(in), size*len(in))
 	}
 	for _, lang := range in {
@@ -261,20 +307,12 @@ func TestCompileRightForms(t *testing.T) {
 	if !matchText(p, types.LangTamil, "TAMIL:Historiography") {
 		t.Error("the filtered probe must fold case as SynsetsOf does")
 	}
-	if q := net.CompileRight(history, in, size*len(in)-1); !labelsOnly(q) || len(q.roots) != 1 || q.MemBytes() >= p.MemBytes() {
-		t.Errorf("one word over the bound must compile to the constant's one synset and no filter, got %d roots, labels only=%v", len(q.roots), labelsOnly(q))
+	if q := net.CompileRight(history, in, size*len(in)-1); q.filters != nil || len(q.roots) != 1 || q.MemBytes() >= p.MemBytes() {
+		t.Errorf("one word over the bound must compile to the constant's one synset and no filter, got %d roots, filters %v", len(q.roots), q.filters != nil)
 	}
-}
-
-// labelsOnly reports whether p tests every row it admits on the labels
-// alone: each filter it has is passEvery.
-func labelsOnly(p *Probe) bool {
-	for _, f := range p.filters {
-		if f.words != nil && &f.words[0] != &passEvery.words[0] {
-			return false
-		}
+	if matchText(net.CompileRight(history, in, 0), types.LangFrench, "french:historiography") {
+		t.Error("a French row matched a probe without filters that does not admit French")
 	}
-	return true
 }
 
 // matchText is Probe.Match on a text whose hash it computes, as a caller

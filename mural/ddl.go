@@ -221,7 +221,7 @@ func (e *Engine) execInsert(st *statement, s *sql.Insert) (*Result, error) {
 			_ = e.rollbackBatch(s.Table)
 			return nil, err
 		}
-		keys = types.AppendSlotKeys(keys[:0], tup, keyed)
+		keys = types.AppendSlotKeys(keys[:0], tup, keyed, e.net.LabelOf(tup, keyed))
 		rid, err := h.Insert(types.EncodeTuple(tup), keys)
 		if err != nil {
 			_ = e.rollbackBatch(s.Table)

@@ -2,6 +2,7 @@ package mural
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -29,7 +30,10 @@ type Config struct {
 	// 32 MiB).
 	BufferPages int
 	// WordNet supplies the taxonomy pinned in memory for the Ω operator
-	// (§4.3), fixed for the engine's life. Nil disables SEMEQUAL.
+	// (§4.3), fixed for the engine's life. Nil disables SEMEQUAL. The first
+	// Open that supplies one pins it to the database (its Fingerprint, in
+	// the catalog), because every stored UNITEXT value keeps its Ω label
+	// under it: a later Open with another fails with ErrTaxonomy.
 	WordNet *wordnet.Net
 	// Phonetics overrides the converter registry (default: English, Hindi,
 	// Tamil, Kannada, French).
@@ -159,6 +163,12 @@ type Engine struct {
 // format was numbered is refused too.
 var ErrFormat = storage.ErrFormat
 
+// ErrTaxonomy reports an Open whose Config.WordNet is not the taxonomy the
+// database pins (check with errors.Is): the Ω labels its rows store were
+// computed under that one, so Ω would answer differently. An Open with no
+// taxonomy is allowed; it leaves SEMEQUAL disabled.
+var ErrTaxonomy = errors.New("mural: the database pins another taxonomy")
+
 // Open opens (or creates) a database.
 func Open(cfg Config) (*Engine, error) {
 	if cfg.BufferPages <= 0 {
@@ -241,6 +251,9 @@ func Open(cfg Config) (*Engine, error) {
 	if e.cat, err = catalog.Load(e.pool); err != nil {
 		return fail(err)
 	}
+	if err := e.pinTaxonomy(); err != nil {
+		return fail(err)
+	}
 	for _, t := range e.cat.Tables() {
 		if err := e.attachFile(t.File); err != nil {
 			return fail(err)
@@ -268,6 +281,32 @@ func Open(cfg Config) (*Engine, error) {
 		publishRecoveryStats(e.recovery)
 	}
 	return e, nil
+}
+
+// pinTaxonomy checks the engine's taxonomy against the one the catalog pins:
+// the same one passes, another fails with ErrTaxonomy, and the first one
+// supplied to a database that pins none is pinned, its fingerprint committed
+// with the catalog before any row can be labelled under it.
+func (e *Engine) pinTaxonomy() error {
+	if e.net == nil {
+		return nil
+	}
+	fp := e.net.Fingerprint()
+	switch have := e.cat.Taxonomy(); {
+	case have == fp:
+		return nil
+	case have != 0:
+		return fmt.Errorf("%w: it pins fingerprint %016x, Config.WordNet is %016x", ErrTaxonomy, have, fp)
+	}
+	if err := e.pool.BeginBatch(); err != nil {
+		return err
+	}
+	e.cat.SetTaxonomy(fp)
+	if err := e.commitDDL(); err != nil {
+		e.cat.SetTaxonomy(0)
+		return err
+	}
+	return nil
 }
 
 // WALStats snapshots the write-ahead log counters (zero when no WAL).

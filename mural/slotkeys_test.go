@@ -7,12 +7,14 @@ import (
 
 	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
+	"github.com/mural-db/mural/internal/wordnet"
 )
 
 // slotKeysOf checks every live slot of table's heap against its record: the
 // slot keys must be those the engine writes for the decoded row (its keyed
-// column's, types.AppendSlotKeys). It returns the live rows' ids.
-func slotKeysOf(t *testing.T, e *Engine, table string, keyed int) []int64 {
+// column's, types.AppendSlotKeys, labelled under net, the taxonomy the rows
+// were written with). It returns the live rows' ids.
+func slotKeysOf(t *testing.T, e *Engine, net *wordnet.Net, table string, keyed int) []int64 {
 	t.Helper()
 	np, err := e.TablePages(table)
 	if err != nil {
@@ -36,7 +38,7 @@ func slotKeysOf(t *testing.T, e *Engine, table string, keyed int) []int64 {
 				if err != nil {
 					return err
 				}
-				if want := types.AppendSlotKeys(nil, row, keyed); !bytes.Equal(keys, want) {
+				if want := types.AppendSlotKeys(nil, row, keyed, net.LabelOf(row, keyed)); !bytes.Equal(keys, want) {
 					return fmt.Errorf("row %v: slot keys %x, want %x", row, keys, want)
 				}
 				ids = append(ids, row[0].Int())
@@ -70,7 +72,7 @@ func TestSlotKeysSurviveRedoAndReopen(t *testing.T) {
 		e.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, %s, unitext('%s', hindi))", i, name, crashNames[(i+1)%len(crashNames)]))
 	}
 	e.MustExec(`DELETE FROM t WHERE id < 10`)
-	want := slotKeysOf(t, e, "t", 1)
+	want := slotKeysOf(t, e, nil, "t", 1)
 	if len(want) != 50 {
 		t.Fatalf("%d rows before the crash, want 50", len(want))
 	}
@@ -83,7 +85,7 @@ func TestSlotKeysSurviveRedoAndReopen(t *testing.T) {
 	if rec := e.LastRecovery(); rec.PagesApplied == 0 {
 		t.Fatalf("no page redone: %+v", rec)
 	}
-	if got := slotKeysOf(t, e, "t", 1); fmt.Sprint(got) != fmt.Sprint(want) {
+	if got := slotKeysOf(t, e, nil, "t", 1); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("after redo: rows %v, want %v", got, want)
 	}
 	if err := e.Close(); err != nil {
@@ -94,7 +96,7 @@ func TestSlotKeysSurviveRedoAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if got := slotKeysOf(t, e, "t", 1); fmt.Sprint(got) != fmt.Sprint(want) {
+	if got := slotKeysOf(t, e, nil, "t", 1); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("after reopen: rows %v, want %v", got, want)
 	}
 	if n := e.MustExec(`SELECT id FROM t WHERE name LEXEQUAL alias THRESHOLD 9`).Rows; len(n) == 0 {
