@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -398,27 +399,25 @@ func (s *recordSource) Close() error {
 	return err
 }
 
-// scanIter is the table scan: it fills batches straight from heap pages, one
-// buffer-pool pin per page, and decodes every record its kernel keeps — all
-// of them when it has none, those a fused Ψ/Ω predicate matches when it has
-// one (fuse.go). A batch may overshoot BatchRows by up to one page's rows so
-// a page is never split across a pin boundary. Under a collector it
-// attributes to its plan nodes itself: the records it read to the scan, and
-// for a fused scan the records it kept to the filter it is too, each with
-// the scan's full wall time (the parent-includes-child convention).
+// scanIter is the table scan: the page kernel (fuse.go) over heap pages, one
+// buffer-pool pin per page, with a fused Ψ/Ω predicate's block of one or the
+// empty block. A batch may overshoot BatchRows by up to one page's rows. Under
+// a collector it attributes to its plan nodes itself: the records it read to
+// the scan and, fused, those it kept to the filter it is too, each with the
+// scan's full wall time (the parent-includes-child convention).
 type scanIter struct {
 	ev   *evaluator
 	src  *recordSource
-	kern *predKernel // nil keeps every record
+	kern *pageKernel
 
 	scanSt, filtSt *OpStats
 	timed          bool
 	done           bool
 }
 
-// buildScan instantiates the scan of node scan; with a kernel, it is also
-// filter, the Filter node the kernel was compiled from.
-func buildScan(env Env, ev *evaluator, scan, filter *plan.Node, kern *predKernel) (BatchIter, error) {
+// buildScan instantiates the scan of node scan with kernel kern; with a
+// fused kernel, it is also filter, the Filter node kern was compiled from.
+func buildScan(env Env, ev *evaluator, scan, filter *plan.Node, kern *pageKernel) (BatchIter, error) {
 	src, err := newRecordSource(env, ev, scan)
 	if err != nil {
 		return nil, err
@@ -442,34 +441,11 @@ func (s *scanIter) NextBatch() (*Batch, error) {
 		start = time.Now()
 	}
 	b := s.ev.getBatch()
-	var scanned int64
 	var err error
 	// One closure per batch, not per page: the reject path must not allocate.
 	scanPage := func(pg storage.Page) error {
-		if s.kern != nil {
-			n, err := s.kern.scanPage(&pg, s.src, b)
-			scanned += n
-			return err
-		}
-		for i := range pg.Len() {
-			rec, live := pg.Record(i)
-			if !live {
-				continue
-			}
-			if err := s.ev.tick(); err != nil {
-				return err
-			}
-			if s.src.skip() {
-				continue
-			}
-			scanned++
-			t, _, err := types.DecodeTuple(rec)
-			if err != nil {
-				return err
-			}
-			b.Rows = append(b.Rows, t)
-		}
-		return nil
+		_, err := s.kern.scanPage(&pg, 0, s.src, b, nil, math.MaxInt)
+		return err
 	}
 	for len(b.Rows) < BatchRows {
 		var more bool
@@ -478,6 +454,8 @@ func (s *scanIter) NextBatch() (*Batch, error) {
 			break
 		}
 	}
+	scanned := s.kern.streamed
+	s.kern.streamed = 0
 	// One shared-memory write per batch, however many rows it scanned.
 	s.ev.publishCounts()
 	if s.scanSt != nil {

@@ -133,7 +133,7 @@ func build(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIte
 	var err error
 	switch n.Op {
 	case plan.OpSeqScan:
-		return buildScan(env, ev, n, nil, nil)
+		return buildScan(env, ev, n, nil, &pageKernel{ev: ev})
 	case plan.OpGather:
 		it, err = buildGather(env, ev, n, budget)
 	case plan.OpBTreeScan, plan.OpMTreeScan, plan.OpMDIScan, plan.OpQGramScan:
@@ -148,7 +148,7 @@ func build(env Env, ev *evaluator, n *plan.Node, budget *atomic.Int64) (BatchIte
 		if n.Op == plan.OpFilter {
 			child := n.Children[0]
 			rows := child.EstimatedRows()
-			if shape, ok := fusedShape(n.Cond, child.Schema()); ok && child.Op == plan.OpSeqScan && shape.labelled {
+			if k, ok := fusedShape(n.Cond, child.Schema()); ok && child.Op == plan.OpSeqScan && k.hash && k.keyed {
 				rows = 0 // the fused kernel tests every row on its slot's label
 			}
 			if cond, err = ev.bind(n.Cond, rows); err != nil {

@@ -67,7 +67,7 @@ func canceledScan(t *testing.T, stripe func(*recordSource)) *scanIter {
 	if stripe != nil {
 		stripe(src)
 	}
-	return &scanIter{ev: ev, src: src}
+	return &scanIter{ev: ev, src: src, kern: &pageKernel{ev: ev}}
 }
 
 // A morsel scan over a canceled query must surface ErrCanceled within one

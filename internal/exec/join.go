@@ -3,11 +3,12 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 	"unsafe"
 
-	"github.com/mural-db/mural/internal/phonetic"
+	"github.com/mural-db/mural/internal/invariant"
 	"github.com/mural-db/mural/internal/plan"
 	"github.com/mural-db/mural/internal/storage"
 	"github.com/mural-db/mural/internal/types"
@@ -15,53 +16,19 @@ import (
 )
 
 // Hoisted Ψ/Ω joins. A Ψ or Ω nested-loops join whose condition is the
-// operator alone, over a column of each side, is the join form of the fused
-// scan kernel (fuse.go): what a pass does not change is computed once, and a
-// pair costs the kernel's per-row path.
-//
-//   - The join runs block-major. A block is one outer batch; each of its
-//     rows' values is compiled into the constPred a scan's constant compiles
-//     to (compile), charged for the block.
-//   - The inner side is streamed once per block. A table scan's records are
-//     read off the pinned page — under a Gather, from the morsels this worker
-//     claims in the block's pass, as a scan's workers claim them; any other
-//     input is encoded once into a record buffer (recordBuf) of in-memory
-//     pages with the slot keys a heap would give its rows, which each block
-//     replays. Both go through one page loop (pairPage).
-//   - A page meets the block in two loops, as a page meets the fused scan
-//     kernel. selectBlock walks the slot array with the block's key tests —
-//     each outer row's Ψ prefilter or Ω probe, gathered by compileBlock — in
-//     locals: a record whose slot keys a key test takes as read
-//     (types.SlotSummarized for Ψ, types.SlotHasKeys for Ω, under a block
-//     whose every row is uniRows) is key-tested in place against every outer
-//     row, through the scan's tests (Prefilter.Rejects over
-//     types.SlotSummary, Probe.PassesLabel over types.SlotOmegaKeys), and
-//     each pair that passes is selected; any other record (TEXT, a phoneme
-//     to convert or to match whole, a column other than the keyed one, a
-//     block under an IN list or with an outer row that compiles no key test)
-//     is selected once for all its outer rows. finishSel then reads each
-//     selected record's operand once (operand.readRecord) and finishes each
-//     pair its keys passed (constPred.finish: nothing more for an Ω label
-//     that passed, which is exact; else only here is a record walked to, by
-//     the fast walk or else Seek) or matches each pair of a key-less record
-//     (constPred.match), the routines a scan runs. A record every outer
-//     row's key test rejects is never read. Its phoneme is converted at most
-//     once, and the record decoded on its first match. An Ω join whose inner
-//     operand is its table's keyed column, every one of whose records has a
-//     label, compiles its outer rows' probes without filters.
-//
-// A round of selection holds no more pairs than the batch has room for, so
-// a batch fills only where a round stops, before a pair: inside a record or
-// between two. The rest of the page waits, copied with its keys, in the
-// record buffer, and the next batch resumes at the outer row it stopped
-// before, keeping the record's decoded row and conversion. The counts, the
-// checkpoint's cadence (a tick per pair and per record left to another
-// worker) and the first error are a row-at-a-time loop's. The join
-// absorbs the inner Materialize and table scan and, under a collector,
-// attributes to them itself, as an outer-major join would: the Materialize's
-// loops are the outer rows, its rows the inner rows each paired with, the
-// scan's rows the records the first block read; both get the inner stream's
-// wall time.
+// operator alone, over a column of each side, runs block-major through the
+// page kernel (fuse.go): a block is one outer batch, whose rows compile to
+// the block's predicates (compileBlock) on its first inner page, and the
+// inner side is streamed once per block through one page loop (pairPage): a
+// table scan's pages — under a Gather, the morsels this worker claims in the
+// block's pass — or, for any other input, a record buffer (recordBuf) of
+// in-memory pages with the slot keys a heap would give its rows, encoded
+// once and replayed by every block. When a batch fills inside a scan's page,
+// the rest of the page waits in the record buffer. Under a collector the join
+// attributes to the inner Materialize and scan it absorbs, as an outer-major
+// join would: the Materialize's loops are the outer rows, its rows the inner
+// rows each paired with, the scan's rows the records the first block read;
+// both get the inner stream's wall time.
 
 // hoistedOperands reports whether join n's condition hoists — a lone Ψ, or a
 // lone Ω over a loaded taxonomy, between a column of each side — and the
@@ -122,11 +89,12 @@ func buildHoistedJoin(env Env, ev *evaluator, n *plan.Node, outerCol, innerCol i
 		return nil, errors.Join(err, outer.Close())
 	}
 	kinds := schemaKinds(inner.Schema())
+	j.k.ev = ev
 	// In range: hoistedOperands checked innerCol against the inner schema.
-	j.skip, _ = types.NewSkipPlan(kinds, innerCol)
+	j.k.skip, _ = types.NewSkipPlan(kinds, innerCol)
 	j.recs.keyed, j.recs.keyBytes = types.KeyedColumn(kinds)
-	j.keyed = j.recs.keyed == innerCol
-	if _, j.hash = n.Cond.(*plan.Omega); j.hash && j.keyed {
+	j.k.keyed = j.recs.keyed == innerCol
+	if _, j.k.hash = n.Cond.(*plan.Omega); j.k.hash && j.k.keyed {
 		j.recs.net = ev.taxonomy() // the only labels the join reads
 	}
 	if ev.collector != nil {
@@ -222,34 +190,18 @@ type hoistedJoinIter struct {
 	pageFn func(pg storage.Page) error // onPage, bound once
 	child  BatchIter
 	recs   recordBuf
-	skip   types.SkipPlan // the walk to the inner operand
-	keyed  bool           // the inner operand is the inner table's keyed column
-	hash   bool           // Ω: an operand read without slot keys needs its text's hash
+	k      pageKernel // over the inner operand, with the block's predicates
 
 	// Under a collector: what the join attributes to the inner Materialize
 	// (nil when there is none) and table scan (nil when the inner is no scan).
 	matSt, scanSt *OpStats
 	timed         bool
 
-	// The block: one outer batch, its rows' operands compiled on its first
-	// inner record — with their key tests when every row has one
-	// (compileBlock) — and how many inner records it has begun to pair.
-	ob       *Batch
-	preds    []*constPred
-	pfs      []phonetic.Prefilter // Ψ: each row's prefilter
-	probes   []*wordnet.Probe     // Ω: each row's probe
-	pbytes   int64                // preds' charge
-	blocks   int
-	streamed int64
-	sel      []pairSel // a page's selection, reused page after page
-	// The inner record being paired: the outer row it pairs next, its
-	// decoded row once it matched, and its operand's conversion, which a
-	// batch that fills inside the record keeps for the next.
-	oi        int
-	dec       types.Tuple
-	conv      string
-	converted bool
-	bytes     int64 // what recs charged to the query
+	// The block: one outer batch, and its predicates' charge.
+	ob     *Batch
+	pbytes int64
+	blocks int
+	bytes  int64 // what recs charged to the query
 	// The batch being filled and the rows it may take.
 	out   *Batch
 	limit int
@@ -270,7 +222,7 @@ func (j *hoistedJoinIter) NextBatch() (*Batch, error) {
 // fill joins blocks of outer rows with the inner side until the batch holds
 // its limit or the outer side is exhausted.
 func (j *hoistedJoinIter) fill() error {
-	for !j.full() {
+	for len(j.out.Rows) < j.limit {
 		if j.ob == nil {
 			if err := j.nextBlock(); err != nil || j.done {
 				return err
@@ -298,8 +250,6 @@ func (j *hoistedJoinIter) fill() error {
 	}
 	return nil
 }
-
-func (j *hoistedJoinIter) full() bool { return len(j.out.Rows) >= j.limit }
 
 // nextBlock takes the next outer batch as the block and starts the inner
 // side's pass for it: for a scan, the table's next pass; for any other
@@ -353,43 +303,22 @@ func (j *hoistedJoinIter) onPage(pg storage.Page) error {
 	return err
 }
 
-// pairSel is an entry of a block's selection over an inner page: the
-// record in slot with the outer rows from oi up to end — one pair the key
-// test passed (keyed), or the pairs of a key-less slot, each matched in
-// full — and the key tests made up to it: the count when its finish fails.
-type pairSel struct {
-	selRow
-	oi, end int32
-	keyed   bool
-}
-
-// pairPage pairs the live records of pg from slot from on — the record
-// there from outer row j.oi on — with the block, and returns the slot of the
-// record the batch filled inside, pg.Len() when it paired them all. Each
-// round selects (selectBlock) no more pairs than the batch has room for
-// matches, then finishes them (finishSel). src is the scan the page came
-// from, which may leave a record to another worker (recordSource.skip); nil
-// for a page of recs, whose records passed it when they were copied. A
-// scan's records from the one the batch filled inside on wait in recs,
-// copied with their keys.
-func (j *hoistedJoinIter) pairPage(pg *storage.Page, from int, src *recordSource) (stop int, err error) {
+// pairPage pairs the live records of pg from slot from on with the block,
+// compiled first on its first page, and returns the slot the batch filled
+// inside, pg.Len() when it paired them all. src is the scan the page came
+// from, nil for a page of recs; a scan's records from the one the batch
+// filled inside on wait in recs, copied with their keys, except those it
+// leaves to another worker (recordSource.skip).
+func (j *hoistedJoinIter) pairPage(pg *storage.Page, from int, src *recordSource) (int, error) {
 	n := pg.Len()
-	for stop = from; stop < n && !j.full(); {
-		next, oi, tested, serr := j.selectBlock(pg, stop, src, j.limit-len(j.out.Rows))
-		if err = j.finishSel(pg, stop, next, oi); err == nil {
-			j.ev.count(j.hash, int64(tested))
-			err = serr
+	if len(j.k.preds) == 0 && from < n {
+		if err := j.compileBlock(); err != nil {
+			return from, err
 		}
-		if err == nil && len(j.preds) == 0 && next < n {
-			err = j.compileBlock() // the block's first record is next
-		}
-		if err != nil {
-			return next, err
-		}
-		stop = next
 	}
-	if stop == n || src == nil {
-		return stop, nil
+	stop, err := j.k.scanPage(pg, from, src, j.out, j.ob.Rows, j.limit)
+	if err != nil || stop == n || src == nil {
+		return stop, err
 	}
 	for i := stop; i < n; i++ {
 		keys, live := pg.Keys(i)
@@ -398,7 +327,7 @@ func (j *hoistedJoinIter) pairPage(pg *storage.Page, from int, src *recordSource
 		}
 		// The record the batch filled inside is this worker's: its
 		// ordinal was taken when it was selected.
-		if (i > stop || j.oi == 0) && src.skip() {
+		if (i > stop || j.k.oi == 0) && src.skip() {
 			if err := j.ev.tick(); err != nil {
 				return i, err
 			}
@@ -412,171 +341,21 @@ func (j *hoistedJoinIter) pairPage(pg *storage.Page, from int, src *recordSource
 	return stop, nil
 }
 
-// selectBlock selects pairs of the live records of pg in src's share, from
-// the one in slot from and outer row j.oi on, with the block: each pair of a
-// record whose keys a key test takes as read that its outer row's key test
-// passes, and each pair of any other record, which it cannot test.
-// It keeps the tick count, the ordinal and the block's key tests in locals.
-// It stops before a pair when the selection holds room pairs to match, so
-// that finishing them cannot overfill the batch, and before the block's
-// first record when the block is not compiled yet. It returns the slot and
-// outer row it stopped before — outer row 0 of a record it has not begun —
-// the key tests it made and the checkpoint's error, which stops it at its
-// pair.
-func (j *hoistedJoinIter) selectBlock(pg *storage.Page, from int, src *recordSource, room int) (stop, stopOi int, tested int32, err error) {
-	slots, width := pg.Slots()
-	j.sel = j.sel[:0]
-	ev, omega := j.ev, j.hash
-	pfs, probes, np := j.pfs, j.probes, len(j.preds)
-	keyable := len(pfs) > 0 || len(probes) > 0 // every row's predicate takes a slot's keys as read
-	ticks, streamed, cand := ev.ticks, j.streamed, 0
-	var n, mod, idx int64
-	if src != nil {
-		n, mod, idx = src.n, src.mod, src.idx
-	}
-	i, oi := from, j.oi
-slots:
-	for end := pg.Len(); i < end; i, oi = i+1, 0 {
-		if cand >= room {
-			break
-		}
-		keys, live := storage.SlotKeys(slots[i*width : (i+1)*width])
-		if oi == 0 {
-			if !live {
-				continue
-			}
-			if mod != 0 && n%mod != idx {
-				n++
-				if ticks++; ticks%cancelInterval == 0 {
-					if err = ev.res.Err(); err != nil {
-						break
-					}
-				}
-				continue
-			}
-			if np == 0 {
-				break // the block's first record: pairPage compiles the block
-			}
-			if mod != 0 {
-				n++
-			}
-			streamed++
-		}
-		if keyable && (omega && types.SlotHasKeys(keys) || !omega && types.SlotSummarized(keys)) {
-			for ; oi < np; oi++ {
-				if ticks++; ticks%cancelInterval == 0 {
-					if err = ev.res.Err(); err != nil {
-						break slots
-					}
-				}
-				if tested++; omega && probes[oi].PassesLabel(types.SlotOmegaKeys(keys)) || !omega && !pfs[oi].Rejects(types.SlotSummary(keys)) {
-					j.sel = append(j.sel, pairSel{selRow{int32(i), tested}, int32(oi), int32(oi + 1), true})
-					if cand++; cand >= room && oi+1 < np {
-						oi++
-						break slots
-					}
-				}
-			}
-			continue
-		}
-		// A key-less record: its pairs up to the room are each matched.
-		e := pairSel{selRow{int32(i), tested}, int32(oi), int32(min(np, oi+room-cand)), false}
-		for ; oi < int(e.end); oi++ {
-			if ticks++; ticks%cancelInterval == 0 {
-				if err = ev.res.Err(); err != nil {
-					e.end = int32(oi)
-					break
-				}
-			}
-		}
-		j.sel = append(j.sel, e)
-		if cand += int(e.end - e.oi); err != nil || oi < np {
-			break
-		}
-	}
-	ev.ticks, j.streamed = ticks, streamed
-	if src != nil {
-		src.n = n
-	}
-	return i, oi, tested, err
-}
-
-// finishSel finishes the block's selection over pg, which began at slot from
-// and outer row j.oi and stopped before outer row oi of slot stop: it reads
-// each selected record's operand once (operand.readRecord), finishes each
-// pair its keys passed — for an Ω label that passed, which is exact, without
-// reading the record — and matches each pair of a key-less record, and joins
-// every match to its outer row, the record decoded on its first. The record
-// it stopped inside keeps its decoded row and its operand's conversion for
-// the pairs left. On an error it counts the key tests made up to the pair
-// that failed.
-func (j *hoistedJoinIter) finishSel(pg *storage.Page, from, stop, oi int) error {
-	ev, op, out := j.ev, &j.ev.op, j.out
-	cur, dec := int32(-1), types.Tuple(nil)
-	var rec []byte
-	for _, r := range j.sel { //lint:gov-exempt selectBlock ran the checkpoint for each of these pairs
-		if r.slot != cur {
-			cur = r.slot
-			var slot []byte
-			if j.keyed {
-				slot, _ = pg.Keys(int(cur))
-			}
-			rec, _ = pg.Record(int(cur))
-			if err := op.readRecord(&j.skip, rec, slot, j.hash); err != nil {
-				ev.count(j.hash, int64(r.tested))
-				return err
-			}
-			dec = nil
-			if int(cur) == from && j.oi > 0 {
-				dec, op.conv, op.converted = j.dec, j.conv, j.converted
-			}
-		}
-		for o := r.oi; o < r.end; o++ {
-			var match bool
-			var err error
-			if r.keyed {
-				match, err = j.preds[o].finish(ev, op)
-			} else {
-				match, err = j.preds[o].match(ev, op)
-			}
-			if match && err == nil && dec == nil {
-				dec, _, err = types.DecodeTuple(rec)
-			}
-			if err != nil {
-				ev.count(j.hash, int64(r.tested))
-				return err
-			}
-			if match {
-				out.Rows = append(out.Rows, joinedTuple(j.ob.Rows[o], dec))
-			}
-		}
-	}
-	switch {
-	case oi == 0:
-		j.dec, j.converted = nil, false
-	case int(cur) == stop:
-		j.dec, j.conv, j.converted = dec, op.conv, op.converted
-	}
-	j.oi = oi
-	return nil
-}
-
 // compileBlock compiles each outer row of the block into the constPred a
-// scan's constant compiles to, charged until the block ends, and, when every
-// row's predicate takes a keyed operand's slot keys as read (uniRows), their
-// key tests for selectBlock: Ψ's prefilters or Ω's probes.
+// scan's constant compiles to, charged until the block ends, and gathers
+// their key tests (pageKernel.keyTests).
 func (j *hoistedJoinIter) compileBlock() error {
-	keyable, rows := j.keyed, j.innerRows
-	if j.keyed {
+	rows := j.innerRows
+	if j.k.keyed {
 		rows = 0 // every inner operand has a label: Ω's probes need no filter
 	}
+	invariant.Assertf(len(j.ob.Rows) <= math.MaxUint16, "exec: an outer block of %d rows", len(j.ob.Rows))
 	for _, o := range j.ob.Rows {
 		if err := j.ev.tick(); err != nil {
 			return err
 		}
 		p := j.ev.compile(j.x, j.outerLeft, o[j.outerCol], nil, rows)
-		j.preds = append(j.preds, p)
-		keyable = keyable && p.uniRows
+		j.k.preds = append(j.k.preds, p)
 		if n := p.memBytes(); n > 0 {
 			j.pbytes += n
 			if err := j.ev.grow(n); err != nil {
@@ -584,16 +363,7 @@ func (j *hoistedJoinIter) compileBlock() error {
 			}
 		}
 	}
-	for _, p := range j.preds {
-		if !keyable {
-			break
-		}
-		if j.hash {
-			j.probes = append(j.probes, p.probe)
-		} else {
-			j.pfs = append(j.pfs, p.m.Prefilter)
-		}
-	}
+	j.k.keyTests()
 	return nil
 }
 
@@ -613,22 +383,23 @@ func (j *hoistedJoinIter) charge() error {
 // The Materialize is credited what one pass per outer row would have read,
 // and the scan the records the first block read, as if read once.
 func (j *hoistedJoinIter) endBlock() {
+	k := &j.k
 	j.ev.release(j.pbytes)
-	clear(j.preds)
-	clear(j.probes)
-	j.preds, j.pfs, j.probes, j.pbytes = j.preds[:0], j.pfs[:0], j.probes[:0], 0
+	clear(k.preds)
+	clear(k.probes)
+	k.preds, k.pfs, k.probes, j.pbytes = k.preds[:0], k.pfs[:0], k.probes[:0], 0
 	outer := int64(len(j.ob.Rows))
 	if j.matSt != nil {
 		j.matSt.Loops += outer
 		if j.blocks == 1 {
 			j.matSt.Loops--
 		}
-		j.matSt.Rows += outer * j.streamed
+		j.matSt.Rows += outer * k.streamed
 	}
 	if j.scanSt != nil && j.blocks == 1 {
-		j.scanSt.Rows += j.streamed
+		j.scanSt.Rows += k.streamed
 	}
-	j.streamed = 0
+	k.streamed = 0
 	j.ev.putBatch(j.ob)
 	j.ob = nil
 }

@@ -526,7 +526,7 @@ func TestOmegaJoinProbeFormFollowsInnerEstimate(t *testing.T) {
 			if err := j.compileBlock(); err != nil {
 				t.Fatal(err)
 			}
-			filtered := j.preds[0].probe.MemBytes() > net.CompileRight(concept, nil, 0).MemBytes()
+			filtered := j.k.preds[0].probe.MemBytes() > net.CompileRight(concept, nil, 0).MemBytes()
 			if filtered != (text && name == "filtered") {
 				t.Errorf("%s, inner TEXT %v: the join compiled filters: %v", name, text, filtered)
 			}

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -202,15 +203,15 @@ func TestOmegaSelectDecidesByLabel(t *testing.T) {
 	}
 	defer cur.Close()
 	sc, ok := cur.src.(*scanIter)
-	if !ok || sc.kern == nil || sc.kern.kind != keyOmega {
+	if !ok || len(sc.kern.probes) != 1 {
 		t.Fatal("the filter did not fuse with Ω's key test")
 	}
-	k, probe := sc.kern, sc.kern.p.probe
+	k, probe := sc.kern, sc.kern.probes[0]
 	selected, passed := 0, 0
 	it := h.ScanRange(0, storage.PageID(h.NumPages()))
 	for more := true; more; {
 		if more, err = it.NextPage(func(pg storage.Page) error {
-			_, tested, err := k.selectPage(&pg, sc.src)
+			_, _, tested, err := k.selectPage(&pg, 0, sc.src, math.MaxInt)
 			if err != nil {
 				return err
 			}
@@ -228,7 +229,7 @@ func TestOmegaSelectDecidesByLabel(t *testing.T) {
 			}
 			var got []int32
 			for _, r := range k.sel {
-				got = append(got, r.slot)
+				got = append(got, int32(r.at&(keyedBit-1)))
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) || tested != live {
 				return fmt.Errorf("selected slots %v after %d key tests, want %v after %d", got, tested, want, live)

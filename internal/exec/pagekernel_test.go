@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -507,7 +509,7 @@ func checkKeyWindowSelection(t *testing.T, env *heapEnv, cols []plan.ColInfo, co
 	}
 	defer cur.Close()
 	s, ok := cur.src.(*scanIter)
-	if !ok || s.kern == nil {
+	if !ok || len(s.kern.preds) == 0 {
 		t.Fatal("the filter did not fuse")
 	}
 	c := types.Summarize([]byte(ph))
@@ -523,12 +525,12 @@ func checkKeyWindowSelection(t *testing.T, env *heapEnv, cols []plan.ColInfo, co
 	it := h.ScanRange(0, storage.PageID(h.NumPages()))
 	for page := 0; ; page++ {
 		more, err := it.NextPage(func(pg storage.Page) error {
-			if _, _, err := s.kern.selectPage(&pg, s.src); err != nil {
+			if _, _, _, err := s.kern.selectPage(&pg, 0, s.src, math.MaxInt); err != nil {
 				return err
 			}
 			selected := map[int32]bool{}
 			for _, r := range s.kern.sel {
-				selected[r.slot] = true
+				selected[int32(r.at&(keyedBit-1))] = true
 			}
 			for i := range pg.Len() {
 				keys, live := pg.Keys(i)
@@ -549,48 +551,90 @@ func checkKeyWindowSelection(t *testing.T, env *heapEnv, cols []plan.ColInfo, co
 	}
 }
 
-// rowLoopSelect is selectPage's reference, a row-at-a-time loop over pg:
-// from tick count ticks and, for a striped share (mod > 0), ordinal ord, it
-// ticks each live slot, stops at the tick that checks for cancellation when
-// canceled, keeps the share's slots, and selects each whose keys test
-// cannot take (keyed false) or passes, with the key tests made up to it.
-func rowLoopSelect(pg *storage.Page, ticks uint32, ord, mod, idx int64, canceled bool, test func(keys []byte) (keyed, pass bool)) (sel []selRow, tested int32, scanned int64, ticksOut uint32, ordOut int64, stopped bool) {
-	for i := range pg.Len() {
+// rowLoop is what rowLoopSelect selects and where it stops.
+type rowLoop struct {
+	sel []pairSel
+	rowStop
+}
+
+// rowStop is rowLoop's counts and stop.
+type rowStop struct {
+	tested   int32
+	scanned  int64
+	ticks    uint32
+	ord      int64
+	stop, oi int
+	stopped  bool
+}
+
+// rowLoopSelect is selectPage's reference, a row-at-a-time loop over the
+// pairs of pg's live records with a block of np outer rows, from the record
+// in slot from and outer row oi on: from tick count ticks and, for a striped
+// share (mod > 0), ordinal ord, it takes each record's ordinal and leaves the
+// share's others with a tick each, ticks each pair of its own, stops at the
+// tick that checks for cancellation when canceled, and stops before a pair —
+// at a record's first, before its ordinal — when the selection holds room
+// pairs. It selects each pair whose keys test cannot take (keyed false) or
+// passes, with the key tests made up to it, and counts the records whose
+// first pair it reached.
+func rowLoopSelect(pg *storage.Page, from, oi, room int, ticks uint32, ord, mod, idx int64, canceled bool, np int, test func(keys []byte, oi int) (keyed, pass bool)) rowLoop {
+	r := rowLoop{rowStop: rowStop{ticks: ticks, ord: ord, stop: pg.Len()}}
+	checks := func() bool {
+		r.ticks++
+		r.stopped = r.ticks%cancelInterval == 0 && canceled
+		return r.stopped
+	}
+	for i := from; i < pg.Len(); i, oi = i+1, 0 {
 		keys, live := pg.Keys(i)
 		if !live {
 			continue
 		}
-		if ticks++; ticks%cancelInterval == 0 && canceled {
-			stopped = true
+		if oi == 0 && len(r.sel) == room {
+			r.stop = i
 			break
 		}
-		if mod != 0 {
-			mine := ord%mod == idx
-			if ord++; !mine {
+		if oi == 0 && mod != 0 {
+			mine := r.ord%mod == idx
+			if r.ord++; !mine {
+				if checks() {
+					r.stop = i
+					break
+				}
 				continue
 			}
 		}
-		scanned++
-		keyed, pass := test(keys)
-		if keyed {
-			tested++
+		for ; oi < np && len(r.sel) < room && !checks(); oi++ {
+			if oi == 0 {
+				r.scanned++
+			}
+			keyed, pass := test(keys, oi)
+			if keyed {
+				r.tested++
+			}
+			if !keyed || pass {
+				r.sel = append(r.sel, pairSel{uint32(i) | uint32(b2i(keyed))*keyedBit | uint32(oi)<<16, r.tested})
+			}
 		}
-		if !keyed || pass {
-			sel = append(sel, selRow{int32(i), tested})
+		if oi < np {
+			r.stop, r.oi = i, oi
+			break
 		}
 	}
-	return sel, tested, scanned, ticks, ord, stopped
+	return r
 }
 
-// selectPage splits a page into runs at its checkpoints and walks a striped
-// share itself; against rowLoopSelect, on heap pages with dead slots (the
-// last page ending in a run of them), rows
-// whose keys the test takes and key-less ones (a phoneme to convert, one of
-// 280 runes, NULL), for a Ψ kernel and a key-less one (under an IN list),
-// claimed and striped (two shares of three), from tick counts that put the
-// checkpoint on every live slot of the page and past its last, with the
-// query canceled and not: the selection, the key tests, the rows scanned,
-// the tick count, the ordinal and the checkpoint's error are the row loop's.
+// selectPage splits a page into runs at its checkpoints and at its room,
+// and walks a striped share itself; against rowLoopSelect, on heap pages with
+// dead slots (the last page ending in a run of them), rows whose keys the
+// test takes and key-less ones (a phoneme to convert, one of 280 runes,
+// NULL), for Ψ blocks of 1, 2 and 3 outer rows with key tests and without
+// (under an IN list), claimed and striped (two shares of three), with
+// unlimited room and with a room of 7 pairs, which stops runs inside
+// records, from tick counts that put the checkpoint on every pair of the
+// page and past its last, with the query canceled and not, resuming at each
+// stop until the page is done: the selection, the key tests, the records
+// begun, the tick count, the ordinal, the stop (slot and outer row) and the
+// checkpoint's error are the row loop's.
 func TestSelectPageAsRowLoop(t *testing.T) {
 	rs := keyWindowRunes(8)
 	s, d, fresh := rs[:3], rs[3], rs[4:]
@@ -616,72 +660,120 @@ func TestSelectPageAsRowLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.heaps["t"], env.tables["t"] = h, rows
-	c := types.Summarize([]byte(pat))
-	window := func(keys []byte) (bool, bool) {
+	if np := h.NumPages(); np < 2 {
+		t.Fatalf("the table takes %d pages, want 2 or more", np)
+	}
+	// The block's outer rows: pat at threshold 1, then two more patterns,
+	// so that the rows' key tests pass different pairs.
+	type outerRow struct {
+		ph string
+		k  int
+	}
+	block := []outerRow{{pat, 1}, {string(fresh[:3]) + strings.Repeat(string(d), 4), 2}, {pat, 0}}
+	window := func(keys []byte, oi int) (bool, bool) {
 		if !types.SlotSummarized(keys) {
 			return false, false
 		}
-		r := types.SlotSummary(keys)
-		return true, r.Runes-c.Runes <= 1 && c.Runes-r.Runes <= 1 &&
-			bits.OnesCount64(c.Sig&^r.Sig) <= 1 && bits.OnesCount64(r.Sig&^c.Sig) <= 1
+		c, k, r := types.Summarize([]byte(block[oi].ph)), block[oi].k, types.SlotSummary(keys)
+		return true, r.Runes-c.Runes <= k && c.Runes-r.Runes <= k &&
+			bits.OnesCount64(c.Sig&^r.Sig) <= k && bits.OnesCount64(r.Sig&^c.Sig) <= k
 	}
-	keyless := func([]byte) (bool, bool) { return false, false }
-	konst := &plan.Const{Val: types.NewUniText(types.UniText{Text: "c", Lang: types.LangEnglish, Phoneme: pat})}
+	keyless := func([]byte, int) (bool, bool) { return false, false }
 	col := &plan.ColIdx{Idx: 1, Kind: types.KindUniText}
+	psi := func(o outerRow, langs []types.LangID) *plan.Psi {
+		konst := types.NewUniText(types.UniText{Text: "c", Lang: types.LangEnglish, Phoneme: o.ph})
+		return &plan.Psi{L: col, R: &plan.Const{Val: konst}, Threshold: o.k, Langs: langs}
+	}
 	for _, kc := range []struct {
-		cond plan.Expr
-		test func([]byte) (bool, bool)
-	}{
-		{&plan.Psi{L: col, R: konst, Threshold: 1}, window},
-		{&plan.Psi{L: col, R: konst, Threshold: 1, Langs: []types.LangID{types.LangEnglish}}, keyless},
-	} {
-		for _, canceled := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/canceled=%v", plan.ExprString(kc.cond), canceled), func(t *testing.T) {
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				node := &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{scanNode("t", cols)}, Cols: cols, Cond: kc.cond}
-				cur, err := Run(env, node, nil, NewResources(ctx, 0))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cur.Close()
-				sc, ok := cur.src.(*scanIter)
-				if !ok || sc.kern == nil {
-					t.Fatal("the filter did not fuse")
-				}
-				if canceled {
-					cancel()
-				}
-				k, src := sc.kern, sc.src
-				it := h.ScanRange(0, storage.PageID(h.NumPages()))
-				for {
-					more, err := it.NextPage(func(pg storage.Page) error {
-						for t0 := cancelInterval - pg.Len() - 2; t0 <= cancelInterval+1; t0++ {
-							for _, share := range [][2]int64{{0, 0}, {3, 0}, {3, 2}} {
-								start := uint32(5*cancelInterval + t0)
-								src.mod, src.idx, src.n, k.ev.ticks = share[0], share[1], 4, start
-								want, wantTested, wantScanned, wantTicks, wantOrd, stopped := rowLoopSelect(&pg, start, 4, share[0], share[1], canceled, kc.test)
-								scanned, tested, err := k.selectPage(&pg, src)
-								if stopped != errors.Is(err, ErrCanceled) || !stopped && err != nil {
-									return fmt.Errorf("from tick %d, share %v: error %v, want stopped %v", start, share, err, stopped)
-								}
-								if fmt.Sprint(k.sel) != fmt.Sprint(want) || tested != wantTested || scanned != wantScanned || k.ev.ticks != wantTicks || (share[0] != 0 && src.n != wantOrd) {
-									return fmt.Errorf("from tick %d, share %v: selected %v, %d tests, %d scanned, ticks %d, ordinal %d; want %v, %d, %d, %d, %d",
-										start, share, k.sel, tested, scanned, k.ev.ticks, src.n, want, wantTested, wantScanned, wantTicks, wantOrd)
-								}
-							}
-						}
-						return nil
-					})
+		langs []types.LangID
+		test  func([]byte, int) (bool, bool)
+	}{{nil, window}, {[]types.LangID{types.LangEnglish}, keyless}} {
+		for np := 1; np <= len(block); np++ {
+			for _, canceled := range []bool{false, true} {
+				t.Run(fmt.Sprintf("IN=%v/block=%d/canceled=%v", kc.langs, np, canceled), func(t *testing.T) {
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					node := &plan.Node{Op: plan.OpFilter, Children: []*plan.Node{scanNode("t", cols)}, Cols: cols, Cond: psi(block[0], kc.langs)}
+					cur, err := Run(env, node, nil, NewResources(ctx, 0))
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !more {
-						break
+					defer cur.Close()
+					sc, ok := cur.src.(*scanIter)
+					if !ok || len(sc.kern.preds) != 1 {
+						t.Fatal("the filter did not fuse")
 					}
-				}
-				src.mod, src.idx, src.n = 0, 0, 0
-			})
+					if canceled {
+						cancel()
+					}
+					k, src := sc.kern, sc.src
+					for _, o := range block[1:np] {
+						x := psi(o, kc.langs)
+						v, _ := k.ev.eval(x.R, nil)
+						k.preds = append(k.preds, k.ev.compile(x, false, v, nil, 0))
+					}
+					k.pfs = k.pfs[:0]
+					if k.keyTests(); (len(k.pfs) == np) != (kc.langs == nil) {
+						t.Fatalf("%d key tests for a block of %d", len(k.pfs), np)
+					}
+					it, inside := h.ScanRange(0, storage.PageID(h.NumPages())), 0
+					for {
+						more, err := it.NextPage(func(pg storage.Page) error {
+							for t0 := cancelInterval - np*pg.Len() - 2; t0 <= cancelInterval+1; t0++ {
+								for _, share := range [][2]int64{{0, 0}, {3, 0}, {3, 2}} {
+									for _, room := range []int{math.MaxInt, 7} {
+										n, err := checkRowLoop(k, src, &pg, uint32(5*cancelInterval+t0), share, room, canceled, np, kc.test)
+										if err != nil {
+											return err
+										}
+										inside += n
+									}
+								}
+							}
+							return nil
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !more {
+							break
+						}
+					}
+					if np > 1 && inside == 0 {
+						t.Error("no selection stopped inside a record")
+					}
+					src.mod, src.idx, src.n, k.oi = 0, 0, 0, 0
+				})
+			}
 		}
 	}
+}
+
+// checkRowLoop runs kernel k's selectPage over pg from its first slot, from
+// tick count start and ordinal 4 in share (mod, idx), each time with room
+// pairs, resuming where it stopped until the page is done or the checkpoint
+// fails, and checks each call against rowLoopSelect from the same point. It
+// returns how many times it resumed inside a record.
+func checkRowLoop(k *pageKernel, src *recordSource, pg *storage.Page, start uint32, share [2]int64, room int, canceled bool, np int, test func([]byte, int) (bool, bool)) (inside int, err error) {
+	src.mod, src.idx, src.n, k.ev.ticks, k.oi = share[0], share[1], 4, start, 0
+	for from := 0; from < pg.Len(); {
+		want := rowLoopSelect(pg, from, k.oi, room, k.ev.ticks, src.n, share[0], share[1], canceled, np, test)
+		begun := k.streamed
+		stop, oi, tested, err := k.selectPage(pg, from, src, room)
+		got := rowStop{tested, k.streamed - begun, k.ev.ticks, src.n, stop, oi, errors.Is(err, ErrCanceled)}
+		if !got.stopped && err != nil {
+			return inside, err
+		}
+		if share[0] == 0 {
+			got.ord = want.ord
+		}
+		if got != want.rowStop || !slices.Equal(k.sel, want.sel) || len(k.sel) > room {
+			return inside, fmt.Errorf("from tick %d, share %v, room %d, slot %d, outer row %d:\n got %+v %v\nwant %+v %v", start, share, room, from, k.oi, got, k.sel, want.rowStop, want.sel)
+		}
+		if got.stopped {
+			return inside, nil
+		}
+		from, k.oi, inside = stop, oi, inside+b2i(oi > 0)
+	}
+	return inside, nil
 }

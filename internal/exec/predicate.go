@@ -32,27 +32,16 @@ import (
 // (keyTest: admission, the count, then Ω's label test or filter, or Ψ's
 // prefilter), which reads the operand's kind, language and filter keys only,
 // and finish (Ω's verification or Ψ's edit distance), which views it. Every
-// reader hands match the same operand. The fused scan kernel (fuse.go) and
-// the hoisted join read it in place off a record (operand.readRecord), the
-// keyed column's language and filter keys — its phoneme's summary and its
-// text's Ω label — off its heap slot, and walk the record to the value only
-// for a pair those keys let through. Ahead of that both key-test the slot's
-// keys in place, where they can take them as read: for a predicate that
-// admits every text row (uniRows), so that no admission is due, on the keyed
-// column's slot keys when they hold a value's keys (types.SlotHasKeys), and
-// for Ψ an exact, non-zero rune count (types.SlotSummarized). The key test is
-// then the filter alone (Ψ's Prefilter.Rejects over types.SlotSummary, Ω's
-// Probe.PassesLabel over types.SlotOmegaKeys), and only a row it passes is
-// read and finished — for Ω only a row whose label types.Verifies, since a
-// label the test passes is a match; any other operand — TEXT, a phoneme to
-// convert or to match whole, a column other than the keyed one, or any
-// operand of a predicate under an IN list — is read and matched (match). The
-// generic filter, the index rechecks and the Ψ index join set the operand
-// from the decoded value (operand.set), which has no label: Ω tests it on its
-// text's hash (Probe.Passes) and verifies it. indexProbe and the index join
-// search a metric index for the constant's phoneme (metricSearch). Any other
-// Ψ or Ω, over two computed operands, goes through the same rules row by row
-// (evalPsi, evalOmega).
+// reader hands match the same operand. The page kernel (fuse.go) reads it in
+// place off a record (operand.readRecord), the keyed column's language and
+// filter keys off its heap slot, and key-tests those in place ahead of it
+// where a predicate admits every text row (uniRows), so that only finish is
+// left for a pair its test passed. The generic filter, the index rechecks
+// and the Ψ index join set the operand from the decoded value (operand.set),
+// which has no label: Ω tests it on its text's hash (Probe.Passes) and
+// verifies it. indexProbe and the index join search a metric index for the
+// constant's phoneme (metricSearch). Any other Ψ or Ω, over two computed
+// operands, goes through the same rules row by row (evalPsi, evalOmega).
 
 // isText reports whether a value of kind k can be a Ψ or Ω operand.
 func isText(k types.Kind) bool { return k == types.KindText || k == types.KindUniText }

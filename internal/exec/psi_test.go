@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -116,7 +117,7 @@ func psiPlan(c psiCase, colKind types.Kind, workers int, generic bool) *plan.Nod
 // fusedScan reports whether it is a table scan with a fused kernel.
 func fusedScan(it BatchIter) bool {
 	s, ok := it.(*scanIter)
-	return ok && s.kern != nil
+	return ok && len(s.kern.preds) > 0
 }
 
 // psiShapes runs fn over every way the executor can run one Ψ filter: serial
@@ -444,7 +445,7 @@ func FuzzPsiOmegaAgree(f *testing.F) {
 // row as the one live row but NULLs, which the loop selects as key-less, of
 // a heap page of a table with columns cols, between dead copies of it, its
 // slot labelled by labels.
-func matchRow(k *predKernel, labels labeller, cols []plan.ColInfo, row types.Tuple) (bool, error) {
+func matchRow(k *pageKernel, labels labeller, cols []plan.ColInfo, row types.Tuple) (bool, error) {
 	null := make(types.Tuple, len(row))
 	for i := range null {
 		null[i] = types.Null()
@@ -455,7 +456,7 @@ func matchRow(k *predKernel, labels labeller, cols []plan.ColInfo, row types.Tup
 	}
 	var b Batch
 	_, err = h.Scan().NextPage(func(pg storage.Page) error {
-		_, err := k.scanPage(&pg, &recordSource{}, &b)
+		_, err := k.scanPage(&pg, 0, &recordSource{}, &b, nil, math.MaxInt)
 		return err
 	})
 	if len(b.Rows) > 1 {

@@ -12,9 +12,10 @@
 // checkpoints. A row loop is a for/range loop that ranges over a Batch's
 // Rows or whose body pulls rows (calls a 3-result Next). A page loop — a
 // for/range loop over the records of a Page, the view a page scan hands its
-// callback (its header, init statement included, or body calls the Page's
-// Len or Record) — is a row loop too, and is checked in every function of
-// the package, reached or not:
+// callback: its header, init statement included, or body calls the Page's
+// Len or Record, its bound is a local assigned from the Page's Len, or it
+// walks a local assigned the slot array from the Page's Slots — is a row
+// loop too, and is checked in every function of the package, reached or not:
 // the callback that holds it is handed to nextPage/NextPage as a value, which
 // the call graph does not follow. Loops that iterate bounded,
 // row-independent structures (projection column lists, schema slices) are
@@ -25,6 +26,7 @@ package govcheck
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 
 	"github.com/mural-db/mural/internal/lint/analysis"
@@ -128,6 +130,7 @@ func checkFunc(pass *analysis.Pass, ann *lintutil.Annotations, table *summary.Ta
 	if fd == nil || ann.Has(fd.Pos(), "gov-exempt") {
 		return
 	}
+	lens, slots := pageLocals(pass, fd.Body)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		var body *ast.BlockStmt
 		rowLoop := false
@@ -135,10 +138,12 @@ func checkFunc(pass *analysis.Pass, ann *lintutil.Annotations, table *summary.Ta
 		case *ast.ForStmt:
 			body = x.Body
 			rowLoop = walksPage(pass, x.Init) || walksPage(pass, x.Cond) || walksPage(pass, body)
+			rowLoop = rowLoop || uses(pass, x.Cond, lens) || uses(pass, x, slots)
 			rowLoop = rowLoop || reached && pullsRows(pass, body)
 		case *ast.RangeStmt:
 			body = x.Body
 			rowLoop = walksPage(pass, x.X) || walksPage(pass, body)
+			rowLoop = rowLoop || uses(pass, x.X, lens) || uses(pass, x, slots)
 			rowLoop = rowLoop || reached && (isBatchRows(pass, x.X) || pullsRows(pass, body))
 		default:
 			return true
@@ -160,6 +165,12 @@ func checkFunc(pass *analysis.Pass, ann *lintutil.Annotations, table *summary.Ta
 // function literals it holds: the mark of a loop over a scanned page's
 // records.
 func walksPage(pass *analysis.Pass, n ast.Node) bool {
+	return callsPage(pass, n, "Len", "Record")
+}
+
+// callsPage reports whether n calls one of the methods names on a Page,
+// outside the function literals it holds.
+func callsPage(pass *analysis.Pass, n ast.Node, names ...string) bool {
 	found := false
 	if n != nil {
 		ast.Inspect(n, func(n ast.Node) bool {
@@ -167,8 +178,53 @@ func walksPage(pass *analysis.Pass, n ast.Node) bool {
 				return false
 			}
 			if call, ok := n.(*ast.CallExpr); ok && !found {
-				name := lintutil.CalleeName(call)
-				found = (name == "Len" || name == "Record") && lintutil.ReceiverTypeName(pass.TypesInfo, call) == "Page"
+				found = slices.Contains(names, lintutil.CalleeName(call)) && lintutil.ReceiverTypeName(pass.TypesInfo, call) == "Page"
+			}
+			return !found
+		})
+	}
+	return found
+}
+
+// pageLocals returns the locals of body assigned from a Page: lens those
+// assigned an expression that calls its Len, a loop bound; slots those
+// assigned the slot array its Slots returns.
+func pageLocals(pass *analysis.Pass, body *ast.BlockStmt) (lens, slots map[types.Object]bool) {
+	lens, slots = map[types.Object]bool{}, map[types.Object]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		for i, rhs := range as.Rhs {
+			if call, ok := rhs.(*ast.CallExpr); ok && lintutil.CalleeName(call) == "Slots" &&
+				lintutil.ReceiverTypeName(pass.TypesInfo, call) == "Page" {
+				addObj(pass, slots, as.Lhs[0])
+			} else if i < len(as.Lhs) && callsPage(pass, rhs, "Len") {
+				addObj(pass, lens, as.Lhs[i])
+			}
+		}
+		return true
+	})
+	return lens, slots
+}
+
+// addObj adds the variable x names to set.
+func addObj(pass *analysis.Pass, set map[types.Object]bool, x ast.Expr) {
+	if id, ok := x.(*ast.Ident); ok {
+		if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
+			set[obj] = true
+		}
+	}
+}
+
+// uses reports whether n refers to a variable of set.
+func uses(pass *analysis.Pass, n ast.Node, set map[types.Object]bool) bool {
+	found := false
+	if n != nil && len(set) > 0 {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && set[pass.TypesInfo.Uses[id]] {
+				found = true
 			}
 			return !found
 		})

@@ -220,6 +220,14 @@ func (p *Page) Len() int { return len(p.recs) }
 
 func (p *Page) Record(i int) (Row, bool) { return p.recs[i], p.recs[i] != nil }
 
+// Slots is the page's slot array, one byte a slot here: 0 for a dead one.
+func (p *Page) Slots() (slots []byte, width int) {
+	for _, r := range p.recs {
+		slots = append(slots, byte(len(r)))
+	}
+	return slots, 1
+}
+
 // nextPage hands fn the next page.
 func (s *batchSource) nextPage(fn func(pg Page) error) (bool, error) {
 	if s.i >= len(s.pages) {
@@ -354,6 +362,63 @@ func sumSlots(pg Page, from int) int {
 		n += i
 	}
 	return n
+}
+
+// positive: a page kernel's select loop, whose bound is a local assigned
+// from the page's length before the loop and which reads no record.
+func (p *pageScan) selectLive(pg *Page) int {
+	n, end := 0, pg.Len()
+	for i := 0; i < end; i++ { // want `row loop pulls tuples without a cancellation checkpoint`
+		n += i
+	}
+	return n
+}
+
+// positive: a select loop that walks the slot array from the page's Slots,
+// its bound a parameter, handing the array on to a loop that does not poll.
+func (p *pageScan) selectRuns(pg *Page, end int) int {
+	slots, width := pg.Slots()
+	n := 0
+	for i := 0; i < end; i += width { // want `row loop pulls tuples without a cancellation checkpoint`
+		n += countSlots(slots, i, i+width)
+	}
+	return n
+}
+
+// countSlots counts the live slots lo to hi of a slot array: a run, which
+// its caller checks for cancellation ahead of.
+func countSlots(slots []byte, lo, hi int) int {
+	n := 0
+	for i := lo; i < hi; i++ {
+		if slots[i] != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// negatives: the two select loops, polling.
+func (p *pageScan) selectLivePolled(pg *Page) (int, error) {
+	n, end := 0, pg.Len()
+	for i := 0; i < end; i++ {
+		if err := p.res.Err(); err != nil {
+			return n, err
+		}
+		n += i
+	}
+	return n, nil
+}
+
+func (p *pageScan) selectRunsPolled(pg *Page, end int) (int, error) {
+	slots, width := pg.Slots()
+	n := 0
+	for i := 0; i < end; i += width {
+		if err := p.res.Err(); err != nil {
+			return n, err
+		}
+		n += countSlots(slots, i, i+width)
+	}
+	return n, nil
 }
 
 // negatives: the same three shapes, polling; and a bounded column loop
