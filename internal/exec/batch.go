@@ -399,9 +399,9 @@ func (s *recordSource) Close() error {
 	return err
 }
 
-// scanIter is the table scan: the page kernel (fuse.go) over heap pages, one
-// buffer-pool pin per page, with a fused Ψ/Ω predicate's block of one or the
-// empty block. A batch may overshoot BatchRows by up to one page's rows. Under
+// scanIter is the table scan: the page kernel (fuse.go) over heap pages,
+// which the buffer pool pins a run at a time, with a fused Ψ/Ω predicate's
+// block of one or the empty block. A batch may overshoot BatchRows by up to one page's rows. Under
 // a collector it attributes to its plan nodes itself: the records it read to
 // the scan and, fused, those it kept to the filter it is too, each with the
 // scan's full wall time (the parent-includes-child convention).

@@ -46,7 +46,8 @@ type Env interface {
 }
 
 // RecordScan streams the raw encoded records of a heap page range,
-// page-at-a-time: one buffer-pool pin per page instead of one per row.
+// page-at-a-time: a heap scan pins a run of pages per buffer-pool lock, not
+// a page per row.
 type RecordScan interface {
 	// NextPage hands fn the scan's next heap page, a view of its slots
 	// (storage.Page), and advances. more=false reports exhaustion (fn was
@@ -54,7 +55,8 @@ type RecordScan interface {
 	// by the scan — valid only during fn; fn loops over the page's records
 	// itself and copies what it keeps (types.DecodeTuple already copies).
 	NextPage(fn func(pg storage.Page) error) (more bool, err error)
-	// Close releases the scan.
+	// Close releases the scan, and with it the pages it still holds
+	// pinned; a scan stopped short of its end must be closed.
 	Close() error
 }
 

@@ -63,7 +63,7 @@ func canceledScan(t *testing.T, stripe func(*recordSource)) *scanIter {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ev := &evaluator{env: env, stats: &RunStats{}, res: NewResources(ctx, 0), pool: NewBatchPool()}
-	src := &recordSource{env: env, ev: ev, src: &morselSource{table: "t", npages: np, chunk: morselChunkPages}}
+	src := &recordSource{env: env, ev: ev, src: &morselSource{table: "t", npages: np, chunk: minMorselPages}}
 	if stripe != nil {
 		stripe(src)
 	}

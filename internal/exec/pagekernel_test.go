@@ -52,7 +52,10 @@ type heapEnv struct {
 
 type heapScan struct{ *storage.Iter }
 
-func (heapScan) Close() error { return nil }
+func (s heapScan) Close() error {
+	s.Iter.Close()
+	return nil
+}
 
 func (e *heapEnv) TablePages(table string) (int64, error) {
 	if h, ok := e.heaps[table]; ok {
@@ -100,7 +103,7 @@ func kernelTables(t *testing.T, rows int, cols []plan.ColInfo) (env *heapEnv, go
 	for table, rs := range map[string][]types.Tuple{"t": good, "bad": bad} {
 		addHeap(t, env, table, cols, rs)
 	}
-	if np := env.heaps["t"].NumPages(); np < 2*morselChunkPages || np >= 8*morselChunkPages {
+	if np := env.heaps["t"].NumPages(); np < 2*minMorselPages || np >= 8*minMorselPages {
 		t.Fatalf("the table takes %d pages: 2 workers must claim pages and 8 stripe rows", np)
 	}
 	return env, good
@@ -442,7 +445,7 @@ func TestFusedKeyWindowEdges(t *testing.T) {
 		rows = append(rows, types.Tuple{types.NewInt(int64(i)), types.NewUniText(types.UniText{Text: "x" + ph, Lang: types.LangEnglish, Phoneme: ph})})
 	}
 	addHeap(t, env, "t", cols, rows)
-	if np := env.heaps["t"].NumPages(); np < 2*morselChunkPages || np >= 8*morselChunkPages {
+	if np := env.heaps["t"].NumPages(); np < 2*minMorselPages || np >= 8*minMorselPages {
 		t.Fatalf("the table takes %d pages: 2 workers must claim pages and 8 stripe rows", np)
 	}
 	run := func(t *testing.T, cond plan.Expr, workers int, fuses bool) (got []types.Tuple, stats RunStats) {

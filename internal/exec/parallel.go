@@ -7,17 +7,19 @@ import (
 	"sync/atomic"
 
 	"github.com/mural-db/mural/internal/plan"
+	"github.com/mural-db/mural/internal/storage"
 )
 
 // Parallel execution: a Gather operator runs its child subtree on N worker
 // goroutines and merges their output streams in arrival order. Workers
 // partition the driving table morsel-style — each claims disjoint page
 // ranges from a shared atomic cursor and scans them through the (mutex-
-// guarded) buffer pool — so the heap is read exactly once in total. Tables
-// too small for page-granularity morsels fall back to striping: every
-// worker scans the table but keeps only rows whose ordinal matches its
-// worker id, which preserves the exactly-once guarantee at row granularity
-// (recordSource in batch.go implements both shapes).
+// guarded) buffer pool, a run of resident pages per lock — so the heap is
+// read exactly once in total. Tables too small for page-granularity
+// morsels fall back to striping: every worker scans the table but keeps
+// only rows whose ordinal matches its worker id, which preserves the
+// exactly-once guarantee at row granularity (recordSource in batch.go
+// implements both shapes).
 //
 // Isolation contract: each worker gets its own evaluator — its own RunStats,
 // its own ExecStats collector (when the parent collects), and its own G2P
@@ -32,8 +34,19 @@ import (
 // is untouched — a concurrent writer's batch pins simply serialize with
 // worker page pins at the buffer pool as usual.
 
-// morselChunkPages is how many heap pages one morsel claim covers.
-const morselChunkPages = 4
+// minMorselPages is the fewest heap pages one claim of a shared morsel
+// source covers; a table with fewer than minMorselPages per worker is
+// striped instead.
+const minMorselPages = 4
+
+// morselPages is how many pages one claim of a shared morsel source covers:
+// an eighth of a worker's share of the table, so every worker still gets at
+// least 8 claims to balance on, between minMorselPages and one pinned run of
+// the buffer pool (storage.RunPages), which a claim's scan then reads under
+// one pool lock.
+func morselPages(npages int64, workers int) int64 {
+	return min(max(npages/(8*int64(workers)), minMorselPages), storage.RunPages)
+}
 
 // parallelCtx is the per-worker build/runtime context; its presence on an
 // evaluator marks "building (then running) inside a Gather worker".
@@ -58,7 +71,7 @@ type gatherShared struct {
 type morselSource struct {
 	table  string
 	npages int64
-	// chunk is how many pages one claim covers: morselChunkPages when Gather
+	// chunk is how many pages one claim covers: morselPages when Gather
 	// workers share the source, the whole table (at least one page) for a
 	// private one.
 	chunk   int64
@@ -93,10 +106,11 @@ func (pc *parallelCtx) morselsFor(env Env, n *plan.Node) (*morselSource, error) 
 		if err != nil {
 			return nil, err
 		}
-		src = &morselSource{table: n.Table, npages: np, chunk: morselChunkPages}
-		// A table with fewer pages than workers×chunk cannot keep everyone
-		// busy at page granularity; stripe rows instead (newRecordSource).
-		src.striped = np < int64(pc.workers)*morselChunkPages
+		src = &morselSource{table: n.Table, npages: np, chunk: morselPages(np, pc.workers)}
+		// A table with fewer pages than workers×minMorselPages cannot keep
+		// everyone busy at page granularity; stripe rows instead
+		// (newRecordSource).
+		src.striped = np < int64(pc.workers)*minMorselPages
 		pc.shared.sources[n] = src
 	}
 	return src, nil

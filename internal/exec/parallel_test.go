@@ -72,7 +72,7 @@ func gatherOverScan(table string, workers int, parallel bool) *plan.Node {
 // return exactly the serial scan's rows.
 func TestGatherMorselScanMatchesSerial(t *testing.T) {
 	env := newMockEnv()
-	// 100 rows / mockPageRows = 50 pages >= workers*morselChunkPages = 8:
+	// 100 rows / mockPageRows = 50 pages >= workers*minMorselPages = 8:
 	// the morsel path, not the striped fallback.
 	want := mkIntTable(env, "big", 100)
 	checkNoGoroutineLeak(t, func() {
@@ -81,11 +81,11 @@ func TestGatherMorselScanMatchesSerial(t *testing.T) {
 	})
 }
 
-// A table with fewer pages than workers*chunk takes the striped fallback,
-// which must still deliver every row exactly once.
+// A table with fewer pages than workers*minMorselPages takes the striped
+// fallback, which must still deliver every row exactly once.
 func TestGatherStripedScanMatchesSerial(t *testing.T) {
 	env := newMockEnv()
-	// 7 rows = 4 pages < workers*morselChunkPages = 16: striped.
+	// 7 rows = 4 pages < workers*minMorselPages = 16: striped.
 	want := mkIntTable(env, "small", 7)
 	checkNoGoroutineLeak(t, func() {
 		got := runAll(t, env, gatherOverScan("small", 4, true))
@@ -373,7 +373,7 @@ func TestParallelScanOutsideGatherIsSerial(t *testing.T) {
 // Two parallel scans of the same table node share one morsel source; a
 // morselSource must hand out each page range exactly once per pass.
 func TestMorselSourceClaimsAreDisjoint(t *testing.T) {
-	src := &morselSource{table: "t", npages: 10, chunk: morselChunkPages}
+	src := &morselSource{table: "t", npages: 10, chunk: minMorselPages}
 	type rng struct{ lo, hi int64 }
 	want := []rng{{0, 4}, {4, 8}, {8, 10}}
 	for pass := int64(0); pass < 2; pass++ {
@@ -391,6 +391,65 @@ func TestMorselSourceClaimsAreDisjoint(t *testing.T) {
 		// An exhausted pass stays exhausted.
 		if _, _, ok := src.claim(pass); ok {
 			t.Errorf("claim succeeded on exhausted pass %d", pass)
+		}
+	}
+
+	// A Gather's shared source claims an eighth of a worker's share of the
+	// table, between minMorselPages and one pinned run (storage.RunPages):
+	// in every pass its claims are disjoint and cover the table in order,
+	// and each worker gets at least 8 of them unless the claims are already
+	// as small as minMorselPages.
+	for _, np := range []int64{10, 40, 300, 10000} {
+		for _, workers := range []int{1, 2, 8} {
+			env := newMockEnv()
+			mkIntTable(env, "t", int(np)*mockPageRows)
+			pc := &parallelCtx{workers: workers, shared: &gatherShared{sources: map[*plan.Node]*morselSource{}}}
+			src, err := pc.morselsFor(env, scanNode("t", nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if striped := np < int64(workers)*minMorselPages; src.striped != striped {
+				t.Fatalf("%d pages, %d workers: striped = %v, want %v", np, workers, src.striped, striped)
+			}
+			if want := min(max(np/int64(8*workers), minMorselPages), storage.RunPages); src.chunk != want {
+				t.Fatalf("%d pages, %d workers: claims of %d pages, want %d", np, workers, src.chunk, want)
+			}
+			for pass := int64(0); pass < 2; pass++ {
+				var next, claims int64
+				for {
+					lo, hi, ok := src.claim(pass)
+					if !ok {
+						break
+					}
+					if lo != next || hi <= lo || hi-lo > src.chunk {
+						t.Fatalf("%d pages, %d workers, pass %d: claim [%d, %d) after [0, %d)", np, workers, pass, lo, hi, next)
+					}
+					next, claims = hi, claims+1
+				}
+				if next != np {
+					t.Fatalf("%d pages, %d workers, pass %d: claims cover [0, %d)", np, workers, pass, next)
+				}
+				if claims < int64(8*workers) && src.chunk != minMorselPages {
+					t.Fatalf("%d pages, %d workers: %d claims of %d pages, fewer than 8 a worker", np, workers, claims, src.chunk)
+				}
+			}
+		}
+	}
+
+	// The striping threshold is minMorselPages a worker, whatever the claim
+	// size: one page short of it stripes, at it the workers claim pages.
+	for _, workers := range []int{2, 8} {
+		for _, np := range []int64{int64(workers)*minMorselPages - 1, int64(workers) * minMorselPages} {
+			env := newMockEnv()
+			mkIntTable(env, "t", int(np)*mockPageRows)
+			pc := &parallelCtx{workers: workers, shared: &gatherShared{sources: map[*plan.Node]*morselSource{}}}
+			src, err := pc.morselsFor(env, scanNode("t", nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := np < int64(workers)*minMorselPages; src.striped != want {
+				t.Fatalf("%d pages, %d workers: striped = %v, want %v", np, workers, src.striped, want)
+			}
 		}
 	}
 }

@@ -244,8 +244,18 @@ type Iter struct {
 	h      *Heap
 	page   PageID
 	slot   uint16
-	nslots uint16
 	npages PageID
+	// run holds the frames of pages [runLo, runLo+nrun), pinned together
+	// by one pinRun: NextPage reads them a call at a time and unpins them
+	// together after the last, Close when the scan stops short of it. The
+	// frames are held by address: the pool's own fields share a cache line
+	// with its lock, which the other scans of the pool keep taking.
+	// dropped is the pool's count of dropped pinned frames (Pool.dropped)
+	// when the run was pinned.
+	runLo   PageID
+	nrun    int
+	dropped uint64
+	run     [RunPages]*frame
 }
 
 // Scan returns an iterator positioned before the first record.
@@ -253,7 +263,7 @@ func (h *Heap) Scan() *Iter {
 	h.mu.RLock()
 	np := h.numPages
 	h.mu.RUnlock()
-	return &Iter{h: h, page: 0, slot: 0, nslots: 0, npages: np}
+	return &Iter{h: h, npages: np}
 }
 
 // ScanRange returns an iterator over the live records of pages [lo, hi):
@@ -269,7 +279,7 @@ func (h *Heap) ScanRange(lo, hi PageID) *Iter {
 	if lo > hi {
 		lo = hi
 	}
-	return &Iter{h: h, page: lo, slot: 0, nslots: 0, npages: hi}
+	return &Iter{h: h, page: lo, npages: hi}
 }
 
 // Page is a view of the live part of one pinned heap page, as NextPage
@@ -344,41 +354,72 @@ func (p *Page) Reset() { p.data, p.slots = p.data[:0], p.slots[:0] }
 // yet to fill included.
 func (p *Page) Cap() int { return cap(p.data) + cap(p.slots) }
 
-// NextPage processes one heap page of the scan: it pins the scan's current
-// page, hands fn a view of its slots from the scan's position on, unpins and
-// advances to the next page. more=false reports that the scan was already
-// exhausted (fn was not called). The page and the records read off it alias
-// the pinned page buffer — they are only valid during fn and must be copied
-// to be retained; fn must not pin pages of the same pool itself. An fn error
-// leaves the scan on the page (more stays true) and surfaces verbatim.
-// NextPage and Next may be mixed: both respect the scan's current page/slot
-// position.
+// NextPage processes one heap page of the scan: it hands fn a view of the
+// scan's current page from the scan's position on, then advances to the
+// next page. more=false reports that the scan was already exhausted (fn was
+// not called). The page and the records read off it alias the pinned page
+// buffer — they are only valid during fn and must be copied to be retained;
+// fn must not pin pages of the same pool itself. An fn error leaves the scan
+// on the page (more stays true) and surfaces verbatim. NextPage and Next may
+// be mixed: both respect the scan's current page/slot position.
+//
+// Pages are pinned a run at a time: where the current page has no pin yet,
+// NextPage pins it and the resident pages that follow it in the scan's
+// range, up to RunPages, under one pool lock (pinRun). Those pins span
+// calls; NextPage releases them, again under one lock, after the run's last
+// page, and Close releases what a scan that stops short still holds (after
+// an fn error, or when its consumer stops reading). Where a rollback or a
+// detach dropped a pinned frame since the run was pinned (Pool.dropped),
+// NextPage releases the run and pins from the current page again, so it
+// reads the rolled-back page afresh, or fails on a detached file, as a
+// page pinned after the drop would.
 //
 // The heap's read lock is held for the page, fn included, so an Insert
-// cannot write the page while fn reads it. fn must therefore take no lock
-// that an inserter holds while it waits for the heap (the engine's e.mu),
-// and must not call back into this heap.
+// cannot write the page while fn reads it. Unlike the run's pins it is not
+// held between calls: a self-join's outer scan would then hold it while its
+// inner scan, on the same goroutine, asks for it again, and a new read lock
+// queues behind a waiting Insert, which waits for the outer scan's. fn must
+// take no lock that an inserter holds while it waits for the heap (the
+// engine's e.mu), and must not call back into this heap.
 func (it *Iter) NextPage(fn func(pg Page) error) (more bool, err error) {
 	if it.page >= it.npages {
 		return false, nil
 	}
+	pool := it.h.pool
+	if it.page < it.runLo || it.page-it.runLo >= PageID(it.nrun) || pool.dropped.Load() != it.dropped {
+		it.Close()
+		it.dropped = pool.dropped.Load()
+		n, err := pool.pinRun(it.h.file, it.page, it.run[:min(RunPages, it.npages-it.page)])
+		if err != nil {
+			return false, err
+		}
+		it.runLo, it.nrun = it.page, n
+	}
+	data := it.run[it.page-it.runLo].data[pageChecksumSize:]
 	it.h.mu.RLock()
 	defer it.h.mu.RUnlock()
-	hd, err := it.h.pool.Pin(PageKey{File: it.h.file, Page: it.page})
-	if err != nil {
-		return false, err
-	}
-	data := hd.Data()
 	nslots := int(binary.LittleEndian.Uint16(data[0:2]))
 	from := min(int(it.slot), nslots)
 	if err := fn(Page{data: data, slots: data[heapHeaderSize+from*it.h.width : heapHeaderSize+nslots*it.h.width], width: it.h.width}); err != nil {
-		hd.Unpin()
 		return true, err
 	}
-	hd.Unpin()
 	it.page++
 	it.slot = 0
+	if it.page-it.runLo == PageID(it.nrun) {
+		it.Close()
+	}
 	return true, nil
+}
+
+// Close releases the pins of the scan's current run, if it holds one. A scan
+// that NextPage read to its end holds none; one that stops short must be
+// closed. Close may be called more than once, and the scan may go on after
+// it: NextPage pins a new run.
+func (it *Iter) Close() {
+	if it.nrun > 0 {
+		it.h.pool.unpinRun(it.run[:it.nrun])
+		it.nrun = 0
+	}
 }
 
 // Next returns the next live record, its RID, and whether one was found.

@@ -83,3 +83,28 @@ func TestInvariantWALFrameMonotonic(t *testing.T) {
 		t.Fatalf("append after truncate must restart cleanly: %v", err)
 	}
 }
+
+func TestInvariantUnpinRunCountsPinnedFrames(t *testing.T) {
+	p := NewPool(8)
+	p.AttachDisk(1, NewMemDisk())
+	for range 3 {
+		h, err := p.NewPage(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Unpin()
+	}
+	run := make([]*frame, 3)
+	n, err := p.pinRun(1, 0, run)
+	if err != nil || n != 3 {
+		t.Fatalf("pinRun = %d, %v; want the 3 resident pages", n, err)
+	}
+	p.unpinRun(run[:n]) // a well-kept count does not trip
+	if n, err = p.pinRun(1, 0, run); err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	p.pinned++ // a pin transition the count missed
+	p.mu.Unlock()
+	mustPanic(t, "frames pinned", func() { p.unpinRun(run[:n]) })
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
+	"sync/atomic"
 
 	"github.com/mural-db/mural/internal/invariant"
 )
@@ -40,13 +41,16 @@ const (
 )
 
 type frame struct {
-	sync.RWMutex
-	key   PageKey
-	data  []byte // full PageSize, checksum prefix included
-	pins  int
-	dirty bool
-	ref   bool
-	valid bool
+	key  PageKey
+	data []byte // full PageSize, checksum prefix included
+	pins int
+	// runPins counts the pins among pins that scans' runs hold (pinRun). A
+	// run pins afresh when a frame is dropped under it (Pool.dropped), so
+	// a rollback that drops the frame does not report them.
+	runPins int
+	dirty   bool
+	ref     bool
+	valid   bool
 }
 
 // Pool is a shared buffer pool over a set of attached disk files, with
@@ -60,6 +64,9 @@ type Pool struct {
 	disks  map[FileID]Disk
 	hand   int
 	stats  PoolStats
+	// pinned counts the frames with pins > 0; a run of pinRun stops short
+	// of pinning more than half of them.
+	pinned int
 	// wal, when set, receives full page images of every batch at commit.
 	// The pool then enforces the WAL rule with a no-steal policy: pages
 	// dirtied by the open batch are never written back (or evicted) before
@@ -76,6 +83,16 @@ type Pool struct {
 	// returns to zero (checkpoints and detaches wait for that).
 	sealed  int
 	drained *sync.Cond
+	// dropped counts the frames that restoreLocked or DetachDisk removed
+	// from the table while they were pinned. A scan holds its run's frames
+	// across calls and reads this count before each page: where it changed
+	// since the run was pinned, the scan pins its pages afresh, so it never
+	// reads a frame after its drop. The count has a cache line to itself:
+	// every scan reads it on every page, and the fields above change on
+	// every pin.
+	_       [64]byte
+	dropped atomic.Uint64
+	_       [56]byte
 }
 
 // NewPool creates a pool with the given number of page frames.
@@ -270,7 +287,10 @@ func (p *Pool) AbortBatch() error {
 // restoreLocked rolls pages back to their newest logged image: a sealed
 // predecessor's, else the last durable one. A page with no logged image
 // since the last checkpoint, and every page when no WAL is attached, is
-// dropped, so the next access rereads the data file. Called with p.mu held.
+// dropped, so the next access rereads the data file. Dropping a page that a
+// Pin holder still holds is reported, since the holder may go on reading
+// the rolled-back rows; a scan's run pins its pages afresh (drop), so its
+// pins are not. Called with p.mu held.
 func (p *Pool) restoreLocked(pages map[PageKey]bool) error {
 	var firstErr error
 	for key := range pages {
@@ -292,14 +312,24 @@ func (p *Pool) restoreLocked(pages map[PageKey]bool) error {
 			f.dirty = true
 			continue
 		}
-		if f.pins > 0 && firstErr == nil {
+		if f.pins > f.runPins && firstErr == nil {
 			firstErr = fmt.Errorf("storage: abort: page %v still pinned", key)
 		}
-		delete(p.table, key)
-		f.valid = false
+		p.drop(f)
 		f.dirty = false
 	}
 	return firstErr
+}
+
+// drop removes f from the table. A pinned frame stays its holders' until
+// their Unpin (victim passes over it); a scan's run holding it pins afresh
+// before its next page. Called with p.mu held.
+func (p *Pool) drop(f *frame) {
+	delete(p.table, f.key)
+	f.valid = false
+	if f.pins > 0 {
+		p.dropped.Add(1)
+	}
 }
 
 // AttachDisk registers a disk under the given file id.
@@ -310,7 +340,10 @@ func (p *Pool) AttachDisk(id FileID, d Disk) {
 }
 
 // DetachDisk flushes and evicts all pages of the file and removes it from
-// the pool. The caller owns closing the disk.
+// the pool. The caller owns closing the disk. A pinned page is dropped like
+// the others (drop): a scan still open on the file, an unclosed cursor's
+// say, then fails at its next page, as it would pinning one after the
+// detach.
 func (p *Pool) DetachDisk(id FileID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -318,9 +351,6 @@ func (p *Pool) DetachDisk(id FileID) error {
 		f := &p.frames[i]
 		if !f.valid || f.key.File != id {
 			continue
-		}
-		if f.pins > 0 {
-			return fmt.Errorf("storage: detach file %d: page %d still pinned", id, f.key.Page)
 		}
 		if p.holds[f.key] > 0 {
 			return fmt.Errorf("storage: detach file %d: page %d held by a sealed batch", id, f.key.Page)
@@ -330,8 +360,7 @@ func (p *Pool) DetachDisk(id FileID) error {
 				return err
 			}
 		}
-		delete(p.table, f.key)
-		f.valid = false
+		p.drop(f)
 	}
 	delete(p.disks, id)
 	return nil
@@ -369,12 +398,7 @@ func (h *Handle) MarkDirty() {
 // Unpin releases the pin taken by Pin/NewPage.
 func (h *Handle) Unpin() {
 	h.pool.mu.Lock()
-	f := &h.pool.frames[h.idx]
-	invariant.Assertf(f.pins > 0, "storage: unpin of frame %v with zero pins", f.key)
-	if f.pins > 0 {
-		f.pins--
-	}
-	f.ref = true
+	h.pool.unpinFrame(&h.pool.frames[h.idx])
 	h.pool.mu.Unlock()
 }
 
@@ -391,48 +415,136 @@ func (p *Pool) Pin(key PageKey) (h *Handle, err error) {
 
 // pin pins the frame of h's page, reading the page on a miss, and sets
 // h.idx to it.
-func (p *Pool) pin(h *Handle) error {
-	key := h.key
+func (p *Pool) pin(h *Handle) (err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if idx, ok := p.table[key]; ok {
-		f := &p.frames[idx]
-		f.pins++
-		f.ref = true
+	var hit bool
+	if h.idx, hit, err = p.fetchLocked(h.key); hit {
 		p.stats.Hits++
 		mPoolHits.Inc()
-		h.idx = idx
-		return nil
+	}
+	return err
+}
+
+// RunPages is the most pages one run of a heap scan pins (pinRun).
+const RunPages = 16
+
+// pinRun pins a run of file's pages from first on under one acquisition of
+// the pool lock, and stores their frames in run: first as Pin pins it,
+// reading it on a miss, then each following page while it is resident and
+// at most half the pool's frames would be pinned, up to len(run) pages. The
+// run stops at the first page that misses; n is its length, at least one
+// when err is nil. The hits count as Pin's do, one count per page.
+func (p *Pool) pinRun(file FileID, first PageID, run []*frame) (n int, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	idx, hit, err := p.fetchLocked(PageKey{File: file, Page: first})
+	if err != nil {
+		return 0, err
+	}
+	run[0] = &p.frames[idx]
+	run[0].runPins++
+	for n = 1; n < len(run); n++ {
+		idx, ok := p.table[PageKey{File: file, Page: first + PageID(n)}]
+		if !ok {
+			break
+		}
+		f := &p.frames[idx]
+		pinned := p.pinned
+		if f.pins == 0 {
+			pinned++
+		}
+		if 2*pinned > len(p.frames) {
+			break
+		}
+		p.pinFrame(f)
+		f.runPins++
+		run[n] = f
+	}
+	hits := n - 1
+	if hit {
+		hits++
+	}
+	p.stats.Hits += uint64(hits)
+	mPoolHits.Add(int64(hits))
+	return n, nil
+}
+
+// unpinRun releases the pins pinRun took on run's frames under one
+// acquisition of the pool lock.
+func (p *Pool) unpinRun(run []*frame) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, f := range run {
+		f.runPins--
+		p.unpinFrame(f)
+	}
+	if invariant.Enabled {
+		pinned := 0
+		for i := range p.frames {
+			if p.frames[i].pins > 0 {
+				pinned++
+			}
+		}
+		invariant.Assertf(pinned == p.pinned, "storage: %d frames pinned, the pool counts %d", pinned, p.pinned)
+	}
+}
+
+// pinFrame takes a pin on f, counting it among the pinned frames on its
+// first. Called with p.mu held.
+func (p *Pool) pinFrame(f *frame) {
+	if f.pins == 0 {
+		p.pinned++
+	}
+	f.pins++
+	f.ref = true
+}
+
+// unpinFrame releases a pin on f. Called with p.mu held.
+func (p *Pool) unpinFrame(f *frame) {
+	invariant.Assertf(f.pins > 0, "storage: unpin of frame %v with zero pins", f.key)
+	if f.pins > 0 {
+		if f.pins--; f.pins == 0 {
+			p.pinned--
+		}
+	}
+	f.ref = true
+}
+
+// fetchLocked pins key's frame, reading the page into a victim frame on a
+// miss; hit reports that the page was resident, which the caller counts.
+// Called with p.mu held.
+func (p *Pool) fetchLocked(key PageKey) (idx int, hit bool, err error) {
+	if idx, ok := p.table[key]; ok {
+		p.pinFrame(&p.frames[idx])
+		return idx, true, nil
 	}
 	p.stats.Misses++
 	mPoolMisses.Inc()
 	disk, ok := p.disks[key.File]
 	if !ok {
-		return fmt.Errorf("storage: pin: file %d not attached", key.File)
+		return 0, false, fmt.Errorf("storage: pin: file %d not attached", key.File)
 	}
-	idx, err := p.victim()
-	if err != nil {
-		return err
+	if idx, err = p.victim(); err != nil {
+		return 0, false, err
 	}
 	f := &p.frames[idx]
 	if err := disk.ReadPage(key.Page, f.data); err != nil {
 		f.valid = false
-		return err
+		return 0, false, err
 	}
 	p.stats.DiskReads++
 	mPoolReads.Inc()
 	if err := verifyChecksum(f.data); err != nil {
 		f.valid = false
-		return fmt.Errorf("storage: page %v: %w", key, err)
+		return 0, false, fmt.Errorf("storage: page %v: %w", key, err)
 	}
 	f.key = key
-	f.pins = 1
+	p.pinFrame(f)
 	f.dirty = false
-	f.ref = true
 	f.valid = true
 	p.table[key] = idx
-	h.idx = idx
-	return nil
+	return idx, false, nil
 }
 
 // NewPage allocates a fresh page in the file and returns it pinned and
@@ -458,9 +570,8 @@ func (p *Pool) NewPage(file FileID) (*Handle, error) {
 	}
 	key := PageKey{File: file, Page: id}
 	f.key = key
-	f.pins = 1
+	p.pinFrame(f)
 	f.dirty = true
-	f.ref = true
 	f.valid = true
 	p.table[key] = idx
 	if p.batch != nil {
@@ -469,8 +580,8 @@ func (p *Pool) NewPage(file FileID) (*Handle, error) {
 	return &Handle{pool: p, idx: idx, key: key}, nil
 }
 
-// victim finds a free or evictable frame using the clock algorithm.
-// Called with p.mu held.
+// victim finds a free or evictable frame using the clock algorithm; the
+// frame it returns has no pins. Called with p.mu held.
 func (p *Pool) victim() (int, error) {
 	n := len(p.frames)
 	// Two full sweeps: the first clears reference bits, the second evicts.
@@ -478,11 +589,13 @@ func (p *Pool) victim() (int, error) {
 		f := &p.frames[p.hand]
 		idx := p.hand
 		p.hand = (p.hand + 1) % n
-		if !f.valid {
-			return idx, nil
-		}
+		// A frame dropped while it was pinned (drop) still belongs to its
+		// holders until their Unpin.
 		if f.pins > 0 {
 			continue
+		}
+		if !f.valid {
+			return idx, nil
 		}
 		// WAL rule (no-steal): a page dirtied by the open batch, or held by a
 		// sealed batch whose group commit is still in flight, must not be
@@ -571,6 +684,14 @@ func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
+}
+
+// PinnedFrames returns how many frames hold pins: 0 once every Handle is
+// unpinned and every scan has released its run.
+func (p *Pool) PinnedFrames() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.pinned
 }
 
 // ResetStats zeroes the pool counters (used between benchmark runs).

@@ -33,8 +33,12 @@ func (r *recordScan) NextPage(fn func(pg storage.Page) error) (bool, error) {
 	return r.it.NextPage(fn)
 }
 
-// Close implements exec.RecordScan.
-func (r *recordScan) Close() error { return nil }
+// Close implements exec.RecordScan: it releases the pins of the heap
+// iterator's current run.
+func (r *recordScan) Close() error {
+	r.it.Close()
+	return nil
+}
 
 // ScanRecords implements exec.Env: raw records of heap pages [lo, hi).
 func (e *Engine) ScanRecords(table string, lo, hi int64) (exec.RecordScan, error) {
